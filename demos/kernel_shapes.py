@@ -40,8 +40,9 @@ for eps in (1e-1, 1e-2, 1e-3):
     rhs = fp * nu_tail_mean(params, eps) - 0.5 * fpp * small_jump_variance(params, eps)
     print(f"  {eps:8.0e}  {lhs:14.8f}  {rhs:14.8f}  {abs(lhs - rhs):10.2e}")
 
-# far from the level the compensator dies off like |x|^(-1-alpha); close to
-# it, the eps -> 0 blowup is what feeds the local time
+# far from the level the compensator dies off like F'(x) m(eps), i.e.
+# |x|^(alpha-2) (|x|^(alpha-3) when symmetric); close to it, the eps -> 0
+# blowup is what feeds the local time
 print("\nG_eps profile (eps = 1e-2):")
 xs = np.array([-4.0, -1.0, -0.25, -0.05, 0.05, 0.25, 1.0, 4.0])
 for xv in xs:

@@ -14,7 +14,6 @@ import warnings
 import numpy as np
 
 from stable_tanaka import SimConfig, derive_params
-from stable_tanaka.kernel import compensator_table
 from stable_tanaka.localtime import (
     default_mollifier,
     occupation_curve,
@@ -39,11 +38,10 @@ def main():
     # dense grid for honest curve integrals; every 40th row for display
     a_grid = np.linspace(-2.0, 2.0, 801)
     moll = default_mollifier(cfg.eps)
-    table = compensator_table(params, cfg.eps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         occ = occupation_curve(path, a_grid, moll)
-        tan = tanaka_curve(params, path, a_grid, table=table)
+        tan = tanaka_curve(params, path, a_grid)
 
     print(f"path {args.path_index}: range [{path.values.min():+.3f}, "
           f"{path.values.max():+.3f}], {len(path.jump_times)} jumps\n")

@@ -10,13 +10,11 @@ against the closed-form bound used to size Monte Carlo studies.
 import numpy as np
 
 from stable_tanaka import SimConfig, derive_params
-from stable_tanaka.kernel import compensator_table
 from stable_tanaka.localtime import martingale_l2_bound, martingale_part
 from stable_tanaka.pathsim import simulate_path_jumpdecomp
 
 params = derive_params(1.5, 1.0, 1.0)
 cfg = SimConfig(T=1.0, n_steps=1024, eps=1e-2, seed=2025)
-table = compensator_table(params, cfg.eps)
 
 n_paths = 400
 checkpoints = (0.25, 0.5, 1.0)
@@ -24,7 +22,7 @@ samples = {t: [] for t in checkpoints}
 for i in range(n_paths):
     path = simulate_path_jumpdecomp(params, cfg, path_index=i)
     for t in checkpoints:
-        samples[t].append(martingale_part(params, path, 0.0, t=t, table=table))
+        samples[t].append(martingale_part(params, path, 0.0, t=t))
 
 print(f"{n_paths} paths, a = 0:")
 for t in checkpoints:

@@ -19,10 +19,8 @@ from .experiments import (
     run_experiment,
 )
 from .kernel import (
-    CompensatorTable,
     MollifierSpec,
     compensator_density,
-    compensator_table,
     kernel_convolve,
     kernel_F,
     kernel_F_prime,
@@ -86,8 +84,6 @@ __all__ = [
     "kernel_convolve",
     "smooth_F",
     "compensator_density",
-    "compensator_table",
-    "CompensatorTable",
     "SimConfig",
     "PathSample",
     "CharFunctionEstimate",

@@ -134,15 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    raw = json.loads(Path(args.spec).read_text(encoding="utf-8")) \
-        if Path(args.spec).exists() else None
-    if raw is None:
-        print(f"config error: spec file not found: {args.spec}",
-              file=sys.stderr)
-        return 2
+    spec_path = Path(args.spec)
+    if not spec_path.is_file():
+        raise ConfigError(f"spec file not found: {args.spec}")
+    try:
+        text = spec_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(
+            f"cannot read spec file {args.spec}: {exc}") from None
+    raw = json.loads(text)
     if not isinstance(raw, dict):
-        print("config error: spec must be a JSON object", file=sys.stderr)
-        return 2
+        raise ConfigError("spec must be a JSON object")
     for assignment in args.override:
         _apply_override(raw, assignment)
     if args.seed is not None:

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .kernel import compensator_table, kernel_convolve, standard_bump
+from .kernel import kernel_convolve, standard_bump
 from .localtime import (
     default_a_grid,
     default_mollifier,
@@ -400,13 +400,12 @@ def _run_martingale_zero_mean(spec):
     if n_paths < 2:
         raise ConfigError("need n_paths >= 2")
     checkpoints = [float(f) * cfg.T for f in o["checkpoints"]]
-    table = compensator_table(params, cfg.eps)
     rows = {(float(a), t): [] for a in o["levels"] for t in checkpoints}
     for i in range(n_paths):
         path = simulate_path_jumpdecomp(params, cfg, path_index=i)
         for (a, t), acc in rows.items():
             acc.append(martingale_part(
-                params, path, a, t=t, table=table,
+                params, path, a, t=t,
                 small_jump_in_M=o["small_jump_in_M"]))
     stats, verdicts = {}, []
     for (a, t), acc in sorted(rows.items()):
@@ -439,7 +438,6 @@ def _run_estimator_agreement(spec):
         cfg = SimConfig(T=base.T, n_steps=n_steps, eps=eps,
                         small_jump_mode=base.small_jump_mode,
                         seed=spec.seed, x0=base.x0)
-        table = compensator_table(params, eps)
         moll = default_mollifier(eps)
         diffs, tv, ov = [], [], []
         with warnings.catch_warnings():
@@ -447,7 +445,7 @@ def _run_estimator_agreement(spec):
             for i in range(n_paths):
                 path = simulate_path_jumpdecomp(params, cfg, path_index=i)
                 tval = tanaka_estimator(
-                    params, path, a, table=table,
+                    params, path, a,
                     small_jump_in_M=o["small_jump_in_M"]).value
                 oval = occupation_estimator(path, a, moll).value
                 diffs.append(tval - oval)

@@ -13,20 +13,30 @@ that absorb the |.|^(alpha-1) cusp), and the compensator density
     G_eps(x) = int_{|h| > eps} {F(x+h) - F(x)} nu(dh),
 
 which the martingale part of the local-time decomposition integrates along
-paths.
+paths. Since (x+u)^(alpha-1) u^(-1-alpha) has the primitive
+-(1 + x/u)^alpha / (alpha x), G_eps is elementary. With z = x/eps, x > 0,
+P = c+ ((1+z)^alpha - z^alpha) and Q = c- ((z-1)^alpha - z^alpha):
+
+    z >= 1:     G = D (1-beta) (P + Q) / (alpha x)
+    0 < z < 1:  G = D [(1-beta) c+ ((1+z)^alpha - 1 - z^alpha)
+                       + c- ((1+beta)(1 - (1-z)^alpha) - (1-beta) z^alpha)]
+                    / (alpha x)
+    x = 0:      G = D [c+ (1-beta) + c- (1+beta)] / eps
+
+The constant terms cancel for z >= 1 because beta (c+ + c-) = c+ - c-.
+Negative x is the mirror image, G(x; c+, c-, beta) = G(-x; c-, c+, -beta).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, special
 
-from .params import StableParams, nu_density, nu_tail_mass
+from .params import StableParams
 
 __all__ = [
     "MollifierSpec",
@@ -38,8 +48,6 @@ __all__ = [
     "kernel_convolve",
     "smooth_F",
     "compensator_density",
-    "CompensatorTable",
-    "compensator_table",
 ]
 
 
@@ -188,95 +196,37 @@ def smooth_F(params: StableParams, moll: MollifierSpec, x):
 
 # -------------------------------------------------------------- compensator
 
-def _tail_beyond(params: StableParams, fx: float, h_max: float) -> float:
-    # int_{|h|>H} {F(x+h) - F(x)} nu(dh) for H >> |x|: expanding
-    # F(x+h) ~ D(1 -+ beta)|h|^(alpha-1)(1 + (alpha-1)x/h) makes the
-    # leading term 4 D c+ c- / ((c+ + c-) H) -- the x-correction cancels
-    # between the sides exactly -- minus F(x) nu({|h| > H}).
-    lead = 4.0 * params.big_d * params.c_plus * params.c_minus \
-        / ((params.c_plus + params.c_minus) * h_max)
-    return lead - fx * nu_tail_mass(params, h_max)
-
-
-def compensator_density(params: StableParams, x: float, eps: float,
-                        h_max: float = 1e3, tol: float = 1e-8) -> float:
+def compensator_density(params: StableParams, x, eps: float):
     """G_eps(x): integral of F(x+h) - F(x) over jumps larger than eps.
 
-    Adaptive quadrature in per-decade panels over eps < |h| <= h_max, with
-    an extra split at h = -x where the integrand inherits the kernel cusp,
-    plus the analytic tail beyond h_max. For |x| < eps the cusp lies inside
-    the excluded band and the value is dominated by the near field; that is
-    legitimate but worth a warning, since Riemann sums over paths must
-    resolve the scale eps around the target level.
+    Exact, from the primitive -(1 + x/u)^alpha / (alpha x) of
+    (x+u)^(alpha-1) u^(-1-alpha); see the module docstring. Vectorized over
+    x: a scalar gives a float, an array an array.
     """
-    if not 0.0 < eps < 1.0 < h_max:
-        raise ValueError("need 0 < eps < 1 < h_max")
-    x = float(x)
-    if abs(x) < eps:
-        warnings.warn(
-            f"compensator evaluated at |x|={abs(x):.3g} inside the cutoff "
-            f"eps={eps:.3g}; values vary on the eps scale there",
-            RuntimeWarning, stacklevel=2)
-    fx = kernel_F(params, x)
-
-    def integrand(h):
-        return (kernel_F(params, x + h) - fx) * nu_density(params, h)
-
-    n_dec = int(math.ceil(math.log10(h_max / eps)))
-    mags = np.geomspace(eps, h_max, n_dec + 1)
-    value = _tail_beyond(params, fx, h_max)
-    err_total = 0.0
-    for sign in (1.0, -1.0):
-        edges = sign * mags
-        # the kernel cusp sits at h = -x; insert it on the matching side
-        kink = -x
-        if math.copysign(1.0, kink) == sign and eps < abs(kink) < h_max:
-            edges = np.append(edges, kink)
-        edges = np.sort(edges)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            val, err = integrate.quad(integrand, lo, hi, epsabs=tol / 100.0,
-                                      epsrel=1e-10, limit=400)
-            value += val
-            err_total += err
-    if err_total > tol * max(1.0, abs(value)):
-        raise RuntimeError(
-            f"compensator quadrature error {err_total:.2e} exceeds tolerance")
-    return value
-
-
-class CompensatorTable:
-    """G_eps sampled on a sign-aware log grid, served by linear interpolation.
-
-    Martingale-part integrals evaluate G_eps at every path point; building
-    the quadrature-backed values once and interpolating afterwards turns
-    ~1e8 evaluations from hours into seconds. Nodes cluster geometrically
-    toward 0 where G varies on the eps scale; queries beyond the outermost
-    node clamp to its (decaying) value.
-    """
-
-    def __init__(self, params: StableParams, eps: float, h_max: float = 1e3,
-                 x_max: float = 1e3, nodes_per_decade: int = 40):
-        if not x_max > eps:
-            raise ValueError("x_max must exceed eps")
-        self.params = params
-        self.eps = eps
-        x_min = 1e-2 * eps
-        n_dec = math.log10(x_max / x_min)
-        mags = np.geomspace(x_min, x_max, int(round(n_dec * nodes_per_decade)) + 1)
-        nodes = np.concatenate([-mags[::-1], [0.0], mags])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            values = np.array([compensator_density(params, x, eps, h_max)
-                               for x in nodes])
-        self.x_nodes = nodes
-        self.g_values = values
-
-    def __call__(self, x):
-        return np.interp(x, self.x_nodes, self.g_values)
-
-
-@lru_cache(maxsize=8)
-def compensator_table(params: StableParams, eps: float,
-                      h_max: float = 1e3) -> CompensatorTable:
-    """Cached table factory so Monte Carlo loops share one build."""
-    return CompensatorTable(params, eps, h_max)
+    if not 0.0 < eps < 1.0:
+        raise ValueError("need 0 < eps < 1")
+    x = np.asarray(x, dtype=float)
+    # x < 0 is the mirror image: swap the jump sides and flip beta
+    pos = x > 0.0
+    c_away = np.where(pos, params.c_plus, params.c_minus)
+    c_toward = np.where(pos, params.c_minus, params.c_plus)
+    w_same = 1.0 - np.where(pos, params.beta, -params.beta)  # F on x's side
+    w_other = 2.0 - w_same
+    a = params.alpha
+    z = np.abs(x) / eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # |x| >= eps: (1 + 1/z)^a - 1 and (1 - 1/z)^a - 1, scaled by z^a;
+        # at z = 1 the second is expm1(-inf) = -1 exactly
+        zf = np.maximum(z, 1.0)
+        outer = w_same * zf ** a * (
+            c_away * np.expm1(a * np.log1p(1.0 / zf))
+            + c_toward * np.expm1(a * np.log1p(-1.0 / zf)))
+        zn = np.minimum(z, 1.0)
+        inner = w_same * c_away * (np.expm1(a * np.log1p(zn)) - zn ** a) \
+            - c_toward * (w_other * np.expm1(a * np.log1p(-zn))
+                          + w_same * zn ** a)
+        g = params.big_d * np.where(z >= 1.0, outer, inner) / (a * np.abs(x))
+    g0 = params.big_d * (params.c_plus * (1.0 - params.beta)
+                         + params.c_minus * (1.0 + params.beta)) / eps
+    out = np.where(x == 0.0, g0, g)
+    return out if out.ndim else float(out)

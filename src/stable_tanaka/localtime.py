@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .kernel import MollifierSpec, compensator_table, kernel_F
+from .kernel import MollifierSpec, compensator_density, kernel_F
 from .params import StableParams, nu_tail_mean
 from .pathsim import PathSample
 from .spectral import negative_moment_bound
@@ -169,10 +169,24 @@ def _require_jump_record(path: PathSample):
             "the jump-decomposition scheme")
 
 
+def _compensator_interp(params: StableParams, eps: float, x):
+    """G_eps at x by linear interpolation between closed-form node values.
+
+    Nodes run 40 per decade over 1e-2 eps <= |x| <= 1e3, mirrored, plus 0;
+    beyond the outermost node the value clamps. Filling the nodes is cheap,
+    and interpolating at every path point is ~5x faster than evaluating
+    the closed form there.
+    """
+    x_min = 1e-2 * eps
+    n_nodes = int(round(math.log10(1e3 / x_min) * 40)) + 1
+    mags = np.geomspace(x_min, 1e3, n_nodes)
+    nodes = np.concatenate([-mags[::-1], [0.0], mags])
+    return np.interp(x, nodes, compensator_density(params, nodes, eps))
+
+
 def martingale_part(params: StableParams, path: PathSample, a: float,
                     t: float | None = None,
-                    small_jump_in_M: str | None = None,
-                    table=None) -> float:
+                    small_jump_in_M: str | None = None) -> float:
     """Discretized compensated-jump martingale M^a_t along one path.
 
     Sum over recorded jumps of F(X_pre - a + h) - F(X_pre - a), minus the
@@ -188,8 +202,6 @@ def martingale_part(params: StableParams, path: PathSample, a: float,
             f"small_jump_in_M must be one of {SMALL_JUMP_IN_M_MODES}")
     cfg = path.config
     times, values, jt, js = _sliced(path, t)
-    if table is None:
-        table = compensator_table(params, cfg.eps)
 
     value = 0.0
     if len(jt):
@@ -199,7 +211,7 @@ def martingale_part(params: StableParams, path: PathSample, a: float,
                               - kernel_F(params, post - js - a)))
     dts = np.diff(times)
     lefts = values[:-1]
-    value -= float(table(lefts - a) @ dts)
+    value -= float(_compensator_interp(params, cfg.eps, lefts - a) @ dts)
 
     if mode == "include" and cfg.small_jump_mode == "gaussian":
         # the value change between events is drift*dt + sigma*dW, plus the
@@ -216,13 +228,12 @@ def martingale_part(params: StableParams, path: PathSample, a: float,
 def tanaka_estimator(params: StableParams, path: PathSample, a: float,
                      t: float | None = None,
                      small_jump_in_M: str | None = None,
-                     table=None,
                      tolerance: float = math.inf) -> LocalTimeEstimate:
     """Kernel-endpoint estimator F(X_t - a) - F(X_0 - a) - M^a_t."""
     _require_jump_record(path)
     times, values, _, _ = _sliced(path, t)
     m = martingale_part(params, path, a, t=t,
-                        small_jump_in_M=small_jump_in_M, table=table)
+                        small_jump_in_M=small_jump_in_M)
     value = float(kernel_F(params, values[-1] - a)
                   - kernel_F(params, values[0] - a) - m)
     return LocalTimeEstimate(
@@ -234,19 +245,16 @@ def tanaka_estimator(params: StableParams, path: PathSample, a: float,
 
 def tanaka_curve(params: StableParams, path: PathSample, a_grid,
                  t: float | None = None,
-                 small_jump_in_M: str | None = None,
-                 table=None) -> np.ndarray:
+                 small_jump_in_M: str | None = None) -> np.ndarray:
     """Raw kernel-route estimates over a grid of levels (no floor checks)."""
     _require_jump_record(path)
-    if table is None:
-        table = compensator_table(params, path.config.eps)
     times, values, _, _ = _sliced(path, t)
     end, start = values[-1], values[0]
     a_grid = np.asarray(a_grid, dtype=float)
     out = np.empty(a_grid.shape)
     for j, a in enumerate(a_grid):
         m = martingale_part(params, path, float(a), t=t,
-                            small_jump_in_M=small_jump_in_M, table=table)
+                            small_jump_in_M=small_jump_in_M)
         out[j] = kernel_F(params, end - a) - kernel_F(params, start - a) - m
     return out
 
@@ -264,8 +272,7 @@ def occupation_formula_check(path: PathSample, g, a_grid,
                              t: float | None = None,
                              estimator: str = "occupation",
                              params: StableParams | None = None,
-                             small_jump_in_M: str | None = None,
-                             table=None) -> float:
+                             small_jump_in_M: str | None = None) -> float:
     """Relative residual of int g(a) L^a_t da against int_0^t g(X_s) ds.
 
     The left side integrates the estimated local-time curve over the level
@@ -286,7 +293,7 @@ def occupation_formula_check(path: PathSample, g, a_grid,
         if params is None:
             raise ValueError("the kernel-route curve needs params")
         curve = tanaka_curve(params, path, a_grid, t=t,
-                             small_jump_in_M=small_jump_in_M, table=table)
+                             small_jump_in_M=small_jump_in_M)
     else:
         raise ValueError(f"estimator must be one of {_METHODS}")
     lhs = float(np.trapezoid(g(a_grid) * curve, a_grid))

@@ -87,20 +87,6 @@ class StableParams:
         """tan(pi * alpha / 2); negative throughout (1, 2)."""
         return math.tan(math.pi * self.alpha / 2.0)
 
-    @classmethod
-    def from_config(cls, mapping) -> "StableParams":
-        """Build from a plain dict holding alpha, c_plus, c_minus."""
-        try:
-            return derive_params(float(mapping["alpha"]),
-                                 float(mapping["c_plus"]),
-                                 float(mapping["c_minus"]))
-        except KeyError as missing:
-            raise ValueError(f"params config missing key {missing}") from None
-
-    def with_swapped_sides(self) -> "StableParams":
-        """The mirrored process (positive and negative jump rates exchanged)."""
-        return derive_params(self.alpha, self.c_minus, self.c_plus)
-
 
 def derive_params(alpha: float, c_plus: float, c_minus: float) -> StableParams:
     """Derive the full coefficient set from (alpha, c_plus, c_minus).

@@ -14,7 +14,6 @@ exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -113,20 +112,6 @@ class GridFunction:
         else:
             out["values"] = self.values.tolist()
         return out
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def from_csv(cls, path) -> "GridFunction":
-        with open(path, "r", encoding="utf-8") as fh:
-            meta = fh.readline()
-        fields = dict(item.split("=") for item in
-                      meta.lstrip("# ").removeprefix("grid:").split())
-        grid = Grid(float(fields["half_width"]), int(fields["n_points"]))
-        data = np.loadtxt(path, delimiter=",", skiprows=2)
-        return cls(grid, data[:, 1])
 
 
 def _alternating_signs(n: int) -> np.ndarray:

@@ -33,7 +33,7 @@ from stable_tanaka import (
     nu_tail_mass,
     nu_tail_mean,
 )
-from stable_tanaka.kernel import compensator_table, kernel_convolve, standard_bump
+from stable_tanaka.kernel import kernel_convolve, standard_bump
 from stable_tanaka.localtime import (
     default_a_grid,
     default_mollifier,
@@ -177,13 +177,12 @@ def test_criterion_05_martingale_zero_mean():
     # 1e4 paths, T=1, n_steps=2^12, eps=1e-3: |mean M_t^a| <= 4 stderr at
     # a in {0, 0.5} x t in {0.25, 0.5, 1}.  This is the slow test (~6 min).
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=31)
-    table = compensator_table(SYM, cfg.eps)
     combos = [(a, t) for a in (0.0, 0.5) for t in (0.25, 0.5, 1.0)]
     sums = {c: [] for c in combos}
     for i in range(10_000):
         path = simulate_path_jumpdecomp(SYM, cfg, path_index=i)
         for a, t in combos:
-            sums[(a, t)].append(martingale_part(SYM, path, a, t=t, table=table))
+            sums[(a, t)].append(martingale_part(SYM, path, a, t=t))
     worst, details = 0.0, []
     for (a, t), acc in sums.items():
         arr = np.asarray(acc)
@@ -207,7 +206,6 @@ def test_criterion_06_estimator_agreement():
     rows = []
     for eps, n_steps in schedule:
         cfg = SimConfig(T=1.0, n_steps=n_steps, eps=eps, seed=1234)
-        tab = compensator_table(SYM, eps)
         moll = default_mollifier(eps)
         diffs, tan, occ = [], [], []
         with warnings.catch_warnings():
@@ -215,7 +213,7 @@ def test_criterion_06_estimator_agreement():
             warnings.simplefilter("ignore", RuntimeWarning)
             for i in range(1000):
                 path = simulate_path_jumpdecomp(SYM, cfg, path_index=i)
-                tv = tanaka_estimator(SYM, path, 0.0, table=tab).value
+                tv = tanaka_estimator(SYM, path, 0.0).value
                 ov = occupation_estimator(path, 0.0, moll).value
                 diffs.append(tv - ov)
                 tan.append(tv)

@@ -41,6 +41,16 @@ def test_run_missing_spec_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_unreadable_spec_exit_two(tmp_path, capsys):
+    # a directory, then bytes that are not UTF-8
+    assert main(["run", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert main(["run", str(binary)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_malformed_spec_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops", encoding="utf-8")

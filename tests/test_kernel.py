@@ -13,11 +13,9 @@ import pytest
 from scipy import integrate
 
 from stable_tanaka.kernel import (
-    CompensatorTable,
     MollifierSpec,
     bump_normalization,
     compensator_density,
-    compensator_table,
     kernel_convolve,
     kernel_F,
     kernel_F_prime,
@@ -261,13 +259,6 @@ def test_compensator_domain_errors():
         compensator_density(SYM, 1.0, 0.0)
     with pytest.raises(ValueError):
         compensator_density(SYM, 1.0, 1.5)
-    with pytest.raises(ValueError):
-        compensator_density(SYM, 1.0, 1e-3, h_max=0.5)
-
-
-def test_compensator_warns_inside_cutoff():
-    with pytest.warns(RuntimeWarning):
-        compensator_density(SYM, 5e-4, 1e-3)
 
 
 def test_compensator_symmetric_even():
@@ -336,17 +327,88 @@ def test_compensator_compensated_cauchy_skewed():
     assert abs(vals[2]) <= cap
 
 
-def test_compensator_table_interpolates():
-    table = compensator_table(SYM, 1e-3)
-    for x, rel in [(0.123, 3e-3), (-0.77, 3e-3), (3.456, 1e-2)]:
-        exact = compensator_density(SYM, x, 1e-3)
-        assert abs(table(x) - exact) <= rel * max(abs(exact), 1e-4)
-    # queries beyond the outermost node clamp to its decayed value
-    assert table(1e6) == table(1e3)
-    assert abs(table(1e6)) < 1e-4
-    batch = table(np.array([0.1, -0.2, 0.4]))
-    assert batch.shape == (3,)
+# the paper's one-sided cases: spectrally positive and spectrally negative
+POS = derive_params(1.5, 1.0, 0.0)
+NEG = derive_params(1.5, 0.0, 1.0)
+COMPENSATOR_CASES = [SYM, SKEW, LOW, POS, NEG, derive_params(1.8, 1.0, 2.0)]
 
 
-def test_compensator_table_factory_is_cached():
-    assert compensator_table(SYM, 1e-3) is compensator_table(SYM, 1e-3)
+def _compensator_reference(p, x, eps):
+    # the definition, folded onto jump sizes u > eps and integrated by
+    # adaptive quadrature per decade up to 1e16 (the rest is below 1e-15);
+    # F(x +- u) - F(x) is formed without cancellation while x +- u keeps
+    # the sign of x, which holds the far field to ~1e-8 relative
+    fx = kernel_F(p, x)
+
+    def diff(h):
+        if x * (x + h) > 0.0:
+            return fx * math.expm1((p.alpha - 1.0) * math.log1p(h / x))
+        return kernel_F(p, x + h) - fx
+
+    def integrand(u):
+        return (p.c_plus * diff(u) + p.c_minus * diff(-u)) \
+            * u ** (-1.0 - p.alpha)
+
+    edges = np.geomspace(eps, 1e16, int(round(math.log10(1e16 / eps))) + 1)
+    if eps < abs(x):
+        edges = np.sort(np.append(edges, abs(x)))  # the kernel cusp
+    return sum(integrate.quad(integrand, lo, hi, epsabs=1e-15,
+                              epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+@pytest.mark.parametrize("params", COMPENSATOR_CASES)
+def test_compensator_matches_definition(params, eps):
+    # measured agreement <= 2e-12 absolute
+    for x in (-7.3, -1.0, -0.3, -eps, -0.4 * eps, 0.0, 0.4 * eps, eps,
+              1.7 * eps, 0.05, 1.0, 10.0):
+        ref = _compensator_reference(params, x, eps)
+        assert abs(compensator_density(params, x, eps) - ref) <= 1e-9, x
+
+
+@pytest.mark.parametrize("params", COMPENSATOR_CASES)
+def test_compensator_far_field(params):
+    # far from the level, where an approximate tail beyond a fixed jump
+    # cutoff breaks down; measured agreement <= 1.1e-8 relative
+    for x in (100.0, -100.0, 300.0, -300.0, 1000.0, -1000.0):
+        ref = _compensator_reference(params, x, 1e-3)
+        g = compensator_density(params, x, 1e-3)
+        assert abs(g - ref) <= 1e-6 * abs(ref), x
+
+
+@pytest.mark.parametrize("params", COMPENSATOR_CASES)
+def test_compensator_mirror_identity(params):
+    mirrored = derive_params(params.alpha, params.c_minus, params.c_plus)
+    x = np.concatenate([np.geomspace(1e-6, 1e3, 200), [1e-3, 0.0]])
+    np.testing.assert_array_equal(compensator_density(params, -x, 1e-3),
+                                  compensator_density(mirrored, x, 1e-3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params", COMPENSATOR_CASES)
+def test_compensator_continuous_at_zero_and_cutoff(params):
+    eps = 1e-3
+    scale = params.big_d * (params.c_plus + params.c_minus) / eps
+    g0 = compensator_density(params, 0.0, eps)
+    # G - G(0) = O(|x/eps|^(alpha-1)) at the origin
+    for z in (1e-4, 1e-8, 1e-12):
+        for x in (z * eps, -z * eps):
+            assert abs(compensator_density(params, x, eps) - g0) \
+                <= 2.0 * z ** (params.alpha - 1.0) * scale
+    # the two closed forms meet at |x| = eps, where no warning may fire
+    for side in (1.0, -1.0):
+        at = compensator_density(params, side * eps, eps)
+        for x in (side * eps * (1.0 - 1e-9), side * eps * (1.0 + 1e-9)):
+            assert abs(compensator_density(params, x, eps) - at) \
+                <= 1e-7 * scale
+
+
+def test_compensator_scalar_and_array_shapes():
+    assert isinstance(compensator_density(SYM, 0.3, 1e-3), float)
+    assert isinstance(compensator_density(SYM, np.float64(0.0), 1e-3), float)
+    batch = compensator_density(SKEW, np.array([[0.1, -0.2], [0.0, 4.0]]),
+                                1e-3)
+    assert isinstance(batch, np.ndarray) and batch.shape == (2, 2)
+    assert batch[1, 1] == compensator_density(SKEW, 4.0, 1e-3)

@@ -16,8 +16,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from stable_tanaka import derive_params
-from stable_tanaka.kernel import MollifierSpec, compensator_density, \
-    compensator_table
+from stable_tanaka.kernel import MollifierSpec, compensator_density
 from stable_tanaka.localtime import (
     DEFAULT_SMALL_JUMP_IN_M,
     LocalTimeEstimate,
@@ -89,8 +88,26 @@ def test_constant_path_martingale_is_minus_t_compensator():
     a = 0.2
     m = martingale_part(SYM, path, a)
     exact = compensator_density(SYM, 0.7 - a, 1e-2)
-    # table interpolation is the only error source; measured rel 2.5e-4
+    # node interpolation is the only error source; measured rel 2.5e-4
     assert abs(m + exact) < 2e-3 * abs(exact)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+@pytest.mark.parametrize("params", [SYM, derive_params(1.5, 3.0, 1.0)])
+def test_compensator_interpolation_budget(params, eps):
+    # M interpolates G_eps linearly between closed-form nodes (40 per
+    # decade from 1e-2 eps to 1e3, mirrored) and clamps beyond them. On a
+    # constant path M = -T G_eps(x - a) up to that interpolation; measured
+    # error <= 3.3e-3 (symmetric) and 5.2e-3 (skewed) of the largest |G|
+    # within one node spacing
+    offsets = np.geomspace(1.3e-2 * eps, 900.0, 60)
+    for x in np.concatenate([offsets, -offsets]):
+        m = martingale_part(params, constant_path(x, eps=eps), 0.0)
+        near = compensator_density(
+            params, x * np.array([1 / 1.06, 1.0, 1.06]), eps)
+        assert abs(m + near[1]) <= 1e-2 * np.abs(near).max(), x
+    far = martingale_part(params, constant_path(1e6, eps=eps), 0.0)
+    assert far == martingale_part(params, constant_path(1e3, eps=eps), 0.0)
 
 
 def test_constant_path_tanaka_is_t_compensator():
@@ -328,7 +345,7 @@ def test_shift_relabeling():
 
 def test_reflection_symmetry_when_symmetric():
     # for c+ = c- the reflected path is equally likely and the kernel is
-    # even, so estimates must match pathwise (table quadrature noise only)
+    # even, so estimates must match pathwise (up to rounding)
     cfg = SimConfig(T=1.0, n_steps=256, eps=1e-2, seed=17)
     path = simulate_path_jumpdecomp(SYM, cfg, path_index=4)
     reflected = PathSample(
@@ -354,12 +371,11 @@ def test_martingale_mean_zero_at_checkpoints():
     # 400 paths, default (drop) mode; measured |z| <= 1.0 over all six
     # level/horizon combinations at this seed
     cfg = SimConfig(T=1.0, n_steps=512, eps=1e-2, seed=314)
-    tab = compensator_table(SYM, cfg.eps)
     rows = {(a, t): [] for a in (0.0, 0.5) for t in (0.25, 0.5, 1.0)}
     for i in range(400):
         p = simulate_path_jumpdecomp(SYM, cfg, path_index=i)
         for (a, t), acc in rows.items():
-            acc.append(martingale_part(SYM, p, a, t=t, table=tab))
+            acc.append(martingale_part(SYM, p, a, t=t))
     for (a, t), acc in rows.items():
         arr = np.asarray(acc)
         stderr = arr.std(ddof=1) / math.sqrt(len(arr))
@@ -370,9 +386,8 @@ def test_martingale_square_within_quadrature_bound():
     # measured E[M^2] = 0.16 against a bound of 11.9 -- the growth-bound
     # route is loose but must hold
     cfg = SimConfig(T=1.0, n_steps=512, eps=1e-2, seed=77)
-    tab = compensator_table(SYM, cfg.eps)
     sq = [martingale_part(SYM, simulate_path_jumpdecomp(SYM, cfg, i),
-                          0.0, table=tab) ** 2 for i in range(300)]
+                          0.0) ** 2 for i in range(300)]
     bound = martingale_l2_bound(SYM, 1.0)
     assert math.isfinite(bound) and bound > 0.0
     assert 0.01 < float(np.mean(sq)) <= 2.0 * bound
@@ -393,14 +408,13 @@ def test_agreement_mse_decreases_under_refinement():
     mses = []
     for eps, n_steps in [(4e-2, 128), (2e-2, 256), (1e-2, 512)]:
         cfg = SimConfig(T=1.0, n_steps=n_steps, eps=eps, seed=1234)
-        tab = compensator_table(SYM, eps)
         moll = default_mollifier(eps)
         diffs = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for i in range(200):
                 p = simulate_path_jumpdecomp(SYM, cfg, path_index=i)
-                tv = tanaka_estimator(SYM, p, 0.0, table=tab).value
+                tv = tanaka_estimator(SYM, p, 0.0).value
                 ov = occupation_estimator(p, 0.0, moll).value
                 diffs.append(tv - ov)
         mses.append(float(np.mean(np.square(diffs))))
@@ -412,10 +426,9 @@ def test_tanaka_rarely_undershoots():
     # only rarely and shallowly. Measured: 0.33% of 600 paths fall under
     # -0.05 x (sample mean) at this refinement.
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=99)
-    tab = compensator_table(SYM, cfg.eps)
     vals = np.array([
         tanaka_estimator(SYM, simulate_path_jumpdecomp(SYM, cfg, i),
-                         0.0, table=tab).value
+                         0.0).value
         for i in range(600)])
     assert vals.mean() > 0.0
     frac = float(np.mean(vals < -0.05 * vals.mean()))

@@ -64,7 +64,7 @@ def test_big_d_positive_across_range(alpha, pair):
 
 def test_swap_sides_flips_beta_and_drift():
     p = derive_params(1.4, 2.5, 0.5)
-    q = p.with_swapped_sides()
+    q = derive_params(1.4, 0.5, 2.5)
     assert q.beta == -p.beta
     assert q.b_alpha == -p.b_alpha
     assert q.d == pytest.approx(p.d, rel=1e-15)
@@ -121,13 +121,6 @@ def test_params_frozen():
     p = derive_params(1.5, 1.0, 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.alpha = 1.6
-
-
-def test_from_config_roundtrip():
-    p = StableParams.from_config({"alpha": 1.5, "c_plus": 3, "c_minus": 1})
-    assert p == derive_params(1.5, 3.0, 1.0)
-    with pytest.raises(ValueError, match="missing key"):
-        StableParams.from_config({"alpha": 1.5})
 
 
 def test_levy_measure_integrals_against_quadrature():
