@@ -41,7 +41,6 @@ from .pathsim import (
     simulate_path_marginal,
 )
 from .localtime import (
-    DEFAULT_SMALL_JUMP_IN_M,
     LocalTimeEstimate,
     default_a_grid,
     default_mollifier,
@@ -95,7 +94,6 @@ __all__ = [
     "empirical_char_function",
     "absolute_moment_scan",
     "LocalTimeEstimate",
-    "DEFAULT_SMALL_JUMP_IN_M",
     "occupation_estimator",
     "occupation_curve",
     "martingale_part",

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -149,10 +150,10 @@ def _cmd_run(args) -> int:
         _apply_override(raw, assignment)
     if args.seed is not None:
         raw["seed"] = args.seed
-    out = args.out or raw.get("out_dir") or _default_out(None)
-    raw["out_dir"] = None  # writing is handled here, with --format honored
     spec = ExperimentSpec.from_dict(raw)
-    report = run_experiment(spec)
+    out = args.out or spec.out_dir or _default_out(None)
+    # writing is handled here, with --format honored
+    report = run_experiment(replace(spec, out_dir=None))
     for line in report.summary_lines():
         print(line)
     print(f"wall time: {report.wall_time_s:.2f}s")

@@ -21,22 +21,26 @@ Spec files are JSON::
 
 ``params`` holds the jump-measure block (alpha, c_plus, c_minus), ``sim``
 the path-simulation knobs (T, n_steps, eps, small_jump_mode, x0), and
-``options`` the kind-specific budget and tolerances listed in
-``OPTION_KEYS``. Statistical verdicts use 4-sigma bands for mean-zero
-checks and p > 0.001 for KS-style comparisons; wall time is recorded on
-the report object but excluded from the serialized bytes so determinism
-survives.
+``options`` the kind-specific budget and tolerances, each declared once
+with its default, type and range in the kind's entry of the registry
+``_KINDS``. A spec is checked against that entry when it is built, so a
+malformed spec raises :class:`ConfigError` before any compute. Wall time
+is recorded on the report object but excluded from the serialized bytes
+so determinism survives.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import platform
+import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import scipy
@@ -51,7 +55,7 @@ from .localtime import (
     occupation_formula_check,
     tanaka_estimator,
 )
-from .params import derive_params
+from .params import derive_params, stability_constant
 from .pathsim import (
     SimConfig,
     empirical_char_function,
@@ -61,6 +65,8 @@ from .pathsim import (
 )
 from .spectral import (
     Grid,
+    ResolutionError,
+    ToleranceError,
     char_function,
     existence_integral,
     generator_apply_windowed,
@@ -84,52 +90,95 @@ class ConfigError(ValueError):
     """Bad experiment configuration, reported before any compute."""
 
 
-EXPERIMENT_KINDS = (
-    "generator-identity",
-    "martingale-zero-mean",
-    "occupation-formula",
-    "estimator-agreement",
-    "sampler-validation",
-    "moment-tests",
-    "existence-scan",
-    "density-report",
-)
+def _number(where: str, value, integer: bool):
+    """A JSON number as int or finite float; bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real) \
+            or not abs(value) <= sys.float_info.max:
+        kind = "integer" if integer else "number"
+        raise ConfigError(f"{where} must be a finite {kind}, got {value!r}")
+    return int(value) if integer else float(value)
 
-# which kinds need a params block / a sim block, and the option keys each
-# kind understands (unknown keys are config errors -- they are invariably
-# typos)
-_NEEDS_PARAMS = {k: k != "existence-scan" for k in EXPERIMENT_KINDS}
-_NEEDS_SIM = {
-    "generator-identity": False,
-    "martingale-zero-mean": True,
-    "occupation-formula": True,
-    "estimator-agreement": True,
-    "sampler-validation": False,
-    "moment-tests": False,
-    "existence-scan": False,
-    "density-report": False,
-}
-OPTION_KEYS = {
-    "generator-identity": {"half_width", "n_points", "bump_width",
-                           "report_radius", "tolerance"},
-    "martingale-zero-mean": {"n_paths", "levels", "checkpoints",
-                             "small_jump_in_M", "n_sigma"},
-    "occupation-formula": {"n_paths", "hat_half_width", "hat_tolerance",
-                           "unit_tolerance"},
-    "estimator-agreement": {"n_paths", "schedule", "level",
-                            "means_tolerance", "small_jump_in_M"},
-    "sampler-validation": {"n_samples", "u", "t", "n_sigma"},
-    "moment-tests": {"n_samples", "gammas", "times", "shifts", "n_sigma"},
-    "existence-scan": {"alphas", "cutoffs", "c_plus", "c_minus",
-                       "convergence_tolerance", "growth_fraction"},
-    "density-report": {"half_width", "n_points", "times", "mass_tolerance",
-                       "symmetry_tolerance", "selfsim_tolerance"},
-}
+
+@dataclass(frozen=True)
+class Option:
+    """One setting: its default (None: none), value type and range.
+
+    ``type`` is ``"int"``, ``"float"``, ``"floats"`` (a non-empty list, each
+    entry in ``range``), ``"schedule"`` (two or more ``[eps, n_steps]``
+    pairs) or ``"text"`` (passed through); ``range`` is an interval such as
+    ``"(0, 1]"``.
+    """
+
+    default: object
+    type: str = "float"
+    range: str = "(-inf, inf)"
+
+    def parse(self, name: str, value):
+        if self.type == "text":
+            return value
+        if self.type not in ("floats", "schedule"):
+            return self._scalar(name, value)
+        pairs = self.type == "schedule"
+        if not isinstance(value, (list, tuple)) or len(value) < 1 + pairs \
+                or pairs and not all(isinstance(p, (list, tuple))
+                                     and len(p) == 2 for p in value):
+            what = "two or more [eps, n_steps] pairs" if pairs else "numbers"
+            raise ConfigError(f"{name} must be a list of {what}, "
+                              f"got {value!r}")
+        if pairs:
+            return [(_number(f"{name}[{i}][0]", e, integer=False),
+                     _number(f"{name}[{i}][1]", n, integer=True))
+                    for i, (e, n) in enumerate(value)]
+        return [self._scalar(f"{name}[{i}]", v) for i, v in enumerate(value)]
+
+    def _scalar(self, where: str, value):
+        value = _number(where, value, integer=self.type == "int")
+        lo, hi = (float(end) for end in self.range[1:-1].split(","))
+        if not ((lo < value if self.range[0] == "(" else lo <= value)
+                and (value < hi if self.range[-1] == ")" else value <= hi)):
+            raise ConfigError(
+                f"{where} must lie in {self.range}, got {value!r}")
+        return value
+
+
+def _typed(where: str, block: dict, schema: dict) -> dict:
+    """A block checked against a name -> Option schema, defaults filled."""
+    unknown = set(block) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown {where}: {sorted(unknown)}")
+    defaults = {n: opt.default for n, opt in schema.items()
+                if opt.default is not None}
+    return defaults | {n: schema[n].parse(n, v) for n, v in block.items()}
+
+
+# derive_params and SimConfig check the ranges; SimConfig has the sim defaults
+_PARAMS_FIELDS = {"alpha": Option(None), "c_plus": Option(1.0),
+                  "c_minus": Option(1.0)}
+_SIM_FIELDS = {"T": Option(None), "n_steps": Option(None, "int"),
+               "eps": Option(None), "x0": Option(None),
+               "small_jump_mode": Option(None, "text")}
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """A kind's ``run(spec, opts, params, cfg)``, its options, and
+    ``check(opts, cfg)``, which raises ValueError on cross-field faults."""
+
+    run: Callable
+    options: dict
+    needs_params: bool = True
+    needs_sim: bool = False
+    check: Callable = lambda opts, cfg: None
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One named, seeded experiment configuration."""
+    """One named, seeded experiment configuration.
+
+    Construction checks every field against the kind's registry entry,
+    except the ``params`` block, which :meth:`derived_params` checks.
+    """
 
     kind: str
     params: dict | None = None
@@ -139,64 +188,65 @@ class ExperimentSpec:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ConfigError(
                 f"unknown experiment kind {self.kind!r}; expected one of "
-                f"{', '.join(EXPERIMENT_KINDS)}")
-        if _NEEDS_PARAMS[self.kind] and not self.params:
+                f"{', '.join(_KINDS)}")
+        for name in ("params", "sim", "options"):
+            if not isinstance(getattr(self, name), (dict, type(None))):
+                raise ConfigError(f"{name} must be a JSON object")
+        entry = _KINDS[self.kind]
+        if entry.needs_params and not self.params:
             raise ConfigError(f"{self.kind} needs a params block")
-        if _NEEDS_SIM[self.kind] and not self.sim:
+        if entry.needs_sim and not self.sim:
             raise ConfigError(f"{self.kind} needs a sim block")
-        unknown = set(self.options) - OPTION_KEYS[self.kind]
-        if unknown:
-            raise ConfigError(
-                f"unknown options for {self.kind}: {sorted(unknown)}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
                 or not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be an integer in [0, 2^64)")
+        if not isinstance(self.out_dir, (str, type(None))):
+            raise ConfigError("out_dir must be a string or null")
+        self.typed_options()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
         if not isinstance(raw, dict):
             raise ConfigError("spec must be a JSON object")
-        allowed = {"kind", "params", "sim", "options", "seed", "out_dir"}
-        unknown = set(raw) - allowed
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown spec fields: {sorted(unknown)}")
         if "kind" not in raw:
             raise ConfigError("spec needs a kind")
         return cls(**raw)
 
-    @classmethod
-    def from_file(cls, path) -> "ExperimentSpec":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ConfigError(f"spec file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"spec file {path} is not valid JSON: {exc}")
-        return cls.from_dict(raw)
-
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def typed_options(self) -> dict:
+        """Every option of the kind, typed, with defaults filled in."""
+        entry = _KINDS[self.kind]
+        opts = _typed(f"options for {self.kind}", self.options or {},
+                      entry.options)
+        # a sim block is checked whenever given, as a params block is
+        cfg = self.sim_config() if entry.needs_sim or self.sim else None
+        try:
+            entry.check(opts, cfg)
+        except ValueError as exc:
+            raise ConfigError(f"{self.kind} options: {exc}") from None
+        return opts
 
     def derived_params(self):
         if self.params is None:
             return None
-        block = dict(self.params)
-        unknown = set(block) - {"alpha", "c_plus", "c_minus"}
-        if unknown:
-            raise ConfigError(f"unknown params fields: {sorted(unknown)}")
+        block = _typed("params fields", self.params, _PARAMS_FIELDS)
         try:
-            return derive_params(block.pop("alpha"),
-                                 block.get("c_plus", 1.0),
-                                 block.get("c_minus", 1.0))
-        except (TypeError, ValueError, KeyError) as exc:
+            return derive_params(**block)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad params block: {exc}")
 
     def sim_config(self) -> SimConfig:
+        block = _typed("sim fields", self.sim or {}, _SIM_FIELDS)
         try:
-            return SimConfig(seed=self.seed, **(self.sim or {}))
+            return SimConfig(seed=self.seed, **block)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad sim block: {exc}")
 
@@ -272,19 +322,16 @@ def _versions() -> dict:
 
 # ------------------------------------------------------------------ runners
 
-def _opts(spec, **defaults):
-    merged = dict(defaults)
-    merged.update(spec.options)
-    return merged
+def _ratio(num: float, den: float) -> float:
+    """num / den for den >= 0, with 0/0 = 0 and x/0 = 1e30, so that a
+    degenerate statistic still gives a finite verdict (a huge one fails)."""
+    if den > 0.0:
+        return num / den
+    return 0.0 if num == 0.0 else 1e30
 
 
-def _run_generator_identity(spec):
-    o = _opts(spec, half_width=40.0, n_points=2 ** 14, bump_width=2.0,
-              report_radius=10.0, tolerance=1e-2)
-    params = spec.derived_params()
-    w = float(o["bump_width"])
-    if not w > 0:
-        raise ConfigError("bump_width must be positive")
+def _run_generator_identity(spec, o, params, cfg):
+    w = o["bump_width"]
 
     def phi(x):
         return standard_bump(2.0 * np.asarray(x, dtype=float) / w)
@@ -292,12 +339,9 @@ def _run_generator_identity(spec):
     def smoothed(x):
         return kernel_convolve(params, phi, x, radius=w / 2.0)
 
-    try:
-        grid = Grid(float(o["half_width"]), int(o["n_points"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    grid = Grid(o["half_width"], o["n_points"])
     x_rep, applied = generator_apply_windowed(params, smoothed, grid)
-    keep = np.abs(x_rep) <= float(o["report_radius"])
+    keep = np.abs(x_rep) <= o["report_radius"]
     x_keep = x_rep[keep]
     target = phi(x_keep)
     scale = float(np.max(np.abs(target)))
@@ -308,7 +352,7 @@ def _run_generator_identity(spec):
         "scale": scale,
     }
     verdicts = [Verdict.at_most("generator-identity-sup", sup,
-                                float(o["tolerance"]))]
+                                o["tolerance"])]
     curves = {"identity": {
         "columns": ["x", "applied", "target"],
         "rows": np.column_stack([x_keep, applied[keep], target]),
@@ -316,36 +360,21 @@ def _run_generator_identity(spec):
     return stats, verdicts, curves
 
 
-def _run_sampler_validation(spec):
-    o = _opts(spec, n_samples=100_000, u=(0.5, 1.0, 2.0, 4.0), t=1.0,
-              n_sigma=4.0)
-    params = spec.derived_params()
-    n = int(o["n_samples"])
-    t = float(o["t"])
-    if n < 1 or not t > 0:
-        raise ConfigError("need n_samples >= 1 and t > 0")
+def _run_sampler_validation(spec, o, params, cfg):
     rng = path_rng(spec.seed)
-    samples = sample_stable_increment(params, t, rng, size=n)
+    samples = sample_stable_increment(params, o["t"], rng,
+                                      size=o["n_samples"])
     stats, verdicts, rows = {}, [], []
     for u in o["u"]:
-        u = float(u)
         est = empirical_char_function(samples, u)
-        target = complex(char_function(params, u, t))
+        target = complex(char_function(params, u, o["t"]))
         dre = abs(est.value.real - target.real)
         dim = abs(est.value.imag - target.imag)
         # sigma units componentwise; a zero-variance component must match
         # exactly (z = 0), anything else at zero spread is a hard miss
-        zs = []
-        for delta, se in ((dre, est.stderr_real), (dim, est.stderr_imag)):
-            if se == 0.0:
-                zs.append(0.0 if delta == 0.0 else math.inf)
-            else:
-                zs.append(delta / se)
-        z = max(zs)
-        if not math.isfinite(z):
-            z = 1e30  # keep the verdict serializable; it still fails
+        z = max(_ratio(dre, est.stderr_real), _ratio(dim, est.stderr_imag))
         verdicts.append(Verdict.at_most(f"cf-match[u={u:g}]", z,
-                                        float(o["n_sigma"])))
+                                        o["n_sigma"]))
         rows.append([u, est.value.real, est.value.imag, target.real,
                      target.imag, est.stderr_real, est.stderr_imag])
         stats[f"u={u:g}"] = {
@@ -362,27 +391,19 @@ def _run_sampler_validation(spec):
     return stats, verdicts, curves
 
 
-def _run_moment_tests(spec):
-    o = _opts(spec, n_samples=100_000, gammas=(0.3, 0.5, 0.7),
-              times=(0.5, 1.0), shifts=(0.0, 1.0), n_sigma=4.0)
-    params = spec.derived_params()
-    n = int(o["n_samples"])
-    if n < 2:
-        raise ConfigError("need n_samples >= 2")
+def _run_moment_tests(spec, o, params, cfg):
+    n = o["n_samples"]
     stats, verdicts = {}, []
     for it, t in enumerate(o["times"]):
-        t = float(t)
         rng = path_rng(spec.seed, it)
         x_t = sample_stable_increment(params, t, rng, size=n)
         for gamma in o["gammas"]:
-            gamma = float(gamma)
             for x in o["shifts"]:
-                x = float(x)
                 vals = np.abs(x_t - x) ** (-gamma)
                 mean = float(vals.mean())
                 se = float(vals.std(ddof=1) / math.sqrt(n))
                 bound = negative_moment_bound(params, gamma, t)
-                thresh = bound * (1.0 + float(o["n_sigma"]) * se / mean)
+                thresh = bound * (1.0 + o["n_sigma"] * se / mean)
                 name = f"negative-moment[gamma={gamma:g},t={t:g},x={x:g}]"
                 verdicts.append(Verdict.at_most(name, mean, thresh))
                 stats[name] = {"empirical": mean, "stderr": se,
@@ -390,63 +411,52 @@ def _run_moment_tests(spec):
     return stats, verdicts, {}
 
 
-def _run_martingale_zero_mean(spec):
-    o = _opts(spec, n_paths=400, levels=(0.0, 0.5),
-              checkpoints=(0.25, 0.5, 1.0), small_jump_in_M=None,
-              n_sigma=4.0)
-    params = spec.derived_params()
-    cfg = spec.sim_config()
-    n_paths = int(o["n_paths"])
-    if n_paths < 2:
-        raise ConfigError("need n_paths >= 2")
-    checkpoints = [float(f) * cfg.T for f in o["checkpoints"]]
-    rows = {(float(a), t): [] for a in o["levels"] for t in checkpoints}
-    for i in range(n_paths):
+def _check_checkpoints(o, cfg):
+    # M at t needs at least one grid step before t
+    short = [f for f in o["checkpoints"] if f * cfg.T < cfg.dt]
+    if short:
+        raise ValueError(f"checkpoints {short} fall inside the first grid "
+                         f"step (T/n_steps = {cfg.dt:g})")
+
+
+def _run_martingale_zero_mean(spec, o, params, cfg):
+    checkpoints = [f * cfg.T for f in o["checkpoints"]]
+    rows = {(a, t): [] for a in o["levels"] for t in checkpoints}
+    for i in range(o["n_paths"]):
         path = simulate_path_jumpdecomp(params, cfg, path_index=i)
         for (a, t), acc in rows.items():
-            acc.append(martingale_part(
-                params, path, a, t=t,
-                small_jump_in_M=o["small_jump_in_M"]))
+            acc.append(martingale_part(params, path, a, t=t))
     stats, verdicts = {}, []
     for (a, t), acc in sorted(rows.items()):
         arr = np.asarray(acc)
         mean = float(arr.mean())
         se = float(arr.std(ddof=1) / math.sqrt(len(arr)))
-        z = abs(mean) / se if se > 0 else (0.0 if mean == 0.0 else 1e30)
+        z = _ratio(abs(mean), se)
         name = f"martingale-mean-zero[a={a:g},t={t:g}]"
-        verdicts.append(Verdict.at_most(name, z, float(o["n_sigma"])))
+        verdicts.append(Verdict.at_most(name, z, o["n_sigma"]))
         stats[name] = {"mean": mean, "stderr": se,
                        "second_moment": float(np.mean(arr ** 2))}
     return stats, verdicts, {}
 
 
-def _run_estimator_agreement(spec):
-    o = _opts(spec, n_paths=300,
-              schedule=((4e-3, 1024), (2e-3, 2048), (1e-3, 4096)),
-              level=0.0, means_tolerance=0.10, small_jump_in_M=None)
-    params = spec.derived_params()
-    base = spec.sim_config()
-    schedule = [(float(e), int(ns)) for e, ns in o["schedule"]]
-    if len(schedule) < 2:
-        raise ConfigError("schedule needs at least two refinement levels")
-    a = float(o["level"])
-    n_paths = int(o["n_paths"])
-    if n_paths < 2:
-        raise ConfigError("need n_paths >= 2")
+def _schedule_configs(o, cfg):
+    """One SimConfig per (eps, n_steps) level, on the base block's horizon."""
+    return [SimConfig(T=cfg.T, n_steps=n_steps, eps=eps,
+                      small_jump_mode=cfg.small_jump_mode, seed=cfg.seed,
+                      x0=cfg.x0) for eps, n_steps in o["schedule"]]
+
+
+def _run_estimator_agreement(spec, o, params, cfg):
+    a = o["level"]
     mses, t_means, o_means = [], [], []
-    for eps, n_steps in schedule:
-        cfg = SimConfig(T=base.T, n_steps=n_steps, eps=eps,
-                        small_jump_mode=base.small_jump_mode,
-                        seed=spec.seed, x0=base.x0)
-        moll = default_mollifier(eps)
+    for level in _schedule_configs(o, cfg):
+        moll = default_mollifier(level.eps)
         diffs, tv, ov = [], [], []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            for i in range(n_paths):
-                path = simulate_path_jumpdecomp(params, cfg, path_index=i)
-                tval = tanaka_estimator(
-                    params, path, a,
-                    small_jump_in_M=o["small_jump_in_M"]).value
+            for i in range(o["n_paths"]):
+                path = simulate_path_jumpdecomp(params, level, path_index=i)
+                tval = tanaka_estimator(params, path, a).value
                 oval = occupation_estimator(path, a, moll).value
                 diffs.append(tval - oval)
                 tv.append(tval)
@@ -454,11 +464,11 @@ def _run_estimator_agreement(spec):
         mses.append(float(np.mean(np.square(diffs))))
         t_means.append(float(np.mean(tv)))
         o_means.append(float(np.mean(ov)))
-    ratios = [mses[k + 1] / mses[k] for k in range(len(mses) - 1)]
+    ratios = [_ratio(mses[k + 1], mses[k]) for k in range(len(mses) - 1)]
     worst = max(ratios)
-    gap = abs(t_means[-1] - o_means[-1]) / abs(o_means[-1])
+    gap = _ratio(abs(t_means[-1] - o_means[-1]), abs(o_means[-1]))
     stats = {
-        "schedule": [list(lv) for lv in schedule],
+        "schedule": [list(lv) for lv in o["schedule"]],
         "mse": mses,
         "tanaka_means": t_means,
         "occupation_means": o_means,
@@ -468,26 +478,20 @@ def _run_estimator_agreement(spec):
         Verdict(criterion="agreement-mse-monotone", measured=worst,
                 threshold=1.0, margin=1.0 - worst, passed=worst < 1.0),
         Verdict.at_most("agreement-finest-means", gap,
-                        float(o["means_tolerance"])),
+                        o["means_tolerance"]),
     ]
     curves = {"agreement": {
         "columns": ["eps", "n_steps", "mse", "tanaka_mean",
                     "occupation_mean"],
-        "rows": np.column_stack([[lv[0] for lv in schedule],
-                                 [lv[1] for lv in schedule],
+        "rows": np.column_stack([[lv[0] for lv in o["schedule"]],
+                                 [lv[1] for lv in o["schedule"]],
                                  mses, t_means, o_means]),
     }}
     return stats, verdicts, curves
 
 
-def _run_occupation_formula(spec):
-    o = _opts(spec, n_paths=100, hat_half_width=1.0, hat_tolerance=0.05,
-              unit_tolerance=0.02)
-    params = spec.derived_params()
-    cfg = spec.sim_config()
-    n_paths = int(o["n_paths"])
-    if n_paths < 1:
-        raise ConfigError("need n_paths >= 1")
+def _run_occupation_formula(spec, o, params, cfg):
+    n_paths = o["n_paths"]
     moll = default_mollifier(cfg.eps)
     ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
     hat_res, unit_res = [], []
@@ -497,7 +501,7 @@ def _run_occupation_formula(spec):
             path = simulate_path_jumpdecomp(params, cfg, path_index=i)
             grid = default_a_grid(path)
             g = hat_function(float(np.median(path.values)),
-                             float(o["hat_half_width"]))
+                             o["hat_half_width"])
             hat_res.append(occupation_formula_check(path, g, grid, moll))
             unit_res.append(occupation_formula_check(path, ones, grid, moll))
     hat_res, unit_res = np.asarray(hat_res), np.asarray(unit_res)
@@ -510,11 +514,9 @@ def _run_occupation_formula(spec):
     }
     verdicts = [
         Verdict.at_most("occupation-formula-hat-median",
-                        stats["hat_residual_median"],
-                        float(o["hat_tolerance"])),
+                        stats["hat_residual_median"], o["hat_tolerance"]),
         Verdict.at_most("occupation-formula-unit-median",
-                        stats["unit_residual_median"],
-                        float(o["unit_tolerance"])),
+                        stats["unit_residual_median"], o["unit_tolerance"]),
     ]
     curves = {"residuals": {
         "columns": ["path_index", "hat_residual", "unit_residual"],
@@ -523,74 +525,65 @@ def _run_occupation_formula(spec):
     return stats, verdicts, curves
 
 
-def _run_existence_scan(spec):
-    o = _opts(spec, alphas=(0.9, 1.2, 1.5, 1.8), cutoffs=(1e2, 1e4, 1e6),
-              c_plus=1.0, c_minus=1.0, convergence_tolerance=1e-2,
-              growth_fraction=0.10)
-    cutoffs = [float(c) for c in o["cutoffs"]]
+def _check_existence(o, cfg):
+    cutoffs = o["cutoffs"]
     if len(cutoffs) < 2 or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ConfigError("cutoffs must be increasing with >= 2 entries")
+        raise ValueError("cutoffs must be increasing with >= 2 entries")
+    if not o["c_plus"] + o["c_minus"] > 0.0:
+        raise ValueError("c_plus + c_minus must be positive")
+    for alpha in o["alphas"]:
+        stability_constant(alpha)
+
+
+def _run_existence_scan(spec, o, params, cfg):
+    cutoffs = o["cutoffs"]
     stats, verdicts, rows = {}, [], []
     for alpha in o["alphas"]:
-        alpha = float(alpha)
+        points = list(cutoffs)
+        if alpha <= 1.0:
+            # walk decade by decade so the growth rate is per tenfold cutoff
+            points = [cutoffs[0]]
+            while points[-1] < cutoffs[-1] * 0.999 or len(points) < 2:
+                points.append(points[-1] * 10.0)
+        partials = [existence_integral(alpha, c, o["c_plus"], o["c_minus"])
+                    for c in points]
+        rows += [[alpha, c, p] for c, p in zip(points, partials)]
         if alpha > 1.0:
-            partials = [existence_integral(alpha, c, o["c_plus"],
-                                           o["c_minus"]) for c in cutoffs]
             diffs = [abs(b - a) for a, b in zip(partials, partials[1:])]
             verdicts.append(Verdict.at_most(
                 f"existence-converges[alpha={alpha:g}]", max(diffs),
-                float(o["convergence_tolerance"])))
+                o["convergence_tolerance"]))
             stats[f"alpha={alpha:g}"] = {"partials": partials,
                                          "diffs": diffs}
-            for c, p in zip(cutoffs, partials):
-                rows.append([alpha, c, p])
         else:
-            # walk decade by decade so the growth rate is per tenfold cutoff
-            decades = [cutoffs[0]]
-            while decades[-1] < cutoffs[-1] * 0.999:
-                decades.append(decades[-1] * 10.0)
-            partials = [existence_integral(alpha, c, o["c_plus"],
-                                           o["c_minus"]) for c in decades]
             growth = [b / a - 1.0 for a, b in zip(partials, partials[1:])]
             verdicts.append(Verdict.at_least(
                 f"existence-diverges[alpha={alpha:g}]", min(growth),
-                float(o["growth_fraction"])))
+                o["growth_fraction"]))
             stats[f"alpha={alpha:g}"] = {"partials": partials,
                                          "per_decade_growth": growth}
-            for c, p in zip(decades, partials):
-                rows.append([alpha, c, p])
     curves = {"partials": {"columns": ["alpha", "cutoff", "partial"],
                            "rows": np.asarray(rows)}}
     return stats, verdicts, curves
 
 
-def _run_density_report(spec):
-    o = _opts(spec, half_width=80.0, n_points=2 ** 15, times=(0.5, 1.0),
-              mass_tolerance=1e-6, symmetry_tolerance=1e-8,
-              selfsim_tolerance=1e-6)
-    params = spec.derived_params()
-    try:
-        grid = Grid(float(o["half_width"]), int(o["n_points"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+def _run_density_report(spec, o, params, cfg):
+    grid = Grid(o["half_width"], o["n_points"])
     stats, verdicts, curves = {}, [], {}
     n = grid.n_points
     mirror = np.arange(n - 1, 0, -1)  # x_{n-j} = -x_j for j = 1..n-1
     for t in o["times"]:
-        t = float(t)
         den = transition_density(params, t, grid)
         vals = den.values
         mass = float(np.sum(vals) * grid.spacing)
         peak = float(np.max(np.abs(vals)))
         verdicts.append(Verdict.at_most(
-            f"density-mass[t={t:g}]", abs(mass - 1.0),
-            float(o["mass_tolerance"])))
+            f"density-mass[t={t:g}]", abs(mass - 1.0), o["mass_tolerance"]))
         entry = {"mass": mass, "peak": peak}
         if params.beta == 0.0:
             sym = float(np.max(np.abs(vals[1:] - vals[mirror]))) / peak
             verdicts.append(Verdict.at_most(
-                f"density-symmetry[t={t:g}]", sym,
-                float(o["symmetry_tolerance"])))
+                f"density-symmetry[t={t:g}]", sym, o["symmetry_tolerance"]))
             entry["symmetry_residual"] = sym
         # self-similarity: p_t on this grid against the rescaled unit-time
         # density on the dual grid whose points are exactly s*x_j
@@ -600,8 +593,7 @@ def _run_density_report(spec):
         rescaled = s * unit.values
         selfsim = float(np.max(np.abs(vals - rescaled))) / peak
         verdicts.append(Verdict.at_most(
-            f"density-selfsim[t={t:g}]", selfsim,
-            float(o["selfsim_tolerance"])))
+            f"density-selfsim[t={t:g}]", selfsim, o["selfsim_tolerance"]))
         entry["selfsim_residual"] = selfsim
         stats[f"t={t:g}"] = entry
         curves[f"density_t{t:g}"] = {
@@ -611,33 +603,86 @@ def _run_density_report(spec):
     return stats, verdicts, curves
 
 
-_RUNNERS = {
-    "generator-identity": _run_generator_identity,
-    "martingale-zero-mean": _run_martingale_zero_mean,
-    "occupation-formula": _run_occupation_formula,
-    "estimator-agreement": _run_estimator_agreement,
-    "sampler-validation": _run_sampler_validation,
-    "moment-tests": _run_moment_tests,
-    "existence-scan": _run_existence_scan,
-    "density-report": _run_density_report,
+_KINDS = {
+    "generator-identity": _Kind(_run_generator_identity, {
+        "half_width": Option(40.0, "float", "(0, inf)"),
+        "n_points": Option(2 ** 14, "int", "[256, inf)"),
+        "bump_width": Option(2.0, "float", "(0, inf)"),
+        "report_radius": Option(10.0, "float", "(0, inf)"),
+        "tolerance": Option(1e-2, "float", "[0, inf)"),
+    }, check=lambda o, cfg: Grid(o["half_width"], o["n_points"])),
+    "martingale-zero-mean": _Kind(_run_martingale_zero_mean, {
+        "n_paths": Option(400, "int", "[2, inf)"),
+        "levels": Option((0.0, 0.5), "floats"),
+        "checkpoints": Option((0.25, 0.5, 1.0), "floats", "(0, 1]"),
+        "n_sigma": Option(4.0, "float", "(0, inf)"),
+    }, needs_sim=True, check=_check_checkpoints),
+    "occupation-formula": _Kind(_run_occupation_formula, {
+        "n_paths": Option(100, "int", "[1, inf)"),
+        "hat_half_width": Option(1.0, "float", "(0, inf)"),
+        "hat_tolerance": Option(0.05, "float", "[0, inf)"),
+        "unit_tolerance": Option(0.02, "float", "[0, inf)"),
+    }, needs_sim=True),
+    "estimator-agreement": _Kind(_run_estimator_agreement, {
+        "n_paths": Option(300, "int", "[2, inf)"),
+        "schedule": Option(((4e-3, 1024), (2e-3, 2048), (1e-3, 4096)),
+                           "schedule"),
+        "level": Option(0.0),
+        "means_tolerance": Option(0.10, "float", "[0, inf)"),
+    }, needs_sim=True, check=_schedule_configs),
+    "sampler-validation": _Kind(_run_sampler_validation, {
+        "n_samples": Option(100_000, "int", "[1, inf)"),
+        "u": Option((0.5, 1.0, 2.0, 4.0), "floats"),
+        "t": Option(1.0, "float", "(0, inf)"),
+        "n_sigma": Option(4.0, "float", "(0, inf)"),
+    }),
+    "moment-tests": _Kind(_run_moment_tests, {
+        "n_samples": Option(100_000, "int", "[2, inf)"),
+        "gammas": Option((0.3, 0.5, 0.7), "floats", "(0, 1)"),
+        "times": Option((0.5, 1.0), "floats", "(0, inf)"),
+        "shifts": Option((0.0, 1.0), "floats"),
+        "n_sigma": Option(4.0, "float", "(0, inf)"),
+    }),
+    "existence-scan": _Kind(_run_existence_scan, {
+        "alphas": Option((0.9, 1.2, 1.5, 1.8), "floats", "(0, 2)"),
+        "cutoffs": Option((1e2, 1e4, 1e6), "floats", "(0, inf)"),
+        "c_plus": Option(1.0, "float", "[0, inf)"),
+        "c_minus": Option(1.0, "float", "[0, inf)"),
+        "convergence_tolerance": Option(1e-2, "float", "[0, inf)"),
+        "growth_fraction": Option(0.10, "float", "[0, inf)"),
+    }, needs_params=False, check=_check_existence),
+    "density-report": _Kind(_run_density_report, {
+        "half_width": Option(80.0, "float", "(0, inf)"),
+        "n_points": Option(2 ** 15, "int", "[256, inf)"),
+        "times": Option((0.5, 1.0), "floats", "(0, inf)"),
+        "mass_tolerance": Option(1e-6, "float", "[0, inf)"),
+        "symmetry_tolerance": Option(1e-8, "float", "[0, inf)"),
+        "selfsim_tolerance": Option(1e-6, "float", "[0, inf)"),
+    }, check=lambda o, cfg: Grid(o["half_width"], o["n_points"])),
 }
+EXPERIMENT_KINDS = tuple(_KINDS)
+OPTION_KEYS = {name: set(kind.options) for name, kind in _KINDS.items()}
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Validate, dispatch, time, and (if out_dir is set) write the report.
 
-    Config errors surface as :class:`ConfigError` before any compute;
-    tolerance violations become FAIL verdicts on the returned report, never
-    exceptions.
+    Config errors surface as :class:`ConfigError` before any compute, except
+    a grid too coarse for the inputs, which the numerics detect themselves
+    and which is reported as one too; tolerance violations become FAIL
+    verdicts on the returned report, never exceptions.
     """
     if not isinstance(spec, ExperimentSpec):
         spec = ExperimentSpec.from_dict(spec)
-    # touch the derived blocks so malformed configs die before the run
-    spec.derived_params()
-    if _NEEDS_SIM[spec.kind]:
-        spec.sim_config()
+    entry = _KINDS[spec.kind]
+    params = spec.derived_params()
+    cfg = spec.sim_config() if entry.needs_sim else None
+    opts = spec.typed_options()
     start = time.perf_counter()
-    stats, verdicts, curves = _RUNNERS[spec.kind](spec)
+    try:
+        stats, verdicts, curves = entry.run(spec, opts, params, cfg)
+    except (ResolutionError, ToleranceError) as exc:
+        raise ConfigError(f"cannot resolve this spec: {exc}") from None
     wall = time.perf_counter() - start
     report = ExperimentReport(
         kind=spec.kind,

@@ -24,14 +24,12 @@ import numpy as np
 from scipy import integrate
 
 from .kernel import MollifierSpec, compensator_density, kernel_F
-from .params import StableParams, nu_tail_mean
+from .params import StableParams
 from .pathsim import PathSample
 from .spectral import negative_moment_bound
 
 __all__ = [
     "LocalTimeEstimate",
-    "SMALL_JUMP_IN_M_MODES",
-    "DEFAULT_SMALL_JUMP_IN_M",
     "occupation_estimator",
     "martingale_part",
     "tanaka_estimator",
@@ -45,14 +43,6 @@ __all__ = [
 ]
 
 _METHODS = ("occupation", "tanaka")
-
-# How the gaussian small-jump closure enters M: "include" adds the kernel
-# increment along each reconstructed Brownian micro-move, "drop" leaves the
-# closure out of M entirely (it still moves the path). "drop" keeps M
-# structurally mean-zero and wins the estimator-agreement comparison, so it
-# is the default; see the calibration numbers in the test suite.
-SMALL_JUMP_IN_M_MODES = ("include", "drop")
-DEFAULT_SMALL_JUMP_IN_M = "drop"
 
 
 @dataclass(frozen=True)
@@ -175,31 +165,30 @@ def _compensator_interp(params: StableParams, eps: float, x):
     Nodes run 40 per decade over 1e-2 eps <= |x| <= 1e3, mirrored, plus 0;
     beyond the outermost node the value clamps. Filling the nodes is cheap,
     and interpolating at every path point is ~5x faster than evaluating
-    the closed form there.
+    the closed form there. Inside the innermost cell G_eps has its
+    |x|^(alpha-1) cusp, which a chord misses by up to 1.7% of G(0), so the
+    few points there take the closed form directly.
     """
     x_min = 1e-2 * eps
     n_nodes = int(round(math.log10(1e3 / x_min) * 40)) + 1
     mags = np.geomspace(x_min, 1e3, n_nodes)
     nodes = np.concatenate([-mags[::-1], [0.0], mags])
-    return np.interp(x, nodes, compensator_density(params, nodes, eps))
+    out = np.interp(x, nodes, compensator_density(params, nodes, eps))
+    cusp = np.abs(x) < x_min
+    out[cusp] = compensator_density(params, x[cusp], eps)
+    return out
 
 
 def martingale_part(params: StableParams, path: PathSample, a: float,
-                    t: float | None = None,
-                    small_jump_in_M: str | None = None) -> float:
+                    t: float | None = None) -> float:
     """Discretized compensated-jump martingale M^a_t along one path.
 
     Sum over recorded jumps of F(X_pre - a + h) - F(X_pre - a), minus the
-    left-point Riemann sum of the compensator density G_eps(X_s - a). In
-    gaussian closure mode with ``small_jump_in_M="include"`` the kernel
-    increment along each reconstructed Brownian micro-move is added as well.
+    left-point Riemann sum of the compensator density G_eps(X_s - a). The
+    gaussian small-jump closure moves the path but stays out of M, which
+    keeps M structurally mean-zero.
     """
     _require_jump_record(path)
-    mode = DEFAULT_SMALL_JUMP_IN_M if small_jump_in_M is None \
-        else small_jump_in_M
-    if mode not in SMALL_JUMP_IN_M_MODES:
-        raise ValueError(
-            f"small_jump_in_M must be one of {SMALL_JUMP_IN_M_MODES}")
     cfg = path.config
     times, values, jt, js = _sliced(path, t)
 
@@ -212,28 +201,16 @@ def martingale_part(params: StableParams, path: PathSample, a: float,
     dts = np.diff(times)
     lefts = values[:-1]
     value -= float(_compensator_interp(params, cfg.eps, lefts - a) @ dts)
-
-    if mode == "include" and cfg.small_jump_mode == "gaussian":
-        # the value change between events is drift*dt + sigma*dW, plus the
-        # jump at the right endpoint; peel those off to recover the
-        # Brownian micro-moves
-        moves = np.diff(values) + nu_tail_mean(params, cfg.eps) * dts
-        if len(jt):
-            np.add.at(moves, np.searchsorted(times, jt) - 1, -js)
-        value += float(np.sum(kernel_F(params, lefts + moves - a)
-                              - kernel_F(params, lefts - a)))
     return value
 
 
 def tanaka_estimator(params: StableParams, path: PathSample, a: float,
                      t: float | None = None,
-                     small_jump_in_M: str | None = None,
                      tolerance: float = math.inf) -> LocalTimeEstimate:
     """Kernel-endpoint estimator F(X_t - a) - F(X_0 - a) - M^a_t."""
     _require_jump_record(path)
     times, values, _, _ = _sliced(path, t)
-    m = martingale_part(params, path, a, t=t,
-                        small_jump_in_M=small_jump_in_M)
+    m = martingale_part(params, path, a, t=t)
     value = float(kernel_F(params, values[-1] - a)
                   - kernel_F(params, values[0] - a) - m)
     return LocalTimeEstimate(
@@ -244,8 +221,7 @@ def tanaka_estimator(params: StableParams, path: PathSample, a: float,
 
 
 def tanaka_curve(params: StableParams, path: PathSample, a_grid,
-                 t: float | None = None,
-                 small_jump_in_M: str | None = None) -> np.ndarray:
+                 t: float | None = None) -> np.ndarray:
     """Raw kernel-route estimates over a grid of levels (no floor checks)."""
     _require_jump_record(path)
     times, values, _, _ = _sliced(path, t)
@@ -253,8 +229,7 @@ def tanaka_curve(params: StableParams, path: PathSample, a_grid,
     a_grid = np.asarray(a_grid, dtype=float)
     out = np.empty(a_grid.shape)
     for j, a in enumerate(a_grid):
-        m = martingale_part(params, path, float(a), t=t,
-                            small_jump_in_M=small_jump_in_M)
+        m = martingale_part(params, path, float(a), t=t)
         out[j] = kernel_F(params, end - a) - kernel_F(params, start - a) - m
     return out
 
@@ -271,8 +246,7 @@ def occupation_formula_check(path: PathSample, g, a_grid,
                              moll: MollifierSpec,
                              t: float | None = None,
                              estimator: str = "occupation",
-                             params: StableParams | None = None,
-                             small_jump_in_M: str | None = None) -> float:
+                             params: StableParams | None = None) -> float:
     """Relative residual of int g(a) L^a_t da against int_0^t g(X_s) ds.
 
     The left side integrates the estimated local-time curve over the level
@@ -292,8 +266,7 @@ def occupation_formula_check(path: PathSample, g, a_grid,
     elif estimator == "tanaka":
         if params is None:
             raise ValueError("the kernel-route curve needs params")
-        curve = tanaka_curve(params, path, a_grid, t=t,
-                             small_jump_in_M=small_jump_in_M)
+        curve = tanaka_curve(params, path, a_grid, t=t)
     else:
         raise ValueError(f"estimator must be one of {_METHODS}")
     lhs = float(np.trapezoid(g(a_grid) * curve, a_grid))

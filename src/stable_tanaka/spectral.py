@@ -94,25 +94,6 @@ class GridFunction:
     def __len__(self) -> int:
         return self.grid.n_points
 
-    def to_csv(self, path) -> None:
-        """Two-column x,value file with the grid described in a comment."""
-        if np.iscomplexobj(self.values):
-            raise ValueError("CSV export is defined for real-valued samples only")
-        header = (f"grid: half_width={self.grid.half_width!r} "
-                  f"n_points={self.grid.n_points}\nx,value")
-        data = np.column_stack([self.grid.points, self.values])
-        np.savetxt(path, data, delimiter=",", header=header, fmt="%.17g")
-
-    def to_json_dict(self) -> dict:
-        out = {"grid": {"half_width": self.grid.half_width,
-                        "n_points": self.grid.n_points}}
-        if np.iscomplexobj(self.values):
-            out["values_re"] = self.values.real.tolist()
-            out["values_im"] = self.values.imag.tolist()
-        else:
-            out["values"] = self.values.tolist()
-        return out
-
 
 def _alternating_signs(n: int) -> np.ndarray:
     # e^{+- i u_k L} for L = n h / 2 is exactly (-1)^k in DFT ordering

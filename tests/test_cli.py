@@ -1,11 +1,15 @@
 """Command-line interface tests: subcommands, exit codes, file outputs."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stable_tanaka.cli import main
+from stable_tanaka.experiments import EXPERIMENT_KINDS, OPTION_KEYS
 
 SPEC = {"kind": "sampler-validation",
         "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
@@ -62,6 +66,138 @@ def test_run_unknown_kind_exit_two(tmp_path, capsys):
     spec = write_spec(tmp_path, {"kind": "teleport"})
     assert main(["run", spec]) == 2
     assert "unknown experiment kind" in capsys.readouterr().err
+
+
+SYM = {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0}
+SMALL_SIM = {"T": 1.0, "n_steps": 16, "eps": 0.1}
+# one field wrong per spec; each must exit 2, never end in a traceback
+# (exit 1, the same code as a FAIL verdict)
+MALFORMED = {
+    "params-list": {"kind": "sampler-validation", "params": [1, 2]},
+    "params-string": {"kind": "sampler-validation", "params": "x"},
+    "options-number": {"kind": "sampler-validation", "params": SYM,
+                       "options": 5},
+    "gammas-string": {"kind": "moment-tests", "params": SYM,
+                      "options": {"n_samples": 50, "gammas": "abc"}},
+    "gamma-above-one": {"kind": "moment-tests", "params": SYM,
+                        "options": {"n_samples": 50, "gammas": [1.6]}},
+    "time-zero": {"kind": "density-report", "params": SYM,
+                  "options": {"n_points": 256, "times": [0]}},
+    "n-paths-string": {"kind": "martingale-zero-mean", "params": SYM,
+                       "sim": SMALL_SIM, "options": {"n_paths": "x"}},
+    "levels-number": {"kind": "martingale-zero-mean", "params": SYM,
+                      "sim": SMALL_SIM,
+                      "options": {"n_paths": 2, "levels": 5}},
+    "checkpoint-past-horizon": {"kind": "martingale-zero-mean",
+                                "params": SYM, "sim": SMALL_SIM,
+                                "options": {"n_paths": 2,
+                                            "checkpoints": [2.0]}},
+    "checkpoint-inside-first-step": {"kind": "martingale-zero-mean",
+                                     "params": SYM, "sim": SMALL_SIM,
+                                     "options": {"n_paths": 2,
+                                                 "checkpoints": [1e-6]}},
+    "u-null": {"kind": "sampler-validation", "params": SYM,
+               "options": {"n_samples": 50, "u": None}},
+    "alpha-one": {"kind": "existence-scan", "options": {"alphas": [1.0]}},
+    "tolerance-string": {"kind": "generator-identity", "params": SYM,
+                         "options": {"n_points": 256, "tolerance": "big"}},
+    "tolerance-nan": {"kind": "generator-identity", "params": SYM,
+                      "options": {"n_points": 256, "tolerance": math.nan}},
+    "n-sigma-list": {"kind": "sampler-validation", "params": SYM,
+                     "options": {"n_samples": 50, "n_sigma": [1]}},
+    "schedule-bad-steps": {"kind": "estimator-agreement", "params": SYM,
+                           "sim": SMALL_SIM,
+                           "options": {"n_paths": 2,
+                                       "schedule": [[0.1, 8], [0.05, "z"]]}},
+    "c-plus-string": {"kind": "existence-scan",
+                      "options": {"alphas": [1.5], "c_plus": "a"}},
+    "out-dir-number": {"kind": "existence-scan",
+                       "options": {"alphas": [1.5]}, "out_dir": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_spec_exit_two(tmp_path, capsys, name):
+    spec = write_spec(tmp_path, MALFORMED[name])
+    assert main(["run", spec]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+# JSON-shaped fuzz: values of every JSON type, non-finite floats, nested
+# lists and wrong block shapes, weighted so that a good share of the specs
+# pass the checks and run. Budget-like keys (path and sample counts, grid
+# sizes, steps, horizon, jump cutoff) take only small valid values or
+# invalid ones, so every run stays well under a second.
+_NUM = st.one_of(
+    st.integers(-3, 3), st.floats(-10.0, 10.0),
+    st.sampled_from([0.5, 1.5, 1e-3, 1e3, math.nan, math.inf, -math.inf]))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.text(max_size=3), _NUM)
+_JSON = st.recursive(
+    _SCALARS, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+_VALUE = st.one_of(_NUM, st.lists(_NUM, max_size=3), _JSON)
+_BAD = st.sampled_from([None, True, "x", math.nan, math.inf, -1, 0, 2.5,
+                        [1], {"a": 1}])
+_PLAUSIBLE = st.one_of(st.floats(0.01, 1.0),
+                       st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3))
+_GOOD = {
+    "n_paths": st.integers(2, 4), "n_samples": st.integers(2, 64),
+    "n_points": st.sampled_from([256, 512]),
+    "schedule": st.lists(st.tuples(st.sampled_from([0.1, 0.2]),
+                                   st.integers(1, 16)).map(list),
+                         min_size=2, max_size=3),
+    "T": st.sampled_from([0.5, 1.0]), "n_steps": st.integers(1, 32),
+    "eps": st.sampled_from([0.05, 0.2]), "x0": st.floats(-1.0, 1.0),
+    "small_jump_mode": st.sampled_from(["gaussian", "drop"]),
+    "c_plus": st.floats(0.0, 3.0), "c_minus": st.floats(0.0, 3.0),
+}
+# budget keys are always set: their defaults are large
+_BUDGET = ("n_paths", "n_samples", "n_points", "schedule", "T", "n_steps",
+           "eps")
+
+
+@st.composite
+def _specs(draw):
+    def mostly(good, bad):
+        return draw(good if draw(st.integers(0, 9)) < 9 else bad)
+
+    def block(keys):
+        out = {k: mostly(_GOOD[k], _BAD) for k in keys if k in _BUDGET}
+        for k in keys:
+            if k not in _BUDGET and draw(st.integers(0, 2)) == 2:
+                out[k] = mostly(_GOOD.get(k, _PLAUSIBLE), _VALUE)
+        if draw(st.integers(0, 9)) == 9:
+            out[draw(st.text(max_size=3))] = draw(_VALUE)
+        return out
+
+    kind = mostly(st.sampled_from(EXPERIMENT_KINDS), _SCALARS)
+    keys = sorted(OPTION_KEYS.get(kind, ())) if isinstance(kind, str) else []
+    sim = block(["T", "n_steps", "eps", "x0", "small_jump_mode"])
+    params = {"alpha": mostly(st.sampled_from([1.2, 1.5, 1.8]), _VALUE)}
+    params.update(block(["c_plus", "c_minus"]))
+    spec = {"kind": kind, "params": mostly(st.just(params), _JSON),
+            "sim": mostly(st.just(sim), _JSON),
+            # never {}: the defaults are the full budgets
+            "options": mostly(st.just(block(keys)), st.one_of(
+                _BAD, st.lists(_SCALARS, max_size=3)))}
+    for key, good in (("seed", st.integers(0, 3)),
+                      ("out_dir", st.just("out"))):
+        if draw(st.booleans()):
+            spec[key] = mostly(good, _BAD)
+    return spec
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(spec=_specs())
+def test_run_never_raises_on_json_specs(tmp_path, monkeypatch, spec):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STABLE_TANAKA_OUT", raising=False)
+    path = write_spec(tmp_path, spec)
+    assert main(["run", path]) in (0, 1, 2)
 
 
 def test_run_overrides_and_seed(tmp_path):

@@ -16,6 +16,7 @@ import pytest
 
 from stable_tanaka.experiments import (
     EXPERIMENT_KINDS,
+    OPTION_KEYS,
     ConfigError,
     ExperimentReport,
     ExperimentSpec,
@@ -73,22 +74,10 @@ def test_bad_params_block_rejected():
         run_experiment(spec2)
 
 
-def test_spec_file_errors(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
-        ExperimentSpec.from_file(tmp_path / "missing.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        ExperimentSpec.from_file(bad)
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({"kind": "existence-scan", "seed": 7}),
-                    encoding="utf-8")
-    spec = ExperimentSpec.from_file(good)
-    assert spec.seed == 7 and spec.kind == "existence-scan"
-
-
 def test_all_kinds_registered():
     assert len(EXPERIMENT_KINDS) == 8
+    assert set(OPTION_KEYS) == set(EXPERIMENT_KINDS)
+    assert sum(len(keys) for keys in OPTION_KEYS.values()) == 38
 
 
 # ----------------------------------------------------------------- verdicts

@@ -18,7 +18,6 @@ from numpy.polynomial.legendre import leggauss
 from stable_tanaka import derive_params
 from stable_tanaka.kernel import MollifierSpec, compensator_density
 from stable_tanaka.localtime import (
-    DEFAULT_SMALL_JUMP_IN_M,
     LocalTimeEstimate,
     default_a_grid,
     default_mollifier,
@@ -106,6 +105,14 @@ def test_compensator_interpolation_budget(params, eps):
         near = compensator_density(
             params, x * np.array([1 / 1.06, 1.0, 1.06]), eps)
         assert abs(m + near[1]) <= 1e-2 * np.abs(near).max(), x
+    # inside the innermost cell G_eps has its |x|^(alpha-1) cusp, where a
+    # chord to the node at 0 errs by up to 1.7% of G(0); M must use the
+    # closed form there
+    cusp = np.geomspace(1e-4 * eps, 0.9e-2 * eps, 12)
+    for x in np.concatenate([cusp, -cusp, [0.0]]):
+        m = martingale_part(params, constant_path(x, eps=eps), 0.0)
+        exact = compensator_density(params, x, eps)
+        assert abs(m + exact) <= 1e-6 * abs(exact), x
     far = martingale_part(params, constant_path(1e6, eps=eps), 0.0)
     assert far == martingale_part(params, constant_path(1e3, eps=eps), 0.0)
 
@@ -176,32 +183,10 @@ def test_martingale_requires_jump_record():
 
 def test_bad_mode_and_horizon_rejected():
     path = constant_path(0.7)
-    with pytest.raises(ValueError, match="small_jump_in_M"):
-        martingale_part(SYM, path, 0.0, small_jump_in_M="taylor")
     with pytest.raises(ValueError, match="horizon"):
         martingale_part(SYM, path, 0.0, t=2.0)
     with pytest.raises(ValueError, match="horizon"):
         occupation_estimator(path, 0.7, MollifierSpec(8), t=-0.5)
-
-
-# ----------------------------------------------------------- small-jump modes
-
-def test_include_equals_drop_without_gaussian_closure():
-    cfg = SimConfig(T=1.0, n_steps=128, eps=1e-2, seed=21,
-                    small_jump_mode="drop")
-    path = simulate_path_jumpdecomp(SYM, cfg)
-    mi = martingale_part(SYM, path, 0.0, small_jump_in_M="include")
-    md = martingale_part(SYM, path, 0.0, small_jump_in_M="drop")
-    assert mi == md
-
-
-def test_include_differs_from_drop_with_gaussian_closure():
-    cfg = SimConfig(T=1.0, n_steps=128, eps=1e-2, seed=21)
-    path = simulate_path_jumpdecomp(SYM, cfg)
-    mi = martingale_part(SYM, path, 0.0, small_jump_in_M="include")
-    md = martingale_part(SYM, path, 0.0, small_jump_in_M="drop")
-    assert mi != md
-    assert DEFAULT_SMALL_JUMP_IN_M == "drop"
 
 
 # ------------------------------------------------------------ curve helpers

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -104,27 +103,6 @@ def test_grid_function_validation():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         GridFunction(g, bad)
-
-
-def test_grid_function_csv_round_trip(tmp_path):
-    g = Grid(5.0, 256)
-    f = GridFunction(g, np.exp(-g.points**2))
-    path = tmp_path / "f.csv"
-    f.to_csv(path)
-    assert path.read_text().startswith("# grid: half_width=5.0 n_points=256\n")
-    back = np.loadtxt(path, delimiter=",", skiprows=2)
-    np.testing.assert_array_equal(back[:, 0], g.points)
-    np.testing.assert_allclose(back[:, 1], f.values, rtol=1e-15)
-    with pytest.raises(ValueError):
-        GridFunction(g, f.values.astype(complex)).to_csv(tmp_path / "c.csv")
-
-
-def test_grid_function_json():
-    g = Grid(5.0, 256)
-    f = GridFunction(g, np.cos(g.points))
-    loaded = json.loads(json.dumps(f.to_json_dict()))
-    assert loaded["grid"]["n_points"] == 256
-    np.testing.assert_allclose(loaded["values"], f.values)
 
 
 def test_fourier_round_trip_and_gaussian_pair():
