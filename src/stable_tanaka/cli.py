@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -180,28 +180,32 @@ def _cmd_density(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _make_config(args) -> SimConfig:
+def _out_dir(args, what: str) -> Path:
+    out = _default_out(args.out)
+    if out is None:
+        raise ConfigError(f"{args.command} needs --out or ${OUT_ENV_VAR} to "
+                          f"know where to put the {what}")
+    return Path(out)
+
+
+def _make_inputs(args):
+    """Process parameters and SimConfig from the command line."""
     try:
-        return SimConfig(T=args.T, n_steps=args.n_steps, eps=args.eps,
-                         small_jump_mode=args.small_jump_mode,
-                         seed=args.seed, x0=args.x0)
+        return (derive_params(args.alpha, args.c_plus, args.c_minus),
+                SimConfig(T=args.T, n_steps=args.n_steps, eps=args.eps,
+                          small_jump_mode=args.small_jump_mode,
+                          seed=args.seed, x0=args.x0))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
 def _cmd_simulate(args) -> int:
-    out = _default_out(args.out)
-    if out is None:
-        raise ConfigError(
-            f"simulate needs --out or ${OUT_ENV_VAR} to know where "
-            f"to put the paths")
-    params = derive_params(args.alpha, args.c_plus, args.c_minus)
-    cfg = _make_config(args)
+    out_dir = _out_dir(args, "paths")
+    params, cfg = _make_inputs(args)
     if args.n_paths < 1:
         raise ConfigError("--n-paths must be >= 1")
     simulate = simulate_path_jumpdecomp if args.scheme == "jumpdecomp" \
         else simulate_path_marginal
-    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.n_paths):
         path = simulate(params, cfg, path_index=i)
@@ -212,37 +216,30 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_localtime(args) -> int:
-    out = _default_out(args.out)
-    if out is None:
-        raise ConfigError(
-            f"localtime needs --out or ${OUT_ENV_VAR} to know where "
-            f"to put the curve")
-    params = derive_params(args.alpha, args.c_plus, args.c_minus)
-    cfg = _make_config(args)
+    out_dir = _out_dir(args, "curve")
+    params, cfg = _make_inputs(args)
+    if not 0 <= args.path_index < 2**64:
+        raise ConfigError("--path-index must be an integer in [0, 2^64)")
+    if args.levels and not np.all(np.isfinite(args.levels)):
+        raise ConfigError("--levels must be finite numbers")
     path = simulate_path_jumpdecomp(params, cfg, path_index=args.path_index)
     levels = np.asarray(args.levels, dtype=float) if args.levels \
         else default_a_grid(path)
-    if levels.ndim != 1 or len(levels) < 1:
-        raise ConfigError("--levels needs at least one value")
     moll = default_mollifier(cfg.eps)
     occ = occupation_curve(path, levels, moll)
     tan = tanaka_curve(params, path, levels)
-    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "localtime_curve.csv"
     with curve_path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("a,occupation,tanaka\n")
-        for a, o, t in zip(levels, occ, tan):
-            fh.write(f"{format_float(a)},{format_float(o)},"
-                     f"{format_float(t)}\n")
+        for row in zip(levels, occ, tan):
+            fh.write(",".join(map(format_float, row)) + "\n")
     meta = {
         "alpha": args.alpha, "c_plus": args.c_plus, "c_minus": args.c_minus,
-        "sim": {"T": cfg.T, "n_steps": cfg.n_steps, "eps": cfg.eps,
-                "small_jump_mode": cfg.small_jump_mode, "seed": cfg.seed,
-                "x0": cfg.x0},
+        "sim": asdict(cfg),
         "path_index": args.path_index,
         "horizon": float(path.times[-1]),
-        "n_jumps": int(len(path.jump_times)),
+        "n_jumps": len(path.jumps),
         "estimators": {
             "occupation": {"mollifier_n": moll.n},
             "tanaka": {"eps": cfg.eps},

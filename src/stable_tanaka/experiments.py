@@ -420,12 +420,14 @@ def _check_checkpoints(o, cfg):
 
 
 def _run_martingale_zero_mean(spec, o, params, cfg):
-    checkpoints = [f * cfg.T for f in o["checkpoints"]]
-    rows = {(a, t): [] for a in o["levels"] for t in checkpoints}
+    checkpoints = list(dict.fromkeys(f * cfg.T for f in o["checkpoints"]))
+    levels = list(dict.fromkeys(o["levels"]))
+    rows = {(a, t): [] for a in levels for t in checkpoints}  # one per pair
     for i in range(o["n_paths"]):
         path = simulate_path_jumpdecomp(params, cfg, path_index=i)
-        for (a, t), acc in rows.items():
-            acc.append(martingale_part(params, path, a, t=t))
+        for t in checkpoints:
+            for a, m in zip(levels, martingale_part(params, path, levels, t)):
+                rows[(a, t)].append(float(m))
     stats, verdicts = {}, []
     for (a, t), acc in sorted(rows.items()):
         arr = np.asarray(acc)

@@ -2,12 +2,16 @@
 
 Two estimators of the local time L^a_t:
 
-* ``occupation_estimator`` -- Riemann sum of rho_n(X_s - a) ds, the mollified
+* ``occupation_curve`` -- Riemann sum of rho_n(X_s - a) ds, the mollified
   occupation density;
-* ``tanaka_estimator`` -- F(X_t - a) - F(X_0 - a) - M^a_t, where the
+* ``tanaka_curve`` -- F(X_t - a) - F(X_0 - a) - M^a_t, where the
   martingale part M sums compensated kernel increments over the recorded
   jumps. This needs the jump record, so only jump-decomposition paths
   qualify.
+
+Both curves, and ``martingale_part`` given an array of levels, run one
+blocked loop over levels; ``occupation_estimator`` and ``tanaka_estimator``
+are the one-level case of the curves.
 
 ``occupation_formula_check`` closes the loop: integrating either estimated
 local-time curve against a test function must reproduce the direct
@@ -43,6 +47,7 @@ __all__ = [
 ]
 
 _METHODS = ("occupation", "tanaka")
+_LEVEL_BLOCK = 32  # levels per (levels x grid points) array
 
 
 @dataclass(frozen=True)
@@ -93,30 +98,41 @@ def hat_function(center: float, half_width: float):
 
 
 def _sliced(path: PathSample, t):
-    """Grid, values, and jump record up to horizon t (grid-aligned)."""
-    times, values = path.times, path.values
+    """Grid and values up to horizon t (grid-aligned)."""
     if t is None:
-        k = len(times)
-    else:
-        if not 0.0 < t <= times[-1] + 1e-12:
-            raise ValueError("t must lie within the simulated horizon")
-        k = int(np.searchsorted(times, t, side="right"))
-        if k < 2:
-            raise ValueError("t must cover at least one grid step")
-    jt, js = path.jump_times, path.jump_sizes
-    keep = jt <= times[k - 1]
-    return times[:k], values[:k], jt[keep], js[keep]
+        return path.times, path.values
+    if not 0.0 < t <= path.times[-1] + 1e-12:
+        raise ValueError("t must lie within the simulated horizon")
+    k = int(np.searchsorted(path.times, t, side="right"))
+    if k < 2:
+        raise ValueError("t must cover at least one grid step")
+    return path.times[:k], path.values[:k]
+
+
+def _blocked_levels(levels, lefts, dts, integrand, jump_part=None):
+    """Left-point Riemann sums of integrand(X_s - a) ds, _LEVEL_BLOCK at a time.
+
+    Each row is reduced by its own 1-D dot with ``dts``, so a level's value
+    does not depend on its block. ``jump_part`` maps a block of levels to
+    values from which the sums are subtracted.
+    """
+    out = np.empty(len(levels))
+    for start in range(0, len(levels), _LEVEL_BLOCK):
+        block = levels[start:start + _LEVEL_BLOCK]
+        sums = np.array([row @ dts
+                         for row in integrand(lefts - block[:, None])])
+        out[start:start + len(block)] = \
+            sums if jump_part is None else jump_part(block) - sums
+    return out
 
 
 # ------------------------------------------------------------- occupation
 
 def occupation_estimator(path: PathSample, a: float, moll: MollifierSpec,
                          t: float | None = None) -> LocalTimeEstimate:
-    """Riemann sum of rho_n(X_s - a) ds over the path's grid."""
-    times, values, _, _ = _sliced(path, t)
-    dts = np.diff(times)
-    lefts = values[:-1]
-    in_support = int(np.sum(np.abs(lefts - a) < moll.width))
+    """Riemann sum of rho_n(X_s - a) ds, with under-resolution advisories."""
+    times, values = _sliced(path, t)
+    in_support = int(np.sum(np.abs(values[:-1] - a) < moll.width))
     if in_support < 10:
         warnings.warn(
             f"only {in_support} grid points fall in the mollifier support "
@@ -128,26 +144,19 @@ def occupation_estimator(path: PathSample, a: float, moll: MollifierSpec,
             f"mollifier width {moll.width:.3g} is below the typical step "
             f"displacement {step_scale:.3g}; the sum may miss crossings",
             RuntimeWarning, stacklevel=2)
-    value = float(moll(lefts - a) @ dts)
     return LocalTimeEstimate(
-        a=a, t=float(times[-1]), value=value, method="occupation",
+        a=a, t=float(times[-1]), method="occupation",
+        value=float(occupation_curve(path, [a], moll, t)[0]),
         discretization={"n": moll.n, "n_steps": len(times) - 1},
         tolerance=0.0)
 
 
 def occupation_curve(path: PathSample, a_grid, moll: MollifierSpec,
-                     t: float | None = None, chunk: int = 64) -> np.ndarray:
-    """Vectorized occupation estimates over a grid of levels."""
-    times, values, _, _ = _sliced(path, t)
-    dts = np.diff(times)
-    lefts = values[:-1]
-    a_grid = np.asarray(a_grid, dtype=float)
-    out = np.empty(a_grid.shape)
-    for start in range(0, len(a_grid), chunk):
-        block = a_grid[start:start + chunk]
-        out[start:start + chunk] = moll(lefts[None, :]
-                                        - block[:, None]) @ dts
-    return out
+                     t: float | None = None) -> np.ndarray:
+    """Occupation estimates (Riemann sums of rho_n(X_s - a) ds) over levels."""
+    times, values = _sliced(path, t)
+    return _blocked_levels(np.asarray(a_grid, dtype=float), values[:-1],
+                           np.diff(times), moll)
 
 
 # -------------------------------------------------------------- martingale
@@ -179,42 +188,38 @@ def _compensator_interp(params: StableParams, eps: float, x):
     return out
 
 
-def martingale_part(params: StableParams, path: PathSample, a: float,
-                    t: float | None = None) -> float:
+def martingale_part(params: StableParams, path: PathSample, a,
+                    t: float | None = None):
     """Discretized compensated-jump martingale M^a_t along one path.
 
     Sum over recorded jumps of F(X_pre - a + h) - F(X_pre - a), minus the
     left-point Riemann sum of the compensator density G_eps(X_s - a). The
     gaussian small-jump closure moves the path but stays out of M, which
-    keeps M structurally mean-zero.
+    keeps M structurally mean-zero. ``a`` is a level (the result is a
+    float) or an array of levels (the result has its shape).
     """
     _require_jump_record(path)
-    cfg = path.config
-    times, values, jt, js = _sliced(path, t)
-
-    value = 0.0
-    if len(jt):
-        idx = np.searchsorted(times, jt)
-        post = values[idx]
-        value += float(np.sum(kernel_F(params, post - a)
-                              - kernel_F(params, post - js - a)))
-    dts = np.diff(times)
-    lefts = values[:-1]
-    value -= float(_compensator_interp(params, cfg.eps, lefts - a) @ dts)
-    return value
+    times, values = _sliced(path, t)
+    jumps = path.jumps[path.jump_times <= times[-1]]
+    post = values[np.searchsorted(times, jumps[:, 0])]
+    pre = post - jumps[:, 1]
+    levels = np.asarray(a, dtype=float)
+    out = _blocked_levels(
+        levels.ravel(), values[:-1], np.diff(times),
+        lambda x: _compensator_interp(params, path.config.eps, x),
+        lambda b: np.sum(kernel_F(params, post - b[:, None])
+                         - kernel_F(params, pre - b[:, None]), axis=1))
+    return float(out[0]) if levels.ndim == 0 else out.reshape(levels.shape)
 
 
 def tanaka_estimator(params: StableParams, path: PathSample, a: float,
                      t: float | None = None,
                      tolerance: float = math.inf) -> LocalTimeEstimate:
     """Kernel-endpoint estimator F(X_t - a) - F(X_0 - a) - M^a_t."""
-    _require_jump_record(path)
-    times, values, _, _ = _sliced(path, t)
-    m = martingale_part(params, path, a, t=t)
-    value = float(kernel_F(params, values[-1] - a)
-                  - kernel_F(params, values[0] - a) - m)
+    times, _ = _sliced(path, t)
     return LocalTimeEstimate(
-        a=a, t=float(times[-1]), value=value, method="tanaka",
+        a=a, t=float(times[-1]), method="tanaka",
+        value=float(tanaka_curve(params, path, [a], t)[0]),
         discretization={"eps": path.config.eps,
                         "n_steps": path.config.n_steps},
         tolerance=tolerance)
@@ -223,15 +228,11 @@ def tanaka_estimator(params: StableParams, path: PathSample, a: float,
 def tanaka_curve(params: StableParams, path: PathSample, a_grid,
                  t: float | None = None) -> np.ndarray:
     """Raw kernel-route estimates over a grid of levels (no floor checks)."""
-    _require_jump_record(path)
-    times, values, _, _ = _sliced(path, t)
-    end, start = values[-1], values[0]
+    _, values = _sliced(path, t)
     a_grid = np.asarray(a_grid, dtype=float)
-    out = np.empty(a_grid.shape)
-    for j, a in enumerate(a_grid):
-        m = martingale_part(params, path, float(a), t=t)
-        out[j] = kernel_F(params, end - a) - kernel_F(params, start - a) - m
-    return out
+    return (kernel_F(params, values[-1] - a_grid)
+            - kernel_F(params, values[0] - a_grid)
+            - martingale_part(params, path, a_grid, t))
 
 
 # ------------------------------------------------------ occupation formula
@@ -253,7 +254,7 @@ def occupation_formula_check(path: PathSample, g, a_grid,
     grid (trapezoid); the right side is a time-Riemann sum along the path.
     The two share no numerics beyond the path itself.
     """
-    times, values, _, _ = _sliced(path, t)
+    times, values = _sliced(path, t)
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or len(a_grid) < 2 or np.any(np.diff(a_grid) <= 0):
         raise ValueError("a_grid must be increasing with at least 2 points")

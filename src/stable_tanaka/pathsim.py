@@ -82,14 +82,16 @@ class SimConfig:
 class PathSample:
     """One realized path on a refined grid, plus its jump record.
 
-    ``times`` always contains every recorded jump instant, so the value
-    immediately before a jump at times[k] is values[k] - size: integrators
-    that need the pre-jump state read it off exactly.
+    ``jumps`` is an (n, 2) float array of ``[time, size]`` rows (n = 0 for
+    the marginal scheme). ``times`` always contains every recorded jump
+    instant, so the value immediately before a jump at times[k] is
+    values[k] - size: integrators that need the pre-jump state read it off
+    exactly.
     """
 
     times: np.ndarray
     values: np.ndarray
-    jumps: list
+    jumps: np.ndarray
     scheme: str
     config: Optional[SimConfig] = None
 
@@ -102,40 +104,38 @@ class PathSample:
             raise ValueError("times must be strictly increasing")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise ValueError("path contains non-finite entries")
+        jumps = np.asarray(self.jumps, dtype=float)
+        if jumps.shape == (0,):
+            jumps = jumps.reshape(0, 2)
+        if jumps.ndim != 2 or jumps.shape[1] != 2:
+            raise ValueError("jumps must be an (n, 2) array of [time, size] "
+                             f"rows, got shape {jumps.shape}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "jumps", jumps)
         if self.config is not None:
             if values[0] != self.config.x0:
                 raise ValueError("values[0] must equal the configured x0")
-            if self.jumps and self.scheme == "jumpdecomp":
-                sizes = np.array([h for _, h in self.jumps])
-                if np.any(np.abs(sizes) <= self.config.eps):
-                    raise ValueError("recorded jumps must exceed the cutoff")
+            if self.scheme == "jumpdecomp" and np.any(
+                    np.abs(self.jump_sizes) <= self.config.eps):
+                raise ValueError("recorded jumps must exceed the cutoff")
 
     @property
     def jump_times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.jumps], dtype=float)
+        return self.jumps[:, 0]
 
     @property
     def jump_sizes(self) -> np.ndarray:
-        return np.array([h for _, h in self.jumps], dtype=float)
-
-    def jump_indices(self) -> np.ndarray:
-        """Positions of the jump instants inside ``times``."""
-        return np.searchsorted(self.times, self.jump_times)
+        return self.jumps[:, 1]
 
     def to_csv(self, csv_path, sidecar_path=None) -> None:
         """Write (time, value) rows; jumps and config go to a JSON sidecar."""
-        with open(csv_path, "w") as fh:
-            fh.write("time,value\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(f"{t:.17g},{v:.17g}\n")
+        np.savetxt(csv_path, np.column_stack([self.times, self.values]),
+                   fmt="%.17g", delimiter=",", header="time,value", comments="")
         if sidecar_path is not None:
-            doc = {
-                "scheme": self.scheme,
-                "config": None if self.config is None else asdict(self.config),
-                "jumps": [[float(t), float(h)] for t, h in self.jumps],
-            }
+            config = None if self.config is None else asdict(self.config)
+            doc = {"scheme": self.scheme, "config": config,
+                   "jumps": self.jumps.tolist()}
             with open(sidecar_path, "w") as fh:
                 json.dump(doc, fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -179,7 +179,7 @@ def simulate_path_marginal(params: StableParams, config: SimConfig,
     times = np.linspace(0.0, config.T, config.n_steps + 1)
     incs = sample_stable_increment(params, config.dt, rng, size=config.n_steps)
     values = config.x0 + np.concatenate([[0.0], np.cumsum(incs)])
-    return PathSample(times=times, values=values, jumps=[],
+    return PathSample(times=times, values=values, jumps=(),
                       scheme="marginal", config=config)
 
 
@@ -215,11 +215,10 @@ def simulate_path_jumpdecomp(params: StableParams, config: SimConfig,
     if config.small_jump_mode == "gaussian":
         sigma = math.sqrt(small_jump_variance(params, config.eps))
         incs = incs + sigma * np.sqrt(dts) * rng.standard_normal(len(dts))
-    if len(jt):
-        np.add.at(incs, np.searchsorted(times, jt) - 1, sizes)
+    np.add.at(incs, np.searchsorted(times, jt) - 1, sizes)
     values = config.x0 + np.concatenate([[0.0], np.cumsum(incs)])
     return PathSample(times=times, values=values,
-                      jumps=list(zip(jt.tolist(), sizes.tolist())),
+                      jumps=np.column_stack([jt, sizes]),
                       scheme="jumpdecomp", config=config)
 
 

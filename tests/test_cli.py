@@ -252,6 +252,27 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+BAD_COMMANDS = {
+    "localtime-alpha": ["localtime", "--alpha", "2.5"],
+    "localtime-c-plus": ["localtime", "--alpha", "1.5", "--c-plus", "-1"],
+    "simulate-alpha": ["simulate", "--alpha", "2.5"],
+    "simulate-c-plus": ["simulate", "--alpha", "1.5", "--c-plus", "-1"],
+    "localtime-path-index": ["localtime", "--alpha", "1.5",
+                             "--path-index", "-1"],
+    "localtime-levels-nan": ["localtime", "--alpha", "1.5",
+                             "--levels", "0", "nan"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COMMANDS))
+def test_bad_command_line_exit_two(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    code = main(BAD_COMMANDS[name] + ["--n-steps", "64", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()  # rejected before any compute or write
+
+
 def test_localtime_curve_and_metadata(tmp_path):
     out = tmp_path / "lt"
     code = main(["localtime", "--alpha", "1.5", "--n-steps", "128",

@@ -18,6 +18,7 @@ from numpy.polynomial.legendre import leggauss
 from stable_tanaka import derive_params
 from stable_tanaka.kernel import MollifierSpec, compensator_density
 from stable_tanaka.localtime import (
+    _LEVEL_BLOCK,
     LocalTimeEstimate,
     default_a_grid,
     default_mollifier,
@@ -201,11 +202,28 @@ def test_curves_match_pointwise_estimators():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for j, a in enumerate(levels):
-            # the curve's blocked matmul may re-order the summation
-            np.testing.assert_allclose(
-                occ[j], occupation_estimator(path, a, moll).value,
-                rtol=1e-12)
+            # the estimators are the one-level case of the curves
+            assert occ[j] == occupation_estimator(path, a, moll).value
             assert tan[j] == tanaka_estimator(SYM, path, a).value
+
+
+@pytest.mark.parametrize("params", [SYM, derive_params(1.3, 1.0, 0.0)],
+                         ids=["symmetric", "one-sided"])
+@pytest.mark.parametrize("t", [None, 0.5])
+def test_martingale_levels_array_matches_scalar_calls(params, t):
+    # 2 * block + 3 levels cross two block edges; each level's value must
+    # not depend on the block it lands in
+    cfg = SimConfig(T=1.0, n_steps=256, eps=1e-2, seed=4)
+    path = simulate_path_jumpdecomp(params, cfg, path_index=1)
+    assert len(path.jumps) > 0
+    levels = np.linspace(path.values.min() - 0.5, path.values.max() + 0.5,
+                         2 * _LEVEL_BLOCK + 3)
+    curve = martingale_part(params, path, levels, t)
+    assert isinstance(curve, np.ndarray) and curve.shape == levels.shape
+    for a, m in zip(levels, curve):
+        scalar = martingale_part(params, path, float(a), t)
+        assert type(scalar) is float
+        assert scalar == m
 
 
 # ------------------------------------------------------------ Fubini identity

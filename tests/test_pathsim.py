@@ -67,6 +67,12 @@ def test_path_sample_validation():
         PathSample(times=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]),
                    jumps=[], scheme="marginal", config=cfg)
 
+    times, values = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.2])
+    for bad in ([0.5, 0.9], [(0.5, 0.9, 1.0)], np.zeros((1, 2, 2))):
+        with pytest.raises(ValueError, match="jumps"):
+            PathSample(times=times, values=values, jumps=bad,
+                       scheme="jumpdecomp")
+
 
 def test_rng_streams_keyed_by_path():
     a = path_rng(5, 0).standard_normal(4)
@@ -126,7 +132,7 @@ def test_marginal_path_structure():
     cfg = SimConfig(T=2.0, n_steps=32, seed=9, x0=1.5)
     path = simulate_path_marginal(SYM, cfg)
     assert path.scheme == "marginal"
-    assert path.jumps == []
+    assert len(path.jumps) == 0
     assert np.allclose(path.times, np.linspace(0.0, 2.0, 33))
     assert path.values[0] == 1.5
     assert path.values.shape == (33,)
@@ -182,7 +188,7 @@ def test_jumpdecomp_bookkeeping_exact_in_drop_mode():
     drift = -nu_tail_mean(SKEW, cfg.eps)
     recon = cfg.x0 + path.jump_sizes.sum() + drift * cfg.T
     assert path.values[-1] == pytest.approx(recon, abs=1e-12)
-    k = path.jump_indices()
+    k = np.searchsorted(path.times, path.jump_times)
     dv = path.values[k] - path.values[k - 1]
     dt = path.times[k] - path.times[k - 1]
     assert np.allclose(dv, path.jump_sizes + drift * dt, atol=1e-12)
@@ -212,7 +218,7 @@ def test_jumpdecomp_deterministic():
     p2 = simulate_path_jumpdecomp(SKEW, cfg, 7)
     assert np.array_equal(p1.times, p2.times)
     assert np.array_equal(p1.values, p2.values)
-    assert p1.jumps == p2.jumps
+    assert np.array_equal(p1.jumps, p2.jumps)
 
 
 def test_jumpdecomp_terminal_law_matches_marginal():
