@@ -25,14 +25,12 @@ from .kernel import (
     kernel_F,
     kernel_F_prime,
     kernel_F_second,
-    smooth_F,
     standard_bump,
 )
 from .pathsim import (
     CharFunctionEstimate,
     PathSample,
     SimConfig,
-    absolute_moment_scan,
     empirical_char_function,
     path_rng,
     sample_stable_increment,
@@ -81,7 +79,6 @@ __all__ = [
     "kernel_F_prime",
     "kernel_F_second",
     "kernel_convolve",
-    "smooth_F",
     "compensator_density",
     "SimConfig",
     "PathSample",
@@ -92,7 +89,6 @@ __all__ = [
     "simulate_path_jumpdecomp",
     "sample_terminal_jumpdecomp",
     "empirical_char_function",
-    "absolute_moment_scan",
     "LocalTimeEstimate",
     "occupation_estimator",
     "occupation_curve",

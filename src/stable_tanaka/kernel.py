@@ -46,7 +46,6 @@ __all__ = [
     "kernel_F_prime",
     "kernel_F_second",
     "kernel_convolve",
-    "smooth_F",
     "compensator_density",
 ]
 
@@ -103,9 +102,16 @@ def _signum_left(x: np.ndarray) -> np.ndarray:
 def kernel_F(params: StableParams, x):
     """F(x) = D (1 - beta sgn(x)) |x|^(alpha-1); nonnegative, F(0) = 0."""
     x = np.asarray(x, dtype=float)
-    out = params.big_d * (1.0 - params.beta * _signum_left(x)) \
-        * np.abs(x) ** (params.alpha - 1.0)
-    return out if out.ndim else float(out)
+    # D (1 -+ beta) are the same doubles as D (1 - beta sgn(x)), so this
+    # two-valued weight keeps F's bits without a signum array
+    weight = np.where(x > 0.0, params.big_d * (1.0 - params.beta),
+                      params.big_d * (1.0 + params.beta))
+    if x.ndim == 0:
+        return float(np.abs(x) ** (params.alpha - 1.0) * weight)
+    out = np.abs(x)
+    np.power(out, params.alpha - 1.0, out=out)
+    out *= weight
+    return out
 
 
 def kernel_F_prime(params: StableParams, x):
@@ -187,11 +193,6 @@ def kernel_convolve(params: StableParams, phi, x, radius: float,
         out[~inside] = big_d * radius * (vals * w[None, :]).sum(axis=1)
 
     return float(out[0]) if scalar else out
-
-
-def smooth_F(params: StableParams, moll: MollifierSpec, x):
-    """The mollified kernel F_n = F * rho_n; converges to F uniformly."""
-    return kernel_convolve(params, moll, x, moll.width)
 
 
 # -------------------------------------------------------------- compensator

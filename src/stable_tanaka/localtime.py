@@ -9,9 +9,11 @@ Two estimators of the local time L^a_t:
   jumps. This needs the jump record, so only jump-decomposition paths
   qualify.
 
-Both curves, and ``martingale_part`` given an array of levels, run one
-blocked loop over levels; ``occupation_estimator`` and ``tanaka_estimator``
-are the one-level case of the curves.
+The occupation and compensator Riemann sums and the jump sum of
+``martingale_part`` all run through one loop over small tiles of levels by
+points, summed in a fixed chunk order, so a level's value does not depend
+on the levels asked for with it. ``occupation_estimator`` and
+``tanaka_estimator`` are the one-level case of the curves.
 
 ``occupation_formula_check`` closes the loop: integrating either estimated
 local-time curve against a test function must reproduce the direct
@@ -47,7 +49,11 @@ __all__ = [
 ]
 
 _METHODS = ("occupation", "tanaka")
-_LEVEL_BLOCK = 32  # levels per (levels x grid points) array
+# A tile of 2 x 8192 doubles is 128 KiB: it stays in L2, and its
+# temporaries stay below glibc's 128 KiB mmap threshold, so they are not
+# each served by a fresh mmap and faulted in page by page.
+_TILE_LEVELS = 2
+_TILE_POINTS = 8192
 
 
 @dataclass(frozen=True)
@@ -109,20 +115,21 @@ def _sliced(path: PathSample, t):
     return path.times[:k], path.values[:k]
 
 
-def _blocked_levels(levels, lefts, dts, integrand, jump_part=None):
-    """Left-point Riemann sums of integrand(X_s - a) ds, _LEVEL_BLOCK at a time.
+def _tiled_levels(levels, tile, *columns):
+    """Per-level sums of tile(levels, *columns) over the columns' points.
 
-    Each row is reduced by its own 1-D dot with ``dts``, so a level's value
-    does not depend on its block. ``jump_part`` maps a block of levels to
-    values from which the sums are subtracted.
+    ``tile(block, *chunks)`` maps a (k, 1) column of at most _TILE_LEVELS
+    levels and chunks of at most _TILE_POINTS points to a (k, points)
+    array of terms. Each row is reduced on its own and each level adds its
+    chunks in point order, so its value is the same whichever levels share
+    its tile.
     """
-    out = np.empty(len(levels))
-    for start in range(0, len(levels), _LEVEL_BLOCK):
-        block = levels[start:start + _LEVEL_BLOCK]
-        sums = np.array([row @ dts
-                         for row in integrand(lefts - block[:, None])])
-        out[start:start + len(block)] = \
-            sums if jump_part is None else jump_part(block) - sums
+    out = np.zeros(len(levels))
+    for start in range(0, len(levels), _TILE_LEVELS):
+        block = levels[start:start + _TILE_LEVELS, None]
+        for lo in range(0, len(columns[0]), _TILE_POINTS):
+            chunks = (c[lo:lo + _TILE_POINTS] for c in columns)
+            out[start:start + len(block)] += tile(block, *chunks).sum(axis=1)
     return out
 
 
@@ -155,8 +162,9 @@ def occupation_curve(path: PathSample, a_grid, moll: MollifierSpec,
                      t: float | None = None) -> np.ndarray:
     """Occupation estimates (Riemann sums of rho_n(X_s - a) ds) over levels."""
     times, values = _sliced(path, t)
-    return _blocked_levels(np.asarray(a_grid, dtype=float), values[:-1],
-                           np.diff(times), moll)
+    return _tiled_levels(np.asarray(a_grid, dtype=float),
+                         lambda b, x, dt: moll(x - b) * dt,
+                         values[:-1], np.diff(times))
 
 
 # -------------------------------------------------------------- martingale
@@ -168,12 +176,12 @@ def _require_jump_record(path: PathSample):
             "the jump-decomposition scheme")
 
 
-def _compensator_interp(params: StableParams, eps: float, x):
-    """G_eps at x by linear interpolation between closed-form node values.
+def _compensator_interp(params: StableParams, eps: float):
+    """G_eps as a function of x, interpolated between closed-form nodes.
 
     Nodes run 40 per decade over 1e-2 eps <= |x| <= 1e3, mirrored, plus 0;
-    beyond the outermost node the value clamps. Filling the nodes is cheap,
-    and interpolating at every path point is ~5x faster than evaluating
+    beyond the outermost node the value clamps. The nodes are filled once
+    here; interpolating at every path point is ~5x faster than evaluating
     the closed form there. Inside the innermost cell G_eps has its
     |x|^(alpha-1) cusp, which a chord misses by up to 1.7% of G(0), so the
     few points there take the closed form directly.
@@ -182,10 +190,16 @@ def _compensator_interp(params: StableParams, eps: float, x):
     n_nodes = int(round(math.log10(1e3 / x_min) * 40)) + 1
     mags = np.geomspace(x_min, 1e3, n_nodes)
     nodes = np.concatenate([-mags[::-1], [0.0], mags])
-    out = np.interp(x, nodes, compensator_density(params, nodes, eps))
-    cusp = np.abs(x) < x_min
-    out[cusp] = compensator_density(params, x[cusp], eps)
-    return out
+    node_values = compensator_density(params, nodes, eps)
+
+    def g(x):
+        out = np.interp(x, nodes, node_values)
+        cusp = np.abs(x) < x_min
+        if cusp.any():
+            out[cusp] = compensator_density(params, x[cusp], eps)
+        return out
+
+    return g
 
 
 def martingale_part(params: StableParams, path: PathSample, a,
@@ -204,11 +218,14 @@ def martingale_part(params: StableParams, path: PathSample, a,
     post = values[np.searchsorted(times, jumps[:, 0])]
     pre = post - jumps[:, 1]
     levels = np.asarray(a, dtype=float)
-    out = _blocked_levels(
-        levels.ravel(), values[:-1], np.diff(times),
-        lambda x: _compensator_interp(params, path.config.eps, x),
-        lambda b: np.sum(kernel_F(params, post - b[:, None])
-                         - kernel_F(params, pre - b[:, None]), axis=1))
+    jump_sums = _tiled_levels(
+        levels.ravel(),
+        lambda b, hi, lo: kernel_F(params, hi - b) - kernel_F(params, lo - b),
+        post, pre)
+    g = _compensator_interp(params, path.config.eps)
+    out = jump_sums - _tiled_levels(levels.ravel(),
+                                    lambda b, x, dt: g(x - b) * dt,
+                                    values[:-1], np.diff(times))
     return float(out[0]) if levels.ndim == 0 else out.reshape(levels.shape)
 
 

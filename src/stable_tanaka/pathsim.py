@@ -40,7 +40,6 @@ __all__ = [
     "simulate_path_jumpdecomp",
     "sample_terminal_jumpdecomp",
     "empirical_char_function",
-    "absolute_moment_scan",
 ]
 
 _SMALL_JUMP_MODES = ("drop", "gaussian")
@@ -284,21 +283,3 @@ def empirical_char_function(samples, u: float) -> CharFunctionEstimate:
         se_re = se_im = 0.0
     return CharFunctionEstimate(value=complex(z.mean()), stderr_real=se_re,
                                 stderr_imag=se_im, n_samples=n)
-
-
-def absolute_moment_scan(params: StableParams, gamma: float, sizes,
-                         seed: int = 0) -> np.ndarray:
-    """Running estimates of E|X_1|^gamma over nested sample prefixes.
-
-    For gamma < alpha the sequence stabilizes; for gamma >= alpha the
-    moment is infinite and the running estimate keeps growing -- this
-    function only reports the numbers, the dichotomy is judged by callers.
-    """
-    sizes = np.asarray(sizes, dtype=int)
-    if sizes.ndim != 1 or np.any(sizes <= 0) or np.any(np.diff(sizes) <= 0):
-        raise ValueError("sizes must be increasing positive integers")
-    rng = path_rng(seed, 0)
-    draws = sample_stable_increment(params, 1.0, rng, size=int(sizes[-1]))
-    powers = np.abs(draws) ** gamma
-    csum = np.cumsum(powers)
-    return csum[sizes - 1] / sizes

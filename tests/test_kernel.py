@@ -20,7 +20,6 @@ from stable_tanaka.kernel import (
     kernel_F,
     kernel_F_prime,
     kernel_F_second,
-    smooth_F,
     standard_bump,
 )
 from stable_tanaka.params import (
@@ -103,6 +102,34 @@ def test_kernel_explicit_values():
     assert kernel_F(SKEW, 1.0) == pytest.approx(SKEW.big_d / 2.0, rel=1e-14)
     assert kernel_F(SKEW, -1.0) == pytest.approx(1.5 * SKEW.big_d, rel=1e-14)
     assert kernel_F(SKEW, 4.0) == pytest.approx(SKEW.big_d, rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha,c_plus,c_minus", [
+    (1.5, 1.0, 1.0), (1.3, 3.0, 1.0), (1.7, 1.0, 0.0), (1.2, 0.0, 1.0)],
+    ids=["beta=0", "beta=0.5", "beta=1", "beta=-1"])
+def test_kernel_bits_match_formula(alpha, c_plus, c_minus):
+    # F is the written formula D (1 - beta sgn(x)) |x|^(alpha-1) with
+    # sgn(0) = -1, to the last bit, for arrays and scalars alike
+    params = derive_params(alpha, c_plus, c_minus)
+
+    def formula(x):
+        sgn = np.where(x > 0.0, 1.0, -1.0)
+        return params.big_d * (1.0 - params.beta * sgn) \
+            * np.abs(x) ** (params.alpha - 1.0)
+
+    mags = np.geomspace(1e-9, 1e3, 100_001)
+    xs = np.concatenate([mags, -mags, [0.0, -0.0]])
+    got = kernel_F(params, xs)
+    assert got.dtype == np.float64 and got.shape == xs.shape
+    assert np.array_equal(got.view(np.int64), formula(xs).view(np.int64))
+    grid = kernel_F(params, xs[:600].reshape(20, 30))
+    assert np.array_equal(grid, formula(xs[:600]).reshape(20, 30))
+    for x in (0.0, -0.0, 1e-9, -1e-9, 0.7, -2.5, 1e3, -1e3):
+        scalar = kernel_F(params, x)
+        assert type(scalar) is float
+        want = float(formula(np.asarray(x)))
+        assert np.float64(scalar).view(np.int64) \
+            == np.float64(want).view(np.int64), x
 
 
 def test_kernel_symmetric_even_and_nonnegative():
@@ -223,11 +250,13 @@ def test_kernel_convolve_tracks_kernel_growth():
 def test_smooth_F_bound_and_symmetry():
     xs = np.linspace(-3, 3, 61)
     for n in (4, 64):
-        vals = smooth_F(SKEW, MollifierSpec(n), xs)
+        moll = MollifierSpec(n)
+        vals = kernel_convolve(SKEW, moll, xs, moll.width)
         bound = 2.0 * SKEW.big_d * (np.abs(xs) ** 0.5 + 1.0)
         assert np.all(vals >= 0.0)
         assert np.all(vals <= bound)
-    sym_vals = smooth_F(SYM, MollifierSpec(16), xs)
+    moll = MollifierSpec(16)
+    sym_vals = kernel_convolve(SYM, moll, xs, moll.width)
     assert np.allclose(sym_vals, sym_vals[::-1], rtol=1e-12, atol=1e-14)
 
 
@@ -237,8 +266,10 @@ def test_smooth_F_converges_to_kernel():
     at_one = []
     for n in (4, 16, 64, 256):
         moll = MollifierSpec(n)
-        sups.append(np.max(np.abs(smooth_F(SKEW, moll, xs) - kernel_F(SKEW, xs))))
-        at_one.append(abs(smooth_F(SKEW, moll, 1.0) - kernel_F(SKEW, 1.0)))
+        smooth = kernel_convolve(SKEW, moll, xs, moll.width)
+        sups.append(np.max(np.abs(smooth - kernel_F(SKEW, xs))))
+        at_one.append(abs(kernel_convolve(SKEW, moll, 1.0, moll.width)
+                          - kernel_F(SKEW, 1.0)))
     assert sups[0] > sups[1] > sups[2] > sups[3]
     assert at_one[0] > at_one[1] > at_one[2] > at_one[3]
     assert at_one[3] < at_one[0] / 6.0
@@ -247,7 +278,7 @@ def test_smooth_F_converges_to_kernel():
 def test_smooth_F_matches_adaptive_quadrature():
     moll = MollifierSpec(8)
     for x in (0.0, 0.4, -1.1):
-        direct = smooth_F(LOW, moll, x)
+        direct = kernel_convolve(LOW, moll, x, moll.width)
         oracle = _convolve_oracle(LOW, moll, x, moll.width)
         assert direct == pytest.approx(oracle, rel=1e-8)
 

@@ -8,6 +8,8 @@ calibration time; each records its measured value next to the bound.
 """
 
 import math
+import resource
+import sys
 import warnings
 from dataclasses import replace
 
@@ -16,10 +18,12 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from stable_tanaka import derive_params
-from stable_tanaka.kernel import MollifierSpec, compensator_density
+from stable_tanaka.kernel import MollifierSpec, compensator_density, kernel_F
 from stable_tanaka.localtime import (
-    _LEVEL_BLOCK,
+    _TILE_LEVELS,
+    _TILE_POINTS,
     LocalTimeEstimate,
+    _compensator_interp,
     default_a_grid,
     default_mollifier,
     hat_function,
@@ -207,23 +211,75 @@ def test_curves_match_pointwise_estimators():
             assert tan[j] == tanaka_estimator(SYM, path, a).value
 
 
-@pytest.mark.parametrize("params", [SYM, derive_params(1.3, 1.0, 0.0)],
+@pytest.mark.parametrize("params", [SYM, derive_params(1.5, 1.0, 0.0)],
                          ids=["symmetric", "one-sided"])
 @pytest.mark.parametrize("t", [None, 0.5])
 def test_martingale_levels_array_matches_scalar_calls(params, t):
-    # 2 * block + 3 levels cross two block edges; each level's value must
-    # not depend on the block it lands in
-    cfg = SimConfig(T=1.0, n_steps=256, eps=1e-2, seed=4)
+    # 2 * levels-per-tile + 3 levels cross two tile edges, and up to t the
+    # path has more than one point chunk of grid points and of jumps; each
+    # level's value must not depend on the levels that share its tile
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=4)
     path = simulate_path_jumpdecomp(params, cfg, path_index=1)
-    assert len(path.jumps) > 0
+    horizon = cfg.T if t is None else t
+    assert np.sum(path.jump_times <= horizon) > _TILE_POINTS
+    assert np.sum(path.times <= horizon) > _TILE_POINTS + 1
     levels = np.linspace(path.values.min() - 0.5, path.values.max() + 0.5,
-                         2 * _LEVEL_BLOCK + 3)
+                         2 * _TILE_LEVELS + 3)
     curve = martingale_part(params, path, levels, t)
     assert isinstance(curve, np.ndarray) and curve.shape == levels.shape
     for a, m in zip(levels, curve):
         scalar = martingale_part(params, path, float(a), t)
         assert type(scalar) is float
         assert scalar == m
+
+
+@pytest.mark.parametrize("params", [SYM, derive_params(1.3, 3.0, 1.0)],
+                         ids=["symmetric", "skewed"])
+def test_tiled_sums_match_exact_summation(params):
+    # the tiles change only the order of summation: each level's sum must
+    # agree with a correctly rounded math.fsum of the same terms within
+    # 1e-12 of the sum of their magnitudes
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=8)
+    path = simulate_path_jumpdecomp(params, cfg, path_index=2)
+    moll = default_mollifier(cfg.eps)
+    lefts, dts = path.values[:-1], np.diff(path.times)
+    post = path.values[np.searchsorted(path.times, path.jump_times)]
+    pre = post - path.jump_sizes
+    g = _compensator_interp(params, cfg.eps)
+    levels = np.concatenate([np.quantile(path.values, [0.1, 0.5, 0.9]),
+                             [path.values.max() + 0.5]])
+    occ = occupation_curve(path, levels, moll)
+    mart = martingale_part(params, path, levels)
+    for j, a in enumerate(levels):
+        terms = moll(lefts - a) * dts
+        assert abs(occ[j] - math.fsum(terms)) \
+            <= 1e-12 * np.abs(terms).sum(), a
+        terms = np.concatenate([kernel_F(params, post - a)
+                                - kernel_F(params, pre - a),
+                                -(g(lefts - a) * dts)])
+        assert abs(mart[j] - math.fsum(terms)) \
+            <= 1e-12 * np.abs(terms).sum(), a
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="minor-fault counts are read as on Linux")
+def test_level_curves_stay_off_the_page_fault_path():
+    # tiles keep every temporary below the allocator's mmap threshold, so
+    # the two 201-level curves at the level-curve shape reuse memory
+    # instead of faulting in fresh pages; measured ~13 faults here against
+    # ~42k for 32-level whole-row blocks
+    params = derive_params(1.3, 3.0, 1.0)
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
+    path = simulate_path_jumpdecomp(params, cfg)
+    moll = default_mollifier(cfg.eps)
+    grid = default_a_grid(path)
+    tanaka_curve(params, path, grid)
+    occupation_curve(path, grid, moll)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    tanaka_curve(params, path, grid)
+    occupation_curve(path, grid, moll)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 2000, faults
 
 
 # ------------------------------------------------------------ Fubini identity
