@@ -1,5 +1,5 @@
 """Monte Carlo check that the martingale part of the Tanaka decomposition
-really has mean zero, and that its size obeys the quadrature bound.
+really has mean zero, and that its size obeys the closed-form bound.
 
 F(X_t - a) - F(X_0 - a) splits into local time (nonnegative, grows) plus
 a martingale M (mean zero, fluctuates).  Averaging M over paths at a few
@@ -33,5 +33,5 @@ for t in checkpoints:
 
 m2 = float(np.mean(np.square(samples[1.0])))
 bound = martingale_l2_bound(params, 1.0)
-print(f"\nE[M_1^2] = {m2:.4f}   quadrature bound {bound:.2f}   "
+print(f"\nE[M_1^2] = {m2:.4f}   closed-form bound {bound:.2f}   "
       f"(bound is intentionally conservative)")

@@ -54,10 +54,8 @@ from .localtime import (
 from .params import (
     StableParams,
     derive_params,
-    gamma_reflect,
     nu_tail_mass,
     nu_tail_mean,
-    rescale_params,
     small_jump_variance,
     stability_constant,
 )
@@ -67,8 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "StableParams",
     "derive_params",
-    "rescale_params",
-    "gamma_reflect",
     "stability_constant",
     "nu_tail_mass",
     "nu_tail_mean",

@@ -134,6 +134,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finish(report, out, fmt: str = "csv-bundle") -> int:
+    """Print the verdicts and wall time, write the bundle to ``out`` if set,
+    and return the exit code."""
+    for line in report.summary_lines():
+        print(line)
+    print(f"wall time: {report.wall_time_s:.2f}s")
+    if out is not None:
+        paths = emit_report(report, fmt, out)
+        print("wrote " + ", ".join(str(p) for p in paths))
+    return 0 if report.all_passed else 1
+
+
 def _cmd_run(args) -> int:
     spec_path = Path(args.spec)
     if not spec_path.is_file():
@@ -154,13 +166,7 @@ def _cmd_run(args) -> int:
     out = args.out or spec.out_dir or _default_out(None)
     # writing is handled here, with --format honored
     report = run_experiment(replace(spec, out_dir=None))
-    for line in report.summary_lines():
-        print(line)
-    print(f"wall time: {report.wall_time_s:.2f}s")
-    if out is not None:
-        paths = emit_report(report, args.format, out)
-        print("wrote " + ", ".join(str(p) for p in paths))
-    return 0 if report.all_passed else 1
+    return _finish(report, out, args.format)
 
 
 def _cmd_density(args) -> int:
@@ -170,14 +176,7 @@ def _cmd_density(args) -> int:
                 "c_minus": args.c_minus},
         options={"times": list(args.t), "half_width": args.half_width,
                  "n_points": args.n_points})
-    report = run_experiment(spec)
-    for line in report.summary_lines():
-        print(line)
-    out = _default_out(args.out)
-    if out is not None:
-        paths = emit_report(report, "csv-bundle", out)
-        print("wrote " + ", ".join(str(p) for p in paths))
-    return 0 if report.all_passed else 1
+    return _finish(run_experiment(spec), _default_out(args.out))
 
 
 def _out_dir(args, what: str) -> Path:

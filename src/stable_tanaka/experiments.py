@@ -81,8 +81,6 @@ __all__ = [
     "ExperimentReport",
     "run_experiment",
     "emit_report",
-    "EXPERIMENT_KINDS",
-    "OPTION_KEYS",
 ]
 
 
@@ -497,15 +495,12 @@ def _run_occupation_formula(spec, o, params, cfg):
     moll = default_mollifier(cfg.eps)
     ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
     hat_res, unit_res = [], []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for i in range(n_paths):
-            path = simulate_path_jumpdecomp(params, cfg, path_index=i)
-            grid = default_a_grid(path)
-            g = hat_function(float(np.median(path.values)),
-                             o["hat_half_width"])
-            hat_res.append(occupation_formula_check(path, g, grid, moll))
-            unit_res.append(occupation_formula_check(path, ones, grid, moll))
+    for i in range(n_paths):
+        path = simulate_path_jumpdecomp(params, cfg, path_index=i)
+        grid = default_a_grid(path)
+        g = hat_function(float(np.median(path.values)), o["hat_half_width"])
+        hat_res.append(occupation_formula_check(path, g, grid, moll))
+        unit_res.append(occupation_formula_check(path, ones, grid, moll))
     hat_res, unit_res = np.asarray(hat_res), np.asarray(unit_res)
     stats = {
         "hat_residual_median": float(np.median(hat_res)),
@@ -662,8 +657,6 @@ _KINDS = {
         "selfsim_tolerance": Option(1e-6, "float", "[0, inf)"),
     }, check=lambda o, cfg: Grid(o["half_width"], o["n_points"])),
 }
-EXPERIMENT_KINDS = tuple(_KINDS)
-OPTION_KEYS = {name: set(kind.options) for name, kind in _KINDS.items()}
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:

@@ -41,7 +41,6 @@ from .params import StableParams
 __all__ = [
     "MollifierSpec",
     "standard_bump",
-    "bump_normalization",
     "kernel_F",
     "kernel_F_prime",
     "kernel_F_second",
@@ -53,7 +52,7 @@ __all__ = [
 # --------------------------------------------------------------- mollifier
 
 @lru_cache(maxsize=1)
-def bump_normalization() -> float:
+def _bump_normalization() -> float:
     """int_{-1}^{1} exp(-1/(1-x^2)) dx, computed once to ~1e-13."""
     val, err = integrate.quad(lambda x: math.exp(-1.0 / (1.0 - x * x)),
                               -1.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
@@ -69,7 +68,7 @@ def standard_bump(x):
     inside = np.abs(x) < 1.0
     xi = x[inside]
     out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
-    out /= bump_normalization()
+    out /= _bump_normalization()
     return out if out.ndim else float(out)
 
 
@@ -138,18 +137,18 @@ def kernel_F_second(params: StableParams, x):
 # ------------------------------------------------------------- convolution
 
 @lru_cache(maxsize=32)
-def _jacobi_rule(m: int, alpha: float):
+def _jacobi_rule(alpha: float):
     # integrates (1+t)^(alpha-1) g(t) over [-1, 1] exactly for polynomial g
-    return special.roots_jacobi(m, 0.0, alpha - 1.0)
+    # of degree below 96
+    return special.roots_jacobi(48, 0.0, alpha - 1.0)
 
 
-@lru_cache(maxsize=8)
-def _legendre_rule(m: int):
-    return np.polynomial.legendre.leggauss(m)
+@lru_cache(maxsize=1)
+def _legendre_rule():
+    return np.polynomial.legendre.leggauss(64)
 
 
-def kernel_convolve(params: StableParams, phi, x, radius: float,
-                    n_nodes: int = 48):
+def kernel_convolve(params: StableParams, phi, x, radius: float):
     """(F * phi)(x) = int F(x - y) phi(y) dy for phi supported in [-radius, radius].
 
     The integrand's |x - y|^(alpha-1) cusp at y = x is absorbed exactly by
@@ -172,7 +171,7 @@ def kernel_convolve(params: StableParams, phi, x, radius: float,
     inside = np.abs(x) < radius
     if np.any(inside):
         xi = x[inside]
-        t, w = _jacobi_rule(n_nodes, a)
+        t, w = _jacobi_rule(a)
         # y above x: x - y < 0, kernel weight D (1 + beta) (y - x)^(alpha-1)
         span = radius - xi
         y = xi[:, None] + span[:, None] * (t[None, :] + 1.0) / 2.0
@@ -185,7 +184,7 @@ def kernel_convolve(params: StableParams, phi, x, radius: float,
 
     if np.any(~inside):
         xo = x[~inside]
-        t, w = _legendre_rule(max(n_nodes, 64))
+        t, w = _legendre_rule()
         y = radius * t
         dist = np.abs(xo[:, None] - y[None, :])
         side = 1.0 - beta * _signum_left(xo)[:, None]

@@ -20,7 +20,7 @@ import numpy as np
 _BETA_CONSISTENCY_RTOL = 1e-12
 
 
-def gamma_reflect(z: float) -> float:
+def _gamma_reflect(z: float) -> float:
     """Gamma function for real non-integer arguments, negative ones included.
 
     Positive arguments go through ``math.gamma``; negative non-integer
@@ -124,18 +124,11 @@ def derive_params(alpha: float, c_plus: float, c_minus: float) -> StableParams:
     b_alpha = -(c_plus - c_minus) / (alpha - 1.0)
     # c(-alpha) via the reflected gamma; both factors flip sign on (1, 2),
     # so the product stays positive.
-    c_neg = gamma_reflect(1.0 - alpha) * math.sin(-math.pi * alpha / 2.0) / math.pi
+    c_neg = _gamma_reflect(1.0 - alpha) * math.sin(-math.pi * alpha / 2.0) / math.pi
     tan_term = math.tan(math.pi * alpha / 2.0)
     big_d = c_neg / (d * (1.0 + beta * beta * tan_term * tan_term))
     return StableParams(alpha=alpha, c_plus=c_plus, c_minus=c_minus, beta=beta,
                         d=d, b_alpha=b_alpha, c_alpha=c_alpha, big_d=big_d)
-
-
-def rescale_params(params: StableParams, lam: float) -> StableParams:
-    """Scale both jump intensities by ``lam`` (> 0)."""
-    if not lam > 0.0:
-        raise ValueError("scale factor must be positive")
-    return derive_params(params.alpha, lam * params.c_plus, lam * params.c_minus)
 
 
 def nu_density(params: StableParams, h):
@@ -176,8 +169,6 @@ def small_jump_variance(params: StableParams, eps: float) -> float:
 __all__ = [
     "StableParams",
     "derive_params",
-    "rescale_params",
-    "gamma_reflect",
     "stability_constant",
     "nu_density",
     "nu_tail_mass",

@@ -243,8 +243,10 @@ def sample_terminal_jumpdecomp(params: StableParams, config: SimConfig,
         rng = path_rng(config.seed, stream_offset + i)
         n_jumps = int(rng.poisson(lam * config.T))
         signs = np.where(rng.random(n_jumps) < p_plus, 1.0, -1.0)
-        mags = config.eps * rng.random(n_jumps) ** (-1.0 / params.alpha)
-        val = config.x0 + float(signs @ mags) + drift * config.T
+        jumps = config.eps * rng.random(n_jumps) ** (-1.0 / params.alpha)
+        jumps *= signs
+        # numpy's sum, not a BLAS dot, so the bits ignore the thread count
+        val = config.x0 + float(jumps.sum()) + drift * config.T
         if config.small_jump_mode == "gaussian":
             val += sigma * float(rng.standard_normal())
         out[i] = val
@@ -261,12 +263,6 @@ class CharFunctionEstimate:
     stderr_real: float
     stderr_imag: float
     n_samples: int
-
-    def within(self, target: complex, n_sigma: float = 4.0) -> bool:
-        return (abs(self.value.real - target.real)
-                <= n_sigma * self.stderr_real
-                and abs(self.value.imag - target.imag)
-                <= n_sigma * self.stderr_imag)
 
 
 def empirical_char_function(samples, u: float) -> CharFunctionEstimate:

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stable_tanaka.cli import main
-from stable_tanaka.experiments import EXPERIMENT_KINDS, OPTION_KEYS
+from stable_tanaka.experiments import _KINDS
 
 SPEC = {"kind": "sampler-validation",
         "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
@@ -156,6 +156,10 @@ _GOOD = {
 # budget keys are always set: their defaults are large
 _BUDGET = ("n_paths", "n_samples", "n_points", "schedule", "T", "n_steps",
            "eps")
+
+
+EXPERIMENT_KINDS = tuple(_KINDS)
+OPTION_KEYS = {name: set(kind.options) for name, kind in _KINDS.items()}
 
 
 @st.composite

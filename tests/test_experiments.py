@@ -10,13 +10,18 @@ threshold between the prescribed cutoffs).
 
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stable_tanaka
 from stable_tanaka.experiments import (
-    EXPERIMENT_KINDS,
-    OPTION_KEYS,
+    _KINDS,
     ConfigError,
     ExperimentReport,
     ExperimentSpec,
@@ -75,9 +80,10 @@ def test_bad_params_block_rejected():
 
 
 def test_all_kinds_registered():
-    assert len(EXPERIMENT_KINDS) == 8
-    assert set(OPTION_KEYS) == set(EXPERIMENT_KINDS)
-    assert sum(len(keys) for keys in OPTION_KEYS.values()) == 38
+    option_keys = {name: set(kind.options) for name, kind in _KINDS.items()}
+    assert len(_KINDS) == 8
+    assert set(option_keys) == set(_KINDS)
+    assert sum(len(keys) for keys in option_keys.values()) == 38
 
 
 # ----------------------------------------------------------------- verdicts
@@ -191,6 +197,17 @@ def test_occupation_formula_experiment():
     assert rep.curves["residuals"]["rows"].shape == (30, 3)
 
 
+def test_occupation_formula_raises_no_warnings():
+    # nothing on this path warns, so the runner silences nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run_experiment({
+            "kind": "occupation-formula", "params": SYM_PARAMS,
+            "sim": {"T": 1.0, "n_steps": 1024, "eps": 4e-3}, "seed": 3,
+            "options": {"n_paths": 10}})
+    assert rep.all_passed
+
+
 def test_estimator_agreement_experiment():
     # reduced-scale schedule; the means tolerance is opened up because the
     # 10% figure belongs to the fine acceptance schedule, not this one
@@ -215,6 +232,42 @@ def test_reports_are_byte_identical(tmp_path):
     (p1,) = emit_report(r1, "json", tmp_path / "a")
     (p2,) = emit_report(r2, "json", tmp_path / "b")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+_BLAS_PROBE = """
+import sys
+from stable_tanaka.experiments import emit_report, run_experiment
+from stable_tanaka.params import derive_params
+from stable_tanaka.pathsim import SimConfig, sample_terminal_jumpdecomp
+
+rep = run_experiment({
+    "kind": "occupation-formula",
+    "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
+    "sim": {"T": 1.0, "n_steps": 4096, "eps": 1e-3}, "seed": 5,
+    "options": {"n_paths": 5}})
+(path,) = emit_report(rep, "json", sys.argv[1])
+draws = sample_terminal_jumpdecomp(
+    derive_params(1.7, 1.0, 1.0),
+    SimConfig(T=1.0, n_steps=2, eps=1e-3, seed=9), 5)
+print(path.read_text(encoding="utf-8") + draws.tobytes().hex())
+"""
+
+
+def test_results_independent_of_blas_threads(tmp_path):
+    # the occupation-formula residuals and the terminal draws reduce vectors
+    # of ~1e5 entries, long enough for a threaded BLAS dot to split them
+    src = str(Path(stable_tanaka.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_PROBE, str(tmp_path / threads)],
+            env=env, capture_output=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_csv_bundle_layout(tmp_path):

@@ -14,7 +14,7 @@ from scipy import integrate
 
 from stable_tanaka.kernel import (
     MollifierSpec,
-    bump_normalization,
+    _bump_normalization,
     compensator_density,
     kernel_convolve,
     kernel_F,
@@ -42,7 +42,7 @@ LOW = derive_params(1.2, 1.0, 1.0)
 # ---------------------------------------------------------------- mollifier
 
 def test_bump_normalization_frozen():
-    assert bump_normalization() == pytest.approx(BUMP_NORM, rel=1e-12)
+    assert _bump_normalization() == pytest.approx(BUMP_NORM, rel=1e-12)
     assert standard_bump(0.0) == pytest.approx(BUMP_PEAK, rel=1e-12)
 
 

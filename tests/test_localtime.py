@@ -452,6 +452,19 @@ def test_martingale_square_within_quadrature_bound():
     assert 0.01 < float(np.mean(sq)) <= 2.0 * bound
 
 
+@pytest.mark.parametrize("point, expected", [
+    ((1.3, 3.0, 1.0, 0.5, None), 6.771485095367224),
+    ((1.8, 0.0, 1.0, 2.0, 0.05), 11.445478688059922),
+])
+def test_martingale_l2_bound_matches_quadrature(point, expected):
+    # (alpha, c+, c-, t, eps0); values recorded from the former quadrature
+    # of the near-field term over s
+    alpha, c_plus, c_minus, t, eps0 = point
+    bound = martingale_l2_bound(derive_params(alpha, c_plus, c_minus), t,
+                                eps0)
+    assert bound == pytest.approx(expected, rel=1e-12)
+
+
 def test_martingale_l2_bound_validates_eps0():
     with pytest.raises(ValueError, match="eps0"):
         martingale_l2_bound(SYM, 1.0, eps0=0.9)

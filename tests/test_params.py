@@ -5,11 +5,10 @@ import pytest
 
 from stable_tanaka.params import (
     StableParams,
+    _gamma_reflect,
     derive_params,
-    gamma_reflect,
     nu_tail_mass,
     nu_tail_mean,
-    rescale_params,
     small_jump_variance,
     stability_constant,
 )
@@ -50,7 +49,7 @@ def test_drift_makes_known_value():
 def test_gamma_product_identity(alpha):
     # -2 * Gamma(alpha) * c(-alpha) * cos(pi alpha / 2) == 1, the identity
     # tying the kernel amplitude back to the symbol normalization.
-    c_neg = gamma_reflect(1.0 - alpha) * math.sin(-math.pi * alpha / 2.0) / math.pi
+    c_neg = _gamma_reflect(1.0 - alpha) * math.sin(-math.pi * alpha / 2.0) / math.pi
     prod = -2.0 * math.gamma(alpha) * c_neg * math.cos(math.pi * alpha / 2.0)
     assert prod == pytest.approx(1.0, rel=1e-12)
 
@@ -72,8 +71,9 @@ def test_swap_sides_flips_beta_and_drift():
 
 
 def test_rescaling_scales_d_only():
+    # scaling both jump intensities by 5
     p = derive_params(1.6, 1.0, 2.0)
-    q = rescale_params(p, 5.0)
+    q = derive_params(1.6, 5.0 * p.c_plus, 5.0 * p.c_minus)
     assert q.beta == pytest.approx(p.beta, abs=1e-16)
     assert q.d == pytest.approx(5.0 * p.d, rel=1e-14)
     assert q.b_alpha == pytest.approx(5.0 * p.b_alpha, rel=1e-14)
@@ -81,19 +81,19 @@ def test_rescaling_scales_d_only():
 
 def test_gamma_reflect_matches_direct_gamma():
     for z in (0.5, 1.5, 3.25):
-        assert gamma_reflect(z) == pytest.approx(math.gamma(z), rel=1e-15)
+        assert _gamma_reflect(z) == pytest.approx(math.gamma(z), rel=1e-15)
     # Gamma(-0.5) = -2 sqrt(pi)
-    assert gamma_reflect(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)
+    assert _gamma_reflect(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)
     assert C_NEG_15 == pytest.approx(
-        gamma_reflect(-0.5) * math.sin(-0.75 * math.pi) / math.pi, rel=1e-14
+        _gamma_reflect(-0.5) * math.sin(-0.75 * math.pi) / math.pi, rel=1e-14
     )
 
 
 def test_gamma_reflect_rejects_poles():
     with pytest.raises(ValueError):
-        gamma_reflect(0.0)
+        _gamma_reflect(0.0)
     with pytest.raises(ValueError):
-        gamma_reflect(-3.0)
+        _gamma_reflect(-3.0)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5, 2.5, -1.5])

@@ -7,12 +7,18 @@ asserted here were checked to hold with wide margin across neighboring seeds.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from stable_tanaka.params import derive_params, nu_tail_mass, nu_tail_mean
+from stable_tanaka.params import (
+    derive_params,
+    nu_tail_mass,
+    nu_tail_mean,
+    small_jump_variance,
+)
 from stable_tanaka.pathsim import (
     CharFunctionEstimate,
     PathSample,
@@ -105,7 +111,8 @@ def test_increment_matches_char_function(params):
     for u in (0.5, 1.0, 2.0):
         est = empirical_char_function(draws, u)
         target = complex(char_function(params, np.array([u]), 1.0)[0])
-        assert est.within(target, n_sigma=4.0)
+        assert abs(est.value.real - target.real) <= 4.0 * est.stderr_real
+        assert abs(est.value.imag - target.imag) <= 4.0 * est.stderr_imag
 
 
 @pytest.mark.parametrize("params", [SYM, SKEW, derive_params(1.8, 1.0, 2.0)])
@@ -240,6 +247,23 @@ def test_terminal_shortcut_matches_full_scheme():
     # per-path streams: a longer run reproduces the shorter one's prefix
     longer = sample_terminal_jumpdecomp(SKEW, cfg, 2500)
     assert np.array_equal(short, longer[:2000])
+
+
+def test_terminal_draw_is_the_signed_jump_sum():
+    # each draw replayed from its stream with an exactly rounded jump sum;
+    # numpy's sum may differ from it by the recursive-summation bound
+    cfg = SimConfig(T=1.0, n_steps=2, eps=1e-3, seed=13)
+    draws = sample_terminal_jumpdecomp(SKEW, cfg, 3)
+    p_plus = SKEW.c_plus / (SKEW.c_plus + SKEW.c_minus)
+    sigma = math.sqrt(small_jump_variance(SKEW, cfg.eps) * cfg.T)
+    for i, draw in enumerate(draws):
+        rng = path_rng(cfg.seed, 2**32 + i)
+        n = int(rng.poisson(nu_tail_mass(SKEW, cfg.eps) * cfg.T))
+        signs = np.where(rng.random(n) < p_plus, 1.0, -1.0)
+        jumps = signs * cfg.eps * rng.random(n) ** (-1.0 / SKEW.alpha)
+        ref = cfg.x0 + math.fsum(jumps) - nu_tail_mean(SKEW, cfg.eps) * cfg.T
+        ref += sigma * float(rng.standard_normal())
+        assert abs(draw - ref) <= n * 2.0 ** -53 * np.abs(jumps).sum()
 
 
 def test_terminal_shortcut_drop_mode_runs():

@@ -1,0 +1,70 @@
+"""Every name the demos and the README quick start import from
+stable_tanaka resolves, and so does every name in each ``__all__``.
+
+The imports are read with ``ast``; no demo runs, so an API removal shows
+up here in well under a second.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = ["stable_tanaka", "stable_tanaka.params", "stable_tanaka.spectral",
+           "stable_tanaka.kernel", "stable_tanaka.pathsim",
+           "stable_tanaka.localtime", "stable_tanaka.experiments"]
+
+
+def _sources():
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        yield demo.name, demo.read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme,
+                                         re.S)):
+        yield f"README-python-{i}", block
+
+
+def _package_imports(source):
+    """(module, name) for each import from stable_tanaka; name None for a
+    plain ``import stable_tanaka.x``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "stable_tanaka":
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "stable_tanaka":
+                    yield alias.name, None
+
+
+SOURCES = dict(_sources())
+
+
+def test_sources_found():
+    assert len([n for n in SOURCES if n.endswith(".py")]) >= 7
+    assert any(list(_package_imports(src)) for n, src in SOURCES.items()
+               if n.startswith("README"))
+
+
+@pytest.mark.parametrize("where", sorted(SOURCES))
+def test_imported_names_resolve(where):
+    missing = []
+    for module, name in _package_imports(SOURCES[where]):
+        try:
+            mod = importlib.import_module(module)
+        except ImportError:
+            missing.append(module)
+            continue
+        if name is not None and not hasattr(mod, name):
+            missing.append(f"{module}.{name}")
+    assert missing == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from stable_tanaka.params import derive_params, nu_tail_mass, nu_tail_mean
@@ -316,6 +317,24 @@ def test_negative_moment_bound_frozen_value():
         S_BOUND_15_05, rel=1e-10)
 
 
+# S(alpha, gamma) t^(-gamma/alpha) for (alpha, c+, c-, gamma, t), recorded
+# from the former quadrature of int |v|^(gamma-1) e^(-d|v|^alpha) dv
+NEGATIVE_MOMENT_PINS = [
+    ((1.2, 1.0, 1.0, 0.3, 1.0), 0.8614101270395572),
+    ((1.7, 3.0, 1.0, 0.5, 0.5), 0.9223232960926554),
+    ((1.9, 0.0, 1.0, 0.8, 2.0), 1.1224449568551347),
+    ((1.3, 1.0, 0.0, 0.2, 1.0), 1.0013905821620106),
+]
+
+
+@pytest.mark.parametrize("point, expected", NEGATIVE_MOMENT_PINS)
+def test_negative_moment_bound_matches_quadrature(point, expected):
+    alpha, c_plus, c_minus, gamma, t = point
+    params = derive_params(alpha, c_plus, c_minus)
+    assert negative_moment_bound(params, gamma, t) == pytest.approx(
+        expected, rel=1e-12)
+
+
 def test_negative_moment_time_scaling():
     gamma = 0.3
     ratio = negative_moment_bound(SKEW, gamma, 2.0) / negative_moment_bound(
@@ -344,9 +363,18 @@ def test_existence_partials_frozen(alpha):
     np.testing.assert_allclose(got, expected, rtol=1e-6)
 
 
-def test_existence_accepts_params_object():
-    assert existence_integral(SYM, 1e4) == pytest.approx(
-        existence_integral(1.5, 1e4), rel=1e-12)
+def test_existence_skewed_intensities_match_params():
+    # c+ = 3, c- = 1 must give the symbol scale and skew of derive_params
+    tan_term = SKEW.tan_half_pi_alpha
+
+    def integrand(u):
+        s = SKEW.d * u ** 1.5
+        return (1.0 + s) / ((1.0 + s) ** 2 + (s * SKEW.beta * tan_term) ** 2)
+
+    direct = sum(quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-12)[0]
+                 for lo, hi in ((0.0, 1.0), (1.0, 1e2), (1e2, 1e4)))
+    assert existence_integral(1.5, 1e4, 3.0, 1.0) == pytest.approx(
+        2.0 * direct, rel=1e-9)
 
 
 def test_existence_small_cutoff_is_integrand_at_origin():
