@@ -9,7 +9,6 @@ experiment asserts at scale.
 """
 
 import argparse
-import warnings
 
 import numpy as np
 
@@ -38,10 +37,8 @@ def main():
     # dense grid for honest curve integrals; every 40th row for display
     a_grid = np.linspace(-2.0, 2.0, 801)
     moll = default_mollifier(cfg.eps)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        occ = occupation_curve(path, a_grid, moll)
-        tan = tanaka_curve(params, path, a_grid)
+    occ = occupation_curve(path, a_grid, moll)
+    tan = tanaka_curve(params, path, a_grid)
 
     print(f"path {args.path_index}: range [{path.values.min():+.3f}, "
           f"{path.values.max():+.3f}], {len(path.jump_times)} jumps\n")

@@ -6,7 +6,7 @@ The package is organized bottom-up:
 * :mod:`stable_tanaka.spectral`  -- symbols, densities and generator tools
 * :mod:`stable_tanaka.kernel`    -- the explicit kernel F and its smoothings
 * :mod:`stable_tanaka.pathsim`   -- exact-marginal and jump-decomposition paths
-* :mod:`stable_tanaka.localtime` -- occupation and martingale-based estimators
+* :mod:`stable_tanaka.localtime` -- local-time curves over a grid of levels
 * :mod:`stable_tanaka.experiments` -- reproducible experiment runner (+ CLI)
 """
 
@@ -39,17 +39,14 @@ from .pathsim import (
     simulate_path_marginal,
 )
 from .localtime import (
-    LocalTimeEstimate,
     default_a_grid,
     default_mollifier,
     hat_function,
     martingale_l2_bound,
     martingale_part,
     occupation_curve,
-    occupation_estimator,
     occupation_formula_check,
     tanaka_curve,
-    tanaka_estimator,
 )
 from .params import (
     StableParams,
@@ -85,11 +82,8 @@ __all__ = [
     "simulate_path_jumpdecomp",
     "sample_terminal_jumpdecomp",
     "empirical_char_function",
-    "LocalTimeEstimate",
-    "occupation_estimator",
     "occupation_curve",
     "martingale_part",
-    "tanaka_estimator",
     "tanaka_curve",
     "occupation_formula_check",
     "default_a_grid",

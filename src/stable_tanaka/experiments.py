@@ -37,7 +37,6 @@ import numbers
 import platform
 import sys
 import time
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -51,9 +50,9 @@ from .localtime import (
     default_mollifier,
     hat_function,
     martingale_part,
-    occupation_estimator,
+    occupation_curve,
     occupation_formula_check,
-    tanaka_estimator,
+    tanaka_curve,
 )
 from .params import derive_params, stability_constant
 from .pathsim import (
@@ -452,15 +451,13 @@ def _run_estimator_agreement(spec, o, params, cfg):
     for level in _schedule_configs(o, cfg):
         moll = default_mollifier(level.eps)
         diffs, tv, ov = [], [], []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for i in range(o["n_paths"]):
-                path = simulate_path_jumpdecomp(params, level, path_index=i)
-                tval = tanaka_estimator(params, path, a).value
-                oval = occupation_estimator(path, a, moll).value
-                diffs.append(tval - oval)
-                tv.append(tval)
-                ov.append(oval)
+        for i in range(o["n_paths"]):
+            path = simulate_path_jumpdecomp(params, level, path_index=i)
+            tval = float(tanaka_curve(params, path, [a])[0])
+            oval = float(occupation_curve(path, [a], moll)[0])
+            diffs.append(tval - oval)
+            tv.append(tval)
+            ov.append(oval)
         mses.append(float(np.mean(np.square(diffs))))
         t_means.append(float(np.mean(tv)))
         o_means.append(float(np.mean(ov)))

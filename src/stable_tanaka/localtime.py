@@ -1,30 +1,28 @@
-"""Local-time estimators: mollified occupation integrals and the kernel route.
+"""Local-time curves a -> L^a_T: mollified occupation and the kernel route.
 
-Two estimators of the local time L^a_t:
+A local-time estimate is an array of values over a grid of levels, one
+per level, at the path's horizon T. Two curves estimate it:
 
 * ``occupation_curve`` -- Riemann sum of rho_n(X_s - a) ds, the mollified
   occupation density;
-* ``tanaka_curve`` -- F(X_t - a) - F(X_0 - a) - M^a_t, where the
+* ``tanaka_curve`` -- F(X_T - a) - F(X_0 - a) - M^a_T, where the
   martingale part M sums compensated kernel increments over the recorded
   jumps. This needs the jump record, so only jump-decomposition paths
-  qualify.
+  qualify. ``martingale_part`` also stops at an earlier horizon t.
 
 The occupation and compensator Riemann sums and the jump sum of
 ``martingale_part`` all run through one loop over small tiles of levels by
 points, summed in a fixed chunk order, so a level's value does not depend
-on the levels asked for with it. ``occupation_estimator`` and
-``tanaka_estimator`` are the one-level case of the curves.
+on the levels asked for with it: a one-level grid gives the same float.
 
-``occupation_formula_check`` closes the loop: integrating either estimated
-local-time curve against a test function must reproduce the direct
-time-integral of that function along the path.
+``occupation_formula_check`` closes the loop: integrating the occupation
+curve against a test function must reproduce the direct time-integral of
+that function along the path.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +32,7 @@ from .pathsim import PathSample
 from .spectral import negative_moment_bound
 
 __all__ = [
-    "LocalTimeEstimate",
-    "occupation_estimator",
     "martingale_part",
-    "tanaka_estimator",
     "occupation_formula_check",
     "occupation_curve",
     "tanaka_curve",
@@ -47,42 +42,11 @@ __all__ = [
     "martingale_l2_bound",
 ]
 
-_METHODS = ("occupation", "tanaka")
 # A tile of 2 x 8192 doubles is 128 KiB: it stays in L2, and its
 # temporaries stay below glibc's 128 KiB mmap threshold, so they are not
 # each served by a fresh mmap and faulted in page by page.
 _TILE_LEVELS = 2
 _TILE_POINTS = 8192
-
-
-@dataclass(frozen=True)
-class LocalTimeEstimate:
-    """One estimated local-time value with its declared undershoot slack.
-
-    Local times are nonnegative; discretized estimators may dip slightly
-    below zero, by no more than the declared tolerance. Construction
-    enforces value >= -tolerance. The occupation estimator is nonnegative
-    by construction and declares zero tolerance; the kernel-based estimator
-    is noisy on both sides and declares an infinite default unless the
-    caller tightens it.
-    """
-
-    a: float
-    t: float
-    value: float
-    method: str
-    discretization: dict
-    tolerance: float = 0.0
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
-        if not self.tolerance >= 0.0:
-            raise ValueError("tolerance must be nonnegative")
-        if not self.value >= -self.tolerance:
-            raise ValueError(
-                f"local-time estimate {self.value:.6g} under the declared "
-                f"floor -{self.tolerance:.6g}")
 
 
 def default_mollifier(eps: float) -> MollifierSpec:
@@ -134,36 +98,12 @@ def _tiled_levels(levels, tile, *columns):
 
 # ------------------------------------------------------------- occupation
 
-def occupation_estimator(path: PathSample, a: float, moll: MollifierSpec,
-                         t: float | None = None) -> LocalTimeEstimate:
-    """Riemann sum of rho_n(X_s - a) ds, with under-resolution advisories."""
-    times, values = _sliced(path, t)
-    in_support = int(np.sum(np.abs(values[:-1] - a) < moll.width))
-    if in_support < 10:
-        warnings.warn(
-            f"only {in_support} grid points fall in the mollifier support "
-            f"around a={a:g}; the Riemann sum is under-resolved there",
-            RuntimeWarning, stacklevel=2)
-    step_scale = float(np.median(np.abs(np.diff(values))))
-    if moll.width < step_scale:
-        warnings.warn(
-            f"mollifier width {moll.width:.3g} is below the typical step "
-            f"displacement {step_scale:.3g}; the sum may miss crossings",
-            RuntimeWarning, stacklevel=2)
-    return LocalTimeEstimate(
-        a=a, t=float(times[-1]), method="occupation",
-        value=float(occupation_curve(path, [a], moll, t)[0]),
-        discretization={"n": moll.n, "n_steps": len(times) - 1},
-        tolerance=0.0)
-
-
-def occupation_curve(path: PathSample, a_grid, moll: MollifierSpec,
-                     t: float | None = None) -> np.ndarray:
+def occupation_curve(path: PathSample, a_grid,
+                     moll: MollifierSpec) -> np.ndarray:
     """Occupation estimates (Riemann sums of rho_n(X_s - a) ds) over levels."""
-    times, values = _sliced(path, t)
     return _tiled_levels(np.asarray(a_grid, dtype=float),
                          lambda b, x, dt: moll(x - b) * dt,
-                         values[:-1], np.diff(times))
+                         path.values[:-1], np.diff(path.times))
 
 
 # -------------------------------------------------------------- martingale
@@ -228,27 +168,13 @@ def martingale_part(params: StableParams, path: PathSample, a,
     return float(out[0]) if levels.ndim == 0 else out.reshape(levels.shape)
 
 
-def tanaka_estimator(params: StableParams, path: PathSample, a: float,
-                     t: float | None = None,
-                     tolerance: float = math.inf) -> LocalTimeEstimate:
-    """Kernel-endpoint estimator F(X_t - a) - F(X_0 - a) - M^a_t."""
-    times, _ = _sliced(path, t)
-    return LocalTimeEstimate(
-        a=a, t=float(times[-1]), method="tanaka",
-        value=float(tanaka_curve(params, path, [a], t)[0]),
-        discretization={"eps": path.config.eps,
-                        "n_steps": path.config.n_steps},
-        tolerance=tolerance)
-
-
-def tanaka_curve(params: StableParams, path: PathSample, a_grid,
-                 t: float | None = None) -> np.ndarray:
-    """Raw kernel-route estimates over a grid of levels (no floor checks)."""
-    _, values = _sliced(path, t)
+def tanaka_curve(params: StableParams, path: PathSample,
+                 a_grid) -> np.ndarray:
+    """Kernel-route estimates over levels; noisy, so they may dip below 0."""
     a_grid = np.asarray(a_grid, dtype=float)
-    return (kernel_F(params, values[-1] - a_grid)
-            - kernel_F(params, values[0] - a_grid)
-            - martingale_part(params, path, a_grid, t))
+    return (kernel_F(params, path.values[-1] - a_grid)
+            - kernel_F(params, path.values[0] - a_grid)
+            - martingale_part(params, path, a_grid))
 
 
 # ------------------------------------------------------ occupation formula
@@ -260,17 +186,14 @@ def default_a_grid(path: PathSample, n_points: int = 201) -> np.ndarray:
 
 
 def occupation_formula_check(path: PathSample, g, a_grid,
-                             moll: MollifierSpec,
-                             t: float | None = None,
-                             estimator: str = "occupation",
-                             params: StableParams | None = None) -> float:
-    """Relative residual of int g(a) L^a_t da against int_0^t g(X_s) ds.
+                             moll: MollifierSpec) -> float:
+    """Relative residual of int g(a) L^a_T da against int_0^T g(X_s) ds.
 
-    The left side integrates the estimated local-time curve over the level
-    grid (trapezoid); the right side is a time-Riemann sum along the path.
-    The two share no numerics beyond the path itself.
+    The left side integrates the occupation curve over the level grid
+    (trapezoid); the right side is a time-Riemann sum along the path. The
+    two share no numerics beyond the path itself.
     """
-    times, values = _sliced(path, t)
+    values = path.values
     a_grid = np.asarray(a_grid, dtype=float)
     if a_grid.ndim != 1 or len(a_grid) < 2 or np.any(np.diff(a_grid) <= 0):
         raise ValueError("a_grid must be increasing with at least 2 points")
@@ -278,17 +201,10 @@ def occupation_formula_check(path: PathSample, g, a_grid,
             or a_grid[-1] < values.max() + moll.width):
         raise ValueError(
             "a_grid must span the path's range with mollifier margin")
-    if estimator == "occupation":
-        curve = occupation_curve(path, a_grid, moll, t=t)
-    elif estimator == "tanaka":
-        if params is None:
-            raise ValueError("the kernel-route curve needs params")
-        curve = tanaka_curve(params, path, a_grid, t=t)
-    else:
-        raise ValueError(f"estimator must be one of {_METHODS}")
+    curve = occupation_curve(path, a_grid, moll)
     lhs = float(np.trapezoid(g(a_grid) * curve, a_grid))
     # numpy's sum, not a BLAS dot, so the bits ignore the thread count
-    rhs = float(np.sum(g(values[:-1]) * np.diff(times)))
+    rhs = float(np.sum(g(values[:-1]) * np.diff(path.times)))
     return abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
 

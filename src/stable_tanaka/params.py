@@ -6,7 +6,7 @@ jump-intensity coefficients ``c_plus`` and ``c_minus`` of the Levy density
     nu(dh) = c_plus * h**(-alpha-1) dh   on (0, inf)
              c_minus * |h|**(-alpha-1) dh  on (-inf, 0).
 
-Everything else (skewness, scale, drift, kernel constants) is derived from
+Everything else (skewness, scale, kernel amplitude) is derived from
 that triplet and cached on an immutable :class:`StableParams`.
 """
 
@@ -60,8 +60,6 @@ class StableParams:
     c_minus: float
     beta: float
     d: float
-    b_alpha: float
-    c_alpha: float
     big_d: float
 
     def __post_init__(self):
@@ -106,9 +104,6 @@ def derive_params(alpha: float, c_plus: float, c_minus: float) -> StableParams:
 
         * ``beta``    -- skewness (c_plus - c_minus) / (c_plus + c_minus),
         * ``d``       -- symbol scale (c_plus + c_minus) / (2 c(alpha)),
-        * ``b_alpha`` -- the drift -(c_plus - c_minus)/(alpha - 1) that makes
-          the process strictly stable (zero mean for alpha > 1),
-        * ``c_alpha`` -- the normalization c(alpha),
         * ``big_d``   -- the kernel amplitude c(-alpha) / (d (1 + beta^2
           tan^2(pi alpha / 2))), positive throughout the index range.
     """
@@ -119,16 +114,14 @@ def derive_params(alpha: float, c_plus: float, c_minus: float) -> StableParams:
 
     total = c_plus + c_minus
     beta = (c_plus - c_minus) / total
-    c_alpha = stability_constant(alpha)
-    d = total / (2.0 * c_alpha)
-    b_alpha = -(c_plus - c_minus) / (alpha - 1.0)
+    d = total / (2.0 * stability_constant(alpha))
     # c(-alpha) via the reflected gamma; both factors flip sign on (1, 2),
     # so the product stays positive.
     c_neg = _gamma_reflect(1.0 - alpha) * math.sin(-math.pi * alpha / 2.0) / math.pi
     tan_term = math.tan(math.pi * alpha / 2.0)
     big_d = c_neg / (d * (1.0 + beta * beta * tan_term * tan_term))
     return StableParams(alpha=alpha, c_plus=c_plus, c_minus=c_minus, beta=beta,
-                        d=d, b_alpha=b_alpha, c_alpha=c_alpha, big_d=big_d)
+                        d=d, big_d=big_d)
 
 
 def nu_density(params: StableParams, h):

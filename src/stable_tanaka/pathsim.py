@@ -182,17 +182,28 @@ def simulate_path_marginal(params: StableParams, config: SimConfig,
                       scheme="marginal", config=config)
 
 
+def _jump_sizes(params: StableParams, eps: float, n_jumps: int, rng):
+    """n_jumps draws from nu restricted to |h| > eps, in two buffers.
+
+    A uniform u gives the sign, + when u < p = c+/(c+ + c-); a second
+    uniform v gives the magnitude eps v^(-1/alpha).
+    """
+    side = rng.random(n_jumps)
+    side -= params.c_plus / (params.c_plus + params.c_minus)
+    np.negative(side, out=side)  # u == p gives -0.0, a negative jump
+    sizes = rng.random(n_jumps)
+    sizes **= -1.0 / params.alpha
+    sizes *= eps
+    return np.copysign(sizes, side, out=sizes)
+
+
 def _draw_jumps(params: StableParams, config: SimConfig, rng):
     lam = nu_tail_mass(params, config.eps)
     n_jumps = int(rng.poisson(lam * config.T))
     jt = config.T * rng.random(n_jumps)
     while np.any(jt == 0.0):  # keep jump instants strictly inside (0, T)
         jt[jt == 0.0] = config.T * rng.random(int(np.sum(jt == 0.0)))
-    jt = np.sort(jt)
-    p_plus = params.c_plus / (params.c_plus + params.c_minus)
-    signs = np.where(rng.random(n_jumps) < p_plus, 1.0, -1.0)
-    sizes = signs * config.eps * rng.random(n_jumps) ** (-1.0 / params.alpha)
-    return jt, sizes
+    return np.sort(jt), _jump_sizes(params, config.eps, n_jumps, rng)
 
 
 def simulate_path_jumpdecomp(params: StableParams, config: SimConfig,
@@ -237,14 +248,11 @@ def sample_terminal_jumpdecomp(params: StableParams, config: SimConfig,
     lam = nu_tail_mass(params, config.eps)
     drift = -nu_tail_mean(params, config.eps)
     sigma = math.sqrt(small_jump_variance(params, config.eps) * config.T)
-    p_plus = params.c_plus / (params.c_plus + params.c_minus)
     out = np.empty(n_paths)
     for i in range(n_paths):
         rng = path_rng(config.seed, stream_offset + i)
         n_jumps = int(rng.poisson(lam * config.T))
-        signs = np.where(rng.random(n_jumps) < p_plus, 1.0, -1.0)
-        jumps = config.eps * rng.random(n_jumps) ** (-1.0 / params.alpha)
-        jumps *= signs
+        jumps = _jump_sizes(params, config.eps, n_jumps, rng)
         # numpy's sum, not a BLAS dot, so the bits ignore the thread count
         val = config.x0 + float(jumps.sum()) + drift * config.T
         if config.small_jump_mode == "gaussian":

@@ -25,7 +25,6 @@ from scipy import integrate
 from .params import (
     StableParams,
     nu_density,
-    nu_tail_mass,
     small_jump_variance,
     stability_constant,
 )
@@ -298,22 +297,18 @@ def _central_diff(f, x: float, order: int) -> float:
 
 def generator_quadrature(params: StableParams, f, x: float,
                          h_min: float = 1e-4, h_max: float = 1e3,
-                         fprime=None, fsecond=None,
-                         tol: float = 1e-8, full_output: bool = False):
+                         fprime=None, fsecond=None, tol: float = 1e-8):
     """Pointwise generator by direct quadrature of the compensated jumps.
 
     Integrates {f(x+h) - f(x) - f'(x) h} against the jump density over
     h_min <= |h| <= h_max in per-decade panels (adaptive quadrature inside
     each) and closes the inner hole with the Taylor term f''(x)/2 times the
-    small-jump variance. Nothing is added for |h| > h_max -- a linear f
-    must give exactly zero -- but the compensated tail there is *reported*
-    through the mean-value bound 2 sup|f| nu-mass + |f'(x)| nu-absmean, so
-    callers chasing tight targets can tell when to raise h_max.
+    small-jump variance. Nothing is added for |h| > h_max, so a linear f
+    gives exactly zero; callers add the compensated tail beyond h_max
+    themselves where they need it.
 
     Raises :class:`ToleranceError` when the summed quadrature error
-    estimates exceed ``tol``. With ``full_output=True`` returns
-    ``(value, info)`` where info carries the error estimate and the
-    truncation bound.
+    estimates exceed ``tol``.
 
     The defaults balance two opposing error floors: the inner closure's
     next Taylor term scales like (c_plus - c_minus) h_min^(3-alpha), while
@@ -331,8 +326,7 @@ def generator_quadrature(params: StableParams, f, x: float,
         return (f(x + h) - fx - fp * h) * nu_density(params, h)
 
     edges = np.geomspace(h_min, h_max, int(math.ceil(math.log10(h_max / h_min))) + 1)
-    closure = 0.5 * fpp * small_jump_variance(params, h_min)
-    value = closure
+    value = 0.5 * fpp * small_jump_variance(params, h_min)
     err_total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         for a, b in ((lo, hi), (-hi, -lo)):
@@ -343,20 +337,7 @@ def generator_quadrature(params: StableParams, f, x: float,
     if err_total > tol:
         raise ToleranceError(
             f"quadrature error estimate {err_total:.3e} exceeds tol {tol:.0e}")
-    if not full_output:
-        return value
-    probe = x + h_max * np.concatenate([2.0 ** np.arange(0, 20),
-                                        -(2.0 ** np.arange(0, 20))])
-    f_sup = max(float(np.max(np.abs([f(p) for p in probe]))), abs(fx))
-    absmean = (params.c_plus + params.c_minus) * h_max ** (1.0 - params.alpha) \
-        / (params.alpha - 1.0)
-    info = {
-        "quad_error": err_total,
-        "truncation_bound": 2.0 * f_sup * nu_tail_mass(params, h_max)
-        + abs(fp) * absmean,
-        "inner_closure": closure,
-    }
-    return value, info
+    return value
 
 
 def negative_moment_bound(params: StableParams, gamma: float, t: float) -> float:

@@ -1,4 +1,4 @@
-"""Local-time estimator tests.
+"""Local-time curve tests.
 
 Deterministic collapses (constant paths), the Fubini identity behind the
 occupation estimator, relabeling/reflection symmetries, and reduced-scale
@@ -10,7 +10,6 @@ calibration time; each records its measured value next to the bound.
 import math
 import resource
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +21,6 @@ from stable_tanaka.kernel import MollifierSpec, compensator_density, kernel_F
 from stable_tanaka.localtime import (
     _TILE_LEVELS,
     _TILE_POINTS,
-    LocalTimeEstimate,
     _compensator_interp,
     default_a_grid,
     default_mollifier,
@@ -30,10 +28,8 @@ from stable_tanaka.localtime import (
     martingale_l2_bound,
     martingale_part,
     occupation_curve,
-    occupation_estimator,
     occupation_formula_check,
     tanaka_curve,
-    tanaka_estimator,
 )
 from stable_tanaka.pathsim import PathSample, SimConfig, \
     simulate_path_jumpdecomp, simulate_path_marginal
@@ -46,26 +42,6 @@ def constant_path(x, eps=1e-2, n_steps=64, T=1.0):
     times = np.linspace(0.0, T, n_steps + 1)
     return PathSample(times=times, values=np.full(n_steps + 1, x),
                       jumps=(), scheme="jumpdecomp", config=cfg)
-
-
-# ---------------------------------------------------------------- the type
-
-def test_estimate_floor_enforced():
-    ok = LocalTimeEstimate(a=0.0, t=1.0, value=-0.01, method="tanaka",
-                           discretization={"eps": 1e-2}, tolerance=0.05)
-    assert ok.value == -0.01
-    with pytest.raises(ValueError, match="floor"):
-        LocalTimeEstimate(a=0.0, t=1.0, value=-0.1, method="tanaka",
-                          discretization={"eps": 1e-2}, tolerance=0.05)
-
-
-def test_estimate_field_validation():
-    with pytest.raises(ValueError, match="method"):
-        LocalTimeEstimate(a=0.0, t=1.0, value=0.1, method="riemann",
-                          discretization={})
-    with pytest.raises(ValueError, match="tolerance"):
-        LocalTimeEstimate(a=0.0, t=1.0, value=0.1, method="tanaka",
-                          discretization={}, tolerance=-1.0)
 
 
 def test_default_mollifier_tie():
@@ -124,55 +100,27 @@ def test_compensator_interpolation_budget(params, eps):
 
 def test_constant_path_tanaka_is_t_compensator():
     path = constant_path(0.7)
-    est = tanaka_estimator(SYM, path, 0.2)
+    est = float(tanaka_curve(SYM, path, [0.2])[0])
     exact = compensator_density(SYM, 0.5, 1e-2)
     assert exact > 0.0
-    assert abs(est.value - exact) < 2e-3 * abs(exact)
-    assert est.method == "tanaka"
-    assert est.t == 1.0
-    assert est.discretization == {"eps": 1e-2, "n_steps": 64}
-    # halving the horizon halves the estimate
-    half = tanaka_estimator(SYM, path, 0.2, t=0.5)
-    assert half.t == 0.5
-    assert abs(half.value - 0.5 * est.value) < 1e-12
+    assert abs(est - exact) < 2e-3 * abs(exact)
+    # on a constant path the kernel route is -M, and halving the horizon
+    # halves it
+    half = -martingale_part(SYM, path, 0.2, 0.5)
+    assert abs(half - 0.5 * est) < 1e-12
 
 
 def test_constant_path_occupation_at_level():
     path = constant_path(0.7)
     moll = MollifierSpec(8)
-    est = occupation_estimator(path, 0.7, moll)
-    assert est.value == pytest.approx(float(moll(0.0)) * 1.0, rel=1e-14)
-    assert est.method == "occupation"
-    assert est.tolerance == 0.0
-    assert est.discretization == {"n": 8, "n_steps": 64}
+    est = occupation_curve(path, [0.7], moll)
+    assert est.shape == (1,)
+    assert est[0] == pytest.approx(float(moll(0.0)) * 1.0, rel=1e-14)
 
 
 def test_constant_path_occupation_no_visit_is_zero():
     path = constant_path(0.7)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        est = occupation_estimator(path, 3.0, MollifierSpec(8))
-    assert est.value == 0.0
-
-
-# ----------------------------------------------------------------- warnings
-
-def test_occupation_warns_on_empty_support():
-    path = constant_path(0.7)
-    with pytest.warns(RuntimeWarning, match="0 grid points"):
-        occupation_estimator(path, 3.0, MollifierSpec(8))
-
-
-def test_occupation_warns_when_width_below_step_scale():
-    cfg = SimConfig(T=1.0, n_steps=256, eps=1e-2, seed=5)
-    path = simulate_path_jumpdecomp(SYM, cfg)
-    # a 1/1000-wide mollifier also starves the support, so catch everything
-    # and look for the step-scale message specifically
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        occupation_estimator(path, float(path.values[10]),
-                             MollifierSpec(1000))
-    assert any("step displacement" in str(w.message) for w in rec)
+    assert occupation_curve(path, [3.0], MollifierSpec(8))[0] == 0.0
 
 
 # ------------------------------------------------------------------- errors
@@ -183,7 +131,7 @@ def test_martingale_requires_jump_record():
     with pytest.raises(ValueError, match="jump record"):
         martingale_part(SYM, path, 0.0)
     with pytest.raises(ValueError, match="jump record"):
-        tanaka_estimator(SYM, path, 0.0)
+        tanaka_curve(SYM, path, [0.0])
 
 
 def test_bad_mode_and_horizon_rejected():
@@ -191,7 +139,7 @@ def test_bad_mode_and_horizon_rejected():
     with pytest.raises(ValueError, match="horizon"):
         martingale_part(SYM, path, 0.0, t=2.0)
     with pytest.raises(ValueError, match="horizon"):
-        occupation_estimator(path, 0.7, MollifierSpec(8), t=-0.5)
+        martingale_part(SYM, path, 0.0, t=-0.5)
 
 
 # ------------------------------------------------------------ curve helpers
@@ -203,12 +151,11 @@ def test_curves_match_pointwise_estimators():
     levels = np.array([-1.0, -0.2, 0.0, 0.4, 1.3])
     occ = occupation_curve(path, levels, moll)
     tan = tanaka_curve(SYM, path, levels)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for j, a in enumerate(levels):
-            # the estimators are the one-level case of the curves
-            assert occ[j] == occupation_estimator(path, a, moll).value
-            assert tan[j] == tanaka_estimator(SYM, path, a).value
+    for j, a in enumerate(levels):
+        # a pointwise estimate is the one-level curve, and a level's value
+        # does not depend on the levels asked for with it
+        assert occ[j] == occupation_curve(path, [a], moll)[0]
+        assert tan[j] == tanaka_curve(SYM, path, [a])[0]
 
 
 @pytest.mark.parametrize("params", [SYM, derive_params(1.5, 1.0, 0.0)],
@@ -308,6 +255,14 @@ def test_occupation_fubini_identity():
 
 # ------------------------------------------------------- occupation formula
 
+def kernel_route_residual(path, g, a_grid):
+    """occupation_formula_check's residual with the kernel-route curve."""
+    lhs = float(np.trapezoid(g(a_grid) * tanaka_curve(SYM, path, a_grid),
+                             a_grid))
+    rhs = float(np.sum(g(path.values[:-1]) * np.diff(path.times)))
+    return abs(lhs - rhs) / abs(rhs)
+
+
 @pytest.fixture(scope="module")
 def formula_path():
     cfg = SimConfig(T=1.0, n_steps=512, eps=1e-2, seed=42)
@@ -339,8 +294,7 @@ def test_formula_hat_both_estimators(formula_path):
     g = hat_function(float(np.median(formula_path.values)), 1.0)
     grid = default_a_grid(formula_path)
     assert occupation_formula_check(formula_path, g, grid, moll) < 0.05
-    assert occupation_formula_check(formula_path, g, grid, moll,
-                                    estimator="tanaka", params=SYM) < 0.05
+    assert kernel_route_residual(formula_path, g, grid) < 0.05
 
 
 def test_formula_hat_default_refinement():
@@ -354,11 +308,8 @@ def test_formula_hat_default_refinement():
     moll = default_mollifier(cfg.eps)
     g = hat_function(float(np.median(path.values)), 1.0)
     grid = default_a_grid(path)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert occupation_formula_check(path, g, grid, moll) < 0.05
-        assert occupation_formula_check(path, g, grid, moll,
-                                        estimator="tanaka", params=SYM) < 0.05
+    assert occupation_formula_check(path, g, grid, moll) < 0.05
+    assert kernel_route_residual(path, g, grid) < 0.05
 
 
 def test_formula_input_validation(formula_path):
@@ -369,13 +320,6 @@ def test_formula_input_validation(formula_path):
         occupation_formula_check(formula_path, g, narrow, moll)
     with pytest.raises(ValueError, match="increasing"):
         occupation_formula_check(formula_path, g, np.array([1.0, 0.0]), moll)
-    grid = default_a_grid(formula_path)
-    with pytest.raises(ValueError, match="estimator"):
-        occupation_formula_check(formula_path, g, grid, moll,
-                                 estimator="kernel")
-    with pytest.raises(ValueError, match="params"):
-        occupation_formula_check(formula_path, g, grid, moll,
-                                 estimator="tanaka")
 
 
 # ----------------------------------------------------------------- symmetries
@@ -391,15 +335,13 @@ def test_shift_relabeling():
         jumps=tuple(zip(path.jump_times, path.jump_sizes)),
         scheme=path.scheme, config=replace(cfg, x0=cfg.x0 + c))
     moll = default_mollifier(cfg.eps)
-    for a in (-0.3, 0.0, 0.8):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            o1 = occupation_estimator(path, a, moll).value
-            o2 = occupation_estimator(shifted, a + c, moll).value
-        t1 = tanaka_estimator(SYM, path, a).value
-        t2 = tanaka_estimator(SYM, shifted, a + c).value
-        np.testing.assert_allclose(o2, o1, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(t2, t1, rtol=1e-10, atol=1e-12)
+    levels = np.array([-0.3, 0.0, 0.8])
+    np.testing.assert_allclose(occupation_curve(shifted, levels + c, moll),
+                               occupation_curve(path, levels, moll),
+                               rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(tanaka_curve(SYM, shifted, levels + c),
+                               tanaka_curve(SYM, path, levels),
+                               rtol=1e-10, atol=1e-12)
 
 
 def test_reflection_symmetry_when_symmetric():
@@ -413,15 +355,12 @@ def test_reflection_symmetry_when_symmetric():
                     zip(path.jump_times, path.jump_sizes)),
         scheme=path.scheme, config=replace(cfg, x0=-cfg.x0))
     moll = default_mollifier(cfg.eps)
-    for a in (-0.4, 0.0, 0.6):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            o1 = occupation_estimator(path, a, moll).value
-            o2 = occupation_estimator(reflected, -a, moll).value
-        assert o2 == o1
-        t1 = tanaka_estimator(SYM, path, a).value
-        t2 = tanaka_estimator(SYM, reflected, -a).value
-        np.testing.assert_allclose(t2, t1, rtol=1e-6, atol=1e-8)
+    levels = np.array([-0.4, 0.0, 0.6])
+    assert np.array_equal(occupation_curve(reflected, -levels, moll),
+                          occupation_curve(path, levels, moll))
+    np.testing.assert_allclose(tanaka_curve(SYM, reflected, -levels),
+                               tanaka_curve(SYM, path, levels),
+                               rtol=1e-6, atol=1e-8)
 
 
 # ------------------------------------------------------------- MC properties
@@ -482,13 +421,10 @@ def test_agreement_mse_decreases_under_refinement():
         cfg = SimConfig(T=1.0, n_steps=n_steps, eps=eps, seed=1234)
         moll = default_mollifier(eps)
         diffs = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            for i in range(200):
-                p = simulate_path_jumpdecomp(SYM, cfg, path_index=i)
-                tv = tanaka_estimator(SYM, p, 0.0).value
-                ov = occupation_estimator(p, 0.0, moll).value
-                diffs.append(tv - ov)
+        for i in range(200):
+            p = simulate_path_jumpdecomp(SYM, cfg, path_index=i)
+            diffs.append(tanaka_curve(SYM, p, [0.0])[0]
+                         - occupation_curve(p, [0.0], moll)[0])
         mses.append(float(np.mean(np.square(diffs))))
     assert mses[0] > mses[1] > mses[2], mses
 
@@ -499,8 +435,7 @@ def test_tanaka_rarely_undershoots():
     # -0.05 x (sample mean) at this refinement.
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=99)
     vals = np.array([
-        tanaka_estimator(SYM, simulate_path_jumpdecomp(SYM, cfg, i),
-                         0.0).value
+        tanaka_curve(SYM, simulate_path_jumpdecomp(SYM, cfg, i), [0.0])[0]
         for i in range(600)])
     assert vals.mean() > 0.0
     frac = float(np.mean(vals < -0.05 * vals.mean()))

@@ -21,11 +21,17 @@ C_NEG_15 = 0.79788456080286535588
 BIG_D_15_SYM = 0.23873241463784300365
 
 
+def drift(p):
+    """-(c+ - c-)/(alpha - 1): the drift that makes the process strictly
+    stable (zero mean for alpha > 1)."""
+    return -(p.c_plus - p.c_minus) / (p.alpha - 1.0)
+
+
 def test_symmetric_unit_case_constants():
     p = derive_params(1.5, 1.0, 1.0)
     assert p.beta == 0.0
-    assert p.b_alpha == 0.0
-    assert p.c_alpha == pytest.approx(C_ALPHA_15, rel=1e-14)
+    assert drift(p) == 0.0
+    assert stability_constant(p.alpha) == pytest.approx(C_ALPHA_15, rel=1e-14)
     assert p.d == pytest.approx(D_15_SYM, rel=1e-14)
     assert p.big_d == pytest.approx(BIG_D_15_SYM, rel=1e-14)
 
@@ -33,7 +39,7 @@ def test_symmetric_unit_case_constants():
 def test_skewed_case_exact_ratios():
     p = derive_params(1.5, 3.0, 1.0)
     assert p.beta == pytest.approx(0.5, abs=0.0)
-    assert p.b_alpha == pytest.approx(-4.0, rel=1e-15)
+    assert drift(p) == pytest.approx(-4.0, rel=1e-15)
     # doubling the total intensity doubles d
     assert p.d == pytest.approx(2.0 * D_15_SYM, rel=1e-13)
     assert p.big_d == pytest.approx(0.095492965855137201461, rel=1e-13)
@@ -42,7 +48,7 @@ def test_skewed_case_exact_ratios():
 def test_drift_makes_known_value():
     p = derive_params(1.5, 2.0, 1.0)
     assert p.beta == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert p.b_alpha == pytest.approx(-2.0, rel=1e-15)
+    assert drift(p) == pytest.approx(-2.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.8, 1.95])
@@ -65,7 +71,7 @@ def test_swap_sides_flips_beta_and_drift():
     p = derive_params(1.4, 2.5, 0.5)
     q = derive_params(1.4, 0.5, 2.5)
     assert q.beta == -p.beta
-    assert q.b_alpha == -p.b_alpha
+    assert drift(q) == -drift(p)
     assert q.d == pytest.approx(p.d, rel=1e-15)
     assert q.big_d == pytest.approx(p.big_d, rel=1e-13)
 
@@ -76,7 +82,7 @@ def test_rescaling_scales_d_only():
     q = derive_params(1.6, 5.0 * p.c_plus, 5.0 * p.c_minus)
     assert q.beta == pytest.approx(p.beta, abs=1e-16)
     assert q.d == pytest.approx(5.0 * p.d, rel=1e-14)
-    assert q.b_alpha == pytest.approx(5.0 * p.b_alpha, rel=1e-14)
+    assert drift(q) == pytest.approx(5.0 * drift(p), rel=1e-14)
 
 
 def test_gamma_reflect_matches_direct_gamma():
@@ -113,8 +119,7 @@ def test_inconsistent_beta_rejected():
     good = derive_params(1.5, 3.0, 1.0)
     with pytest.raises(ValueError):
         StableParams(alpha=good.alpha, c_plus=good.c_plus, c_minus=good.c_minus,
-                     beta=0.49, d=good.d, b_alpha=good.b_alpha,
-                     c_alpha=good.c_alpha, big_d=good.big_d)
+                     beta=0.49, d=good.d, big_d=good.big_d)
 
 
 def test_params_frozen():

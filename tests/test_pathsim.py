@@ -266,6 +266,30 @@ def test_terminal_draw_is_the_signed_jump_sum():
         assert abs(draw - ref) <= n * 2.0 ** -53 * np.abs(jumps).sum()
 
 
+@pytest.mark.parametrize("triplet, terminal, n_jumps, first_sizes", [
+    ((1.3, 3.0, 1.0),
+     ["-0x1.8b4c46a2ca82bp+2", "-0x1.f6aa9efa1fe84p+1",
+      "-0x1.2533cf3071e40p+2"],
+     1217, ["0x1.8874501682d17p-7", "0x1.8dcc18fa645d0p-7",
+            "0x1.3ba6ada38be38p-6"]),
+    ((1.6, 0.0, 2.0),
+     ["0x1.a6940f23c8a33p+2", "-0x1.fb1b28f3031d4p-2",
+      "-0x1.6f57bfb080f76p+0"],
+     1971, ["-0x1.06f073bb55a12p-6", "-0x1.5bf802655353ep-7",
+            "-0x1.f6f14c98d07a3p-7"]),
+], ids=["skewed", "one-sided"])
+def test_jump_draws_pinned_bitwise(triplet, terminal, n_jumps, first_sizes):
+    # both samplers draw signed jump sizes through one recipe; its bits
+    # are fixed, so any change of arithmetic or RNG order shows here
+    params = derive_params(*triplet)
+    cfg = SimConfig(T=1.0, n_steps=64, eps=1e-2, seed=2024)
+    draws = sample_terminal_jumpdecomp(params, cfg, 3)
+    assert [float(v).hex() for v in draws] == terminal
+    path = simulate_path_jumpdecomp(params, cfg, path_index=5)
+    assert len(path.jumps) == n_jumps
+    assert [float(v).hex() for v in path.jump_sizes[:3]] == first_sizes
+
+
 def test_terminal_shortcut_drop_mode_runs():
     cfg = SimConfig(T=1.0, n_steps=16, eps=0.2, small_jump_mode="drop",
                     seed=41)

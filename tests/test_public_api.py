@@ -1,7 +1,8 @@
 """Every name the demos and the README quick start import from
 stable_tanaka resolves, and so does every name in each ``__all__``.
+Every ``__all__`` name is also used somewhere other than the tests.
 
-The imports are read with ``ast``; no demo runs, so an API removal shows
+The sources are read with ``ast``; no demo runs, so an API removal shows
 up here in well under a second.
 """
 
@@ -16,6 +17,12 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["stable_tanaka", "stable_tanaka.params", "stable_tanaka.spectral",
            "stable_tanaka.kernel", "stable_tanaka.pathsim",
            "stable_tanaka.localtime", "stable_tanaka.experiments"]
+# public names that only the tests call, each with the reason it stays
+TEST_ONLY = {
+    # the direct-quadrature oracle that acceptance criterion 2 checks the
+    # spectral generator against
+    "generator_quadrature",
+}
 
 
 def _sources():
@@ -68,3 +75,30 @@ def test_imported_names_resolve(where):
 def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
+
+
+def _used_names():
+    """Every identifier read or looked up as an attribute outside tests/:
+    in src/ and bench/ code, the demos and the README's python blocks.
+    Import lines and ``__all__`` strings do not count, so a re-export or a
+    definition alone is not a use."""
+    files = [p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")
+             if "tests" not in p.relative_to(ROOT).parts]
+    texts = [p.read_text(encoding="utf-8") for p in files]
+    used = set()
+    for source in texts + list(SOURCES.values()):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_all_names_used_outside_tests():
+    used = _used_names()
+    unused = [f"{module}.{name}" for module in MODULES
+              for name in importlib.import_module(module).__all__
+              if name not in used and name not in TEST_ONLY]
+    assert unused == []
+    assert TEST_ONLY.isdisjoint(used)

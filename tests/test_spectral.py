@@ -257,12 +257,9 @@ def test_generator_quadrature_symbol_off_origin():
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_generator_quadrature_full_output_and_errors():
+def test_generator_quadrature_errors():
     f = lambda y: math.exp(-y * y)
-    value, info = generator_quadrature(SYM, f, 0.5, full_output=True)
-    assert info["quad_error"] < 1e-8
-    assert info["truncation_bound"] >= 0.0
-    assert math.isfinite(value)
+    assert math.isfinite(generator_quadrature(SYM, f, 0.5))
     with pytest.raises(ValueError):
         generator_quadrature(SYM, f, 0.0, h_min=1.0, h_max=0.5)
     with pytest.raises(ToleranceError):
