@@ -18,8 +18,7 @@ def portrait(alpha, c_plus, c_minus):
     grid = Grid(80.0, 2 ** 14)
     print(f"\n== alpha={alpha}  c+={c_plus}  c-={c_minus}  (beta={params.beta:+.2f})")
     for t in (0.25, 1.0, 4.0):
-        den = transition_density(params, t, grid)
-        vals = den.values
+        vals = transition_density(params, t, grid)
         j = int(np.argmax(vals))
         mass = float(np.sum(vals) * grid.spacing)
         # one-decade tail ratio measures the |x|^(-1-alpha) falloff
@@ -36,7 +35,7 @@ def portrait(alpha, c_plus, c_minus):
         den = transition_density(params, t, grid)
         dual = Grid(grid.half_width * s, grid.n_points)
         unit = transition_density(params, 1.0, dual)
-        worst = max(worst, float(np.max(np.abs(den.values - s * unit.values))))
+        worst = max(worst, float(np.max(np.abs(den - s * unit))))
     print(f"  self-similarity collapse residual: {worst:.2e}")
 
 

@@ -29,7 +29,7 @@ for line in report.summary_lines():
 
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "results"
-    emit_report(report, format="csv-bundle", out_dir=out)
+    emit_report(report, out)  # report.json plus one CSV per curve
     files = sorted(p.name for p in out.iterdir())
     print(f"\nbundle files: {files}")
     payload = json.loads((out / "report.json").read_text())

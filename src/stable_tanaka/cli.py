@@ -23,8 +23,9 @@ from .experiments import (
     ConfigError,
     ExperimentSpec,
     emit_report,
-    format_float,
     run_experiment,
+    write_csv,
+    write_json,
 )
 from .localtime import default_a_grid, default_mollifier, occupation_curve, \
     tanaka_curve
@@ -101,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="KEY=VALUE",
                        help="dotted-path spec override, e.g. "
                             "options.n_paths=50 (repeatable)")
-    run_p.add_argument("--format", choices=("json", "csv-bundle"),
-                       default="csv-bundle",
-                       help="report serialization when writing")
 
     den_p = sub.add_parser("density",
                            help="transition-density report and curves")
@@ -134,14 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finish(report, out, fmt: str = "csv-bundle") -> int:
+def _finish(report, out) -> int:
     """Print the verdicts and wall time, write the bundle to ``out`` if set,
     and return the exit code."""
     for line in report.summary_lines():
         print(line)
     print(f"wall time: {report.wall_time_s:.2f}s")
     if out is not None:
-        paths = emit_report(report, fmt, out)
+        paths = emit_report(report, out)
         print("wrote " + ", ".join(str(p) for p in paths))
     return 0 if report.all_passed else 1
 
@@ -164,9 +162,9 @@ def _cmd_run(args) -> int:
         raw["seed"] = args.seed
     spec = ExperimentSpec.from_dict(raw)
     out = args.out or spec.out_dir or _default_out(None)
-    # writing is handled here, with --format honored
+    # _finish writes the one bundle, to out
     report = run_experiment(replace(spec, out_dir=None))
-    return _finish(report, out, args.format)
+    return _finish(report, out)
 
 
 def _cmd_density(args) -> int:
@@ -229,10 +227,7 @@ def _cmd_localtime(args) -> int:
     tan = tanaka_curve(params, path, levels)
     out_dir.mkdir(parents=True, exist_ok=True)
     curve_path = out_dir / "localtime_curve.csv"
-    with curve_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("a,occupation,tanaka\n")
-        for row in zip(levels, occ, tan):
-            fh.write(",".join(map(format_float, row)) + "\n")
+    write_csv(curve_path, ["a", "occupation", "tanaka"], zip(levels, occ, tan))
     meta = {
         "alpha": args.alpha, "c_plus": args.c_plus, "c_minus": args.c_minus,
         "sim": asdict(cfg),
@@ -246,9 +241,7 @@ def _cmd_localtime(args) -> int:
         "levels": [float(a) for a in levels],
     }
     meta_path = out_dir / "localtime_meta.json"
-    meta_path.write_text(
-        json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n",
-        encoding="utf-8")
+    write_json(meta_path, meta)
     print(f"wrote {curve_path} and {meta_path}")
     return 0
 

@@ -567,8 +567,7 @@ def _run_density_report(spec, o, params, cfg):
     n = grid.n_points
     mirror = np.arange(n - 1, 0, -1)  # x_{n-j} = -x_j for j = 1..n-1
     for t in o["times"]:
-        den = transition_density(params, t, grid)
-        vals = den.values
+        vals = transition_density(params, t, grid)
         mass = float(np.sum(vals) * grid.spacing)
         peak = float(np.max(np.abs(vals)))
         verdicts.append(Verdict.at_most(
@@ -583,8 +582,7 @@ def _run_density_report(spec, o, params, cfg):
         # density on the dual grid whose points are exactly s*x_j
         s = t ** (-1.0 / params.alpha)
         dual = Grid(grid.half_width * s, n)
-        unit = transition_density(params, 1.0, dual)
-        rescaled = s * unit.values
+        rescaled = s * transition_density(params, 1.0, dual)
         selfsim = float(np.max(np.abs(vals - rescaled))) / peak
         verdicts.append(Verdict.at_most(
             f"density-selfsim[t={t:g}]", selfsim, o["selfsim_tolerance"]))
@@ -686,7 +684,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         versions=_versions(),
     )
     if spec.out_dir is not None:
-        emit_report(report, "csv-bundle", spec.out_dir)
+        emit_report(report, spec.out_dir)
     return report
 
 
@@ -714,38 +712,30 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _report_payload(report: ExperimentReport, inline_curves: bool) -> dict:
-    payload = {
+def _report_payload(report: ExperimentReport) -> dict:
+    return {
         "kind": report.kind,
         "inputs": _jsonable(report.inputs),
         "statistics": _jsonable(report.statistics),
         "verdicts": [_jsonable(asdict(v)) for v in report.verdicts],
         "versions": _jsonable(report.versions),
         "all_passed": report.all_passed,
+        "curves": {name: {"file": f"{name}.csv",
+                          "columns": list(curve["columns"]),
+                          "n_rows": int(np.asarray(curve["rows"]).shape[0])}
+                   for name, curve in report.curves.items()},
     }
-    if inline_curves:
-        payload["curves"] = _jsonable(report.curves)
-    else:
-        payload["curves"] = {
-            name: {"file": f"{name}.csv",
-                   "columns": list(curve["columns"]),
-                   "n_rows": int(np.asarray(curve["rows"]).shape[0])}
-            for name, curve in report.curves.items()}
-    return payload
 
 
-def emit_report(report: ExperimentReport, format: str = "json",
-                out_dir=".") -> list:
-    """Write the report; returns the list of created paths.
+def emit_report(report: ExperimentReport, out_dir) -> list:
+    """Write report.json plus one CSV per curve into ``out_dir``; returns
+    the list of created paths.
 
-    ``json`` writes a single self-contained report.json with curves inline;
-    ``csv-bundle`` writes report.json plus one CSV per curve. Serialization
-    is deterministic -- sorted keys, shortest-repr floats -- and refuses
-    NaN/Inf anywhere. Wall time is deliberately not serialized, so repeated
-    runs of the same spec produce byte-identical files.
+    report.json names each curve's file, columns and row count.
+    Serialization is deterministic -- sorted keys, shortest-repr floats --
+    and refuses NaN/Inf anywhere. Wall time is deliberately not serialized,
+    so repeated runs of the same spec produce byte-identical files.
     """
-    if format not in ("json", "csv-bundle"):
-        raise ValueError(f"format must be json or csv-bundle, got {format!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -753,29 +743,31 @@ def emit_report(report: ExperimentReport, format: str = "json",
         raise OSError(f"cannot create output directory {out}: {exc}")
     # validate everything up front: a NaN anywhere must refuse the whole
     # bundle, not leave half of it on disk
-    for name, curve in report.curves.items():
-        rows = np.asarray(curve["rows"], dtype=float)
+    curves = {name: np.asarray(curve["rows"], dtype=float)
+              for name, curve in report.curves.items()}
+    for name, rows in curves.items():
         if not np.all(np.isfinite(rows)):
             raise ValueError(
                 f"refusing to serialize non-finite values in curve {name!r}")
-    payload = _report_payload(report, inline_curves=(format == "json"))
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    written = []
-    report_path = out / "report.json"
-    report_path.write_text(text + "\n", encoding="utf-8")
-    written.append(report_path)
-    if format == "csv-bundle":
-        for name, curve in report.curves.items():
-            rows = np.asarray(curve["rows"], dtype=float)
-            path = out / f"{name}.csv"
-            with path.open("w", encoding="utf-8", newline="\n") as fh:
-                fh.write(",".join(curve["columns"]) + "\n")
-                for row in rows:
-                    fh.write(",".join(format_float(v) for v in row) + "\n")
-            written.append(path)
+    written = [out / "report.json"]
+    write_json(written[0], _report_payload(report))
+    for name, rows in curves.items():
+        written.append(out / f"{name}.csv")
+        write_csv(written[-1], report.curves[name]["columns"], rows)
     return written
 
 
-def format_float(v: float) -> str:
-    """Shortest round-trip decimal form, fixed across runs."""
-    return repr(float(v))
+def write_json(path, obj) -> None:
+    """UTF-8 JSON with sorted keys, indent 2 and a trailing newline; NaN
+    and Inf are refused before the file is opened."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def write_csv(path, columns, rows) -> None:
+    """A header line of ``columns``, then one line per row of shortest
+    round-trip decimals, fixed across runs."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -179,10 +179,9 @@ def tanaka_curve(params: StableParams, path: PathSample,
 
 # ------------------------------------------------------ occupation formula
 
-def default_a_grid(path: PathSample, n_points: int = 201) -> np.ndarray:
-    """Uniform level grid covering the path's range with unit margin."""
-    return np.linspace(path.values.min() - 1.0, path.values.max() + 1.0,
-                       n_points)
+def default_a_grid(path: PathSample) -> np.ndarray:
+    """201 uniform levels covering the path's range with unit margin."""
+    return np.linspace(path.values.min() - 1.0, path.values.max() + 1.0, 201)
 
 
 def occupation_formula_check(path: PathSample, g, a_grid,

@@ -71,6 +71,8 @@ class SimConfig:
         if not (isinstance(self.seed, (int, np.integer))
                 and 0 <= self.seed < 2**64):
             raise ValueError("seed must be a 64-bit unsigned integer")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"starting point x0 must be finite, got {self.x0!r}")
 
     @property
     def dt(self) -> float:
@@ -270,7 +272,6 @@ class CharFunctionEstimate:
     value: complex
     stderr_real: float
     stderr_imag: float
-    n_samples: int
 
 
 def empirical_char_function(samples, u: float) -> CharFunctionEstimate:
@@ -286,4 +287,4 @@ def empirical_char_function(samples, u: float) -> CharFunctionEstimate:
     else:
         se_re = se_im = 0.0
     return CharFunctionEstimate(value=complex(z.mean()), stderr_real=se_re,
-                                stderr_imag=se_im, n_samples=n)
+                                stderr_imag=se_im)

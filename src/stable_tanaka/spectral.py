@@ -9,7 +9,8 @@ existence integral of Re(1/(1 - eta)).
 
 Grids are uniform, symmetric about 0, with a power-of-two point count so
 the transform pairing x_j = -L + j*h  <->  u_k = 2*pi*fftfreq(n, h) is
-exact.
+exact. A function sampled on a grid is a plain float array over
+``grid.points``.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if not self.half_width > 0.0:
-            raise ValueError("half_width must be positive")
         n = self.n_points
         if n < _MIN_POINTS or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= {_MIN_POINTS}, got {n}")
+        if not self.spacing > 0.0:
+            raise ValueError("half_width must give a positive grid spacing")
 
     @property
     def spacing(self) -> float:
@@ -73,45 +74,11 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
 
-@dataclass
-class GridFunction:
-    """Samples of a function on a :class:`Grid`."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"values shape {values.shape} does not match grid ({self.grid.n_points},)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values contain NaN or Inf")
-        self.values = values
-
-    def __len__(self) -> int:
-        return self.grid.n_points
-
-
 def _alternating_signs(n: int) -> np.ndarray:
     # e^{+- i u_k L} for L = n h / 2 is exactly (-1)^k in DFT ordering
     signs = np.ones(n)
     signs[1::2] = -1.0
     return signs
-
-
-def forward_transform(f: GridFunction) -> np.ndarray:
-    """Continuous-convention Fourier coefficients fhat(u_k) = int f e^{-iux} dx."""
-    grid = f.grid
-    return grid.spacing * _alternating_signs(grid.n_points) * np.fft.fft(f.values)
-
-
-def inverse_transform(grid: Grid, fhat: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`forward_transform`; returns complex samples."""
-    fhat = np.asarray(fhat)
-    if fhat.shape != (grid.n_points,):
-        raise ValueError("coefficient array does not match the grid")
-    return np.fft.ifft(fhat * _alternating_signs(grid.n_points)) / grid.spacing
 
 
 def levy_symbol(params: StableParams, u):
@@ -136,11 +103,13 @@ def char_function(params: StableParams, u, t: float):
 _DENSITY_TAIL_CUTOFF = 1e-12
 
 
-def transition_density(params: StableParams, t: float, grid: Grid) -> GridFunction:
-    """Density of X_t by trapezoid inversion of the characteristic function.
+def transition_density(params: StableParams, t: float, grid: Grid) -> np.ndarray:
+    """Density of X_t at ``grid.points`` by trapezoid inversion of the
+    characteristic function.
 
     The frequency grid must reach far enough into the Gaussian-like decay of
-    |exp(t eta)| that the discarded tail is below 1e-12; otherwise a
+    |exp(t eta)| that the discarded tail is below 1e-12, and the symbol must
+    stay finite at its cutoff pi/spacing; otherwise a
     :class:`ResolutionError` explains which knob to turn. Spatial
     periodization (period 2L) is the remaining, unchecked, error source;
     pick L generously relative to the t^{1/alpha} scale.
@@ -148,47 +117,61 @@ def transition_density(params: StableParams, t: float, grid: Grid) -> GridFuncti
     if not t > 0.0:
         raise ValueError(f"time must be positive, got {t!r}")
     u_max = np.pi / grid.spacing
-    tail = math.exp(-params.d * t * u_max ** params.alpha)
-    if not tail < _DENSITY_TAIL_CUTOFF:
+    # the tail exponent d t u_max^alpha in logs: the power overflows on
+    # grids finer than doubles resolve
+    log_rate = math.log(params.d) + math.log(t) + params.alpha * math.log(u_max)
+    if not log_rate > math.log(-math.log(_DENSITY_TAIL_CUTOFF)):
         raise ResolutionError(
-            f"characteristic function is {tail:.2e} at the frequency cutoff "
-            f"{u_max:.3g} (needs < {_DENSITY_TAIL_CUTOFF:.0e}); increase n_points "
-            f"or half_width*t^(1/alpha)")
+            f"characteristic function is {math.exp(-math.exp(log_rate)):.2e} "
+            f"at the frequency cutoff {u_max:.3g} (needs < "
+            f"{_DENSITY_TAIL_CUTOFF:.0e}); increase n_points or "
+            f"decrease half_width/t^(1/alpha)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        edge = levy_symbol(params, u_max)
+    if not np.isfinite(edge):
+        raise ResolutionError(
+            f"the symbol overflows at the frequency cutoff {u_max:.3g}; "
+            f"decrease n_points or increase half_width")
     phi = char_function(params, grid.freqs, t)
     n, h = grid.n_points, grid.spacing
-    values = np.fft.fft(phi * _alternating_signs(n)) / (n * h)
-    return GridFunction(grid, values.real)
+    return (np.fft.fft(phi * _alternating_signs(n)) / (n * h)).real
 
 
 _DECAY_RTOL = 1e-8
 
 
-def generator_apply(params: StableParams, f: GridFunction) -> GridFunction:
-    """Apply the generator as the Fourier multiplier eta(u).
+def generator_apply(params: StableParams, values, grid: Grid) -> np.ndarray:
+    """Apply the generator as the Fourier multiplier eta(u) to finite
+    samples over ``grid.points``.
 
     Valid for real samples that decay to zero at both grid ends (checked
     against 1e-8 of the peak); slowly growing inputs such as the kernel
     convolutions F*phi must go through :func:`generator_apply_windowed`
-    instead.
+    instead. The continuous transform pair's spacing and alternating signs
+    cancel exactly, so the multiplier acts on the plain DFT.
     """
-    vals = f.values
+    vals = np.asarray(values)
+    if vals.shape != (grid.n_points,):
+        raise ValueError(
+            f"values shape {vals.shape} does not match grid ({grid.n_points},)")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values contain NaN or Inf")
     scale = np.max(np.abs(vals))
     if scale == 0.0:
-        return GridFunction(f.grid, np.zeros_like(vals, dtype=float))
+        return np.zeros_like(vals, dtype=float)
     edge = max(abs(vals[0]), abs(vals[-1]))
     if edge > _DECAY_RTOL * scale:
         raise NonDecayingInputError(
             f"boundary magnitude {edge:.3e} exceeds {_DECAY_RTOL:.0e} of the "
             f"peak {scale:.3e}; enlarge the grid or window the input")
-    out = inverse_transform(f.grid, levy_symbol(params, f.grid.freqs)
-                            * forward_transform(f))
+    out = np.fft.ifft(levy_symbol(params, grid.freqs) * np.fft.fft(vals))
     residue = np.max(np.abs(out.imag))
     out_scale = max(np.max(np.abs(out.real)), 1e-300)
     if residue > 1e-8 * out_scale:
         raise ToleranceError(
             f"imaginary residue {residue:.3e} after the multiplier is too "
             f"large relative to the result scale {out_scale:.3e}")
-    return GridFunction(f.grid, out.real)
+    return out.real
 
 
 def smoothstep_window(x, r_in: float, r_out: float):
@@ -233,19 +216,18 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
     if not np.all(np.isfinite(g_vals)):
         raise ValueError("g produced non-finite values on the grid")
     w_vals = smoothstep_window(x_all, r_in, r_out)
-    gw = GridFunction(grid, g_vals * w_vals)
+    gw = g_vals * w_vals
 
-    multiplier_part = generator_apply(params, gw)
     mask = np.abs(x_all) <= report_radius
     x_rep = x_all[mask]
-    total = multiplier_part.values[mask].copy()
+    total = generator_apply(params, gw, grid)[mask]
 
     # The DFT multiplier actually computed the generator of the periodic
     # extension sum_k gW(. - 2Lk); the k != 0 image contributions reduce to
     # plain integrals of gW against the far nu-tail. Images beyond n_images
     # are summed analytically to leading order -- the series only decays
     # like k^(-alpha-1).
-    gw_mass = float(np.trapezoid(gw.values, dx=grid.spacing))
+    gw_mass = float(np.trapezoid(gw, dx=grid.spacing))
     a = params.alpha
     image_remainder = gw_mass * (params.c_plus + params.c_minus) \
         * (2.0 * L) ** (-a - 1.0) * (n_images + 0.5) ** (-a) / a
@@ -254,8 +236,7 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
         acc = image_remainder
         for k in range(1, n_images + 1):
             for shift in (2.0 * L * k, -2.0 * L * k):
-                acc += np.trapezoid(gw.values
-                                    * nu_density(params, x_all + shift - x),
+                acc += np.trapezoid(gw * nu_density(params, x_all + shift - x),
                                     dx=grid.spacing)
         return acc
 
@@ -393,12 +374,9 @@ def existence_integral(alpha: float, u_max: float,
 
 __all__ = [
     "Grid",
-    "GridFunction",
     "ResolutionError",
     "NonDecayingInputError",
     "ToleranceError",
-    "forward_transform",
-    "inverse_transform",
     "levy_symbol",
     "char_function",
     "transition_density",

@@ -43,7 +43,6 @@ from stable_tanaka.pathsim import (
 )
 from stable_tanaka.spectral import (
     Grid,
-    GridFunction,
     generator_apply,
     generator_quadrature,
 )
@@ -94,7 +93,7 @@ def test_criterion_02_spectral_generator_matches_quadrature():
         params = derive_params(al, cp, cm)
         for m in (0.0, 1.5):
             fv = np.exp(-0.5 * (xg - m) ** 2)
-            spectral = generator_apply(params, GridFunction(grid, fv)).values
+            spectral = generator_apply(params, fv, grid)
 
             f = lambda y, m=m: math.exp(-0.5 * (y - m) ** 2)
             fp = lambda y, m=m: -(y - m) * math.exp(-0.5 * (y - m) ** 2)

@@ -113,6 +113,14 @@ MALFORMED = {
                       "options": {"alphas": [1.5], "c_plus": "a"}},
     "out-dir-number": {"kind": "existence-scan",
                        "options": {"alphas": [1.5]}, "out_dir": 5},
+    # a positive spacing, but the symbol overflows at its cutoff
+    "density-symbol-overflow": {"kind": "density-report", "params": SYM,
+                                "options": {"half_width": 1e-300,
+                                            "n_points": 256}},
+    # a spacing that underflows to zero
+    "density-spacing-underflow": {"kind": "density-report", "params": SYM,
+                                  "options": {"half_width": 1e-322,
+                                              "n_points": 256}},
 }
 
 
@@ -222,16 +230,6 @@ def test_bad_override_exit_two(tmp_path, capsys):
     assert main(["run", spec, "--override", "options.n_samples.x=1"]) == 2
 
 
-def test_run_json_format(tmp_path):
-    spec = write_spec(tmp_path, SPEC)
-    out = tmp_path / "rep"
-    assert main(["run", spec, "--out", str(out), "--format", "json"]) == 0
-    payload = json.loads((out / "report.json").read_text())
-    # json mode inlines curve rows instead of pointing at CSV files
-    assert "rows" in payload["curves"]["char_function"]
-    assert not (out / "char_function.csv").exists()
-
-
 def test_simulate_writes_paths(tmp_path):
     out = tmp_path / "paths"
     code = main(["simulate", "--alpha", "1.5", "--n-steps", "64",
@@ -265,13 +263,22 @@ BAD_COMMANDS = {
                              "--path-index", "-1"],
     "localtime-levels-nan": ["localtime", "--alpha", "1.5",
                              "--levels", "0", "nan"],
+    "localtime-x0-nan": ["localtime", "--alpha", "1.5", "--x0", "nan"],
+    "localtime-x0-inf": ["localtime", "--alpha", "1.5", "--x0", "inf"],
+    "simulate-x0-nan": ["simulate", "--alpha", "1.5", "--x0", "nan"],
+    "simulate-x0-inf": ["simulate", "--alpha", "1.5", "--x0", "inf"],
+    "density-symbol-overflow": ["density", "--alpha", "1.5",
+                                "--half-width", "1e-300",
+                                "--n-points", "256"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_COMMANDS))
 def test_bad_command_line_exit_two(tmp_path, capsys, name):
     out = tmp_path / "out"
-    code = main(BAD_COMMANDS[name] + ["--n-steps", "64", "--out", str(out)])
+    argv = BAD_COMMANDS[name]
+    steps = [] if argv[0] == "density" else ["--n-steps", "64"]
+    code = main(argv + steps + ["--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()  # rejected before any compute or write

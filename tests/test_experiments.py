@@ -229,9 +229,11 @@ def test_reports_are_byte_identical(tmp_path):
         "kind": "sampler-validation", "params": SYM_PARAMS,
         "options": {"n_samples": 5000}, "seed": 11})
     r1, r2 = run_experiment(spec), run_experiment(spec)
-    (p1,) = emit_report(r1, "json", tmp_path / "a")
-    (p2,) = emit_report(r2, "json", tmp_path / "b")
-    assert p1.read_bytes() == p2.read_bytes()
+    paths1 = emit_report(r1, tmp_path / "a")
+    paths2 = emit_report(r2, tmp_path / "b")
+    assert [p.name for p in paths1] == ["report.json", "char_function.csv"]
+    assert [p.name for p in paths2] == [p.name for p in paths1]
+    assert [p.read_bytes() for p in paths1] == [p.read_bytes() for p in paths2]
 
 
 _BLAS_PROBE = """
@@ -245,11 +247,12 @@ rep = run_experiment({
     "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
     "sim": {"T": 1.0, "n_steps": 4096, "eps": 1e-3}, "seed": 5,
     "options": {"n_paths": 5}})
-(path,) = emit_report(rep, "json", sys.argv[1])
+paths = emit_report(rep, sys.argv[1])
 draws = sample_terminal_jumpdecomp(
     derive_params(1.7, 1.0, 1.0),
     SimConfig(T=1.0, n_steps=2, eps=1e-3, seed=9), 5)
-print(path.read_text(encoding="utf-8") + draws.tobytes().hex())
+print("".join(p.read_text(encoding="utf-8") for p in paths)
+      + draws.tobytes().hex())
 """
 
 
@@ -273,7 +276,7 @@ def test_results_independent_of_blas_threads(tmp_path):
 def test_csv_bundle_layout(tmp_path):
     rep = run_experiment({"kind": "existence-scan",
                           "options": {"alphas": [0.9]}})
-    paths = emit_report(rep, "csv-bundle", tmp_path)
+    paths = emit_report(rep, tmp_path)
     names = {p.name for p in paths}
     assert names == {"report.json", "partials.csv"}
     payload = json.loads((tmp_path / "report.json").read_text())
@@ -288,7 +291,7 @@ def test_wall_time_not_serialized(tmp_path):
     rep = run_experiment({"kind": "existence-scan",
                           "options": {"alphas": [0.9]}})
     assert rep.wall_time_s > 0.0
-    (p,) = emit_report(rep, "json", tmp_path)
+    p = emit_report(rep, tmp_path)[0]
     payload = json.loads(p.read_text())
     assert "wall_time_s" not in json.dumps(payload)
     assert payload["versions"]["stable_tanaka"]
@@ -300,22 +303,15 @@ def test_nan_refused_and_nothing_written(tmp_path):
         verdicts=[Verdict.at_most("x", 0.0, 1.0)])
     out = tmp_path / "refused"
     with pytest.raises(ValueError, match="non-finite"):
-        emit_report(rep, "json", out)
+        emit_report(rep, out)
     assert not list(out.iterdir())
     rep2 = ExperimentReport(
         kind="existence-scan", inputs={}, statistics={},
         verdicts=[Verdict.at_most("x", 0.0, 1.0)],
         curves={"c": {"columns": ["a"], "rows": np.array([[np.inf]])}})
     with pytest.raises(ValueError, match="non-finite"):
-        emit_report(rep2, "csv-bundle", out)
+        emit_report(rep2, out)
     assert not list(out.iterdir())
-
-
-def test_emit_report_rejects_unknown_format(tmp_path):
-    rep = run_experiment({"kind": "existence-scan",
-                          "options": {"alphas": [0.9]}})
-    with pytest.raises(ValueError, match="format"):
-        emit_report(rep, "yaml", tmp_path)
 
 
 def test_run_experiment_writes_bundle_when_out_dir_set(tmp_path):

@@ -313,7 +313,6 @@ def test_char_function_estimate_trivial_cases():
 def test_char_function_estimate_fields():
     est = empirical_char_function(np.array([1.0, -1.0]), 1.0)
     assert isinstance(est, CharFunctionEstimate)
-    assert est.n_samples == 2
     assert est.value.real == pytest.approx(np.cos(1.0))
     assert est.value.imag == pytest.approx(0.0)
 

@@ -1,17 +1,22 @@
 """Every name the demos and the README quick start import from
 stable_tanaka resolves, and so does every name in each ``__all__``.
-Every ``__all__`` name is also used somewhere other than the tests.
+Every ``__all__`` name is also used somewhere other than the tests, and
+the README's command lines and flags match the command-line parser.
 
-The sources are read with ``ast``; no demo runs, so an API removal shows
-up here in well under a second.
+The sources are read with ``ast``; no demo or command runs, so an API
+removal shows up here in well under a second.
 """
 
+import argparse
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from stable_tanaka.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["stable_tanaka", "stable_tanaka.params", "stable_tanaka.spectral",
@@ -102,3 +107,30 @@ def test_all_names_used_outside_tests():
               if name not in used and name not in TEST_ONLY]
     assert unused == []
     assert TEST_ONLY.isdisjoint(used)
+
+
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+README_COMMANDS = [
+    shlex.split(line, comments=True)[1:]
+    for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+    for line in block.splitlines() if line.startswith("stable-tanaka ")]
+
+
+def test_readme_commands_found():
+    assert {argv[0] for argv in README_COMMANDS} \
+        == {"run", "density", "simulate", "localtime"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_parses(argv):
+    # parse only: argparse exits on an unknown subcommand, flag or value
+    build_parser().parse_args(argv)
+
+
+def test_readme_flags_exist():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for parser in sub.choices.values()
+               for action in parser._actions for flag in action.option_strings}
+    flags = set(re.findall(r"`(--[a-z][a-z0-9-]*)", README))
+    assert flags and flags <= options, sorted(flags - options)
