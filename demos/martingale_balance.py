@@ -21,8 +21,10 @@ checkpoints = (0.25, 0.5, 1.0)
 samples = {t: [] for t in checkpoints}
 for i in range(n_paths):
     path = simulate_path_jumpdecomp(params, cfg, path_index=i)
-    for t in checkpoints:
-        samples[t].append(martingale_part(params, path, 0.0, t=t))
+    # M at every checkpoint from one walk over the path: one row each
+    m = martingale_part(params, path, 0.0, checkpoints=checkpoints)
+    for t, value in zip(checkpoints, m):
+        samples[t].append(float(value))
 
 print(f"{n_paths} paths, a = 0:")
 for t in checkpoints:

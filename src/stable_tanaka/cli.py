@@ -161,7 +161,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     spec = ExperimentSpec.from_dict(raw)
-    out = args.out or spec.out_dir or _default_out(None)
+    out = _out_path(args.out or spec.out_dir or _default_out(None))
     # _finish writes the one bundle, to out
     report = run_experiment(replace(spec, out_dir=None))
     return _finish(report, out)
@@ -174,15 +174,28 @@ def _cmd_density(args) -> int:
                 "c_minus": args.c_minus},
         options={"times": list(args.t), "half_width": args.half_width,
                  "n_points": args.n_points})
-    return _finish(run_experiment(spec), _default_out(args.out))
+    out = _out_path(_default_out(args.out))
+    return _finish(run_experiment(spec), out)
+
+
+def _out_path(out) -> Path | None:
+    """``out`` as a Path (None stays None), refused before any compute if
+    it, or the nearest part of it that exists, is not a directory."""
+    if out is None:
+        return None
+    found = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"output directory {out}: {found} exists and is "
+                          "not a directory")
+    return Path(out)
 
 
 def _out_dir(args, what: str) -> Path:
-    out = _default_out(args.out)
+    out = _out_path(_default_out(args.out))
     if out is None:
         raise ConfigError(f"{args.command} needs --out or ${OUT_ENV_VAR} to "
                           f"know where to put the {what}")
-    return Path(out)
+    return out
 
 
 def _make_inputs(args):
@@ -207,7 +220,10 @@ def _cmd_simulate(args) -> int:
     for i in range(args.n_paths):
         path = simulate(params, cfg, path_index=i)
         csv = out_dir / f"path_{i:04d}.csv"
-        path.to_csv(csv, sidecar_path=out_dir / f"path_{i:04d}.json")
+        write_csv(csv, ["time", "value"], zip(path.times, path.values))
+        write_json(out_dir / f"path_{i:04d}.json",
+                   {"scheme": path.scheme, "config": asdict(cfg),
+                    "jumps": path.jumps.tolist()})
         print(f"wrote {csv}")
     return 0
 

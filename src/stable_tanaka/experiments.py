@@ -417,14 +417,15 @@ def _check_checkpoints(o, cfg):
 
 
 def _run_martingale_zero_mean(spec, o, params, cfg):
-    checkpoints = list(dict.fromkeys(f * cfg.T for f in o["checkpoints"]))
+    checkpoints = sorted(set(f * cfg.T for f in o["checkpoints"]))
     levels = list(dict.fromkeys(o["levels"]))
     rows = {(a, t): [] for a in levels for t in checkpoints}  # one per pair
     for i in range(o["n_paths"]):
         path = simulate_path_jumpdecomp(params, cfg, path_index=i)
-        for t in checkpoints:
-            for a, m in zip(levels, martingale_part(params, path, levels, t)):
-                rows[(a, t)].append(float(m))
+        m = martingale_part(params, path, levels, checkpoints=checkpoints)
+        for t, row in zip(checkpoints, m):
+            for a, v in zip(levels, row):
+                rows[(a, t)].append(float(v))
     stats, verdicts = {}, []
     for (a, t), acc in sorted(rows.items()):
         arr = np.asarray(acc)

@@ -8,7 +8,8 @@ per level, at the path's horizon T. Two curves estimate it:
 * ``tanaka_curve`` -- F(X_T - a) - F(X_0 - a) - M^a_T, where the
   martingale part M sums compensated kernel increments over the recorded
   jumps. This needs the jump record, so only jump-decomposition paths
-  qualify. ``martingale_part`` also stops at an earlier horizon t.
+  qualify. ``martingale_part`` also stops at earlier horizons, all read
+  off one walk over the path.
 
 The occupation and compensator Riemann sums and the jump sum of
 ``martingale_part`` all run through one loop over small tiles of levels by
@@ -66,33 +67,33 @@ def hat_function(center: float, half_width: float):
     return g
 
 
-def _sliced(path: PathSample, t):
-    """Grid and values up to horizon t (grid-aligned)."""
-    if t is None:
-        return path.times, path.values
-    if not 0.0 < t <= path.times[-1] + 1e-12:
-        raise ValueError("t must lie within the simulated horizon")
-    k = int(np.searchsorted(path.times, t, side="right"))
-    if k < 2:
-        raise ValueError("t must cover at least one grid step")
-    return path.times[:k], path.values[:k]
-
-
-def _tiled_levels(levels, tile, *columns):
-    """Per-level sums of tile(levels, *columns) over the columns' points.
+def _tiled_levels(levels, ends, tile, *columns):
+    """Per-level sums of tile(levels, *columns) over each prefix columns[:end].
 
     ``tile(block, *chunks)`` maps a (k, 1) column of at most _TILE_LEVELS
     levels and chunks of at most _TILE_POINTS points to a (k, points)
     array of terms. Each row is reduced on its own and each level adds its
     chunks in point order, so its value is the same whichever levels share
-    its tile.
+    its tile. One walk serves every prefix: one that ends inside a chunk
+    adds the head of that chunk's terms, the same floats in the same order
+    as a walk that stopped there. ``ends`` is non-decreasing; the result
+    has one row per end and one column per level.
     """
-    out = np.zeros(len(levels))
+    ends = [int(end) for end in ends]
+    out = np.zeros((len(ends), len(levels)))
     for start in range(0, len(levels), _TILE_LEVELS):
         block = levels[start:start + _TILE_LEVELS, None]
-        for lo in range(0, len(columns[0]), _TILE_POINTS):
-            chunks = (c[lo:lo + _TILE_POINTS] for c in columns)
-            out[start:start + len(block)] += tile(block, *chunks).sum(axis=1)
+        cols = slice(start, start + len(block))
+        total = np.zeros(len(block))
+        for lo in range(0, ends[-1], _TILE_POINTS):
+            hi = min(lo + _TILE_POINTS, ends[-1])
+            terms = tile(block, *(c[lo:hi] for c in columns))
+            full = terms.sum(axis=1)
+            for j, end in enumerate(ends):
+                if lo < end <= hi:
+                    out[j, cols] = total + (
+                        full if end == hi else terms[:, :end - lo].sum(axis=1))
+            total += full
     return out
 
 
@@ -102,8 +103,9 @@ def occupation_curve(path: PathSample, a_grid,
                      moll: MollifierSpec) -> np.ndarray:
     """Occupation estimates (Riemann sums of rho_n(X_s - a) ds) over levels."""
     return _tiled_levels(np.asarray(a_grid, dtype=float),
+                         [len(path.times) - 1],
                          lambda b, x, dt: moll(x - b) * dt,
-                         path.values[:-1], np.diff(path.times))
+                         path.values[:-1], np.diff(path.times))[0]
 
 
 # -------------------------------------------------------------- martingale
@@ -142,30 +144,46 @@ def _compensator_interp(params: StableParams, eps: float):
 
 
 def martingale_part(params: StableParams, path: PathSample, a,
-                    t: float | None = None):
+                    checkpoints=None):
     """Discretized compensated-jump martingale M^a_t along one path.
 
     Sum over recorded jumps of F(X_pre - a + h) - F(X_pre - a), minus the
     left-point Riemann sum of the compensator density G_eps(X_s - a). The
     gaussian small-jump closure moves the path but stays out of M, which
-    keeps M structurally mean-zero. ``a`` is a level (the result is a
-    float) or an array of levels (the result has its shape).
+    keeps M structurally mean-zero. ``a`` is a level or an array of
+    levels; ``checkpoints`` is one horizon t, None for the path's horizon
+    (the result then has the shape of ``a``, a float for one level), or an
+    increasing 1-D array of horizons, all read off one walk over the path
+    (the result then has shape ``(len(checkpoints),) + np.shape(a)``).
     """
     _require_jump_record(path)
-    times, values = _sliced(path, t)
-    jumps = path.jumps[path.jump_times <= times[-1]]
-    post = values[np.searchsorted(times, jumps[:, 0])]
+    times = path.times
+    horizons = np.atleast_1d(times[-1] if checkpoints is None
+                             else np.asarray(checkpoints, dtype=float))
+    if horizons.ndim != 1 or not np.all(np.diff(horizons) > 0.0):
+        raise ValueError("checkpoints must be increasing horizons")
+    if not (len(horizons) and 0.0 < horizons[0]
+            and horizons[-1] <= times[-1] + 1e-12):
+        raise ValueError("checkpoints must lie within the simulated horizon")
+    grid_ends = np.searchsorted(times, horizons, side="right")
+    if grid_ends[0] < 2:
+        raise ValueError("checkpoints must cover at least one grid step")
+    jump_ends = np.searchsorted(path.jump_times, times[grid_ends - 1],
+                                side="right")
+    jumps = path.jumps[:jump_ends[-1]]
+    post = path.values[np.searchsorted(times, jumps[:, 0])]
     pre = post - jumps[:, 1]
     levels = np.asarray(a, dtype=float)
     jump_sums = _tiled_levels(
-        levels.ravel(),
+        levels.ravel(), jump_ends,
         lambda b, hi, lo: kernel_F(params, hi - b) - kernel_F(params, lo - b),
         post, pre)
     g = _compensator_interp(params, path.config.eps)
-    out = jump_sums - _tiled_levels(levels.ravel(),
+    out = jump_sums - _tiled_levels(levels.ravel(), grid_ends - 1,
                                     lambda b, x, dt: g(x - b) * dt,
-                                    values[:-1], np.diff(times))
-    return float(out[0]) if levels.ndim == 0 else out.reshape(levels.shape)
+                                    path.values[:-1], np.diff(times))
+    out = out.reshape(np.shape(checkpoints) + levels.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def tanaka_curve(params: StableParams, path: PathSample,

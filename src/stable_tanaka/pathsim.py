@@ -16,9 +16,8 @@ schedule.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -87,7 +86,8 @@ class PathSample:
     the marginal scheme). ``times`` always contains every recorded jump
     instant, so the value immediately before a jump at times[k] is
     values[k] - size: integrators that need the pre-jump state read it off
-    exactly.
+    exactly. Jump rows are in time order, so a prefix of rows is the jump
+    record up to a horizon.
     """
 
     times: np.ndarray
@@ -111,6 +111,8 @@ class PathSample:
         if jumps.ndim != 2 or jumps.shape[1] != 2:
             raise ValueError("jumps must be an (n, 2) array of [time, size] "
                              f"rows, got shape {jumps.shape}")
+        if np.any(np.diff(jumps[:, 0]) < 0.0):
+            raise ValueError("jump times must not decrease")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "jumps", jumps)
@@ -128,18 +130,6 @@ class PathSample:
     @property
     def jump_sizes(self) -> np.ndarray:
         return self.jumps[:, 1]
-
-    def to_csv(self, csv_path, sidecar_path=None) -> None:
-        """Write (time, value) rows; jumps and config go to a JSON sidecar."""
-        np.savetxt(csv_path, np.column_stack([self.times, self.values]),
-                   fmt="%.17g", delimiter=",", header="time,value", comments="")
-        if sidecar_path is not None:
-            config = None if self.config is None else asdict(self.config)
-            doc = {"scheme": self.scheme, "config": config,
-                   "jumps": self.jumps.tolist()}
-            with open(sidecar_path, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
 
 
 def path_rng(seed: int, path_index: int = 0) -> np.random.Generator:

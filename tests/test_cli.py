@@ -121,14 +121,21 @@ MALFORMED = {
     "density-spacing-underflow": {"kind": "density-report", "params": SYM,
                                   "options": {"half_width": 1e-322,
                                               "n_points": 256}},
+    # an out_dir that names a file, or a path through one; relative to
+    # the working directory, which holds a file named "taken"
+    "out-dir-is-file": dict(SPEC, out_dir="taken"),
+    "out-dir-under-file": dict(SPEC, out_dir="taken/report"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_spec_exit_two(tmp_path, capsys, name):
+def test_malformed_spec_exit_two(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("kept", encoding="utf-8")
     spec = write_spec(tmp_path, MALFORMED[name])
     assert main(["run", spec]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept"
 
 
 # JSON-shaped fuzz: values of every JSON type, non-finite floats, nested
@@ -270,18 +277,32 @@ BAD_COMMANDS = {
     "density-symbol-overflow": ["density", "--alpha", "1.5",
                                 "--half-width", "1e-300",
                                 "--n-points", "256"],
+    # --out names an existing file, not a directory
+    "run-out-file": ["run"],
+    "localtime-out-file": ["localtime", "--alpha", "1.5"],
+    "simulate-out-file": ["simulate", "--alpha", "1.5"],
+    "density-out-file": ["density", "--alpha", "1.5", "--t", "1.0",
+                         "--half-width", "40", "--n-points", "8192"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_COMMANDS))
 def test_bad_command_line_exit_two(tmp_path, capsys, name):
     out = tmp_path / "out"
+    if name.endswith("-out-file"):
+        out.write_text("kept", encoding="utf-8")
     argv = BAD_COMMANDS[name]
-    steps = [] if argv[0] == "density" else ["--n-steps", "64"]
+    if argv[0] == "run":
+        argv = argv + [write_spec(tmp_path, SPEC)]
+    steps = [] if argv[0] in ("run", "density") else ["--n-steps", "64"]
     code = main(argv + steps + ["--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: ")
-    assert not out.exists()  # rejected before any compute or write
+    # rejected before any compute or write
+    if name.endswith("-out-file"):
+        assert out.read_text(encoding="utf-8") == "kept"
+    else:
+        assert not out.exists()
 
 
 def test_localtime_curve_and_metadata(tmp_path):

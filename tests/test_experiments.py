@@ -248,6 +248,12 @@ rep = run_experiment({
     "sim": {"T": 1.0, "n_steps": 4096, "eps": 1e-3}, "seed": 5,
     "options": {"n_paths": 5}})
 paths = emit_report(rep, sys.argv[1])
+rep = run_experiment({
+    "kind": "martingale-zero-mean",
+    "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
+    "sim": {"T": 1.0, "n_steps": 4096, "eps": 1e-3}, "seed": 5,
+    "options": {"n_paths": 3}})
+paths += emit_report(rep, sys.argv[1] + "-martingale")
 draws = sample_terminal_jumpdecomp(
     derive_params(1.7, 1.0, 1.0),
     SimConfig(T=1.0, n_steps=2, eps=1e-3, seed=9), 5)
@@ -257,8 +263,9 @@ print("".join(p.read_text(encoding="utf-8") for p in paths)
 
 
 def test_results_independent_of_blas_threads(tmp_path):
-    # the occupation-formula residuals and the terminal draws reduce vectors
-    # of ~1e5 entries, long enough for a threaded BLAS dot to split them
+    # the occupation-formula residuals, the martingale sums at three
+    # checkpoints and the terminal draws reduce vectors of ~1e4-1e5
+    # entries, long enough for a threaded BLAS dot to split them
     src = str(Path(stable_tanaka.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):

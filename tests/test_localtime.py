@@ -137,9 +137,23 @@ def test_martingale_requires_jump_record():
 def test_bad_mode_and_horizon_rejected():
     path = constant_path(0.7)
     with pytest.raises(ValueError, match="horizon"):
-        martingale_part(SYM, path, 0.0, t=2.0)
+        martingale_part(SYM, path, 0.0, checkpoints=2.0)
     with pytest.raises(ValueError, match="horizon"):
-        martingale_part(SYM, path, 0.0, t=-0.5)
+        martingale_part(SYM, path, 0.0, checkpoints=-0.5)
+    for bad in ([0.5, 0.25], [0.5, 0.5], [0.5, math.nan, 0.75]):
+        with pytest.raises(ValueError, match="increasing"):
+            martingale_part(SYM, path, 0.0, checkpoints=bad)
+    with pytest.raises(ValueError, match="horizon"):
+        martingale_part(SYM, path, 0.0, checkpoints=[0.5, 1.5])
+    # the grid step is 1/64: 0.01 covers no step, alone or first in a list
+    for bad in (0.01, [0.01, 0.5]):
+        with pytest.raises(ValueError, match="grid step"):
+            martingale_part(SYM, path, 0.0, checkpoints=bad)
+    # the checkpoints read prefixes of the jump record, so it must be in
+    # time order
+    with pytest.raises(ValueError, match="jump times"):
+        PathSample(times=path.times, values=path.values,
+                   jumps=[[0.5, 0.1], [0.25, 0.1]], scheme="jumpdecomp")
 
 
 # ------------------------------------------------------------ curve helpers
@@ -160,24 +174,37 @@ def test_curves_match_pointwise_estimators():
 
 @pytest.mark.parametrize("params", [SYM, derive_params(1.5, 1.0, 0.0)],
                          ids=["symmetric", "one-sided"])
-@pytest.mark.parametrize("t", [None, 0.5])
+@pytest.mark.parametrize("t", [None, 0.5, "checkpoints"])
 def test_martingale_levels_array_matches_scalar_calls(params, t):
     # 2 * levels-per-tile + 3 levels cross two tile edges, and up to t the
     # path has more than one point chunk of grid points and of jumps; each
-    # level's value must not depend on the levels that share its tile
+    # level's value must not depend on the levels that share its tile, and
+    # each row of a checkpoint array must be the call at that checkpoint
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=4)
     path = simulate_path_jumpdecomp(params, cfg, path_index=1)
-    horizon = cfg.T if t is None else t
+    if t == "checkpoints":
+        # the compensator sum's prefix ends exactly on a chunk edge, the
+        # jump sum's prefix ends exactly on one, both end mid-chunk, and T
+        edges = [path.times[_TILE_POINTS], path.jump_times[_TILE_POINTS - 1]]
+        t = np.array(sorted(edges) + [0.77, cfg.T])
+        assert np.all(np.diff(t) > 0.0)
+        assert np.searchsorted(path.times, 0.77, side="right") - 1 \
+            not in (_TILE_POINTS, 2 * _TILE_POINTS, 3 * _TILE_POINTS)
+    horizon = cfg.T if t is None else np.max(t)
     assert np.sum(path.jump_times <= horizon) > _TILE_POINTS
     assert np.sum(path.times <= horizon) > _TILE_POINTS + 1
     levels = np.linspace(path.values.min() - 0.5, path.values.max() + 0.5,
                          2 * _TILE_LEVELS + 3)
     curve = martingale_part(params, path, levels, t)
-    assert isinstance(curve, np.ndarray) and curve.shape == levels.shape
-    for a, m in zip(levels, curve):
-        scalar = martingale_part(params, path, float(a), t)
-        assert type(scalar) is float
-        assert scalar == m
+    assert isinstance(curve, np.ndarray)
+    assert curve.shape == np.shape(t) + levels.shape
+    for h, row in zip([t] if np.ndim(t) == 0 else t,
+                      [curve] if np.ndim(t) == 0 else curve):
+        assert np.array_equal(row, martingale_part(params, path, levels, h))
+        for a, m in zip(levels, row):
+            scalar = martingale_part(params, path, float(a), h)
+            assert type(scalar) is float
+            assert scalar == m
 
 
 @pytest.mark.parametrize("params", [SYM, derive_params(1.3, 3.0, 1.0)],
@@ -225,6 +252,15 @@ def test_level_curves_stay_off_the_page_fault_path():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     tanaka_curve(params, path, grid)
     occupation_curve(path, grid, moll)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 2000, faults
+    # and so does the one walk for three checkpoints at the criterion-5
+    # shape
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
+    path = simulate_path_jumpdecomp(SYM, cfg)
+    martingale_part(SYM, path, [0.0, 0.5], checkpoints=[0.25, 0.5, 1.0])
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    martingale_part(SYM, path, [0.0, 0.5], checkpoints=[0.25, 0.5, 1.0])
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 2000, faults
 
@@ -373,7 +409,7 @@ def test_martingale_mean_zero_at_checkpoints():
     for i in range(400):
         p = simulate_path_jumpdecomp(SYM, cfg, path_index=i)
         for (a, t), acc in rows.items():
-            acc.append(martingale_part(SYM, p, a, t=t))
+            acc.append(martingale_part(SYM, p, a, checkpoints=t))
     for (a, t), acc in rows.items():
         arr = np.asarray(acc)
         stderr = arr.std(ddof=1) / math.sqrt(len(arr))

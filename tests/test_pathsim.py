@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from stable_tanaka.cli import main
 from stable_tanaka.params import (
     derive_params,
     nu_tail_mass,
@@ -330,18 +331,22 @@ def test_moment_scan_stabilizes_below_alpha():
 # --------------------------------------------------------------------- io
 
 def test_path_csv_and_sidecar(tmp_path):
+    # `stable-tanaka simulate` writes each path as shortest round-trip
+    # decimals and a UTF-8 JSON sidecar; both read back exactly
     cfg = SimConfig(T=1.0, n_steps=8, eps=0.1, small_jump_mode="drop", seed=2)
     path = simulate_path_jumpdecomp(SKEW, cfg, 0)
-    csv_file = tmp_path / "path.csv"
-    sidecar = tmp_path / "path.json"
-    path.to_csv(csv_file, sidecar)
-    lines = csv_file.read_text().strip().split("\n")
+    assert main(["simulate", "--alpha", "1.5", "--c-plus", "3",
+                 "--n-steps", "8", "--eps", "0.1", "--small-jump-mode",
+                 "drop", "--seed", "2", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "path_0000.csv").read_text(
+        encoding="utf-8").splitlines()
     assert lines[0] == "time,value"
     parsed = np.array([[float(tok) for tok in ln.split(",")]
                        for ln in lines[1:]])
-    assert np.allclose(parsed[:, 0], path.times)
-    assert np.allclose(parsed[:, 1], path.values)
-    doc = json.loads(sidecar.read_text())
+    assert np.array_equal(parsed[:, 0], path.times)
+    assert np.array_equal(parsed[:, 1], path.values)
+    doc = json.loads((tmp_path / "path_0000.json").read_text(
+        encoding="utf-8"))
     assert doc["scheme"] == "jumpdecomp"
-    assert doc["config"]["eps"] == 0.1
-    assert len(doc["jumps"]) == len(path.jumps)
+    assert SimConfig(**doc["config"]) == cfg
+    assert np.array_equal(np.array(doc["jumps"]).reshape(-1, 2), path.jumps)
