@@ -30,8 +30,8 @@ from .experiments import (
 from .localtime import default_a_grid, default_mollifier, occupation_curve, \
     tanaka_curve
 from .params import derive_params
-from .pathsim import SimConfig, simulate_path_jumpdecomp, \
-    simulate_path_marginal
+from .pathsim import SimConfig, expected_jump_count, \
+    simulate_path_jumpdecomp, simulate_path_marginal
 
 OUT_ENV_VAR = "STABLE_TANAKA_OUT"
 
@@ -199,14 +199,18 @@ def _out_dir(args, what: str) -> Path:
 
 
 def _make_inputs(args):
-    """Process parameters and SimConfig from the command line."""
+    """Process parameters and SimConfig from the command line, refused if
+    the paths to draw record jumps and their count cannot be drawn."""
     try:
-        return (derive_params(args.alpha, args.c_plus, args.c_minus),
-                SimConfig(T=args.T, n_steps=args.n_steps, eps=args.eps,
-                          small_jump_mode=args.small_jump_mode,
-                          seed=args.seed, x0=args.x0))
+        params = derive_params(args.alpha, args.c_plus, args.c_minus)
+        cfg = SimConfig(T=args.T, n_steps=args.n_steps, eps=args.eps,
+                        small_jump_mode=args.small_jump_mode,
+                        seed=args.seed, x0=args.x0)
+        if getattr(args, "scheme", "jumpdecomp") == "jumpdecomp":
+            expected_jump_count(params, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    return params, cfg
 
 
 def _cmd_simulate(args) -> int:
@@ -249,7 +253,7 @@ def _cmd_localtime(args) -> int:
         "sim": asdict(cfg),
         "path_index": args.path_index,
         "horizon": float(path.times[-1]),
-        "n_jumps": len(path.jumps),
+        "n_jumps": len(path.jump_sizes),
         "estimators": {
             "occupation": {"mollifier_n": moll.n},
             "tanaka": {"eps": cfg.eps},

@@ -58,6 +58,7 @@ from .params import derive_params, stability_constant
 from .pathsim import (
     SimConfig,
     empirical_char_function,
+    expected_jump_count,
     path_rng,
     sample_stable_increment,
     simulate_path_jumpdecomp,
@@ -159,14 +160,16 @@ _SIM_FIELDS = {"T": Option(None), "n_steps": Option(None, "int"),
 
 @dataclass(frozen=True)
 class _Kind:
-    """A kind's ``run(spec, opts, params, cfg)``, its options, and
-    ``check(opts, cfg)``, which raises ValueError on cross-field faults."""
+    """A kind's ``run(spec, opts, params, cfg)``, its options,
+    ``check(opts, cfg)``, which raises ValueError on cross-field faults,
+    and ``sims(opts, cfg)``, the SimConfigs of the paths it draws."""
 
     run: Callable
     options: dict
     needs_params: bool = True
     needs_sim: bool = False
     check: Callable = lambda opts, cfg: None
+    sims: Callable = lambda opts, cfg: [cfg]
 
 
 @dataclass(frozen=True)
@@ -622,7 +625,7 @@ _KINDS = {
                            "schedule"),
         "level": Option(0.0),
         "means_tolerance": Option(0.10, "float", "[0, inf)"),
-    }, needs_sim=True, check=_schedule_configs),
+    }, needs_sim=True, check=_schedule_configs, sims=_schedule_configs),
     "sampler-validation": _Kind(_run_sampler_validation, {
         "n_samples": Option(100_000, "int", "[1, inf)"),
         "u": Option((0.5, 1.0, 2.0, 4.0), "floats"),
@@ -669,6 +672,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     params = spec.derived_params()
     cfg = spec.sim_config() if entry.needs_sim else None
     opts = spec.typed_options()
+    try:
+        for level in entry.sims(opts, cfg) if entry.needs_sim else ():
+            expected_jump_count(params, level)
+    except ValueError as exc:
+        raise ConfigError(f"bad sim block: {exc}") from None
     start = time.perf_counter()
     try:
         stats, verdicts, curves = entry.run(spec, opts, params, cfg)

@@ -7,9 +7,9 @@ per level, at the path's horizon T. Two curves estimate it:
   occupation density;
 * ``tanaka_curve`` -- F(X_T - a) - F(X_0 - a) - M^a_T, where the
   martingale part M sums compensated kernel increments over the recorded
-  jumps. This needs the jump record, so only jump-decomposition paths
-  qualify. ``martingale_part`` also stops at earlier horizons, all read
-  off one walk over the path.
+  jumps, each read at its grid row. This needs the jump record, so only
+  jump-decomposition paths qualify. ``martingale_part`` also stops at
+  earlier horizons, all read off one walk over the path.
 
 The occupation and compensator Riemann sums and the jump sum of
 ``martingale_part`` all run through one loop over small tiles of levels by
@@ -147,7 +147,8 @@ def martingale_part(params: StableParams, path: PathSample, a,
                     checkpoints=None):
     """Discretized compensated-jump martingale M^a_t along one path.
 
-    Sum over recorded jumps of F(X_pre - a + h) - F(X_pre - a), minus the
+    Sum over recorded jumps of F(X_pre - a + h) - F(X_pre - a), where a
+    jump of size h at grid row k has X_pre = values[k] - h, minus the
     left-point Riemann sum of the compensator density G_eps(X_s - a). The
     gaussian small-jump closure moves the path but stays out of M, which
     keeps M structurally mean-zero. ``a`` is a level or an array of
@@ -168,11 +169,11 @@ def martingale_part(params: StableParams, path: PathSample, a,
     grid_ends = np.searchsorted(times, horizons, side="right")
     if grid_ends[0] < 2:
         raise ValueError("checkpoints must cover at least one grid step")
-    jump_ends = np.searchsorted(path.jump_times, times[grid_ends - 1],
-                                side="right")
-    jumps = path.jumps[:jump_ends[-1]]
-    post = path.values[np.searchsorted(times, jumps[:, 0])]
-    pre = post - jumps[:, 1]
+    # the jumps up to a checkpoint are those at rows up to its last grid
+    # point, end - 1
+    jump_ends = np.searchsorted(path.jump_rows, grid_ends - 1, side="right")
+    post = path.values[path.jump_rows[:jump_ends[-1]]]
+    pre = post - path.jump_sizes[:jump_ends[-1]]
     levels = np.asarray(a, dtype=float)
     jump_sums = _tiled_levels(
         levels.ravel(), jump_ends,

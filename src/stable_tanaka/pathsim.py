@@ -34,6 +34,7 @@ __all__ = [
     "PathSample",
     "CharFunctionEstimate",
     "path_rng",
+    "expected_jump_count",
     "sample_stable_increment",
     "simulate_path_marginal",
     "simulate_path_jumpdecomp",
@@ -82,17 +83,19 @@ class SimConfig:
 class PathSample:
     """One realized path on a refined grid, plus its jump record.
 
-    ``jumps`` is an (n, 2) float array of ``[time, size]`` rows (n = 0 for
-    the marginal scheme). ``times`` always contains every recorded jump
-    instant, so the value immediately before a jump at times[k] is
-    values[k] - size: integrators that need the pre-jump state read it off
-    exactly. Jump rows are in time order, so a prefix of rows is the jump
-    record up to a horizon.
+    The jump record is ``jump_rows``, integer grid rows in non-decreasing
+    order, and ``jump_sizes``, one finite size per row (both empty for the
+    marginal scheme). A jump happens at times[row], so values[row] is the
+    post-jump state and values[row] - size the pre-jump state: integrators
+    that need the pre-jump state read it off exactly, and a jump between
+    grid points cannot be expressed. Rows are in time order, so a prefix
+    of the record is the jump record up to a horizon.
     """
 
     times: np.ndarray
     values: np.ndarray
-    jumps: np.ndarray
+    jump_rows: np.ndarray
+    jump_sizes: np.ndarray
     scheme: str
     config: Optional[SimConfig] = None
 
@@ -105,31 +108,41 @@ class PathSample:
             raise ValueError("times must be strictly increasing")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise ValueError("path contains non-finite entries")
-        jumps = np.asarray(self.jumps, dtype=float)
-        if jumps.shape == (0,):
-            jumps = jumps.reshape(0, 2)
-        if jumps.ndim != 2 or jumps.shape[1] != 2:
-            raise ValueError("jumps must be an (n, 2) array of [time, size] "
-                             f"rows, got shape {jumps.shape}")
-        if np.any(np.diff(jumps[:, 0]) < 0.0):
-            raise ValueError("jump times must not decrease")
+        rows = np.asarray(self.jump_rows)
+        sizes = np.asarray(self.jump_sizes, dtype=float)
+        if rows.ndim != 1 or rows.shape != sizes.shape:
+            raise ValueError("jump_rows and jump_sizes must be matching 1-D "
+                             f"arrays, got shapes {rows.shape} and "
+                             f"{sizes.shape}")
+        if rows.size and rows.dtype.kind not in "iu":
+            raise ValueError("jump_rows must be integers, got dtype "
+                             f"{rows.dtype}")
+        rows = rows.astype(np.intp, copy=False)
+        if rows.size and not (1 <= rows[0] and rows[-1] < len(times)
+                              and np.all(np.diff(rows) >= 0)):
+            raise ValueError("jump_rows must be non-decreasing rows in "
+                             f"[1, {len(times)})")
+        if not np.all(np.isfinite(sizes)):
+            raise ValueError("jump_sizes must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "jump_rows", rows)
+        object.__setattr__(self, "jump_sizes", sizes)
         if self.config is not None:
             if values[0] != self.config.x0:
                 raise ValueError("values[0] must equal the configured x0")
             if self.scheme == "jumpdecomp" and np.any(
-                    np.abs(self.jump_sizes) <= self.config.eps):
+                    np.abs(sizes) <= self.config.eps):
                 raise ValueError("recorded jumps must exceed the cutoff")
 
     @property
     def jump_times(self) -> np.ndarray:
-        return self.jumps[:, 0]
+        return self.times[self.jump_rows]
 
     @property
-    def jump_sizes(self) -> np.ndarray:
-        return self.jumps[:, 1]
+    def jumps(self) -> np.ndarray:
+        """The record as an (n, 2) array of ``[time, size]`` rows."""
+        return np.column_stack([self.jump_times, self.jump_sizes])
 
 
 def path_rng(seed: int, path_index: int = 0) -> np.random.Generator:
@@ -170,8 +183,30 @@ def simulate_path_marginal(params: StableParams, config: SimConfig,
     times = np.linspace(0.0, config.T, config.n_steps + 1)
     incs = sample_stable_increment(params, config.dt, rng, size=config.n_steps)
     values = config.x0 + np.concatenate([[0.0], np.cumsum(incs)])
-    return PathSample(times=times, values=values, jumps=(),
-                      scheme="marginal", config=config)
+    return PathSample(times=times, values=values, jump_rows=(),
+                      jump_sizes=(), scheme="marginal", config=config)
+
+
+# the largest mean numpy's Poisson sampler accepts: the int64 maximum less
+# ten standard deviations
+_POISSON_MEAN_MAX = 2.0 ** 63 - 10.0 * 2.0 ** 31.5
+
+
+def expected_jump_count(params: StableParams, config: SimConfig) -> float:
+    """nu({|h| > eps}) T, the mean number of jumps one path records.
+
+    Raises ValueError when no count can be drawn from it: the mean
+    overflows a float, or exceeds what the Poisson sampler accepts.
+    """
+    try:
+        mean = nu_tail_mass(params, config.eps) * config.T
+    except OverflowError:
+        mean = math.inf
+    if not mean <= _POISSON_MEAN_MAX:
+        raise ValueError(
+            f"jump cutoff eps={config.eps:g} gives {mean:g} expected jumps "
+            f"per path, beyond the {_POISSON_MEAN_MAX:g} that can be drawn")
+    return mean
 
 
 def _jump_sizes(params: StableParams, eps: float, n_jumps: int, rng):
@@ -190,8 +225,7 @@ def _jump_sizes(params: StableParams, eps: float, n_jumps: int, rng):
 
 
 def _draw_jumps(params: StableParams, config: SimConfig, rng):
-    lam = nu_tail_mass(params, config.eps)
-    n_jumps = int(rng.poisson(lam * config.T))
+    n_jumps = int(rng.poisson(expected_jump_count(params, config)))
     jt = config.T * rng.random(n_jumps)
     while np.any(jt == 0.0):  # keep jump instants strictly inside (0, T)
         jt[jt == 0.0] = config.T * rng.random(int(np.sum(jt == 0.0)))
@@ -217,11 +251,11 @@ def simulate_path_jumpdecomp(params: StableParams, config: SimConfig,
     if config.small_jump_mode == "gaussian":
         sigma = math.sqrt(small_jump_variance(params, config.eps))
         incs = incs + sigma * np.sqrt(dts) * rng.standard_normal(len(dts))
-    np.add.at(incs, np.searchsorted(times, jt) - 1, sizes)
+    rows = np.searchsorted(times, jt)
+    np.add.at(incs, rows - 1, sizes)
     values = config.x0 + np.concatenate([[0.0], np.cumsum(incs)])
-    return PathSample(times=times, values=values,
-                      jumps=np.column_stack([jt, sizes]),
-                      scheme="jumpdecomp", config=config)
+    return PathSample(times=times, values=values, jump_rows=rows,
+                      jump_sizes=sizes, scheme="jumpdecomp", config=config)
 
 
 def sample_terminal_jumpdecomp(params: StableParams, config: SimConfig,
@@ -237,13 +271,13 @@ def sample_terminal_jumpdecomp(params: StableParams, config: SimConfig,
     streams; law-equality with the full scheme is pinned by a two-sample
     test rather than by shared code paths.
     """
-    lam = nu_tail_mass(params, config.eps)
+    mean = expected_jump_count(params, config)
     drift = -nu_tail_mean(params, config.eps)
     sigma = math.sqrt(small_jump_variance(params, config.eps) * config.T)
     out = np.empty(n_paths)
     for i in range(n_paths):
         rng = path_rng(config.seed, stream_offset + i)
-        n_jumps = int(rng.poisson(lam * config.T))
+        n_jumps = int(rng.poisson(mean))
         jumps = _jump_sizes(params, config.eps, n_jumps, rng)
         # numpy's sum, not a BLAS dot, so the bits ignore the thread count
         val = config.x0 + float(jumps.sum()) + drift * config.T

@@ -125,6 +125,19 @@ MALFORMED = {
     # the working directory, which holds a file named "taken"
     "out-dir-is-file": dict(SPEC, out_dir="taken"),
     "out-dir-under-file": dict(SPEC, out_dir="taken/report"),
+    # a jump cutoff whose expected jump count per path cannot be drawn:
+    # eps^(-alpha) overflows a float, or the mean is past the Poisson
+    # sampler's limit; for estimator-agreement, at one schedule level
+    "eps-count-overflows": {"kind": "martingale-zero-mean", "params": SYM,
+                            "sim": dict(SMALL_SIM, eps=1e-300),
+                            "options": {"n_paths": 2}},
+    "eps-count-past-poisson": {"kind": "occupation-formula", "params": SYM,
+                               "sim": dict(SMALL_SIM, eps=1e-100),
+                               "options": {"n_paths": 2}},
+    "schedule-eps-count": {"kind": "estimator-agreement", "params": SYM,
+                           "sim": SMALL_SIM,
+                           "options": {"n_paths": 2,
+                                       "schedule": [[0.1, 8], [1e-100, 16]]}},
 }
 
 
@@ -248,6 +261,15 @@ def test_simulate_writes_paths(tmp_path):
     assert sidecar["scheme"] == "jumpdecomp"
 
 
+def test_simulate_marginal_draws_no_jumps(tmp_path):
+    # the marginal scheme records no jumps, so any cutoff in (0, 1) will do
+    out = tmp_path / "paths"
+    assert main(["simulate", "--alpha", "1.5", "--scheme", "marginal",
+                 "--eps", "1e-300", "--n-steps", "8", "--out", str(out)]) == 0
+    sidecar = json.loads((out / "path_0000.json").read_text())
+    assert sidecar["jumps"] == []
+
+
 def test_simulate_needs_out_dir(capsys, monkeypatch):
     monkeypatch.delenv("STABLE_TANAKA_OUT", raising=False)
     assert main(["simulate", "--alpha", "1.5"]) == 2
@@ -283,6 +305,14 @@ BAD_COMMANDS = {
     "simulate-out-file": ["simulate", "--alpha", "1.5"],
     "density-out-file": ["density", "--alpha", "1.5", "--t", "1.0",
                          "--half-width", "40", "--n-points", "8192"],
+    # the expected jump count per path cannot be drawn
+    "localtime-eps-overflow": ["localtime", "--alpha", "1.5",
+                               "--eps", "1e-300"],
+    "localtime-eps-poisson": ["localtime", "--alpha", "1.5",
+                              "--eps", "1e-100"],
+    "simulate-eps-overflow": ["simulate", "--alpha", "1.5",
+                              "--eps", "1e-300"],
+    "simulate-eps-poisson": ["simulate", "--alpha", "1.5", "--eps", "1e-100"],
 }
 
 

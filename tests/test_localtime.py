@@ -41,7 +41,8 @@ def constant_path(x, eps=1e-2, n_steps=64, T=1.0):
     cfg = SimConfig(T=T, n_steps=n_steps, eps=eps, seed=0, x0=x)
     times = np.linspace(0.0, T, n_steps + 1)
     return PathSample(times=times, values=np.full(n_steps + 1, x),
-                      jumps=(), scheme="jumpdecomp", config=cfg)
+                      jump_rows=(), jump_sizes=(), scheme="jumpdecomp",
+                      config=cfg)
 
 
 def test_default_mollifier_tie():
@@ -151,9 +152,9 @@ def test_bad_mode_and_horizon_rejected():
             martingale_part(SYM, path, 0.0, checkpoints=bad)
     # the checkpoints read prefixes of the jump record, so it must be in
     # time order
-    with pytest.raises(ValueError, match="jump times"):
-        PathSample(times=path.times, values=path.values,
-                   jumps=[[0.5, 0.1], [0.25, 0.1]], scheme="jumpdecomp")
+    with pytest.raises(ValueError, match="non-decreasing"):
+        PathSample(times=path.times, values=path.values, jump_rows=[32, 16],
+                   jump_sizes=[0.1, 0.1], scheme="jumpdecomp")
 
 
 # ------------------------------------------------------------ curve helpers
@@ -217,7 +218,10 @@ def test_tiled_sums_match_exact_summation(params):
     path = simulate_path_jumpdecomp(params, cfg, path_index=2)
     moll = default_mollifier(cfg.eps)
     lefts, dts = path.values[:-1], np.diff(path.times)
-    post = path.values[np.searchsorted(path.times, path.jump_times)]
+    # the rows are checked against an independent search of the grid
+    rows = np.searchsorted(path.times, path.jump_times)
+    assert np.array_equal(rows, path.jump_rows)
+    post = path.values[rows]
     pre = post - path.jump_sizes
     g = _compensator_interp(params, cfg.eps)
     levels = np.concatenate([np.quantile(path.values, [0.1, 0.5, 0.9]),
@@ -367,9 +371,8 @@ def test_shift_relabeling():
     path = simulate_path_jumpdecomp(SYM, cfg, path_index=1)
     c = 2.0
     shifted = PathSample(
-        times=path.times, values=path.values + c,
-        jumps=tuple(zip(path.jump_times, path.jump_sizes)),
-        scheme=path.scheme, config=replace(cfg, x0=cfg.x0 + c))
+        times=path.times, values=path.values + c, jump_rows=path.jump_rows,
+        jump_sizes=path.jump_sizes, scheme=path.scheme, config=replace(cfg, x0=cfg.x0 + c))
     moll = default_mollifier(cfg.eps)
     levels = np.array([-0.3, 0.0, 0.8])
     np.testing.assert_allclose(occupation_curve(shifted, levels + c, moll),
@@ -386,10 +389,8 @@ def test_reflection_symmetry_when_symmetric():
     cfg = SimConfig(T=1.0, n_steps=256, eps=1e-2, seed=17)
     path = simulate_path_jumpdecomp(SYM, cfg, path_index=4)
     reflected = PathSample(
-        times=path.times, values=-path.values,
-        jumps=tuple((t, -h) for t, h in
-                    zip(path.jump_times, path.jump_sizes)),
-        scheme=path.scheme, config=replace(cfg, x0=-cfg.x0))
+        times=path.times, values=-path.values, jump_rows=path.jump_rows,
+        jump_sizes=-path.jump_sizes, scheme=path.scheme, config=replace(cfg, x0=-cfg.x0))
     moll = default_mollifier(cfg.eps)
     levels = np.array([-0.4, 0.0, 0.6])
     assert np.array_equal(occupation_curve(reflected, -levels, moll),

@@ -63,21 +63,37 @@ def test_config_defaults():
 
 def test_path_sample_validation():
     with pytest.raises(ValueError):
-        PathSample(times=np.array([0.0, 0.5, 0.5]),
-                   values=np.zeros(3), jumps=[], scheme="marginal")
+        PathSample(times=np.array([0.0, 0.5, 0.5]), values=np.zeros(3),
+                   jump_rows=[], jump_sizes=[], scheme="marginal")
     with pytest.raises(ValueError):
-        PathSample(times=np.array([0.0, 0.5]),
-                   values=np.zeros(3), jumps=[], scheme="marginal")
+        PathSample(times=np.array([0.0, 0.5]), values=np.zeros(3),
+                   jump_rows=[], jump_sizes=[], scheme="marginal")
     cfg = SimConfig(T=1.0, n_steps=4, x0=2.0)
     with pytest.raises(ValueError):
         PathSample(times=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]),
-                   jumps=[], scheme="marginal", config=cfg)
+                   jump_rows=[], jump_sizes=[], scheme="marginal",
+                   config=cfg)
 
+    # a jump happens at a grid row, so one between grid points (say at
+    # t = 0.3 on this grid) cannot be written down
     times, values = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.2])
-    for bad in ([0.5, 0.9], [(0.5, 0.9, 1.0)], np.zeros((1, 2, 2))):
-        with pytest.raises(ValueError, match="jumps"):
-            PathSample(times=times, values=values, jumps=bad,
-                       scheme="jumpdecomp")
+    good = PathSample(times=times, values=values, jump_rows=[1, 2, 2],
+                      jump_sizes=[0.9, 0.1, -0.2], scheme="jumpdecomp")
+    assert np.array_equal(good.jump_times, [0.5, 1.0, 1.0])
+    assert np.array_equal(good.jumps, [[0.5, 0.9], [1.0, 0.1], [1.0, -0.2]])
+    for rows, sizes, what in (
+            ([0], [0.9], "jump_rows"),                # before the first step
+            ([3], [0.9], "jump_rows"),                # past the last row
+            ([2, 1], [0.9, 0.1], "jump_rows"),        # decreasing
+            ([1.0], [0.9], "integers"),               # refused, not truncated
+            ([1.5], [0.9], "integers"),
+            ([1, 2], [0.9], "matching"),              # length mismatch
+            ([[1, 2]], [[0.9, 0.1]], "matching"),     # not 1-D
+            ([1], [math.nan], "finite"),
+            ([2], [math.inf], "finite")):
+        with pytest.raises(ValueError, match=what):
+            PathSample(times=times, values=values, jump_rows=rows,
+                       jump_sizes=sizes, scheme="jumpdecomp")
 
 
 def test_rng_streams_keyed_by_path():
