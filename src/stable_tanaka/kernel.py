@@ -87,7 +87,13 @@ class MollifierSpec:
         return 1.0 / self.n
 
     def __call__(self, x):
-        return self.n * standard_bump(self.n * np.asarray(x, dtype=float))
+        # n x is formed only on |x| < 2 width, a superset of the support
+        # where it cannot overflow; the value is 0 everywhere else
+        x = np.asarray(x, dtype=float)
+        out = np.zeros_like(x)
+        near = np.abs(x) < 2.0 * self.width
+        out[near] = self.n * standard_bump(self.n * x[near])
+        return out if out.ndim else float(out)
 
 
 # ------------------------------------------------------------------ kernel

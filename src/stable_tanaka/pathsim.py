@@ -187,25 +187,30 @@ def simulate_path_marginal(params: StableParams, config: SimConfig,
                       jump_sizes=(), scheme="marginal", config=config)
 
 
-# the largest mean numpy's Poisson sampler accepts: the int64 maximum less
-# ten standard deviations
-_POISSON_MEAN_MAX = 2.0 ** 63 - 10.0 * 2.0 ** 31.5
+# the largest mean whose draw, less ten standard deviations, still fits the
+# longest float64 array numpy can allocate; numpy's Poisson sampler accepts
+# means up to the int64 maximum, far above it
+_JUMP_ARRAY_MAX = float(np.iinfo(np.intp).max // 8)
+_JUMP_MEAN_MAX = _JUMP_ARRAY_MAX - 10.0 * math.sqrt(_JUMP_ARRAY_MAX)
 
 
 def expected_jump_count(params: StableParams, config: SimConfig) -> float:
     """nu({|h| > eps}) T, the mean number of jumps one path records.
 
-    Raises ValueError when no count can be drawn from it: the mean
-    overflows a float, or exceeds what the Poisson sampler accepts.
+    Raises ValueError when no count can be drawn and held from it: the
+    mean overflows a float, or its draw could exceed the longest float64
+    array numpy can allocate. A count that fits that limit but not the
+    machine's memory is not caught here.
     """
     try:
         mean = nu_tail_mass(params, config.eps) * config.T
     except OverflowError:
         mean = math.inf
-    if not mean <= _POISSON_MEAN_MAX:
+    if not mean <= _JUMP_MEAN_MAX:
         raise ValueError(
             f"jump cutoff eps={config.eps:g} gives {mean:g} expected jumps "
-            f"per path, beyond the {_POISSON_MEAN_MAX:g} that can be drawn")
+            f"per path, beyond the {_JUMP_MEAN_MAX:g} that one path's arrays "
+            f"can hold")
     return mean
 
 
@@ -232,28 +237,68 @@ def _draw_jumps(params: StableParams, config: SimConfig, rng):
     return np.sort(jt), _jump_sizes(params, config.eps, n_jumps, rng)
 
 
+def _merge_jump_times(base: np.ndarray, jt: np.ndarray):
+    """Merge sorted instants ``jt`` in [0, T] into ``base = linspace(0, T, n+1)``.
+
+    Returns the refined grid and each instant's row in it, the same arrays
+    as ``union1d(base, jt)`` and a ``searchsorted`` of ``jt`` into it. The
+    cell guess int(jt n / T) is at most one off, so comparing an instant
+    with the two nodes above the guess gives c = #{nodes < jt}. Instant j
+    then goes to row c_j + j, and node i to row i + #{j : c_j <= i}. An
+    instant equal to a node or to another instant lands next to it; such a
+    tie merges into one grid point, which every tied instant keeps as row.
+    """
+    n = len(base) - 1
+    above = np.append(base, np.inf)[1:]  # an instant at T has a node above
+    guess = (jt * (n / base[-1])).astype(np.intp)
+    rows = guess + (base[guess] < jt)
+    rows += above[guess] < jt  # rows holds c here
+    node_rows = np.cumsum(np.bincount(rows, minlength=n + 1))
+    node_rows += np.arange(n + 1)
+    rows += np.arange(len(jt))
+    times = np.empty(n + 1 + len(jt))
+    times[rows] = jt
+    times[node_rows] = base
+    step = np.diff(times)
+    if not step.all():  # a tie: keep the first point of each run of equals
+        first = np.concatenate(([True], step != 0.0))
+        rows = (np.cumsum(first) - 1)[rows]
+        times = times[first]
+    return times, rows
+
+
 def simulate_path_jumpdecomp(params: StableParams, config: SimConfig,
                              path_index: int = 0) -> PathSample:
     """Compound-Poisson big jumps + compensator drift (+ gaussian closure).
 
-    The uniform grid is refined by the jump instants, so consecutive values
-    bracket each jump exactly: the increment into a jump time carries that
+    The uniform grid is refined by the jump instants: the refined grid is a
+    merge of the two sorted sets, where an instant that ties with a node or
+    with another instant merges into one point. Consecutive values bracket
+    each jump exactly: the increment into a jump time carries that
     interval's drift (and gaussian noise) plus the jump size itself.
     """
     rng = path_rng(config.seed, path_index)
     jt, sizes = _draw_jumps(params, config, rng)
     drift = -nu_tail_mean(params, config.eps)
+    times, rows = _merge_jump_times(
+        np.linspace(0.0, config.T, config.n_steps + 1), jt)
 
-    base = np.linspace(0.0, config.T, config.n_steps + 1)
-    times = np.union1d(base, jt)
-    dts = np.diff(times)
-    incs = drift * dts
+    # the increments go straight into values[1:] and are summed in place
+    values = np.empty(len(times))
+    incs = values[1:]
+    np.subtract(times[1:], times[:-1], out=incs)
     if config.small_jump_mode == "gaussian":
-        sigma = math.sqrt(small_jump_variance(params, config.eps))
-        incs = incs + sigma * np.sqrt(dts) * rng.standard_normal(len(dts))
-    rows = np.searchsorted(times, jt)
-    np.add.at(incs, rows - 1, sizes)
-    values = config.x0 + np.concatenate([[0.0], np.cumsum(incs)])
+        noise = np.sqrt(incs)
+        noise *= math.sqrt(small_jump_variance(params, config.eps))
+        noise *= rng.standard_normal(len(incs))
+        incs *= drift
+        incs += noise
+    else:
+        incs *= drift
+    np.add.at(values, rows, sizes)
+    np.cumsum(incs, out=incs)
+    values[0] = 0.0
+    values += config.x0
     return PathSample(times=times, values=values, jump_rows=rows,
                       jump_sizes=sizes, scheme="jumpdecomp", config=config)
 

@@ -20,9 +20,9 @@ short of the 1e-2 stability target for every alpha tested (worst at
 alpha=1.2, where ~0.2 of the mass still sits past 1e6).  The test reports
 the measured differences instead of loosening the target.
 
-The full file takes ~2.6 minutes (156 s by pytest --durations on a 2-core
+The full file takes ~2 minutes (116 s by pytest --durations on a 2-core
 box, OpenBLAS pinned to one thread); criterion 5 (10^4 paths at
-n_steps=4096, 108 s there) dominates.
+n_steps=4096, 75 s there) dominates.
 """
 
 import math
@@ -161,7 +161,7 @@ def test_criterion_04_terminal_law_ks():
 
 def test_criterion_05_martingale_zero_mean():
     # 1e4 paths, T=1, n_steps=2^12, eps=1e-3: |mean M_t^a| <= 4 stderr at
-    # a in {0, 0.5} x t in {0.25, 0.5, 1}.  This is the slow test (~108 s).
+    # a in {0, 0.5} x t in {0.25, 0.5, 1}.  This is the slow test (~75 s).
     rep = run_experiment({
         "kind": "martingale-zero-mean",
         "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},

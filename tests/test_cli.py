@@ -138,6 +138,11 @@ MALFORMED = {
                            "sim": SMALL_SIM,
                            "options": {"n_paths": 2,
                                        "schedule": [[0.1, 8], [1e-100, 16]]}},
+    # 1.3e18 expected jumps: the Poisson sampler takes the mean, but the
+    # draw could exceed the longest array numpy can allocate
+    "eps-count-past-array": {"kind": "martingale-zero-mean", "params": SYM,
+                             "sim": dict(SMALL_SIM, eps=1e-12),
+                             "options": {"n_paths": 2}},
 }
 
 
@@ -313,6 +318,9 @@ BAD_COMMANDS = {
     "simulate-eps-overflow": ["simulate", "--alpha", "1.5",
                               "--eps", "1e-300"],
     "simulate-eps-poisson": ["simulate", "--alpha", "1.5", "--eps", "1e-100"],
+    # the count can be drawn, but not held in one array
+    "localtime-eps-array": ["localtime", "--alpha", "1.5", "--eps", "1e-12"],
+    "simulate-eps-array": ["simulate", "--alpha", "1.5", "--eps", "1e-12"],
 }
 
 

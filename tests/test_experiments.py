@@ -208,6 +208,22 @@ def test_occupation_formula_raises_no_warnings():
     assert rep.all_passed
 
 
+@pytest.mark.filterwarnings("error")
+def test_estimator_agreement_far_level_raises_no_warnings():
+    # a level far past every path: the mollifier's argument is ~1e308 and
+    # must not overflow; both means read ~0 and the verdicts stand
+    rep = run_experiment({
+        "kind": "estimator-agreement", "params": SYM_PARAMS,
+        "sim": {"T": 1.0, "n_steps": 16, "eps": 0.1}, "seed": 0,
+        "options": {"n_paths": 2, "level": 1e308,
+                    "schedule": [[0.1, 8], [0.05, 16]]}})
+    assert rep.statistics["occupation_means"] == [0.0, 0.0]
+    verdicts = {v.criterion: v for v in rep.verdicts}
+    assert verdicts["agreement-mse-monotone"].passed
+    assert not verdicts["agreement-finest-means"].passed
+    assert verdicts["agreement-finest-means"].measured == 1e30
+
+
 def test_estimator_agreement_experiment():
     # reduced-scale schedule; the means tolerance is opened up because the
     # 10% figure belongs to the fine acceptance schedule, not this one

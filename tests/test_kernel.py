@@ -77,6 +77,20 @@ def test_mollifier_scaling_and_mass():
     assert mass == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_mollifier_far_arguments_are_zero_and_support_bits_kept():
+    # n x is formed only near the support, so no argument overflows it;
+    # inside the support the bits are those of n rho(n x)
+    moll = MollifierSpec(31)
+    xs = np.concatenate([np.linspace(-0.1, 0.1, 2001),
+                         [1e308, -1e308, np.inf, -np.inf, 1e300, 2.0 / 31]])
+    direct = 31 * standard_bump(31 * xs[:2001])
+    assert moll(xs[:2001]).tobytes() == direct.tobytes()
+    assert np.all(moll(xs[2001:]) == 0.0)
+    assert moll(1e308) == 0.0
+    assert moll(0.0) == 31 * standard_bump(0.0)
+
+
 # ------------------------------------------------------------------- kernel
 
 def test_kernel_zero_at_origin():

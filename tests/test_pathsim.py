@@ -6,11 +6,14 @@ two-sample Kolmogorov-Smirnov. Seeds are fixed; the z-scores and p-values
 asserted here were checked to hold with wide margin across neighboring seeds.
 """
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stable_tanaka.cli import main
@@ -20,6 +23,7 @@ from stable_tanaka.params import (
     nu_tail_mean,
     small_jump_variance,
 )
+from stable_tanaka import pathsim
 from stable_tanaka.pathsim import (
     CharFunctionEstimate,
     PathSample,
@@ -244,6 +248,112 @@ def test_jumpdecomp_deterministic():
     assert np.array_equal(p1.jumps, p2.jumps)
 
 
+def _union_rows(base, jt):
+    # the reference placement: a set union, then a search per instant
+    times = np.union1d(base, jt)
+    return times, np.searchsorted(times, jt)
+
+
+def _assert_placed_like_union(base, jt):
+    times, rows = pathsim._merge_jump_times(base, np.asarray(jt, dtype=float))
+    ref_times, ref_rows = _union_rows(base, jt)
+    assert times.tobytes() == ref_times.tobytes()
+    assert rows.dtype == np.intp and np.array_equal(rows, ref_rows)
+    return times, rows
+
+
+QUARTERS = np.linspace(0.0, 1.0, 5)
+
+
+@pytest.mark.parametrize("jt, times, rows", [
+    ([], QUARTERS, []),                                  # no jumps
+    ([0.5], QUARTERS, [2]),                              # on a node
+    ([0.3, 0.3], [0, .25, .3, .5, .75, 1], [2, 2]),       # repeated instant
+    ([0.5, 0.5, 0.6], [0, .25, .5, .6, .75, 1], [2, 2, 3]),
+    ([0.1, 0.9], [0, .1, .25, .5, .75, .9, 1], [1, 5]),  # first, last cell
+    ([1.0], QUARTERS, [4]),                              # on the last node
+], ids=["none", "on-node", "repeated", "repeated-on-node", "first-last",
+        "at-horizon"])
+def test_merge_jump_times_hand_built(jt, times, rows):
+    got_times, got_rows = _assert_placed_like_union(QUARTERS, jt)
+    assert got_times.tolist() == list(times)
+    assert got_rows.tolist() == rows
+
+
+@st.composite
+def _grid_and_instants(draw):
+    n_steps = draw(st.sampled_from([1, 3, 7, 4096, 10**6]))
+    T = draw(st.sampled_from([1.0, 0.7, 3.3, 4.35]))
+    base = np.linspace(0.0, T, n_steps + 1)
+    ties = draw(st.booleans())
+
+    def near_node(node_ulps):
+        # a node moved by a few ulps: int(jt n / T) may land in the next cell
+        node, ulps = node_ulps
+        x = base[node]
+        for _ in range(abs(ulps)):
+            x = np.nextafter(x, math.copysign(math.inf, ulps))
+        return float(min(max(x, 0.0), T))
+
+    ulps = st.integers(-2, 2) if ties else st.sampled_from([-2, -1, 1, 2])
+    instant = st.one_of(
+        st.tuples(st.integers(0, n_steps), ulps).map(near_node),
+        st.floats(0.0, 1.0, exclude_max=True).map(lambda u: T * u))
+    jt = draw(st.lists(instant, max_size=40))
+    if jt and ties:
+        jt += draw(st.lists(st.sampled_from(jt), max_size=3))  # repeats
+    return base, np.sort(np.asarray(jt, dtype=float))
+
+
+@pytest.mark.parametrize("n_steps", [1, 3, 7, 4096])
+@pytest.mark.parametrize("T", [1.0, 0.7, 3.3, 4.35])
+@pytest.mark.parametrize("ties", [False, True])
+def test_merge_jump_times_every_node_nudged(n_steps, T, ties):
+    # every node moved by up to two ulps either way, so every cell guess
+    # that falls short or overshoots is met (at n=7, T=4.35 one ulp above
+    # nodes 3 and 6 the guess is a cell short); with ties, the nodes too
+    base = np.linspace(0.0, T, n_steps + 1)
+    nudged = [base]
+    for direction in (-math.inf, math.inf):
+        x = base
+        for _ in range(2):
+            x = np.nextafter(x, direction)
+            nudged.append(x)
+    jt = np.sort(np.concatenate(nudged if ties else nudged[1:]))
+    _assert_placed_like_union(base, jt[(jt >= 0.0) & (jt <= T)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_grid_and_instants())
+def test_merge_jump_times_matches_union(grid_and_instants):
+    _assert_placed_like_union(*grid_and_instants)
+
+
+def test_jumpdecomp_ties_merge_and_sum(monkeypatch):
+    # hand-built jump draws with instants on a node and repeated; the path
+    # equals the plain recipe on the union grid (diff, noise, np.add.at,
+    # cumsum), so a tied row carries the sum of its jumps
+    jt = np.array([0.25, 0.25, 0.3, 0.3, 0.3, 0.9])
+    sizes = np.array([0.5, -0.25, 1.0, 2.0, -4.0, 0.125])
+    monkeypatch.setattr(pathsim, "_draw_jumps", lambda *a: (jt, sizes))
+    for mode in ("gaussian", "drop"):
+        cfg = SimConfig(T=1.0, n_steps=4, eps=0.1, small_jump_mode=mode,
+                        seed=3, x0=0.3)
+        path = simulate_path_jumpdecomp(SYM, cfg, path_index=2)
+        times, rows = _union_rows(np.linspace(0.0, 1.0, 5), jt)
+        dts = np.diff(times)
+        incs = -nu_tail_mean(SYM, cfg.eps) * dts
+        if mode == "gaussian":
+            sigma = math.sqrt(small_jump_variance(SYM, cfg.eps))
+            incs = incs + sigma * np.sqrt(dts) * \
+                path_rng(3, 2).standard_normal(len(dts))
+        np.add.at(incs, rows - 1, sizes)
+        values = cfg.x0 + np.concatenate([[0.0], np.cumsum(incs)])
+        assert path.times.tobytes() == times.tobytes()
+        assert path.values.tobytes() == values.tobytes()
+        assert path.jump_rows.tolist() == [1, 1, 2, 2, 2, 5]
+
+
 def test_jumpdecomp_terminal_law_matches_marginal():
     cfg = SimConfig(T=1.0, n_steps=64, eps=1e-2, small_jump_mode="gaussian",
                     seed=7)
@@ -305,6 +415,30 @@ def test_jump_draws_pinned_bitwise(triplet, terminal, n_jumps, first_sizes):
     path = simulate_path_jumpdecomp(params, cfg, path_index=5)
     assert len(path.jumps) == n_jumps
     assert [float(v).hex() for v in path.jump_sizes[:3]] == first_sizes
+
+
+def _digest(arr):
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("triplet, sim, digests", [
+    ((1.5, 1.0, 1.0), dict(T=1.0, n_steps=256),
+     ["edbc8b875099f683", "0469d333c37b7184", "a4eac75ccf249404"]),
+    ((1.3, 3.0, 1.0), dict(T=1.0, n_steps=256),
+     ["a0295a2dbecd2787", "9e0bc3577e6fa213", "684b46e66ce836ba"]),
+    ((1.7, 0.0, 1.0), dict(T=1.0, n_steps=256, small_jump_mode="drop",
+                           x0=-0.4),
+     ["799e67544e09ac75", "09134435fade99d0", "eb885877835adebf"]),
+    ((1.5, 1.0, 1.0), dict(T=0.7, n_steps=300),
+     ["0dbb00e4f8c6fb56", "34a5de96b7349e03", "103e4eb4d79c97b3"]),
+], ids=["symmetric", "skewed", "one-sided-drop", "short-horizon"])
+def test_path_bits_pinned(triplet, sim, digests):
+    # digests of times, values and jump_rows: a change of grid placement,
+    # arithmetic order or RNG order anywhere in the path shows here
+    cfg = SimConfig(eps=1e-2, seed=7, **sim)
+    path = simulate_path_jumpdecomp(derive_params(*triplet), cfg, path_index=3)
+    assert [_digest(path.times), _digest(path.values),
+            _digest(path.jump_rows.astype("<i8"))] == digests
 
 
 def test_terminal_shortcut_drop_mode_runs():
