@@ -32,6 +32,7 @@ from .localtime import default_a_grid, default_mollifier, occupation_curve, \
 from .params import derive_params
 from .pathsim import SimConfig, expected_jump_count, \
     simulate_path_jumpdecomp, simulate_path_marginal
+from .spectral import ResolutionError
 
 OUT_ENV_VAR = "STABLE_TANAKA_OUT"
 
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
                 "simulate": _cmd_simulate, "localtime": _cmd_localtime}
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ResolutionError) as exc:  # localtime's level grid
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -23,7 +23,8 @@ Spec files are JSON::
 the path-simulation knobs (T, n_steps, eps, small_jump_mode, x0), and
 ``options`` the kind-specific budget and tolerances, each declared once
 with its default, type and range in the kind's entry of the registry
-``_KINDS``. A spec is checked against that entry when it is built, so a
+``_KINDS``. Building a spec checks every block, params included, against
+that entry, then the jump count of each path the kind draws, so a
 malformed spec raises :class:`ConfigError` before any compute. Wall time
 is recorded on the report object but excluded from the serialized bytes
 so determinism survives.
@@ -37,7 +38,8 @@ import numbers
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -70,6 +72,7 @@ from .spectral import (
     char_function,
     existence_integral,
     generator_apply_windowed,
+    levy_symbol,
     negative_moment_bound,
     transition_density,
 )
@@ -140,14 +143,19 @@ class Option:
         return value
 
 
-def _typed(where: str, block: dict, schema: dict) -> dict:
-    """A block checked against a name -> Option schema, defaults filled."""
+def _typed(where: str, block: dict, schema: dict, make: Callable = dict):
+    """``make`` called on a block checked against a name -> Option schema,
+    defaults filled; a ValueError from ``make`` is a ConfigError."""
     unknown = set(block) - set(schema)
     if unknown:
         raise ConfigError(f"unknown {where}: {sorted(unknown)}")
     defaults = {n: opt.default for n, opt in schema.items()
                 if opt.default is not None}
-    return defaults | {n: schema[n].parse(n, v) for n, v in block.items()}
+    typed = defaults | {n: schema[n].parse(n, v) for n, v in block.items()}
+    try:
+        return make(**typed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where}: {exc}") from None
 
 
 # derive_params and SimConfig check the ranges; SimConfig has the sim defaults
@@ -160,24 +168,24 @@ _SIM_FIELDS = {"T": Option(None), "n_steps": Option(None, "int"),
 
 @dataclass(frozen=True)
 class _Kind:
-    """A kind's ``run(spec, opts, params, cfg)``, its options,
-    ``check(opts, cfg)``, which raises ValueError on cross-field faults,
-    and ``sims(opts, cfg)``, the SimConfigs of the paths it draws."""
+    """A kind's ``run(spec, opts, params, sims)``, its options, and
+    ``check(opts, params, cfg)``, which raises ValueError on cross-field
+    faults and returns ``sims``, the SimConfigs of the paths it draws."""
 
     run: Callable
     options: dict
     needs_params: bool = True
     needs_sim: bool = False
-    check: Callable = lambda opts, cfg: None
-    sims: Callable = lambda opts, cfg: [cfg]
+    check: Callable = lambda opts, params, cfg: []
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One named, seeded experiment configuration.
 
-    Construction checks every field against the kind's registry entry,
-    except the ``params`` block, which :meth:`derived_params` checks.
+    Construction checks every block, params included, against the kind's
+    registry entry, then the expected jump count of each path the kind
+    draws, and keeps the typed inputs for the runner outside the fields.
     """
 
     kind: str
@@ -205,7 +213,23 @@ class ExperimentSpec:
             raise ConfigError("seed must be an integer in [0, 2^64)")
         if not isinstance(self.out_dir, (str, type(None))):
             raise ConfigError("out_dir must be a string or null")
-        self.typed_options()
+        # a params or sim block is checked whenever given
+        params = None if self.params is None else _typed(
+            "params fields", self.params, _PARAMS_FIELDS, derive_params)
+        cfg = _typed("sim fields", self.sim, _SIM_FIELDS, partial(
+            SimConfig, seed=self.seed)) if self.sim else None
+        opts = _typed(f"options for {self.kind}", self.options or {},
+                      entry.options)
+        try:
+            sims = entry.check(opts, params, cfg)
+        except ValueError as exc:
+            raise ConfigError(f"{self.kind} options: {exc}") from None
+        try:
+            for level in sims:
+                expected_jump_count(params, level)
+        except ValueError as exc:
+            raise ConfigError(f"bad sim block: {exc}") from None
+        object.__setattr__(self, "_inputs", (opts, params, sims))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
@@ -217,38 +241,6 @@ class ExperimentSpec:
         if "kind" not in raw:
             raise ConfigError("spec needs a kind")
         return cls(**raw)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def typed_options(self) -> dict:
-        """Every option of the kind, typed, with defaults filled in."""
-        entry = _KINDS[self.kind]
-        opts = _typed(f"options for {self.kind}", self.options or {},
-                      entry.options)
-        # a sim block is checked whenever given, as a params block is
-        cfg = self.sim_config() if entry.needs_sim or self.sim else None
-        try:
-            entry.check(opts, cfg)
-        except ValueError as exc:
-            raise ConfigError(f"{self.kind} options: {exc}") from None
-        return opts
-
-    def derived_params(self):
-        if self.params is None:
-            return None
-        block = _typed("params fields", self.params, _PARAMS_FIELDS)
-        try:
-            return derive_params(**block)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad params block: {exc}")
-
-    def sim_config(self) -> SimConfig:
-        block = _typed("sim fields", self.sim or {}, _SIM_FIELDS)
-        try:
-            return SimConfig(seed=self.seed, **block)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sim block: {exc}")
 
 
 @dataclass(frozen=True)
@@ -330,7 +322,12 @@ def _ratio(num: float, den: float) -> float:
     return 0.0 if num == 0.0 else 1e30
 
 
-def _run_generator_identity(spec, o, params, cfg):
+def _check_grid(o, params, cfg):
+    Grid(o["half_width"], o["n_points"])
+    return []
+
+
+def _run_generator_identity(spec, o, params, sims):
     w = o["bump_width"]
 
     def phi(x):
@@ -360,7 +357,18 @@ def _run_generator_identity(spec, o, params, cfg):
     return stats, verdicts, curves
 
 
-def _run_sampler_validation(spec, o, params, cfg):
+def _check_symbol(o, params, cfg):
+    # t eta(u) must stay finite at every u, as transition_density asks of
+    # the symbol at its frequency cutoff
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = o["t"] * levy_symbol(params, o["u"])
+    far = [u for u, e in zip(o["u"], exponent) if not np.isfinite(e)]
+    if far:
+        raise ValueError(f"t eta(u) overflows at u = {far}")
+    return []
+
+
+def _run_sampler_validation(spec, o, params, sims):
     rng = path_rng(spec.seed)
     samples = sample_stable_increment(params, o["t"], rng,
                                       size=o["n_samples"])
@@ -391,7 +399,7 @@ def _run_sampler_validation(spec, o, params, cfg):
     return stats, verdicts, curves
 
 
-def _run_moment_tests(spec, o, params, cfg):
+def _run_moment_tests(spec, o, params, sims):
     n = o["n_samples"]
     stats, verdicts = {}, []
     for it, t in enumerate(o["times"]):
@@ -411,15 +419,17 @@ def _run_moment_tests(spec, o, params, cfg):
     return stats, verdicts, {}
 
 
-def _check_checkpoints(o, cfg):
+def _check_checkpoints(o, params, cfg):
     # M at t needs at least one grid step before t
     short = [f for f in o["checkpoints"] if f * cfg.T < cfg.dt]
     if short:
         raise ValueError(f"checkpoints {short} fall inside the first grid "
                          f"step (T/n_steps = {cfg.dt:g})")
+    return [cfg]
 
 
-def _run_martingale_zero_mean(spec, o, params, cfg):
+def _run_martingale_zero_mean(spec, o, params, sims):
+    (cfg,) = sims
     checkpoints = sorted(set(f * cfg.T for f in o["checkpoints"]))
     levels = list(dict.fromkeys(o["levels"]))
     rows = {(a, t): [] for a in levels for t in checkpoints}  # one per pair
@@ -442,17 +452,16 @@ def _run_martingale_zero_mean(spec, o, params, cfg):
     return stats, verdicts, {}
 
 
-def _schedule_configs(o, cfg):
-    """One SimConfig per (eps, n_steps) level, on the base block's horizon."""
-    return [SimConfig(T=cfg.T, n_steps=n_steps, eps=eps,
-                      small_jump_mode=cfg.small_jump_mode, seed=cfg.seed,
-                      x0=cfg.x0) for eps, n_steps in o["schedule"]]
+def _schedule_configs(o, params, cfg):
+    """The sim block with each schedule level's (eps, n_steps) put in."""
+    return [replace(cfg, eps=eps, n_steps=n_steps)
+            for eps, n_steps in o["schedule"]]
 
 
-def _run_estimator_agreement(spec, o, params, cfg):
+def _run_estimator_agreement(spec, o, params, sims):
     a = o["level"]
     mses, t_means, o_means = [], [], []
-    for level in _schedule_configs(o, cfg):
+    for level in sims:
         moll = default_mollifier(level.eps)
         diffs, tv, ov = [], [], []
         for i in range(o["n_paths"]):
@@ -491,7 +500,8 @@ def _run_estimator_agreement(spec, o, params, cfg):
     return stats, verdicts, curves
 
 
-def _run_occupation_formula(spec, o, params, cfg):
+def _run_occupation_formula(spec, o, params, sims):
+    (cfg,) = sims
     n_paths = o["n_paths"]
     moll = default_mollifier(cfg.eps)
     ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
@@ -523,26 +533,41 @@ def _run_occupation_formula(spec, o, params, cfg):
     return stats, verdicts, curves
 
 
-def _check_existence(o, cfg):
+def _scan_points(alpha, cutoffs):
+    """The cutoffs the scan evaluates at ``alpha``: as given for alpha > 1,
+    else decade by decade, so the growth rate is per tenfold cutoff."""
+    if alpha > 1.0:
+        return list(cutoffs)
+    points = [cutoffs[0]]
+    while points[-1] < cutoffs[-1] * 0.999 or len(points) < 2:
+        points.append(points[-1] * 10.0)
+    return points
+
+
+def _check_existence(o, params, cfg):
     cutoffs = o["cutoffs"]
     if len(cutoffs) < 2 or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be increasing with >= 2 entries")
-    if not o["c_plus"] + o["c_minus"] > 0.0:
+    total = o["c_plus"] + o["c_minus"]
+    if not total > 0.0:
         raise ValueError("c_plus + c_minus must be positive")
     for alpha in o["alphas"]:
-        stability_constant(alpha)
+        # the symbol scale d u^alpha must stay finite at the last cutoff,
+        # as transition_density asks of its frequency cutoff
+        top = _scan_points(alpha, cutoffs)[-1]
+        with np.errstate(over="ignore"):
+            scale = total / (2.0 * stability_constant(alpha)) \
+                * np.float64(top) ** alpha
+        if not np.isfinite(scale):
+            raise ValueError(f"d cutoff^alpha overflows at cutoff {top:g} "
+                             f"for alpha={alpha:g}")
+    return []
 
 
-def _run_existence_scan(spec, o, params, cfg):
-    cutoffs = o["cutoffs"]
+def _run_existence_scan(spec, o, params, sims):
     stats, verdicts, rows = {}, [], []
     for alpha in o["alphas"]:
-        points = list(cutoffs)
-        if alpha <= 1.0:
-            # walk decade by decade so the growth rate is per tenfold cutoff
-            points = [cutoffs[0]]
-            while points[-1] < cutoffs[-1] * 0.999 or len(points) < 2:
-                points.append(points[-1] * 10.0)
+        points = _scan_points(alpha, o["cutoffs"])
         partials = [existence_integral(alpha, c, o["c_plus"], o["c_minus"])
                     for c in points]
         rows += [[alpha, c, p] for c, p in zip(points, partials)]
@@ -565,7 +590,7 @@ def _run_existence_scan(spec, o, params, cfg):
     return stats, verdicts, curves
 
 
-def _run_density_report(spec, o, params, cfg):
+def _run_density_report(spec, o, params, sims):
     grid = Grid(o["half_width"], o["n_points"])
     stats, verdicts, curves = {}, [], {}
     n = grid.n_points
@@ -606,7 +631,7 @@ _KINDS = {
         "bump_width": Option(2.0, "float", "(0, inf)"),
         "report_radius": Option(10.0, "float", "(0, inf)"),
         "tolerance": Option(1e-2, "float", "[0, inf)"),
-    }, check=lambda o, cfg: Grid(o["half_width"], o["n_points"])),
+    }, check=_check_grid),
     "martingale-zero-mean": _Kind(_run_martingale_zero_mean, {
         "n_paths": Option(400, "int", "[2, inf)"),
         "levels": Option((0.0, 0.5), "floats"),
@@ -618,20 +643,20 @@ _KINDS = {
         "hat_half_width": Option(1.0, "float", "(0, inf)"),
         "hat_tolerance": Option(0.05, "float", "[0, inf)"),
         "unit_tolerance": Option(0.02, "float", "[0, inf)"),
-    }, needs_sim=True),
+    }, needs_sim=True, check=lambda o, params, cfg: [cfg]),
     "estimator-agreement": _Kind(_run_estimator_agreement, {
         "n_paths": Option(300, "int", "[2, inf)"),
         "schedule": Option(((4e-3, 1024), (2e-3, 2048), (1e-3, 4096)),
                            "schedule"),
         "level": Option(0.0),
         "means_tolerance": Option(0.10, "float", "[0, inf)"),
-    }, needs_sim=True, check=_schedule_configs, sims=_schedule_configs),
+    }, needs_sim=True, check=_schedule_configs),
     "sampler-validation": _Kind(_run_sampler_validation, {
         "n_samples": Option(100_000, "int", "[1, inf)"),
         "u": Option((0.5, 1.0, 2.0, 4.0), "floats"),
         "t": Option(1.0, "float", "(0, inf)"),
         "n_sigma": Option(4.0, "float", "(0, inf)"),
-    }),
+    }, check=_check_symbol),
     "moment-tests": _Kind(_run_moment_tests, {
         "n_samples": Option(100_000, "int", "[2, inf)"),
         "gammas": Option((0.3, 0.5, 0.7), "floats", "(0, 1)"),
@@ -654,38 +679,31 @@ _KINDS = {
         "mass_tolerance": Option(1e-6, "float", "[0, inf)"),
         "symmetry_tolerance": Option(1e-8, "float", "[0, inf)"),
         "selfsim_tolerance": Option(1e-6, "float", "[0, inf)"),
-    }, check=lambda o, cfg: Grid(o["half_width"], o["n_points"])),
+    }, check=_check_grid),
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Validate, dispatch, time, and (if out_dir is set) write the report.
+    """Run a spec (or a dict, built into one), time it, and (if out_dir is
+    set) write the report.
 
-    Config errors surface as :class:`ConfigError` before any compute, except
-    a grid too coarse for the inputs, which the numerics detect themselves
-    and which is reported as one too; tolerance violations become FAIL
-    verdicts on the returned report, never exceptions.
+    Config errors surface as :class:`ConfigError` when the spec is built,
+    except a grid too coarse or too fine for the inputs, which the numerics
+    detect themselves and which is reported as one too; tolerance
+    violations become FAIL verdicts on the returned report, never
+    exceptions.
     """
     if not isinstance(spec, ExperimentSpec):
         spec = ExperimentSpec.from_dict(spec)
-    entry = _KINDS[spec.kind]
-    params = spec.derived_params()
-    cfg = spec.sim_config() if entry.needs_sim else None
-    opts = spec.typed_options()
-    try:
-        for level in entry.sims(opts, cfg) if entry.needs_sim else ():
-            expected_jump_count(params, level)
-    except ValueError as exc:
-        raise ConfigError(f"bad sim block: {exc}") from None
     start = time.perf_counter()
     try:
-        stats, verdicts, curves = entry.run(spec, opts, params, cfg)
+        stats, verdicts, curves = _KINDS[spec.kind].run(spec, *spec._inputs)
     except (ResolutionError, ToleranceError) as exc:
         raise ConfigError(f"cannot resolve this spec: {exc}") from None
     wall = time.perf_counter() - start
     report = ExperimentReport(
         kind=spec.kind,
-        inputs=spec.to_dict(),
+        inputs=asdict(spec),
         statistics=stats,
         verdicts=list(verdicts),
         curves=curves,

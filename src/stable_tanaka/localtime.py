@@ -30,7 +30,7 @@ import numpy as np
 from .kernel import MollifierSpec, compensator_density, kernel_F
 from .params import StableParams
 from .pathsim import PathSample
-from .spectral import negative_moment_bound
+from .spectral import ResolutionError, negative_moment_bound
 
 __all__ = [
     "martingale_part",
@@ -199,8 +199,14 @@ def tanaka_curve(params: StableParams, path: PathSample,
 # ------------------------------------------------------ occupation formula
 
 def default_a_grid(path: PathSample) -> np.ndarray:
-    """201 uniform levels covering the path's range with unit margin."""
-    return np.linspace(path.values.min() - 1.0, path.values.max() + 1.0, 201)
+    """201 uniform levels covering the path's range with unit margin;
+    :class:`ResolutionError` if doubles cannot tell them apart there."""
+    grid = np.linspace(path.values.min() - 1.0, path.values.max() + 1.0, 201)
+    if not np.all(np.diff(grid) > 0.0):
+        raise ResolutionError(
+            f"201 levels over [{grid[0]:.17g}, {grid[-1]:.17g}] are not "
+            f"distinct in double precision")
+    return grid
 
 
 def occupation_formula_check(path: PathSample, g, a_grid,

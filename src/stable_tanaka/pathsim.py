@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _SMALL_JUMP_MODES = ("drop", "gaussian")
+# the longest float64 array numpy can allocate, for a grid or a jump record
+_ARRAY_MAX = float(np.iinfo(np.intp).max // 8)
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,10 @@ class SimConfig:
             raise ValueError("horizon T must be positive")
         if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
             raise ValueError("n_steps must be a positive integer")
+        if not self.n_steps < _ARRAY_MAX:
+            raise ValueError(
+                f"n_steps={self.n_steps} gives a grid longer than the "
+                f"{_ARRAY_MAX:g} points numpy can allocate")
         if not self.T / self.n_steps < 1.0:
             raise ValueError("time step T/n_steps must be below 1")
         if not 0.0 < self.eps < 1.0:
@@ -188,10 +194,9 @@ def simulate_path_marginal(params: StableParams, config: SimConfig,
 
 
 # the largest mean whose draw, less ten standard deviations, still fits the
-# longest float64 array numpy can allocate; numpy's Poisson sampler accepts
-# means up to the int64 maximum, far above it
-_JUMP_ARRAY_MAX = float(np.iinfo(np.intp).max // 8)
-_JUMP_MEAN_MAX = _JUMP_ARRAY_MAX - 10.0 * math.sqrt(_JUMP_ARRAY_MAX)
+# longest float64 array; numpy's Poisson sampler accepts means up to the
+# int64 maximum, far above it
+_JUMP_MEAN_MAX = _ARRAY_MAX - 10.0 * math.sqrt(_ARRAY_MAX)
 
 
 def expected_jump_count(params: StableParams, config: SimConfig) -> float:

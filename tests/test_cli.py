@@ -143,6 +143,23 @@ MALFORMED = {
     "eps-count-past-array": {"kind": "martingale-zero-mean", "params": SYM,
                              "sim": dict(SMALL_SIM, eps=1e-12),
                              "options": {"n_paths": 2}},
+    # a grid of 2^62 + 1 points, past the longest array numpy can allocate
+    "n-steps-past-array": {"kind": "martingale-zero-mean", "params": SYM,
+                           "sim": dict(SMALL_SIM, n_steps=2 ** 62),
+                           "options": {"n_paths": 2}},
+    # t eta(u), or d cutoff^alpha, overflows a float; for alpha <= 1 the
+    # scan walks by decades past the last cutoff, to inf here
+    "u-symbol-overflow": {"kind": "sampler-validation", "params": SYM,
+                          "options": {"n_samples": 50, "u": [1e300]}},
+    "cutoff-symbol-overflow": {"kind": "existence-scan",
+                               "options": {"cutoffs": [1e2, 1.7e308]}},
+    "cutoff-walk-overflow": {"kind": "existence-scan",
+                             "options": {"alphas": [0.9],
+                                         "cutoffs": [1e2, 1.5e308]}},
+    # doubles hold no 201 distinct default levels around 1e15
+    "x0-levels-unresolvable": {"kind": "occupation-formula", "params": SYM,
+                               "sim": dict(SMALL_SIM, x0=1e15),
+                               "options": {"n_paths": 2}},
 }
 
 
@@ -321,6 +338,16 @@ BAD_COMMANDS = {
     # the count can be drawn, but not held in one array
     "localtime-eps-array": ["localtime", "--alpha", "1.5", "--eps", "1e-12"],
     "simulate-eps-array": ["simulate", "--alpha", "1.5", "--eps", "1e-12"],
+    # a grid past the longest array numpy can allocate, with or without
+    # jumps
+    "localtime-n-steps-array": ["localtime", "--alpha", "1.5",
+                                "--n-steps", str(2 ** 62)],
+    "simulate-marginal-n-steps-array": ["simulate", "--alpha", "1.5",
+                                        "--scheme", "marginal",
+                                        "--n-steps", str(2 ** 62)],
+    # doubles hold no 201 distinct default levels around 1e15
+    "localtime-x0-levels-unresolvable": ["localtime", "--alpha", "1.5",
+                                         "--x0", "1e15"],
 }
 
 
@@ -332,7 +359,8 @@ def test_bad_command_line_exit_two(tmp_path, capsys, name):
     argv = BAD_COMMANDS[name]
     if argv[0] == "run":
         argv = argv + [write_spec(tmp_path, SPEC)]
-    steps = [] if argv[0] in ("run", "density") else ["--n-steps", "64"]
+    steps = [] if argv[0] in ("run", "density") or "--n-steps" in argv \
+        else ["--n-steps", "64"]
     code = main(argv + steps + ["--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: ")

@@ -69,14 +69,21 @@ def test_bad_seed_rejected():
 
 
 def test_bad_params_block_rejected():
-    spec = ExperimentSpec(kind="sampler-validation",
-                          params={"alpha": 2.5, "c_plus": 1.0})
     with pytest.raises(ConfigError, match="params"):
-        run_experiment(spec)
-    spec2 = ExperimentSpec(kind="sampler-validation",
-                           params={"alpha": 1.5, "c_center": 1.0})
+        ExperimentSpec(kind="sampler-validation",
+                       params={"alpha": 2.5, "c_plus": 1.0})
     with pytest.raises(ConfigError, match="c_center"):
-        run_experiment(spec2)
+        ExperimentSpec(kind="sampler-validation",
+                       params={"alpha": 1.5, "c_center": 1.0})
+
+
+def test_schedule_jump_count_checked_at_construction():
+    # an undrawable schedule level is refused before run_experiment
+    with pytest.raises(ConfigError, match="jump"):
+        ExperimentSpec(kind="estimator-agreement", params=SYM_PARAMS,
+                       sim={"T": 1.0, "n_steps": 16, "eps": 0.1},
+                       options={"n_paths": 2,
+                                "schedule": [[1e-100, 16], [0.05, 32]]})
 
 
 def test_all_kinds_registered():
