@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -161,11 +161,14 @@ def _cmd_run(args) -> int:
         _apply_override(raw, assignment)
     if args.seed is not None:
         raw["seed"] = args.seed
-    spec = ExperimentSpec.from_dict(raw)
-    out = _out_path(args.out or spec.out_dir or _default_out(None))
+    out_dir = raw.pop("out_dir", None)
+    if not isinstance(out_dir, (str, type(None))):
+        raise ConfigError("out_dir must be a string or null")
+    # built once, without out_dir, which the report's inputs keep null:
     # _finish writes the one bundle, to out
-    report = run_experiment(replace(spec, out_dir=None))
-    return _finish(report, out)
+    spec = ExperimentSpec.from_dict(raw)
+    out = _out_path(args.out or out_dir or _default_out(None))
+    return _finish(run_experiment(spec), out)
 
 
 def _cmd_density(args) -> int:

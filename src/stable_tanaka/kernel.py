@@ -108,9 +108,11 @@ def kernel_F(params: StableParams, x):
     """F(x) = D (1 - beta sgn(x)) |x|^(alpha-1); nonnegative, F(0) = 0."""
     x = np.asarray(x, dtype=float)
     # D (1 -+ beta) are the same doubles as D (1 - beta sgn(x)), so this
-    # two-valued weight keeps F's bits without a signum array
-    weight = np.where(x > 0.0, params.big_d * (1.0 - params.beta),
-                      params.big_d * (1.0 + params.beta))
+    # two-valued weight keeps F's bits without a signum array; when the two
+    # are one double, that scalar is the weight
+    right = params.big_d * (1.0 - params.beta)
+    left = params.big_d * (1.0 + params.beta)
+    weight = right if right == left else np.where(x > 0.0, right, left)
     if x.ndim == 0:
         return float(np.abs(x) ** (params.alpha - 1.0) * weight)
     out = np.abs(x)

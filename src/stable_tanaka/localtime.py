@@ -11,10 +11,15 @@ per level, at the path's horizon T. Two curves estimate it:
   jump-decomposition paths qualify. ``martingale_part`` also stops at
   earlier horizons, all read off one walk over the path.
 
-The occupation and compensator Riemann sums and the jump sum of
-``martingale_part`` all run through one loop over small tiles of levels by
-points, summed in a fixed chunk order, so a level's value does not depend
-on the levels asked for with it: a one-level grid gives the same float.
+Every sum walks the points in chunks of a fixed size and adds each
+chunk's row sum in chunk order, so a level's value does not depend on the
+levels asked for with it: a one-level grid gives the same float. The
+compensator Riemann sum and the jump sum of ``martingale_part`` run
+through one loop over small tiles of levels by points. Over many levels
+the occupation sum evaluates the mollifier only near its support: each
+chunk is sorted once and searched per level, and the few terms found fill
+an otherwise zero row. The compensator's interpolation table is built
+once per (params, eps).
 
 ``occupation_formula_check`` closes the loop: integrating the occupation
 curve against a test function must reproduce the direct time-integral of
@@ -24,6 +29,7 @@ that function along the path.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +54,9 @@ __all__ = [
 # each served by a fresh mmap and faulted in page by page.
 _TILE_LEVELS = 2
 _TILE_POINTS = 8192
+# the occupation walk sorts each chunk of points for this many levels or
+# more; for fewer, whole rows cost less than the sort
+_SORT_LEVELS = 16
 
 
 def default_mollifier(eps: float) -> MollifierSpec:
@@ -99,13 +108,51 @@ def _tiled_levels(levels, ends, tile, *columns):
 
 # ------------------------------------------------------------- occupation
 
+def _reached(x, levels, reach):
+    """Per level, the positions of the points of x within reach of it (and,
+    where rounding blurs the edge, perhaps a few just beyond), or None
+    where the whole row costs less: for fewer than _SORT_LEVELS levels,
+    which cannot pay for the sort, and for a level that reaches over an
+    eighth of the points, which costs more to gather than to sweep."""
+    if len(levels) < _SORT_LEVELS:
+        return [None] * len(levels)
+    by_value = np.argsort(x)
+    x_sorted = x[by_value]
+    starts = np.searchsorted(x_sorted, levels - reach, side="left")
+    stops = np.searchsorted(x_sorted, levels + reach, side="right")
+    return [by_value[i:j] if j - i <= len(x) // 8 else None
+            for i, j in zip(starts, stops)]
+
+
 def occupation_curve(path: PathSample, a_grid,
                      moll: MollifierSpec) -> np.ndarray:
-    """Occupation estimates (Riemann sums of rho_n(X_s - a) ds) over levels."""
-    return _tiled_levels(np.asarray(a_grid, dtype=float),
-                         [len(path.times) - 1],
-                         lambda b, x, dt: moll(x - b) * dt,
-                         path.values[:-1], np.diff(path.times))[0]
+    """Occupation estimates (Riemann sums of rho_n(X_s - a) ds) over levels.
+
+    A level's sum walks the points in chunks of _TILE_POINTS and adds each
+    chunk's row of terms moll(x - a) * dt, so it does not depend on the
+    levels asked for with it. The mollifier is evaluated only within 2/n
+    of the level, the reach inside which ``MollifierSpec`` evaluates: the
+    terms found there fill an otherwise zero row, which sums to the same
+    float as the whole row. A chunk the level reaches no point of adds
+    nothing, where the whole row would add 0.0.
+    """
+    levels = np.asarray(a_grid, dtype=float)
+    reach = 2.0 * moll.width
+    x_all, dt_all = path.values[:-1], np.diff(path.times)
+    out = np.zeros(len(levels))
+    row = np.zeros(min(_TILE_POINTS, len(x_all)))
+    for lo in range(0, len(x_all), _TILE_POINTS):
+        x = x_all[lo:lo + _TILE_POINTS]
+        dt = dt_all[lo:lo + _TILE_POINTS]
+        chunk_row = row[:len(x)]
+        for j, at in enumerate(_reached(x, levels, reach)):
+            if at is None:
+                out[j] += (moll(x - levels[j]) * dt).sum()
+            elif len(at):
+                chunk_row[at] = moll(x[at] - levels[j]) * dt[at]
+                out[j] += chunk_row.sum()
+                chunk_row[at] = 0.0
+    return out
 
 
 # -------------------------------------------------------------- martingale
@@ -117,25 +164,39 @@ def _require_jump_record(path: PathSample):
             "the jump-decomposition scheme")
 
 
-def _compensator_interp(params: StableParams, eps: float):
-    """G_eps as a function of x, interpolated between closed-form nodes.
+@lru_cache(maxsize=8)
+def _compensator_nodes(params: StableParams, eps: float):
+    """Read-only nodes and closed-form values of G_eps, NaN at the node 0.
 
-    Nodes run 40 per decade over 1e-2 eps <= |x| <= 1e3, mirrored, plus 0;
-    beyond the outermost node the value clamps. The nodes are filled once
-    here; interpolating at every path point is ~5x faster than evaluating
-    the closed form there. Inside the innermost cell G_eps has its
-    |x|^(alpha-1) cusp, which a chord misses by up to 1.7% of G(0), so the
-    few points there take the closed form directly.
+    Nodes run 40 per decade over 1e-2 eps <= |x| <= 1e3, mirrored, plus 0.
     """
     x_min = 1e-2 * eps
     n_nodes = int(round(math.log10(1e3 / x_min) * 40)) + 1
     mags = np.geomspace(x_min, 1e3, n_nodes)
     nodes = np.concatenate([-mags[::-1], [0.0], mags])
     node_values = compensator_density(params, nodes, eps)
+    node_values[n_nodes] = np.nan
+    nodes.flags.writeable = False
+    node_values.flags.writeable = False
+    return nodes, node_values
+
+
+def _compensator_interp(params: StableParams, eps: float):
+    """G_eps as a function of x, interpolated between closed-form nodes.
+
+    The nodes are built once per (params, eps) by ``_compensator_nodes``;
+    beyond the outermost node the value clamps. Interpolating at every
+    path point is ~5x faster than evaluating the closed form there. Inside
+    the innermost cell, |x| < 1e-2 eps, G_eps has its |x|^(alpha-1) cusp,
+    which a chord misses by up to 1.7% of G(0); the NaN at the node 0
+    makes the chord NaN exactly there, and those few points take the
+    closed form directly.
+    """
+    nodes, node_values = _compensator_nodes(params, eps)
 
     def g(x):
         out = np.interp(x, nodes, node_values)
-        cusp = np.abs(x) < x_min
+        cusp = np.isnan(out)
         if cusp.any():
             out[cusp] = compensator_density(params, x[cusp], eps)
         return out

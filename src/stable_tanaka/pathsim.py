@@ -110,7 +110,7 @@ class PathSample:
         values = np.asarray(self.values, dtype=float)
         if times.ndim != 1 or times.shape != values.shape:
             raise ValueError("times and values must be matching 1-D arrays")
-        if not np.all(np.diff(times) > 0.0):
+        if not np.all(times[1:] > times[:-1]):
             raise ValueError("times must be strictly increasing")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise ValueError("path contains non-finite entries")

@@ -356,9 +356,20 @@ def existence_integral(alpha: float, u_max: float,
     d = total / (2.0 * stability_constant(alpha))
     beta = (c_plus - c_minus) / total
     tan_term = math.tan(math.pi * alpha / 2.0)
+    # below s_max neither square nor their sum can overflow; past it the
+    # plain ratio is kept wherever its denominator is finite
+    s_max = 9e153 / max(1.0, abs(beta * tan_term))
 
     def integrand(u):
         s = d * np.abs(u) ** alpha
+        if s >= s_max:
+            with np.errstate(over="ignore"):
+                den = (1.0 + s) ** 2 + (s * beta * tan_term) ** 2
+            if den == math.inf:
+                # the same ratio divided through by (1 + s)^2, which keeps
+                # every term finite
+                skew = beta * tan_term / (1.0 + 1.0 / s)
+                return 1.0 / (1.0 + s) / (1.0 + skew ** 2)
         return (1.0 + s) / ((1.0 + s) ** 2 + (s * beta * tan_term) ** 2)
 
     edges = [0.0, min(1.0, u_max)]

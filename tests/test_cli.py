@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stable_tanaka.experiments as st_experiments
 from stable_tanaka.cli import main
 from stable_tanaka.experiments import _KINDS
 
@@ -263,6 +264,30 @@ def test_run_overrides_and_seed(tmp_path):
     payload = json.loads((out / "report.json").read_text())
     assert payload["inputs"]["options"]["n_samples"] == 800
     assert payload["inputs"]["seed"] == 5
+
+
+def test_run_builds_the_spec_once(tmp_path, monkeypatch):
+    # one run parses each block once, as run_experiment on a dict does, and
+    # the report's inputs keep out_dir null although the spec names one
+    parses = []
+
+    def counting(where, *args, **kwargs):
+        parses.append(where.split()[0])
+        return typed(where, *args, **kwargs)
+
+    typed = st_experiments._typed
+    monkeypatch.setattr(st_experiments, "_typed", counting)
+    out = tmp_path / "rep"
+    spec = write_spec(tmp_path, {
+        "kind": "estimator-agreement",
+        "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
+        "sim": {"T": 1.0, "n_steps": 16, "eps": 0.1},
+        "options": {"n_paths": 2, "schedule": [[0.2, 8], [0.1, 16]]},
+        "out_dir": str(out)})
+    assert main(["run", spec]) in (0, 1)
+    assert sorted(parses) == ["options", "params", "sim"]
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["inputs"]["out_dir"] is None
 
 
 def test_bad_override_exit_two(tmp_path, capsys):

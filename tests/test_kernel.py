@@ -146,6 +146,21 @@ def test_kernel_bits_match_formula(alpha, c_plus, c_minus):
             == np.float64(want).view(np.int64), x
 
 
+def test_kernel_symmetric_weight_keeps_where_bits():
+    # when D (1 - beta) and D (1 + beta) are one double, F multiplies by it
+    # alone; the bits are those of the two-valued np.where weight
+    for params in (SYM, derive_params(1.7, 2.0, 2.0)):
+        right = params.big_d * (1.0 - params.beta)
+        left = params.big_d * (1.0 + params.beta)
+        assert right == left
+        mags = np.geomspace(1e-9, 1e3, 10_001)
+        xs = np.concatenate([mags, -mags, [0.0, -0.0]])
+        want = np.abs(xs) ** (params.alpha - 1.0) \
+            * np.where(xs > 0.0, right, left)
+        assert np.array_equal(kernel_F(params, xs).view(np.int64),
+                              want.view(np.int64))
+
+
 def test_kernel_symmetric_even_and_nonnegative():
     xs = np.linspace(-6, 6, 201)
     assert np.allclose(kernel_F(SYM, xs), kernel_F(SYM, -xs))

@@ -22,6 +22,7 @@ from stable_tanaka.localtime import (
     _TILE_LEVELS,
     _TILE_POINTS,
     _compensator_interp,
+    _compensator_nodes,
     default_a_grid,
     default_mollifier,
     hat_function,
@@ -237,6 +238,93 @@ def test_tiled_sums_match_exact_summation(params):
                                 -(g(lefts - a) * dts)])
         assert abs(mart[j] - math.fsum(terms)) \
             <= 1e-12 * np.abs(terms).sum(), a
+
+
+def _dense_occupation(path, levels, moll):
+    # every level adds, chunk by chunk, the row sum of moll(x - a) * dt
+    # over every point of the chunk
+    x, dt = path.values[:-1], np.diff(path.times)
+    out = []
+    for a in levels:
+        total = 0.0
+        for lo in range(0, len(x), _TILE_POINTS):
+            total += (moll(x[lo:lo + _TILE_POINTS] - a)
+                      * dt[lo:lo + _TILE_POINTS]).sum()
+        out.append(total)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [None, 1], ids=["default", "n=1"])
+def test_occupation_support_walk_matches_dense_rows(n):
+    # only the points within 2/n of a level are evaluated, but each chunk's
+    # row is the dense row, so every level keeps its bits: over unsorted
+    # and repeated levels, a path of more than one chunk, and levels past
+    # the path's range, which must give exactly 0.0
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=3)
+    path = simulate_path_jumpdecomp(derive_params(1.3, 3.0, 1.0), cfg)
+    assert len(path.times) > 2 * _TILE_POINTS
+    moll = default_mollifier(cfg.eps) if n is None else MollifierSpec(n)
+    rng = np.random.default_rng(5)
+    grid = default_a_grid(path)
+    hi, lo = path.values.max(), path.values.min()
+    beyond = [hi + 2.0 * moll.width, lo - 2.0 * moll.width, hi + 1e6]
+    levels = np.concatenate([rng.permutation(grid), grid[::17],
+                             path.values[rng.integers(0, len(path.values), 9)],
+                             beyond])
+    got = occupation_curve(path, levels, moll)
+    want = _dense_occupation(path, levels, moll)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(got[-3:].view(np.int64), np.zeros(3, np.int64))
+    # a path of one short chunk, visited at one level only
+    path = constant_path(0.7)
+    levels = np.array([0.7, 3.0, 0.7 + moll.width / 2, 0.7])
+    got = occupation_curve(path, levels, moll)
+    assert np.array_equal(got.view(np.int64),
+                          _dense_occupation(path, levels, moll).view(np.int64))
+    assert got[1] == 0.0 and got[0] == got[3] > 0.0
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.5])
+@pytest.mark.parametrize("params", [SYM, derive_params(1.3, 3.0, 1.0)],
+                         ids=["symmetric", "skewed"])
+def test_compensator_interp_pins_chord_and_cusp(params, eps):
+    # the chord through nodes 40 per decade over 1e-2 eps <= |x| <= 1e3,
+    # with the closed form at |x| < 1e-2 eps: the NaN node at 0 must send
+    # exactly those points to the closed form, and leave every chord
+    x_min = 1e-2 * eps
+    mags = np.geomspace(x_min, 1e3,
+                        int(round(math.log10(1e3 / x_min) * 40)) + 1)
+    nodes = np.concatenate([-mags[::-1], [0.0], mags])
+    node_values = compensator_density(params, nodes, eps)
+
+    def chord_then_cusp(x):
+        out = np.interp(x, nodes, node_values)
+        cusp = np.abs(x) < x_min
+        out[cusp] = compensator_density(params, x[cusp], eps)
+        return out
+
+    edges = [0.0, -0.0, x_min, -x_min, np.nextafter(x_min, 0.0),
+             np.nextafter(-x_min, 0.0), 2e3, -2e3]
+    spread = np.geomspace(1e-3 * x_min, 1e4, 2001)
+    x = np.concatenate([edges, spread, -spread])
+    got = _compensator_interp(params, eps)(x)
+    assert np.array_equal(got.view(np.int64),
+                          chord_then_cusp(x).view(np.int64))
+
+
+def test_compensator_nodes_cached_and_read_only():
+    # one table per (params, eps): equal params are one key
+    nodes, values = _compensator_nodes(SYM, 1e-3)
+    again = _compensator_nodes(derive_params(1.5, 1.0, 1.0), 1e-3)
+    assert again[0] is nodes and again[1] is values
+    assert _compensator_nodes(SYM, 1e-2)[0] is not nodes
+    assert _compensator_nodes(derive_params(1.5, 3.0, 1.0), 1e-3)[1] \
+        is not values
+    assert len(nodes) == 643 and nodes[321] == 0.0
+    assert np.flatnonzero(np.isnan(values)).tolist() == [321]
+    for table in (nodes, values):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
 
 
 @pytest.mark.skipif(sys.platform != "linux",

@@ -66,9 +66,12 @@ def test_config_defaults():
 
 
 def test_path_sample_validation():
-    with pytest.raises(ValueError):
-        PathSample(times=np.array([0.0, 0.5, 0.5]), values=np.zeros(3),
-                   jump_rows=[], jump_sizes=[], scheme="marginal")
+    # times that repeat, fall or are NaN are not strictly increasing
+    for times in ([0.0, 0.5, 0.5], [0.0, 0.5, 0.25], [0.0, math.nan, 1.0],
+                  [0.0, 0.5, math.nan]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PathSample(times=np.array(times), values=np.zeros(3),
+                       jump_rows=[], jump_sizes=[], scheme="marginal")
     with pytest.raises(ValueError):
         PathSample(times=np.array([0.0, 0.5]), values=np.zeros(3),
                    jump_rows=[], jump_sizes=[], scheme="marginal")

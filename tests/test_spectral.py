@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+from stable_tanaka.experiments import run_experiment
 from stable_tanaka.params import derive_params, nu_tail_mass, nu_tail_mean
 from stable_tanaka.spectral import (
     Grid,
@@ -366,6 +367,27 @@ def test_existence_divergence_below_one():
     vals = [existence_integral(0.9, 10.0**k) for k in range(2, 7)]
     for lo, hi in zip(vals[:-1], vals[1:]):
         assert hi > 1.10 * lo
+
+
+@pytest.mark.filterwarnings("error:::stable_tanaka")
+def test_existence_scan_past_the_square_overflow():
+    # past d u^alpha ~ 1e154, (1 + s)^2 overflows although s does not; the
+    # integrand then takes a form divided through by (1 + s)^2, so the
+    # scan runs without a warning and the partials stay finite. The tail
+    # past 1e100 is ~1e-50 at alpha 1.5, so the far partial is the near one
+    rep = run_experiment({"kind": "existence-scan",
+                          "options": {"alphas": [1.5],
+                                      "cutoffs": [1e2, 1e200]}})
+    assert all(math.isfinite(v.measured) for v in rep.verdicts)
+    for c_plus in (1.0, 3.0):
+        far = existence_integral(1.5, 1e200, c_plus, 1.0)
+        assert far == pytest.approx(
+            existence_integral(1.5, 1e100, c_plus, 1.0), rel=1e-12)
+    # near alpha = 1 the skew term overflows first and the tail is heavy:
+    # every decade up to 1e150 still adds a finite, positive amount
+    partials = [existence_integral(1.0001, 10.0 ** k, 3.0, 1.0)
+                for k in (100, 125, 150)]
+    assert 0.0 < partials[0] < partials[1] < partials[2] < math.inf
 
 
 def test_existence_rejects_bad_cutoff():
