@@ -56,7 +56,7 @@ from .localtime import (
     occupation_formula_check,
     tanaka_curve,
 )
-from .params import derive_params, stability_constant
+from .params import derive_params
 from .pathsim import (
     SimConfig,
     empirical_char_function,
@@ -548,19 +548,11 @@ def _check_existence(o, params, cfg):
     cutoffs = o["cutoffs"]
     if len(cutoffs) < 2 or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be increasing with >= 2 entries")
-    total = o["c_plus"] + o["c_minus"]
-    if not total > 0.0:
-        raise ValueError("c_plus + c_minus must be positive")
+    # the partial at the last point the scan reaches raises where the scan
+    # would: bad intensities, an overflowing 2F1 argument, a non-finite value
     for alpha in o["alphas"]:
-        # the symbol scale d u^alpha must stay finite at the last cutoff,
-        # as transition_density asks of its frequency cutoff
-        top = _scan_points(alpha, cutoffs)[-1]
-        with np.errstate(over="ignore"):
-            scale = total / (2.0 * stability_constant(alpha)) \
-                * np.float64(top) ** alpha
-        if not np.isfinite(scale):
-            raise ValueError(f"d cutoff^alpha overflows at cutoff {top:g} "
-                             f"for alpha={alpha:g}")
+        existence_integral(alpha, _scan_points(alpha, cutoffs)[-1],
+                           o["c_plus"], o["c_minus"])
     return []
 
 

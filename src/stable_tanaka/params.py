@@ -6,34 +6,18 @@ jump-intensity coefficients ``c_plus`` and ``c_minus`` of the Levy density
     nu(dh) = c_plus * h**(-alpha-1) dh   on (0, inf)
              c_minus * |h|**(-alpha-1) dh  on (-inf, 0).
 
-Everything else (skewness, scale, kernel amplitude) is derived from
-that triplet and cached on an immutable :class:`StableParams`.
+Everything else is derived from that triplet, once, when a
+:class:`StableParams` is built: the skewness ``beta`` and symbol scale
+``d`` by :func:`symbol_coefficients` (shared with the existence integral,
+which also takes indices below 1), and the kernel amplitude ``big_d``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-
-_BETA_CONSISTENCY_RTOL = 1e-12
-
-
-def _gamma_reflect(z: float) -> float:
-    """Gamma function for real non-integer arguments, negative ones included.
-
-    Positive arguments go through ``math.gamma``; negative non-integer
-    arguments use the reflection formula Gamma(z) = pi / (sin(pi z) *
-    Gamma(1 - z)) with the right-hand Gamma evaluated through ``lgamma`` so
-    no intermediate overflows.
-    """
-    if z > 0:
-        return math.gamma(z)
-    if z == math.floor(z):
-        raise ValueError(f"gamma undefined at non-positive integer {z!r}")
-    s = math.sin(math.pi * z)
-    return math.pi / (s * math.exp(math.lgamma(1.0 - z)))
 
 
 def stability_constant(alpha: float) -> float:
@@ -47,47 +31,26 @@ def stability_constant(alpha: float) -> float:
     return math.gamma(alpha + 1.0) * math.sin(math.pi * alpha / 2.0) / math.pi
 
 
+def symbol_coefficients(alpha: float, c_plus: float,
+                        c_minus: float) -> tuple[float, float]:
+    """The skewness and scale (beta, d) of the Levy symbol
+    eta(u) = -d |u|^alpha (1 - i beta sgn(u) tan(pi alpha / 2)):
+
+    * ``beta`` = (c_plus - c_minus) / (c_plus + c_minus),
+    * ``d``    = (c_plus + c_minus) / (2 c(alpha)).
+
+    ``alpha`` may lie in (0, 1) or (1, 2); the intensities must be
+    nonnegative with a positive sum.
+    """
+    total = c_plus + c_minus
+    if c_plus < 0.0 or c_minus < 0.0 or not total > 0.0:
+        raise ValueError("need c_plus >= 0, c_minus >= 0 and a positive sum")
+    return (c_plus - c_minus) / total, total / (2.0 * stability_constant(alpha))
+
+
 @dataclass(frozen=True)
 class StableParams:
-    """Immutable bundle of base and derived coefficients.
-
-    Use :func:`derive_params` to construct one; the constructor itself only
-    re-checks the documented invariants.
-    """
-
-    alpha: float
-    c_plus: float
-    c_minus: float
-    beta: float
-    d: float
-    big_d: float
-
-    def __post_init__(self):
-        if not 1.0 < self.alpha < 2.0:
-            raise ValueError(f"alpha must lie strictly inside (1, 2), got {self.alpha!r}")
-        if self.c_plus < 0.0 or self.c_minus < 0.0:
-            raise ValueError("jump coefficients must be nonnegative")
-        total = self.c_plus + self.c_minus
-        if not total > 0.0:
-            raise ValueError("c_plus + c_minus must be positive")
-        if not -1.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta out of [-1, 1]: {self.beta!r}")
-        if not math.isclose(self.beta * total, self.c_plus - self.c_minus,
-                            rel_tol=_BETA_CONSISTENCY_RTOL, abs_tol=1e-305):
-            raise ValueError("beta inconsistent with (c_plus - c_minus)/(c_plus + c_minus)")
-        if not self.d > 0.0:
-            raise ValueError("scale d must be positive")
-        if not self.big_d > 0.0:
-            raise ValueError("kernel constant big_d must be positive")
-
-    @property
-    def tan_half_pi_alpha(self) -> float:
-        """tan(pi * alpha / 2); negative throughout (1, 2)."""
-        return math.tan(math.pi * self.alpha / 2.0)
-
-
-def derive_params(alpha: float, c_plus: float, c_minus: float) -> StableParams:
-    """Derive the full coefficient set from (alpha, c_plus, c_minus).
+    """The triplet ``(alpha, c_plus, c_minus)`` and its derived coefficients.
 
     Parameters
     ----------
@@ -97,31 +60,57 @@ def derive_params(alpha: float, c_plus: float, c_minus: float) -> StableParams:
         Intensities of the positive and negative jump tails. Both must be
         nonnegative with a positive sum.
 
-    Returns
-    -------
-    StableParams
-        With the derived fields
+    Construction derives, and a triplet whose derived fields are not
+    finite (or ``d``, ``big_d`` not positive) is refused with ValueError:
 
-        * ``beta``    -- skewness (c_plus - c_minus) / (c_plus + c_minus),
-        * ``d``       -- symbol scale (c_plus + c_minus) / (2 c(alpha)),
-        * ``big_d``   -- the kernel amplitude c(-alpha) / (d (1 + beta^2
-          tan^2(pi alpha / 2))), positive throughout the index range.
+    * ``beta``  -- skewness (c_plus - c_minus) / (c_plus + c_minus),
+    * ``d``     -- symbol scale (c_plus + c_minus) / (2 c(alpha)),
+    * ``big_d`` -- the kernel amplitude c(-alpha) / (d (1 + beta^2
+      tan^2(pi alpha / 2))), positive throughout the index range, where
+      c(-alpha) = Gamma(1 - alpha) sin(-pi alpha / 2) / pi satisfies
+      -2 Gamma(alpha) c(-alpha) cos(pi alpha / 2) = 1.
+
+    ``dataclasses.replace`` on a base field derives the rest anew.
     """
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie strictly inside (1, 2), got {alpha!r}")
-    if c_plus < 0.0 or c_minus < 0.0 or not (c_plus + c_minus) > 0.0:
-        raise ValueError("need c_plus >= 0, c_minus >= 0 and a positive sum")
 
-    total = c_plus + c_minus
-    beta = (c_plus - c_minus) / total
-    d = total / (2.0 * stability_constant(alpha))
-    # c(-alpha) via the reflected gamma; both factors flip sign on (1, 2),
-    # so the product stays positive.
-    c_neg = _gamma_reflect(1.0 - alpha) * math.sin(-math.pi * alpha / 2.0) / math.pi
-    tan_term = math.tan(math.pi * alpha / 2.0)
-    big_d = c_neg / (d * (1.0 + beta * beta * tan_term * tan_term))
-    return StableParams(alpha=alpha, c_plus=c_plus, c_minus=c_minus, beta=beta,
-                        d=d, big_d=big_d)
+    alpha: float
+    c_plus: float
+    c_minus: float
+    beta: float = field(init=False)
+    d: float = field(init=False)
+    big_d: float = field(init=False)
+
+    def __post_init__(self):
+        alpha = self.alpha
+        if not 1.0 < alpha < 2.0:
+            raise ValueError(f"alpha must lie strictly inside (1, 2), got {alpha!r}")
+        beta, d = symbol_coefficients(alpha, self.c_plus, self.c_minus)
+        # c(-alpha) with Gamma(1 - alpha) by reflection, 1 - alpha being a
+        # negative non-integer: Gamma(z) = pi / (sin(pi z) Gamma(1 - z)).
+        # Both factors flip sign on (1, 2), so the product stays positive.
+        z = 1.0 - alpha
+        c_neg = math.pi / (math.sin(math.pi * z) * math.exp(math.lgamma(1.0 - z))) \
+            * math.sin(-math.pi * alpha / 2.0) / math.pi
+        tan_term = math.tan(math.pi * alpha / 2.0)
+        big_d = c_neg / (d * (1.0 + beta * beta * tan_term * tan_term))
+        if not (math.isfinite(beta) and 0.0 < d < math.inf
+                and 0.0 < big_d < math.inf):
+            raise ValueError(
+                f"intensities ({self.c_plus!r}, {self.c_minus!r}) give beta="
+                f"{beta!r}, d={d!r}, big_d={big_d!r}; all must be finite "
+                f"with d and big_d positive")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "big_d", big_d)
+
+    @property
+    def tan_half_pi_alpha(self) -> float:
+        """tan(pi * alpha / 2); negative throughout (1, 2)."""
+        return math.tan(math.pi * self.alpha / 2.0)
+
+
+# the name the rest of the package, the demos and the README build with
+derive_params = StableParams
 
 
 def nu_density(params: StableParams, h):
@@ -163,6 +152,7 @@ __all__ = [
     "StableParams",
     "derive_params",
     "stability_constant",
+    "symbol_coefficients",
     "nu_density",
     "nu_tail_mass",
     "nu_tail_mean",

@@ -5,7 +5,8 @@ tan(pi alpha/2)), the characteristic function exp(t eta), transition
 densities by FFT inversion, the generator both as a Fourier multiplier and
 as a direct compensated-jump quadrature (each serving as the other's
 oracle), the negative-moment constant S(alpha, gamma), and the partial
-existence integral of Re(1/(1 - eta)).
+existence integral of Re(1/(1 - eta)), in closed form through the Gauss
+hypergeometric function.
 
 Grids are uniform, symmetric about 0, with a power-of-two point count so
 the transform pairing x_j = -L + j*h  <->  u_k = 2*pi*fftfreq(n, h) is
@@ -22,12 +23,13 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import chebyshev
 from scipy import integrate
+from scipy.special import hyp2f1
 
 from .params import (
     StableParams,
     nu_density,
     small_jump_variance,
-    stability_constant,
+    symbol_coefficients,
 )
 
 
@@ -347,40 +349,36 @@ def existence_integral(alpha: float, u_max: float,
     |u|^-alpha). ``alpha`` may lie in (0, 1) or (1, 2), so that the
     alpha < 1 divergence can be demonstrated; the symbol's scale and skew
     come from the jump intensities ``c_plus`` and ``c_minus``.
+
+    With 1 - eta(u) = 1 + k d u^alpha on u > 0, k = 1 - i beta
+    tan(pi alpha / 2), and the negative half the complex conjugate, the
+    partial integral is exactly
+
+        2 Re[U 2F1(1, 1/alpha; 1 + 1/alpha; -k d U^alpha)],  U = u_max.
+
+    Raises ValueError when that 2F1 argument is not a finite complex
+    number, which near alpha = 1 with skew can happen while d U^alpha
+    itself is finite, and when the partial is not finite: 2 U overflows,
+    or scipy's 2F1 returns NaN, as it does at alpha = 0.01 (1/alpha an
+    integer past 99).
     """
     if not u_max > 0.0:
         raise ValueError("u_max must be positive")
-    total = c_plus + c_minus
-    if min(c_plus, c_minus) < 0.0 or not total > 0.0:
-        raise ValueError("need nonnegative intensities with a positive sum")
-    d = total / (2.0 * stability_constant(alpha))
-    beta = (c_plus - c_minus) / total
-    tan_term = math.tan(math.pi * alpha / 2.0)
-    # below s_max neither square nor their sum can overflow; past it the
-    # plain ratio is kept wherever its denominator is finite
-    s_max = 9e153 / max(1.0, abs(beta * tan_term))
-
-    def integrand(u):
-        s = d * np.abs(u) ** alpha
-        if s >= s_max:
-            with np.errstate(over="ignore"):
-                den = (1.0 + s) ** 2 + (s * beta * tan_term) ** 2
-            if den == math.inf:
-                # the same ratio divided through by (1 + s)^2, which keeps
-                # every term finite
-                skew = beta * tan_term / (1.0 + 1.0 / s)
-                return 1.0 / (1.0 + s) / (1.0 + skew ** 2)
-        return (1.0 + s) / ((1.0 + s) ** 2 + (s * beta * tan_term) ** 2)
-
-    edges = [0.0, min(1.0, u_max)]
-    while edges[-1] < u_max:
-        edges.append(min(10.0 * edges[-1], u_max))
-    acc = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, _ = integrate.quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-10,
-                                limit=300)
-        acc += val
-    return 2.0 * acc
+    beta, d = symbol_coefficients(alpha, c_plus, c_minus)
+    try:
+        z = -(1.0 - 1j * beta * math.tan(math.pi * alpha / 2.0)) \
+            * d * u_max ** alpha
+    except OverflowError:
+        z = math.inf
+    if not np.isfinite(z):
+        raise ValueError(f"the 2F1 argument -k d u_max^alpha overflows at "
+                         f"u_max={u_max:g} for alpha={alpha:g}")
+    b = 1.0 / alpha
+    partial = float(2.0 * u_max * hyp2f1(1.0, b, 1.0 + b, z).real)
+    if not math.isfinite(partial):
+        raise ValueError(f"the partial integral is {partial} at "
+                         f"u_max={u_max:g} for alpha={alpha:g}")
+    return partial
 
 
 __all__ = [

@@ -157,6 +157,23 @@ MALFORMED = {
     "cutoff-walk-overflow": {"kind": "existence-scan",
                              "options": {"alphas": [0.9],
                                          "cutoffs": [1e2, 1.5e308]}},
+    # an intensity so small that the kernel amplitude overflows, or an
+    # infinite one: the derived coefficients are not finite
+    "c-plus-subnormal": {"kind": "sampler-validation",
+                         "params": dict(SYM, c_plus=1e-320, c_minus=0.0),
+                         "options": {"n_samples": 50}},
+    "c-plus-inf": {"kind": "sampler-validation",
+                   "params": dict(SYM, c_plus=math.inf),
+                   "options": {"n_samples": 50}},
+    # near alpha = 1 the skew factor overflows the existence integral's
+    # 2F1 argument, though d cutoff^alpha is finite
+    "cutoff-skew-overflow": {"kind": "existence-scan",
+                             "options": {"alphas": [1.0001],
+                                         "cutoffs": [1e2, 3e304],
+                                         "c_plus": 3.0}},
+    # scipy's 2F1 gives NaN at alpha = 0.01, so the partial is not finite
+    "alpha-hundredth": {"kind": "existence-scan",
+                        "options": {"alphas": [0.01]}},
     # doubles hold no 201 distinct default levels around 1e15
     "x0-levels-unresolvable": {"kind": "occupation-formula", "params": SYM,
                                "sim": dict(SMALL_SIM, x0=1e15),
@@ -335,6 +352,15 @@ BAD_COMMANDS = {
     "localtime-c-plus": ["localtime", "--alpha", "1.5", "--c-plus", "-1"],
     "simulate-alpha": ["simulate", "--alpha", "2.5"],
     "simulate-c-plus": ["simulate", "--alpha", "1.5", "--c-plus", "-1"],
+    # the kernel amplitude overflows, or the intensity is infinite
+    "localtime-c-plus-subnormal": ["localtime", "--alpha", "1.5",
+                                   "--c-plus", "1e-320", "--c-minus", "0",
+                                   "--levels", "0", "0.5"],
+    "localtime-c-plus-inf": ["localtime", "--alpha", "1.5",
+                             "--c-plus", "inf"],
+    "simulate-c-plus-subnormal": ["simulate", "--alpha", "1.5",
+                                  "--c-plus", "1e-320", "--c-minus", "0"],
+    "simulate-c-plus-inf": ["simulate", "--alpha", "1.5", "--c-plus", "inf"],
     "localtime-path-index": ["localtime", "--alpha", "1.5",
                              "--path-index", "-1"],
     "localtime-levels-nan": ["localtime", "--alpha", "1.5",

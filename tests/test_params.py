@@ -5,7 +5,6 @@ import pytest
 
 from stable_tanaka.params import (
     StableParams,
-    _gamma_reflect,
     derive_params,
     nu_tail_mass,
     nu_tail_mean,
@@ -51,13 +50,65 @@ def test_drift_makes_known_value():
     assert drift(p) == pytest.approx(-2.0, rel=1e-15)
 
 
+def c_neg(p):
+    """c(-alpha), recovered from the derived kernel amplitude."""
+    tan_term = p.tan_half_pi_alpha
+    return p.big_d * p.d * (1.0 + p.beta * p.beta * tan_term * tan_term)
+
+
+def test_c_neg_from_big_d():
+    # c(-1.5) = sqrt(2/pi), whatever the skew
+    assert c_neg(derive_params(1.5, 1.0, 1.0)) == pytest.approx(C_NEG_15, rel=1e-14)
+    assert c_neg(derive_params(1.5, 3.0, 1.0)) == pytest.approx(C_NEG_15, rel=1e-14)
+
+
 @pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.8, 1.95])
 def test_gamma_product_identity(alpha):
     # -2 * Gamma(alpha) * c(-alpha) * cos(pi alpha / 2) == 1, the identity
     # tying the kernel amplitude back to the symbol normalization.
-    c_neg = _gamma_reflect(1.0 - alpha) * math.sin(-math.pi * alpha / 2.0) / math.pi
-    prod = -2.0 * math.gamma(alpha) * c_neg * math.cos(math.pi * alpha / 2.0)
-    assert prod == pytest.approx(1.0, rel=1e-12)
+    for pair in ((1.0, 1.0), (3.0, 1.0), (0.0, 2.0)):
+        p = derive_params(alpha, *pair)
+        prod = -2.0 * math.gamma(alpha) * c_neg(p) * math.cos(math.pi * alpha / 2.0)
+        assert prod == pytest.approx(1.0, rel=1e-12)
+
+
+# (beta, d, big_d) as float.hex, recorded from the constructor that took
+# the derived fields as arguments; the derivation must keep every bit
+DERIVED_BITS = {
+    (1.5, 1.0, 1.0): ("0x0.0p+0", "0x1.abcc42a9d895bp+1", "0x1.e8ec8a4aeacc9p-3"),
+    (1.5, 3.0, 1.0): ("0x1.0000000000000p-1", "0x1.abcc42a9d895bp+2", "0x1.8723a1d588a3ap-4"),
+    (1.01, 2.0, 1.0): ("0x1.5555555555555p-2", "0x1.2c590f3070ccap+2", "0x1.ef6033df6a727p-7"),
+    (1.2, 1.0, 0.0): ("0x1.0000000000000p+0", "0x1.7fc04fd30cc82p+0", "0x1.cbcfcb18e410dp-4"),
+    (1.8, 0.0, 1.0): ("-0x1.0000000000000p+0", "0x1.841a35e1ccf57p+1", "0x1.58dbd852ab0ccp-3"),
+    (1.99, 0.5, 2.0): ("-0x1.3333333333333p-1", "0x1.f8a5638d488e3p+6", "0x1.04d4e14363af2p-8"),
+    (1.3, 0.001, 7.0): ("-0x1.ffda8e6388806p-1", "0x1.52855642ff686p+3", "0x1.87e70816cd198p-6"),
+    (1.7, 1.0, 2.0): ("-0x1.5555555555555p-2", "0x1.ae10a8a4e57a4p+2", "0x1.6de466f7cc4c5p-4"),
+}
+
+
+@pytest.mark.parametrize("triplet", sorted(DERIVED_BITS))
+def test_derived_fields_bits_pinned(triplet):
+    p = StableParams(*triplet)
+    assert (p.beta.hex(), p.d.hex(), p.big_d.hex()) == DERIVED_BITS[triplet]
+
+
+def test_derived_fields_are_not_arguments():
+    assert derive_params is StableParams
+    with pytest.raises(TypeError):
+        StableParams(1.5, 3.0, 1.0, 0.5)
+    with pytest.raises(TypeError):
+        StableParams(alpha=1.5, c_plus=3.0, c_minus=1.0, beta=0.49)
+    assert [f.name for f in dataclasses.fields(StableParams) if f.init] \
+        == ["alpha", "c_plus", "c_minus"]
+
+
+def test_replace_derives_anew():
+    p = derive_params(1.5, 1.0, 1.0)
+    q = dataclasses.replace(p, c_plus=3.0)
+    assert q == derive_params(1.5, 3.0, 1.0)
+    assert (q.beta, q.d) == (0.5, 2.0 * p.d)
+    with pytest.raises(ValueError):
+        dataclasses.replace(p, beta=0.5)
 
 
 @pytest.mark.parametrize("alpha", [1.1, 1.3, 1.5, 1.7, 1.9])
@@ -85,23 +136,6 @@ def test_rescaling_scales_d_only():
     assert drift(q) == pytest.approx(5.0 * drift(p), rel=1e-14)
 
 
-def test_gamma_reflect_matches_direct_gamma():
-    for z in (0.5, 1.5, 3.25):
-        assert _gamma_reflect(z) == pytest.approx(math.gamma(z), rel=1e-15)
-    # Gamma(-0.5) = -2 sqrt(pi)
-    assert _gamma_reflect(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)
-    assert C_NEG_15 == pytest.approx(
-        _gamma_reflect(-0.5) * math.sin(-0.75 * math.pi) / math.pi, rel=1e-14
-    )
-
-
-def test_gamma_reflect_rejects_poles():
-    with pytest.raises(ValueError):
-        _gamma_reflect(0.0)
-    with pytest.raises(ValueError):
-        _gamma_reflect(-3.0)
-
-
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 0.5, 2.5, -1.5])
 def test_alpha_out_of_range_rejected(alpha):
     with pytest.raises(ValueError):
@@ -115,11 +149,15 @@ def test_bad_intensities_rejected():
         derive_params(1.5, 0.0, 0.0)
 
 
-def test_inconsistent_beta_rejected():
-    good = derive_params(1.5, 3.0, 1.0)
+# an intensity past the doubles, or one so small that the kernel
+# amplitude 1/d overflows, derives a non-finite coefficient
+@pytest.mark.parametrize("pair", [(math.inf, 1.0), (1.0, math.inf),
+                                  (1e308, 1e308), (math.nan, 1.0),
+                                  (1.0, math.nan), (1e-320, 0.0),
+                                  (0.0, 5e-324)])
+def test_non_finite_coefficients_rejected(pair):
     with pytest.raises(ValueError):
-        StableParams(alpha=good.alpha, c_plus=good.c_plus, c_minus=good.c_minus,
-                     beta=0.49, d=good.d, big_d=good.big_d)
+        derive_params(1.5, *pair)
 
 
 def test_params_frozen():

@@ -109,6 +109,35 @@ def test_all_names_used_outside_tests():
     assert TEST_ONLY.isdisjoint(used)
 
 
+def test_private_names_read_in_src():
+    # a module-level private name that no code in src/ reads is kept only
+    # for its tests, or for nothing
+    defined, read = {}, set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 10
+    assert sorted(f"{where}:{name}" for name, where in defined.items()
+                  if name not in read) == []
+
+
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 README_COMMANDS = [
     shlex.split(line, comments=True)[1:]

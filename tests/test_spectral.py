@@ -6,7 +6,12 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from stable_tanaka.experiments import run_experiment
-from stable_tanaka.params import derive_params, nu_tail_mass, nu_tail_mean
+from stable_tanaka.params import (
+    derive_params,
+    nu_tail_mass,
+    nu_tail_mean,
+    stability_constant,
+)
 from stable_tanaka.spectral import (
     Grid,
     NonDecayingInputError,
@@ -29,10 +34,12 @@ MILD = derive_params(1.5, 2.0, 1.0)
 
 # Frozen references (50-digit arbitrary-precision runs)
 S_BOUND_15_05 = 0.95309310592980045333  # S(1.5, 0.5), c+ = c- = 1, t = 1
+# partials at cutoffs 1e2, 1e4, 1e6, c+ = c- = 1, from a 40-digit run
+# (the 2F1 form and direct quadrature agreed to 30 digits)
 EXISTENCE_SYM_UNIT = {
-    1.2: (2.8666929, 3.6656856, 3.9838699),
-    1.5: (2.0440685, 2.1517740, 2.1625454),
-    1.8: (1.2918686, 1.3019639, 1.3022175),
+    1.2: (2.8666929168789828, 3.6656855764224723, 3.9838699360939759),
+    1.5: (2.0440685420560501, 2.1517740077244641, 2.1625454484001459),
+    1.8: (1.2918686353316197, 1.3019639453528105, 1.3022175313898255),
 }
 
 
@@ -341,7 +348,51 @@ def test_negative_moment_domain():
 def test_existence_partials_frozen(alpha):
     expected = EXISTENCE_SYM_UNIT[alpha]
     got = [existence_integral(alpha, r) for r in (1e2, 1e4, 1e6)]
-    np.testing.assert_allclose(got, expected, rtol=1e-6)
+    np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+
+def _existence_by_quadrature(alpha, cutoffs, c_plus, c_minus):
+    """The partials by adaptive quadrature, one decade at a time, with an
+    integrand that stays finite where (1 + s)^2 overflows: the form
+    existence_integral had before its closed form, kept as its reference.
+    ``cutoffs`` are increasing powers of ten."""
+    total = c_plus + c_minus
+    d = total / (2.0 * stability_constant(alpha))
+    skew = (c_plus - c_minus) / total * math.tan(math.pi * alpha / 2.0)
+    s_max = 9e153 / max(1.0, abs(skew))
+
+    def integrand(u):
+        s = d * np.abs(u) ** alpha
+        if s >= s_max:
+            with np.errstate(over="ignore"):
+                den = (1.0 + s) ** 2 + (s * skew) ** 2
+            if den == math.inf:
+                return 1.0 / (1.0 + s) / (1.0 + (skew / (1.0 + 1.0 / s)) ** 2)
+        return (1.0 + s) / ((1.0 + s) ** 2 + (s * skew) ** 2)
+
+    out, acc, lo = [], 0.0, 0.0
+    for cutoff in cutoffs:
+        while lo < cutoff:
+            hi = min(cutoff, max(1.0, 10.0 * lo))
+            acc += quad(integrand, lo, hi, epsabs=1e-12, epsrel=1e-10,
+                        limit=300)[0]
+            lo = hi
+        out.append(2.0 * acc)
+    return out
+
+
+EXISTENCE_CUTOFFS = [1e-6, 1e-2, 1.0] + [10.0 ** k for k in
+                                         (1, 2, 4, 6, 10, 20, 50, 100, 150)]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 0.99, 1.01, 1.2, 1.5, 1.8, 1.99])
+@pytest.mark.parametrize("pair", [(1.0, 1.0), (3.0, 1.0), (1.0, 0.0),
+                                  (0.0, 1.0)])
+def test_existence_closed_form_matches_quadrature(alpha, pair):
+    got = [existence_integral(alpha, u, *pair) for u in EXISTENCE_CUTOFFS]
+    np.testing.assert_allclose(
+        got, _existence_by_quadrature(alpha, EXISTENCE_CUTOFFS, *pair),
+        rtol=1e-9, atol=0.0)
 
 
 def test_existence_skewed_intensities_match_params():
@@ -372,9 +423,9 @@ def test_existence_divergence_below_one():
 @pytest.mark.filterwarnings("error:::stable_tanaka")
 def test_existence_scan_past_the_square_overflow():
     # past d u^alpha ~ 1e154, (1 + s)^2 overflows although s does not; the
-    # integrand then takes a form divided through by (1 + s)^2, so the
-    # scan runs without a warning and the partials stay finite. The tail
-    # past 1e100 is ~1e-50 at alpha 1.5, so the far partial is the near one
+    # scan still runs without a warning and the partials stay finite. The
+    # tail past 1e100 is ~1e-50 at alpha 1.5, so the far partial is the
+    # near one
     rep = run_experiment({"kind": "existence-scan",
                           "options": {"alphas": [1.5],
                                       "cutoffs": [1e2, 1e200]}})
@@ -393,3 +444,18 @@ def test_existence_scan_past_the_square_overflow():
 def test_existence_rejects_bad_cutoff():
     with pytest.raises(ValueError):
         existence_integral(1.5, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, match", [
+    ((1.5, 1e250, 3.0, 1.0), "overflows"), ((1.999, 1e200), "overflows"),
+    ((0.9, math.inf), "overflows"),
+    # the skew factor |1 - i beta tan(pi alpha / 2)| ~ 3e3 overflows the
+    # argument, though d u^alpha ~ 2e305 does not
+    ((1.0001, 3e304, 3.0, 1.0), "overflows"),
+    # a finite argument, but 2 u_max overflows, or the 2F1 gives NaN
+    ((0.5, 1.7e308, 1e-300, 1e-300), "partial integral is inf"),
+    ((0.01, 1e3), "partial integral is nan")])
+def test_existence_rejects_non_finite(args, match):
+    with pytest.raises(ValueError, match=match):
+        existence_integral(*args)
