@@ -188,6 +188,48 @@ def smoothstep_window(x, r_in: float, r_out: float):
     return 1.0 - s
 
 
+_FAR_ORDER = 64
+_FAR_ATOL, _FAR_RTOL = 1e-12, 1e-10
+
+
+def _far_field(params: StableParams, g, x, r_in: float, r_out: float):
+    """int g(y) (1 - W(y)) nu(y - x) dy over |y| >= r_in, at each x of an
+    array with |x| < r_in, W the smoothstep window on (r_in, r_out).
+
+    Each side splits into the window band r_in <= |y| <= r_out and the tail
+    |y| >= r_out, mapped to s = r_out/|y| in (0, 1]. All four pieces take a
+    fixed Gauss-Legendre rule of order 64, checked piece by piece against
+    its order-32 sibling; ``g`` is called once, on the nodes of both rules.
+    Raises :class:`ToleranceError` when the two rules differ by more than
+    max(1e-12, 1e-10 * the largest piece).
+    """
+    nodes, weights = [], []
+    for order in (_FAR_ORDER, _FAR_ORDER // 2):
+        t, w = np.polynomial.legendre.leggauss(order)
+        s = 0.5 * (t + 1.0)
+        band = r_in + (r_out - r_in) * s
+        band_w = 0.5 * (r_out - r_in) * w \
+            * (1.0 - smoothstep_window(band, r_in, r_out))
+        tail, tail_w = r_out / s, 0.5 * r_out * w / s**2
+        nodes += [band, tail, -band, -tail]
+        weights += [band_w, tail_w, band_w, tail_w]
+    y = np.concatenate(nodes)
+    gy = np.asarray(g(y), dtype=float)
+    if not np.all(np.isfinite(gy)):
+        raise ValueError("g produced non-finite values in the far field")
+    terms = gy * np.concatenate(weights) * nu_density(params, y - x[:, None])
+    starts = np.cumsum([0] + [len(n) for n in nodes[:-1]])
+    pieces = np.add.reduceat(terms, starts, axis=1).reshape(len(x), 2, 4)
+    fine, coarse = pieces[:, 0], pieces[:, 1]
+    gap = float(np.max(np.abs(fine - coarse)))
+    bar = max(_FAR_ATOL, _FAR_RTOL * float(np.max(np.abs(fine))))
+    if gap > bar:
+        raise ToleranceError(
+            f"far-field rules of order {_FAR_ORDER} and {_FAR_ORDER // 2} "
+            f"differ by {gap:.3e}, above {bar:.3e}")
+    return fine.sum(axis=1)
+
+
 def generator_apply_windowed(params: StableParams, g, grid: Grid):
     """Generator of a slowly growing function, reported on a central window.
 
@@ -198,16 +240,22 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
     subtracted by direct quadrature over 16 images a side (the rest summed
     to leading order). The far part never touches the report region
     |x| <= 0.25 L, so its generator there is the plain (uncompensated)
-    integral of g(y)(1-W(y)) nu(y-x) dy, evaluated by adaptive quadrature
-    at 33 Chebyshev nodes and interpolated -- the integrand is analytic in
-    x at distance r_in - 0.25 L from its support.
+    integral of g(y)(1-W(y)) nu(y-x) dy, evaluated at 33 Chebyshev nodes
+    and interpolated -- the integrand is analytic in x at distance
+    r_in - 0.25 L from its support. That integral takes fixed
+    Gauss-Legendre rules over the window bands and over the tails in
+    s = r_out/|y|, each checked against a rule of half its order.
 
     ``g`` must accept arrays and be defined well beyond the grid: the
-    far-field quadrature integrates it against the jump-measure tail out
-    to infinity. Growth up to |x|^(alpha-1+s), s < alpha, keeps that tail
-    integrable; practically this is for kernel convolutions growing like
-    |x|^(alpha-1). Returns the grid points with |x| <= 0.25 L and the
-    generator values there.
+    far field integrates it against the jump-measure tail out to infinity.
+    As g nu ~ |y|^(s-2) for g growing like |x|^(alpha-1+s), the tail
+    converges only for s < 1, i.e. growth below |x|^alpha. The tail rule is
+    exact to rounding when g(y) |y|^(1-alpha) is smooth in 1/|y|, as for
+    the kernel convolutions F*phi (s = 0) and for fast-decaying g. A far
+    field whose two rules differ by more than max(1e-12, 1e-10 * its
+    largest piece) raises :class:`ToleranceError` rather than return a
+    value. Returns the grid points with |x| <= 0.25 L and the generator
+    values there.
     """
     L = grid.half_width
     r_in, r_out, report_radius = 0.70 * L, 0.95 * L, 0.25 * L
@@ -235,35 +283,25 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
         * (2.0 * L) ** (-a - 1.0) * (n_images + 0.5) ** (-a) / a
 
     def image_term(x: float) -> float:
+        # |y - x| <= 1.25 L < 2 L for every grid y and report x, so each
+        # jump y + shift - x has the sign of the shift: one coefficient
         acc = image_remainder
         for k in range(1, n_images + 1):
-            for shift in (2.0 * L * k, -2.0 * L * k):
-                acc += np.trapezoid(gw * nu_density(params, x_all + shift - x),
-                                    dx=grid.spacing)
-        return acc
-
-    # Far field: int g(y)(1 - W(y)) nu(y - x) dy over |y| >= r_in; the
-    # compensation terms vanish on the report region, where g(1-W) is
-    # identically zero.
-    def far_field(x: float) -> float:
-        def integrand(y):
-            return g(y) * (1.0 - smoothstep_window(y, r_in, r_out)) \
-                * nu_density(params, y - x)
-
-        acc = 0.0
-        for a, b in ((r_in, r_out), (r_out, np.inf),
-                     (-r_out, -r_in), (-np.inf, -r_out)):
-            val, _ = integrate.quad(integrand, a, b, epsabs=1e-12,
-                                    epsrel=1e-10, limit=400)
-            acc += val
+            for shift, coef in ((2.0 * L * k, params.c_plus),
+                                (-2.0 * L * k, params.c_minus)):
+                nu = coef * np.abs(x_all + shift - x) ** (-a - 1.0)
+                acc += np.trapezoid(gw * nu, dx=grid.spacing)
         return acc
 
     # Both corrections are analytic in x at distance >= r_in - report_radius
     # from their supports, so a Chebyshev fit of a few expensive evaluations
-    # carries them to every report point at machine accuracy.
+    # carries them to every report point at machine accuracy. The far
+    # field's compensation terms vanish on the report region, where g(1-W)
+    # is identically zero.
     nodes = np.cos(np.pi * np.arange(n_cheb) / (n_cheb - 1))
-    node_vals = np.array([far_field(report_radius * s)
-                          - image_term(report_radius * s) for s in nodes])
+    x_nodes = report_radius * nodes
+    node_vals = _far_field(params, g, x_nodes, r_in, r_out) \
+        - np.array([image_term(x) for x in x_nodes])
     coeffs = chebyshev.chebfit(nodes, node_vals, n_cheb - 1)
     total += chebyshev.chebval(x_rep / report_radius, coeffs)
     return x_rep, total
@@ -361,6 +399,13 @@ def existence_integral(alpha: float, u_max: float,
     itself is finite, and when the partial is not finite: 2 U overflows,
     or scipy's 2F1 returns NaN, as it does at alpha = 0.01 (1/alpha an
     integer past 99).
+
+    The partial carries scipy's complex 2F1 error, which grows where
+    1/alpha lies within ~1e-9 of an integer n in 2..16 without equalling
+    it: at alpha = (1/3)(1 + 1e-9), c_plus = 3, c_minus = 1, u_max = 1e-3
+    it is off by 1.6e-7 relative against a 30-digit reference, while exact
+    alpha = 1/n agrees to 3.3e-15. That is alpha < 1 only; alpha in (1, 2)
+    has 1/alpha in (0.5, 1) and never meets it.
     """
     if not u_max > 0.0:
         raise ValueError("u_max must be positive")

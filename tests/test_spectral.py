@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from stable_tanaka.experiments import run_experiment
+from stable_tanaka.kernel import kernel_convolve, standard_bump
 from stable_tanaka.params import (
     derive_params,
+    nu_density,
     nu_tail_mass,
     nu_tail_mean,
     stability_constant,
@@ -17,6 +20,7 @@ from stable_tanaka.spectral import (
     NonDecayingInputError,
     ResolutionError,
     ToleranceError,
+    _far_field,
     char_function,
     existence_integral,
     generator_apply,
@@ -286,6 +290,81 @@ def test_windowed_generator_removes_image_pollution():
     diff = np.abs(vals - plain[mask])
     assert diff.max() < 2e-3
     assert diff.max() > 1e-5  # the images genuinely contribute at this L
+
+
+def _mollified_kernel(params):
+    # criterion 1's g = F * phi for the unit bump phi of support width 2
+    return lambda y: kernel_convolve(params, standard_bump, y, radius=1.0)
+
+
+def _far_field_by_quad(params, g, x, r_in, r_out):
+    """The adaptive route the far field took before its fixed rules, kept
+    as its reference."""
+    def integrand(y):
+        return g(y) * (1.0 - smoothstep_window(y, r_in, r_out)) \
+            * nu_density(params, y - x)
+
+    acc = 0.0
+    for a, b in ((r_in, r_out), (r_out, np.inf),
+                 (-r_out, -r_in), (-np.inf, -r_out)):
+        val, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-10, limit=400)
+        acc += val
+    return acc
+
+
+# criterion 1's grid: L = 40, window band 28..38, report radius 10
+CHEB_NODES = 10.0 * np.cos(np.pi * np.arange(33) / 32)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.5, 0.0), (1.5, 0.5)])
+def test_far_field_matches_adaptive_quadrature(alpha, beta):
+    params = derive_params(alpha, 1.0 + beta, 1.0 - beta)
+    g = _mollified_kernel(params)
+    got = _far_field(params, g, CHEB_NODES, 28.0, 38.0)
+    want = [_far_field_by_quad(params, g, x, 28.0, 38.0) for x in CHEB_NODES]
+    assert np.max(np.abs(got)) > 1e-3
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_far_field_refuses_what_its_rules_cannot_resolve():
+    # a unit step inside the window band: the order-64 and order-32 rules
+    # disagree, and the far field raises instead of returning either
+    step = lambda y: (np.abs(y) >= 31.0).astype(float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ToleranceError, match="far-field rules"):
+            _far_field(SYM, step, CHEB_NODES, 28.0, 38.0)
+        with pytest.raises(ToleranceError):
+            generator_apply_windowed(SYM, step, Grid(40.0, 2 ** 10))
+        # a NaN would slip past the comparison of the two rules
+        blowup = lambda y: np.where(np.abs(y) > 50.0, np.nan, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            _far_field(SYM, blowup, CHEB_NODES, 28.0, 38.0)
+
+
+# criterion 1's sup_relative_error per (alpha, beta) corner, recorded with
+# the adaptive far field; the fixed rules move them by under 2e-16
+CRITERION_1_PINS = [
+    ((1.2, 0.0), 2.3260970822644517e-07),
+    ((1.5, 0.0), 5.885181886946748e-07),
+    ((1.5, 0.5), 8.20352895160357e-07),
+    ((1.8, -1.0), 6.348498072457159e-06),
+    ((1.3, 1.0), 7.055874255413982e-07),
+]
+
+
+@pytest.mark.parametrize("corner, expected", CRITERION_1_PINS)
+def test_generator_identity_values_pinned(corner, expected):
+    alpha, beta = corner
+    rep = run_experiment({
+        "kind": "generator-identity",
+        "params": {"alpha": alpha, "c_plus": 1.0 + beta,
+                   "c_minus": 1.0 - beta},
+        "options": {"half_width": 40.0, "n_points": 2 ** 14,
+                    "bump_width": 2.0, "report_radius": 10.0,
+                    "tolerance": 1e-2}})
+    assert rep.statistics["sup_relative_error"] == pytest.approx(
+        expected, rel=0.0, abs=1e-14)
 
 
 def test_smoothstep_window_plateaus():
