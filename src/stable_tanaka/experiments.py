@@ -322,6 +322,14 @@ def _ratio(num: float, den: float) -> float:
     return 0.0 if num == 0.0 else 1e30
 
 
+def _path_rows(params, cfg, n_paths, per_path) -> np.ndarray:
+    """``per_path`` of paths 0, ..., n_paths - 1 under ``cfg``, one row per
+    path in index order."""
+    return np.array([
+        per_path(simulate_path_jumpdecomp(params, cfg, path_index=i))
+        for i in range(n_paths)])
+
+
 def _check_grid(o, params, cfg):
     Grid(o["half_width"], o["n_points"])
     return []
@@ -369,8 +377,7 @@ def _check_symbol(o, params, cfg):
 
 
 def _run_sampler_validation(spec, o, params, sims):
-    rng = path_rng(spec.seed)
-    samples = sample_stable_increment(params, o["t"], rng,
+    samples = sample_stable_increment(params, o["t"], path_rng(spec.seed),
                                       size=o["n_samples"])
     stats, verdicts, rows = {}, [], []
     for u in o["u"]:
@@ -432,23 +439,19 @@ def _run_martingale_zero_mean(spec, o, params, sims):
     (cfg,) = sims
     checkpoints = sorted(set(f * cfg.T for f in o["checkpoints"]))
     levels = list(dict.fromkeys(o["levels"]))
-    rows = {(a, t): [] for a in levels for t in checkpoints}  # one per pair
-    for i in range(o["n_paths"]):
-        path = simulate_path_jumpdecomp(params, cfg, path_index=i)
-        m = martingale_part(params, path, levels, checkpoints=checkpoints)
-        for t, row in zip(checkpoints, m):
-            for a, v in zip(levels, row):
-                rows[(a, t)].append(float(v))
+    m = _path_rows(params, cfg, o["n_paths"], lambda path: martingale_part(
+        params, path, levels, checkpoints=checkpoints))
     stats, verdicts = {}, []
-    for (a, t), acc in sorted(rows.items()):
-        arr = np.asarray(acc)
-        mean = float(arr.mean())
-        se = float(arr.std(ddof=1) / math.sqrt(len(arr)))
-        z = _ratio(abs(mean), se)
-        name = f"martingale-mean-zero[a={a:g},t={t:g}]"
-        verdicts.append(Verdict.at_most(name, z, o["n_sigma"]))
-        stats[name] = {"mean": mean, "stderr": se,
-                       "second_moment": float(np.mean(arr ** 2))}
+    for a, j in sorted(zip(levels, range(len(levels)))):
+        for k, t in enumerate(checkpoints):
+            arr = m[:, k, j]
+            mean = float(arr.mean())
+            se = float(arr.std(ddof=1) / math.sqrt(len(arr)))
+            z = _ratio(abs(mean), se)
+            name = f"martingale-mean-zero[a={a:g},t={t:g}]"
+            verdicts.append(Verdict.at_most(name, z, o["n_sigma"]))
+            stats[name] = {"mean": mean, "stderr": se,
+                           "second_moment": float(np.mean(arr ** 2))}
     return stats, verdicts, {}
 
 
@@ -463,15 +466,10 @@ def _run_estimator_agreement(spec, o, params, sims):
     mses, t_means, o_means = [], [], []
     for level in sims:
         moll = default_mollifier(level.eps)
-        diffs, tv, ov = [], [], []
-        for i in range(o["n_paths"]):
-            path = simulate_path_jumpdecomp(params, level, path_index=i)
-            tval = float(tanaka_curve(params, path, [a])[0])
-            oval = float(occupation_curve(path, [a], moll)[0])
-            diffs.append(tval - oval)
-            tv.append(tval)
-            ov.append(oval)
-        mses.append(float(np.mean(np.square(diffs))))
+        tv, ov = _path_rows(params, level, o["n_paths"], lambda path: (
+            tanaka_curve(params, path, [a])[0],
+            occupation_curve(path, [a], moll)[0])).T
+        mses.append(float(np.mean(np.square(tv - ov))))
         t_means.append(float(np.mean(tv)))
         o_means.append(float(np.mean(ov)))
     ratios = [_ratio(mses[k + 1], mses[k]) for k in range(len(mses) - 1)]
@@ -493,8 +491,7 @@ def _run_estimator_agreement(spec, o, params, sims):
     curves = {"agreement": {
         "columns": ["eps", "n_steps", "mse", "tanaka_mean",
                     "occupation_mean"],
-        "rows": np.column_stack([[lv[0] for lv in o["schedule"]],
-                                 [lv[1] for lv in o["schedule"]],
+        "rows": np.column_stack([np.array(o["schedule"], dtype=float),
                                  mses, t_means, o_means]),
     }}
     return stats, verdicts, curves
@@ -504,15 +501,13 @@ def _run_occupation_formula(spec, o, params, sims):
     (cfg,) = sims
     n_paths = o["n_paths"]
     moll = default_mollifier(cfg.eps)
-    ones = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    hat_res, unit_res = [], []
-    for i in range(n_paths):
-        path = simulate_path_jumpdecomp(params, cfg, path_index=i)
-        grid = default_a_grid(path)
+
+    def residuals(path):
         g = hat_function(float(np.median(path.values)), o["hat_half_width"])
-        hat_res.append(occupation_formula_check(path, g, grid, moll))
-        unit_res.append(occupation_formula_check(path, ones, grid, moll))
-    hat_res, unit_res = np.asarray(hat_res), np.asarray(unit_res)
+        return occupation_formula_check(path, [g, np.ones_like],
+                                        default_a_grid(path), moll)
+
+    hat_res, unit_res = _path_rows(params, cfg, n_paths, residuals).T
     stats = {
         "hat_residual_median": float(np.median(hat_res)),
         "hat_residual_max": float(hat_res.max()),

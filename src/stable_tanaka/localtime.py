@@ -22,8 +22,8 @@ an otherwise zero row. The compensator's interpolation table is built
 once per (params, eps).
 
 ``occupation_formula_check`` closes the loop: integrating the occupation
-curve against a test function must reproduce the direct time-integral of
-that function along the path.
+curve against each of a few test functions must reproduce the direct
+time-integral of that function along the path.
 """
 
 from __future__ import annotations
@@ -270,9 +270,10 @@ def default_a_grid(path: PathSample) -> np.ndarray:
     return grid
 
 
-def occupation_formula_check(path: PathSample, g, a_grid,
-                             moll: MollifierSpec) -> float:
-    """Relative residual of int g(a) L^a_T da against int_0^T g(X_s) ds.
+def occupation_formula_check(path: PathSample, gs, a_grid,
+                             moll: MollifierSpec) -> np.ndarray:
+    """Relative residual of int g(a) L^a_T da against int_0^T g(X_s) ds
+    for each g in ``gs``, all from one occupation curve.
 
     The left side integrates the occupation curve over the level grid
     (trapezoid); the right side is a time-Riemann sum along the path. The
@@ -287,10 +288,11 @@ def occupation_formula_check(path: PathSample, g, a_grid,
         raise ValueError(
             "a_grid must span the path's range with mollifier margin")
     curve = occupation_curve(path, a_grid, moll)
-    lhs = float(np.trapezoid(g(a_grid) * curve, a_grid))
+    x, dt = values[:-1], np.diff(path.times)
+    lhs = np.array([np.trapezoid(g(a_grid) * curve, a_grid) for g in gs])
     # numpy's sum, not a BLAS dot, so the bits ignore the thread count
-    rhs = float(np.sum(g(values[:-1]) * np.diff(path.times)))
-    return abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    rhs = np.array([np.sum(g(x) * dt) for g in gs])
+    return np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
 
 
 # ----------------------------------------------------------------- bounds

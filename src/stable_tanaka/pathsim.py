@@ -160,26 +160,24 @@ def path_rng(seed: int, path_index: int = 0) -> np.random.Generator:
 # ---------------------------------------------------------------- sampling
 
 def sample_stable_increment(params: StableParams, dt: float, rng,
-                            size: Optional[int] = None):
-    """Draw from the exact increment law, char. function exp(dt eta(u)).
+                            size: int) -> np.ndarray:
+    """``size`` draws of the exact increment, char. function exp(dt eta(u)).
 
     Chambers-Mallows-Stuck transform; the shift/scale bookkeeping is fixed
     by matching the standard one-parametrization to eta, which makes the
-    draw zero-mean for alpha > 1. Pass ``size`` for a vectorized batch.
+    draw zero-mean for alpha > 1.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    n = 1 if size is None else int(size)
     a = params.alpha
-    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
-    w = rng.standard_exponential(size=n)
+    v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
+    w = rng.standard_exponential(size=size)
     tb = params.beta * params.tan_half_pi_alpha
     b0 = math.atan(tb) / a
     s0 = (1.0 + tb * tb) ** (1.0 / (2.0 * a))
     x = s0 * np.sin(a * (v + b0)) / np.cos(v) ** (1.0 / a) \
         * (np.cos(v - a * (v + b0)) / w) ** ((1.0 - a) / a)
-    out = (params.d * dt) ** (1.0 / a) * x
-    return float(out[0]) if size is None else out
+    return (params.d * dt) ** (1.0 / a) * x
 
 
 def simulate_path_marginal(params: StableParams, config: SimConfig,

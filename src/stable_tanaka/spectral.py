@@ -238,11 +238,11 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
     width. The windowed part decays and goes through the Fourier
     multiplier, with the spurious contributions of its 2L-periodic images
     subtracted by direct quadrature over 16 images a side (the rest summed
-    to leading order). The far part never touches the report region
-    |x| <= 0.25 L, so its generator there is the plain (uncompensated)
-    integral of g(y)(1-W(y)) nu(y-x) dy, evaluated at 33 Chebyshev nodes
-    and interpolated -- the integrand is analytic in x at distance
-    r_in - 0.25 L from its support. That integral takes fixed
+    to leading order; its error budget is below). The far part never
+    touches the report region |x| <= 0.25 L, so its generator there is the
+    plain (uncompensated) integral of g(y)(1-W(y)) nu(y-x) dy, evaluated at
+    33 Chebyshev nodes and interpolated -- the integrand is analytic in x
+    at distance r_in - 0.25 L from its support. That integral takes fixed
     Gauss-Legendre rules over the window bands and over the tails in
     s = r_out/|y|, each checked against a rule of half its order.
 
@@ -256,6 +256,14 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
     largest piece) raises :class:`ToleranceError` rather than return a
     value. Returns the grid points with |x| <= 0.25 L and the generator
     values there.
+
+    Images past the 16th are summed with every y put at x, an error first
+    order in u = (y - x)/2L. Against the exact sum over all images, gW
+    integrated against (2L)^(-alpha-1) [c_plus zeta(alpha+1, 1+u) +
+    c_minus zeta(alpha+1, 1-u)] (Hurwitz zeta), the image term at the 33
+    nodes errs by up to 5.8e-7 at (alpha, beta) = (1.3, 1), 1.9e-7 at
+    (1.5, 0.5), 7.4e-8 at (1.8, -1), 2.3e-8 at (1.2, 0) and 1.5e-9 at
+    (1.5, 0), for the unit bump's F * phi on a [-40, 40] grid of 2^14.
     """
     L = grid.half_width
     r_in, r_out, report_radius = 0.70 * L, 0.95 * L, 0.25 * L
@@ -274,9 +282,8 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
 
     # The DFT multiplier actually computed the generator of the periodic
     # extension sum_k gW(. - 2Lk); the k != 0 image contributions reduce to
-    # plain integrals of gW against the far nu-tail. Images beyond n_images
-    # are summed analytically to leading order -- the series only decays
-    # like k^(-alpha-1).
+    # plain integrals of gW against the far nu-tail, which decay only like
+    # k^(-alpha-1), so those past n_images are summed to leading order.
     gw_mass = float(np.trapezoid(gw, dx=grid.spacing))
     a = params.alpha
     image_remainder = gw_mass * (params.c_plus + params.c_minus) \
@@ -316,29 +323,26 @@ def _central_diff(f, x: float, order: int) -> float:
     return (f(x + step) - 2.0 * f(x) + f(x - step)) / step**2
 
 
+# generator_quadrature's jump band. _H_MIN balances two error floors: the
+# inner closure's next Taylor term, ~ (c_plus - c_minus) _H_MIN^(3-alpha),
+# and below it the rounding noise of the compensated difference times nu.
+_H_MIN, _H_MAX = 1e-4, 1e3
+
+
 def generator_quadrature(params: StableParams, f, x: float,
-                         h_min: float = 1e-4, h_max: float = 1e3,
                          fprime=None, fsecond=None, tol: float = 1e-8):
     """Pointwise generator by direct quadrature of the compensated jumps.
 
     Integrates {f(x+h) - f(x) - f'(x) h} against the jump density over
-    h_min <= |h| <= h_max in per-decade panels (adaptive quadrature inside
+    1e-4 <= |h| <= 1e3 in per-decade panels (adaptive quadrature inside
     each) and closes the inner hole with the Taylor term f''(x)/2 times the
-    small-jump variance. Nothing is added for |h| > h_max, so a linear f
-    gives exactly zero; callers add the compensated tail beyond h_max
+    small-jump variance. Nothing is added for |h| > 1e3, so a linear f
+    gives exactly zero; callers add the compensated tail beyond 1e3
     themselves where they need it.
 
     Raises :class:`ToleranceError` when the summed quadrature error
     estimates exceed ``tol``.
-
-    The defaults balance two opposing error floors: the inner closure's
-    next Taylor term scales like (c_plus - c_minus) h_min^(3-alpha), while
-    below that the floating-point noise of the compensated difference,
-    amplified by nu(h) ~ h^(-alpha-1), takes over the value and the error
-    estimates.
     """
-    if not 0.0 < h_min < h_max:
-        raise ValueError("need 0 < h_min < h_max")
     fx = f(x)
     fp = fprime(x) if fprime is not None else _central_diff(f, x, 1)
     fpp = fsecond(x) if fsecond is not None else _central_diff(f, x, 2)
@@ -346,8 +350,8 @@ def generator_quadrature(params: StableParams, f, x: float,
     def compensated(h):
         return (f(x + h) - fx - fp * h) * nu_density(params, h)
 
-    edges = np.geomspace(h_min, h_max, int(math.ceil(math.log10(h_max / h_min))) + 1)
-    value = 0.5 * fpp * small_jump_variance(params, h_min)
+    edges = np.geomspace(_H_MIN, _H_MAX, 8)  # one panel per decade
+    value = 0.5 * fpp * small_jump_variance(params, _H_MIN)
     err_total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         for a, b in ((lo, hi), (-hi, -lo)):

@@ -8,6 +8,7 @@ honestly -- the partial integrals genuinely move by more than the
 threshold between the prescribed cutoffs).
 """
 
+import hashlib
 import json
 import math
 import os
@@ -257,6 +258,51 @@ def test_reports_are_byte_identical(tmp_path):
     assert [p.name for p in paths1] == ["report.json", "char_function.csv"]
     assert [p.name for p in paths2] == [p.name for p in paths1]
     assert [p.read_bytes() for p in paths1] == [p.read_bytes() for p in paths2]
+
+
+_PINNED_BUNDLES = {
+    "martingale-zero-mean": ({
+        "kind": "martingale-zero-mean", "params": SYM_PARAMS,
+        "sim": {"T": 1.0, "n_steps": 128, "eps": 5e-2}, "seed": 17,
+        "options": {"n_paths": 12, "levels": [0.5, -0.25, 0.5, 0.0],
+                    "checkpoints": [1.0, 0.25, 0.5, 0.25]}},
+        "48cb6c4922dad8634df77fb62763eb91766daeac756a2dd6351bcd2719822443"),
+    "estimator-agreement": ({
+        "kind": "estimator-agreement",
+        "params": {"alpha": 1.3, "c_plus": 3.0, "c_minus": 1.0},
+        "sim": {"T": 1.0, "n_steps": 64, "eps": 0.1}, "seed": 18,
+        "options": {"n_paths": 10, "level": 0.1,
+                    "schedule": [[0.1, 64], [0.05, 128]]}},
+        "22ea5d691b43e05491361de541441b65e3e436c764bfec33cb4c20bbdce54c64"),
+    "occupation-formula": ({
+        "kind": "occupation-formula", "params": SYM_PARAMS,
+        "sim": {"T": 1.0, "n_steps": 256, "eps": 2e-2}, "seed": 19,
+        "options": {"n_paths": 6}},
+        "b987793bb1cf04805f13e30c359eea5f447238e22a6210fe7ac15525a3895e3a"),
+}
+
+
+def _bundle_digest(out_dir) -> str:
+    """sha256 over a bundle's file names and bytes, with report.json's
+    library versions left out."""
+    digest = hashlib.sha256()
+    for p in sorted(Path(out_dir).iterdir()):
+        data = p.read_bytes()
+        if p.name == "report.json":
+            payload = json.loads(data)
+            del payload["versions"]
+            data = json.dumps(payload, sort_keys=True, indent=2).encode()
+        digest.update(p.name.encode() + b"\0" + data + b"\0")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_BUNDLES))
+def test_path_bundles_pinned(kind, tmp_path):
+    # the bundles of the three kinds that draw grid paths, bit for bit; the
+    # martingale spec repeats and unsorts its levels and checkpoints
+    spec, expected = _PINNED_BUNDLES[kind]
+    emit_report(run_experiment(spec), tmp_path)
+    assert _bundle_digest(tmp_path) == expected
 
 
 _BLAS_PROBE = """

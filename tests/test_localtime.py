@@ -399,8 +399,8 @@ def formula_path():
 
 def test_formula_zero_function(formula_path):
     moll = default_mollifier(1e-2)
-    res = occupation_formula_check(
-        formula_path, lambda x: np.zeros_like(np.asarray(x, float)),
+    (res,) = occupation_formula_check(
+        formula_path, [lambda x: np.zeros_like(np.asarray(x, float))],
         default_a_grid(formula_path), moll)
     assert res == 0.0
 
@@ -409,8 +409,8 @@ def test_formula_recovers_total_time(formula_path):
     # integrating the curve against 1 must give back the horizon t;
     # measured residual 8.1e-4
     moll = default_mollifier(1e-2)
-    res = occupation_formula_check(
-        formula_path, lambda x: np.ones_like(np.asarray(x, float)),
+    (res,) = occupation_formula_check(
+        formula_path, [lambda x: np.ones_like(np.asarray(x, float))],
         default_a_grid(formula_path), moll)
     assert res < 0.02
 
@@ -421,7 +421,7 @@ def test_formula_hat_both_estimators(formula_path):
     moll = default_mollifier(1e-2)
     g = hat_function(float(np.median(formula_path.values)), 1.0)
     grid = default_a_grid(formula_path)
-    assert occupation_formula_check(formula_path, g, grid, moll) < 0.05
+    assert occupation_formula_check(formula_path, [g], grid, moll)[0] < 0.05
     assert kernel_route_residual(formula_path, g, grid) < 0.05
 
 
@@ -436,8 +436,20 @@ def test_formula_hat_default_refinement():
     moll = default_mollifier(cfg.eps)
     g = hat_function(float(np.median(path.values)), 1.0)
     grid = default_a_grid(path)
-    assert occupation_formula_check(path, g, grid, moll) < 0.05
+    assert occupation_formula_check(path, [g], grid, moll)[0] < 0.05
     assert kernel_route_residual(path, g, grid) < 0.05
+
+
+def test_formula_residuals_share_one_curve(formula_path):
+    # each function's residual is the one it gets alone, bit for bit
+    moll = default_mollifier(1e-2)
+    grid = default_a_grid(formula_path)
+    gs = [hat_function(0.0, 1.0), hat_function(0.3, 0.5),
+          lambda x: np.ones_like(np.asarray(x, float))]
+    together = occupation_formula_check(formula_path, gs, grid, moll)
+    alone = [occupation_formula_check(formula_path, [g], grid, moll)[0]
+             for g in gs]
+    assert together.tolist() == alone
 
 
 def test_formula_input_validation(formula_path):
@@ -445,9 +457,10 @@ def test_formula_input_validation(formula_path):
     g = hat_function(0.0, 1.0)
     narrow = np.linspace(-0.5, 0.5, 51)
     with pytest.raises(ValueError, match="margin"):
-        occupation_formula_check(formula_path, g, narrow, moll)
+        occupation_formula_check(formula_path, [g], narrow, moll)
     with pytest.raises(ValueError, match="increasing"):
-        occupation_formula_check(formula_path, g, np.array([1.0, 0.0]), moll)
+        occupation_formula_check(formula_path, [g], np.array([1.0, 0.0]),
+                                 moll)
 
 
 # ----------------------------------------------------------------- symmetries

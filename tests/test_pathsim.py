@@ -115,16 +115,16 @@ def test_rng_streams_keyed_by_path():
 
 def test_increment_rejects_bad_dt():
     with pytest.raises(ValueError):
-        sample_stable_increment(SYM, 0.0, path_rng(0))
+        sample_stable_increment(SYM, 0.0, path_rng(0), size=1)
 
 
-def test_increment_scalar_and_batch():
-    x = sample_stable_increment(SYM, 0.5, path_rng(1, 0))
-    assert isinstance(x, float)
+def test_increment_batch():
     batch = sample_stable_increment(SYM, 0.5, path_rng(1, 0), size=3)
     assert batch.shape == (3,)
-    again = sample_stable_increment(SYM, 0.5, path_rng(1, 0), size=3)
+    again = sample_stable_increment(SYM, 0.5, path_rng(1, 0), 3)
     assert np.array_equal(batch, again)
+    # a batch of one is an array too
+    assert sample_stable_increment(SYM, 0.5, path_rng(1, 0), 1).shape == (1,)
 
 
 @pytest.mark.parametrize("params", [

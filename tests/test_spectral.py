@@ -255,8 +255,6 @@ def test_generator_quadrature_symbol_off_origin():
 def test_generator_quadrature_errors():
     f = lambda y: math.exp(-y * y)
     assert math.isfinite(generator_quadrature(SYM, f, 0.5))
-    with pytest.raises(ValueError):
-        generator_quadrature(SYM, f, 0.0, h_min=1.0, h_max=0.5)
     with pytest.raises(ToleranceError):
         generator_quadrature(SYM, f, 0.5, tol=0.0)
 
