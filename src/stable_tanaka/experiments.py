@@ -71,6 +71,7 @@ from .spectral import (
     ToleranceError,
     char_function,
     existence_integral,
+    existence_limit,
     generator_apply_windowed,
     levy_symbol,
     negative_moment_bound,
@@ -563,8 +564,12 @@ def _run_existence_scan(spec, o, params, sims):
             verdicts.append(Verdict.at_most(
                 f"existence-converges[alpha={alpha:g}]", max(diffs),
                 o["convergence_tolerance"]))
-            stats[f"alpha={alpha:g}"] = {"partials": partials,
-                                         "diffs": diffs}
+            # the limit and each partial's remainder, as a diagnostic:
+            # the verdict stays on the successive differences
+            limit = existence_limit(alpha, o["c_plus"], o["c_minus"])
+            stats[f"alpha={alpha:g}"] = {
+                "partials": partials, "diffs": diffs, "limit": limit,
+                "remainders": [limit - p for p in partials]}
         else:
             growth = [b / a - 1.0 for a, b in zip(partials, partials[1:])]
             verdicts.append(Verdict.at_least(

@@ -6,7 +6,7 @@ densities by FFT inversion, the generator both as a Fourier multiplier and
 as a direct compensated-jump quadrature (each serving as the other's
 oracle), the negative-moment constant S(alpha, gamma), and the partial
 existence integral of Re(1/(1 - eta)), in closed form through the Gauss
-hypergeometric function.
+hypergeometric function, and its limit for alpha > 1.
 
 Grids are uniform, symmetric about 0, with a power-of-two point count so
 the transform pairing x_j = -L + j*h  <->  u_k = 2*pi*fftfreq(n, h) is
@@ -430,6 +430,35 @@ def existence_integral(alpha: float, u_max: float,
     return partial
 
 
+def _root_scale(alpha: float, c_plus: float, c_minus: float) -> float:
+    """Re[(k d)^(-1/alpha)], k = 1 - i beta tan(pi alpha / 2): where the
+    symbol's scale and skew enter both the existence integral's limit and
+    the stable density at 0, p_1(0) = Gamma(1 + 1/alpha) Re[(k d)^(-1/alpha)]
+    / pi."""
+    beta, d = symbol_coefficients(alpha, c_plus, c_minus)
+    k = complex(1.0, -beta * math.tan(math.pi * alpha / 2.0))
+    return ((k * d) ** (-1.0 / alpha)).real
+
+
+def existence_limit(alpha: float, c_plus: float = 1.0,
+                    c_minus: float = 1.0) -> float:
+    """The limit of ``existence_integral`` as u_max grows, for alpha in (1, 2).
+
+    Each half-line gives int_0^inf du / (1 + k d u^alpha) = (k d)^(-1/alpha)
+    pi / (alpha sin(pi / alpha)), so the whole line gives
+
+        2 pi / (alpha sin(pi / alpha)) Re[(k d)^(-1/alpha)].
+
+    The partial at U falls short of it by 2 U^(1-alpha) / (d (alpha - 1)
+    (1 + beta^2 tan^2(pi alpha / 2))) to leading order.
+    """
+    if not 1.0 < alpha < 2.0:
+        raise ValueError(f"the existence integral converges only for "
+                         f"alpha in (1, 2), got {alpha!r}")
+    return 2.0 * math.pi / (alpha * math.sin(math.pi / alpha)) \
+        * _root_scale(alpha, c_plus, c_minus)
+
+
 __all__ = [
     "Grid",
     "ResolutionError",
@@ -444,4 +473,5 @@ __all__ = [
     "smoothstep_window",
     "negative_moment_bound",
     "existence_integral",
+    "existence_limit",
 ]

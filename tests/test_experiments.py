@@ -30,6 +30,7 @@ from stable_tanaka.experiments import (
     emit_report,
     run_experiment,
 )
+from stable_tanaka.spectral import existence_limit
 
 SYM_PARAMS = {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0}
 
@@ -165,6 +166,24 @@ def test_existence_scan_reports_failure_without_crashing():
     assert v.criterion == "existence-converges[alpha=1.8]"
     assert v.margin < 0.0
     assert v.measured == pytest.approx(0.0101, rel=0.05)
+
+
+def test_existence_scan_reports_limit_and_remainders():
+    # a diagnostic beside the verdicts: the closed-form limit and, at each
+    # cutoff, what the partial still lacks of it; the verdicts stay on the
+    # successive differences
+    rep = run_experiment({"kind": "existence-scan",
+                          "options": {"alphas": [1.2, 1.5, 0.9],
+                                      "c_plus": 3.0, "c_minus": 1.0}})
+    for alpha, v in zip((1.2, 1.5), rep.verdicts):
+        stats = rep.statistics[f"alpha={alpha:g}"]
+        assert stats["limit"] == existence_limit(alpha, 3.0, 1.0)
+        assert stats["remainders"] == [stats["limit"] - p
+                                       for p in stats["partials"]]
+        assert all(r > 0.0 for r in stats["remainders"])
+        assert v.measured == max(stats["diffs"])
+    assert set(rep.statistics["alpha=0.9"]) == {"partials",
+                                                 "per_decade_growth"}
 
 
 def test_density_report_green_and_skew_aware():

@@ -16,13 +16,17 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from stable_tanaka import derive_params
+from stable_tanaka import derive_params, localtime
 from stable_tanaka.kernel import MollifierSpec, compensator_density, kernel_F
 from stable_tanaka.localtime import (
+    _SORT_LEVELS,
+    _SORT_POINTS_PER_CELL,
     _TILE_LEVELS,
     _TILE_POINTS,
+    _chord_cells,
     _compensator_interp,
     _compensator_nodes,
+    _sorted_sums,
     default_a_grid,
     default_mollifier,
     hat_function,
@@ -327,13 +331,130 @@ def test_compensator_nodes_cached_and_read_only():
             table[0] = 1.0
 
 
+# ------------------------------------------------------ sorted compensator
+
+LEVEL_CURVE = derive_params(1.3, 3.0, 1.0)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("triplet", [(1.1, 1.0, 1.0), (1.5, 1.0, 1.0),
+                                     (1.3, 3.0, 1.0), (1.5, 1.0, 0.0),
+                                     (1.8, 0.0, 1.0)],
+                         ids=["1.1-symmetric", "1.5-symmetric", "1.3-skewed",
+                              "1.5-one-sided", "1.8-one-sided"])
+def test_sorted_compensator_matches_exact_summation(triplet, eps):
+    # the sorted route sums each table cell's chord from long-double prefix
+    # sums and evaluates the points within 100 eps of the level one by one;
+    # against a correctly rounded math.fsum of the direct route's terms it
+    # must agree within 1e-14 of their magnitudes. Measured <= 1.1e-15
+    # (the direct route's own sums: <= 3.9e-16); float64 prefix sums miss
+    # by up to 1.7e-13 and a band of 10 eps by up to 1.1e-13
+    params = derive_params(*triplet)
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=eps, seed=1)
+    path = simulate_path_jumpdecomp(params, cfg)
+    x, dt = path.values[:-1], np.diff(path.times)
+    levels = default_a_grid(path)
+    g = _compensator_interp(params, eps)
+    got = _sorted_sums(_chord_cells(params, eps), g, levels, x, dt)
+    for a, total in zip(levels, got):
+        terms = g(x - a) * dt
+        assert abs(total - math.fsum(terms)) \
+            <= 1e-14 * np.abs(terms).sum(), a
+
+
+@pytest.fixture(scope="module")
+def curve_path():
+    # the level-curve shape: 16 or more points per table cell over the
+    # whole path, fewer up to t = 0.05
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=2)
+    path = simulate_path_jumpdecomp(LEVEL_CURVE, cfg)
+    per_cell = _SORT_POINTS_PER_CELL * (len(_compensator_nodes(
+        LEVEL_CURVE, cfg.eps)[0]) - 1)
+    assert np.sum(path.times < 0.05) < per_cell < np.sum(path.times < 0.5)
+    return path
+
+
+@pytest.fixture
+def sorted_calls(monkeypatch):
+    """The (levels, points) of each call of the sorted route."""
+    calls, real = [], localtime._sorted_sums
+
+    def spy(cells, g, levels, x, dt):
+        calls.append((len(levels), len(x)))
+        return real(cells, g, levels, x, dt)
+
+    monkeypatch.setattr(localtime, "_sorted_sums", spy)
+    return calls
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_sorted_route_values_do_not_depend_on_other_levels(
+        curve_path, sorted_calls):
+    # a level's value from the 201-level default grid is, bit for bit,
+    # its value from a shuffled 16-level subset; and each row of a
+    # checkpoint array is the call at that checkpoint alone, the first on
+    # the tiled route (too few points) and the others sorted on their own
+    grid = default_a_grid(curve_path)
+    n = len(curve_path.times) - 1
+    pick = np.random.default_rng(0).permutation(201)[:_SORT_LEVELS]
+    full = martingale_part(LEVEL_CURVE, curve_path, grid)
+    subset = martingale_part(LEVEL_CURVE, curve_path, grid[pick])
+    assert sorted_calls == [(201, n), (_SORT_LEVELS, n)]
+    assert np.array_equal(_bits(full[pick]), _bits(subset))
+    sorted_calls.clear()
+    horizons = [0.05, 0.5, 1.0]
+    rows = martingale_part(LEVEL_CURVE, curve_path, grid[pick], horizons)
+    assert [levels for levels, _ in sorted_calls] == [_SORT_LEVELS] * 2
+    assert np.array_equal(_bits(rows[-1]), _bits(subset))
+    for t, row in zip(horizons, rows):
+        assert np.array_equal(
+            _bits(row), _bits(martingale_part(LEVEL_CURVE, curve_path,
+                                              grid[pick], t)))
+
+
+def test_route_choice_from_input_sizes(curve_path, sorted_calls,
+                                       monkeypatch):
+    # fewer than _SORT_LEVELS levels, or fewer than _SORT_POINTS_PER_CELL
+    # points per table cell, or a long double no wider than a double, keep
+    # the tiled route, whose values are the one-level calls'
+    grid = default_a_grid(curve_path)
+    few = grid[::14][:_SORT_LEVELS - 1]
+    assert np.array_equal(
+        _bits(martingale_part(LEVEL_CURVE, curve_path, few)),
+        _bits([martingale_part(LEVEL_CURVE, curve_path, a) for a in few]))
+    short = simulate_path_jumpdecomp(
+        LEVEL_CURVE, SimConfig(T=1.0, n_steps=4096, eps=1e-2, seed=2))
+    assert len(short.times) - 1 < _SORT_POINTS_PER_CELL * (
+        len(_compensator_nodes(LEVEL_CURVE, 1e-2)[0]) - 1)
+    martingale_part(LEVEL_CURVE, short, default_a_grid(short))
+    assert sorted_calls == []
+    sorted_route = martingale_part(LEVEL_CURVE, curve_path, grid)
+    monkeypatch.setattr(localtime, "_LONG_DOUBLE_SUMS", False)
+    tiled_route = martingale_part(LEVEL_CURVE, curve_path, grid)
+    assert len(sorted_calls) == 1
+    picks = grid[::25]
+    assert np.array_equal(
+        _bits(tiled_route[::25]),
+        _bits([martingale_part(LEVEL_CURVE, curve_path, a) for a in picks]))
+    # the jump sums are the same floats on both, so the routes differ by
+    # their compensator sums only, within the bar of the exact-sum test
+    x, dt = curve_path.values[:-1], np.diff(curve_path.times)
+    g = _compensator_interp(LEVEL_CURVE, curve_path.config.eps)
+    for a, s, t in zip(grid, sorted_route, tiled_route):
+        assert abs(s - t) <= 1e-14 * np.abs(g(x - a) * dt).sum(), a
+
+
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="minor-fault counts are read as on Linux")
-def test_level_curves_stay_off_the_page_fault_path():
+def test_level_curves_stay_off_the_page_fault_path(sorted_calls):
     # tiles keep every temporary below the allocator's mmap threshold, so
     # the two 201-level curves at the level-curve shape reuse memory
     # instead of faulting in fresh pages; measured ~13 faults here against
-    # ~42k for 32-level whole-row blocks
+    # ~42k for 32-level whole-row blocks, and ~460 since the compensator's
+    # sorted route sorts the path into arrays as long as the path
     params = derive_params(1.3, 3.0, 1.0)
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
     path = simulate_path_jumpdecomp(params, cfg)
@@ -354,6 +475,17 @@ def test_level_curves_stay_off_the_page_fault_path():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     martingale_part(SYM, path, [0.0, 0.5], checkpoints=[0.25, 0.5, 1.0])
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 2000, faults
+    # and so does the sorted compensator over 16 levels at three
+    # checkpoints: its levels go in tiles of 64 KiB, and only its sort and
+    # prefix sums take arrays as long as the path (measured ~1000 faults)
+    levels = np.linspace(-1.0, 1.0, _SORT_LEVELS)
+    martingale_part(SYM, path, levels, checkpoints=[0.25, 0.5, 1.0])
+    sorted_calls.clear()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    martingale_part(SYM, path, levels, checkpoints=[0.25, 0.5, 1.0])
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert len(sorted_calls) == 3
     assert faults < 2000, faults
 
 

@@ -14,6 +14,7 @@ from stable_tanaka.params import (
     nu_tail_mass,
     nu_tail_mean,
     stability_constant,
+    symbol_coefficients,
 )
 from stable_tanaka.spectral import (
     Grid,
@@ -23,6 +24,7 @@ from stable_tanaka.spectral import (
     _far_field,
     char_function,
     existence_integral,
+    existence_limit,
     generator_apply,
     generator_apply_windowed,
     generator_quadrature,
@@ -484,6 +486,44 @@ def test_existence_skewed_intensities_match_params():
                  for lo, hi in ((0.0, 1.0), (1.0, 1e2), (1e2, 1e4)))
     assert existence_integral(1.5, 1e4, 3.0, 1.0) == pytest.approx(
         2.0 * direct, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha, pair, u_far", [
+    (1.2, (1.0, 1.0), 1e250), (1.5, (1.0, 1.0), 1e200),
+    (1.3, (3.0, 1.0), 1e200), (1.8, (0.0, 1.0), 1e150)])
+def test_existence_limit_is_the_far_partial(alpha, pair, u_far):
+    # past u_far the remainder is below 1e-40, so the partial is the limit
+    # up to the 2F1's rounding; measured <= 2.6e-14 relative
+    assert existence_limit(alpha, *pair) == pytest.approx(
+        existence_integral(alpha, u_far, *pair), rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha, pair", [
+    (1.2, (1.0, 1.0)), (1.5, (1.0, 1.0)), (1.8, (1.0, 1.0)),
+    (1.5, (3.0, 1.0)), (1.8, (0.0, 1.0))])
+def test_existence_remainder_at_the_last_cutoff(alpha, pair):
+    # what criterion 9's ladder leaves past U = 1e6: to leading order
+    # 2 U^(1-alpha) / (d (alpha-1) (1 + beta^2 tan^2(pi alpha / 2)));
+    # measured agreement <= 3.1e-9 relative
+    u = 1e6
+    beta, d = symbol_coefficients(alpha, *pair)
+    tan = math.tan(math.pi * alpha / 2.0)
+    leading = 2.0 * u ** (1.0 - alpha) / (
+        d * (alpha - 1.0) * (1.0 + (beta * tan) ** 2))
+    remainder = existence_limit(alpha, *pair) \
+        - existence_integral(alpha, u, *pair)
+    assert remainder == pytest.approx(leading, rel=1e-7)
+    # the values quoted for criterion 9, to the digits quoted
+    quoted = {1.2: (0.2105, 5e-5), 1.5: (1.20e-3, 5e-6)}
+    if pair == (1.0, 1.0) and alpha in quoted:
+        value, half_unit = quoted[alpha]
+        assert abs(remainder - value) <= half_unit
+
+
+def test_existence_limit_needs_convergence():
+    for alpha in (0.9, 1.0, 2.0):
+        with pytest.raises(ValueError, match="converges only"):
+            existence_limit(alpha)
 
 
 def test_existence_small_cutoff_is_integrand_at_origin():
