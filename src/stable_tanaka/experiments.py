@@ -169,15 +169,28 @@ _SIM_FIELDS = {"T": Option(None), "n_steps": Option(None, "int"),
 
 @dataclass(frozen=True)
 class _Kind:
-    """A kind's ``run(spec, opts, params, sims)``, its options, and
+    """A kind's ``run(spec, opts, params, sims)``, its options, the
+    ``labeled`` lists, whose entries name verdicts and statistics, and
     ``check(opts, params, cfg)``, which raises ValueError on cross-field
     faults and returns ``sims``, the SimConfigs of the paths it draws."""
 
     run: Callable
     options: dict
+    labeled: tuple = ()
     needs_params: bool = True
     needs_sim: bool = False
     check: Callable = lambda opts, params, cfg: []
+
+
+def _distinct_labels(name: str, values) -> None:
+    """ValueError if two different values print as one ``{:g}`` label,
+    which would name two results alike; exact repeats are let through."""
+    seen = {}
+    for value in values:
+        first = seen.setdefault(f"{value:g}", value)
+        if first != value:
+            raise ValueError(f"{name} {first!r} and {value!r} share the "
+                             f"label {value:g}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +235,8 @@ class ExperimentSpec:
         opts = _typed(f"options for {self.kind}", self.options or {},
                       entry.options)
         try:
+            for name in entry.labeled:
+                _distinct_labels(name, opts[name])
             sims = entry.check(opts, params, cfg)
         except ValueError as exc:
             raise ConfigError(f"{self.kind} options: {exc}") from None
@@ -433,6 +448,8 @@ def _check_checkpoints(o, params, cfg):
     if short:
         raise ValueError(f"checkpoints {short} fall inside the first grid "
                          f"step (T/n_steps = {cfg.dt:g})")
+    _distinct_labels("checkpoint times",
+                     sorted(set(f * cfg.T for f in o["checkpoints"])))
     return [cfg]
 
 
@@ -629,7 +646,7 @@ _KINDS = {
         "levels": Option((0.0, 0.5), "floats"),
         "checkpoints": Option((0.25, 0.5, 1.0), "floats", "(0, 1]"),
         "n_sigma": Option(4.0, "float", "(0, inf)"),
-    }, needs_sim=True, check=_check_checkpoints),
+    }, labeled=("levels",), needs_sim=True, check=_check_checkpoints),
     "occupation-formula": _Kind(_run_occupation_formula, {
         "n_paths": Option(100, "int", "[1, inf)"),
         "hat_half_width": Option(1.0, "float", "(0, inf)"),
@@ -648,14 +665,14 @@ _KINDS = {
         "u": Option((0.5, 1.0, 2.0, 4.0), "floats"),
         "t": Option(1.0, "float", "(0, inf)"),
         "n_sigma": Option(4.0, "float", "(0, inf)"),
-    }, check=_check_symbol),
+    }, labeled=("u",), check=_check_symbol),
     "moment-tests": _Kind(_run_moment_tests, {
         "n_samples": Option(100_000, "int", "[2, inf)"),
         "gammas": Option((0.3, 0.5, 0.7), "floats", "(0, 1)"),
         "times": Option((0.5, 1.0), "floats", "(0, inf)"),
         "shifts": Option((0.0, 1.0), "floats"),
         "n_sigma": Option(4.0, "float", "(0, inf)"),
-    }),
+    }, labeled=("gammas", "times", "shifts")),
     "existence-scan": _Kind(_run_existence_scan, {
         "alphas": Option((0.9, 1.2, 1.5, 1.8), "floats", "(0, 2)"),
         "cutoffs": Option((1e2, 1e4, 1e6), "floats", "(0, inf)"),
@@ -663,7 +680,7 @@ _KINDS = {
         "c_minus": Option(1.0, "float", "[0, inf)"),
         "convergence_tolerance": Option(1e-2, "float", "[0, inf)"),
         "growth_fraction": Option(0.10, "float", "[0, inf)"),
-    }, needs_params=False, check=_check_existence),
+    }, labeled=("alphas",), needs_params=False, check=_check_existence),
     "density-report": _Kind(_run_density_report, {
         "half_width": Option(80.0, "float", "(0, inf)"),
         "n_points": Option(2 ** 15, "int", "[256, inf)"),
@@ -671,7 +688,7 @@ _KINDS = {
         "mass_tolerance": Option(1e-6, "float", "[0, inf)"),
         "symmetry_tolerance": Option(1e-8, "float", "[0, inf)"),
         "selfsim_tolerance": Option(1e-6, "float", "[0, inf)"),
-    }, check=_check_grid),
+    }, labeled=("times",), check=_check_grid),
 }
 
 

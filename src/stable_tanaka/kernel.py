@@ -53,7 +53,13 @@ __all__ = [
 
 @lru_cache(maxsize=1)
 def _bump_normalization() -> float:
-    """int_{-1}^{1} exp(-1/(1-x^2)) dx, computed once to ~1e-13."""
+    """int_{-1}^{1} exp(-1/(1-x^2)) dx, computed once by QUADPACK.
+
+    In closed form it is e^(-1/2) (K_1(1/2) - K_0(1/2)); the quadrature
+    lands 1 ulp below that value correctly rounded, within a budget of 4
+    ulp. The closed form would move every mollifier value, and the pinned
+    bundles, by ~1 ulp.
+    """
     val, err = integrate.quad(lambda x: math.exp(-1.0 / (1.0 - x * x)),
                               -1.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
     if err > 1e-12:

@@ -18,16 +18,17 @@ the same float. Over many levels the occupation sum evaluates the
 mollifier only near its support: each chunk is sorted once and searched
 per level, and the few terms found fill an otherwise zero row.
 
-The compensator Riemann sum of ``martingale_part`` takes one of two
-routes, picked from the input sizes. For few levels it runs through the
-same tiles of levels by points as the jump sum, interpolating the table
-of G_eps (built once per (params, eps)) at every point. For many levels
-on a long enough path it sorts the path's points once and sums the
-table's chord cell by cell from long-double prefix sums, evaluating only
-the points near each level one by one. Within a route a level's value
-does not depend on the other levels asked for; the two routes agree
-within 1e-14 of the sum of the compensator terms' magnitudes (measured
-<= 1.1e-15).
+The compensator Riemann sum of ``martingale_part`` reads one table of
+G_eps per (params, eps), ``compensator_table``: closed-form values at
+nodes, and the chords between them as cells. It takes one of two routes,
+picked from the input sizes. For few levels it runs through the same
+tiles of levels by points as the jump sum, interpolating the table at
+every point. For many levels on a long enough path it sorts the path's
+points once and sums the chords cell by cell from long-double prefix
+sums, evaluating only the points near each level one by one. Within a
+route a level's value does not depend on the other levels asked for;
+the two routes agree within 1e-14 of the sum of the compensator terms'
+magnitudes (measured <= 1.1e-15).
 
 ``occupation_formula_check`` closes the loop: integrating the occupation
 curve against each of a few test functions must reproduce the direct
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,94 +179,85 @@ def occupation_curve(path: PathSample, a_grid,
 
 # -------------------------------------------------------------- martingale
 
-def _require_jump_record(path: PathSample):
-    if path.scheme != "jumpdecomp" or path.config is None:
-        raise ValueError(
-            "the martingale part needs the jump record; simulate with "
-            "the jump-decomposition scheme")
+class _CompensatorTable(NamedTuple):
+    """G_eps tabulated for one (params, eps); every array is read-only.
+
+    ``nodes`` run 40 per decade over 1e-2 eps <= |x| <= 1e3, mirrored, plus
+    0, and ``node_values`` are G_eps there in closed form, NaN at the node
+    0 (see ``_compensator_at``). The sorted route reads the same table as
+    chord cells: cell 0 lies below edges[0], cell j in [edges[j-1],
+    edges[j]), the last cell at or above edges[-1]. On cell j the table is
+    value[j] + slope[j] (x - left[j]), in long double: the chord between
+    two nodes, or a clamped end of slope 0. The cell ``band`` spans the
+    nodes nearest 0 that lie at least _NEAR_EPS eps from it; it has value
+    and slope 0, since its points are evaluated one by one.
+    """
+
+    params: StableParams
+    eps: float
+    nodes: np.ndarray
+    node_values: np.ndarray
+    edges: np.ndarray
+    left: np.ndarray
+    value: np.ndarray
+    slope: np.ndarray
+    band: int
 
 
 @lru_cache(maxsize=8)
-def _compensator_nodes(params: StableParams, eps: float):
-    """Read-only nodes and closed-form values of G_eps, NaN at the node 0.
-
-    Nodes run 40 per decade over 1e-2 eps <= |x| <= 1e3, mirrored, plus 0.
-    """
+def compensator_table(params: StableParams, eps: float) -> _CompensatorTable:
+    """The one table of G_eps per (params, eps) that both routes read."""
     x_min = 1e-2 * eps
     n_nodes = int(round(math.log10(1e3 / x_min) * 40)) + 1
     mags = np.geomspace(x_min, 1e3, n_nodes)
     nodes = np.concatenate([-mags[::-1], [0.0], mags])
     node_values = compensator_density(params, nodes, eps)
     node_values[n_nodes] = np.nan
-    nodes.flags.writeable = False
-    node_values.flags.writeable = False
-    return nodes, node_values
+    outside = np.abs(nodes) >= _NEAR_EPS * eps
+    edges = nodes[outside]
+    x = edges.astype(np.longdouble)
+    y = node_values[outside].astype(np.longdouble)
+    value = np.concatenate([y[:1], y])
+    slope = np.concatenate([[0.0], np.diff(y) / np.diff(x), [0.0]])
+    left = np.concatenate([[0.0], x])
+    band = int(np.count_nonzero(edges < 0.0))
+    value[band] = slope[band] = 0.0
+    for array in (nodes, node_values, edges, left, value, slope):
+        array.flags.writeable = False
+    return _CompensatorTable(params, eps, nodes, node_values, edges, left,
+                             value, slope, band)
 
 
-def _compensator_interp(params: StableParams, eps: float):
-    """G_eps as a function of x, interpolated between closed-form nodes.
+def _compensator_at(table: _CompensatorTable, x) -> np.ndarray:
+    """G_eps at the points x, interpolated between the table's nodes.
 
-    The nodes are built once per (params, eps) by ``_compensator_nodes``;
-    beyond the outermost node the value clamps. Interpolating at every
+    Beyond the outermost node the value clamps. Interpolating at every
     path point is ~5x faster than evaluating the closed form there. Inside
     the innermost cell, |x| < 1e-2 eps, G_eps has its |x|^(alpha-1) cusp,
     which a chord misses by up to 1.7% of G(0); the NaN at the node 0
     makes the chord NaN exactly there, and those few points take the
     closed form directly.
     """
-    nodes, node_values = _compensator_nodes(params, eps)
-
-    def g(x):
-        out = np.interp(x, nodes, node_values)
-        cusp = np.isnan(out)
-        if cusp.any():
-            out[cusp] = compensator_density(params, x[cusp], eps)
-        return out
-
-    return g
+    out = np.interp(x, table.nodes, table.node_values)
+    cusp = np.isnan(out)
+    if cusp.any():
+        out[cusp] = compensator_density(table.params, x[cusp], table.eps)
+    return out
 
 
-def _chord_cells(params: StableParams, eps: float):
-    """The interpolation table as cells for the sorted route.
-
-    Returns (edges, left, value, slope, band): cell 0 lies below edges[0],
-    cell j in [edges[j-1], edges[j]), the last cell at or above edges[-1].
-    On cell j the table is value[j] + slope[j] (x - left[j]), in long
-    double: the chord between two nodes, or a clamped end of slope 0. The
-    cell ``band`` spans the nodes nearest 0 that lie at least
-    _NEAR_EPS eps from it; it has value and slope 0, since its points are
-    evaluated one by one.
-    """
-    nodes, node_values = _compensator_nodes(params, eps)
-    reach = _NEAR_EPS * eps
-    below = int(np.searchsorted(nodes, -reach, side="right")) - 1
-    above = int(np.searchsorted(nodes, reach, side="left"))
-    edges = np.concatenate([nodes[:below + 1], nodes[above:]])
-    x = edges.astype(np.longdouble)
-    y = np.concatenate([node_values[:below + 1],
-                        node_values[above:]]).astype(np.longdouble)
-    value = np.concatenate([y[:1], y])
-    slope = np.concatenate([[0.0], np.diff(y) / np.diff(x), [0.0]])
-    left = np.concatenate([[0.0], x])
-    band = below + 1
-    value[band] = slope[band] = 0.0
-    return edges, left, value, slope, band
-
-
-def _sorted_sums(cells, g, levels, x, dt):
-    """Per-level sums of g(x - a) dt from one sort of the points.
+def _sorted_sums(table: _CompensatorTable, levels, x, dt):
+    """Per-level sums of G_eps(x - a) dt from one sort of the points.
 
     With the points sorted, each cell's points are a run between two
     ``searchsorted`` positions, and long-double prefix sums of dt and x dt
     give the run's weight and first moment; the chord's sum over the run
     is then value W + slope (X - (a + left) W), exactly the sum of what
-    the direct route interpolates point by point, up to rounding. The
+    the tiled route interpolates point by point, up to rounding. The
     band's points, where G_eps and its slope are large, are evaluated as
-    the direct route does, and their terms summed in long double. Each
+    the tiled route does, and their terms summed in long double. Each
     level is computed on its own, in tiles of levels whose long-double
     temporaries stay below 64 KiB.
     """
-    edges, left, value, slope, band = cells
     ld = np.longdouble
     order = np.argsort(x)
     xs, dts = x[order], dt[order]
@@ -274,18 +267,18 @@ def _sorted_sums(cells, g, levels, x, dt):
     np.multiply(xs, dts, out=moment[1:], dtype=ld)
     np.cumsum(moment[1:], out=moment[1:])
     out = np.empty(len(levels))
-    step = max(1, _CELL_TILE // len(value))
+    step = max(1, _CELL_TILE // len(table.value))
     for start in range(0, len(levels), step):
         block = levels[start:start + step, None]
-        at = np.empty((len(block), len(edges) + 2), dtype=np.intp)
+        at = np.empty((len(block), len(table.edges) + 2), dtype=np.intp)
         at[:, 0], at[:, -1] = 0, len(xs)
-        at[:, 1:-1] = np.searchsorted(xs, block + edges)
+        at[:, 1:-1] = np.searchsorted(xs, block + table.edges)
         w = np.diff(weight[at], axis=1)
-        terms = value * w + slope * (
-            np.diff(moment[at], axis=1) - (block.astype(ld) + left) * w)
+        terms = table.value * w + table.slope * (
+            np.diff(moment[at], axis=1) - (block.astype(ld) + table.left) * w)
         totals = terms.sum(axis=1)
-        for j, (lo, hi) in enumerate(at[:, band:band + 2]):
-            near = g(xs[lo:hi] - block[j, 0]) * dts[lo:hi]
+        for j, (lo, hi) in enumerate(at[:, table.band:table.band + 2]):
+            near = _compensator_at(table, xs[lo:hi] - block[j, 0]) * dts[lo:hi]
             out[start + j] = totals[j] + near.sum(dtype=ld)
     return out
 
@@ -295,30 +288,29 @@ def _compensator_sums(params: StableParams, eps: float, levels, ends,
     """Per-level sums of G_eps(x - a) dt over each prefix x[:end], one row
     per end, by the route that costs less at its size.
 
-    The tiled route interpolates the table at every point for every
-    level. The sorted route (``_sorted_sums``) sorts the prefix once and
-    then costs per level about one pass over the table's cells, so it
-    takes a prefix when there are at least _SORT_LEVELS levels and
+    Both routes read the one ``compensator_table`` of (params, eps), looked
+    up once per call. The tiled route interpolates the table at every point
+    for every level. The sorted route (``_sorted_sums``) sorts the prefix
+    once and then costs per level about one pass over the table's cells, so
+    it takes a prefix when there are at least _SORT_LEVELS levels and
     _SORT_POINTS_PER_CELL points per cell, and long double carries at
     least 63 mantissa bits (where it is plain double, the prefix sums
     would lose digits to cancellation). Each prefix takes its route and,
     on the sorted route, its sort on its own, so a row equals the call for
     that end alone.
     """
-    g = _compensator_interp(params, eps)
+    table = compensator_table(params, eps)
     n_tiled = len(ends)
     if _LONG_DOUBLE_SUMS and len(levels) >= _SORT_LEVELS:
-        n_cells = len(_compensator_nodes(params, eps)[0]) - 1
+        n_cells = len(table.nodes) - 1
         n_tiled = int(np.searchsorted(ends, _SORT_POINTS_PER_CELL * n_cells))
     out = np.empty((len(ends), len(levels)))
     if n_tiled:
-        out[:n_tiled] = _tiled_levels(levels, ends[:n_tiled],
-                                      lambda b, x, dt: g(x - b) * dt, x, dt)
-    if n_tiled < len(ends):
-        cells = _chord_cells(params, eps)
-        for j in range(n_tiled, len(ends)):
-            out[j] = _sorted_sums(cells, g, levels, x[:ends[j]],
-                                  dt[:ends[j]])
+        out[:n_tiled] = _tiled_levels(
+            levels, ends[:n_tiled],
+            lambda b, x, dt: _compensator_at(table, x - b) * dt, x, dt)
+    for j in range(n_tiled, len(ends)):
+        out[j] = _sorted_sums(table, levels, x[:ends[j]], dt[:ends[j]])
     return out
 
 
@@ -344,7 +336,10 @@ def martingale_part(params: StableParams, path: PathSample, a,
     compensator sums agree within 1e-14 of the sum of their terms'
     magnitudes.
     """
-    _require_jump_record(path)
+    if path.scheme != "jumpdecomp" or path.config is None:
+        raise ValueError(
+            "the martingale part needs the jump record; simulate with "
+            "the jump-decomposition scheme")
     times = path.times
     horizons = np.atleast_1d(times[-1] if checkpoints is None
                              else np.asarray(checkpoints, dtype=float))

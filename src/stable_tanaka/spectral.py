@@ -314,38 +314,28 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
     return x_rep, total
 
 
-def _central_diff(f, x: float, order: int) -> float:
-    base = max(1.0, abs(x))
-    if order == 1:
-        step = base * 6.0e-6
-        return (f(x + step) - f(x - step)) / (2.0 * step)
-    step = base * 1.2e-4
-    return (f(x + step) - 2.0 * f(x) + f(x - step)) / step**2
-
-
 # generator_quadrature's jump band. _H_MIN balances two error floors: the
 # inner closure's next Taylor term, ~ (c_plus - c_minus) _H_MIN^(3-alpha),
 # and below it the rounding noise of the compensated difference times nu.
 _H_MIN, _H_MAX = 1e-4, 1e3
 
 
-def generator_quadrature(params: StableParams, f, x: float,
-                         fprime=None, fsecond=None, tol: float = 1e-8):
+def generator_quadrature(params: StableParams, f, x: float, fprime, fsecond,
+                         tol: float = 1e-8):
     """Pointwise generator by direct quadrature of the compensated jumps.
 
     Integrates {f(x+h) - f(x) - f'(x) h} against the jump density over
     1e-4 <= |h| <= 1e3 in per-decade panels (adaptive quadrature inside
     each) and closes the inner hole with the Taylor term f''(x)/2 times the
-    small-jump variance. Nothing is added for |h| > 1e3, so a linear f
-    gives exactly zero; callers add the compensated tail beyond 1e3
-    themselves where they need it.
+    small-jump variance. ``fprime`` and ``fsecond`` are f's exact first
+    and second derivatives: an oracle takes no finite differences. Nothing
+    is added for |h| > 1e3, so a linear f gives exactly zero; callers add
+    the compensated tail beyond 1e3 themselves where they need it.
 
     Raises :class:`ToleranceError` when the summed quadrature error
     estimates exceed ``tol``.
     """
-    fx = f(x)
-    fp = fprime(x) if fprime is not None else _central_diff(f, x, 1)
-    fpp = fsecond(x) if fsecond is not None else _central_diff(f, x, 2)
+    fx, fp, fpp = f(x), fprime(x), fsecond(x)
 
     def compensated(h):
         return (f(x + h) - fx - fp * h) * nu_density(params, h)

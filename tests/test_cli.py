@@ -174,6 +174,33 @@ MALFORMED = {
     # scipy's 2F1 gives NaN at alpha = 0.01, so the partial is not finite
     "alpha-hundredth": {"kind": "existence-scan",
                         "options": {"alphas": [0.01]}},
+    # distinct values that print as one {:g} label would name two
+    # verdicts, statistics entries or curves alike, and one would be lost
+    "u-labels-collide": {"kind": "sampler-validation", "params": SYM,
+                         "options": {"n_samples": 50,
+                                     "u": [1.0000001, 1.0000002]}},
+    "gammas-labels-collide": {"kind": "moment-tests", "params": SYM,
+                              "options": {"n_samples": 50,
+                                          "gammas": [0.3000001, 0.3000002]}},
+    "times-labels-collide": {"kind": "moment-tests", "params": SYM,
+                             "options": {"n_samples": 50,
+                                         "times": [1.0000001, 1.0000002]}},
+    "shifts-labels-collide": {"kind": "moment-tests", "params": SYM,
+                              "options": {"n_samples": 50,
+                                          "shifts": [0.1234567, 0.1234568]}},
+    "levels-labels-collide": {"kind": "martingale-zero-mean", "params": SYM,
+                              "sim": SMALL_SIM,
+                              "options": {"n_paths": 2,
+                                          "levels": [0.1234567, 0.1234568]}},
+    "checkpoints-labels-collide": {"kind": "martingale-zero-mean",
+                                   "params": SYM, "sim": SMALL_SIM,
+                                   "options": {"n_paths": 2, "checkpoints":
+                                               [0.5000001, 0.5000002]}},
+    "alphas-labels-collide": {"kind": "existence-scan",
+                              "options": {"alphas": [1.5000001, 1.5000002]}},
+    "density-times-labels-collide": {"kind": "density-report", "params": SYM,
+                                     "options": {"n_points": 256, "times":
+                                                 [1.0000001, 1.0000002]}},
     # doubles hold no 201 distinct default levels around 1e15
     "x0-levels-unresolvable": {"kind": "occupation-formula", "params": SYM,
                                "sim": dict(SMALL_SIM, x0=1e15),

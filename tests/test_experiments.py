@@ -88,6 +88,20 @@ def test_schedule_jump_count_checked_at_construction():
                                 "schedule": [[1e-100, 16], [0.05, 32]]})
 
 
+def test_label_collisions_refused_exact_repeats_kept():
+    # distinct values printing as one {:g} label are refused, also for
+    # checkpoints once scaled by T; exact repeats construct as before
+    sim = {"T": 2.0, "n_steps": 64, "eps": 1e-2}
+    with pytest.raises(ConfigError, match="share the label 1"):
+        ExperimentSpec(kind="martingale-zero-mean", params=SYM_PARAMS,
+                       sim=sim, options={"checkpoints": [0.5, 0.50000001]})
+    ExperimentSpec(kind="martingale-zero-mean", params=SYM_PARAMS, sim=sim,
+                   options={"levels": [0.5, 0.5],
+                            "checkpoints": [0.5, 0.5, 1.0]})
+    ExperimentSpec(kind="sampler-validation", params=SYM_PARAMS,
+                   options={"u": [1.0, 1.0]})
+
+
 def test_all_kinds_registered():
     option_keys = {name: set(kind.options) for name, kind in _KINDS.items()}
     assert len(_KINDS) == 8

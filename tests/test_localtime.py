@@ -7,10 +7,12 @@ properties. MC assertions run on frozen seeds with margins measured at
 calibration time; each records its measured value next to the bound.
 """
 
+import hashlib
 import math
 import resource
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,10 +25,9 @@ from stable_tanaka.localtime import (
     _SORT_POINTS_PER_CELL,
     _TILE_LEVELS,
     _TILE_POINTS,
-    _chord_cells,
-    _compensator_interp,
-    _compensator_nodes,
+    _compensator_at,
     _sorted_sums,
+    compensator_table,
     default_a_grid,
     default_mollifier,
     hat_function,
@@ -228,7 +229,7 @@ def test_tiled_sums_match_exact_summation(params):
     assert np.array_equal(rows, path.jump_rows)
     post = path.values[rows]
     pre = post - path.jump_sizes
-    g = _compensator_interp(params, cfg.eps)
+    g = partial(_compensator_at, compensator_table(params, cfg.eps))
     levels = np.concatenate([np.quantile(path.values, [0.1, 0.5, 0.9]),
                              [path.values.max() + 0.5]])
     occ = occupation_curve(path, levels, moll)
@@ -311,24 +312,9 @@ def test_compensator_interp_pins_chord_and_cusp(params, eps):
              np.nextafter(-x_min, 0.0), 2e3, -2e3]
     spread = np.geomspace(1e-3 * x_min, 1e4, 2001)
     x = np.concatenate([edges, spread, -spread])
-    got = _compensator_interp(params, eps)(x)
+    got = _compensator_at(compensator_table(params, eps), x)
     assert np.array_equal(got.view(np.int64),
                           chord_then_cusp(x).view(np.int64))
-
-
-def test_compensator_nodes_cached_and_read_only():
-    # one table per (params, eps): equal params are one key
-    nodes, values = _compensator_nodes(SYM, 1e-3)
-    again = _compensator_nodes(derive_params(1.5, 1.0, 1.0), 1e-3)
-    assert again[0] is nodes and again[1] is values
-    assert _compensator_nodes(SYM, 1e-2)[0] is not nodes
-    assert _compensator_nodes(derive_params(1.5, 3.0, 1.0), 1e-3)[1] \
-        is not values
-    assert len(nodes) == 643 and nodes[321] == 0.0
-    assert np.flatnonzero(np.isnan(values)).tolist() == [321]
-    for table in (nodes, values):
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 1.0
 
 
 # ------------------------------------------------------ sorted compensator
@@ -354,10 +340,10 @@ def test_sorted_compensator_matches_exact_summation(triplet, eps):
     path = simulate_path_jumpdecomp(params, cfg)
     x, dt = path.values[:-1], np.diff(path.times)
     levels = default_a_grid(path)
-    g = _compensator_interp(params, eps)
-    got = _sorted_sums(_chord_cells(params, eps), g, levels, x, dt)
+    table = compensator_table(params, eps)
+    got = _sorted_sums(table, levels, x, dt)
     for a, total in zip(levels, got):
-        terms = g(x - a) * dt
+        terms = _compensator_at(table, x - a) * dt
         assert abs(total - math.fsum(terms)) \
             <= 1e-14 * np.abs(terms).sum(), a
 
@@ -368,8 +354,8 @@ def curve_path():
     # whole path, fewer up to t = 0.05
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=2)
     path = simulate_path_jumpdecomp(LEVEL_CURVE, cfg)
-    per_cell = _SORT_POINTS_PER_CELL * (len(_compensator_nodes(
-        LEVEL_CURVE, cfg.eps)[0]) - 1)
+    per_cell = _SORT_POINTS_PER_CELL * (
+        len(compensator_table(LEVEL_CURVE, cfg.eps).nodes) - 1)
     assert np.sum(path.times < 0.05) < per_cell < np.sum(path.times < 0.5)
     return path
 
@@ -379,9 +365,9 @@ def sorted_calls(monkeypatch):
     """The (levels, points) of each call of the sorted route."""
     calls, real = [], localtime._sorted_sums
 
-    def spy(cells, g, levels, x, dt):
+    def spy(table, levels, x, dt):
         calls.append((len(levels), len(x)))
-        return real(cells, g, levels, x, dt)
+        return real(table, levels, x, dt)
 
     monkeypatch.setattr(localtime, "_sorted_sums", spy)
     return calls
@@ -389,6 +375,46 @@ def sorted_calls(monkeypatch):
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_compensator_table_contract(curve_path, sorted_calls, monkeypatch):
+    # one table per (params, eps), equal params being one key, and every
+    # array in it read-only
+    table = compensator_table(SYM, 1e-3)
+    assert compensator_table(derive_params(1.5, 1.0, 1.0), 1e-3) is table
+    assert compensator_table(SYM, 1e-2) is not table
+    assert compensator_table(derive_params(1.5, 3.0, 1.0), 1e-3) is not table
+    assert len(table.nodes) == 643 and table.nodes[321] == 0.0
+    assert np.flatnonzero(np.isnan(table.node_values)).tolist() == [321]
+    arrays = [field for field in table if isinstance(field, np.ndarray)]
+    assert len(arrays) == 6
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    # each martingale_part call looks the table up once, where callers
+    # find it, on the tiled route (2 levels) and the sorted one (201
+    # levels, whose first checkpoint has too few points and stays tiled);
+    # both routes' values are pinned by digest
+    looked_up, real = [], localtime.compensator_table
+
+    def counting(params, eps):
+        looked_up.append((params, eps))
+        return real(params, eps)
+
+    monkeypatch.setattr(localtime, "compensator_table", counting)
+    grid = default_a_grid(curve_path)
+    pins = {2: "104924b976cdbd88", 201: "eb6e1b24d7ba7763"}
+    for levels, n_sorted in ((grid[[50, 150]], 0), (grid, 2)):
+        looked_up.clear()
+        sorted_calls.clear()
+        m = martingale_part(LEVEL_CURVE, curve_path, levels,
+                            checkpoints=[0.05, 0.5, 1.0])
+        assert looked_up == [(LEVEL_CURVE, curve_path.config.eps)]
+        assert len(sorted_calls) == n_sorted
+        # the sorted route's pin holds for x87 extended prefix sums
+        if n_sorted == 0 or np.finfo(np.longdouble).nmant == 63:
+            digest = hashlib.sha256(m.astype("<f8").tobytes()).hexdigest()
+            assert digest[:16] == pins[len(levels)]
 
 
 def test_sorted_route_values_do_not_depend_on_other_levels(
@@ -428,7 +454,7 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
     short = simulate_path_jumpdecomp(
         LEVEL_CURVE, SimConfig(T=1.0, n_steps=4096, eps=1e-2, seed=2))
     assert len(short.times) - 1 < _SORT_POINTS_PER_CELL * (
-        len(_compensator_nodes(LEVEL_CURVE, 1e-2)[0]) - 1)
+        len(compensator_table(LEVEL_CURVE, 1e-2).nodes) - 1)
     martingale_part(LEVEL_CURVE, short, default_a_grid(short))
     assert sorted_calls == []
     sorted_route = martingale_part(LEVEL_CURVE, curve_path, grid)
@@ -442,7 +468,8 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
     # the jump sums are the same floats on both, so the routes differ by
     # their compensator sums only, within the bar of the exact-sum test
     x, dt = curve_path.values[:-1], np.diff(curve_path.times)
-    g = _compensator_interp(LEVEL_CURVE, curve_path.config.eps)
+    g = partial(_compensator_at,
+                compensator_table(LEVEL_CURVE, curve_path.config.eps))
     for a, s, t in zip(grid, sorted_route, tiled_route):
         assert abs(s - t) <= 1e-14 * np.abs(g(x - a) * dt).sum(), a
 

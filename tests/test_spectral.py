@@ -256,9 +256,14 @@ def test_generator_quadrature_symbol_off_origin():
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_generator_quadrature_errors():
     f = lambda y: math.exp(-y * y)
-    assert math.isfinite(generator_quadrature(SYM, f, 0.5))
+    fp = lambda y: -2.0 * y * math.exp(-y * y)
+    fpp = lambda y: (4.0 * y * y - 2.0) * math.exp(-y * y)
+    assert math.isfinite(generator_quadrature(SYM, f, 0.5, fp, fpp))
     with pytest.raises(ToleranceError):
-        generator_quadrature(SYM, f, 0.5, tol=0.0)
+        generator_quadrature(SYM, f, 0.5, fp, fpp, tol=0.0)
+    # the derivatives are the caller's to give exactly
+    with pytest.raises(TypeError):
+        generator_quadrature(SYM, f, 0.5)
 
 
 def test_windowed_generator_against_quadrature_oracle():
