@@ -57,8 +57,8 @@ def _bump_normalization() -> float:
 
     In closed form it is e^(-1/2) (K_1(1/2) - K_0(1/2)); the quadrature
     lands 1 ulp below that value correctly rounded, within a budget of 4
-    ulp. The closed form would move every mollifier value, and the pinned
-    bundles, by ~1 ulp.
+    ulp. The closed form would move every mollifier value, two pinned
+    bundles and criterion 1's five pinned sup errors (by up to 5e-11).
     """
     val, err = integrate.quad(lambda x: math.exp(-1.0 / (1.0 - x * x)),
                               -1.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
@@ -92,12 +92,16 @@ class MollifierSpec:
     def width(self) -> float:
         return 1.0 / self.n
 
+    @property
+    def reach(self) -> float:
+        """2 width: n x is formed only on |x| < reach, a superset of the
+        support where it cannot overflow; the value is 0 elsewhere."""
+        return 2.0 * self.width
+
     def __call__(self, x):
-        # n x is formed only on |x| < 2 width, a superset of the support
-        # where it cannot overflow; the value is 0 everywhere else
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
-        near = np.abs(x) < 2.0 * self.width
+        near = np.abs(x) < self.reach
         out[near] = self.n * standard_bump(self.n * x[near])
         return out if out.ndim else float(out)
 

@@ -21,14 +21,14 @@ per level, and the few terms found fill an otherwise zero row.
 The compensator Riemann sum of ``martingale_part`` reads one table of
 G_eps per (params, eps), ``compensator_table``: closed-form values at
 nodes, and the chords between them as cells. It takes one of two routes,
-picked from the input sizes. For few levels it runs through the same
-tiles of levels by points as the jump sum, interpolating the table at
-every point. For many levels on a long enough path it sorts the path's
-points once and sums the chords cell by cell from long-double prefix
-sums, evaluating only the points near each level one by one. Within a
-route a level's value does not depend on the other levels asked for;
-the two routes agree within 1e-14 of the sum of the compensator terms'
-magnitudes (measured <= 1.1e-15).
+picked once per call from the number of levels. For fewer than 16 it
+runs through the same tiles of levels by points as the jump sum,
+interpolating the table at every point. For 16 or more it sorts the
+path's points once and sums the chords cell by cell from long-double
+prefix sums, evaluating only the points near each level one by one.
+Within a route a level's value does not depend on the other levels asked
+for; the two routes agree within 1e-14 of the sum of the compensator
+terms' magnitudes (measured <= 1.1e-15).
 
 ``occupation_formula_check`` closes the loop: integrating the occupation
 curve against each of a few test functions must reproduce the direct
@@ -67,11 +67,9 @@ _TILE_POINTS = 8192
 # Both curves take their sorted route for this many levels or more; for
 # fewer, whole rows cost less than the sort. For the compensator the sort
 # broke even at about 8 levels at the level-curve shape (alpha = 1.3,
-# c+- = 3, 1, eps = 1e-3, 4096 steps: 1.69 against 1.70 ms), and at 16
-# levels at 10 to 13 points per table cell, so it also needs
-# _SORT_POINTS_PER_CELL of them.
+# c+- = 3, 1, eps = 1e-3, 4096 steps: 1.69 against 1.70 ms); over 201
+# levels a tanaka_curve takes no longer with it on paths of any length.
 _SORT_LEVELS = 16
-_SORT_POINTS_PER_CELL = 16
 # the sorted compensator evaluates points within this many eps of a level
 # one by one: nearer in, G_eps is too steep for its prefix sums' rounding
 _NEAR_EPS = 100.0
@@ -128,6 +126,14 @@ def _tiled_levels(levels, ends, tile, *columns):
     return out
 
 
+def _level_grid(a_grid) -> np.ndarray:
+    """The levels of a curve as a float array, refused unless 1-D."""
+    levels = np.asarray(a_grid, dtype=float)
+    if levels.ndim != 1:
+        raise ValueError("a_grid must be a 1-D array of levels")
+    return levels
+
+
 # ------------------------------------------------------------- occupation
 
 def _reached(x, levels, reach):
@@ -152,14 +158,13 @@ def occupation_curve(path: PathSample, a_grid,
 
     A level's sum walks the points in chunks of _TILE_POINTS and adds each
     chunk's row of terms moll(x - a) * dt, so it does not depend on the
-    levels asked for with it. The mollifier is evaluated only within 2/n
-    of the level, the reach inside which ``MollifierSpec`` evaluates: the
+    levels asked for with it. The mollifier is evaluated only within its
+    ``reach`` (2/n) of the level, where ``MollifierSpec`` evaluates: the
     terms found there fill an otherwise zero row, which sums to the same
     float as the whole row. A chunk the level reaches no point of adds
     nothing, where the whole row would add 0.0.
     """
-    levels = np.asarray(a_grid, dtype=float)
-    reach = 2.0 * moll.width
+    levels = _level_grid(a_grid)
     x_all, dt_all = path.values[:-1], np.diff(path.times)
     out = np.zeros(len(levels))
     row = np.zeros(min(_TILE_POINTS, len(x_all)))
@@ -167,7 +172,7 @@ def occupation_curve(path: PathSample, a_grid,
         x = x_all[lo:lo + _TILE_POINTS]
         dt = dt_all[lo:lo + _TILE_POINTS]
         chunk_row = row[:len(x)]
-        for j, at in enumerate(_reached(x, levels, reach)):
+        for j, at in enumerate(_reached(x, levels, moll.reach)):
             if at is None:
                 out[j] += (moll(x - levels[j]) * dt).sum()
             elif len(at):
@@ -286,32 +291,21 @@ def _sorted_sums(table: _CompensatorTable, levels, x, dt):
 def _compensator_sums(params: StableParams, eps: float, levels, ends,
                       x, dt):
     """Per-level sums of G_eps(x - a) dt over each prefix x[:end], one row
-    per end, by the route that costs less at its size.
+    per end, from the one ``compensator_table`` of (params, eps).
 
-    Both routes read the one ``compensator_table`` of (params, eps), looked
-    up once per call. The tiled route interpolates the table at every point
-    for every level. The sorted route (``_sorted_sums``) sorts the prefix
-    once and then costs per level about one pass over the table's cells, so
-    it takes a prefix when there are at least _SORT_LEVELS levels and
-    _SORT_POINTS_PER_CELL points per cell, and long double carries at
-    least 63 mantissa bits (where it is plain double, the prefix sums
-    would lose digits to cancellation). Each prefix takes its route and,
-    on the sorted route, its sort on its own, so a row equals the call for
-    that end alone.
+    For _SORT_LEVELS levels or more, where long double carries at least 63
+    mantissa bits (in plain double the prefix sums would lose digits to
+    cancellation), each prefix is sorted and summed cell by cell
+    (``_sorted_sums``); for fewer, the tiled route interpolates the table
+    at every point. Either way a row equals the call for that end alone.
     """
     table = compensator_table(params, eps)
-    n_tiled = len(ends)
     if _LONG_DOUBLE_SUMS and len(levels) >= _SORT_LEVELS:
-        n_cells = len(table.nodes) - 1
-        n_tiled = int(np.searchsorted(ends, _SORT_POINTS_PER_CELL * n_cells))
-    out = np.empty((len(ends), len(levels)))
-    if n_tiled:
-        out[:n_tiled] = _tiled_levels(
-            levels, ends[:n_tiled],
-            lambda b, x, dt: _compensator_at(table, x - b) * dt, x, dt)
-    for j in range(n_tiled, len(ends)):
-        out[j] = _sorted_sums(table, levels, x[:ends[j]], dt[:ends[j]])
-    return out
+        return np.array([_sorted_sums(table, levels, x[:end], dt[:end])
+                         for end in ends])
+    return _tiled_levels(
+        levels, ends, lambda b, x, dt: _compensator_at(table, x - b) * dt,
+        x, dt)
 
 
 def martingale_part(params: StableParams, path: PathSample, a,
@@ -329,7 +323,7 @@ def martingale_part(params: StableParams, path: PathSample, a,
     (the result then has shape ``(len(checkpoints),) + np.shape(a)``).
 
     The compensator sum takes the route ``_compensator_sums`` picks from
-    the number of levels and of points up to each checkpoint. Within a
+    the number of levels alone, the same at every checkpoint. Within a
     route a level's value is the same float whatever other levels are
     asked for, and a checkpoint's row is the same as the call at that
     checkpoint alone; across routes (a few levels against many) the
@@ -371,7 +365,7 @@ def martingale_part(params: StableParams, path: PathSample, a,
 def tanaka_curve(params: StableParams, path: PathSample,
                  a_grid) -> np.ndarray:
     """Kernel-route estimates over levels; noisy, so they may dip below 0."""
-    a_grid = np.asarray(a_grid, dtype=float)
+    a_grid = _level_grid(a_grid)
     return (kernel_F(params, path.values[-1] - a_grid)
             - kernel_F(params, path.values[0] - a_grid)
             - martingale_part(params, path, a_grid))

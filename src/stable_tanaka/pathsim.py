@@ -243,13 +243,14 @@ def _draw_jumps(params: StableParams, config: SimConfig, rng):
 def _merge_jump_times(base: np.ndarray, jt: np.ndarray):
     """Merge sorted instants ``jt`` in [0, T] into ``base = linspace(0, T, n+1)``.
 
-    Returns the refined grid and each instant's row in it, the same arrays
-    as ``union1d(base, jt)`` and a ``searchsorted`` of ``jt`` into it. The
-    cell guess int(jt n / T) is at most one off, so comparing an instant
-    with the two nodes above the guess gives c = #{nodes < jt}. Instant j
-    then goes to row c_j + j, and node i to row i + #{j : c_j <= i}. An
-    instant equal to a node or to another instant lands next to it; such a
-    tie merges into one grid point, which every tied instant keeps as row.
+    Returns the refined grid, each instant's row in it and the grid's
+    steps: the same arrays as ``union1d(base, jt)``, a ``searchsorted`` of
+    ``jt`` into it and its ``diff``. The cell guess int(jt n / T) is at
+    most one off, so comparing an instant with the two nodes above the
+    guess gives c = #{nodes < jt}. Instant j then goes to row c_j + j, and
+    node i to row i + #{j : c_j <= i}. An instant equal to a node or to
+    another instant lands next to it; such a tie merges into one grid
+    point, which every tied instant keeps as row, and drops its zero step.
     """
     n = len(base) - 1
     above = np.append(base, np.inf)[1:]  # an instant at T has a node above
@@ -267,7 +268,8 @@ def _merge_jump_times(base: np.ndarray, jt: np.ndarray):
         first = np.concatenate(([True], step != 0.0))
         rows = (np.cumsum(first) - 1)[rows]
         times = times[first]
-    return times, rows
+        step = step[first[1:]]
+    return times, rows, step
 
 
 def simulate_path_jumpdecomp(params: StableParams, config: SimConfig,
@@ -283,13 +285,9 @@ def simulate_path_jumpdecomp(params: StableParams, config: SimConfig,
     rng = path_rng(config.seed, path_index)
     jt, sizes = _draw_jumps(params, config, rng)
     drift = -nu_tail_mean(params, config.eps)
-    times, rows = _merge_jump_times(
+    times, rows, incs = _merge_jump_times(
         np.linspace(0.0, config.T, config.n_steps + 1), jt)
 
-    # the increments go straight into values[1:] and are summed in place
-    values = np.empty(len(times))
-    incs = values[1:]
-    np.subtract(times[1:], times[:-1], out=incs)
     if config.small_jump_mode == "gaussian":
         noise = np.sqrt(incs)
         noise *= math.sqrt(small_jump_variance(params, config.eps))
@@ -298,9 +296,10 @@ def simulate_path_jumpdecomp(params: StableParams, config: SimConfig,
         incs += noise
     else:
         incs *= drift
-    np.add.at(values, rows, sizes)
-    np.cumsum(incs, out=incs)
+    np.add.at(incs, rows - 1, sizes)
+    values = np.empty(len(times))
     values[0] = 0.0
+    np.cumsum(incs, out=values[1:])
     values += config.x0
     return PathSample(times=times, values=values, jump_rows=rows,
                       jump_sizes=sizes, scheme="jumpdecomp", config=config)

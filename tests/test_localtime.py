@@ -22,7 +22,6 @@ from stable_tanaka import derive_params, localtime
 from stable_tanaka.kernel import MollifierSpec, compensator_density, kernel_F
 from stable_tanaka.localtime import (
     _SORT_LEVELS,
-    _SORT_POINTS_PER_CELL,
     _TILE_LEVELS,
     _TILE_POINTS,
     _compensator_at,
@@ -177,6 +176,20 @@ def test_curves_match_pointwise_estimators():
         # does not depend on the levels asked for with it
         assert occ[j] == occupation_curve(path, [a], moll)[0]
         assert tan[j] == tanaka_curve(SYM, path, [a])[0]
+
+
+def test_curves_take_a_1d_grid_of_levels():
+    # a scalar or a 2-D grid is refused by both curves; an empty grid gives
+    # an empty curve
+    cfg = SimConfig(T=1.0, n_steps=64, eps=1e-2, seed=9)
+    path = simulate_path_jumpdecomp(SYM, cfg)
+    curves = [partial(occupation_curve, path, moll=default_mollifier(cfg.eps)),
+              partial(tanaka_curve, SYM, path)]
+    for curve in curves:
+        for bad in (0.0, [[0.0, 0.5], [1.0, 1.5]]):
+            with pytest.raises(ValueError, match="1-D"):
+                curve(bad)
+        assert curve([]).shape == (0,)
 
 
 @pytest.mark.parametrize("params", [SYM, derive_params(1.5, 1.0, 0.0)],
@@ -350,14 +363,9 @@ def test_sorted_compensator_matches_exact_summation(triplet, eps):
 
 @pytest.fixture(scope="module")
 def curve_path():
-    # the level-curve shape: 16 or more points per table cell over the
-    # whole path, fewer up to t = 0.05
+    # the level-curve shape
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=2)
-    path = simulate_path_jumpdecomp(LEVEL_CURVE, cfg)
-    per_cell = _SORT_POINTS_PER_CELL * (
-        len(compensator_table(LEVEL_CURVE, cfg.eps).nodes) - 1)
-    assert np.sum(path.times < 0.05) < per_cell < np.sum(path.times < 0.5)
-    return path
+    return simulate_path_jumpdecomp(LEVEL_CURVE, cfg)
 
 
 @pytest.fixture
@@ -393,8 +401,8 @@ def test_compensator_table_contract(curve_path, sorted_calls, monkeypatch):
             array[0] = 1.0
     # each martingale_part call looks the table up once, where callers
     # find it, on the tiled route (2 levels) and the sorted one (201
-    # levels, whose first checkpoint has too few points and stays tiled);
-    # both routes' values are pinned by digest
+    # levels, sorted at each of its three checkpoints); both routes'
+    # values are pinned by digest
     looked_up, real = [], localtime.compensator_table
 
     def counting(params, eps):
@@ -403,8 +411,8 @@ def test_compensator_table_contract(curve_path, sorted_calls, monkeypatch):
 
     monkeypatch.setattr(localtime, "compensator_table", counting)
     grid = default_a_grid(curve_path)
-    pins = {2: "104924b976cdbd88", 201: "eb6e1b24d7ba7763"}
-    for levels, n_sorted in ((grid[[50, 150]], 0), (grid, 2)):
+    pins = {2: "104924b976cdbd88", 201: "90409d30eafc5f9c"}
+    for levels, n_sorted in ((grid[[50, 150]], 0), (grid, 3)):
         looked_up.clear()
         sorted_calls.clear()
         m = martingale_part(LEVEL_CURVE, curve_path, levels,
@@ -421,8 +429,8 @@ def test_sorted_route_values_do_not_depend_on_other_levels(
         curve_path, sorted_calls):
     # a level's value from the 201-level default grid is, bit for bit,
     # its value from a shuffled 16-level subset; and each row of a
-    # checkpoint array is the call at that checkpoint alone, the first on
-    # the tiled route (too few points) and the others sorted on their own
+    # checkpoint array is the call at that checkpoint alone, each sorted
+    # on its own
     grid = default_a_grid(curve_path)
     n = len(curve_path.times) - 1
     pick = np.random.default_rng(0).permutation(201)[:_SORT_LEVELS]
@@ -433,7 +441,7 @@ def test_sorted_route_values_do_not_depend_on_other_levels(
     sorted_calls.clear()
     horizons = [0.05, 0.5, 1.0]
     rows = martingale_part(LEVEL_CURVE, curve_path, grid[pick], horizons)
-    assert [levels for levels, _ in sorted_calls] == [_SORT_LEVELS] * 2
+    assert [levels for levels, _ in sorted_calls] == [_SORT_LEVELS] * 3
     assert np.array_equal(_bits(rows[-1]), _bits(subset))
     for t, row in zip(horizons, rows):
         assert np.array_equal(
@@ -443,35 +451,39 @@ def test_sorted_route_values_do_not_depend_on_other_levels(
 
 def test_route_choice_from_input_sizes(curve_path, sorted_calls,
                                        monkeypatch):
-    # fewer than _SORT_LEVELS levels, or fewer than _SORT_POINTS_PER_CELL
-    # points per table cell, or a long double no wider than a double, keep
-    # the tiled route, whose values are the one-level calls'
+    # fewer than _SORT_LEVELS levels, or a long double no wider than a
+    # double, keep the tiled route, whose values are the one-level calls';
+    # 16 levels or more take the sorted route on a path of any length,
+    # here ~9 and ~45 points per table cell
     grid = default_a_grid(curve_path)
     few = grid[::14][:_SORT_LEVELS - 1]
     assert np.array_equal(
         _bits(martingale_part(LEVEL_CURVE, curve_path, few)),
         _bits([martingale_part(LEVEL_CURVE, curve_path, a) for a in few]))
+    assert sorted_calls == []
     short = simulate_path_jumpdecomp(
         LEVEL_CURVE, SimConfig(T=1.0, n_steps=4096, eps=1e-2, seed=2))
-    assert len(short.times) - 1 < _SORT_POINTS_PER_CELL * (
-        len(compensator_table(LEVEL_CURVE, 1e-2).nodes) - 1)
-    martingale_part(LEVEL_CURVE, short, default_a_grid(short))
-    assert sorted_calls == []
-    sorted_route = martingale_part(LEVEL_CURVE, curve_path, grid)
-    monkeypatch.setattr(localtime, "_LONG_DOUBLE_SUMS", False)
-    tiled_route = martingale_part(LEVEL_CURVE, curve_path, grid)
-    assert len(sorted_calls) == 1
-    picks = grid[::25]
-    assert np.array_equal(
-        _bits(tiled_route[::25]),
-        _bits([martingale_part(LEVEL_CURVE, curve_path, a) for a in picks]))
-    # the jump sums are the same floats on both, so the routes differ by
-    # their compensator sums only, within the bar of the exact-sum test
-    x, dt = curve_path.values[:-1], np.diff(curve_path.times)
-    g = partial(_compensator_at,
-                compensator_table(LEVEL_CURVE, curve_path.config.eps))
-    for a, s, t in zip(grid, sorted_route, tiled_route):
-        assert abs(s - t) <= 1e-14 * np.abs(g(x - a) * dt).sum(), a
+    for path in (short, curve_path):
+        grid = default_a_grid(path)
+        sorted_calls.clear()
+        sorted_route = martingale_part(LEVEL_CURVE, path, grid)
+        assert sorted_calls == [(201, len(path.times) - 1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(localtime, "_LONG_DOUBLE_SUMS", False)
+            tiled_route = martingale_part(LEVEL_CURVE, path, grid)
+            picks = grid[::25]
+            assert np.array_equal(
+                _bits(tiled_route[::25]),
+                _bits([martingale_part(LEVEL_CURVE, path, a) for a in picks]))
+        assert len(sorted_calls) == 1
+        # the jump sums are the same floats on both, so the routes differ
+        # by their compensator sums only, within the bar of the exact-sum
+        # test
+        x, dt = path.values[:-1], np.diff(path.times)
+        g = partial(_compensator_at,
+                    compensator_table(LEVEL_CURVE, path.config.eps))
+        for a, s, t in zip(grid, sorted_route, tiled_route):
+            assert abs(s - t) <= 1e-14 * np.abs(g(x - a) * dt).sum(), a
 
 
 @pytest.mark.skipif(sys.platform != "linux",

@@ -258,10 +258,12 @@ def _union_rows(base, jt):
 
 
 def _assert_placed_like_union(base, jt):
-    times, rows = pathsim._merge_jump_times(base, np.asarray(jt, dtype=float))
+    times, rows, steps = pathsim._merge_jump_times(
+        base, np.asarray(jt, dtype=float))
     ref_times, ref_rows = _union_rows(base, jt)
     assert times.tobytes() == ref_times.tobytes()
     assert rows.dtype == np.intp and np.array_equal(rows, ref_rows)
+    assert steps.tobytes() == np.diff(ref_times).tobytes()
     return times, rows
 
 
