@@ -20,15 +20,14 @@ per level, and the few terms found fill an otherwise zero row.
 
 The compensator Riemann sum of ``martingale_part`` reads one table of
 G_eps per (params, eps), ``compensator_table``: closed-form values at
-nodes, and the chords between them as cells. It takes one of two routes,
-picked once per call from the number of levels. For fewer than 16 it
+nodes, and the chords between them as cells. For fewer than 16 levels it
 runs through the same tiles of levels by points as the jump sum,
-interpolating the table at every point. For 16 or more it sorts the
-path's points once and sums the chords cell by cell from long-double
-prefix sums, evaluating only the points near each level one by one.
-Within a route a level's value does not depend on the other levels asked
-for; the two routes agree within 1e-14 of the sum of the compensator
-terms' magnitudes (measured <= 1.1e-15).
+interpolating the table at every point; for 16 or more it sorts the
+path's points once and sums the chords cell by cell from double-double
+prefix sums, in plain floats on every platform. Within a route a level's
+value does not depend on the other levels asked for; the two routes
+agree within 1e-14 of the sum of the compensator terms' magnitudes
+(measured <= 5.1e-15).
 
 ``occupation_formula_check`` closes the loop: integrating the occupation
 curve against each of a few test functions must reproduce the direct
@@ -73,10 +72,8 @@ _SORT_LEVELS = 16
 # the sorted compensator evaluates points within this many eps of a level
 # one by one: nearer in, G_eps is too steep for its prefix sums' rounding
 _NEAR_EPS = 100.0
-# its tiles of levels by cells hold at most this many long doubles, 64 KiB
+# its tiles of levels by cells hold at most this many: 128 KiB of sums
 _CELL_TILE = 4096
-# its prefix sums cancel, so they need long double wider than a double
-_LONG_DOUBLE_SUMS = np.finfo(np.longdouble).nmant >= 63
 
 
 def default_mollifier(eps: float) -> MollifierSpec:
@@ -190,12 +187,11 @@ class _CompensatorTable(NamedTuple):
     ``nodes`` run 40 per decade over 1e-2 eps <= |x| <= 1e3, mirrored, plus
     0, and ``node_values`` are G_eps there in closed form, NaN at the node
     0 (see ``_compensator_at``). The sorted route reads the same table as
-    chord cells: cell 0 lies below edges[0], cell j in [edges[j-1],
-    edges[j]), the last cell at or above edges[-1]. On cell j the table is
-    value[j] + slope[j] (x - left[j]), in long double: the chord between
-    two nodes, or a clamped end of slope 0. The cell ``band`` spans the
-    nodes nearest 0 that lie at least _NEAR_EPS eps from it; it has value
-    and slope 0, since its points are evaluated one by one.
+    chord cells [edges[j], edges[j+1]): the edges are -inf, the nodes at
+    least _NEAR_EPS eps from 0, and inf. On cell j the table is value[j] +
+    slope[j] (x - left[j]), a chord between two nodes or a clamped end of
+    slope 0; the cell ``band`` spans 0 and has value and slope 0, since
+    its points are evaluated one by one.
     """
 
     params: StableParams
@@ -219,13 +215,12 @@ def compensator_table(params: StableParams, eps: float) -> _CompensatorTable:
     node_values = compensator_density(params, nodes, eps)
     node_values[n_nodes] = np.nan
     outside = np.abs(nodes) >= _NEAR_EPS * eps
-    edges = nodes[outside]
-    x = edges.astype(np.longdouble)
-    y = node_values[outside].astype(np.longdouble)
+    inner, y = nodes[outside], node_values[outside]
+    edges = np.concatenate([[-np.inf], inner, [np.inf]])
     value = np.concatenate([y[:1], y])
-    slope = np.concatenate([[0.0], np.diff(y) / np.diff(x), [0.0]])
-    left = np.concatenate([[0.0], x])
-    band = int(np.count_nonzero(edges < 0.0))
+    slope = np.concatenate([[0.0], np.diff(y) / np.diff(inner), [0.0]])
+    left = np.concatenate([[0.0], inner])
+    band = int(np.count_nonzero(inner < 0.0))
     value[band] = slope[band] = 0.0
     for array in (nodes, node_values, edges, left, value, slope):
         array.flags.writeable = False
@@ -250,41 +245,49 @@ def _compensator_at(table: _CompensatorTable, x) -> np.ndarray:
     return out
 
 
+def _sorted_prefix_sums(x, dt):
+    """x, dt sorted by x, and prefix sums of dt and x dt as pairs hi + lo:
+    the float cumsum, and the cumsum of each addition's exact TwoSum error."""
+    order = np.argsort(x)
+    xs, dts = x[order], dt[order]
+    del order  # so the terms take its pages, and repeated calls fault none
+    terms = xs * dts
+    hi, lo = sums = np.zeros((2, 2, len(xs) + 1))
+    for row in (1, 0):  # x dt, then dt in the same buffer
+        np.cumsum(terms, out=hi[row, 1:])
+        added = np.subtract(hi[row, 1:], hi[row, :-1], out=lo[row, 1:])
+        terms -= added
+        added -= hi[row, 1:]
+        added += hi[row, :-1]
+        added += terms
+        np.cumsum(added, out=added)
+        terms[:] = dts
+    return xs, dts, sums
+
+
 def _sorted_sums(table: _CompensatorTable, levels, x, dt):
     """Per-level sums of G_eps(x - a) dt from one sort of the points.
 
-    With the points sorted, each cell's points are a run between two
-    ``searchsorted`` positions, and long-double prefix sums of dt and x dt
-    give the run's weight and first moment; the chord's sum over the run
-    is then value W + slope (X - (a + left) W), exactly the sum of what
-    the tiled route interpolates point by point, up to rounding. The
+    Each cell's sorted points are a run between two ``searchsorted``
+    positions, whose weight W and first moment X come from the prefix
+    sums of dt and x dt; the chord's sum over the run is then value W +
+    slope (X - (a + left) W), the tiled route's sum up to rounding. The
     band's points, where G_eps and its slope are large, are evaluated as
-    the tiled route does, and their terms summed in long double. Each
-    level is computed on its own, in tiles of levels whose long-double
-    temporaries stay below 64 KiB.
+    the tiled route does. Each level is computed on its own, in tiles of
+    levels whose temporaries stay below 128 KiB.
     """
-    ld = np.longdouble
-    order = np.argsort(x)
-    xs, dts = x[order], dt[order]
-    weight = np.zeros(len(xs) + 1, ld)
-    np.cumsum(dts, dtype=ld, out=weight[1:])
-    moment = np.zeros(len(xs) + 1, ld)
-    np.multiply(xs, dts, out=moment[1:], dtype=ld)
-    np.cumsum(moment[1:], out=moment[1:])
+    xs, dts, sums = _sorted_prefix_sums(x, dt)
     out = np.empty(len(levels))
     step = max(1, _CELL_TILE // len(table.value))
     for start in range(0, len(levels), step):
         block = levels[start:start + step, None]
-        at = np.empty((len(block), len(table.edges) + 2), dtype=np.intp)
-        at[:, 0], at[:, -1] = 0, len(xs)
-        at[:, 1:-1] = np.searchsorted(xs, block + table.edges)
-        w = np.diff(weight[at], axis=1)
-        terms = table.value * w + table.slope * (
-            np.diff(moment[at], axis=1) - (block.astype(ld) + table.left) * w)
-        totals = terms.sum(axis=1)
-        for j, (lo, hi) in enumerate(at[:, table.band:table.band + 2]):
-            near = _compensator_at(table, xs[lo:hi] - block[j, 0]) * dts[lo:hi]
-            out[start + j] = totals[j] + near.sum(dtype=ld)
+        at = np.searchsorted(xs, block + table.edges)
+        w, moment = np.diff(np.take(sums, at, axis=-1)).sum(axis=0)
+        totals = (table.value * w + table.slope * (
+            moment - (block + table.left) * w)).sum(axis=1)
+        for j, (i, k) in enumerate(at[:, table.band:table.band + 2]):
+            near = _compensator_at(table, xs[i:k] - block[j, 0]) * dts[i:k]
+            out[start + j] = totals[j] + near.sum()
     return out
 
 
@@ -293,14 +296,12 @@ def _compensator_sums(params: StableParams, eps: float, levels, ends,
     """Per-level sums of G_eps(x - a) dt over each prefix x[:end], one row
     per end, from the one ``compensator_table`` of (params, eps).
 
-    For _SORT_LEVELS levels or more, where long double carries at least 63
-    mantissa bits (in plain double the prefix sums would lose digits to
-    cancellation), each prefix is sorted and summed cell by cell
-    (``_sorted_sums``); for fewer, the tiled route interpolates the table
-    at every point. Either way a row equals the call for that end alone.
+    For _SORT_LEVELS levels or more each prefix is summed cell by cell
+    (``_sorted_sums``), for fewer point by point (``_tiled_levels``);
+    either way a row equals the call for that end alone.
     """
     table = compensator_table(params, eps)
-    if _LONG_DOUBLE_SUMS and len(levels) >= _SORT_LEVELS:
+    if len(levels) >= _SORT_LEVELS:
         return np.array([_sorted_sums(table, levels, x[:end], dt[:end])
                          for end in ends])
     return _tiled_levels(
@@ -323,12 +324,11 @@ def martingale_part(params: StableParams, path: PathSample, a,
     (the result then has shape ``(len(checkpoints),) + np.shape(a)``).
 
     The compensator sum takes the route ``_compensator_sums`` picks from
-    the number of levels alone, the same at every checkpoint. Within a
-    route a level's value is the same float whatever other levels are
-    asked for, and a checkpoint's row is the same as the call at that
-    checkpoint alone; across routes (a few levels against many) the
-    compensator sums agree within 1e-14 of the sum of their terms'
-    magnitudes.
+    the number of levels alone, at every checkpoint. Within a route a
+    level's value is the same float whatever other levels are asked for,
+    and a checkpoint's row is the call at that checkpoint alone; the two
+    routes' compensator sums agree within 1e-14 of the sum of their
+    terms' magnitudes.
     """
     if path.scheme != "jumpdecomp" or path.config is None:
         raise ValueError(

@@ -25,7 +25,9 @@ from stable_tanaka.localtime import (
     _TILE_LEVELS,
     _TILE_POINTS,
     _compensator_at,
+    _compensator_sums,
     _sorted_sums,
+    _tiled_levels,
     compensator_table,
     default_a_grid,
     default_mollifier,
@@ -336,20 +338,25 @@ LEVEL_CURVE = derive_params(1.3, 3.0, 1.0)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
-@pytest.mark.parametrize("triplet", [(1.1, 1.0, 1.0), (1.5, 1.0, 1.0),
-                                     (1.3, 3.0, 1.0), (1.5, 1.0, 0.0),
-                                     (1.8, 0.0, 1.0)],
-                         ids=["1.1-symmetric", "1.5-symmetric", "1.3-skewed",
-                              "1.5-one-sided", "1.8-one-sided"])
-def test_sorted_compensator_matches_exact_summation(triplet, eps):
-    # the sorted route sums each table cell's chord from long-double prefix
-    # sums and evaluates the points within 100 eps of the level one by one;
-    # against a correctly rounded math.fsum of the direct route's terms it
-    # must agree within 1e-14 of their magnitudes. Measured <= 1.1e-15
-    # (the direct route's own sums: <= 3.9e-16); float64 prefix sums miss
-    # by up to 1.7e-13 and a band of 10 eps by up to 1.1e-13
+@pytest.mark.parametrize("triplet, mode", [
+    ((1.1, 1.0, 1.0), "gaussian"), ((1.5, 1.0, 1.0), "gaussian"),
+    ((1.3, 3.0, 1.0), "gaussian"), ((1.5, 1.0, 0.0), "gaussian"),
+    ((1.8, 0.0, 1.0), "gaussian"), ((1.1, 1.0, 1.0), "drop")],
+    ids=["1.1-symmetric", "1.5-symmetric", "1.3-skewed", "1.5-one-sided",
+         "1.8-one-sided", "1.1-symmetric-drop"])
+def test_sorted_compensator_matches_exact_summation(triplet, mode, eps):
+    # the sorted route sums each table cell's chord from double-double
+    # prefix sums and evaluates the points within 100 eps of the level one
+    # by one; against a correctly rounded math.fsum of the direct route's
+    # terms it must agree within 1e-14 of their magnitudes. Without drift
+    # or gaussian noise ("drop") the path is flat between jumps, so many
+    # points tie: at 1.1 and eps 1e-3 only 3594 of 7689 are distinct.
+    # Measured <= 5.1e-15 there, <= 2.7e-15 in gaussian mode (the direct
+    # route's own sums: <= 4.4e-16); prefix sums without their lo parts
+    # miss by up to 3.9e-12 and a band of 10 eps by up to 1.1e-13
     params = derive_params(*triplet)
-    cfg = SimConfig(T=1.0, n_steps=4096, eps=eps, seed=1)
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=eps, seed=1,
+                    small_jump_mode=mode)
     path = simulate_path_jumpdecomp(params, cfg)
     x, dt = path.values[:-1], np.diff(path.times)
     levels = default_a_grid(path)
@@ -411,7 +418,7 @@ def test_compensator_table_contract(curve_path, sorted_calls, monkeypatch):
 
     monkeypatch.setattr(localtime, "compensator_table", counting)
     grid = default_a_grid(curve_path)
-    pins = {2: "104924b976cdbd88", 201: "90409d30eafc5f9c"}
+    pins = {2: "104924b976cdbd88", 201: "17119fffc652469e"}
     for levels, n_sorted in ((grid[[50, 150]], 0), (grid, 3)):
         looked_up.clear()
         sorted_calls.clear()
@@ -419,10 +426,8 @@ def test_compensator_table_contract(curve_path, sorted_calls, monkeypatch):
                             checkpoints=[0.05, 0.5, 1.0])
         assert looked_up == [(LEVEL_CURVE, curve_path.config.eps)]
         assert len(sorted_calls) == n_sorted
-        # the sorted route's pin holds for x87 extended prefix sums
-        if n_sorted == 0 or np.finfo(np.longdouble).nmant == 63:
-            digest = hashlib.sha256(m.astype("<f8").tobytes()).hexdigest()
-            assert digest[:16] == pins[len(levels)]
+        digest = hashlib.sha256(m.astype("<f8").tobytes()).hexdigest()
+        assert digest[:16] == pins[len(levels)]
 
 
 def test_sorted_route_values_do_not_depend_on_other_levels(
@@ -449,12 +454,10 @@ def test_sorted_route_values_do_not_depend_on_other_levels(
                                               grid[pick], t)))
 
 
-def test_route_choice_from_input_sizes(curve_path, sorted_calls,
-                                       monkeypatch):
-    # fewer than _SORT_LEVELS levels, or a long double no wider than a
-    # double, keep the tiled route, whose values are the one-level calls';
-    # 16 levels or more take the sorted route on a path of any length,
-    # here ~9 and ~45 points per table cell
+def test_route_choice_from_input_sizes(curve_path, sorted_calls):
+    # fewer than _SORT_LEVELS levels keep the tiled route, whose values are
+    # the one-level calls'; 16 levels or more take the sorted route on a
+    # path of any length, here ~9 and ~45 points per table cell
     grid = default_a_grid(curve_path)
     few = grid[::14][:_SORT_LEVELS - 1]
     assert np.array_equal(
@@ -465,24 +468,25 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
         LEVEL_CURVE, SimConfig(T=1.0, n_steps=4096, eps=1e-2, seed=2))
     for path in (short, curve_path):
         grid = default_a_grid(path)
-        sorted_calls.clear()
-        sorted_route = martingale_part(LEVEL_CURVE, path, grid)
-        assert sorted_calls == [(201, len(path.times) - 1)]
-        with monkeypatch.context() as patch:
-            patch.setattr(localtime, "_LONG_DOUBLE_SUMS", False)
-            tiled_route = martingale_part(LEVEL_CURVE, path, grid)
-            picks = grid[::25]
-            assert np.array_equal(
-                _bits(tiled_route[::25]),
-                _bits([martingale_part(LEVEL_CURVE, path, a) for a in picks]))
-        assert len(sorted_calls) == 1
-        # the jump sums are the same floats on both, so the routes differ
-        # by their compensator sums only, within the bar of the exact-sum
-        # test
         x, dt = path.values[:-1], np.diff(path.times)
-        g = partial(_compensator_at,
-                    compensator_table(LEVEL_CURVE, path.config.eps))
-        for a, s, t in zip(grid, sorted_route, tiled_route):
+        eps, ends = path.config.eps, [len(x)]
+        sorted_calls.clear()
+        martingale_part(LEVEL_CURVE, path, grid)
+        assert sorted_calls == [(201, len(x))]
+        sorted_route = _compensator_sums(LEVEL_CURVE, eps, grid, ends, x, dt)
+        assert len(sorted_calls) == 2
+        # the tiled route over the same 201 levels, called directly, gives
+        # each level the one-level call's float
+        g = partial(_compensator_at, compensator_table(LEVEL_CURVE, eps))
+        tiled_route = _tiled_levels(
+            grid, ends, lambda b, x, dt: g(x - b) * dt, x, dt)
+        assert np.array_equal(
+            _bits(tiled_route[0, ::25]),
+            _bits([_compensator_sums(LEVEL_CURVE, eps, np.array([a]), ends,
+                                     x, dt)[0, 0] for a in grid[::25]]))
+        assert len(sorted_calls) == 2
+        # the routes agree within the bar of the exact-sum test
+        for a, s, t in zip(grid, sorted_route[0], tiled_route[0]):
             assert abs(s - t) <= 1e-14 * np.abs(g(x - a) * dt).sum(), a
 
 
@@ -492,8 +496,9 @@ def test_level_curves_stay_off_the_page_fault_path(sorted_calls):
     # tiles keep every temporary below the allocator's mmap threshold, so
     # the two 201-level curves at the level-curve shape reuse memory
     # instead of faulting in fresh pages; measured ~13 faults here against
-    # ~42k for 32-level whole-row blocks, and ~460 since the compensator's
-    # sorted route sorts the path into arrays as long as the path
+    # ~42k for 32-level whole-row blocks. The compensator's sorted route
+    # sorts the path into arrays as long as the path, which a repeated call
+    # takes back from the allocator: measured 0 faults
     params = derive_params(1.3, 3.0, 1.0)
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
     path = simulate_path_jumpdecomp(params, cfg)
@@ -516,8 +521,9 @@ def test_level_curves_stay_off_the_page_fault_path(sorted_calls):
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 2000, faults
     # and so does the sorted compensator over 16 levels at three
-    # checkpoints: its levels go in tiles of 64 KiB, and only its sort and
-    # prefix sums take arrays as long as the path (measured ~1000 faults)
+    # checkpoints: its levels go in tiles of 128 KiB, and only its sort and
+    # prefix sums take arrays as long as the path, taken back call after
+    # call (measured 0 faults)
     levels = np.linspace(-1.0, 1.0, _SORT_LEVELS)
     martingale_part(SYM, path, levels, checkpoints=[0.25, 0.5, 1.0])
     sorted_calls.clear()
