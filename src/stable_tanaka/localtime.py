@@ -11,23 +11,23 @@ per level, at the path's horizon T. Two curves estimate it:
   jump-decomposition paths qualify. ``martingale_part`` also stops at
   earlier horizons, all read off one walk over the path.
 
-Every occupation sum and jump sum walks the points in chunks of a fixed
-size and adds each chunk's row sum in chunk order, so a level's value
-does not depend on the levels asked for with it: a one-level grid gives
-the same float. Over many levels the occupation sum evaluates the
-mollifier only near its support: each chunk is sorted once and searched
-per level, and the few terms found fill an otherwise zero row.
+The occupation sum sorts the path's points once and finds each level's
+points near the mollifier's support by search; it sums their terms in
+time order, so a level's value depends only on the path and the level:
+a one-level grid gives the same float. The jump sum walks the points in
+chunks of a fixed size and adds each chunk's row sum in chunk order, so
+it too gives each level the same float whatever levels are asked for.
 
 The compensator Riemann sum of ``martingale_part`` reads one table of
 G_eps per (params, eps), ``compensator_table``: closed-form values at
 nodes, and the chords between them as cells. For fewer than 16 levels it
 runs through the same tiles of levels by points as the jump sum,
 interpolating the table at every point; for 16 or more it sorts the
-path's points once and sums the chords cell by cell from double-double
-prefix sums, in plain floats on every platform. Within a route a level's
-value does not depend on the other levels asked for; the two routes
-agree within 1e-14 of the sum of the compensator terms' magnitudes
-(measured <= 5.1e-15).
+path's points once, by a stable sort, and sums the chords cell by cell
+from double-double prefix sums, in plain floats on every platform.
+Within a route a level's value does not depend on the other levels asked
+for; the two routes agree within 1e-14 of the sum of the compensator
+terms' magnitudes (measured <= 5.1e-15).
 
 ``occupation_formula_check`` closes the loop: integrating the occupation
 curve against each of a few test functions must reproduce the direct
@@ -63,11 +63,11 @@ __all__ = [
 # each served by a fresh mmap and faulted in page by page.
 _TILE_LEVELS = 2
 _TILE_POINTS = 8192
-# Both curves take their sorted route for this many levels or more; for
-# fewer, whole rows cost less than the sort. For the compensator the sort
-# broke even at about 8 levels at the level-curve shape (alpha = 1.3,
-# c+- = 3, 1, eps = 1e-3, 4096 steps: 1.69 against 1.70 ms); over 201
-# levels a tanaka_curve takes no longer with it on paths of any length.
+# The compensator takes its sorted route for this many levels or more; for
+# fewer, whole rows cost less than the sort, which broke even at about 8
+# levels at the level-curve shape (alpha = 1.3, c+- = 3, 1, eps = 1e-3,
+# 4096 steps: 1.69 against 1.70 ms); over 201 levels a tanaka_curve takes
+# no longer with it on paths of any length.
 _SORT_LEVELS = 16
 # the sorted compensator evaluates points within this many eps of a level
 # one by one: nearer in, G_eps is too steep for its prefix sums' rounding
@@ -124,58 +124,39 @@ def _tiled_levels(levels, ends, tile, *columns):
 
 
 def _level_grid(a_grid) -> np.ndarray:
-    """The levels of a curve as a float array, refused unless 1-D."""
+    """The levels of a curve as a float array, refused unless 1-D and
+    finite."""
     levels = np.asarray(a_grid, dtype=float)
     if levels.ndim != 1:
         raise ValueError("a_grid must be a 1-D array of levels")
+    if not np.all(np.isfinite(levels)):
+        raise ValueError("levels must be finite")
     return levels
 
 
 # ------------------------------------------------------------- occupation
 
-def _reached(x, levels, reach):
-    """Per level, the positions of the points of x within reach of it (and,
-    where rounding blurs the edge, perhaps a few just beyond), or None
-    where the whole row costs less: for fewer than _SORT_LEVELS levels,
-    which cannot pay for the sort, and for a level that reaches over an
-    eighth of the points, which costs more to gather than to sweep."""
-    if len(levels) < _SORT_LEVELS:
-        return [None] * len(levels)
-    by_value = np.argsort(x)
-    x_sorted = x[by_value]
-    starts = np.searchsorted(x_sorted, levels - reach, side="left")
-    stops = np.searchsorted(x_sorted, levels + reach, side="right")
-    return [by_value[i:j] if j - i <= len(x) // 8 else None
-            for i, j in zip(starts, stops)]
-
-
 def occupation_curve(path: PathSample, a_grid,
                      moll: MollifierSpec) -> np.ndarray:
     """Occupation estimates (Riemann sums of rho_n(X_s - a) ds) over levels.
 
-    A level's sum walks the points in chunks of _TILE_POINTS and adds each
-    chunk's row of terms moll(x - a) * dt, so it does not depend on the
-    levels asked for with it. The mollifier is evaluated only within its
-    ``reach`` (2/n) of the level, where ``MollifierSpec`` evaluates: the
-    terms found there fill an otherwise zero row, which sums to the same
-    float as the whole row. A chunk the level reaches no point of adds
-    nothing, where the whole row would add 0.0.
+    The points are sorted by value once. A level's points within the
+    mollifier's ``reach`` (2/n), where ``MollifierSpec`` evaluates, are a
+    run of that order found by two searches; their terms moll(x - a) * dt
+    are summed in time order. So a level's float depends only on the path
+    and the level, not on the levels asked for with it or on how the sort
+    broke ties, and a level no point reaches gives exactly 0.0.
     """
     levels = _level_grid(a_grid)
-    x_all, dt_all = path.values[:-1], np.diff(path.times)
+    x, dt = path.values[:-1], np.diff(path.times)
+    by_value = np.argsort(x)
+    x_sorted = x[by_value]
+    starts = np.searchsorted(x_sorted, levels - moll.reach, side="left")
+    stops = np.searchsorted(x_sorted, levels + moll.reach, side="right")
     out = np.zeros(len(levels))
-    row = np.zeros(min(_TILE_POINTS, len(x_all)))
-    for lo in range(0, len(x_all), _TILE_POINTS):
-        x = x_all[lo:lo + _TILE_POINTS]
-        dt = dt_all[lo:lo + _TILE_POINTS]
-        chunk_row = row[:len(x)]
-        for j, at in enumerate(_reached(x, levels, moll.reach)):
-            if at is None:
-                out[j] += (moll(x - levels[j]) * dt).sum()
-            elif len(at):
-                chunk_row[at] = moll(x[at] - levels[j]) * dt[at]
-                out[j] += chunk_row.sum()
-                chunk_row[at] = 0.0
+    for j in np.flatnonzero(stops > starts):
+        at = np.sort(by_value[starts[j]:stops[j]])
+        out[j] = np.sum(moll(x[at] - levels[j]) * dt[at])
     return out
 
 
@@ -247,8 +228,10 @@ def _compensator_at(table: _CompensatorTable, x) -> np.ndarray:
 
 def _sorted_prefix_sums(x, dt):
     """x, dt sorted by x, and prefix sums of dt and x dt as pairs hi + lo:
-    the float cumsum, and the cumsum of each addition's exact TwoSum error."""
-    order = np.argsort(x)
+    the float cumsum, and the cumsum of each addition's exact TwoSum error.
+    The sort is stable, so tied values keep their time order and the sums'
+    floats do not depend on the sort's implementation."""
+    order = np.argsort(x, kind="stable")
     xs, dts = x[order], dt[order]
     del order  # so the terms take its pages, and repeated calls fault none
     terms = xs * dts
@@ -317,11 +300,12 @@ def martingale_part(params: StableParams, path: PathSample, a,
     jump of size h at grid row k has X_pre = values[k] - h, minus the
     left-point Riemann sum of the compensator density G_eps(X_s - a). The
     gaussian small-jump closure moves the path but stays out of M, which
-    keeps M structurally mean-zero. ``a`` is a level or an array of
-    levels; ``checkpoints`` is one horizon t, None for the path's horizon
-    (the result then has the shape of ``a``, a float for one level), or an
-    increasing 1-D array of horizons, all read off one walk over the path
-    (the result then has shape ``(len(checkpoints),) + np.shape(a)``).
+    keeps M structurally mean-zero. ``a`` is a finite level or an array
+    of finite levels; ``checkpoints`` is one horizon t, None for the
+    path's horizon (the result then has the shape of ``a``, a float for
+    one level), or an increasing 1-D array of horizons, all read off one
+    walk over the path (the result then has shape
+    ``(len(checkpoints),) + np.shape(a)``).
 
     The compensator sum takes the route ``_compensator_sums`` picks from
     the number of levels alone, at every checkpoint. Within a route a
@@ -350,15 +334,15 @@ def martingale_part(params: StableParams, path: PathSample, a,
     jump_ends = np.searchsorted(path.jump_rows, grid_ends - 1, side="right")
     post = path.values[path.jump_rows[:jump_ends[-1]]]
     pre = post - path.jump_sizes[:jump_ends[-1]]
-    levels = np.asarray(a, dtype=float)
+    levels = _level_grid(np.ravel(a))
     jump_sums = _tiled_levels(
-        levels.ravel(), jump_ends,
+        levels, jump_ends,
         lambda b, hi, lo: kernel_F(params, hi - b) - kernel_F(params, lo - b),
         post, pre)
     out = jump_sums - _compensator_sums(
-        params, path.config.eps, levels.ravel(), grid_ends - 1,
+        params, path.config.eps, levels, grid_ends - 1,
         path.values[:-1], np.diff(times))
-    out = out.reshape(np.shape(checkpoints) + levels.shape)
+    out = out.reshape(np.shape(checkpoints) + np.shape(a))
     return float(out) if out.ndim == 0 else out
 
 

@@ -306,12 +306,12 @@ _PINNED_BUNDLES = {
         "sim": {"T": 1.0, "n_steps": 64, "eps": 0.1}, "seed": 18,
         "options": {"n_paths": 10, "level": 0.1,
                     "schedule": [[0.1, 64], [0.05, 128]]}},
-        "22ea5d691b43e05491361de541441b65e3e436c764bfec33cb4c20bbdce54c64"),
+        "ea75de6b5da2acf71a37e4385e6902e4605ec52a905072f10529c780d9375f30"),
     "occupation-formula": ({
         "kind": "occupation-formula", "params": SYM_PARAMS,
         "sim": {"T": 1.0, "n_steps": 256, "eps": 2e-2}, "seed": 19,
         "options": {"n_paths": 6}},
-        "b987793bb1cf04805f13e30c359eea5f447238e22a6210fe7ac15525a3895e3a"),
+        "97c0119d9386272cd336979ad123fc3944ce9b09bf970fc2187b9a01d78bec00"),
 }
 
 

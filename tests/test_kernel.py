@@ -11,11 +11,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate
 
 from stable_tanaka.kernel import (
     MollifierSpec,
-    _bump_normalization,
+    _BUMP_NORMALIZATION,
     compensator_density,
     kernel_convolve,
     kernel_F,
@@ -43,12 +43,9 @@ LOW = derive_params(1.2, 1.0, 1.0)
 # ---------------------------------------------------------------- mollifier
 
 def test_bump_normalization_frozen():
-    # the integral is e^(-1/2) (K_1(1/2) - K_0(1/2)); QUADPACK lands 1 ulp
-    # below its correctly rounded value, and must stay within 4 ulp
-    ulp = np.spacing(BUMP_NORM)
-    closed = math.exp(-0.5) * (special.k1(0.5) - special.k0(0.5))
-    assert abs(closed - BUMP_NORM) <= 4 * ulp
-    assert abs(_bump_normalization() - BUMP_NORM) <= 4 * ulp
+    # the integral is e^(-1/2) (K_1(1/2) - K_0(1/2)) in closed form, which
+    # the library evaluates; it must be the correctly rounded value
+    assert abs(_BUMP_NORMALIZATION - BUMP_NORM) <= 0.5 * np.spacing(BUMP_NORM)
     assert standard_bump(0.0) == pytest.approx(BUMP_PEAK, rel=1e-12)
 
 

@@ -26,6 +26,7 @@ from stable_tanaka.localtime import (
     _TILE_POINTS,
     _compensator_at,
     _compensator_sums,
+    _sorted_prefix_sums,
     _sorted_sums,
     _tiled_levels,
     compensator_table,
@@ -178,6 +179,28 @@ def test_curves_match_pointwise_estimators():
         # does not depend on the levels asked for with it
         assert occ[j] == occupation_curve(path, [a], moll)[0]
         assert tan[j] == tanaka_curve(SYM, path, [a])[0]
+    # the same over a default grid of 201 levels
+    levels = default_a_grid(path)
+    occ = occupation_curve(path, levels, moll)
+    for a, value in zip(levels[::20], occ[::20]):
+        assert np.array_equal(_bits(occupation_curve(path, [a], moll)),
+                              _bits([value]))
+
+
+def test_curves_refuse_non_finite_levels():
+    # a NaN level would give an occupation of 0.0 and a NaN kernel-route
+    # value, and an infinite one an overflow inside F; both are refused
+    cfg = SimConfig(T=1.0, n_steps=64, eps=1e-2, seed=9)
+    path = simulate_path_jumpdecomp(SYM, cfg)
+    calls = [partial(occupation_curve, path, [np.nan],
+                     default_mollifier(cfg.eps)),
+             partial(tanaka_curve, SYM, path, [0.0, np.nan]),
+             partial(tanaka_curve, SYM, path, [np.inf]),
+             partial(martingale_part, SYM, path, -np.inf),
+             partial(martingale_part, SYM, path, [[0.0], [np.nan]])]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 def test_curves_take_a_1d_grid_of_levels():
@@ -261,25 +284,23 @@ def test_tiled_sums_match_exact_summation(params):
 
 
 def _dense_occupation(path, levels, moll):
-    # every level adds, chunk by chunk, the row sum of moll(x - a) * dt
-    # over every point of the chunk
+    # every level sums moll(x - a) * dt over the points within its reach,
+    # found by a scan of the whole path, in time order
     x, dt = path.values[:-1], np.diff(path.times)
     out = []
     for a in levels:
-        total = 0.0
-        for lo in range(0, len(x), _TILE_POINTS):
-            total += (moll(x[lo:lo + _TILE_POINTS] - a)
-                      * dt[lo:lo + _TILE_POINTS]).sum()
-        out.append(total)
+        at = np.flatnonzero((x >= a - moll.reach) & (x <= a + moll.reach))
+        out.append(np.sum(moll(x[at] - a) * dt[at]))
     return np.array(out)
 
 
 @pytest.mark.parametrize("n", [None, 1], ids=["default", "n=1"])
 def test_occupation_support_walk_matches_dense_rows(n):
-    # only the points within 2/n of a level are evaluated, but each chunk's
-    # row is the dense row, so every level keeps its bits: over unsorted
-    # and repeated levels, a path of more than one chunk, and levels past
-    # the path's range, which must give exactly 0.0
+    # only the points within 2/n of a level are evaluated, found in one
+    # sort of the path, and summed in time order, so every level has the
+    # bits of a scan of the whole path: over unsorted and repeated levels,
+    # a path of more than one point chunk, levels past the path's range,
+    # which must give exactly 0.0, and a drop-mode path whose values tie
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=3)
     path = simulate_path_jumpdecomp(derive_params(1.3, 3.0, 1.0), cfg)
     assert len(path.times) > 2 * _TILE_POINTS
@@ -295,7 +316,17 @@ def test_occupation_support_walk_matches_dense_rows(n):
     want = _dense_occupation(path, levels, moll)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(got[-3:].view(np.int64), np.zeros(3, np.int64))
-    # a path of one short chunk, visited at one level only
+    # flat between jumps: 3594 of 7689 points are distinct
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1,
+                    small_jump_mode="drop")
+    path = simulate_path_jumpdecomp(derive_params(1.1, 1.0, 1.0), cfg)
+    assert len(np.unique(path.values[:-1])) < len(path.values) // 2
+    levels = np.concatenate([default_a_grid(path),
+                             path.values[rng.integers(0, len(path.values), 9)]])
+    got = occupation_curve(path, levels, moll)
+    want = _dense_occupation(path, levels, moll)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a short path, visited at one level only
     path = constant_path(0.7)
     levels = np.array([0.7, 3.0, 0.7 + moll.width / 2, 0.7])
     got = occupation_curve(path, levels, moll)
@@ -366,6 +397,21 @@ def test_sorted_compensator_matches_exact_summation(triplet, mode, eps):
         terms = _compensator_at(table, x - a) * dt
         assert abs(total - math.fsum(terms)) \
             <= 1e-14 * np.abs(terms).sum(), a
+
+
+def test_sorted_prefix_sums_keep_ties_in_time_order():
+    # without drift or gaussian noise the path is flat between jumps, so
+    # its values tie; the sort must keep tied points in time order, so the
+    # prefix sums do not depend on how a sort implementation breaks ties
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1,
+                    small_jump_mode="drop")
+    path = simulate_path_jumpdecomp(derive_params(1.1, 1.0, 1.0), cfg)
+    x, dt = path.values[:-1], np.diff(path.times)
+    assert len(np.unique(x)) < len(x) // 2
+    order = np.lexsort((np.arange(len(x)), x))
+    xs, dts, _ = _sorted_prefix_sums(x, dt)
+    assert np.array_equal(_bits(xs), _bits(x[order]))
+    assert np.array_equal(_bits(dts), _bits(dt[order]))
 
 
 @pytest.fixture(scope="module")

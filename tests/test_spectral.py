@@ -348,13 +348,13 @@ def test_far_field_refuses_what_its_rules_cannot_resolve():
 
 
 # criterion 1's sup_relative_error per (alpha, beta) corner, recorded with
-# the adaptive far field; the fixed rules move them by under 2e-16
+# the fixed far-field rules and the closed-form bump normalization
 CRITERION_1_PINS = [
-    ((1.2, 0.0), 2.3260970822644517e-07),
-    ((1.5, 0.0), 5.885181886946748e-07),
-    ((1.5, 0.5), 8.20352895160357e-07),
-    ((1.8, -1.0), 6.348498072457159e-06),
-    ((1.3, 1.0), 7.055874255413982e-07),
+    ((1.2, 0.0), 2.3260953952525644e-07),
+    ((1.5, 0.0), 5.885212361401825e-07),
+    ((1.5, 0.5), 8.203623941848069e-07),
+    ((1.8, -1.0), 6.348445435433253e-06),
+    ((1.3, 1.0), 7.055887057221977e-07),
 ]
 
 
