@@ -59,8 +59,8 @@ class Grid:
         n = self.n_points
         if n < _MIN_POINTS or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= {_MIN_POINTS}, got {n}")
-        if not self.spacing > 0.0:
-            raise ValueError("half_width must give a positive grid spacing")
+        if not 0.0 < self.spacing < math.inf:
+            raise ValueError("half_width must give a positive finite grid spacing")
 
     @property
     def spacing(self) -> float:

@@ -20,9 +20,9 @@ short of the 1e-2 stability target for every alpha tested (worst at
 alpha=1.2, where ~0.2 of the mass still sits past 1e6).  The test reports
 the measured differences instead of loosening the target.
 
-The full file takes ~2 minutes (103 s by pytest --durations on a 2-core
+The full file takes ~2 minutes (110 s by pytest --durations on a 2-core
 box, OpenBLAS pinned to one thread); criterion 5 (10^4 paths at
-n_steps=4096, 73 s there) dominates, then criteria 6 (13 s) and 4
+n_steps=4096, 79 s there) dominates, then criteria 4 (13 s) and 6
 (12 s); criterion 7 takes 1.6 s.
 """
 

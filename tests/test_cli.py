@@ -205,6 +205,13 @@ MALFORMED = {
     "x0-levels-unresolvable": {"kind": "occupation-formula", "params": SYM,
                                "sim": dict(SMALL_SIM, x0=1e15),
                                "options": {"n_paths": 2}},
+    # the path's distance from the level -1e308 overflows
+    "level-overflow": {"kind": "martingale-zero-mean", "params": SYM,
+                       "sim": dict(SMALL_SIM, x0=1e308),
+                       "options": {"n_paths": 2, "levels": [-1e308, 0.0]}},
+    # a grid spacing that overflows
+    "grid-overflow": {"kind": "generator-identity", "params": SYM,
+                      "options": {"half_width": 1e308}},
 }
 
 
@@ -426,6 +433,12 @@ BAD_COMMANDS = {
     # doubles hold no 201 distinct default levels around 1e15
     "localtime-x0-levels-unresolvable": ["localtime", "--alpha", "1.5",
                                          "--x0", "1e15"],
+    # the path's distance from the level overflows
+    "localtime-level-overflow": ["localtime", "--alpha", "1.5",
+                                 "--x0", "1e308", "--levels=-1e308"],
+    # a grid spacing that overflows
+    "density-grid-overflow": ["density", "--alpha", "1.5",
+                              "--half-width", "1e308", "--n-points", "256"],
 }
 
 

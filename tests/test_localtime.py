@@ -25,7 +25,6 @@ from stable_tanaka.localtime import (
     _TILE_LEVELS,
     _TILE_POINTS,
     _compensator_at,
-    _compensator_sums,
     _sorted_prefix_sums,
     _sorted_sums,
     _tiled_levels,
@@ -379,39 +378,71 @@ def test_sorted_compensator_matches_exact_summation(triplet, mode, eps):
     # the sorted route sums each table cell's chord from double-double
     # prefix sums and evaluates the points within 100 eps of the level one
     # by one; against a correctly rounded math.fsum of the direct route's
-    # terms it must agree within 1e-14 of their magnitudes. Without drift
-    # or gaussian noise ("drop") the path is flat between jumps, so many
-    # points tie: at 1.1 and eps 1e-3 only 3594 of 7689 are distinct.
-    # Measured <= 5.1e-15 there, <= 2.7e-15 in gaussian mode (the direct
-    # route's own sums: <= 4.4e-16); prefix sums without their lo parts
-    # miss by up to 3.9e-12 and a band of 10 eps by up to 1.1e-13
+    # terms it must agree within 1e-14 of their magnitudes, at three
+    # starting points. Without drift or gaussian noise ("drop") the path
+    # is flat between jumps, so many points tie: at 1.1 and eps 1e-3 only
+    # 3594 of 7689 are distinct. Measured <= 8.8e-15 (1.1, gaussian, eps
+    # 1e-3, x0 = 0); moments about 0 instead of the path's midrange miss
+    # by up to 1.0e-12 at x0 = 1000, prefix sums without their lo parts
+    # by up to 3.9e-12 and a band of 10 eps by up to 1.1e-13
     params = derive_params(*triplet)
-    cfg = SimConfig(T=1.0, n_steps=4096, eps=eps, seed=1,
-                    small_jump_mode=mode)
-    path = simulate_path_jumpdecomp(params, cfg)
-    x, dt = path.values[:-1], np.diff(path.times)
-    levels = default_a_grid(path)
     table = compensator_table(params, eps)
-    got = _sorted_sums(table, levels, x, dt)
+    for x0 in (0.0, 10.0, 1000.0):
+        cfg = SimConfig(T=1.0, n_steps=4096, eps=eps, seed=1,
+                        small_jump_mode=mode, x0=x0)
+        path = simulate_path_jumpdecomp(params, cfg)
+        x, dt = path.values[:-1], np.diff(path.times)
+        levels = default_a_grid(path)
+        got = _sorted_sums(table, levels, [len(x)], x, dt)[0]
+        for a, total in zip(levels, got):
+            terms = _compensator_at(table, x - a) * dt
+            assert abs(total - math.fsum(terms)) \
+                <= 1e-14 * np.abs(terms).sum(), (x0, a)
+
+
+def test_sorted_compensator_finite_near_the_largest_double():
+    # the moments are taken about the midrange 0.5 lo + 0.5 hi, since
+    # (lo + hi) / 2 overflows for a path near the largest double; the
+    # levels stay off the path, whose values are all 1.7e308
+    cfg = SimConfig(T=1.0, n_steps=256, eps=1e-2, seed=1, x0=1.7e308)
+    path = simulate_path_jumpdecomp(SYM, cfg)
+    x, dt = path.values[:-1], np.diff(path.times)
+    levels = np.linspace(1.65e308, 1.75e308, _SORT_LEVELS)
+    assert np.all(x == 1.7e308) and np.all(levels != 1.7e308)
+    table = compensator_table(SYM, cfg.eps)
+    got = _sorted_sums(table, levels, [len(x)], x, dt)[0]
+    assert np.all(np.isfinite(martingale_part(SYM, path, levels)))
     for a, total in zip(levels, got):
         terms = _compensator_at(table, x - a) * dt
         assert abs(total - math.fsum(terms)) \
             <= 1e-14 * np.abs(terms).sum(), a
 
 
-def test_sorted_prefix_sums_keep_ties_in_time_order():
+def test_sorted_prefix_sums_keep_ties_in_time_order(monkeypatch):
     # without drift or gaussian noise the path is flat between jumps, so
-    # its values tie; the sort must keep tied points in time order, so the
-    # prefix sums do not depend on how a sort implementation breaks ties
+    # its values tie; the one sort must keep tied points in time order, in
+    # the whole path and in each prefix, so the prefix sums do not depend
+    # on how a sort implementation breaks ties
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1,
                     small_jump_mode="drop")
     path = simulate_path_jumpdecomp(derive_params(1.1, 1.0, 1.0), cfg)
     x, dt = path.values[:-1], np.diff(path.times)
     assert len(np.unique(x)) < len(x) // 2
-    order = np.lexsort((np.arange(len(x)), x))
-    xs, dts, _ = _sorted_prefix_sums(x, dt)
-    assert np.array_equal(_bits(xs), _bits(x[order]))
-    assert np.array_equal(_bits(dts), _bits(dt[order]))
+    seen, real = [], localtime._sorted_prefix_sums
+
+    def spy(xs, dts, c):
+        seen.append((xs.copy(), dts.copy()))
+        return real(xs, dts, c)
+
+    monkeypatch.setattr(localtime, "_sorted_prefix_sums", spy)
+    ends = [len(x) // 3, len(x)]
+    _sorted_sums(compensator_table(derive_params(1.1, 1.0, 1.0), cfg.eps),
+                 np.linspace(-1.0, 1.0, _SORT_LEVELS), ends, x, dt)
+    assert len(seen) == len(ends)
+    for end, (xs, dts) in zip(ends, seen):
+        order = np.lexsort((np.arange(end), x[:end]))
+        assert np.array_equal(_bits(xs), _bits(x[order]))
+        assert np.array_equal(_bits(dts), _bits(dt[order]))
 
 
 @pytest.fixture(scope="module")
@@ -423,12 +454,12 @@ def curve_path():
 
 @pytest.fixture
 def sorted_calls(monkeypatch):
-    """The (levels, points) of each call of the sorted route."""
+    """The (levels, ends) of each call of the sorted route."""
     calls, real = [], localtime._sorted_sums
 
-    def spy(table, levels, x, dt):
-        calls.append((len(levels), len(x)))
-        return real(table, levels, x, dt)
+    def spy(table, levels, ends, x, dt):
+        calls.append((len(levels), [int(end) for end in ends]))
+        return real(table, levels, ends, x, dt)
 
     monkeypatch.setattr(localtime, "_sorted_sums", spy)
     return calls
@@ -454,8 +485,8 @@ def test_compensator_table_contract(curve_path, sorted_calls, monkeypatch):
             array[0] = 1.0
     # each martingale_part call looks the table up once, where callers
     # find it, on the tiled route (2 levels) and the sorted one (201
-    # levels, sorted at each of its three checkpoints); both routes'
-    # values are pinned by digest
+    # levels, all three checkpoints from one call and one sort); both
+    # routes' values are pinned by digest
     looked_up, real = [], localtime.compensator_table
 
     def counting(params, eps):
@@ -464,8 +495,8 @@ def test_compensator_table_contract(curve_path, sorted_calls, monkeypatch):
 
     monkeypatch.setattr(localtime, "compensator_table", counting)
     grid = default_a_grid(curve_path)
-    pins = {2: "104924b976cdbd88", 201: "17119fffc652469e"}
-    for levels, n_sorted in ((grid[[50, 150]], 0), (grid, 3)):
+    pins = {2: "104924b976cdbd88", 201: "5c748b7ccbba5f36"}
+    for levels, n_sorted in ((grid[[50, 150]], 0), (grid, 1)):
         looked_up.clear()
         sorted_calls.clear()
         m = martingale_part(LEVEL_CURVE, curve_path, levels,
@@ -480,19 +511,20 @@ def test_sorted_route_values_do_not_depend_on_other_levels(
         curve_path, sorted_calls):
     # a level's value from the 201-level default grid is, bit for bit,
     # its value from a shuffled 16-level subset; and each row of a
-    # checkpoint array is the call at that checkpoint alone, each sorted
-    # on its own
+    # checkpoint array, all from one sort, is the call at that checkpoint
+    # alone
     grid = default_a_grid(curve_path)
     n = len(curve_path.times) - 1
     pick = np.random.default_rng(0).permutation(201)[:_SORT_LEVELS]
     full = martingale_part(LEVEL_CURVE, curve_path, grid)
     subset = martingale_part(LEVEL_CURVE, curve_path, grid[pick])
-    assert sorted_calls == [(201, n), (_SORT_LEVELS, n)]
+    assert sorted_calls == [(201, [n]), (_SORT_LEVELS, [n])]
     assert np.array_equal(_bits(full[pick]), _bits(subset))
     sorted_calls.clear()
     horizons = [0.05, 0.5, 1.0]
     rows = martingale_part(LEVEL_CURVE, curve_path, grid[pick], horizons)
-    assert [levels for levels, _ in sorted_calls] == [_SORT_LEVELS] * 3
+    assert [(levels, len(ends)) for levels, ends in sorted_calls] \
+        == [(_SORT_LEVELS, 3)]
     assert np.array_equal(_bits(rows[-1]), _bits(subset))
     for t, row in zip(horizons, rows):
         assert np.array_equal(
@@ -518,18 +550,22 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls):
         eps, ends = path.config.eps, [len(x)]
         sorted_calls.clear()
         martingale_part(LEVEL_CURVE, path, grid)
-        assert sorted_calls == [(201, len(x))]
-        sorted_route = _compensator_sums(LEVEL_CURVE, eps, grid, ends, x, dt)
+        assert sorted_calls == [(201, ends)]
+        table = compensator_table(LEVEL_CURVE, eps)
+        sorted_route = localtime._sorted_sums(table, grid, ends, x, dt)
         assert len(sorted_calls) == 2
         # the tiled route over the same 201 levels, called directly, gives
         # each level the one-level call's float
-        g = partial(_compensator_at, compensator_table(LEVEL_CURVE, eps))
-        tiled_route = _tiled_levels(
-            grid, ends, lambda b, x, dt: g(x - b) * dt, x, dt)
+        g = partial(_compensator_at, table)
+
+        def tile(b, x, dt):
+            return g(x - b) * dt
+
+        tiled_route = _tiled_levels(grid, ends, tile, x, dt)
         assert np.array_equal(
             _bits(tiled_route[0, ::25]),
-            _bits([_compensator_sums(LEVEL_CURVE, eps, np.array([a]), ends,
-                                     x, dt)[0, 0] for a in grid[::25]]))
+            _bits([_tiled_levels(np.array([a]), ends, tile, x, dt)[0, 0]
+                   for a in grid[::25]]))
         assert len(sorted_calls) == 2
         # the routes agree within the bar of the exact-sum test
         for a, s, t in zip(grid, sorted_route[0], tiled_route[0]):
@@ -543,8 +579,9 @@ def test_level_curves_stay_off_the_page_fault_path(sorted_calls):
     # the two 201-level curves at the level-curve shape reuse memory
     # instead of faulting in fresh pages; measured ~13 faults here against
     # ~42k for 32-level whole-row blocks. The compensator's sorted route
-    # sorts the path into arrays as long as the path, which a repeated call
-    # takes back from the allocator: measured 0 faults
+    # and the occupation sum sort the path into arrays as long as the path,
+    # which a repeated call takes back from the allocator: measured 0
+    # faults in the suite's run, ~440 in a fresh process
     params = derive_params(1.3, 3.0, 1.0)
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
     path = simulate_path_jumpdecomp(params, cfg)
@@ -567,16 +604,17 @@ def test_level_curves_stay_off_the_page_fault_path(sorted_calls):
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 2000, faults
     # and so does the sorted compensator over 16 levels at three
-    # checkpoints: its levels go in tiles of 128 KiB, and only its sort and
-    # prefix sums take arrays as long as the path, taken back call after
-    # call (measured 0 faults)
+    # checkpoints: its levels go in tiles of 128 KiB, and only its one sort
+    # and each prefix's sorted points and sums take arrays as long as the
+    # path, taken back call after call (measured 0 faults in the suite's
+    # run, ~820-870 in a fresh process)
     levels = np.linspace(-1.0, 1.0, _SORT_LEVELS)
     martingale_part(SYM, path, levels, checkpoints=[0.25, 0.5, 1.0])
     sorted_calls.clear()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     martingale_part(SYM, path, levels, checkpoints=[0.25, 0.5, 1.0])
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert len(sorted_calls) == 3
+    assert [len(ends) for _, ends in sorted_calls] == [3]
     assert faults < 2000, faults
 
 
