@@ -418,6 +418,29 @@ def test_sorted_compensator_finite_near_the_largest_double():
             <= 1e-14 * np.abs(terms).sum(), a
 
 
+@pytest.mark.parametrize("x0", [1e15, 1e17])
+def test_many_level_sums_hold_where_ulp_exceeds_the_inner_cells(x0):
+    # at x0 = 1e15 and 1e17 a level a sits where ulp(a) exceeds the sorted
+    # compensator's inner cell edges (+-100 eps), so a + edge rounds to a;
+    # its cells are found about the prefix's midrange instead. 16 levels,
+    # all at a path point: searching a + edges gave 0.0546618 against
+    # 0.0546764 at 1e15 and 0.00128 against 47.7 at 1e17. The jump sum's
+    # bins are taken about the midrange too
+    cfg = SimConfig(T=1.0, n_steps=64, eps=1e-2, seed=1, x0=x0)
+    path = simulate_path_jumpdecomp(SYM, cfg)
+    x, dt = path.values[:-1], np.diff(path.times)
+    levels = np.full(_SORT_LEVELS, path.values[0])
+    table = compensator_table(SYM, cfg.eps)
+    got = _sorted_sums(table, levels, [len(x)], x, dt)[0]
+    terms = _compensator_at(table, x - levels[0]) * dt
+    assert np.all(np.abs(got - math.fsum(terms))
+                  <= 1e-14 * np.abs(terms).sum()), got
+    pre, post, h = _jumps(path)
+    got = localtime._expanded_jump_sums(SYM, levels, pre, post, h)
+    exact, size = _exact_jump_sum(SYM, pre, post, h, levels[0])
+    assert np.all(np.abs(got - exact) <= 1e-14 * size), (got, exact)
+
+
 def test_sorted_prefix_sums_keep_ties_in_time_order(monkeypatch):
     # without drift or gaussian noise the path is flat between jumps, so
     # its values tie; the one sort must keep tied points in time order, in
@@ -445,6 +468,113 @@ def test_sorted_prefix_sums_keep_ties_in_time_order(monkeypatch):
         assert np.array_equal(_bits(dts), _bits(dt[order]))
 
 
+# ------------------------------------------------------ expanded jump sum
+
+def _jumps(path):
+    """The pre-jump values, post-jump values and sizes of a path's jumps."""
+    post = path.values[path.jump_rows]
+    return post - path.jump_sizes, post, path.jump_sizes
+
+
+def _exact_jump_sum(params, pre, post, h, a):
+    """math.fsum of the jump terms at level a, and their magnitudes' sum.
+
+    A jump that keeps the sign of y = pre - a adds the cancellation-free
+    F(y) expm1((alpha - 1) log1p(h / y)); a crossing adds
+    F(post - a) - F(pre - a).
+    """
+    y = pre - a
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = h / y
+        keeps = (ratio > -1.0) & np.isfinite(ratio)
+        kept = kernel_F(params, y) * np.expm1(
+            (params.alpha - 1.0) * np.log1p(np.where(keeps, ratio, 0.0)))
+    terms = np.where(keeps, kept,
+                     kernel_F(params, post - a) - kernel_F(params, y))
+    return math.fsum(terms), np.abs(terms).sum()
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("triplet, mode", [
+    ((1.1, 1.0, 1.0), "gaussian"), ((1.3, 3.0, 1.0), "gaussian"),
+    ((1.5, 1.0, 1.0), "gaussian"), ((1.8, 0.0, 1.0), "gaussian"),
+    ((1.8, 1.0, 0.0), "gaussian"), ((1.1, 1.0, 1.0), "drop")],
+    ids=["1.1-symmetric", "1.3-skewed", "1.5-symmetric", "1.8-c+=0",
+         "1.8-c-=0", "1.1-symmetric-drop"])
+def test_expanded_jump_sum_matches_exact_summation(triplet, mode, eps):
+    # the many-level jump sum, binned moments for far bins and the
+    # cancellation-free form for the rest, against a correctly rounded
+    # math.fsum of the cancellation-free terms over the 201 default levels:
+    # within 1e-14 of the terms' magnitudes, at three starting points.
+    # Measured <= 4.0e-16 (1.8 with c+ = 0, eps 1e-3). The direct sum of
+    # F(post - a) - F(pre - a) misses by up to 1.7e-13 at x0 = 0 (1.1
+    # symmetric, eps 1e-3), and at x0 = 1000, where pre = post - h rounds,
+    # by up to 9.4e-12
+    params = derive_params(*triplet)
+    for x0 in (0.0, -3.0, 1000.0):
+        cfg = SimConfig(T=1.0, n_steps=4096, eps=eps, seed=1,
+                        small_jump_mode=mode, x0=x0)
+        path = simulate_path_jumpdecomp(params, cfg)
+        pre, post, h = _jumps(path)
+        levels = default_a_grid(path)
+        got = localtime._expanded_jump_sums(params, levels, pre, post, h)
+        # every level, or every fourth where fsum over 140k jumps per level
+        # would take seconds
+        every = 1 if len(h) < 50_000 else 4
+        for a, total in zip(levels[::every], got[::every]):
+            exact, size = _exact_jump_sum(params, pre, post, h, a)
+            assert abs(total - exact) <= 1e-14 * size, (x0, a)
+
+
+def test_expanded_jump_sum_edge_cases():
+    # a path whose jumps all exceed the binned size (eps 5e-2 > 0.025)
+    # sums every term directly, to the bar of the exact-sum test; and a
+    # checkpoint before its first jump has no jumps, so that row is the
+    # compensator's alone
+    params = LEVEL_CURVE
+    path = simulate_path_jumpdecomp(
+        params, SimConfig(T=1.0, n_steps=4096, eps=5e-2, seed=3))
+    pre, post, h = _jumps(path)
+    assert len(h) and np.all(np.abs(h) > localtime._JUMP_SMALL)
+    levels = default_a_grid(path)
+    t = path.times[1]
+    assert path.jump_rows[0] > 1
+    m = martingale_part(params, path, levels, checkpoints=[t, 1.0])
+    x, dt = path.values[:-1], np.diff(path.times)
+    table = compensator_table(params, path.config.eps)
+    assert np.array_equal(_bits(m[0]),
+                          _bits(-_sorted_sums(table, levels, [1], x, dt)[0]))
+    assert np.array_equal(_bits(m[1]),
+                          _bits(martingale_part(params, path, levels)))
+    got = localtime._expanded_jump_sums(params, levels, pre, post, h)
+    for a, total in zip(levels, got):
+        exact, size = _exact_jump_sum(params, pre, post, h, a)
+        assert abs(total - exact) <= 1e-14 * size, a
+    assert np.array_equal(
+        localtime._expanded_jump_sums(params, levels, pre[:0], post[:0],
+                                      h[:0]), np.zeros(len(levels)))
+
+
+@pytest.mark.parametrize("gap", [1e8, 1e16])
+def test_expanded_jump_sum_holds_across_a_wide_spread(gap):
+    # half the jumps moved a gap away: the bins sit up to gap / 2 from the
+    # midrange, where pre - c and a - c round by up to 0.5 at 1e16, so
+    # offsets are taken exactly and a bin counts as far only by its
+    # computed distance (plain differences missed by 7.7e-12 at 1e8 and
+    # 5.7e-4 at 1e16 of the terms' magnitudes)
+    cfg = SimConfig(T=1.0, n_steps=1024, eps=1e-3, seed=1)
+    path = simulate_path_jumpdecomp(SYM, cfg)
+    pre, post, h = _jumps(path)
+    shift = np.where(np.arange(len(h)) < len(h) // 2, 0.0, gap)
+    pre, post = pre + shift, post + shift
+    near = np.linspace(path.values.min(), path.values.max(), 8)
+    levels = np.concatenate([near, near + gap])
+    got = localtime._expanded_jump_sums(SYM, levels, pre, post, h)
+    for a, total in zip(levels, got):
+        exact, size = _exact_jump_sum(SYM, pre, post, h, a)
+        assert abs(total - exact) <= 1e-14 * size, a
+
+
 @pytest.fixture(scope="module")
 def curve_path():
     # the level-curve shape
@@ -465,11 +595,25 @@ def sorted_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def expanded_calls(monkeypatch):
+    """The (levels, jumps) of each call of the expanded jump sum."""
+    calls, real = [], localtime._expanded_jump_sums
+
+    def spy(params, levels, pre, post, h):
+        calls.append((len(levels), len(h)))
+        return real(params, levels, pre, post, h)
+
+    monkeypatch.setattr(localtime, "_expanded_jump_sums", spy)
+    return calls
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def test_compensator_table_contract(curve_path, sorted_calls, monkeypatch):
+def test_compensator_table_contract(curve_path, sorted_calls,
+                                    expanded_calls, monkeypatch):
     # one table per (params, eps), equal params being one key, and every
     # array in it read-only
     table = compensator_table(SYM, 1e-3)
@@ -485,8 +629,9 @@ def test_compensator_table_contract(curve_path, sorted_calls, monkeypatch):
             array[0] = 1.0
     # each martingale_part call looks the table up once, where callers
     # find it, on the tiled route (2 levels) and the sorted one (201
-    # levels, all three checkpoints from one call and one sort); both
-    # routes' values are pinned by digest
+    # levels, all three checkpoints from one call and one sort, and the
+    # jump sum's expansion once per checkpoint); both routes' values are
+    # pinned by digest
     looked_up, real = [], localtime.compensator_table
 
     def counting(params, eps):
@@ -495,36 +640,44 @@ def test_compensator_table_contract(curve_path, sorted_calls, monkeypatch):
 
     monkeypatch.setattr(localtime, "compensator_table", counting)
     grid = default_a_grid(curve_path)
-    pins = {2: "104924b976cdbd88", 201: "5c748b7ccbba5f36"}
+    pins = {2: "104924b976cdbd88", 201: "425010318383cb41"}
     for levels, n_sorted in ((grid[[50, 150]], 0), (grid, 1)):
         looked_up.clear()
         sorted_calls.clear()
+        expanded_calls.clear()
         m = martingale_part(LEVEL_CURVE, curve_path, levels,
                             checkpoints=[0.05, 0.5, 1.0])
         assert looked_up == [(LEVEL_CURVE, curve_path.config.eps)]
         assert len(sorted_calls) == n_sorted
+        assert len(expanded_calls) == 3 * n_sorted
         digest = hashlib.sha256(m.astype("<f8").tobytes()).hexdigest()
         assert digest[:16] == pins[len(levels)]
 
 
 def test_sorted_route_values_do_not_depend_on_other_levels(
-        curve_path, sorted_calls):
+        curve_path, sorted_calls, expanded_calls):
     # a level's value from the 201-level default grid is, bit for bit,
-    # its value from a shuffled 16-level subset; and each row of a
-    # checkpoint array, all from one sort, is the call at that checkpoint
-    # alone
+    # its value from a shuffled 16-level subset, both its compensator and
+    # its expanded jump sum; and each row of a checkpoint array, all from
+    # one sort and one expansion per checkpoint, is the call at that
+    # checkpoint alone
     grid = default_a_grid(curve_path)
     n = len(curve_path.times) - 1
+    jumps = len(curve_path.jump_sizes)
     pick = np.random.default_rng(0).permutation(201)[:_SORT_LEVELS]
     full = martingale_part(LEVEL_CURVE, curve_path, grid)
     subset = martingale_part(LEVEL_CURVE, curve_path, grid[pick])
     assert sorted_calls == [(201, [n]), (_SORT_LEVELS, [n])]
+    assert expanded_calls == [(201, jumps), (_SORT_LEVELS, jumps)]
     assert np.array_equal(_bits(full[pick]), _bits(subset))
     sorted_calls.clear()
+    expanded_calls.clear()
     horizons = [0.05, 0.5, 1.0]
     rows = martingale_part(LEVEL_CURVE, curve_path, grid[pick], horizons)
     assert [(levels, len(ends)) for levels, ends in sorted_calls] \
         == [(_SORT_LEVELS, 3)]
+    assert [levels for levels, _ in expanded_calls] == [_SORT_LEVELS] * 3
+    assert expanded_calls[-1] == (_SORT_LEVELS, jumps)
     assert np.array_equal(_bits(rows[-1]), _bits(subset))
     for t, row in zip(horizons, rows):
         assert np.array_equal(
@@ -532,16 +685,18 @@ def test_sorted_route_values_do_not_depend_on_other_levels(
                                               grid[pick], t)))
 
 
-def test_route_choice_from_input_sizes(curve_path, sorted_calls):
-    # fewer than _SORT_LEVELS levels keep the tiled route, whose values are
-    # the one-level calls'; 16 levels or more take the sorted route on a
-    # path of any length, here ~9 and ~45 points per table cell
+def test_route_choice_from_input_sizes(curve_path, sorted_calls,
+                                      expanded_calls):
+    # fewer than _SORT_LEVELS levels keep the tiled routes of both sums,
+    # whose values are the one-level calls'; 16 levels or more take the
+    # sorted route on a path of any length, here ~9 and ~45 points per
+    # table cell
     grid = default_a_grid(curve_path)
     few = grid[::14][:_SORT_LEVELS - 1]
     assert np.array_equal(
         _bits(martingale_part(LEVEL_CURVE, curve_path, few)),
         _bits([martingale_part(LEVEL_CURVE, curve_path, a) for a in few]))
-    assert sorted_calls == []
+    assert sorted_calls == [] and expanded_calls == []
     short = simulate_path_jumpdecomp(
         LEVEL_CURVE, SimConfig(T=1.0, n_steps=4096, eps=1e-2, seed=2))
     for path in (short, curve_path):
@@ -572,16 +727,37 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls):
             assert abs(s - t) <= 1e-14 * np.abs(g(x - a) * dt).sum(), a
 
 
+def test_few_level_calls_keep_their_bits(curve_path, expanded_calls):
+    # below _SORT_LEVELS levels both sums stay point by point, so these
+    # martingale parts (three checkpoints) and kernel-route curves keep
+    # the bits they had before the expanded jump sum
+    grid = default_a_grid(curve_path)
+    pins = {1: ("5737ab3de761416d", "dc860898349635c7"),
+            2: ("104924b976cdbd88", "9b4f469077d56496"),
+            15: ("dc036c5306f5773c", "e4211f4ae5e4aa87")}
+    for levels in (grid[[100]], grid[[50, 150]], grid[::14][:15]):
+        m = martingale_part(LEVEL_CURVE, curve_path, levels,
+                            checkpoints=[0.05, 0.5, 1.0])
+        t = tanaka_curve(LEVEL_CURVE, curve_path, levels)
+        assert tuple(hashlib.sha256(v.astype("<f8").tobytes()).hexdigest()
+                     [:16] for v in (m, t)) == pins[len(levels)]
+    assert expanded_calls == []
+
+
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="minor-fault counts are read as on Linux")
-def test_level_curves_stay_off_the_page_fault_path(sorted_calls):
+def test_level_curves_stay_off_the_page_fault_path(sorted_calls,
+                                                   expanded_calls):
     # tiles keep every temporary below the allocator's mmap threshold, so
     # the two 201-level curves at the level-curve shape reuse memory
     # instead of faulting in fresh pages; measured ~13 faults here against
     # ~42k for 32-level whole-row blocks. The compensator's sorted route
     # and the occupation sum sort the path into arrays as long as the path,
     # which a repeated call takes back from the allocator: measured 0
-    # faults in the suite's run, ~440 in a fresh process
+    # faults in the suite's run, up to ~440 when this test runs alone. The
+    # expanded jump sum bins the jumps into arrays as long as the jump
+    # record, likewise taken back, and tiles its pairs of levels with bins
+    # and with jumps
     params = derive_params(1.3, 3.0, 1.0)
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
     path = simulate_path_jumpdecomp(params, cfg)
@@ -589,10 +765,12 @@ def test_level_curves_stay_off_the_page_fault_path(sorted_calls):
     grid = default_a_grid(path)
     tanaka_curve(params, path, grid)
     occupation_curve(path, grid, moll)
+    expanded_calls.clear()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     tanaka_curve(params, path, grid)
     occupation_curve(path, grid, moll)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert expanded_calls == [(201, len(path.jump_sizes))]
     assert faults < 2000, faults
     # and so does the one walk for three checkpoints at the criterion-5
     # shape
@@ -603,18 +781,21 @@ def test_level_curves_stay_off_the_page_fault_path(sorted_calls):
     martingale_part(SYM, path, [0.0, 0.5], checkpoints=[0.25, 0.5, 1.0])
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 2000, faults
-    # and so does the sorted compensator over 16 levels at three
-    # checkpoints: its levels go in tiles of 128 KiB, and only its one sort
-    # and each prefix's sorted points and sums take arrays as long as the
-    # path, taken back call after call (measured 0 faults in the suite's
-    # run, ~820-870 in a fresh process)
+    # and so do the sorted compensator and the expanded jump sum over 16
+    # levels at three checkpoints: their levels go in tiles of 128 KiB,
+    # and only the one sort, each prefix's sorted points and sums and each
+    # prefix's binned jumps take arrays as long as the path, taken back
+    # call after call (measured 0 faults in the suite's run, ~1030-1230
+    # when this test runs alone)
     levels = np.linspace(-1.0, 1.0, _SORT_LEVELS)
     martingale_part(SYM, path, levels, checkpoints=[0.25, 0.5, 1.0])
     sorted_calls.clear()
+    expanded_calls.clear()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     martingale_part(SYM, path, levels, checkpoints=[0.25, 0.5, 1.0])
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert [len(ends) for _, ends in sorted_calls] == [3]
+    assert [levels for levels, _ in expanded_calls] == [_SORT_LEVELS] * 3
     assert faults < 2000, faults
 
 
