@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -270,9 +271,15 @@ def _cmd_localtime(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser as it was (an appended list is a copy of
+    # its default), so one serves every call in the process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {"run": _cmd_run, "density": _cmd_density,
                 "simulate": _cmd_simulate, "localtime": _cmd_localtime}
     try:

@@ -57,15 +57,28 @@ _BUMP_NORMALIZATION = float(
     math.exp(-0.5) * (special.k1(0.5) - special.k0(0.5)))
 
 
+def _bump(y, scale=1.0):
+    """scale exp(-1/(1-y^2))/Z at each y, 0 where |y| >= 1 (or y is NaN).
+
+    One pass over the whole array: outside (-1, 1) the exponent overflows
+    or divides by zero harmlessly and those entries are then zeroed, which
+    leaves the floats of evaluating the inside points alone.
+    """
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.atleast_1d(y * y)
+        np.subtract(1.0, out, out=out)
+        np.divide(-1.0, out, out=out)
+        np.exp(out, out=out)
+        out /= _BUMP_NORMALIZATION
+        out *= scale
+    out[np.atleast_1d(~(np.abs(y) < 1.0))] = 0.0
+    return out if y.ndim else float(out[0])
+
+
 def standard_bump(x):
     """The unit bump exp(-1/(1-x^2))/Z on (-1, 1), zero outside; mass 1."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xi = x[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - xi * xi))
-    out /= _BUMP_NORMALIZATION
-    return out if out.ndim else float(out)
+    return _bump(x)
 
 
 @dataclass(frozen=True)
@@ -82,18 +95,10 @@ class MollifierSpec:
     def width(self) -> float:
         return 1.0 / self.n
 
-    @property
-    def reach(self) -> float:
-        """2 width: n x is formed only on |x| < reach, a superset of the
-        support where it cannot overflow; the value is 0 elsewhere."""
-        return 2.0 * self.width
-
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        near = np.abs(x) < self.reach
-        out[near] = self.n * standard_bump(self.n * x[near])
-        return out if out.ndim else float(out)
+        # n x may overflow far out; the value there is 0 all the same
+        with np.errstate(over="ignore"):
+            return _bump(self.n * np.asarray(x, dtype=float), self.n)
 
 
 # ------------------------------------------------------------------ kernel

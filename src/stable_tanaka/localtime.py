@@ -12,9 +12,10 @@ per level, at the path's horizon T. Two curves estimate it:
   earlier horizons, all read off one walk over the path.
 
 The occupation sum sorts the points near the levels once and finds each
-level's points within the mollifier's reach by search; it sums their
-terms in time order, so a level's value depends only on the path and the
-level.
+level's points within the mollifier's support by search; it evaluates the
+terms of all (level, point) pairs in one pass and sums each level's terms
+in value order, ties in time order, so a level's value depends only on the
+path and the level.
 
 ``martingale_part`` picks one of two routes from the number of levels.
 For fewer than 16, both of its sums walk the points in chunks of a fixed
@@ -26,7 +27,7 @@ of the bin's jump moments, and the jumps near a level and the large
 jumps in a form free of cancellation; against exact summation it is
 exact to rounding (measured <= 4.0e-16 of the sum of the terms'
 magnitudes, where the direct sum reached 1.7e-13). The compensator sorts
-the path once per call, by a stable sort, and sums each checkpoint's
+the path once per call, in the stable order, and sums each checkpoint's
 chords cell by cell from double-double prefix sums of moments about that
 prefix's midrange, in plain floats. Both compensator routes read one
 table of G_eps per (params, eps), ``compensator_table``: closed-form
@@ -90,8 +91,10 @@ _JUMP_BIN = 0.05
 _JUMP_SMALL = 0.5 * _JUMP_BIN
 _JUMP_NEAR = 4.5 * _JUMP_BIN
 _JUMP_ORDER = 22
-# each of its tiles of (level, jump) pairs or (level, bin) pairs holds at
-# most this many: 128 KiB of terms, as in _tiled_levels
+# each of its tiles of (level, jump) pairs or (level, bin) pairs, and each
+# of the occupation sum's tiles of (level, point) pairs, holds at most this
+# many (bar one level's run that is longer): 128 KiB of terms, as in
+# _tiled_levels
 _PAIR_TILE = _TILE_LEVELS * _TILE_POINTS
 
 
@@ -153,32 +156,76 @@ def _level_grid(a_grid) -> np.ndarray:
     return levels
 
 
+def _value_order(x):
+    """The order that sorts x by value, ties in index order, and x in it.
+
+    Distinct values have one sorted order, so numpy's default sort gives
+    the stable order unless two sorted values tie; only then does this
+    sort again, stably.
+    """
+    order = np.argsort(x)
+    xs = x[order]
+    if np.any(xs[1:] == xs[:-1]):
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+    return order, xs
+
+
+def _runs(starts, counts):
+    """Indices of the runs [starts[j], starts[j] + counts[j]) laid end to
+    end, and where each run begins among them; ``counts`` is not empty."""
+    heads = np.cumsum(counts) - counts
+    return (np.arange(heads[-1] + counts[-1]) + np.repeat(starts - heads,
+                                                          counts), heads)
+
+
+def _packed(sizes):
+    """Consecutive slices of ``sizes`` whose sizes add up to at most
+    _PAIR_TILE, or hold one size larger than that alone."""
+    cuts, total = [0], 0
+    for i, size in enumerate(sizes.tolist()):
+        if total and total + size > _PAIR_TILE:
+            cuts.append(i)
+            total = 0
+        total += size
+    cuts.append(len(sizes))
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+
 # ------------------------------------------------------------- occupation
 
 def occupation_curve(path: PathSample, a_grid,
                      moll: MollifierSpec) -> np.ndarray:
     """Occupation estimates (Riemann sums of rho_n(X_s - a) ds) over levels.
 
-    The points within the mollifier's ``reach`` (2/n) of the levels are
-    sorted by value once. A level's points within reach, where
-    ``MollifierSpec`` evaluates, are a run of that order found by two
-    searches; their terms moll(x - a) * dt are summed in time order. So a
-    level's float depends only on the path and the level, not on the
-    levels asked for with it or on how the sort broke ties, and a level
-    no point reaches gives exactly 0.0.
+    The points within the mollifier's support ``width`` (1/n) of the
+    levels are sorted by value once, ties in time order. A level's points
+    within its support are a run of that order found by two searches, and
+    its terms moll(x - a) * dt are summed as one slice in that order. The
+    terms of all (level, point) pairs are evaluated in one pass over tiles
+    of whole levels' runs. So a level's float depends only on the path and
+    the level, not on the levels asked for with it, and a level no point
+    reaches gives exactly 0.0.
     """
     levels = _level_grid(a_grid)
     x, dt = path.values[:-1], np.diff(path.times)
-    near = np.flatnonzero((x >= levels.min(initial=np.inf) - moll.reach)
-                          & (x <= levels.max(initial=-np.inf) + moll.reach))
-    by_value = near[np.argsort(x[near])]
-    x_sorted = x[by_value]
-    starts = np.searchsorted(x_sorted, levels - moll.reach, side="left")
-    stops = np.searchsorted(x_sorted, levels + moll.reach, side="right")
+    width = moll.width
+    near = np.flatnonzero((x >= levels.min(initial=np.inf) - width)
+                          & (x <= levels.max(initial=-np.inf) + width))
+    order, x_sorted = _value_order(x[near])
+    by_value = near[order]
+    starts = np.searchsorted(x_sorted, levels - width, side="left")
+    counts = np.searchsorted(x_sorted, levels + width, side="right") - starts
     out = np.zeros(len(levels))
-    for j in np.flatnonzero(stops > starts):
-        at = np.sort(by_value[starts[j]:stops[j]])
-        out[j] = np.sum(moll(x[at] - levels[j]) * dt[at])
+    reached = np.flatnonzero(counts)
+    for tile in _packed(counts[reached]):
+        rows, sizes = reached[tile], counts[reached[tile]]
+        at, heads = _runs(starts[rows], sizes)
+        at = by_value[at]
+        terms = moll(x[at] - np.repeat(levels[rows], sizes))
+        terms *= dt[at]
+        for j, lo, size in zip(rows.tolist(), heads.tolist(), sizes.tolist()):
+            out[j] = terms[lo:lo + size].sum()
     return out
 
 
@@ -269,17 +316,18 @@ def _sorted_prefix_sums(xs, dts, c):
 
 def _sorted_sums(table: _CompensatorTable, levels, ends, x, dt):
     """Per-level sums of G_eps(x - a) dt over each prefix x[:end], one row
-    per end, from one stable sort of the points.
+    per end, from one sort of the points in the stable order.
 
-    A stable sort restricted to a prefix is that prefix's stable sort, so
-    a row is the call for that end alone. A cell's points are a run of the
-    prefix's order, whose weight W and moment X_c about the prefix's
+    The stable order restricted to a prefix is that prefix's stable order,
+    so a row is the call for that end alone. A cell's points are a run of
+    the prefix's order, whose weight W and moment X_c about the prefix's
     midrange c come from the prefix sums; the chord's sum over the run is
     value W + slope (X_c - (a - c + left) W), whose rounding does not grow
-    with |a|. The band's points are evaluated as the tiled route does, in
-    tiles of levels whose temporaries stay below 128 KiB.
+    with |a|. The band's points are evaluated as the tiled route does, one
+    call per tile of levels whose temporaries stay below 128 KiB, and each
+    level's band terms are summed on their own.
     """
-    order = np.argsort(x[:ends[-1]], kind="stable")
+    order, _ = _value_order(x[:ends[-1]])
     out = np.empty((len(ends), len(levels)))
     step = max(1, _CELL_TILE // len(table.value))
     for row, end in enumerate(ends):
@@ -296,9 +344,17 @@ def _sorted_sums(table: _CompensatorTable, levels, ends, x, dt):
             w, moment = np.diff(np.take(sums, at, axis=-1)).sum(axis=0)
             totals = (table.value * w + table.slope * (
                 moment - (block - c + table.left) * w)).sum(axis=1)
-            for j, (i, k) in enumerate(at[:, table.band:table.band + 2]):
-                near = _compensator_at(table, xs[i:k] - block[j, 0]) * dts[i:k]
-                out[row, start + j] = totals[j] + near.sum()
+            # the band's points of every level in the block in one call,
+            # each level's terms summed on their own slice
+            first = at[:, table.band]
+            sizes = at[:, table.band + 1] - first
+            band, heads = _runs(first, sizes)
+            near = _compensator_at(table, xs[band] - np.repeat(block[:, 0],
+                                                               sizes))
+            near *= dts[band]
+            for j, (lo, size) in enumerate(zip(heads.tolist(),
+                                               sizes.tolist())):
+                out[row, start + j] = totals[j] + near[lo:lo + size].sum()
     return out
 
 
@@ -434,20 +490,9 @@ def _expanded_jump_sums(params: StableParams, levels, pre, post, h):
     piece_size = np.minimum(run[piece_level] - piece_at, _PAIR_TILE)
     piece_at += run_start[piece_level]
     # tiles of whole pieces, packed in order
-    cuts, size = [0], 0
-    for i, count in enumerate(piece_size.tolist()):
-        if size + count > _PAIR_TILE:
-            cuts.append(i)
-            size = 0
-        size += count
-    cuts.append(len(piece_size))
-    for tile in map(slice, cuts[:-1], cuts[1:]):
+    for tile in _packed(piece_size):
         counts = piece_size[tile]
-        if not len(counts):
-            continue
-        heads = np.cumsum(counts) - counts
-        at = np.arange(heads[-1] + counts[-1]) \
-            + np.repeat(piece_at[tile] - heads, counts)
+        at, heads = _runs(piece_at[tile], counts)
         a = np.repeat(levels[piece_level[tile]], counts)
         y = pre_near[at]
         y -= a

@@ -230,6 +230,10 @@ def _far_field(params: StableParams, g, x, r_in: float, r_out: float):
     return fine.sum(axis=1)
 
 
+# the image term's node groups by grid points hold at most this many
+_IMAGE_TILE = 2 ** 16
+
+
 def generator_apply_windowed(params: StableParams, g, grid: Grid):
     """Generator of a slowly growing function, reported on a central window.
 
@@ -289,17 +293,6 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
     image_remainder = gw_mass * (params.c_plus + params.c_minus) \
         * (2.0 * L) ** (-a - 1.0) * (n_images + 0.5) ** (-a) / a
 
-    def image_term(x: float) -> float:
-        # |y - x| <= 1.25 L < 2 L for every grid y and report x, so each
-        # jump y + shift - x has the sign of the shift: one coefficient
-        acc = image_remainder
-        for k in range(1, n_images + 1):
-            for shift, coef in ((2.0 * L * k, params.c_plus),
-                                (-2.0 * L * k, params.c_minus)):
-                nu = coef * np.abs(x_all + shift - x) ** (-a - 1.0)
-                acc += np.trapezoid(gw * nu, dx=grid.spacing)
-        return acc
-
     # Both corrections are analytic in x at distance >= r_in - report_radius
     # from their supports, so a Chebyshev fit of a few expensive evaluations
     # carries them to every report point at machine accuracy. The far
@@ -307,8 +300,20 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
     # is identically zero.
     nodes = np.cos(np.pi * np.arange(n_cheb) / (n_cheb - 1))
     x_nodes = report_radius * nodes
-    node_vals = _far_field(params, g, x_nodes, r_in, r_out) \
-        - np.array([image_term(x) for x in x_nodes])
+    # the image term at the nodes, one array pass per image shift over a
+    # group of nodes by the whole grid. |y - x| <= 1.25 L < 2 L for every
+    # grid y and report x, so each jump y + shift - x has the sign of the
+    # shift: one coefficient
+    images = np.full(n_cheb, image_remainder)
+    step = max(1, _IMAGE_TILE // len(x_all))
+    for lo in range(0, n_cheb, step):
+        x = x_nodes[lo:lo + step, None]
+        for k in range(1, n_images + 1):
+            for shift, coef in ((2.0 * L * k, params.c_plus),
+                                (-2.0 * L * k, params.c_minus)):
+                nu = coef * np.abs(x_all + shift - x) ** (-a - 1.0)
+                images[lo:lo + step] += np.trapezoid(gw * nu, dx=grid.spacing)
+    node_vals = _far_field(params, g, x_nodes, r_in, r_out) - images
     coeffs = chebyshev.chebfit(nodes, node_vals, n_cheb - 1)
     total += chebyshev.chebval(x_rep / report_radius, coeffs)
     return x_rep, total

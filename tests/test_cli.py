@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import stable_tanaka.cli as st_cli
 import stable_tanaka.experiments as st_experiments
 from stable_tanaka.cli import main
 from stable_tanaka.experiments import _KINDS
@@ -339,6 +340,33 @@ def test_run_builds_the_spec_once(tmp_path, monkeypatch):
     assert sorted(parses) == ["options", "params", "sim"]
     payload = json.loads((out / "report.json").read_text())
     assert payload["inputs"]["out_dir"] is None
+
+
+def test_parser_reuse_keeps_calls_apart(tmp_path):
+    # main parses with one parser per process; an override of one call
+    # must not reach the next, and two equal localtime calls write the
+    # same bytes
+    spec = write_spec(tmp_path, {
+        "kind": "estimator-agreement",
+        "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
+        "sim": {"T": 1.0, "n_steps": 16, "eps": 0.1},
+        "options": {"n_paths": 2, "schedule": [[0.2, 8], [0.1, 16]]}})
+    outs = [tmp_path / "first", tmp_path / "second"]
+    assert main(["run", spec, "--out", str(outs[0]),
+                 "--override", "options.n_paths=3"]) in (0, 1)
+    assert main(["run", spec, "--out", str(outs[1])]) in (0, 1)
+    seen = [json.loads((out / "report.json").read_text())["inputs"]
+            for out in outs]
+    assert [inputs["options"]["n_paths"] for inputs in seen] == [3, 2]
+    assert st_cli._parser() is st_cli._parser()
+    files = []
+    for out in (tmp_path / "lt1", tmp_path / "lt2"):
+        assert main(["localtime", "--alpha", "1.3", "--c-plus", "3",
+                     "--n-steps", "256", "--seed", "4",
+                     "--out", str(out)]) == 0
+        files.append([(out / name).read_bytes() for name in
+                      ("localtime_curve.csv", "localtime_meta.json")])
+    assert files[0] == files[1]
 
 
 def test_bad_override_exit_two(tmp_path, capsys):

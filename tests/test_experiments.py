@@ -306,12 +306,12 @@ _PINNED_BUNDLES = {
         "sim": {"T": 1.0, "n_steps": 64, "eps": 0.1}, "seed": 18,
         "options": {"n_paths": 10, "level": 0.1,
                     "schedule": [[0.1, 64], [0.05, 128]]}},
-        "ea75de6b5da2acf71a37e4385e6902e4605ec52a905072f10529c780d9375f30"),
+        "20e36a8c90b1893354cdc10ada3b974c8dd4f4d7d6a0c08b49f3c6443cc538df"),
     "occupation-formula": ({
         "kind": "occupation-formula", "params": SYM_PARAMS,
         "sim": {"T": 1.0, "n_steps": 256, "eps": 2e-2}, "seed": 19,
         "options": {"n_paths": 6}},
-        "97c0119d9386272cd336979ad123fc3944ce9b09bf970fc2187b9a01d78bec00"),
+        "204849107b21fa0cb62ba51d35fce09fe2830ea0a077d6d1b22034094c05359b"),
 }
 
 

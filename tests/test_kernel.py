@@ -82,8 +82,8 @@ def test_mollifier_scaling_and_mass():
 
 @pytest.mark.filterwarnings("error")
 def test_mollifier_far_arguments_are_zero_and_support_bits_kept():
-    # n x is formed only near the support, so no argument overflows it;
-    # inside the support the bits are those of n rho(n x)
+    # n x may overflow far from the support, silently, and the value there
+    # is 0; inside the support the bits are those of n rho(n x)
     moll = MollifierSpec(31)
     xs = np.concatenate([np.linspace(-0.1, 0.1, 2001),
                          [1e308, -1e308, np.inf, -np.inf, 1e300, 2.0 / 31]])
@@ -92,6 +92,44 @@ def test_mollifier_far_arguments_are_zero_and_support_bits_kept():
     assert np.all(moll(xs[2001:]) == 0.0)
     assert moll(1e308) == 0.0
     assert moll(0.0) == 31 * standard_bump(0.0)
+
+
+# four uniform draws on (-1, 1), as hex so the inputs are exact
+_PIN_DRAWS = ["0x1.00320d4f8f2a4p-2", "0x1.96bf36f2bc99ap-1",
+              "0x1.1a4d597e502bep-1", "-0x1.19634950aa578p-1"]
+
+
+def _pin_points(width):
+    """0, +-width, +-2 width, their neighbours either side, +-0.999 width
+    and the draws times width."""
+    edges = np.array([width, -width, 2.0 * width, -2.0 * width])
+    return np.concatenate([
+        [0.0], edges, np.nextafter(edges, np.inf),
+        np.nextafter(edges, -np.inf), [0.999 * width, -0.999 * width],
+        [float.fromhex(d) * width for d in _PIN_DRAWS]])
+
+
+@pytest.mark.filterwarnings("error:::stable_tanaka")
+def test_mollifier_and_bump_bits_pinned():
+    # one pass over the whole array, the entries with |n x| >= 1 then
+    # zeroed, gives the floats of evaluating the support's points alone,
+    # bit for bit (these hex values are that form's), and no warning
+    zero = ["0x0.0p+0"] * 12
+    tail = ["0x1.806c7523aafe7p+4", "0x1.290fe99149291p+2",
+            "0x1.0986fa3cb9dddp+4", "0x1.0a9aa608c5fc4p+4"]
+    moll = MollifierSpec(31)
+    want = (["0x1.9af85b6516581p+4"] + zero + ["0x1.55d9073e1ea42p-716"] * 2
+            + tail)
+    points = _pin_points(moll.width)
+    assert [float(v).hex() for v in moll(points)] == want
+    assert [moll(float(x)).hex() for x in points] == want
+    tail = ["0x1.8cd30d902c618p-1", "0x1.32a512225c096p-3",
+            "0x1.1217b7fc9ed47p-1", "0x1.1334484b1ef3ep-1"]
+    want = (["0x1.a83a2ccb71e75p-1"] + zero + ["0x1.60e00779ee14cp-721"] * 2
+            + tail)
+    points = _pin_points(1.0)
+    assert [float(v).hex() for v in standard_bump(points)] == want
+    assert [standard_bump(float(x)).hex() for x in points] == want
 
 
 # ------------------------------------------------------------------- kernel
