@@ -12,10 +12,12 @@ per level, at the path's horizon T. Two curves estimate it:
   earlier horizons, all read off one walk over the path.
 
 The occupation sum sorts the points near the levels once and finds each
-level's points within the mollifier's support by search; it evaluates the
-terms of all (level, point) pairs in one pass and sums each level's terms
-in value order, ties in time order, so a level's value depends only on the
-path and the level.
+level's points within the mollifier's support by search, a run of that
+order summed in value order, ties in time order. Every near field is such
+a run per level: the occupation support, the sorted compensator's band and
+the jumps that the many-level jump sum adds directly. ``_run_sums``
+evaluates the terms of whole runs in tiles and sums each run as one slice,
+so a level's value depends only on the path and the level.
 
 ``martingale_part`` picks one of two routes from the number of levels.
 For fewer than 16, both of its sums walk the points in chunks of a fixed
@@ -79,8 +81,6 @@ _SORT_LEVELS = 16
 # the sorted compensator evaluates points within this many eps of a level
 # one by one: nearer in, G_eps is too steep for its prefix sums' rounding
 _NEAR_EPS = 100.0
-# its tiles of levels by cells hold at most this many: 128 KiB of sums
-_CELL_TILE = 4096
 # The jump sum over _SORT_LEVELS levels or more bins the jumps of size at
 # most _JUMP_SMALL by their midpoint, _JUMP_BIN wide, and a bin whose
 # centre lies _JUMP_NEAR or more from a level adds its jumps by a
@@ -91,10 +91,9 @@ _JUMP_BIN = 0.05
 _JUMP_SMALL = 0.5 * _JUMP_BIN
 _JUMP_NEAR = 4.5 * _JUMP_BIN
 _JUMP_ORDER = 22
-# each of its tiles of (level, jump) pairs or (level, bin) pairs, and each
-# of the occupation sum's tiles of (level, point) pairs, holds at most this
-# many (bar one level's run that is longer): 128 KiB of terms, as in
-# _tiled_levels
+# each of its tiles of (level, bin) pairs, and each tile of runs that
+# ``_run_sums`` packs, holds at most this many terms (bar one run that is
+# longer): 128 KiB, as in _tiled_levels
 _PAIR_TILE = _TILE_LEVELS * _TILE_POINTS
 
 
@@ -115,10 +114,10 @@ def hat_function(center: float, half_width: float):
     return g
 
 
-def _tiled_levels(levels, ends, tile, *columns, rows=_TILE_LEVELS):
+def _tiled_levels(levels, ends, tile, *columns):
     """Per-level sums of tile(levels, *columns) over each prefix columns[:end].
 
-    ``tile(block, *chunks)`` maps a (k, 1) column of at most ``rows``
+    ``tile(block, *chunks)`` maps a (k, 1) column of at most _TILE_LEVELS
     levels and chunks of at most _TILE_POINTS points to a (k, points)
     array of terms. Each row is reduced on its own and each level adds its
     chunks in point order, so its value is the same whichever levels share
@@ -129,8 +128,8 @@ def _tiled_levels(levels, ends, tile, *columns, rows=_TILE_LEVELS):
     """
     ends = [int(end) for end in ends]
     out = np.zeros((len(ends), len(levels)))
-    for start in range(0, len(levels), rows):
-        block = levels[start:start + rows, None]
+    for start in range(0, len(levels), _TILE_LEVELS):
+        block = levels[start:start + _TILE_LEVELS, None]
         cols = slice(start, start + len(block))
         total = np.zeros(len(block))
         for lo in range(0, ends[-1], _TILE_POINTS):
@@ -171,25 +170,32 @@ def _value_order(x):
     return order, xs
 
 
-def _runs(starts, counts):
-    """Indices of the runs [starts[j], starts[j] + counts[j]) laid end to
-    end, and where each run begins among them; ``counts`` is not empty."""
-    heads = np.cumsum(counts) - counts
-    return (np.arange(heads[-1] + counts[-1]) + np.repeat(starts - heads,
-                                                          counts), heads)
+def _run_sums(starts, counts, terms):
+    """Sums of terms over the runs [starts[j], starts[j] + counts[j]).
 
-
-def _packed(sizes):
-    """Consecutive slices of ``sizes`` whose sizes add up to at most
-    _PAIR_TILE, or hold one size larger than that alone."""
-    cuts, total = [0], 0
-    for i, size in enumerate(sizes.tolist()):
-        if total and total + size > _PAIR_TILE:
-            cuts.append(i)
-            total = 0
-        total += size
-    cuts.append(len(sizes))
-    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    The runs are packed in order into tiles of at most _PAIR_TILE terms; a
+    longer run goes in a tile of its own. ``terms(rows, at)`` returns a
+    tile's terms from each term's run ``rows`` and index ``at``. Each run
+    is summed as one slice, so its float depends only on its own terms,
+    not on the runs that share its tile; an empty run gives exactly 0.0.
+    """
+    out = np.zeros(len(counts))
+    runs = np.flatnonzero(counts)
+    ends = np.cumsum(counts[runs])
+    lo = 0
+    while lo < len(runs):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _PAIR_TILE,
+                                             side="right")))
+        rows, n = runs[lo:hi], counts[runs[lo:hi]]
+        heads = ends[lo:hi] - n - base
+        at = np.repeat(starts[rows] - heads, n)
+        at += np.arange(len(at))
+        values = terms(np.repeat(rows, n), at)
+        out[rows] = [np.add.reduce(values[head:head + size])
+                     for head, size in zip(heads.tolist(), n.tolist())]
+        lo = hi
+    return out
 
 
 # ------------------------------------------------------------- occupation
@@ -216,17 +222,14 @@ def occupation_curve(path: PathSample, a_grid,
     by_value = near[order]
     starts = np.searchsorted(x_sorted, levels - width, side="left")
     counts = np.searchsorted(x_sorted, levels + width, side="right") - starts
-    out = np.zeros(len(levels))
-    reached = np.flatnonzero(counts)
-    for tile in _packed(counts[reached]):
-        rows, sizes = reached[tile], counts[reached[tile]]
-        at, heads = _runs(starts[rows], sizes)
+
+    def terms(rows, at):
         at = by_value[at]
-        terms = moll(x[at] - np.repeat(levels[rows], sizes))
-        terms *= dt[at]
-        for j, lo, size in zip(rows.tolist(), heads.tolist(), sizes.tolist()):
-            out[j] = terms[lo:lo + size].sum()
-    return out
+        out = moll(x[at] - levels[rows])
+        out *= dt[at]
+        return out
+
+    return _run_sums(starts, counts, terms)
 
 
 # -------------------------------------------------------------- martingale
@@ -323,13 +326,14 @@ def _sorted_sums(table: _CompensatorTable, levels, ends, x, dt):
     the prefix's order, whose weight W and moment X_c about the prefix's
     midrange c come from the prefix sums; the chord's sum over the run is
     value W + slope (X_c - (a - c + left) W), whose rounding does not grow
-    with |a|. The band's points are evaluated as the tiled route does, one
-    call per tile of levels whose temporaries stay below 128 KiB, and each
-    level's band terms are summed on their own.
+    with |a|. The band's points are evaluated as the tiled route does, and
+    each level's band terms are summed as one slice (``_run_sums``).
     """
     order, _ = _value_order(x[:ends[-1]])
     out = np.empty((len(ends), len(levels)))
-    step = max(1, _CELL_TILE // len(table.value))
+    # tiles of levels by cells whose 2 x 2 prefix sums hold _PAIR_TILE floats
+    step = max(1, _PAIR_TILE // 4 // len(table.value))
+    band = np.empty((2, len(levels)), dtype=np.intp)
     for row, end in enumerate(ends):
         at = order[order < end]
         xs, dts = x[at], dt[at]
@@ -342,19 +346,12 @@ def _sorted_sums(table: _CompensatorTable, levels, ends, x, dt):
             block = levels[start:start + step, None]
             at = np.searchsorted(xs_c, (block - c) + table.edges)
             w, moment = np.diff(np.take(sums, at, axis=-1)).sum(axis=0)
-            totals = (table.value * w + table.slope * (
-                moment - (block - c + table.left) * w)).sum(axis=1)
-            # the band's points of every level in the block in one call,
-            # each level's terms summed on their own slice
-            first = at[:, table.band]
-            sizes = at[:, table.band + 1] - first
-            band, heads = _runs(first, sizes)
-            near = _compensator_at(table, xs[band] - np.repeat(block[:, 0],
-                                                               sizes))
-            near *= dts[band]
-            for j, (lo, size) in enumerate(zip(heads.tolist(),
-                                               sizes.tolist())):
-                out[row, start + j] = totals[j] + near[lo:lo + size].sum()
+            out[row, start:start + step] = (
+                table.value * w + table.slope * (
+                    moment - (block - c + table.left) * w)).sum(axis=1)
+            band[:, start:start + step] = at[:, table.band:table.band + 2].T
+        out[row] += _run_sums(band[0], band[1] - band[0], lambda rows, at: (
+            _compensator_at(table, xs[at] - levels[rows]) * dts[at]))
     return out
 
 
@@ -371,7 +368,8 @@ def _jump_terms(params: StableParams, y, h, post_less_a):
     out = kernel_F(params, y)
     # the direct entries' NaN and inf are overwritten below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = np.log1p(h / y)
+        ratio = np.divide(h, y)
+        np.log1p(ratio, out=ratio)
         direct = ~np.isfinite(ratio)
         ratio *= params.alpha - 1.0
         out *= np.expm1(ratio, out=ratio)
@@ -392,27 +390,14 @@ def _two_difference(x, c):
     return s, e
 
 
-def _expanded_jump_sums(params: StableParams, levels, pre, post, h):
-    """Per-level sums of F(post - a) - F(pre - a) over the jumps given.
-
-    Jumps of size at most _JUMP_SMALL go into bins _JUMP_BIN wide by
-    pre - c + h/2, c the midrange of the pre-jump values. Each bin holds
-    the moments mu_m = sum(u^m - v^m), m <= _JUMP_ORDER, of v, the
-    pre-jump value less c and the bin's centre, and u = v + h, built by
-    the recursion d_m = u d_(m-1) + v^(m-1) h. A bin whose centre lies at
-    Y, |Y| >= _JUMP_NEAR, from a - c adds
-    F(Y) sum_m binom(alpha - 1, m) mu_m Y^(-m), by Horner; v and Y are
-    formed from exact differences, so neither loses digits to |x - c|.
-    The jumps of the nearer bins and the larger jumps add ``_jump_terms``
-    directly, from the original floats. Each of a level's three parts (a
-    row over all bins with the near ones zero, its run of near jumps, the
-    large jumps) is reduced on its own, in pieces of a fixed size added in
-    order, so its float depends only on the jumps and the level. Tiles of
-    pairs keep every temporary below 128 KiB.
+def _jump_bins(params: StableParams, pre, h):
+    """The bins of ``_expanded_jump_sums``: the midrange c of the pre-jump
+    values, which jumps are binned, those in bin order, where each bin
+    starts among them, each bin's centre less c, and its moments times
+    binom(alpha - 1, m), one row per order m. Its temporaries, as long as
+    the jump record, are freed on return, so the direct sums reuse their
+    memory instead of growing a heap that is trimmed and faulted back in.
     """
-    out = np.zeros(len(levels))
-    if not len(h):
-        return out
     c = 0.5 * pre.min() + 0.5 * pre.max()  # (lo + hi) / 2 may overflow
     # pre - c and a - c as exact pairs s + e, so each jump's offset v from
     # its bin's centre, and each bin's offset Y from a level, are right to
@@ -439,17 +424,13 @@ def _expanded_jump_sums(params: StableParams, levels, pre, post, h):
     binned = binned[order]
     starts = np.flatnonzero(np.diff(key[order], prepend=-1.0))
     centres = centre[binned[starts]]
-    # each level's near bins, |Y| < _JUMP_NEAR, are bins[first:stop]
-    first = np.zeros(len(levels), dtype=np.intp)
-    stop = np.zeros(len(levels), dtype=np.intp)
-    pre_near, h_near = pre[binned], h[binned]
+    moments = np.empty((_JUMP_ORDER, len(starts)))
     if len(binned):
         # the moments of each bin, one order at a time: d_m = u^m - v^m
         # and q_m = v^(m-1) h
-        vs = v[binned]
+        vs, h_near = v[binned], h[binned]
         us = vs + h_near
         d, q = h_near.copy(), h_near.copy()
-        moments = np.empty((_JUMP_ORDER, len(starts)))
         for m in range(_JUMP_ORDER):
             if m:
                 q *= vs
@@ -459,6 +440,36 @@ def _expanded_jump_sums(params: StableParams, levels, pre, post, h):
         # binom(alpha - 1, m) = prod over j <= m of (alpha - j) / j
         j = np.arange(1.0, _JUMP_ORDER + 1.0)
         moments *= np.cumprod((params.alpha - j) / j)[:, None]
+    return c, small, binned, starts, centres, moments
+
+
+def _expanded_jump_sums(params: StableParams, levels, pre, post, h):
+    """Per-level sums of F(post - a) - F(pre - a) over the jumps given.
+
+    Jumps of size at most _JUMP_SMALL go into bins _JUMP_BIN wide by
+    pre - c + h/2, c the midrange of the pre-jump values. Each bin holds
+    the moments mu_m = sum(u^m - v^m), m <= _JUMP_ORDER, of v, the
+    pre-jump value less c and the bin's centre, and u = v + h, built by
+    the recursion d_m = u d_(m-1) + v^(m-1) h. A bin whose centre lies at
+    Y, |Y| >= _JUMP_NEAR, from a - c adds
+    F(Y) sum_m binom(alpha - 1, m) mu_m Y^(-m), by Horner; v and Y are
+    formed from exact differences, so neither loses digits to |x - c|.
+    The jumps of the nearer bins and the larger jumps add ``_jump_terms``
+    directly, from the original floats. Each of a level's three parts (a
+    row over all bins with the near ones zero, its run of near jumps, the
+    large jumps) is reduced on its own, the last two each as one slice
+    (``_run_sums``), so its float depends only on the jumps and the level.
+    Tiles of pairs keep every temporary below 128 KiB, bar a run longer
+    than a tile.
+    """
+    out = np.zeros(len(levels))
+    if not len(h):
+        return out
+    c, small, binned, starts, centres, moments = _jump_bins(params, pre, h)
+    # each level's near bins, |Y| < _JUMP_NEAR, are bins[first:stop]
+    first = np.zeros(len(levels), dtype=np.intp)
+    stop = np.zeros(len(levels), dtype=np.intp)
+    if len(binned):
         # the far bins, a tile of levels by all bins at a time; Y rises
         # with the bin, so the near ones are a run
         level_s, level_e = _two_difference(levels, c)
@@ -479,35 +490,26 @@ def _expanded_jump_sums(params: StableParams, levels, pre, post, h):
             acc *= kernel_F(params, y)
             acc[near] = 0.0
             out[rows] = acc.sum(axis=1)
-    # each level's run of near jumps, in pieces of at most _PAIR_TILE
+    # two runs of direct jumps per level: its near bins' jumps, then all
+    # the large jumps
+    direct = np.append(binned, np.flatnonzero(~small))
+    pre_d, h_d = pre[direct], h[direct]
     bounds = np.append(starts, len(binned))
-    run_start, run = bounds[first], bounds[stop] - bounds[first]
-    n_pieces = -(-run // _PAIR_TILE)
-    piece_level = np.repeat(np.arange(len(levels)), n_pieces)
-    piece_at = np.arange(len(piece_level)) \
-        - np.repeat(np.cumsum(n_pieces) - n_pieces, n_pieces)
-    piece_at *= _PAIR_TILE
-    piece_size = np.minimum(run[piece_level] - piece_at, _PAIR_TILE)
-    piece_at += run_start[piece_level]
-    # tiles of whole pieces, packed in order
-    for tile in _packed(piece_size):
-        counts = piece_size[tile]
-        at, heads = _runs(piece_at[tile], counts)
-        a = np.repeat(levels[piece_level[tile]], counts)
-        y = pre_near[at]
+    n = len(levels)
+    pairs = np.tile(levels, 2)
+
+    def terms(rows, at):
+        a = pairs[rows]
+        y = pre_d[at]
         y -= a
-        terms = _jump_terms(params, y, h_near[at],
-                            lambda m: post[binned[at[m]]] - a[m])
-        np.add.at(out, piece_level[tile], np.add.reduceat(terms, heads))
-    # the large jumps, whole rows of levels at a time
-    large = np.flatnonzero(~small)
-    if len(large):
-        out += _tiled_levels(
-            levels, [len(large)],
-            lambda b, p, q, g: _jump_terms(params, p - b, g,
-                                           lambda m: (q - b)[m]),
-            pre[large], post[large], h[large],
-            rows=max(_TILE_LEVELS, _PAIR_TILE // len(large)))[0]
+        return _jump_terms(params, y, h_d[at],
+                           lambda m: post[direct[at[m]]] - a[m])
+
+    sums = _run_sums(np.append(bounds[first], np.full(n, len(binned))),
+                     np.append(bounds[stop] - bounds[first],
+                               np.full(n, len(direct) - len(binned))), terms)
+    out += sums[:n]
+    out += sums[n:]
     return out
 
 

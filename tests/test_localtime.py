@@ -610,6 +610,46 @@ def test_expanded_jump_sum_holds_across_a_wide_spread(gap):
         assert abs(total - exact) <= 1e-14 * size, a
 
 
+def test_runs_longer_than_a_tile_keep_their_bits():
+    # 40k grid points within 5e-4 of 0 and 20k jumps of +-1.5e-3: at level
+    # 0 the occupation support, the compensator's band and the near jumps
+    # are each one run longer than a tile, summed in a tile of its own.
+    # Its value must not depend on the levels asked for with it, and must
+    # hold the exact-summation bars of the tests above
+    n, eps = 40_000, 1e-3
+    rng = np.random.default_rng(7)
+    values = rng.uniform(-5e-4, 5e-4, n + 1)
+    values[0] = 0.0
+    rows = np.arange(1, n + 1, 2)
+    path = PathSample(
+        times=np.linspace(0.0, 1.0, n + 1), values=values, jump_rows=rows,
+        jump_sizes=np.where(rows % 4 == 1, 1.5e-3, -1.5e-3),
+        scheme="jumpdecomp", config=SimConfig(T=1.0, n_steps=n, eps=eps))
+    x, dt = path.values[:-1], np.diff(path.times)
+    pre, post, h = _jumps(path)
+    moll = default_mollifier(eps)
+    table = compensator_table(SYM, eps)
+    assert len(x) > localtime._PAIR_TILE and len(h) > localtime._PAIR_TILE
+    assert np.abs(x).max() < min(moll.width, localtime._NEAR_EPS * eps)
+    assert np.abs(h).max() <= localtime._JUMP_SMALL
+    # level 0 first among far levels, and after six long runs
+    first = np.concatenate([[0.0], np.linspace(0.5, 2.0, _SORT_LEVELS - 1)])
+    after = np.concatenate([[-3e-4, -2e-4, -1e-4, 1e-4, 2e-4, 3e-4, 0.0],
+                            np.linspace(-2.0, -0.5, _SORT_LEVELS - 7)])
+    got = [(occupation_curve(path, levels, moll)[j],
+            _sorted_sums(table, levels, [len(x)], x, dt)[0, j],
+            localtime._expanded_jump_sums(SYM, levels, pre, post, h)[j])
+           for levels, j in ((first, 0), (after, 6))]
+    assert np.array_equal(_bits(got[0]), _bits(got[1]))
+    occ, comp, jump = got[0]
+    terms = moll(x) * dt
+    assert abs(occ - math.fsum(terms)) <= 1e-14 * math.fsum(terms)
+    terms = _compensator_at(table, x) * dt
+    assert abs(comp - math.fsum(terms)) <= 1e-14 * np.abs(terms).sum()
+    exact, size = _exact_jump_sum(SYM, pre, post, h, 0.0)
+    assert abs(jump - exact) <= 1e-14 * size
+
+
 @pytest.fixture(scope="module")
 def curve_path():
     # the level-curve shape
@@ -675,7 +715,7 @@ def test_compensator_table_contract(curve_path, sorted_calls,
 
     monkeypatch.setattr(localtime, "compensator_table", counting)
     grid = default_a_grid(curve_path)
-    pins = {2: "104924b976cdbd88", 201: "425010318383cb41"}
+    pins = {2: "104924b976cdbd88", 201: "ec2215df54b3cce2"}
     for levels, n_sorted in ((grid[[50, 150]], 0), (grid, 1)):
         looked_up.clear()
         sorted_calls.clear()
@@ -789,10 +829,13 @@ def test_level_curves_stay_off_the_page_fault_path(sorted_calls,
     # ~42k for 32-level whole-row blocks. The compensator's sorted route
     # and the occupation sum sort the path into arrays as long as the path,
     # which a repeated call takes back from the allocator: measured 0
-    # faults in the suite's run, up to ~440 when this test runs alone. The
+    # faults in the suite's run, up to ~850 when this test runs alone. The
     # expanded jump sum bins the jumps into arrays as long as the jump
-    # record, likewise taken back, and tiles its pairs of levels with bins
-    # and with jumps
+    # record, freed before its direct sums, and tiles its pairs of levels
+    # with bins. The occupation support, the compensator's band and the
+    # jumps summed directly are runs, one per level, each summed as one
+    # slice; they are packed whole into tiles of 128 KiB, where none here
+    # is longer
     params = derive_params(1.3, 3.0, 1.0)
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
     path = simulate_path_jumpdecomp(params, cfg)
@@ -820,7 +863,7 @@ def test_level_curves_stay_off_the_page_fault_path(sorted_calls,
     # levels at three checkpoints: their levels go in tiles of 128 KiB,
     # and only the one sort, each prefix's sorted points and sums and each
     # prefix's binned jumps take arrays as long as the path, taken back
-    # call after call (measured 0 faults in the suite's run, ~1030-1230
+    # call after call (measured 0 faults in the suite's run, ~360-1060
     # when this test runs alone)
     levels = np.linspace(-1.0, 1.0, _SORT_LEVELS)
     martingale_part(SYM, path, levels, checkpoints=[0.25, 0.5, 1.0])
