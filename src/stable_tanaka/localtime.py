@@ -21,22 +21,25 @@ so a level's value depends only on the path and the level.
 
 ``martingale_part`` picks one of two routes from the number of levels.
 For fewer than 16, both of its sums walk the points in chunks of a fixed
-size and add each chunk's row sum in chunk order: the jump sum forms
-F(post - a) - F(pre - a) for every jump, and the compensator interpolates
-its table at every point. For 16 levels or more, the jump sum bins the
-small jumps by value and adds each bin far from a level by an expansion
-of the bin's jump moments, and the jumps near a level and the large
-jumps in a form free of cancellation; against exact summation it is
-exact to rounding (measured <= 4.0e-16 of the sum of the terms'
-magnitudes, where the direct sum reached 1.7e-13). The compensator sorts
-the path once per call, in the stable order, and sums each checkpoint's
-chords cell by cell from double-double prefix sums of moments about that
+size and add each chunk's row sum in chunk order: the jump sum adds
+``_jump_terms`` for every jump, and the compensator interpolates its
+table at every point. For 16 levels or more, the jump sum bins the small
+jumps by value and adds each bin far from a level by an expansion of the
+bin's jump moments, and the jumps near a level and the large jumps by
+``_jump_terms``. So a jump's kernel increment is formed in one place, free
+of cancellation; against exact summation both jump sums are exact to
+rounding (measured <= 3.7e-16 of the sum of the terms' magnitudes, where
+F(post - a) - F(pre - a) reached 9.4e-12). The compensator sorts the path
+once per call, in the stable order, and sums each checkpoint's chords
+cell by cell from double-double prefix sums of moments about that
 prefix's midrange, in plain floats. Both compensator routes read one
 table of G_eps per (params, eps), ``compensator_table``: closed-form
-values at nodes, and the chords between them as cells. Within a route a
-level's value does not depend on the other levels asked for; the two
+values at nodes, and the chords between them as cells. The two
 compensator routes agree within 1e-14 of the sum of the compensator
-terms' magnitudes (measured <= 8.8e-15 for x0 in {0, 10, 1000}).
+terms' magnitudes (measured <= 8.8e-15 for x0 in {0, 10, 1000}), and a
+level's M at 15 and at 16 levels within 1.3e-16 of the sum of its terms'
+magnitudes (1.3e-15 absolute; alpha 1.1, 1.3 and 1.5, x0 in {0, 1000},
+a level on a post-jump value among them).
 
 ``occupation_formula_check`` closes the loop: integrating the occupation
 curve against each of a few test functions must reproduce the direct
@@ -72,11 +75,12 @@ __all__ = [
 # each served by a fresh mmap and faulted in page by page.
 _TILE_LEVELS = 2
 _TILE_POINTS = 8192
-# The compensator takes its sorted route for this many levels or more; for
-# fewer, whole rows cost less than the sort, which broke even at about 8
-# levels at the level-curve shape (alpha = 1.3, c+- = 3, 1, eps = 1e-3,
-# 4096 steps: 1.69 against 1.70 ms); over 201 levels a tanaka_curve takes
-# no longer with it on paths of any length.
+# For this many levels or more, martingale_part takes the sorted route of
+# the compensator and the expanded route of the jump sum; for fewer, both
+# go by whole rows (_tiled_levels). Whole rows cost less than the sort,
+# which broke even at about 8 levels at the level-curve shape (alpha = 1.3,
+# c+- = 3, 1, eps = 1e-3, 4096 steps: 1.69 against 1.70 ms); over 201
+# levels a tanaka_curve takes no longer with it on paths of any length.
 _SORT_LEVELS = 16
 # the sorted compensator evaluates points within this many eps of a level
 # one by one: nearer in, G_eps is too steep for its prefix sums' rounding
@@ -356,14 +360,19 @@ def _sorted_sums(table: _CompensatorTable, levels, ends, x, dt):
 
 
 def _jump_terms(params: StableParams, y, h, post_less_a):
-    """F(post - a) - F(pre - a) per jump, free of cancellation.
+    """F(post - a) - F(pre - a) per jump, free of cancellation: the one
+    place where ``martingale_part`` forms a jump's kernel increment.
 
-    With y = pre - a, a jump that keeps the sign of y + h adds
+    A jump is (pre, h), with pre = values[k] - h for a jump recorded at
+    grid row k. With y = pre - a, a jump that keeps the sign of y + h adds
     F(y) expm1((alpha - 1) log1p(h / y)), exact to rounding however small
     h is against y; the rest (a crossing, y = 0, or an h / y that
     overflows, where that form is not finite) add F(post - a) - F(y),
     which does not cancel there. ``post_less_a(mask)`` gives post - a
-    for those jumps alone.
+    for those jumps alone. So a level within rounding of a post-jump
+    value reads F at pre + h - a, not at values[k] - a: F's
+    |x|^(alpha - 1) cusp makes the two differ by the order of F(ulp(x)),
+    1.6e-5 at alpha 1.3 and x = 1000.
     """
     out = kernel_F(params, y)
     # the direct entries' NaN and inf are overwritten below
@@ -529,12 +538,15 @@ def martingale_part(params: StableParams, path: PathSample, a,
     ``(len(checkpoints),) + np.shape(a)``).
 
     For fewer than _SORT_LEVELS levels both sums go point by point
-    (``_tiled_levels``); from there up the jumps go by a far-field
-    expansion of binned jump moments (``_expanded_jump_sums``, one call
-    per checkpoint) and the compensator cell by cell (``_sorted_sums``).
-    Within a route a level's value is the same float whatever other
-    levels are asked for, and a checkpoint's row is the call at that
-    checkpoint alone. :class:`ResolutionError` if an X - a overflows.
+    (``_tiled_levels``), each jump by ``_jump_terms``; from there up the
+    jumps go by a far-field expansion of binned jump moments
+    (``_expanded_jump_sums``, one call per checkpoint, with ``_jump_terms``
+    for the jumps it adds directly) and the compensator cell by cell
+    (``_sorted_sums``). Across the two routes a level's value agrees
+    within 1.3e-16 of the sum of its terms' magnitudes (measured at 15
+    and 16 levels, a level on a post-jump value among them), and a
+    checkpoint's row is the call at that checkpoint alone.
+    :class:`ResolutionError` if an X - a overflows.
     """
     if path.scheme != "jumpdecomp" or path.config is None:
         raise ValueError(
@@ -555,7 +567,8 @@ def martingale_part(params: StableParams, path: PathSample, a,
     # point, end - 1
     jump_ends = np.searchsorted(path.jump_rows, grid_ends - 1, side="right")
     post = path.values[path.jump_rows[:jump_ends[-1]]]
-    pre = post - path.jump_sizes[:jump_ends[-1]]
+    h = path.jump_sizes[:jump_ends[-1]]
+    pre = post - h
     levels = _level_grid(np.ravel(a))
     # the extremes bound every X - a; Python floats overflow without a warning
     seen = path.values[:grid_ends[-1]]
@@ -567,17 +580,14 @@ def martingale_part(params: StableParams, path: PathSample, a,
     table = compensator_table(params, path.config.eps)
     ends, x, dt = grid_ends - 1, path.values[:-1], np.diff(times)
     if len(levels) >= _SORT_LEVELS:
-        h = path.jump_sizes[:jump_ends[-1]]
         out = np.array([_expanded_jump_sums(params, levels, pre[:end],
                                             post[:end], h[:end])
                         for end in jump_ends])
         out -= _sorted_sums(table, levels, ends, x, dt)
     else:
         out = _tiled_levels(
-            levels, jump_ends,
-            lambda b, hi, lo: (kernel_F(params, hi - b)
-                               - kernel_F(params, lo - b)),
-            post, pre)
+            levels, jump_ends, lambda b, pre, h, post: _jump_terms(
+                params, pre - b, h, lambda m: (post - b)[m]), pre, h, post)
         out -= _tiled_levels(
             levels, ends, lambda b, x, dt: _compensator_at(table, x - b) * dt,
             x, dt)

@@ -299,14 +299,14 @@ _PINNED_BUNDLES = {
         "sim": {"T": 1.0, "n_steps": 128, "eps": 5e-2}, "seed": 17,
         "options": {"n_paths": 12, "levels": [0.5, -0.25, 0.5, 0.0],
                     "checkpoints": [1.0, 0.25, 0.5, 0.25]}},
-        "48cb6c4922dad8634df77fb62763eb91766daeac756a2dd6351bcd2719822443"),
+        "7457cbe3571df6787a3043c6f90bd86eca4228c91138d015015a50e387c2501c"),
     "estimator-agreement": ({
         "kind": "estimator-agreement",
         "params": {"alpha": 1.3, "c_plus": 3.0, "c_minus": 1.0},
         "sim": {"T": 1.0, "n_steps": 64, "eps": 0.1}, "seed": 18,
         "options": {"n_paths": 10, "level": 0.1,
                     "schedule": [[0.1, 64], [0.05, 128]]}},
-        "20e36a8c90b1893354cdc10ada3b974c8dd4f4d7d6a0c08b49f3c6443cc538df"),
+        "7435a97f123d720c5f11cac099be748e34292cfecc58ed72928ac1b2f1f2814f"),
     "occupation-formula": ({
         "kind": "occupation-formula", "params": SYM_PARAMS,
         "sim": {"T": 1.0, "n_steps": 256, "eps": 2e-2}, "seed": 19,

@@ -255,8 +255,10 @@ def test_martingale_levels_array_matches_scalar_calls(params, t):
                          ids=["symmetric", "skewed"])
 def test_tiled_sums_match_exact_summation(params):
     # the tiles change only the order of summation: each level's sum must
-    # agree with a correctly rounded math.fsum of the same terms within
-    # 1e-12 of the sum of their magnitudes
+    # agree with a correctly rounded math.fsum of its terms, the jumps'
+    # cancellation-free ones, within 1e-15 of the sum of their magnitudes.
+    # Measured <= 3.8e-17; F(post - a) - F(pre - a) summed in the tiles
+    # missed by up to 5.0e-15 (skewed)
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=8)
     path = simulate_path_jumpdecomp(params, cfg, path_index=2)
     moll = default_mollifier(cfg.eps)
@@ -275,11 +277,10 @@ def test_tiled_sums_match_exact_summation(params):
         terms = moll(lefts - a) * dts
         assert abs(occ[j] - math.fsum(terms)) \
             <= 1e-12 * np.abs(terms).sum(), a
-        terms = np.concatenate([kernel_F(params, post - a)
-                                - kernel_F(params, pre - a),
-                                -(g(lefts - a) * dts)])
-        assert abs(mart[j] - math.fsum(terms)) \
-            <= 1e-12 * np.abs(terms).sum(), a
+        jumps, size = _exact_jump_sum(params, pre, post, path.jump_sizes, a)
+        terms = -(g(lefts - a) * dts)
+        assert abs(mart[j] - math.fsum([jumps, *terms])) \
+            <= 1e-15 * (size + np.abs(terms).sum()), a
 
 
 def _dense_occupation(path, levels, moll):
@@ -536,29 +537,45 @@ def _exact_jump_sum(params, pre, post, h, a):
     ((1.8, 1.0, 0.0), "gaussian"), ((1.1, 1.0, 1.0), "drop")],
     ids=["1.1-symmetric", "1.3-skewed", "1.5-symmetric", "1.8-c+=0",
          "1.8-c-=0", "1.1-symmetric-drop"])
-def test_expanded_jump_sum_matches_exact_summation(triplet, mode, eps):
-    # the many-level jump sum, binned moments for far bins and the
-    # cancellation-free form for the rest, against a correctly rounded
-    # math.fsum of the cancellation-free terms over the 201 default levels:
-    # within 1e-14 of the terms' magnitudes, at three starting points.
-    # Measured <= 4.0e-16 (1.8 with c+ = 0, eps 1e-3). The direct sum of
-    # F(post - a) - F(pre - a) misses by up to 1.7e-13 at x0 = 0 (1.1
-    # symmetric, eps 1e-3), and at x0 = 1000, where pre = post - h rounds,
-    # by up to 9.4e-12
+def test_expanded_jump_sum_matches_exact_summation(triplet, mode, eps,
+                                                  monkeypatch):
+    # martingale_part's jump sum, with the compensator stubbed to 0, at 1,
+    # 2, 15, 16 and 201 levels: the tiled walk below 16 levels, and from
+    # there the binned moments for far bins, both adding the
+    # cancellation-free form for the rest. Against a correctly rounded
+    # math.fsum of the cancellation-free terms, at levels taken from the 201
+    # default ones, it must agree within 1e-14 of the terms' magnitudes, at
+    # three starting points. Measured <= 3.7e-16 (1.8 with c+ = 0, eps
+    # 1e-3, 16 and 201 levels), <= 2.2e-16 below 16 levels. The direct
+    # sum of F(post - a) - F(pre - a) misses by up to 1.7e-13 at x0 = 0
+    # (1.1 symmetric, eps 1e-3), and at x0 = 1000, where pre = post - h
+    # rounds, by up to 9.4e-12
     params = derive_params(*triplet)
+    monkeypatch.setattr(localtime, "_compensator_at",
+                        lambda table, x: np.zeros(np.shape(x)))
+    monkeypatch.setattr(localtime, "_sorted_sums",
+                        lambda table, levels, ends, x, dt:
+                        np.zeros((len(ends), len(levels))))
     for x0 in (0.0, -3.0, 1000.0):
         cfg = SimConfig(T=1.0, n_steps=4096, eps=eps, seed=1,
                         small_jump_mode=mode, x0=x0)
         path = simulate_path_jumpdecomp(params, cfg)
         pre, post, h = _jumps(path)
         levels = default_a_grid(path)
-        got = localtime._expanded_jump_sums(params, levels, pre, post, h)
         # every level, or every fourth where fsum over 140k jumps per level
         # would take seconds
-        every = 1 if len(h) < 50_000 else 4
-        for a, total in zip(levels[::every], got[::every]):
-            exact, size = _exact_jump_sum(params, pre, post, h, a)
-            assert abs(total - exact) <= 1e-14 * size, (x0, a)
+        checked = np.arange(0, len(levels), 1 if len(h) < 50_000 else 4)
+        exact = {j: _exact_jump_sum(params, pre, post, h, levels[j])
+                 for j in checked}
+        # n checked levels spread over the grid, then the whole grid
+        picks = [checked[np.linspace(0, len(checked) - 1, n).astype(int)]
+                 for n in (1, 2, 15, _SORT_LEVELS)]
+        for pick in picks + [np.arange(len(levels))]:
+            got = martingale_part(params, path, levels[pick])
+            for j, total in zip(pick, got):
+                if j in exact:
+                    value, size = exact[j]
+                    assert abs(total - value) <= 1e-14 * size, (x0, j)
 
 
 def test_expanded_jump_sum_edge_cases():
@@ -715,7 +732,7 @@ def test_compensator_table_contract(curve_path, sorted_calls,
 
     monkeypatch.setattr(localtime, "compensator_table", counting)
     grid = default_a_grid(curve_path)
-    pins = {2: "104924b976cdbd88", 201: "ec2215df54b3cce2"}
+    pins = {2: "94b24f258e82fec6", 201: "ec2215df54b3cce2"}
     for levels, n_sorted in ((grid[[50, 150]], 0), (grid, 1)):
         looked_up.clear()
         sorted_calls.clear()
@@ -765,7 +782,8 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
     # fewer than _SORT_LEVELS levels keep the tiled routes of both sums,
     # whose values are the one-level calls'; 16 levels or more take the
     # sorted route on a path of any length, here ~9 and ~45 points per
-    # table cell
+    # table cell; a level's value across the two routes moves by rounding
+    # only
     grid = default_a_grid(curve_path)
     few = grid[::14][:_SORT_LEVELS - 1]
     assert np.array_equal(
@@ -800,16 +818,37 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
         # the routes agree within the bar of the exact-sum test
         for a, s, t in zip(grid, sorted_route[0], tiled_route[0]):
             assert abs(s - t) <= 1e-14 * np.abs(g(x - a) * dt).sum(), a
+    # a level on a post-jump value, where F has its cusp, keeps its M at 1,
+    # 15 and 16 levels within 1e-15 of its terms' magnitudes: every route
+    # reads that jump at pre + h - a, not at post - a = 0. The jump is one
+    # whose pre = post - h rounded most while pre + h stops short of post;
+    # F(post - a) - F(pre - a) below 16 levels parted by 1.6e-5. Measured
+    # 4.4e-16 (4.5e-17 of the magnitudes)
+    path = simulate_path_jumpdecomp(LEVEL_CURVE, SimConfig(
+        T=1.0, n_steps=4096, eps=1e-3, seed=3, x0=1000.0))
+    pre, post, h = _jumps(path)
+    e = localtime._two_difference(post, h)[1]
+    on = post[np.argmax(np.where(e * h > 0.0, np.abs(e), 0.0))]
+    levels = np.append(on, np.quantile(path.values, np.linspace(
+        0.05, 0.95, _SORT_LEVELS - 1)))
+    got = [martingale_part(LEVEL_CURVE, path, levels[:n])[0]
+           for n in (1, _SORT_LEVELS - 1, _SORT_LEVELS)]
+    x, dt = path.values[:-1], np.diff(path.times)
+    size = _exact_jump_sum(LEVEL_CURVE, pre, post, h, on)[1] + np.abs(
+        _compensator_at(compensator_table(LEVEL_CURVE, 1e-3), x - on)
+        * dt).sum()
+    assert max(got) - min(got) <= 1e-15 * size, got
 
 
 def test_few_level_calls_keep_their_bits(curve_path, expanded_calls):
-    # below _SORT_LEVELS levels both sums stay point by point, so these
-    # martingale parts (three checkpoints) and kernel-route curves keep
-    # the bits they had before the expanded jump sum
+    # below _SORT_LEVELS levels both sums go point by point, the jumps by
+    # the cancellation-free terms of the many-level route, so these
+    # martingale parts (three checkpoints) and kernel-route curves are
+    # pinned by digest, and no expansion runs
     grid = default_a_grid(curve_path)
-    pins = {1: ("5737ab3de761416d", "dc860898349635c7"),
-            2: ("104924b976cdbd88", "9b4f469077d56496"),
-            15: ("dc036c5306f5773c", "e4211f4ae5e4aa87")}
+    pins = {1: ("2d17e35d81b1c3b0", "738fbde270b24a2f"),
+            2: ("94b24f258e82fec6", "139246d55164dcae"),
+            15: ("2f3fc576a1ce62fe", "738f2dca7586abeb")}
     for levels in (grid[[100]], grid[[50, 150]], grid[::14][:15]):
         m = martingale_part(LEVEL_CURVE, curve_path, levels,
                             checkpoints=[0.05, 0.5, 1.0])
