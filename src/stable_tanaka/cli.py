@@ -290,6 +290,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a jump count its arrays cannot hold
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,35 +11,39 @@ per level, at the path's horizon T. Two curves estimate it:
   jump-decomposition paths qualify. ``martingale_part`` also stops at
   earlier horizons, all read off one walk over the path.
 
-The occupation sum sorts the points near the levels once and finds each
-level's points within the mollifier's support by search, a run of that
-order summed in value order, ties in time order. Every near field is such
-a run per level: the occupation support, the sorted compensator's band and
-the jumps that the many-level jump sum adds directly. ``_run_sums``
-evaluates the terms of whole runs in tiles and sums each run as one slice,
-so a level's value depends only on the path and the level.
+Every sum over all levels goes through one of two walkers, by its shape,
+under one tile budget of _PAIR_TILE pairs. ``_tiled_levels`` walks a dense
+sum, where each level adds every point of a record, in chunks of points
+and tiles of levels; ``_run_sums`` sums a ragged one, where each level
+adds its own run of a sorted order. The occupation sum sorts the points
+near the levels once and finds each level's points within the
+mollifier's support by search, a run of that order summed in value order,
+ties in time order. The sorted compensator's band and the jumps in the
+bins near a level are such runs too. ``_run_sums`` evaluates the terms of
+whole runs in tiles and sums each run as one slice, so a level's value
+depends only on the path and the level.
 
 ``martingale_part`` picks one of two routes from the number of levels.
-For fewer than 16, both of its sums walk the points in chunks of a fixed
-size and add each chunk's row sum in chunk order: the jump sum adds
-``_jump_terms`` for every jump, and the compensator interpolates its
-table at every point. For 16 levels or more, the jump sum bins the small
-jumps by value and adds each bin far from a level by an expansion of the
-bin's jump moments, and the jumps near a level and the large jumps by
-``_jump_terms``. So a jump's kernel increment is formed in one place, free
-of cancellation; against exact summation both jump sums are exact to
-rounding (measured <= 3.7e-16 of the sum of the terms' magnitudes, where
-F(post - a) - F(pre - a) reached 9.4e-12). The compensator sorts the path
-once per call, in the stable order, and sums each checkpoint's chords
-cell by cell from double-double prefix sums of moments about that
-prefix's midrange, in plain floats. Both compensator routes read one
-table of G_eps per (params, eps), ``compensator_table``: closed-form
-values at nodes, and the chords between them as cells. The two
-compensator routes agree within 1e-14 of the sum of the compensator
+For fewer than 16, both of its sums are dense walks: the jump sum adds
+``_jump_terms`` for every jump (``_walked_jumps``), and the compensator
+interpolates its table at every point. For 16 levels or more, the jump
+sum bins the small jumps by value and adds each bin far from a level by
+an expansion of the bin's jump moments, the jumps of the bins near a
+level as runs, and the jumps left out of the bins, the large ones among
+them, by the same dense walk. So a jump's kernel increment is formed in
+one place, free of cancellation; against exact summation both jump sums
+are exact to rounding (measured <= 3.7e-16 of the sum of the terms'
+magnitudes, where F(post - a) - F(pre - a) reached 9.4e-12). The
+compensator sorts the path once per call, in the stable order, and sums
+each checkpoint's chords cell by cell from double-double prefix sums of
+moments about that prefix's midrange, in plain floats. Both compensator
+routes read one table of G_eps per (params, eps), ``compensator_table``:
+closed-form values at nodes, and the chords between them as cells. The
+two compensator routes agree within 1e-14 of the sum of the compensator
 terms' magnitudes (measured <= 8.8e-15 for x0 in {0, 10, 1000}), and a
 level's M at 15 and at 16 levels within 1.3e-16 of the sum of its terms'
-magnitudes (1.3e-15 absolute; alpha 1.1, 1.3 and 1.5, x0 in {0, 1000},
-a level on a post-jump value among them).
+magnitudes (1.3e-15 absolute; alpha 1.1, 1.3 and 1.5, x0 in {0, 1000}, a
+level on a post-jump value among them).
 
 ``occupation_formula_check`` closes the loop: integrating the occupation
 curve against each of a few test functions must reproduce the direct
@@ -70,10 +74,12 @@ __all__ = [
     "martingale_l2_bound",
 ]
 
-# A tile of 2 x 8192 doubles is 128 KiB: it stays in L2, and its
-# temporaries stay below glibc's 128 KiB mmap threshold, so they are not
-# each served by a fresh mmap and faulted in page by page.
-_TILE_LEVELS = 2
+# Every tile in this module holds at most this many pairs, bar one run of
+# _run_sums that is longer: 128 KiB of doubles, which stay in L2, and
+# temporaries that stay below glibc's 128 KiB mmap threshold, so they are
+# not each served by a fresh mmap and faulted in page by page.
+_PAIR_TILE = 16384
+# _tiled_levels walks a record in chunks of this many points
 _TILE_POINTS = 8192
 # For this many levels or more, martingale_part takes the sorted route of
 # the compensator and the expanded route of the jump sum; for fewer, both
@@ -95,10 +101,6 @@ _JUMP_BIN = 0.05
 _JUMP_SMALL = 0.5 * _JUMP_BIN
 _JUMP_NEAR = 4.5 * _JUMP_BIN
 _JUMP_ORDER = 22
-# each of its tiles of (level, bin) pairs, and each tile of runs that
-# ``_run_sums`` packs, holds at most this many terms (bar one run that is
-# longer): 128 KiB, as in _tiled_levels
-_PAIR_TILE = _TILE_LEVELS * _TILE_POINTS
 
 
 def default_mollifier(eps: float) -> MollifierSpec:
@@ -121,19 +123,23 @@ def hat_function(center: float, half_width: float):
 def _tiled_levels(levels, ends, tile, *columns):
     """Per-level sums of tile(levels, *columns) over each prefix columns[:end].
 
-    ``tile(block, *chunks)`` maps a (k, 1) column of at most _TILE_LEVELS
-    levels and chunks of at most _TILE_POINTS points to a (k, points)
-    array of terms. Each row is reduced on its own and each level adds its
-    chunks in point order, so its value is the same whichever levels share
-    its tile. One walk serves every prefix: one that ends inside a chunk
-    adds the head of that chunk's terms, the same floats in the same order
-    as a walk that stopped there. ``ends`` is non-decreasing; the result
-    has one row per end and one column per level.
+    The walker of every dense sum, where each level adds every point of a
+    record. ``tile(block, *chunks)`` maps a (k, 1) column of levels and
+    chunks of at most _TILE_POINTS points to a (k, points) array of terms;
+    k levels fill a tile of _PAIR_TILE pairs, so a record of _TILE_POINTS
+    points or more takes 2 levels a tile and a short one tall tiles. Each
+    row is reduced on its own and each level adds its chunks in point
+    order, so its value is the same whichever levels share its tile, and
+    however many. One walk serves every prefix: one that ends inside a
+    chunk adds the head of that chunk's terms, the same floats in the same
+    order as a walk that stopped there. ``ends`` is non-decreasing; the
+    result has one row per end and one column per level.
     """
     ends = [int(end) for end in ends]
     out = np.zeros((len(ends), len(levels)))
-    for start in range(0, len(levels), _TILE_LEVELS):
-        block = levels[start:start + _TILE_LEVELS, None]
+    step = max(1, _PAIR_TILE // max(1, min(ends[-1], _TILE_POINTS)))
+    for start in range(0, len(levels), step):
+        block = levels[start:start + step, None]
         cols = slice(start, start + len(block))
         total = np.zeros(len(block))
         for lo in range(0, ends[-1], _TILE_POINTS):
@@ -177,7 +183,9 @@ def _value_order(x):
 def _run_sums(starts, counts, terms):
     """Sums of terms over the runs [starts[j], starts[j] + counts[j]).
 
-    The runs are packed in order into tiles of at most _PAIR_TILE terms; a
+    The walker of every ragged sum, one run per level: the occupation
+    support, the sorted compensator's band and the near bins' jumps. The
+    runs are packed in order into tiles of at most _PAIR_TILE terms; a
     longer run goes in a tile of its own. ``terms(rows, at)`` returns a
     tile's terms from each term's run ``rows`` and index ``at``. Each run
     is summed as one slice, so its float depends only on its own terms,
@@ -388,6 +396,14 @@ def _jump_terms(params: StableParams, y, h, post_less_a):
     return out
 
 
+def _walked_jumps(params: StableParams, levels, ends, pre, h, post):
+    """Per-level sums of ``_jump_terms`` over each prefix of the jumps
+    (pre, h, post) up to ``ends``, every level with every jump: the one
+    dense walk (``_tiled_levels``) of both routes' jump sums."""
+    return _tiled_levels(levels, ends, lambda b, pre, h, post: _jump_terms(
+        params, pre - b, h, lambda m: (post - b)[m]), pre, h, post)
+
+
 def _two_difference(x, c):
     """x - c as s + e exactly: s the float difference, e its rounding
     error (Knuth's TwoSum)."""
@@ -463,13 +479,15 @@ def _expanded_jump_sums(params: StableParams, levels, pre, post, h):
     Y, |Y| >= _JUMP_NEAR, from a - c adds
     F(Y) sum_m binom(alpha - 1, m) mu_m Y^(-m), by Horner; v and Y are
     formed from exact differences, so neither loses digits to |x - c|.
-    The jumps of the nearer bins and the larger jumps add ``_jump_terms``
-    directly, from the original floats. Each of a level's three parts (a
-    row over all bins with the near ones zero, its run of near jumps, the
-    large jumps) is reduced on its own, the last two each as one slice
-    (``_run_sums``), so its float depends only on the jumps and the level.
-    Tiles of pairs keep every temporary below 128 KiB, bar a run longer
-    than a tile.
+    The jumps of the nearer bins and the jumps left out of the bins (the
+    larger ones, and those whose midpoint rounded into a neighbouring bin)
+    add ``_jump_terms`` directly, from the original floats. A level adds
+    three parts in this order, each reduced on its own: a row over all
+    bins with the near ones zero; its run of near jumps, one slice
+    (``_run_sums``); and the jumps left out, walked in time order by
+    ``_walked_jumps``. So its float depends only on the jumps and the
+    level. Tiles of pairs keep every temporary below 128 KiB, bar a run
+    longer than a tile.
     """
     out = np.zeros(len(levels))
     if not len(h):
@@ -499,26 +517,22 @@ def _expanded_jump_sums(params: StableParams, levels, pre, post, h):
             acc *= kernel_F(params, y)
             acc[near] = 0.0
             out[rows] = acc.sum(axis=1)
-    # two runs of direct jumps per level: its near bins' jumps, then all
-    # the large jumps
-    direct = np.append(binned, np.flatnonzero(~small))
-    pre_d, h_d = pre[direct], h[direct]
+    # each level's run of its near bins' jumps
+    pre_b, h_b = pre[binned], h[binned]
     bounds = np.append(starts, len(binned))
-    n = len(levels)
-    pairs = np.tile(levels, 2)
 
     def terms(rows, at):
-        a = pairs[rows]
-        y = pre_d[at]
+        a = levels[rows]
+        y = pre_b[at]
         y -= a
-        return _jump_terms(params, y, h_d[at],
-                           lambda m: post[direct[at[m]]] - a[m])
+        return _jump_terms(params, y, h_b[at],
+                           lambda m: post[binned[at[m]]] - a[m])
 
-    sums = _run_sums(np.append(bounds[first], np.full(n, len(binned))),
-                     np.append(bounds[stop] - bounds[first],
-                               np.full(n, len(direct) - len(binned))), terms)
-    out += sums[:n]
-    out += sums[n:]
+    out += _run_sums(bounds[first], bounds[stop] - bounds[first], terms)
+    # then the jumps left out of the bins, each added to every level
+    rest = np.flatnonzero(~small)
+    out += _walked_jumps(params, levels, [len(rest)], pre[rest], h[rest],
+                         post[rest])[0]
     return out
 
 
@@ -538,14 +552,15 @@ def martingale_part(params: StableParams, path: PathSample, a,
     ``(len(checkpoints),) + np.shape(a)``).
 
     For fewer than _SORT_LEVELS levels both sums go point by point
-    (``_tiled_levels``), each jump by ``_jump_terms``; from there up the
+    (``_tiled_levels``), the jumps by ``_walked_jumps``; from there up the
     jumps go by a far-field expansion of binned jump moments
-    (``_expanded_jump_sums``, one call per checkpoint, with ``_jump_terms``
-    for the jumps it adds directly) and the compensator cell by cell
-    (``_sorted_sums``). Across the two routes a level's value agrees
-    within 1.3e-16 of the sum of its terms' magnitudes (measured at 15
-    and 16 levels, a level on a post-jump value among them), and a
-    checkpoint's row is the call at that checkpoint alone.
+    (``_expanded_jump_sums``, one call per checkpoint, with each level's
+    near bins' jumps as a run and the jumps it does not bin through
+    ``_walked_jumps``) and the compensator cell by cell (``_sorted_sums``).
+    Across the two routes a level's value agrees within 1.3e-16 of the
+    sum of its terms' magnitudes (measured at 15 and 16 levels, a level on
+    a post-jump value among them), and a checkpoint's row is the call at
+    that checkpoint alone.
     :class:`ResolutionError` if an X - a overflows.
     """
     if path.scheme != "jumpdecomp" or path.config is None:
@@ -585,9 +600,7 @@ def martingale_part(params: StableParams, path: PathSample, a,
                         for end in jump_ends])
         out -= _sorted_sums(table, levels, ends, x, dt)
     else:
-        out = _tiled_levels(
-            levels, jump_ends, lambda b, pre, h, post: _jump_terms(
-                params, pre - b, h, lambda m: (post - b)[m]), pre, h, post)
+        out = _walked_jumps(params, levels, jump_ends, pre, h, post)
         out -= _tiled_levels(
             levels, ends, lambda b, x, dt: _compensator_at(table, x - b) * dt,
             x, dt)

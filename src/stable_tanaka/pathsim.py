@@ -203,7 +203,8 @@ def expected_jump_count(params: StableParams, config: SimConfig) -> float:
     Raises ValueError when no count can be drawn and held from it: the
     mean overflows a float, or its draw could exceed the longest float64
     array numpy can allocate. A count that fits that limit but not the
-    machine's memory is not caught here.
+    machine's memory raises MemoryError when its arrays are allocated;
+    the command line's ``main`` maps that to a config error.
     """
     try:
         mean = nu_tail_mass(params, config.eps) * config.T
@@ -254,7 +255,8 @@ def _merge_jump_times(base: np.ndarray, jt: np.ndarray):
     """
     n = len(base) - 1
     above = np.append(base, np.inf)[1:]  # an instant at T has a node above
-    guess = (jt * (n / base[-1])).astype(np.intp)
+    # jt / T <= 1, so the guess stays in [0, n] however small T is
+    guess = (jt / base[-1] * n).astype(np.intp)
     rows = guess + (base[guess] < jt)
     rows += above[guess] < jt  # rows holds c here
     node_rows = np.cumsum(np.bincount(rows, minlength=n + 1))

@@ -458,6 +458,10 @@ BAD_COMMANDS = {
     "simulate-marginal-n-steps-array": ["simulate", "--alpha", "1.5",
                                         "--scheme", "marginal",
                                         "--n-steps", str(2 ** 62)],
+    # ~1e18 jumps pass the array-size limit, but their arrays exceed the
+    # address space, so the first one fails to allocate at once
+    "localtime-jumps-out-of-memory": ["localtime", "--alpha", "1.999999999",
+                                      "--eps", "1e-9", "--n-steps", "8"],
     # doubles hold no 201 distinct default levels around 1e15
     "localtime-x0-levels-unresolvable": ["localtime", "--alpha", "1.5",
                                          "--x0", "1e15"],

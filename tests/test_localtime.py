@@ -21,8 +21,8 @@ from numpy.polynomial.legendre import leggauss
 from stable_tanaka import derive_params, localtime
 from stable_tanaka.kernel import MollifierSpec, compensator_density, kernel_F
 from stable_tanaka.localtime import (
+    _PAIR_TILE,
     _SORT_LEVELS,
-    _TILE_LEVELS,
     _TILE_POINTS,
     _compensator_at,
     _sorted_prefix_sums,
@@ -220,10 +220,12 @@ def test_curves_take_a_1d_grid_of_levels():
                          ids=["symmetric", "one-sided"])
 @pytest.mark.parametrize("t", [None, 0.5, "checkpoints"])
 def test_martingale_levels_array_matches_scalar_calls(params, t):
-    # 2 * levels-per-tile + 3 levels cross two tile edges, and up to t the
-    # path has more than one point chunk of grid points and of jumps; each
-    # level's value must not depend on the levels that share its tile, and
-    # each row of a checkpoint array must be the call at that checkpoint
+    # 2 * levels-per-tile + 3 levels cross two tile edges (both records
+    # are longer than a chunk, so their tiles hold 2 levels), and up to t
+    # the path has more than one point chunk of grid points and of jumps;
+    # each level's value must not depend on the levels that share its
+    # tile, and each row of a checkpoint array must be the call at that
+    # checkpoint
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=4)
     path = simulate_path_jumpdecomp(params, cfg, path_index=1)
     if t == "checkpoints":
@@ -237,8 +239,10 @@ def test_martingale_levels_array_matches_scalar_calls(params, t):
     horizon = cfg.T if t is None else np.max(t)
     assert np.sum(path.jump_times <= horizon) > _TILE_POINTS
     assert np.sum(path.times <= horizon) > _TILE_POINTS + 1
+    height = _PAIR_TILE // _TILE_POINTS
+    assert height == 2
     levels = np.linspace(path.values.min() - 0.5, path.values.max() + 0.5,
-                         2 * _TILE_LEVELS + 3)
+                         2 * height + 3)
     curve = martingale_part(params, path, levels, t)
     assert isinstance(curve, np.ndarray)
     assert curve.shape == np.shape(t) + levels.shape
@@ -778,7 +782,7 @@ def test_sorted_route_values_do_not_depend_on_other_levels(
 
 
 def test_route_choice_from_input_sizes(curve_path, sorted_calls,
-                                      expanded_calls):
+                                      expanded_calls, monkeypatch):
     # fewer than _SORT_LEVELS levels keep the tiled routes of both sums,
     # whose values are the one-level calls'; 16 levels or more take the
     # sorted route on a path of any length, here ~9 and ~45 points per
@@ -838,6 +842,26 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
         _compensator_at(compensator_table(LEVEL_CURVE, 1e-3), x - on)
         * dt).sum()
     assert max(got) - min(got) <= 1e-15 * size, got
+    # the jumps that the expansion leaves out of its bins, ~370 of a
+    # level-curve path, are one short record: the dense walk takes tiles
+    # of 43 levels, and each of the 201 levels gets its one-level walk's
+    # float, at an end mid-record and at the end. The expanded sum adds
+    # exactly that walk, last
+    pre, post, h = _jumps(curve_path)
+    rest = ~localtime._jump_bins(LEVEL_CURVE, pre, h)[1]
+    ends = [np.count_nonzero(rest) // 3, np.count_nonzero(rest)]
+    assert _PAIR_TILE // _TILE_POINTS < _PAIR_TILE // ends[-1] < 201
+    grid = default_a_grid(curve_path)
+    jumps = pre[rest], h[rest], post[rest]
+    walked = localtime._walked_jumps(LEVEL_CURVE, grid, ends, *jumps)
+    assert np.array_equal(_bits(walked), _bits(np.column_stack([
+        localtime._walked_jumps(LEVEL_CURVE, grid[[j]], ends, *jumps)
+        for j in range(len(grid))])))
+    full = localtime._expanded_jump_sums(LEVEL_CURVE, grid, pre, post, h)
+    monkeypatch.setattr(localtime, "_walked_jumps", lambda _, levels, ends,
+                        *jumps: np.zeros((len(ends), len(levels))))
+    binned = localtime._expanded_jump_sums(LEVEL_CURVE, grid, pre, post, h)
+    assert np.array_equal(_bits(full), _bits(binned + walked[-1]))
 
 
 def test_few_level_calls_keep_their_bits(curve_path, expanded_calls):
@@ -872,9 +896,10 @@ def test_level_curves_stay_off_the_page_fault_path(sorted_calls,
     # expanded jump sum bins the jumps into arrays as long as the jump
     # record, freed before its direct sums, and tiles its pairs of levels
     # with bins. The occupation support, the compensator's band and the
-    # jumps summed directly are runs, one per level, each summed as one
-    # slice; they are packed whole into tiles of 128 KiB, where none here
-    # is longer
+    # near bins' jumps are runs, one per level, each summed as one slice;
+    # they are packed whole into tiles of 128 KiB, where none here is
+    # longer. The jumps left out of the bins are walked densely, every
+    # level with every one, in tiles of as many levels as fill 128 KiB
     params = derive_params(1.3, 3.0, 1.0)
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
     path = simulate_path_jumpdecomp(params, cfg)

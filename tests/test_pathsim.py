@@ -285,6 +285,21 @@ def test_merge_jump_times_hand_built(jt, times, rows):
     assert got_rows.tolist() == rows
 
 
+@pytest.mark.filterwarnings("error:::stable_tanaka")
+@pytest.mark.parametrize("n_steps", [8, 4096])
+def test_tiny_horizon_merges_without_overflow(n_steps):
+    # n / T overflows once T is below about n * 5.6e-309; the cell guess
+    # jt / T * n stays within [0, n], and no warning is raised
+    T = 1e-310
+    cfg = SimConfig(T=T, n_steps=n_steps, eps=1e-2, seed=5)
+    path = simulate_path_jumpdecomp(SKEW, cfg)
+    assert path.times[-1] == T and len(path.times) >= n_steps + 1
+    base = np.linspace(0.0, T, n_steps + 1)
+    jt = T * np.random.default_rng(5).random(50)
+    _assert_placed_like_union(base, np.sort(np.concatenate([jt, base[3:5],
+                                                            [T]])))
+
+
 @st.composite
 def _grid_and_instants(draw):
     n_steps = draw(st.sampled_from([1, 3, 7, 4096, 10**6]))
