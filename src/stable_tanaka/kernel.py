@@ -150,6 +150,15 @@ def kernel_F_second(params: StableParams, x):
 
 # ------------------------------------------------------------- convolution
 
+# The package's one tile budget: every dense block of pairs, (points x
+# nodes) here, (nodes x grid points) in the windowed generator and (levels
+# x items) in localtime, is walked in tiles of at most this many pairs, bar
+# one run of localtime._run_sums that is longer. 128 KiB of doubles stay in
+# L2, and temporaries stay below glibc's 128 KiB mmap threshold, so they
+# are not each served by a fresh mmap and faulted in page by page.
+_PAIR_TILE = 16384
+
+
 @lru_cache(maxsize=32)
 def _jacobi_rule(alpha: float):
     # integrates (1+t)^(alpha-1) g(t) over [-1, 1] exactly for polynomial g
@@ -162,13 +171,26 @@ def _legendre_rule():
     return np.polynomial.legendre.leggauss(64)
 
 
+def _row_tiles(x, nodes, rows):
+    """rows(chunk) over x in chunks of _PAIR_TILE // nodes points, joined:
+    a chunk's points by a rule's ``nodes`` nodes fill one tile."""
+    out = np.empty_like(x)
+    step = max(1, _PAIR_TILE // nodes)
+    for lo in range(0, len(x), step):
+        out[lo:lo + step] = rows(x[lo:lo + step])
+    return out
+
+
 def kernel_convolve(params: StableParams, phi, x, radius: float):
     """(F * phi)(x) = int F(x - y) phi(y) dy for phi supported in [-radius, radius].
 
     The integrand's |x - y|^(alpha-1) cusp at y = x is absorbed exactly by
     Gauss-Jacobi rules on the two subintervals it separates; evaluation
-    points outside the support use a plain Gauss-Legendre rule. Vectorized
-    over x; ``phi`` must accept arrays.
+    points outside the support use a plain Gauss-Legendre rule, with phi
+    evaluated once at its nodes. Each rule walks the points in row tiles
+    of at most _PAIR_TILE (point, node) pairs and reduces each row on its
+    own, so a point's value does not depend on the others; ``phi`` must
+    accept arrays.
 
     The result grows like 2 D |x|^(alpha-1) * (mass of phi) for large |x|,
     so it is *not* a decaying grid function; apply generators to it through
@@ -184,26 +206,34 @@ def kernel_convolve(params: StableParams, phi, x, radius: float):
 
     inside = np.abs(x) < radius
     if np.any(inside):
-        xi = x[inside]
         t, w = _jacobi_rule(a)
-        # y above x: x - y < 0, kernel weight D (1 + beta) (y - x)^(alpha-1)
-        span = radius - xi
-        y = xi[:, None] + span[:, None] * (t[None, :] + 1.0) / 2.0
-        upper = (span / 2.0) ** a * (phi(y) * w[None, :]).sum(axis=1)
-        # y below x: kernel weight D (1 - beta) (x - y)^(alpha-1)
-        span = radius + xi
-        y = xi[:, None] - span[:, None] * (t[None, :] + 1.0) / 2.0
-        lower = (span / 2.0) ** a * (phi(y) * w[None, :]).sum(axis=1)
-        out[inside] = big_d * ((1.0 + beta) * upper + (1.0 - beta) * lower)
+        t1 = t + 1.0
 
-    if np.any(~inside):
-        xo = x[~inside]
+        def jacobi_rows(xi):
+            # y above x: x - y < 0, kernel weight D (1 + beta) (y - x)^(alpha-1)
+            span = radius - xi
+            y = xi[:, None] + span[:, None] * t1 / 2.0
+            upper = (span / 2.0) ** a * (phi(y) * w).sum(axis=1)
+            # y below x: kernel weight D (1 - beta) (x - y)^(alpha-1)
+            span = radius + xi
+            y = xi[:, None] - span[:, None] * t1 / 2.0
+            lower = (span / 2.0) ** a * (phi(y) * w).sum(axis=1)
+            return big_d * ((1.0 + beta) * upper + (1.0 - beta) * lower)
+
+        out[inside] = _row_tiles(x[inside], len(t), jacobi_rows)
+
+    if not np.all(inside):
         t, w = _legendre_rule()
         y = radius * t
-        dist = np.abs(xo[:, None] - y[None, :])
-        side = 1.0 - beta * _signum_left(xo)[:, None]
-        vals = side * dist ** (a - 1.0) * phi(y)[None, :]
-        out[~inside] = big_d * radius * (vals * w[None, :]).sum(axis=1)
+        phi_y = phi(y)
+
+        def legendre_rows(xo):
+            dist = np.abs(xo[:, None] - y)
+            side = 1.0 - beta * _signum_left(xo)[:, None]
+            vals = side * dist ** (a - 1.0) * phi_y
+            return big_d * radius * (vals * w).sum(axis=1)
+
+        out[~inside] = _row_tiles(x[~inside], len(t), legendre_rows)
 
     return float(out[0]) if scalar else out
 

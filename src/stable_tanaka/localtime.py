@@ -58,7 +58,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import MollifierSpec, compensator_density, kernel_F
+from .kernel import (
+    _PAIR_TILE,
+    MollifierSpec,
+    compensator_density,
+    kernel_F,
+)
 from .params import StableParams
 from .pathsim import PathSample
 from .spectral import ResolutionError, negative_moment_bound
@@ -74,11 +79,6 @@ __all__ = [
     "martingale_l2_bound",
 ]
 
-# Every tile in this module holds at most this many pairs, bar one run of
-# _run_sums that is longer: 128 KiB of doubles, which stay in L2, and
-# temporaries that stay below glibc's 128 KiB mmap threshold, so they are
-# not each served by a fresh mmap and faulted in page by page.
-_PAIR_TILE = 16384
 # _tiled_levels walks a record in chunks of this many points
 _TILE_POINTS = 8192
 # For this many levels or more, martingale_part takes the sorted route of

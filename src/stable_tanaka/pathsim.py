@@ -69,6 +69,14 @@ class SimConfig:
                 f"{_ARRAY_MAX:g} points numpy can allocate")
         if not self.T / self.n_steps < 1.0:
             raise ValueError("time step T/n_steps must be below 1")
+        # linspace(0, T, n + 1) places node k < n at k (T/n) and the last
+        # at T, so its nodes are distinct exactly when this holds; a
+        # subnormal horizon can round them together
+        step = self.T / self.n_steps
+        if not (step > 0.0 and (self.n_steps - 1) * step < self.T):
+            raise ValueError(
+                f"horizon T={self.T!r} over n_steps={self.n_steps} gives a "
+                f"time grid whose nodes are not distinct doubles")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("jump cutoff eps must lie in (0, 1)")
         if self.small_jump_mode not in _SMALL_JUMP_MODES:

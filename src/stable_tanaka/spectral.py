@@ -25,6 +25,7 @@ from numpy.polynomial import chebyshev
 from scipy import integrate
 from scipy.special import hyp2f1
 
+from .kernel import _PAIR_TILE
 from .params import (
     StableParams,
     nu_density,
@@ -230,10 +231,6 @@ def _far_field(params: StableParams, g, x, r_in: float, r_out: float):
     return fine.sum(axis=1)
 
 
-# the image term's node groups by grid points hold at most this many
-_IMAGE_TILE = 2 ** 16
-
-
 def generator_apply_windowed(params: StableParams, g, grid: Grid):
     """Generator of a slowly growing function, reported on a central window.
 
@@ -242,7 +239,8 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
     width. The windowed part decays and goes through the Fourier
     multiplier, with the spurious contributions of its 2L-periodic images
     subtracted by direct quadrature over 16 images a side (the rest summed
-    to leading order; its error budget is below). The far part never
+    to leading order; its error budget is below), in row tiles of at most
+    _PAIR_TILE (node, grid point) pairs. The far part never
     touches the report region |x| <= 0.25 L, so its generator there is the
     plain (uncompensated) integral of g(y)(1-W(y)) nu(y-x) dy, evaluated at
     33 Chebyshev nodes and interpolated -- the integrand is analytic in x
@@ -301,11 +299,13 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
     nodes = np.cos(np.pi * np.arange(n_cheb) / (n_cheb - 1))
     x_nodes = report_radius * nodes
     # the image term at the nodes, one array pass per image shift over a
-    # group of nodes by the whole grid. |y - x| <= 1.25 L < 2 L for every
-    # grid y and report x, so each jump y + shift - x has the sign of the
-    # shift: one coefficient
+    # row tile of nodes by the whole grid: as many nodes as fill
+    # _PAIR_TILE pairs, one on a grid of 16384 points or more. Each row is
+    # reduced on its own, so the tile height moves no value. |y - x| <=
+    # 1.25 L < 2 L for every grid y and report x, so each jump
+    # y + shift - x has the sign of the shift: one coefficient
     images = np.full(n_cheb, image_remainder)
-    step = max(1, _IMAGE_TILE // len(x_all))
+    step = max(1, _PAIR_TILE // len(x_all))
     for lo in range(0, n_cheb, step):
         x = x_nodes[lo:lo + step, None]
         for k in range(1, n_images + 1):

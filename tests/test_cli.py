@@ -468,6 +468,9 @@ BAD_COMMANDS = {
     # the path's distance from the level overflows
     "localtime-level-overflow": ["localtime", "--alpha", "1.5",
                                  "--x0", "1e308", "--levels=-1e308"],
+    # a horizon whose 64-step time grid holds 21 distinct nodes of 65
+    "localtime-grid-collapse": ["localtime", "--alpha", "1.5",
+                                "--T", "1e-322"],
     # a grid spacing that overflows
     "density-grid-overflow": ["density", "--alpha", "1.5",
                               "--half-width", "1e308", "--n-points", "256"],

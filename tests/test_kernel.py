@@ -16,6 +16,9 @@ from scipy import integrate
 from stable_tanaka.kernel import (
     MollifierSpec,
     _BUMP_NORMALIZATION,
+    _PAIR_TILE,
+    _jacobi_rule,
+    _legendre_rule,
     compensator_density,
     kernel_convolve,
     kernel_F,
@@ -307,6 +310,26 @@ def test_kernel_convolve_vectorized_consistent():
     batch = kernel_convolve(SKEW, phi, xs, 2.0)
     singles = np.array([kernel_convolve(SKEW, phi, float(x), 2.0) for x in xs])
     assert np.allclose(batch, singles, rtol=1e-14)
+
+
+def test_kernel_convolve_tiles_keep_the_bits():
+    # both rules walk the points in row tiles of _PAIR_TILE (point, node)
+    # pairs and reduce each row on its own, so a batch spanning several
+    # tiles of each rule, its branches interleaved, gives every point the
+    # floats of its own call, at the support's edges and centre too
+    phi = lambda y: standard_bump(y / 2.0)
+    inside_tile = _PAIR_TILE // len(_jacobi_rule(SKEW.alpha)[0])
+    outside_tile = _PAIR_TILE // len(_legendre_rule()[0])
+    inside = np.concatenate([np.linspace(-1.99, 1.99, 3 * inside_tile + 7),
+                             [0.0, -0.0]])
+    outside = np.concatenate([np.linspace(2.0, 40.0, 3 * outside_tile + 5),
+                              -np.linspace(2.0, 40.0, 11)])
+    xs = np.random.default_rng(3).permutation(np.concatenate([inside,
+                                                              outside]))
+    batch = kernel_convolve(SKEW, phi, xs, 2.0)
+    singles = np.array([kernel_convolve(SKEW, phi, float(x), 2.0)
+                        for x in xs])
+    assert np.array_equal(batch, singles)
 
 
 def test_kernel_convolve_tracks_kernel_growth():

@@ -11,6 +11,7 @@ import hashlib
 import math
 import resource
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -19,7 +20,13 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from stable_tanaka import derive_params, localtime
-from stable_tanaka.kernel import MollifierSpec, compensator_density, kernel_F
+from stable_tanaka.kernel import (
+    MollifierSpec,
+    compensator_density,
+    kernel_convolve,
+    kernel_F,
+    standard_bump,
+)
 from stable_tanaka.localtime import (
     _PAIR_TILE,
     _SORT_LEVELS,
@@ -40,6 +47,7 @@ from stable_tanaka.localtime import (
 )
 from stable_tanaka.pathsim import PathSample, SimConfig, \
     simulate_path_jumpdecomp, simulate_path_marginal
+from stable_tanaka.spectral import Grid, generator_apply_windowed
 
 SYM = derive_params(1.5, 1.0, 1.0)
 
@@ -939,6 +947,35 @@ def test_level_curves_stay_off_the_page_fault_path(sorted_calls,
     assert [len(ends) for _, ends in sorted_calls] == [3]
     assert [levels for levels, _ in expanded_calls] == [_SORT_LEVELS] * 3
     assert faults < 2000, faults
+
+
+def test_quadrature_blocks_stay_within_the_tile_budget():
+    # kernel_convolve's two rules and the windowed generator's image term
+    # walk their (points x nodes) blocks in row tiles of _PAIR_TILE pairs,
+    # so at criterion 1's grid (2^14 points on [-40, 40], the unit bump's
+    # F * phi at (alpha, beta) = (1.5, 0.5)) their traced peaks stay near
+    # the grid's own arrays: measured 0.87 MB for the grid, 1.09 MB for
+    # 2^14 points all inside the support and 1.23 MB for the windowed
+    # generator, against 25.1, 26.8 and 25.1 MB for whole blocks
+    params = derive_params(1.5, 1.5, 0.5)
+    grid = Grid(40.0, 2 ** 14)
+    inside = np.linspace(-0.999, 0.999, 2 ** 14)
+
+    def smoothed(x):
+        return kernel_convolve(params, standard_bump, x, radius=1.0)
+
+    for call, cap in ((lambda: smoothed(grid.points), 2 * 2 ** 20),
+                      (lambda: smoothed(inside), 2 * 2 ** 20),
+                      (lambda: generator_apply_windowed(params, smoothed,
+                                                        grid), 3 * 2 ** 20)):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap, peak
 
 
 # ------------------------------------------------------------ Fubini identity

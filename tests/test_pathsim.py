@@ -52,6 +52,11 @@ SKEW = derive_params(1.5, 3.0, 1.0)
     dict(T=1.0, n_steps=8, eps=0.0),
     dict(T=1.0, n_steps=8, small_jump_mode="exact"),
     dict(T=1.0, n_steps=8, seed=-1),
+    # subnormal horizons whose uniform grid rounds nodes together: 21 of
+    # 65, 2025 of 4097 and 2 of 9 distinct
+    dict(T=1e-322, n_steps=64),
+    dict(T=1e-320, n_steps=4096),
+    dict(T=5e-324, n_steps=8),
 ])
 def test_config_rejects_invalid(kwargs):
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -356,6 +357,16 @@ CRITERION_1_PINS = [
     ((1.8, -1.0), 6.348445435433253e-06),
     ((1.3, 1.0), 7.055887057221977e-07),
 ]
+# and the sha256 (first 16 hex digits) of each corner's applied curve on
+# its 4097 report points, little-endian doubles, so a move of any bit
+# below the sups' 1e-14 shows too
+CRITERION_1_DIGESTS = {
+    (1.2, 0.0): "bf9d9b3cb2b1081c",
+    (1.5, 0.0): "5ce76f55a8b0ef54",
+    (1.5, 0.5): "87521dcd88120c1b",
+    (1.8, -1.0): "78ed6e7d979516d4",
+    (1.3, 1.0): "4620b607758e1264",
+}
 
 
 @pytest.mark.parametrize("corner, expected", CRITERION_1_PINS)
@@ -370,6 +381,11 @@ def test_generator_identity_values_pinned(corner, expected):
                     "tolerance": 1e-2}})
     assert rep.statistics["sup_relative_error"] == pytest.approx(
         expected, rel=0.0, abs=1e-14)
+    applied = rep.curves["identity"]["rows"][:, 1]
+    assert len(applied) == 4097
+    digest = hashlib.sha256(
+        np.ascontiguousarray(applied).astype("<f8").tobytes()).hexdigest()
+    assert digest[:16] == CRITERION_1_DIGESTS[corner]
 
 
 def test_smoothstep_window_plateaus():
