@@ -6,9 +6,10 @@ The central object is
 
 whose compensated-jump generator vanishes away from the origin; convolved
 with a test function phi it therefore inverts the generator,
-L(F * phi) = phi. This module evaluates F and its derivatives, the standard
-bump mollifiers rho_n, kernel convolutions F * phi (by Gauss-Jacobi rules
-that absorb the |.|^(alpha-1) cusp), and the compensator density
+L(F * phi) = phi. This module evaluates F and its derivatives (F' and F''
+from one formula, ``_kernel_derivative``), the standard bump mollifiers
+rho_n, kernel convolutions F * phi (by Gauss-Jacobi rules that absorb the
+|.|^(alpha-1) cusp), and the compensator density
 
     G_eps(x) = int_{|h| > eps} {F(x+h) - F(x)} nu(dh),
 
@@ -25,6 +26,10 @@ P = c+ ((1+z)^alpha - z^alpha) and Q = c- ((z-1)^alpha - z^alpha):
 
 The constant terms cancel for z >= 1 because beta (c+ + c-) = c+ - c-.
 Negative x is the mirror image, G(x; c+, c-, beta) = G(-x; c-, c+, -beta).
+
+Every coefficient that depends on the side of x -- F's D (1 -+ beta), the
+signum, and G's mirrored c+-, beta -- comes from ``params._by_sign``, which
+states the sgn(0) = -1 convention.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .params import StableParams
+from .params import StableParams, _by_sign
 
 __all__ = [
     "MollifierSpec",
@@ -103,22 +108,12 @@ class MollifierSpec:
 
 # ------------------------------------------------------------------ kernel
 
-def _signum_left(x: np.ndarray) -> np.ndarray:
-    # left-continuous signum: sgn(0) = -1 (the kernel formula's convention;
-    # immaterial at 0 itself where |x|^(alpha-1) kills the factor)
-    return np.where(x > 0.0, 1.0, -1.0)
-
-
 def kernel_F(params: StableParams, x):
     """F(x) = D (1 - beta sgn(x)) |x|^(alpha-1); nonnegative, F(0) = 0."""
     x = np.asarray(x, dtype=float)
-    # D (1 -+ beta) are the same doubles as D (1 - beta sgn(x)), so this
-    # two-valued weight keeps F's bits without a signum array; when the two
-    # are one double, that scalar is the weight. Taking it from a table by
-    # the sign costs a third of np.where with scalar arms
-    right = params.big_d * (1.0 - params.beta)
-    left = params.big_d * (1.0 + params.beta)
-    weight = right if right == left else np.array([left, right]).take(x > 0.0)
+    # D (1 -+ beta) are the same doubles as D (1 - beta sgn(x))
+    weight = _by_sign(x, params.big_d * (1.0 + params.beta),
+                      params.big_d * (1.0 - params.beta))
     if x.ndim == 0:
         return float(np.abs(x) ** (params.alpha - 1.0) * weight)
     out = np.abs(x)
@@ -127,25 +122,30 @@ def kernel_F(params: StableParams, x):
     return out
 
 
-def kernel_F_prime(params: StableParams, x):
-    """F'(x) = (alpha-1) D (sgn(x) - beta) |x|^(alpha-2), undefined at 0."""
+def _kernel_derivative(params: StableParams, x, k: int):
+    """F^(k)(x) = (alpha-1)...(alpha-k) D (s - beta) s^(k-1) |x|^(alpha-1-k),
+    s = sgn(x), for k = 1, 2; undefined at 0.
+
+    The factors multiply left to right, and (alpha - 1) - k is alpha - 2
+    and alpha - 3 exactly on (1, 2).
+    """
     x = np.asarray(x, dtype=float)
     if np.any(x == 0.0):
-        raise ValueError("F' has a non-removable singularity at 0")
-    out = (params.alpha - 1.0) * params.big_d \
-        * (_signum_left(x) - params.beta) * np.abs(x) ** (params.alpha - 2.0)
+        raise ValueError("F" + "'" * k + " has a non-removable singularity at 0")
+    s = _by_sign(x, -1.0, 1.0)
+    out = math.prod(params.alpha - j for j in range(1, k + 1)) * params.big_d \
+        * (s - params.beta) * s ** (k - 1) * np.abs(x) ** (params.alpha - 1 - k)
     return out if out.ndim else float(out)
+
+
+def kernel_F_prime(params: StableParams, x):
+    """F'(x) = (alpha-1) D (sgn(x) - beta) |x|^(alpha-2), undefined at 0."""
+    return _kernel_derivative(params, x, 1)
 
 
 def kernel_F_second(params: StableParams, x):
     """F''(x) = (alpha-1)(alpha-2) D (sgn(x) - beta) sgn(x) |x|^(alpha-3)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x == 0.0):
-        raise ValueError("F'' has a non-removable singularity at 0")
-    s = _signum_left(x)
-    out = (params.alpha - 1.0) * (params.alpha - 2.0) * params.big_d \
-        * (s - params.beta) * s * np.abs(x) ** (params.alpha - 3.0)
-    return out if out.ndim else float(out)
+    return _kernel_derivative(params, x, 2)
 
 
 # ------------------------------------------------------------- convolution
@@ -196,8 +196,9 @@ def kernel_convolve(params: StableParams, phi, x, radius: float):
     so it is *not* a decaying grid function; apply generators to it through
     the windowed route.
     """
-    if not radius > 0.0:
-        raise ValueError("support radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"support radius must be positive and finite, "
+                         f"got {radius!r}")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -229,7 +230,7 @@ def kernel_convolve(params: StableParams, phi, x, radius: float):
 
         def legendre_rows(xo):
             dist = np.abs(xo[:, None] - y)
-            side = 1.0 - beta * _signum_left(xo)[:, None]
+            side = 1.0 - beta * _by_sign(xo, -1.0, 1.0)[:, None]
             vals = side * dist ** (a - 1.0) * phi_y
             return big_d * radius * (vals * w).sum(axis=1)
 
@@ -251,10 +252,9 @@ def compensator_density(params: StableParams, x, eps: float):
         raise ValueError("need 0 < eps < 1")
     x = np.asarray(x, dtype=float)
     # x < 0 is the mirror image: swap the jump sides and flip beta
-    pos = x > 0.0
-    c_away = np.where(pos, params.c_plus, params.c_minus)
-    c_toward = np.where(pos, params.c_minus, params.c_plus)
-    w_same = 1.0 - np.where(pos, params.beta, -params.beta)  # F on x's side
+    c_away = _by_sign(x, params.c_minus, params.c_plus)
+    c_toward = _by_sign(x, params.c_plus, params.c_minus)
+    w_same = _by_sign(x, 1.0 + params.beta, 1.0 - params.beta)  # F on x's side
     w_other = 2.0 - w_same
     a = params.alpha
     z = np.abs(x) / eps

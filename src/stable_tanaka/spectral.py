@@ -97,8 +97,8 @@ def levy_symbol(params: StableParams, u):
 
 def char_function(params: StableParams, u, t: float):
     """E[exp(i u X_t)] = exp(t eta(u)); modulus exp(-d t |u|^alpha)."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t!r}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t!r}")
     out = np.exp(t * np.asarray(levy_symbol(params, u)))
     return out if out.ndim else complex(out)
 

@@ -20,15 +20,17 @@ short of the 1e-2 stability target for every alpha tested (worst at
 alpha=1.2, where ~0.2 of the mass still sits past 1e6).  The test reports
 the measured differences instead of loosening the target.
 
-The full file takes ~2 minutes (110 s by pytest --durations on a 2-core
+The full file takes ~1.5 minutes (95 s by pytest --durations on a 2-core
 box, OpenBLAS pinned to one thread); criterion 5 (10^4 paths at
-n_steps=4096, 79 s there) dominates, then criteria 4 (13 s) and 6
-(12 s); criterion 7 takes 1.6 s.
+n_steps=4096, 74 s there) dominates, then criteria 6 (10 s) and 4
+(7.6 s); criterion 7 takes 0.75 s. Those three carry the ``slow`` marker,
+which ``-m "not slow"`` deselects for a fast inner loop.
 """
 
 import math
 
 import numpy as np
+import pytest
 from scipy import stats as sps
 
 from stable_tanaka import (
@@ -145,6 +147,7 @@ def test_criterion_03_increment_characteristic_function():
 
 # ------------------------------------------------------------- criterion 4
 
+@pytest.mark.slow
 def test_criterion_04_terminal_law_ks():
     # Jump-decomposition terminal values (eps=1e-3, gaussian closure)
     # against the exact marginal sampler, 1e4 vs 1e4, two-sample KS.
@@ -160,6 +163,7 @@ def test_criterion_04_terminal_law_ks():
 
 # ------------------------------------------------------------- criterion 5
 
+@pytest.mark.slow
 def test_criterion_05_martingale_zero_mean():
     # 1e4 paths, T=1, n_steps=2^12, eps=1e-3: |mean M_t^a| <= 4 stderr at
     # a in {0, 0.5} x t in {0.25, 0.5, 1}.  This is the slow test (~70 s).
@@ -187,6 +191,7 @@ def test_criterion_05_martingale_zero_mean():
 
 # ------------------------------------------------------------- criterion 6
 
+@pytest.mark.slow
 def test_criterion_06_estimator_agreement():
     # Kernel-route vs occupation estimators at a=0 over three joint
     # refinements (eps halves, n_steps doubles, mollifier follows the

@@ -7,6 +7,7 @@ against scipy adaptive quadrature or brute-force Riemann sums built here,
 independently of the library's panel rules.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -205,6 +206,54 @@ def test_kernel_symmetric_weight_keeps_where_bits():
                               want.view(np.int64))
 
 
+# sha256 over five parameter sets, both one-sided cases among them, of
+# each side-coefficient recipe on 5000 random magnitudes in [1e-12, 1e6]
+# of either sign plus the edge cases (F' and F'' skip the zeros), then on
+# the last ten points one scalar at a time; recorded when each recipe
+# still picked its side coefficients on its own
+_RECIPE_SETS = [(1.5, 1.0, 1.0), (1.3, 3.0, 1.0), (1.8, 1.0, 0.0),
+                (1.2, 0.0, 2.0), (1.1, 1.0, 1.0)]
+_RECIPE_DIGESTS = {
+    "kernel_F":
+        "36f47863158ba795143def83d44fd1f3e216ad2fd6822693f8ef6b1a171d63e3",
+    "kernel_F_prime":
+        "735d3486ce3997abe4c5900a8337b0fd0d26b0904036f49f9aef1318011a977c",
+    "kernel_F_second":
+        "f8140fa6406fe2774dd8bac40e0228ecaebb6a2b3ac16bbcee9534383b00054e",
+    "compensator_density":
+        "d0bcc0acf728071b245a009f379ebef4d134388cb81e03decec40879989e2d9f",
+    "nu_density":
+        "81899df1571b340b87ee5fb33f68d5c5ff6039e924deaa21afe64d8939e0d174",
+}
+
+
+def test_side_coefficient_recipes_bits_pinned():
+    rng = np.random.default_rng(2026)
+    mags = 10.0 ** rng.uniform(-12.0, 6.0, 5000)
+    xs = np.concatenate([mags * rng.choice([-1.0, 1.0], 5000),
+                         [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e308, -1e308,
+                          1e-3, -1e-3, np.nan]])
+    nonzero = xs[xs != 0.0]
+    recipes = {
+        "kernel_F": (kernel_F, xs),
+        "kernel_F_prime": (kernel_F_prime, nonzero),
+        "kernel_F_second": (kernel_F_second, nonzero),
+        "compensator_density": (
+            lambda p, x: compensator_density(p, x, 1e-3), xs),
+        "nu_density": (nu_density, nonzero),
+    }
+    # the edge cases overflow and divide by zero on purpose
+    with np.errstate(all="ignore"):
+        for name, (recipe, points) in recipes.items():
+            digest = hashlib.sha256()
+            for triplet in _RECIPE_SETS:
+                params = derive_params(*triplet)
+                digest.update(recipe(params, points).tobytes())
+                digest.update(np.array([recipe(params, float(x))
+                                        for x in points[-10:]]).tobytes())
+            assert digest.hexdigest() == _RECIPE_DIGESTS[name], name
+
+
 def test_kernel_symmetric_even_and_nonnegative():
     xs = np.linspace(-6, 6, 201)
     assert np.allclose(kernel_F(SYM, xs), kernel_F(SYM, -xs))
@@ -302,6 +351,13 @@ def test_kernel_convolve_matches_adaptive_quadrature(params):
         direct = kernel_convolve(params, phi, x, 2.0)
         oracle = _convolve_oracle(params, phi, x, 2.0)
         assert direct == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+def test_kernel_convolve_refuses_bad_radius(radius):
+    # an infinite radius would put the rules' nodes at inf
+    with pytest.raises(ValueError, match="radius"):
+        kernel_convolve(SYM, standard_bump, np.array([0.0, 3.0]), radius)
 
 
 def test_kernel_convolve_vectorized_consistent():

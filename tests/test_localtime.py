@@ -13,6 +13,7 @@ import resource
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -65,6 +66,14 @@ def test_default_mollifier_tie():
     assert default_mollifier(1e-2).n == 10
     assert default_mollifier(1e-3).n == 32
     assert default_mollifier(0.999).n == 1
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, 1.0, 2.0, math.nan, math.inf])
+def test_default_mollifier_refuses_cutoff_outside_unit_interval(eps):
+    # eps^(-1/2) divides by zero at 0, is complex below 0 and does not
+    # round at NaN; at 1 and above, eps is no jump cutoff
+    with pytest.raises(ValueError, match="eps"):
+        default_mollifier(eps)
 
 
 def test_hat_function():
@@ -475,6 +484,39 @@ def test_many_level_sums_hold_where_ulp_exceeds_the_inner_cells(x0):
     got = localtime._expanded_jump_sums(SYM, levels, pre, post, h)
     exact, size = _exact_jump_sum(SYM, pre, post, h, levels[0])
     assert np.all(np.abs(got - exact) <= 1e-14 * size), (got, exact)
+
+
+def test_two_sum_error_is_exact():
+    # a + b - fl(a + b) in rational arithmetic, for pairs that cancel, at
+    # magnitudes near 2^+-1000, among subnormals, on ties to even, and at
+    # random exponents; _two_difference's pair sums to x - c exactly
+    big, tiny, sub = 2.0 ** 1000, 2.0 ** -1000, 5e-324
+    pairs = [
+        (1.0, -1.0), (1.0, -(1.0 - 2.0 ** -53)), (0.1, 2.0 ** -60 - 0.1),
+        (1e16, -1e16 + 2.0), (1.5 * big, big), (big, -big * (1 - 2.0 ** -52)),
+        (big, tiny), (big, 1.0), (tiny, 3.0 * tiny), (-tiny, big * 2.0 ** -80),
+        (sub, sub), (sub, -2.0 * sub), (1e-310, 3e-310),
+        (2.0 ** -1022, -sub), (2.0 ** -1022, 2.0 ** -1074 * 3.0),
+        (1.0, 2.0 ** -53), (1.0 + 2.0 ** -52, 2.0 ** -53),
+        (-3.0, -2.0 ** -52), (2.0 ** 53, 1.0), (2.0 ** 53 + 2.0, 1.0),
+        (0.1, 0.2), (0.0, -0.0), (-0.0, -0.0), (0.0, 7.5)]
+    rng = np.random.default_rng(5)
+    a, b = (rng.standard_normal((2, 400))
+            * 2.0 ** rng.integers(-1000, 1000, (2, 400)))
+    a = np.concatenate([[p[0] for p in pairs], a])
+    b = np.concatenate([[p[1] for p in pairs], b])
+    s = a + b
+    err = localtime._two_sum_error(a, b, s)
+    diff, diff_err = localtime._two_difference(a, b)
+    assert np.array_equal(diff, a - b)
+    for ai, bi, si, ei, di, dei in zip(a, b, s, err, diff, diff_err):
+        assert Fraction(ei) == Fraction(ai) + Fraction(bi) - Fraction(si), \
+            (ai, bi)
+        assert Fraction(di) + Fraction(dei) == Fraction(ai) - Fraction(bi), \
+            (ai, bi)
+    # a tie rounds to even, and the error is the half ulp it dropped
+    assert err[pairs.index((1.0, 2.0 ** -53))] == 2.0 ** -53
+    assert err[pairs.index((1.0 + 2.0 ** -52, 2.0 ** -53))] == -(2.0 ** -53)
 
 
 def test_sorted_prefix_sums_keep_ties_in_time_order(monkeypatch):

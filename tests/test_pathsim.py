@@ -9,6 +9,7 @@ asserted here were checked to hold with wide margin across neighboring seeds.
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,52 @@ def test_path_sample_validation():
         with pytest.raises(ValueError, match=what):
             PathSample(times=times, values=values, jump_rows=rows,
                        jump_sizes=sizes, scheme="jumpdecomp")
+
+
+@pytest.mark.parametrize("call", [
+    # a float or a bool would be cast onto the key 1, path 1's stream
+    lambda: simulate_path_jumpdecomp(SYM, SimConfig(T=1.0, n_steps=8), 1.5),
+    lambda: simulate_path_jumpdecomp(SYM, SimConfig(T=1.0, n_steps=8),
+                                     path_index=True),
+    lambda: SimConfig(T=1.0, n_steps=8, seed=True),
+    lambda: SimConfig(T=1.0, n_steps=8, seed=np.True_),
+    lambda: path_rng(1.0, 0),
+    # outside a uint64 key
+    lambda: path_rng(0, -1),
+    lambda: path_rng(0, 2**64),
+    lambda: path_rng(2**64, 0),
+    # the third path's key would be 2^64: refused before any draw
+    lambda: sample_terminal_jumpdecomp(SYM, SimConfig(T=1.0, n_steps=8), 3,
+                                       stream_offset=2**64 - 2),
+    lambda: sample_terminal_jumpdecomp(SYM, SimConfig(T=1.0, n_steps=8), 3,
+                                       stream_offset=-1),
+    lambda: sample_terminal_jumpdecomp(SYM, SimConfig(T=1.0, n_steps=8), 3,
+                                       stream_offset=True),
+], ids=["float-index", "bool-index", "bool-seed", "numpy-bool-seed",
+        "float-seed", "negative-index", "index-2^64", "seed-2^64",
+        "offset-past-2^64", "negative-offset", "bool-offset"])
+def test_stream_keys_refuse_what_they_cannot_key(call):
+    with pytest.raises(ValueError, match=r"2\*\*64"):
+        call()
+
+
+def test_stream_keys_at_their_limits_keep_their_streams():
+    # the largest keys are valid, numpy integers key as ints do, and the
+    # last stream index a terminal sample may use is 2^64 - 1
+    top = 2**64 - 1
+    want = np.random.Generator(np.random.Philox(
+        key=np.array([top, top], dtype=np.uint64))).random(3)
+    assert np.array_equal(path_rng(top, top).random(3), want)
+    assert np.array_equal(path_rng(np.uint64(top), np.uint64(top)).random(3),
+                          want)
+    assert np.array_equal(path_rng(np.int64(5), np.int32(1)).random(3),
+                          path_rng(5, 1).random(3))
+    cfg = SimConfig(T=1.0, n_steps=8, seed=np.uint64(top))
+    assert np.array_equal(
+        sample_terminal_jumpdecomp(SYM, cfg, 2, stream_offset=top - 1),
+        sample_terminal_jumpdecomp(SYM, replace(cfg, seed=top), 2,
+                                   stream_offset=np.uint64(top - 1)))
+    assert sample_terminal_jumpdecomp(SYM, cfg, 0, stream_offset=top).size == 0
 
 
 def test_rng_streams_keyed_by_path():
@@ -484,6 +531,13 @@ def test_char_function_estimate_trivial_cases():
     assert est.stderr_real == 0.0 and est.stderr_imag == 0.0
     est0 = empirical_char_function(np.array([0.3, -2.0, 5.5]), 0.0)
     assert est0.value == 1.0 + 0.0j
+
+
+@pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])
+def test_char_function_estimate_refuses_nonfinite_frequency(u):
+    # exp(1j u x) would warn at inf and give NaN silently at NaN
+    with pytest.raises(ValueError, match="finite"):
+        empirical_char_function(np.array([0.3, -2.0]), u)
 
 
 def test_char_function_estimate_fields():

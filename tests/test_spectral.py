@@ -93,6 +93,13 @@ def test_char_function_basics():
         char_function(SKEW, 1.0, -0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_char_function_refuses_nonfinite_time(t):
+    # NaN is not below 0, and exp(t eta) would be NaN throughout
+    with pytest.raises(ValueError, match="finite"):
+        char_function(SKEW, np.array([0.0, 1.0]), t)
+
+
 # ---------------------------------------------------------------- grids
 
 def test_grid_validation():
