@@ -31,7 +31,7 @@ from .experiments import (
 from .localtime import default_a_grid, default_mollifier, occupation_curve, \
     tanaka_curve
 from .params import derive_params
-from .pathsim import SimConfig, expected_jump_count, \
+from .pathsim import SimConfig, _stream_key, expected_jump_count, \
     simulate_path_jumpdecomp, simulate_path_marginal
 from .spectral import ResolutionError
 
@@ -240,8 +240,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_localtime(args) -> int:
     out_dir = _out_dir(args, "curve")
     params, cfg = _make_inputs(args)
-    if not 0 <= args.path_index < 2**64:
-        raise ConfigError("--path-index must be an integer in [0, 2^64)")
+    try:
+        _stream_key("--path-index", args.path_index)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.levels and not np.all(np.isfinite(args.levels)):
         raise ConfigError("--levels must be finite numbers")
     path = simulate_path_jumpdecomp(params, cfg, path_index=args.path_index)

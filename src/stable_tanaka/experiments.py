@@ -4,9 +4,10 @@ An :class:`ExperimentSpec` names one of the eight experiment kinds, the
 process parameters, and the sampling budget; :func:`run_experiment`
 dispatches to the matching module routines and returns an
 :class:`ExperimentReport` whose verdicts each carry a named criterion, the
-measured value, the threshold, and the margin. Reports serialize
-deterministically (sorted keys, shortest-repr floats, no NaN) so repeated
-runs of the same spec are byte-identical and diffable in CI.
+measured value, the threshold, and the margin. Reports go through json's
+own encoder -- sorted keys, shortest-repr floats, allow_nan=False, and a
+hook that writes a numpy array, integer or bool as its Python value -- so
+repeated runs of the same spec are byte-identical and diffable in CI.
 
 Spec files are JSON::
 
@@ -59,6 +60,7 @@ from .localtime import (
 from .params import derive_params
 from .pathsim import (
     SimConfig,
+    _stream_key,
     empirical_char_function,
     expected_jump_count,
     path_rng,
@@ -222,9 +224,10 @@ class ExperimentSpec:
             raise ConfigError(f"{self.kind} needs a params block")
         if entry.needs_sim and not self.sim:
             raise ConfigError(f"{self.kind} needs a sim block")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
-                or not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must be an integer in [0, 2^64)")
+        try:
+            _stream_key("seed", self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not isinstance(self.out_dir, (str, type(None))):
             raise ConfigError("out_dir must be a string or null")
         # a params or sim block is checked whenever given
@@ -726,35 +729,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
 
 # -------------------------------------------------------------- serialization
 
-def _jsonable(obj):
-    """Recursively convert to plain JSON types, refusing non-finite floats."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if not math.isfinite(v):
-            raise ValueError(f"refusing to serialize non-finite value {v!r}")
-        return v
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
-
-
 def _report_payload(report: ExperimentReport) -> dict:
     return {
         "kind": report.kind,
-        "inputs": _jsonable(report.inputs),
-        "statistics": _jsonable(report.statistics),
-        "verdicts": [_jsonable(asdict(v)) for v in report.verdicts],
-        "versions": _jsonable(report.versions),
+        "inputs": report.inputs,
+        "statistics": report.statistics,
+        "verdicts": [asdict(v) for v in report.verdicts],
+        "versions": report.versions,
         "all_passed": report.all_passed,
         "curves": {name: {"file": f"{name}.csv",
                           "columns": list(curve["columns"]),
@@ -793,10 +774,26 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
     return written
 
 
+def _numpy_value(obj):
+    """json's hook for the numpy values it cannot write itself: an array
+    as its nested list, an integer or bool as its Python value. Numpy
+    floats are floats to json already."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (np.integer, np.bool_)):
+        return obj.item()
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
 def write_json(path, obj) -> None:
     """UTF-8 JSON with sorted keys, indent 2 and a trailing newline; NaN
     and Inf are refused before the file is opened."""
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          default=_numpy_value)
+    except ValueError as exc:
+        raise ValueError(
+            f"refusing to serialize non-finite values: {exc}") from None
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

@@ -29,7 +29,10 @@ Negative x is the mirror image, G(x; c+, c-, beta) = G(-x; c-, c+, -beta).
 
 Every coefficient that depends on the side of x -- F's D (1 -+ beta), the
 signum, and G's mirrored c+-, beta -- comes from ``params._by_sign``, which
-states the sgn(0) = -1 convention.
+states the sgn(0) = -1 convention. Every power is taken by the ufunc
+np.power, never by ``**`` on a numpy scalar (the C library's pow), so a
+scalar x runs the loop an array does and F, F', F'' and G_eps return the
+bits of that point inside an array.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .params import StableParams, _by_sign
+from .params import StableParams, _by_sign, _is_integer
 
 __all__ = [
     "MollifierSpec",
@@ -93,7 +96,7 @@ class MollifierSpec:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if not (_is_integer(self.n) and self.n >= 1):
             raise ValueError(f"mollifier index must be a positive integer, got {self.n!r}")
 
     @property
@@ -114,12 +117,10 @@ def kernel_F(params: StableParams, x):
     # D (1 -+ beta) are the same doubles as D (1 - beta sgn(x))
     weight = _by_sign(x, params.big_d * (1.0 + params.beta),
                       params.big_d * (1.0 - params.beta))
-    if x.ndim == 0:
-        return float(np.abs(x) ** (params.alpha - 1.0) * weight)
-    out = np.abs(x)
+    out = np.abs(np.atleast_1d(x))
     np.power(out, params.alpha - 1.0, out=out)
     out *= weight
-    return out
+    return out if x.ndim else float(out[0])
 
 
 def _kernel_derivative(params: StableParams, x, k: int):
@@ -134,7 +135,8 @@ def _kernel_derivative(params: StableParams, x, k: int):
         raise ValueError("F" + "'" * k + " has a non-removable singularity at 0")
     s = _by_sign(x, -1.0, 1.0)
     out = math.prod(params.alpha - j for j in range(1, k + 1)) * params.big_d \
-        * (s - params.beta) * s ** (k - 1) * np.abs(x) ** (params.alpha - 1 - k)
+        * (s - params.beta) * np.power(s, k - 1) \
+        * np.power(np.abs(x), params.alpha - 1 - k)
     return out if out.ndim else float(out)
 
 
@@ -262,13 +264,13 @@ def compensator_density(params: StableParams, x, eps: float):
         # |x| >= eps: (1 + 1/z)^a - 1 and (1 - 1/z)^a - 1, scaled by z^a;
         # at z = 1 the second is expm1(-inf) = -1 exactly
         zf = np.maximum(z, 1.0)
-        outer = w_same * zf ** a * (
+        outer = w_same * np.power(zf, a) * (
             c_away * np.expm1(a * np.log1p(1.0 / zf))
             + c_toward * np.expm1(a * np.log1p(-1.0 / zf)))
         zn = np.minimum(z, 1.0)
-        inner = w_same * c_away * (np.expm1(a * np.log1p(zn)) - zn ** a) \
+        inner = w_same * c_away * (np.expm1(a * np.log1p(zn)) - np.power(zn, a)) \
             - c_toward * (w_other * np.expm1(a * np.log1p(-zn))
-                          + w_same * zn ** a)
+                          + w_same * np.power(zn, a))
         g = params.big_d * np.where(z >= 1.0, outer, inner) / (a * np.abs(x))
     g0 = params.big_d * (params.c_plus * (1.0 - params.beta)
                          + params.c_minus * (1.0 + params.beta)) / eps

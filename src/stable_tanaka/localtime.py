@@ -675,6 +675,8 @@ def martingale_l2_bound(params: StableParams, t: float,
     E|X_s - a|^(-gamma), gamma = 2 + e0 - alpha, whose integral over
     [0, t] is S t^(1-gamma/alpha) / (1 - gamma/alpha).
     """
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"time must be positive and finite, got {t!r}")
     a = params.alpha
     e0 = min(a - 1.0, 2.0 - a) / 2.0 if eps0 is None else eps0
     if not 0.0 < e0 < min(a - 1.0, 2.0 - a):

@@ -129,6 +129,13 @@ def _by_sign(x, at_most_zero, above_zero):
     return np.array([at_most_zero, above_zero]).take(np.asarray(x) > 0.0)
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool: the
+    one test of what may count points, steps or paths, or key a stream.
+    A bool or a float would be taken for the integer it casts to."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def nu_density(params: StableParams, h):
     """Density of the jump measure at h (scalar or array, h != 0).
 
@@ -137,7 +144,7 @@ def nu_density(params: StableParams, h):
     """
     h = np.asarray(h, dtype=float)
     coef = _by_sign(h, params.c_minus, params.c_plus)
-    out = coef * np.abs(h) ** (-params.alpha - 1.0)
+    out = coef * np.power(np.abs(h), -params.alpha - 1.0)
     return out if out.ndim else float(out)
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .params import (
     StableParams,
+    _is_integer,
     nu_tail_mass,
     nu_tail_mean,
     small_jump_variance,
@@ -51,8 +52,7 @@ def _stream_key(name: str, key):
     """``key`` if it can key a Philox stream: an int or numpy integer, not
     a bool, in [0, 2**64). Anything else would be cast into another
     stream's key, or fail midway through a run, so it raises ValueError."""
-    if not (isinstance(key, (int, np.integer)) and not isinstance(key, bool)
-            and 0 <= key < 2**64):
+    if not (_is_integer(key) and 0 <= key < 2**64):
         raise ValueError(f"{name} must be an integer in [0, 2**64), got {key!r}")
     return key
 
@@ -71,8 +71,9 @@ class SimConfig:
     def __post_init__(self):
         if not self.T > 0.0:
             raise ValueError("horizon T must be positive")
-        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
-            raise ValueError("n_steps must be a positive integer")
+        if not (_is_integer(self.n_steps) and self.n_steps >= 1):
+            raise ValueError(f"n_steps must be a positive integer, got "
+                             f"{self.n_steps!r}")
         if not self.n_steps < _ARRAY_MAX:
             raise ValueError(
                 f"n_steps={self.n_steps} gives a grid longer than the "
@@ -185,8 +186,9 @@ def sample_stable_increment(params: StableParams, dt: float, rng,
     by matching the standard one-parametrization to eta, which makes the
     draw zero-mean for alpha > 1.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    # d dt past the largest double would scale every draw to +-inf
+    if not 0.0 < params.d * dt < math.inf:
+        raise ValueError(f"dt must be positive, with d dt finite, got {dt!r}")
     a = params.alpha
     v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
     w = rng.standard_exponential(size=size)
@@ -341,6 +343,9 @@ def sample_terminal_jumpdecomp(params: StableParams, config: SimConfig,
     mean = expected_jump_count(params, config)
     drift = -nu_tail_mean(params, config.eps)
     sigma = math.sqrt(small_jump_variance(params, config.eps) * config.T)
+    if not (_is_integer(n_paths) and n_paths >= 0):
+        raise ValueError(f"n_paths must be a nonnegative integer, got "
+                         f"{n_paths!r}")
     # the last stream's key is checked before the first draw
     _stream_key("stream_offset", stream_offset)
     if n_paths > 0:
@@ -375,6 +380,8 @@ def empirical_char_function(samples, u: float) -> CharFunctionEstimate:
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
         raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples must be finite")
     if not math.isfinite(u):
         raise ValueError(f"frequency u must be finite, got {u!r}")
     z = np.exp(1j * u * x)

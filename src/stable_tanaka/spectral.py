@@ -28,6 +28,7 @@ from scipy.special import hyp2f1
 from .kernel import _PAIR_TILE
 from .params import (
     StableParams,
+    _is_integer,
     nu_density,
     small_jump_variance,
     symbol_coefficients,
@@ -58,7 +59,7 @@ class Grid:
 
     def __post_init__(self):
         n = self.n_points
-        if n < _MIN_POINTS or (n & (n - 1)) != 0:
+        if not _is_integer(n) or n < _MIN_POINTS or (n & (n - 1)) != 0:
             raise ValueError(f"n_points must be a power of two >= {_MIN_POINTS}, got {n}")
         if not 0.0 < self.spacing < math.inf:
             raise ValueError("half_width must give a positive finite grid spacing")
@@ -90,7 +91,7 @@ def levy_symbol(params: StableParams, u):
     Vectorized over u; eta(0) = 0 and Re eta <= 0 everywhere.
     """
     u = np.asarray(u, dtype=float)
-    mag = params.d * np.abs(u) ** params.alpha
+    mag = params.d * np.power(np.abs(u), params.alpha)
     out = -mag * (1.0 - 1j * params.beta * np.sign(u) * params.tan_half_pi_alpha)
     return out if out.ndim else complex(out)
 
@@ -99,6 +100,8 @@ def char_function(params: StableParams, u, t: float):
     """E[exp(i u X_t)] = exp(t eta(u)); modulus exp(-d t |u|^alpha)."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be nonnegative and finite, got {t!r}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"frequency u must be finite, got {u!r}")
     out = np.exp(t * np.asarray(levy_symbol(params, u)))
     return out if out.ndim else complex(out)
 

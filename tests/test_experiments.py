@@ -70,6 +70,19 @@ def test_bad_seed_rejected():
         ExperimentSpec(kind="existence-scan", seed=True)
 
 
+def test_spec_seed_follows_the_stream_key_rule(tmp_path):
+    # the seed keys path_rng, so a spec takes what path_rng takes: a numpy
+    # integer writes the same bundle, and 2**64 is refused by the same rule
+    with pytest.raises(ConfigError, match=r"2\*\*64"):
+        ExperimentSpec(kind="existence-scan", seed=2**64)
+    spec = {"kind": "sampler-validation", "params": SYM_PARAMS,
+            "options": {"n_samples": 500}}
+    a = emit_report(run_experiment(dict(spec, seed=5)), tmp_path / "a")
+    b = emit_report(run_experiment(dict(spec, seed=np.int64(5))),
+                    tmp_path / "b")
+    assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
+
+
 def test_bad_params_block_rejected():
     with pytest.raises(ConfigError, match="params"):
         ExperimentSpec(kind="sampler-validation",

@@ -34,6 +34,7 @@ from stable_tanaka.params import (
     nu_tail_mean,
     small_jump_variance,
 )
+from stable_tanaka.spectral import char_function, levy_symbol
 
 # int_{-1}^{1} exp(-1/(1-x^2)) dx and exp(-1)/Z, mpmath 50 digits
 BUMP_NORM = 0.44399381616807943782
@@ -66,7 +67,8 @@ def test_bump_support_and_mass():
     assert mass == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5])
+# True would be taken for the index 1, a width-1 mollifier
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True])
 def test_mollifier_rejects_bad_index(bad):
     with pytest.raises(ValueError):
         MollifierSpec(bad)
@@ -208,31 +210,31 @@ def test_kernel_symmetric_weight_keeps_where_bits():
 
 # sha256 over five parameter sets, both one-sided cases among them, of
 # each side-coefficient recipe on 5000 random magnitudes in [1e-12, 1e6]
-# of either sign plus the edge cases (F' and F'' skip the zeros), then on
-# the last ten points one scalar at a time; recorded when each recipe
-# still picked its side coefficients on its own
+# of either sign plus the edge cases (F' and F'' skip the zeros); recorded
+# when each recipe still picked its side coefficients on its own and
+# scalars still took a path of their own
 _RECIPE_SETS = [(1.5, 1.0, 1.0), (1.3, 3.0, 1.0), (1.8, 1.0, 0.0),
                 (1.2, 0.0, 2.0), (1.1, 1.0, 1.0)]
 _RECIPE_DIGESTS = {
     "kernel_F":
-        "36f47863158ba795143def83d44fd1f3e216ad2fd6822693f8ef6b1a171d63e3",
+        "8f964a6f881444fed337b2e06402fe95f1ca23b77da3d29f26f36c1600928fa5",
     "kernel_F_prime":
-        "735d3486ce3997abe4c5900a8337b0fd0d26b0904036f49f9aef1318011a977c",
+        "4de8257afbb67587ba1c8e2c3a56c5b497c3c1d582a437b68797e24d572a8d14",
     "kernel_F_second":
-        "f8140fa6406fe2774dd8bac40e0228ecaebb6a2b3ac16bbcee9534383b00054e",
+        "add6bbba81eefe84a4a738a55db853ad1ac66c1c0bd87410864cbf80251f3ee4",
     "compensator_density":
-        "d0bcc0acf728071b245a009f379ebef4d134388cb81e03decec40879989e2d9f",
+        "b68e0e3cc35de776c4eaba2e3130e8df7699d5aa7156d29066adde7c4ea0fea8",
     "nu_density":
-        "81899df1571b340b87ee5fb33f68d5c5ff6039e924deaa21afe64d8939e0d174",
+        "bb95d28b3d26221e7c64cfd27b81c2fb2fd8e8f375768a20913144a49e81228a",
 }
+_EDGES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e308, -1e308, 1e-3, -1e-3,
+          np.nan]
 
 
 def test_side_coefficient_recipes_bits_pinned():
     rng = np.random.default_rng(2026)
     mags = 10.0 ** rng.uniform(-12.0, 6.0, 5000)
-    xs = np.concatenate([mags * rng.choice([-1.0, 1.0], 5000),
-                         [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e308, -1e308,
-                          1e-3, -1e-3, np.nan]])
+    xs = np.concatenate([mags * rng.choice([-1.0, 1.0], 5000), _EDGES])
     nonzero = xs[xs != 0.0]
     recipes = {
         "kernel_F": (kernel_F, xs),
@@ -249,9 +251,43 @@ def test_side_coefficient_recipes_bits_pinned():
             for triplet in _RECIPE_SETS:
                 params = derive_params(*triplet)
                 digest.update(recipe(params, points).tobytes())
-                digest.update(np.array([recipe(params, float(x))
-                                        for x in points[-10:]]).tobytes())
             assert digest.hexdigest() == _RECIPE_DIGESTS[name], name
+
+
+def test_scalar_calls_keep_their_array_bits():
+    # a Python float gives a Python float (complex for eta and phi) with
+    # the bits of the same point inside an array: one loop serves both
+    rng = np.random.default_rng(31)
+    mags = 10.0 ** rng.uniform(-6.0, 6.0, 400)
+    xs = np.concatenate([mags * rng.choice([-1.0, 1.0], 400), _EDGES])
+    nonzero = xs[xs != 0.0]
+    recipes = {
+        "kernel_F": (kernel_F, xs, float),
+        "kernel_F_prime": (kernel_F_prime, nonzero, float),
+        "kernel_F_second": (kernel_F_second, nonzero, float),
+        "compensator_density": (
+            lambda p, x: compensator_density(p, x, 1e-3), xs, float),
+        "nu_density": (nu_density, nonzero, float),
+        "levy_symbol": (levy_symbol, xs, complex),
+        # finite frequencies where exp(t eta) is neither 1 nor 0
+        "char_function": (lambda p, u: char_function(p, u, 1.0),
+                          1e-4 * mags, complex),
+    }
+    with np.errstate(all="ignore"):
+        for triplet in _RECIPE_SETS:
+            params = derive_params(*triplet)
+            for name, (recipe, points, kind) in recipes.items():
+                scalars = [recipe(params, float(x)) for x in points]
+                assert all(type(v) is kind for v in scalars), name
+                want = recipe(params, points)
+                got = np.array(scalars, dtype=want.dtype)
+                # one row of 64-bit words per point, two for a complex; a
+                # NaN's sign bit is no value, so a NaN matches any NaN
+                moved = np.flatnonzero(np.any(
+                    got.view(np.int64).reshape(len(got), -1)
+                    != want.view(np.int64).reshape(len(want), -1), axis=1)
+                    & ~(np.isnan(got) & np.isnan(want)))
+                assert moved.size == 0, (name, triplet, points[moved[:5]])
 
 
 def test_kernel_symmetric_even_and_nonnegative():

@@ -1209,6 +1209,12 @@ def test_martingale_l2_bound_matches_quadrature(point, expected):
     assert bound == pytest.approx(expected, rel=1e-12)
 
 
+def test_martingale_l2_bound_refuses_infinite_time():
+    # the near-field bound is 0 there, and 0 * inf would give NaN
+    with pytest.raises(ValueError, match="finite"):
+        martingale_l2_bound(SYM, math.inf)
+
+
 def test_martingale_l2_bound_validates_eps0():
     with pytest.raises(ValueError, match="eps0"):
         martingale_l2_bound(SYM, 1.0, eps0=0.9)

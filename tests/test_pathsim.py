@@ -155,6 +155,31 @@ def test_stream_keys_at_their_limits_keep_their_streams():
     assert sample_terminal_jumpdecomp(SYM, cfg, 0, stream_offset=top).size == 0
 
 
+@pytest.mark.parametrize("call,name", [
+    # True would count one step or one path, 2.5 fail midway in numpy
+    (lambda: SimConfig(T=0.5, n_steps=True), "n_steps"),
+    (lambda: sample_terminal_jumpdecomp(SYM, SimConfig(T=1.0, n_steps=8),
+                                        2.5), "n_paths"),
+    (lambda: sample_terminal_jumpdecomp(SYM, SimConfig(T=1.0, n_steps=8),
+                                        -1), "n_paths"),
+    (lambda: sample_terminal_jumpdecomp(SYM, SimConfig(T=1.0, n_steps=8),
+                                        True), "n_paths"),
+], ids=["bool-steps", "float-paths", "negative-paths", "bool-paths"])
+def test_counts_refuse_what_stream_keys_refuse(call, name):
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
+def test_numpy_integer_counts_keep_their_values():
+    cfg = SimConfig(T=1.0, n_steps=8, eps=0.1, seed=3)
+    path = simulate_path_jumpdecomp(SYM, cfg)
+    same = simulate_path_jumpdecomp(SYM, replace(cfg, n_steps=np.int64(8)))
+    assert np.array_equal(same.times, path.times)
+    assert np.array_equal(same.values, path.values)
+    assert np.array_equal(sample_terminal_jumpdecomp(SYM, cfg, np.int32(3)),
+                          sample_terminal_jumpdecomp(SYM, cfg, 3))
+
+
 def test_rng_streams_keyed_by_path():
     a = path_rng(5, 0).standard_normal(4)
     b = path_rng(5, 1).standard_normal(4)
@@ -538,6 +563,21 @@ def test_char_function_estimate_refuses_nonfinite_frequency(u):
     # exp(1j u x) would warn at inf and give NaN silently at NaN
     with pytest.raises(ValueError, match="finite"):
         empirical_char_function(np.array([0.3, -2.0]), u)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_char_function_estimate_refuses_nonfinite_samples(bad):
+    # exp(1j u x) would warn at inf, and a NaN would give a NaN estimate
+    with pytest.raises(ValueError, match="finite"):
+        empirical_char_function(np.array([0.3, bad, -2.0]), 1.0)
+
+
+@pytest.mark.parametrize("dt", [math.inf, 1e308])
+def test_stable_increment_refuses_step_that_overflows(dt):
+    # d dt overflows at 1e308 for d > 1, and every draw would be +-inf
+    assert SYM.d > 1.0
+    with pytest.raises(ValueError, match="dt"):
+        sample_stable_increment(SYM, dt, path_rng(0), size=4)
 
 
 def test_char_function_estimate_fields():

@@ -100,6 +100,14 @@ def test_char_function_refuses_nonfinite_time(t):
         char_function(SKEW, np.array([0.0, 1.0]), t)
 
 
+@pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan,
+                               np.array([0.0, math.inf])])
+def test_char_function_refuses_nonfinite_frequency(u):
+    # the symbol's product would warn at inf, and NaN would give NaN
+    with pytest.raises(ValueError, match="finite"):
+        char_function(SKEW, u, 1.0)
+
+
 # ---------------------------------------------------------------- grids
 
 def test_grid_validation():
@@ -109,6 +117,8 @@ def test_grid_validation():
         Grid(half_width=10.0, n_points=500)  # not a power of two
     with pytest.raises(ValueError):
         Grid(half_width=10.0, n_points=128)  # too small
+    with pytest.raises(ValueError, match="n_points"):
+        Grid(half_width=40.0, n_points=256.0)  # a float count
     g = Grid(10.0, 512)
     assert g.spacing == pytest.approx(20.0 / 512)
     assert g.points[0] == -10.0
