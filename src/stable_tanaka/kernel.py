@@ -33,6 +33,12 @@ states the sgn(0) = -1 convention. Every power is taken by the ufunc
 np.power, never by ``**`` on a numpy scalar (the C library's pow), so a
 scalar x runs the loop an array does and F, F', F'' and G_eps return the
 bits of that point inside an array.
+
+Every finite x (but 0 for F' and F'') gives a value without a warning.
+F'' near 0, whose value passes the largest double, is +-inf, or 0 on a
+side where F is 0 (``params._scaled_power``). Where z^alpha overflows,
+G_eps takes the outer branch as z^(alpha-1) (z times the bracket), with
+the bracket's first two terms in 1/z.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .params import StableParams, _by_sign, _is_integer
+from .params import StableParams, _by_sign, _is_integer, _scaled_power
 
 __all__ = [
     "MollifierSpec",
@@ -134,9 +140,9 @@ def _kernel_derivative(params: StableParams, x, k: int):
     if np.any(x == 0.0):
         raise ValueError("F" + "'" * k + " has a non-removable singularity at 0")
     s = _by_sign(x, -1.0, 1.0)
-    out = math.prod(params.alpha - j for j in range(1, k + 1)) * params.big_d \
-        * (s - params.beta) * np.power(s, k - 1) \
-        * np.power(np.abs(x), params.alpha - 1 - k)
+    out = _scaled_power(
+        math.prod(params.alpha - j for j in range(1, k + 1)) * params.big_d
+        * (s - params.beta) * np.power(s, k - 1), x, params.alpha - 1 - k)
     return out if out.ndim else float(out)
 
 
@@ -155,9 +161,10 @@ def kernel_F_second(params: StableParams, x):
 # The package's one tile budget: every dense block of pairs, (points x
 # nodes) here, (nodes x grid points) in the windowed generator and (levels
 # x items) in localtime, is walked in tiles of at most this many pairs, bar
-# one run of localtime._run_sums that is longer. 128 KiB of doubles stay in
-# L2, and temporaries stay below glibc's 128 KiB mmap threshold, so they
-# are not each served by a fresh mmap and faulted in page by page.
+# one run of localtime._run_sums that is longer, and _row_tiles is the one
+# rule that turns it into a tile height. 128 KiB of doubles stay in L2,
+# and temporaries stay below glibc's 128 KiB mmap threshold, so they are
+# not each served by a fresh mmap and faulted in page by page.
 _PAIR_TILE = 16384
 
 
@@ -173,14 +180,13 @@ def _legendre_rule():
     return np.polynomial.legendre.leggauss(64)
 
 
-def _row_tiles(x, nodes, rows):
-    """rows(chunk) over x in chunks of _PAIR_TILE // nodes points, joined:
-    a chunk's points by a rule's ``nodes`` nodes fill one tile."""
-    out = np.empty_like(x)
-    step = max(1, _PAIR_TILE // nodes)
-    for lo in range(0, len(x), step):
-        out[lo:lo + step] = rows(x[lo:lo + step])
-    return out
+def _row_tiles(n_rows, width):
+    """range(n_rows) as consecutive slices of max(1, _PAIR_TILE // width)
+    rows: the one tile height of the package, so that rows of ``width``
+    pairs each fill a tile of at most _PAIR_TILE pairs (one row a tile
+    when a row alone is wider)."""
+    step = max(1, _PAIR_TILE // max(1, width))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 def kernel_convolve(params: StableParams, phi, x, radius: float):
@@ -190,7 +196,7 @@ def kernel_convolve(params: StableParams, phi, x, radius: float):
     Gauss-Jacobi rules on the two subintervals it separates; evaluation
     points outside the support use a plain Gauss-Legendre rule, with phi
     evaluated once at its nodes. Each rule walks the points in row tiles
-    of at most _PAIR_TILE (point, node) pairs and reduces each row on its
+    of (point, node) pairs (``_row_tiles``) and reduces each row on its
     own, so a point's value does not depend on the others; ``phi`` must
     accept arrays.
 
@@ -211,32 +217,27 @@ def kernel_convolve(params: StableParams, phi, x, radius: float):
     if np.any(inside):
         t, w = _jacobi_rule(a)
         t1 = t + 1.0
-
-        def jacobi_rows(xi):
-            # y above x: x - y < 0, kernel weight D (1 + beta) (y - x)^(alpha-1)
-            span = radius - xi
-            y = xi[:, None] + span[:, None] * t1 / 2.0
-            upper = (span / 2.0) ** a * (phi(y) * w).sum(axis=1)
-            # y below x: kernel weight D (1 - beta) (x - y)^(alpha-1)
-            span = radius + xi
-            y = xi[:, None] - span[:, None] * t1 / 2.0
-            lower = (span / 2.0) ** a * (phi(y) * w).sum(axis=1)
-            return big_d * ((1.0 + beta) * upper + (1.0 - beta) * lower)
-
-        out[inside] = _row_tiles(x[inside], len(t), jacobi_rows)
+        xi = x[inside]
+        tiles = _row_tiles(len(xi), len(t))
+        # y above x (sign 1) has the kernel weight D (1 + beta) (y -
+        # x)^(alpha-1), y below x (sign -1) D (1 - beta) (x - y)^(alpha-1)
+        upper, lower = ((1.0 + sign * beta) * np.concatenate([
+            (span[rows] / 2.0) ** a * (phi(
+                xi[rows, None] + sign * span[rows, None] * t1 / 2.0) * w
+            ).sum(axis=1) for rows in tiles])
+            for sign, span in ((1.0, radius - xi), (-1.0, radius + xi)))
+        out[inside] = big_d * (upper + lower)
 
     if not np.all(inside):
         t, w = _legendre_rule()
         y = radius * t
         phi_y = phi(y)
-
-        def legendre_rows(xo):
-            dist = np.abs(xo[:, None] - y)
-            side = 1.0 - beta * _by_sign(xo, -1.0, 1.0)[:, None]
-            vals = side * dist ** (a - 1.0) * phi_y
-            return big_d * radius * (vals * w).sum(axis=1)
-
-        out[~inside] = _row_tiles(x[~inside], len(t), legendre_rows)
+        xo = x[~inside]
+        side = 1.0 - beta * _by_sign(xo, -1.0, 1.0)
+        out[~inside] = np.concatenate([
+            big_d * radius * (side[rows, None] * np.abs(xo[rows, None] - y)
+                              ** (a - 1.0) * phi_y * w).sum(axis=1)
+            for rows in _row_tiles(len(xo), len(t))])
 
     return float(out[0]) if scalar else out
 
@@ -259,12 +260,13 @@ def compensator_density(params: StableParams, x, eps: float):
     w_same = _by_sign(x, 1.0 + params.beta, 1.0 - params.beta)  # F on x's side
     w_other = 2.0 - w_same
     a = params.alpha
-    z = np.abs(x) / eps
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = np.abs(x) / eps
         # |x| >= eps: (1 + 1/z)^a - 1 and (1 - 1/z)^a - 1, scaled by z^a;
         # at z = 1 the second is expm1(-inf) = -1 exactly
         zf = np.maximum(z, 1.0)
-        outer = w_same * np.power(zf, a) * (
+        scale = np.power(zf, a)
+        outer = w_same * scale * (
             c_away * np.expm1(a * np.log1p(1.0 / zf))
             + c_toward * np.expm1(a * np.log1p(-1.0 / zf)))
         zn = np.minimum(z, 1.0)
@@ -272,6 +274,17 @@ def compensator_density(params: StableParams, x, eps: float):
             - c_toward * (w_other * np.expm1(a * np.log1p(-zn))
                           + w_same * np.power(zn, a))
         g = params.big_d * np.where(z >= 1.0, outer, inner) / (a * np.abs(x))
+        # Where z^a overflows (z > 1e154), and past |x| = eps * (largest
+        # double), where z does too, outer / (a |x|) is w_same z^(a-1)
+        # (z bracket) / (a |x|), formed as w_same eps^(1-a) |x|^(a-2)
+        # (z bracket) / a. There z bracket / a is c_away - c_toward +
+        # (a - 1) (c_away + c_toward) / (2 z) to rounding: the terms left
+        # out are 1/z^2 smaller
+        far = params.big_d * w_same * eps ** (1.0 - a) \
+            * np.power(np.abs(x), a - 2.0) * (
+                c_away - c_toward
+                + 0.5 * (a - 1.0) * (c_away + c_toward) * eps / np.abs(x))
+        g = np.where(np.isinf(scale), far, g)
     g0 = params.big_d * (params.c_plus * (1.0 - params.beta)
                          + params.c_minus * (1.0 + params.beta)) / eps
     out = np.where(x == 0.0, g0, g)

@@ -12,7 +12,8 @@ per level, at the path's horizon T. Two curves estimate it:
   earlier horizons, all read off one walk over the path.
 
 Every sum over all levels goes through one of two walkers, by its shape,
-under one tile budget of _PAIR_TILE pairs. ``_tiled_levels`` walks a dense
+under one tile budget of _PAIR_TILE pairs; every dense block takes its
+tile height from ``kernel._row_tiles``. ``_tiled_levels`` walks a dense
 sum, where each level adds every point of a record, in chunks of points
 and tiles of levels; ``_run_sums`` sums a ragged one, where each level
 adds its own run of a sorted order. The occupation sum sorts the points
@@ -61,6 +62,7 @@ import numpy as np
 from .kernel import (
     _PAIR_TILE,
     MollifierSpec,
+    _row_tiles,
     compensator_density,
     kernel_F,
 )
@@ -79,8 +81,9 @@ __all__ = [
     "martingale_l2_bound",
 ]
 
-# _tiled_levels walks a record in chunks of this many points
-_TILE_POINTS = 8192
+# _tiled_levels walks a record in chunks of this many points, 2 levels a
+# tile
+_TILE_POINTS = _PAIR_TILE // 2
 # For this many levels or more, martingale_part takes the sorted route of
 # the compensator and the expanded route of the jump sum; for fewer, both
 # go by whole rows (_tiled_levels). Whole rows cost less than the sort,
@@ -129,7 +132,7 @@ def _tiled_levels(levels, ends, tile, *columns):
     The walker of every dense sum, where each level adds every point of a
     record. ``tile(block, *chunks)`` maps a (k, 1) column of levels and
     chunks of at most _TILE_POINTS points to a (k, points) array of terms;
-    k levels fill a tile of _PAIR_TILE pairs, so a record of _TILE_POINTS
+    k levels fill a tile (``_row_tiles``), so a record of _TILE_POINTS
     points or more takes 2 levels a tile and a short one tall tiles. Each
     row is reduced on its own and each level adds its chunks in point
     order, so its value is the same whichever levels share its tile, and
@@ -140,10 +143,8 @@ def _tiled_levels(levels, ends, tile, *columns):
     """
     ends = [int(end) for end in ends]
     out = np.zeros((len(ends), len(levels)))
-    step = max(1, _PAIR_TILE // max(1, min(ends[-1], _TILE_POINTS)))
-    for start in range(0, len(levels), step):
-        block = levels[start:start + step, None]
-        cols = slice(start, start + len(block))
+    for cols in _row_tiles(len(levels), min(ends[-1], _TILE_POINTS)):
+        block = levels[cols, None]
         total = np.zeros(len(block))
         for lo in range(0, ends[-1], _TILE_POINTS):
             hi = min(lo + _TILE_POINTS, ends[-1])
@@ -356,7 +357,7 @@ def _sorted_sums(table: _CompensatorTable, levels, ends, x, dt):
     order, _ = _value_order(x[:ends[-1]])
     out = np.empty((len(ends), len(levels)))
     # tiles of levels by cells whose 2 x 2 prefix sums hold _PAIR_TILE floats
-    step = max(1, _PAIR_TILE // 4 // len(table.value))
+    tiles = _row_tiles(len(levels), 4 * len(table.value))
     band = np.empty((2, len(levels)), dtype=np.intp)
     for row, end in enumerate(ends):
         at = order[order < end]
@@ -366,14 +367,14 @@ def _sorted_sums(table: _CompensatorTable, levels, ends, x, dt):
         # the cells' edges about c, where a + edge would round to a once
         # ulp(a) exceeds the inner edges
         xs_c = xs - c
-        for start in range(0, len(levels), step):
-            block = levels[start:start + step, None]
+        for rows in tiles:
+            block = levels[rows, None]
             at = np.searchsorted(xs_c, (block - c) + table.edges)
             w, moment = np.diff(np.take(sums, at, axis=-1)).sum(axis=0)
-            out[row, start:start + step] = (
+            out[row, rows] = (
                 table.value * w + table.slope * (
                     moment - (block - c + table.left) * w)).sum(axis=1)
-            band[:, start:start + step] = at[:, table.band:table.band + 2].T
+            band[:, rows] = at[:, table.band:table.band + 2].T
         out[row] += _run_sums(band[0], band[1] - band[0], lambda rows, at: (
             _compensator_at(table, xs[at] - levels[rows]) * dts[at]))
     return out
@@ -508,9 +509,7 @@ def _expanded_jump_sums(params: StableParams, levels, pre, post, h):
         # the far bins, a tile of levels by all bins at a time; Y rises
         # with the bin, so the near ones are a run
         level_s, level_e = _two_difference(levels, c)
-        step = max(1, _PAIR_TILE // len(centres))
-        for lo in range(0, len(levels), step):
-            rows = slice(lo, lo + step)
+        for rows in _row_tiles(len(levels), len(centres)):
             y = centres - level_s[rows, None]
             y -= level_e[rows, None]
             np.sum(y <= -_JUMP_NEAR, axis=1, out=first[rows])

@@ -129,6 +129,17 @@ def _by_sign(x, at_most_zero, above_zero):
     return np.array([at_most_zero, above_zero]).take(np.asarray(x) > 0.0)
 
 
+def _scaled_power(coef, x, exponent):
+    """coef |x|^exponent, the power by np.power, as ``nu_density`` and the
+    kernel's derivatives form it. A power past the largest double gives
+    +-inf without a warning, except where coef is 0: a side of the axis
+    that carries nothing gives coef's own zero there, not 0 * inf = NaN.
+    A NaN x gives NaN."""
+    with np.errstate(over="ignore"):
+        power = np.power(np.abs(x), exponent)
+    return coef * np.where(np.isinf(power) & (coef == 0.0), 1.0, power)
+
+
 def _is_integer(value) -> bool:
     """Whether ``value`` is an int or a numpy integer, and not a bool: the
     one test of what may count points, steps or paths, or key a stream.
@@ -140,11 +151,12 @@ def nu_density(params: StableParams, h):
     """Density of the jump measure at h (scalar or array, h != 0).
 
     c_plus * h**(-alpha-1) on the positive axis, c_minus * |h|**(-alpha-1)
-    on the negative one.
+    on the negative one. Near 0, past the largest double, it is inf, or 0
+    on a side without jumps (``_scaled_power``).
     """
     h = np.asarray(h, dtype=float)
-    coef = _by_sign(h, params.c_minus, params.c_plus)
-    out = coef * np.power(np.abs(h), -params.alpha - 1.0)
+    out = _scaled_power(_by_sign(h, params.c_minus, params.c_plus), h,
+                        -params.alpha - 1.0)
     return out if out.ndim else float(out)
 
 

@@ -25,7 +25,7 @@ from numpy.polynomial import chebyshev
 from scipy import integrate
 from scipy.special import hyp2f1
 
-from .kernel import _PAIR_TILE
+from .kernel import _row_tiles
 from .params import (
     StableParams,
     _is_integer,
@@ -88,22 +88,40 @@ def _alternating_signs(n: int) -> np.ndarray:
 def levy_symbol(params: StableParams, u):
     """eta(u) = -d |u|^alpha (1 - i beta sgn(u) tan(pi alpha / 2)).
 
-    Vectorized over u; eta(0) = 0 and Re eta <= 0 everywhere.
+    Vectorized over u; eta(0) = 0 and Re eta <= 0 everywhere. Where d
+    |u|^alpha passes the largest double, eta is -inf in its real part and
+    keeps the sign of its imaginary part, 0 for beta = 0.
     """
     u = np.asarray(u, dtype=float)
-    mag = params.d * np.power(np.abs(u), params.alpha)
-    out = -mag * (1.0 - 1j * params.beta * np.sign(u) * params.tan_half_pi_alpha)
+    skew = 1.0 - 1j * params.beta * np.sign(u) * params.tan_half_pi_alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        mag = params.d * np.power(np.abs(u), params.alpha)
+        out = -mag * skew
+    # a real skew would give an infinite eta the imaginary part inf * 0
+    out = np.where(np.isinf(mag) & (skew.imag == 0.0), -np.inf, out)
     return out if out.ndim else complex(out)
 
 
 def char_function(params: StableParams, u, t: float):
-    """E[exp(i u X_t)] = exp(t eta(u)); modulus exp(-d t |u|^alpha)."""
+    """E[exp(i u X_t)] = exp(t eta(u)); modulus exp(-d t |u|^alpha).
+
+    Where t eta(u) is not finite, it is eta(t^(1/alpha) u) by
+    self-similarity, so t = 0 gives 1; where that is not finite either,
+    the modulus is below the least double and the value is 0.
+    """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be nonnegative and finite, got {t!r}")
     if not np.all(np.isfinite(u)):
         raise ValueError(f"frequency u must be finite, got {u!r}")
-    out = np.exp(t * np.asarray(levy_symbol(params, u)))
-    return out if out.ndim else complex(out)
+    v = np.atleast_1d(np.asarray(u, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = t * levy_symbol(params, v)
+        far = ~np.isfinite(exponent)
+        exponent[far] = levy_symbol(params, t ** (1.0 / params.alpha)
+                                    * v[far])
+        out = np.exp(exponent)
+    out[~np.isfinite(exponent)] = 0.0
+    return out if np.ndim(u) else complex(out[0])
 
 
 _DENSITY_TAIL_CUTOFF = 1e-12
@@ -132,9 +150,7 @@ def transition_density(params: StableParams, t: float, grid: Grid) -> np.ndarray
             f"at the frequency cutoff {u_max:.3g} (needs < "
             f"{_DENSITY_TAIL_CUTOFF:.0e}); increase n_points or "
             f"decrease half_width/t^(1/alpha)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        edge = levy_symbol(params, u_max)
-    if not np.isfinite(edge):
+    if not np.isfinite(levy_symbol(params, u_max)):
         raise ResolutionError(
             f"the symbol overflows at the frequency cutoff {u_max:.3g}; "
             f"decrease n_points or increase half_width")
@@ -242,8 +258,8 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
     width. The windowed part decays and goes through the Fourier
     multiplier, with the spurious contributions of its 2L-periodic images
     subtracted by direct quadrature over 16 images a side (the rest summed
-    to leading order; its error budget is below), in row tiles of at most
-    _PAIR_TILE (node, grid point) pairs. The far part never
+    to leading order; its error budget is below), in row tiles of
+    (node, grid point) pairs from ``kernel._row_tiles``. The far part never
     touches the report region |x| <= 0.25 L, so its generator there is the
     plain (uncompensated) integral of g(y)(1-W(y)) nu(y-x) dy, evaluated at
     33 Chebyshev nodes and interpolated -- the integrand is analytic in x
@@ -302,20 +318,19 @@ def generator_apply_windowed(params: StableParams, g, grid: Grid):
     nodes = np.cos(np.pi * np.arange(n_cheb) / (n_cheb - 1))
     x_nodes = report_radius * nodes
     # the image term at the nodes, one array pass per image shift over a
-    # row tile of nodes by the whole grid: as many nodes as fill
-    # _PAIR_TILE pairs, one on a grid of 16384 points or more. Each row is
-    # reduced on its own, so the tile height moves no value. |y - x| <=
-    # 1.25 L < 2 L for every grid y and report x, so each jump
-    # y + shift - x has the sign of the shift: one coefficient
+    # row tile of nodes by the whole grid (_row_tiles: one node a tile on
+    # a grid of 16384 points or more). Each row is reduced on its own, so
+    # the tile height moves no value. |y - x| <= 1.25 L < 2 L for every
+    # grid y and report x, so each jump y + shift - x has the sign of the
+    # shift: one coefficient
     images = np.full(n_cheb, image_remainder)
-    step = max(1, _PAIR_TILE // len(x_all))
-    for lo in range(0, n_cheb, step):
-        x = x_nodes[lo:lo + step, None]
+    for rows in _row_tiles(n_cheb, len(x_all)):
+        x = x_nodes[rows, None]
         for k in range(1, n_images + 1):
             for shift, coef in ((2.0 * L * k, params.c_plus),
                                 (-2.0 * L * k, params.c_minus)):
                 nu = coef * np.abs(x_all + shift - x) ** (-a - 1.0)
-                images[lo:lo + step] += np.trapezoid(gw * nu, dx=grid.spacing)
+                images[rows] += np.trapezoid(gw * nu, dx=grid.spacing)
     node_vals = _far_field(params, g, x_nodes, r_in, r_out) - images
     coeffs = chebyshev.chebfit(nodes, node_vals, n_cheb - 1)
     total += chebyshev.chebval(x_rep / report_radius, coeffs)

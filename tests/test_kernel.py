@@ -9,6 +9,7 @@ independently of the library's panel rules.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from stable_tanaka.kernel import (
     _PAIR_TILE,
     _jacobi_rule,
     _legendre_rule,
+    _row_tiles,
     compensator_density,
     kernel_convolve,
     kernel_F,
@@ -212,7 +214,10 @@ def test_kernel_symmetric_weight_keeps_where_bits():
 # each side-coefficient recipe on 5000 random magnitudes in [1e-12, 1e6]
 # of either sign plus the edge cases (F' and F'' skip the zeros); recorded
 # when each recipe still picked its side coefficients on its own and
-# scalars still took a path of their own
+# scalars still took a path of their own. F'', G and nu were recorded
+# again when their NaN at +-1e308 (G) and at +-1e-300 on a side with a
+# zero coefficient (F'' at beta = +-1, nu at c+- = 0) became values; no
+# finite entry moved
 _RECIPE_SETS = [(1.5, 1.0, 1.0), (1.3, 3.0, 1.0), (1.8, 1.0, 0.0),
                 (1.2, 0.0, 2.0), (1.1, 1.0, 1.0)]
 _RECIPE_DIGESTS = {
@@ -221,11 +226,11 @@ _RECIPE_DIGESTS = {
     "kernel_F_prime":
         "4de8257afbb67587ba1c8e2c3a56c5b497c3c1d582a437b68797e24d572a8d14",
     "kernel_F_second":
-        "add6bbba81eefe84a4a738a55db853ad1ac66c1c0bd87410864cbf80251f3ee4",
+        "c6c9c54e52f526b12ce6e25211ede238d3dc5e2ef5cb21e0a49aa4495bc876ca",
     "compensator_density":
-        "b68e0e3cc35de776c4eaba2e3130e8df7699d5aa7156d29066adde7c4ea0fea8",
+        "1e6e51cf6a36bfb28e19269aaea94c379d2bdf5164028f1ad90265cd1c641441",
     "nu_density":
-        "bb95d28b3d26221e7c64cfd27b81c2fb2fd8e8f375768a20913144a49e81228a",
+        "27d25dd8b5f0f002133efbc60526e8a821d5af556b3cfba88d4750a278a0c765",
 }
 _EDGES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e308, -1e308, 1e-3, -1e-3,
           np.nan]
@@ -250,7 +255,11 @@ def test_side_coefficient_recipes_bits_pinned():
             digest = hashlib.sha256()
             for triplet in _RECIPE_SETS:
                 params = derive_params(*triplet)
-                digest.update(recipe(params, points).tobytes())
+                values = recipe(params, points)
+                # NaN only from a NaN input
+                assert np.array_equal(np.isnan(values), np.isnan(points)), \
+                    (name, triplet)
+                digest.update(values.tobytes())
             assert digest.hexdigest() == _RECIPE_DIGESTS[name], name
 
 
@@ -288,6 +297,76 @@ def test_scalar_calls_keep_their_array_bits():
                     != want.view(np.int64).reshape(len(want), -1), axis=1)
                     & ~(np.isnan(got) & np.isnan(want)))
                 assert moved.size == 0, (name, triplet, points[moved[:5]])
+
+
+# +-{5e-324, 1e-310, 1e-200, 1, 1e200, 1e300, the largest double}
+_EXTREMES = np.array([m * side for side in (-1.0, 1.0) for m in (
+    5e-324, 1e-310, 1e-200, 1.0, 1e200, 1e300, np.finfo(float).max)])
+# values where the powers pass the largest double, the G_eps ones against
+# the closed form of the module docstring in 800-digit mpmath (G_eps at
+# (1.5, 1, 1) and 1e300 is 3.8e-453 there, which rounds to 0)
+_EXTREME_VALUES = {
+    ("G", (1.5, 1.0, 1.0), 1e300): 0.0,
+    ("G", (1.3, 3.0, 1.0), 1e300): 8.215919167639602e-211,
+    ("G", (1.3, 3.0, 1.0), -1e300): -2.4647757502918806e-210,
+    ("G", (1.8, 0.0, 2.0), 1e200): -8.4594342195768489e-39,
+    ("G", (1.8, 0.0, 2.0), -1e200): 0.0,
+    ("nu", (1.8, 0.0, 2.0), 1e-200): 0.0,
+    ("F''", (1.8, 0.0, 2.0), -5e-324): 0.0,
+    ("eta", (1.5, 1.0, 1.0), 1e300): complex(-math.inf, 0.0),
+    ("phi_1", (1.5, 3.0, 1.0), 1e300): 0j,
+    ("phi_0", (1.5, 3.0, 1.0), 1e300): 1 + 0j,
+}
+
+
+def test_pointwise_recipes_on_the_whole_finite_line():
+    # the seven pointwise recipes at the extremes of the finite line, with
+    # warnings as errors: no NaN, +-inf only where the value is past the
+    # largest double, and a scalar call gives the value the array does
+    recipes = {
+        "F": kernel_F,
+        "F'": kernel_F_prime,
+        "F''": kernel_F_second,
+        "G": lambda p, x: compensator_density(p, x, 1e-3),
+        "nu": nu_density,
+        "eta": levy_symbol,
+        "phi_1": lambda p, u: char_function(p, u, 1.0),
+        "phi_0": lambda p, u: char_function(p, u, 0.0),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for triplet in [(1.5, 1.0, 1.0), (1.3, 3.0, 1.0), (1.8, 0.0, 2.0)]:
+            params = derive_params(*triplet)
+            for name, recipe in recipes.items():
+                values = recipe(params, _EXTREMES)
+                assert not np.any(np.isnan(values)), (name, triplet)
+                assert np.array_equal(
+                    [recipe(params, float(x)) for x in _EXTREMES], values)
+                for (key, at, x), want in _EXTREME_VALUES.items():
+                    if (key, at) == (name, triplet):
+                        got = values[_EXTREMES == x][0]
+                        assert got == pytest.approx(want, rel=1e-15) \
+                            if np.isfinite(want) else got == want
+                        assert math.copysign(1.0, got.real) \
+                            == math.copysign(1.0, want.real)
+
+
+def test_row_tiles_cover_the_rows_in_order():
+    for n_rows in (1, 5, 341, 342, 1000, 40_000):
+        for width in (0, 1, 48, 64, 341, _PAIR_TILE, _PAIR_TILE + 1,
+                      10 * _PAIR_TILE):
+            tiles = _row_tiles(n_rows, width)
+            assert [i for rows in tiles for i in range(n_rows)[rows]] \
+                == list(range(n_rows))
+            height = max(1, _PAIR_TILE // max(1, width))
+            assert all(rows.stop - rows.start == height
+                       for rows in tiles[:-1])
+            assert 1 <= tiles[-1].stop - tiles[-1].start <= height
+    assert _row_tiles(1000, 48)[0] == slice(0, 341)
+    assert _row_tiles(10, 0) == [slice(0, 10)]
+    assert _row_tiles(3, _PAIR_TILE + 1) == [slice(0, 1), slice(1, 2),
+                                              slice(2, 3)]
+    assert _row_tiles(0, 64) == []
 
 
 def test_kernel_symmetric_even_and_nonnegative():

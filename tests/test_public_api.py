@@ -138,6 +138,31 @@ def test_private_names_read_in_src():
                   if name not in read) == []
 
 
+def test_pair_tile_read_only_by_the_tile_rules():
+    # the tile budget sets the height of every dense block through
+    # kernel._row_tiles alone; _run_sums packs ragged runs by it and
+    # localtime._TILE_POINTS is derived from it
+    readers = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                owner = top.name
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                owner = ast.unparse(top.targets[0] if isinstance(
+                    top, ast.Assign) else top.target)
+            else:
+                owner = type(top).__name__
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "_PAIR_TILE"
+                        and isinstance(node.ctx, ast.Load)) or (
+                        isinstance(node, ast.Attribute)
+                        and node.attr == "_PAIR_TILE"):
+                    readers.add(f"{path.name}:{owner}")
+    assert readers and readers <= {"kernel.py:_row_tiles",
+                                   "localtime.py:_run_sums",
+                                   "localtime.py:_TILE_POINTS"}, readers
+
+
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 README_COMMANDS = [
     shlex.split(line, comments=True)[1:]
