@@ -6,7 +6,7 @@ dispatches to the matching module routines and returns an
 :class:`ExperimentReport` whose verdicts each carry a named criterion, the
 measured value, the threshold, and the margin. Reports go through json's
 own encoder -- sorted keys, shortest-repr floats, allow_nan=False, and a
-hook that writes a numpy array, integer or bool as its Python value -- so
+hook that writes a numpy integer or bool as its Python value -- so
 repeated runs of the same spec are byte-identical and diffable in CI.
 
 Spec files are JSON::
@@ -775,11 +775,10 @@ def emit_report(report: ExperimentReport, out_dir) -> list:
 
 
 def _numpy_value(obj):
-    """json's hook for the numpy values it cannot write itself: an array
-    as its nested list, an integer or bool as its Python value. Numpy
-    floats are floats to json already."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
+    """json's hook for the numpy values it cannot write itself: an integer
+    or bool as its Python value. Numpy floats are floats to json already;
+    reports and sidecars hold lists, never arrays, and an array is
+    refused."""
     if isinstance(obj, (np.integer, np.bool_)):
         return obj.item()
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")

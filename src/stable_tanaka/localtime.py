@@ -9,7 +9,7 @@ per level, at the path's horizon T. Two curves estimate it:
   martingale part M sums compensated kernel increments over the recorded
   jumps, each read at its grid row. This needs the jump record, so only
   jump-decomposition paths qualify. ``martingale_part`` also stops at
-  earlier horizons, all read off one walk over the path.
+  earlier horizons.
 
 Every sum over all levels goes through one of two walkers, by its shape,
 under one tile budget of _PAIR_TILE pairs; every dense block takes its
@@ -35,16 +35,18 @@ them, by the same dense walk. So a jump's kernel increment is formed in
 one place, free of cancellation; against exact summation both jump sums
 are exact to rounding (measured <= 3.7e-16 of the sum of the terms'
 magnitudes, where F(post - a) - F(pre - a) reached 9.4e-12). The
-compensator sorts the path once per call, in the stable order, and sums
-each checkpoint's chords cell by cell from double-double prefix sums of
-moments about that prefix's midrange, in plain floats. Both compensator
-routes read one table of G_eps per (params, eps), ``compensator_table``:
-closed-form values at nodes, and the chords between them as cells. The
-two compensator routes agree within 1e-14 of the sum of the compensator
-terms' magnitudes (measured <= 8.8e-15 for x0 in {0, 10, 1000}), and a
-level's M at 15 and at 16 levels within 1.3e-16 of the sum of its terms'
-magnitudes (1.3e-15 absolute; alpha 1.1, 1.3 and 1.5, x0 in {0, 1000}, a
-level on a post-jump value among them).
+compensator sorts the points in the stable order and sums the chords
+between the table's nodes cell by cell, from double-double prefix sums of
+moments about the points' midrange, in plain floats. This route serves
+each checkpoint by its own calls of both sums on that checkpoint's
+prefix, one sort a prefix; the dense route walks all prefixes at once.
+Both compensator routes read one table of G_eps per (params, eps),
+``compensator_table``: closed-form values at nodes. The two compensator
+routes agree within 1e-14 of the sum of the compensator terms' magnitudes
+(measured <= 8.8e-15 for x0 in {0, 10, 1000}), and a level's M at 15 and
+at 16 levels within 1.3e-16 of the sum of its terms' magnitudes (1.3e-15
+absolute; alpha 1.1, 1.3 and 1.5, x0 in {0, 1000}, a level on a
+post-jump value among them).
 
 ``occupation_formula_check`` closes the loop: integrating the occupation
 curve against each of a few test functions must reproduce the direct
@@ -251,27 +253,18 @@ def occupation_curve(path: PathSample, a_grid,
 # -------------------------------------------------------------- martingale
 
 class _CompensatorTable(NamedTuple):
-    """G_eps tabulated for one (params, eps); every array is read-only.
+    """G_eps tabulated for one (params, eps); both arrays are read-only.
 
     ``nodes`` run 40 per decade over 1e-2 eps <= |x| <= 1e3, mirrored, plus
     0, and ``node_values`` are G_eps there in closed form, NaN at the node
-    0 (see ``_compensator_at``). The sorted route reads the same table as
-    chord cells [edges[j], edges[j+1]): the edges are -inf, the nodes at
-    least _NEAR_EPS eps from 0, and inf. On cell j the table is value[j] +
-    slope[j] (x - left[j]), a chord between two nodes or a clamped end of
-    slope 0; the cell ``band`` spans 0 and has value and slope 0, since
-    its points are evaluated one by one.
+    0 (see ``_compensator_at``). The sorted route reads the same nodes as
+    chord cells (``_sorted_sums``).
     """
 
     params: StableParams
     eps: float
     nodes: np.ndarray
     node_values: np.ndarray
-    edges: np.ndarray
-    left: np.ndarray
-    value: np.ndarray
-    slope: np.ndarray
-    band: int
 
 
 @lru_cache(maxsize=8)
@@ -283,18 +276,8 @@ def compensator_table(params: StableParams, eps: float) -> _CompensatorTable:
     nodes = np.concatenate([-mags[::-1], [0.0], mags])
     node_values = compensator_density(params, nodes, eps)
     node_values[n_nodes] = np.nan
-    outside = np.abs(nodes) >= _NEAR_EPS * eps
-    inner, y = nodes[outside], node_values[outside]
-    edges = np.concatenate([[-np.inf], inner, [np.inf]])
-    value = np.concatenate([y[:1], y])
-    slope = np.concatenate([[0.0], np.diff(y) / np.diff(inner), [0.0]])
-    left = np.concatenate([[0.0], inner])
-    band = int(np.count_nonzero(inner < 0.0))
-    value[band] = slope[band] = 0.0
-    for array in (nodes, node_values, edges, left, value, slope):
-        array.flags.writeable = False
-    return _CompensatorTable(params, eps, nodes, node_values, edges, left,
-                             value, slope, band)
+    nodes.flags.writeable = node_values.flags.writeable = False
+    return _CompensatorTable(params, eps, nodes, node_values)
 
 
 def _compensator_at(table: _CompensatorTable, x) -> np.ndarray:
@@ -342,41 +325,49 @@ def _sorted_prefix_sums(xs, dts, c):
     return sums
 
 
-def _sorted_sums(table: _CompensatorTable, levels, ends, x, dt):
-    """Per-level sums of G_eps(x - a) dt over each prefix x[:end], one row
-    per end, from one sort of the points in the stable order.
+def _sorted_sums(table: _CompensatorTable, levels, x, dt):
+    """Per-level sums of G_eps(x - a) dt over the points x, from one sort
+    of them in the stable order.
 
-    The stable order restricted to a prefix is that prefix's stable order,
-    so a row is the call for that end alone. A cell's points are a run of
-    the prefix's order, whose weight W and moment X_c about the prefix's
-    midrange c come from the prefix sums; the chord's sum over the run is
-    value W + slope (X_c - (a - c + left) W), whose rounding does not grow
-    with |a|. The band's points are evaluated as the tiled route does, and
-    each level's band terms are summed as one slice (``_run_sums``).
+    The table's nodes at least _NEAR_EPS eps from 0 are the edges of its
+    chord cells [edges[j], edges[j+1]), with -inf and inf at the ends. On
+    cell j the table is value[j] + slope[j] (x - left[j]), a chord between
+    two nodes or a clamped end of slope 0; the cell ``band`` spans 0 and
+    has value and slope 0, since its points are evaluated one by one. A
+    cell's points are a run of the sorted order, whose weight W and moment
+    X_c about the points' midrange c come from the prefix sums; the
+    chord's sum over the run is value W + slope (X_c - (a - c + left) W),
+    whose rounding does not grow with |a|. The band's points are evaluated
+    as the tiled route does, and each level's band terms are summed as one
+    slice (``_run_sums``).
     """
-    order, _ = _value_order(x[:ends[-1]])
-    out = np.empty((len(ends), len(levels)))
+    outside = np.abs(table.nodes) >= _NEAR_EPS * table.eps
+    inner, y = table.nodes[outside], table.node_values[outside]
+    edges = np.concatenate([[-np.inf], inner, [np.inf]])
+    value = np.concatenate([y[:1], y])
+    slope = np.concatenate([[0.0], np.diff(y) / np.diff(inner), [0.0]])
+    left = np.concatenate([[0.0], inner])
+    band = int(np.count_nonzero(inner < 0.0))
+    value[band] = slope[band] = 0.0
+    order, xs = _value_order(x)
+    dts = dt[order]
+    c = 0.5 * xs[0] + 0.5 * xs[-1]  # (xs[0] + xs[-1]) / 2 may overflow
+    sums = _sorted_prefix_sums(xs, dts, c)
+    # the cells' edges about c, where a + edge would round to a once ulp(a)
+    # exceeds the inner edges
+    xs_c = xs - c
+    out = np.empty(len(levels))
+    bands = np.empty((2, len(levels)), dtype=np.intp)
     # tiles of levels by cells whose 2 x 2 prefix sums hold _PAIR_TILE floats
-    tiles = _row_tiles(len(levels), 4 * len(table.value))
-    band = np.empty((2, len(levels)), dtype=np.intp)
-    for row, end in enumerate(ends):
-        at = order[order < end]
-        xs, dts = x[at], dt[at]
-        c = 0.5 * xs[0] + 0.5 * xs[-1]  # (xs[0] + xs[-1]) / 2 may overflow
-        sums = _sorted_prefix_sums(xs, dts, c)
-        # the cells' edges about c, where a + edge would round to a once
-        # ulp(a) exceeds the inner edges
-        xs_c = xs - c
-        for rows in tiles:
-            block = levels[rows, None]
-            at = np.searchsorted(xs_c, (block - c) + table.edges)
-            w, moment = np.diff(np.take(sums, at, axis=-1)).sum(axis=0)
-            out[row, rows] = (
-                table.value * w + table.slope * (
-                    moment - (block - c + table.left) * w)).sum(axis=1)
-            band[:, rows] = at[:, table.band:table.band + 2].T
-        out[row] += _run_sums(band[0], band[1] - band[0], lambda rows, at: (
-            _compensator_at(table, xs[at] - levels[rows]) * dts[at]))
+    for rows in _row_tiles(len(levels), 4 * len(value)):
+        block = levels[rows, None]
+        at = np.searchsorted(xs_c, (block - c) + edges)
+        w, moment = np.diff(np.take(sums, at, axis=-1)).sum(axis=0)
+        out[rows] = (value * w + slope * (
+            moment - (block - c + left) * w)).sum(axis=1)
+        bands[:, rows] = at[:, band:band + 2].T
+    out += _run_sums(bands[0], bands[1] - bands[0], lambda rows, at: (
+        _compensator_at(table, xs[at] - levels[rows]) * dts[at]))
     return out
 
 
@@ -477,7 +468,7 @@ def _jump_bins(params: StableParams, pre, h):
     return c, small, binned, starts, centres, moments
 
 
-def _expanded_jump_sums(params: StableParams, levels, pre, post, h):
+def _expanded_jump_sums(params: StableParams, levels, pre, h, post):
     """Per-level sums of F(post - a) - F(pre - a) over the jumps given.
 
     Jumps of size at most _JUMP_SMALL go into bins _JUMP_BIN wide by
@@ -554,20 +545,21 @@ def martingale_part(params: StableParams, path: PathSample, a,
     keeps M structurally mean-zero. ``a`` is a finite level or an array
     of finite levels; ``checkpoints`` is one horizon t, None for the
     path's horizon (the result then has the shape of ``a``, a float for
-    one level), or an increasing 1-D array of horizons, all read off one
-    walk over the path (the result then has shape
+    one level), or an increasing 1-D array of horizons, the last within a
+    few ulps of the path's (the result then has shape
     ``(len(checkpoints),) + np.shape(a)``).
 
     For fewer than _SORT_LEVELS levels both sums go point by point
     (``_tiled_levels``), the jumps by ``_walked_jumps``; from there up the
     jumps go by a far-field expansion of binned jump moments
-    (``_expanded_jump_sums``, one call per checkpoint, with each level's
-    near bins' jumps as a run and the jumps it does not bin through
-    ``_walked_jumps``) and the compensator cell by cell (``_sorted_sums``).
-    Across the two routes a level's value agrees within 1.3e-16 of the
-    sum of its terms' magnitudes (measured at 15 and 16 levels, a level on
-    a post-jump value among them), and a checkpoint's row is the call at
-    that checkpoint alone.
+    (``_expanded_jump_sums``, with each level's near bins' jumps as a run
+    and the jumps it does not bin through ``_walked_jumps``) and the
+    compensator cell by cell (``_sorted_sums``, one sort), each called
+    once per checkpoint on that checkpoint's prefix. Across the two routes
+    a level's value agrees within 1.3e-16 of the sum of its terms'
+    magnitudes (measured at 15 and 16 levels, a level on a post-jump value
+    among them), and a checkpoint's row is the call at that checkpoint
+    alone.
     :class:`ResolutionError` if an X - a overflows.
     """
     if path.scheme != "jumpdecomp" or path.config is None:
@@ -579,8 +571,10 @@ def martingale_part(params: StableParams, path: PathSample, a,
                              else np.asarray(checkpoints, dtype=float))
     if horizons.ndim != 1 or not np.all(np.diff(horizons) > 0.0):
         raise ValueError("checkpoints must be increasing horizons")
-    if not (len(horizons) and 0.0 < horizons[0]
-            and horizons[-1] <= times[-1] + 1e-12):
+    # a few ulps of slack forgive a horizon that rounded above T, such as
+    # 3 * 0.1 for 0.3, at every scale of T
+    if not (len(horizons) and 0.0 < horizons[0] and horizons[-1]
+            <= times[-1] + 4.0 * np.spacing(times[-1])):
         raise ValueError("checkpoints must lie within the simulated horizon")
     grid_ends = np.searchsorted(times, horizons, side="right")
     if grid_ends[0] < 2:
@@ -602,10 +596,10 @@ def martingale_part(params: StableParams, path: PathSample, a,
     table = compensator_table(params, path.config.eps)
     ends, x, dt = grid_ends - 1, path.values[:-1], np.diff(times)
     if len(levels) >= _SORT_LEVELS:
-        out = np.array([_expanded_jump_sums(params, levels, pre[:end],
-                                            post[:end], h[:end])
-                        for end in jump_ends])
-        out -= _sorted_sums(table, levels, ends, x, dt)
+        out = np.array([_expanded_jump_sums(params, levels, pre[:jumps],
+                                            h[:jumps], post[:jumps])
+                        - _sorted_sums(table, levels, x[:end], dt[:end])
+                        for jumps, end in zip(jump_ends, ends)])
     else:
         out = _walked_jumps(params, levels, jump_ends, pre, h, post)
         out -= _tiled_levels(

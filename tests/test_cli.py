@@ -62,6 +62,10 @@ def test_run_malformed_spec_exit_two(tmp_path, capsys):
     bad.write_text("{oops", encoding="utf-8")
     assert main(["run", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+    # JSON, but not an object
+    bad.write_text("[1]", encoding="utf-8")
+    assert main(["run", str(bad)]) == 2
+    assert "spec must be a JSON object" in capsys.readouterr().err
 
 
 def test_run_unknown_kind_exit_two(tmp_path, capsys):
@@ -175,6 +179,8 @@ MALFORMED = {
     # scipy's 2F1 gives NaN at alpha = 0.01, so the partial is not finite
     "alpha-hundredth": {"kind": "existence-scan",
                         "options": {"alphas": [0.01]}},
+    "cutoffs-decreasing": {"kind": "existence-scan",
+                           "options": {"cutoffs": [1e4, 1e2]}},
     # distinct values that print as one {:g} label would name two
     # verdicts, statistics entries or curves alike, and one would be lost
     "u-labels-collide": {"kind": "sampler-validation", "params": SYM,
@@ -431,6 +437,7 @@ BAD_COMMANDS = {
     "localtime-x0-inf": ["localtime", "--alpha", "1.5", "--x0", "inf"],
     "simulate-x0-nan": ["simulate", "--alpha", "1.5", "--x0", "nan"],
     "simulate-x0-inf": ["simulate", "--alpha", "1.5", "--x0", "inf"],
+    "simulate-n-paths-zero": ["simulate", "--alpha", "1.5", "--n-paths", "0"],
     "density-symbol-overflow": ["density", "--alpha", "1.5",
                                 "--half-width", "1e-300",
                                 "--n-points", "256"],

@@ -29,6 +29,7 @@ from stable_tanaka.experiments import (
     Verdict,
     emit_report,
     run_experiment,
+    write_json,
 )
 from stable_tanaka.spectral import existence_limit
 
@@ -61,6 +62,13 @@ def test_unknown_spec_fields_rejected():
         ExperimentSpec.from_dict({"kind": "existence-scan", "speed": 11})
     with pytest.raises(ConfigError, match="needs a kind"):
         ExperimentSpec.from_dict({})
+    with pytest.raises(ConfigError, match="spec must be a JSON object"):
+        ExperimentSpec.from_dict([1])
+
+
+def test_bad_out_dir_rejected():
+    with pytest.raises(ConfigError, match="out_dir must be a string or null"):
+        ExperimentSpec(kind="existence-scan", out_dir=3)
 
 
 def test_bad_seed_rejected():
@@ -434,6 +442,19 @@ def test_nan_refused_and_nothing_written(tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         emit_report(rep2, out)
     assert not list(out.iterdir())
+
+
+def test_report_writers_refuse_what_they_cannot_write(tmp_path):
+    # an output directory under a regular file cannot be made, and json's
+    # hook refuses an array: reports hold lists
+    rep = run_experiment({"kind": "existence-scan",
+                          "options": {"alphas": [0.9]}})
+    (tmp_path / "taken").write_text("kept", encoding="utf-8")
+    with pytest.raises(OSError, match="cannot create output directory"):
+        emit_report(rep, tmp_path / "taken" / "report")
+    with pytest.raises(TypeError, match="cannot serialize ndarray"):
+        write_json(tmp_path / "array.json", {"rows": np.zeros(2)})
+    assert not (tmp_path / "array.json").exists()
 
 
 def test_run_experiment_writes_bundle_when_out_dir_set(tmp_path):

@@ -170,6 +170,18 @@ def test_bad_mode_and_horizon_rejected():
             martingale_part(SYM, path, 0.0, checkpoints=bad)
     with pytest.raises(ValueError, match="horizon"):
         martingale_part(SYM, path, 0.0, checkpoints=[0.5, 1.5])
+    # the slack past the horizon is a few ulps of it: 1e-13 is 1e7 horizons
+    # at T = 1e-20, where an absolute 1e-12 forgave it and returned M at T,
+    # while 3 * 0.1 rounds one ulp above T = 0.3 and reads M at T
+    tiny = simulate_path_jumpdecomp(SYM, SimConfig(T=1e-20, n_steps=8,
+                                                   eps=0.5, seed=1))
+    with pytest.raises(ValueError, match="horizon"):
+        martingale_part(SYM, tiny, 0.0, checkpoints=1e-13)
+    short = simulate_path_jumpdecomp(SYM, SimConfig(T=0.3, n_steps=64,
+                                                    eps=1e-2, seed=1))
+    assert 3 * 0.1 == np.nextafter(0.3, 1.0)
+    assert martingale_part(SYM, short, 0.0, checkpoints=3 * 0.1) \
+        == martingale_part(SYM, short, 0.0)
     # the grid step is 1/64: 0.01 covers no step, alone or first in a list
     for bad in (0.01, [0.01, 0.5]):
         with pytest.raises(ValueError, match="grid step"):
@@ -438,7 +450,7 @@ def test_sorted_compensator_matches_exact_summation(triplet, mode, eps):
         path = simulate_path_jumpdecomp(params, cfg)
         x, dt = path.values[:-1], np.diff(path.times)
         levels = default_a_grid(path)
-        got = _sorted_sums(table, levels, [len(x)], x, dt)[0]
+        got = _sorted_sums(table, levels, x, dt)
         for a, total in zip(levels, got):
             terms = _compensator_at(table, x - a) * dt
             assert abs(total - math.fsum(terms)) \
@@ -455,7 +467,7 @@ def test_sorted_compensator_finite_near_the_largest_double():
     levels = np.linspace(1.65e308, 1.75e308, _SORT_LEVELS)
     assert np.all(x == 1.7e308) and np.all(levels != 1.7e308)
     table = compensator_table(SYM, cfg.eps)
-    got = _sorted_sums(table, levels, [len(x)], x, dt)[0]
+    got = _sorted_sums(table, levels, x, dt)
     assert np.all(np.isfinite(martingale_part(SYM, path, levels)))
     for a, total in zip(levels, got):
         terms = _compensator_at(table, x - a) * dt
@@ -476,12 +488,12 @@ def test_many_level_sums_hold_where_ulp_exceeds_the_inner_cells(x0):
     x, dt = path.values[:-1], np.diff(path.times)
     levels = np.full(_SORT_LEVELS, path.values[0])
     table = compensator_table(SYM, cfg.eps)
-    got = _sorted_sums(table, levels, [len(x)], x, dt)[0]
+    got = _sorted_sums(table, levels, x, dt)
     terms = _compensator_at(table, x - levels[0]) * dt
     assert np.all(np.abs(got - math.fsum(terms))
                   <= 1e-14 * np.abs(terms).sum()), got
     pre, post, h = _jumps(path)
-    got = localtime._expanded_jump_sums(SYM, levels, pre, post, h)
+    got = localtime._expanded_jump_sums(SYM, levels, pre, h, post)
     exact, size = _exact_jump_sum(SYM, pre, post, h, levels[0])
     assert np.all(np.abs(got - exact) <= 1e-14 * size), (got, exact)
 
@@ -521,8 +533,8 @@ def test_two_sum_error_is_exact():
 
 def test_sorted_prefix_sums_keep_ties_in_time_order(monkeypatch):
     # without drift or gaussian noise the path is flat between jumps, so
-    # its values tie; the one sort must keep tied points in time order, in
-    # the whole path and in each prefix, so the prefix sums do not depend
+    # its values tie; the sort of each prefix, the whole path among them,
+    # must keep tied points in time order, so the prefix sums do not depend
     # on how a sort implementation breaks ties. numpy's default argsort
     # leaves that order unspecified, so where sorted values tie the value
     # order sorts again stably: the sums are, bit for bit, those of
@@ -542,7 +554,7 @@ def test_sorted_prefix_sums_keep_ties_in_time_order(monkeypatch):
     monkeypatch.setattr(localtime, "_sorted_prefix_sums", spy)
     table = compensator_table(params, cfg.eps)
     levels, ends = default_a_grid(path), [len(x) // 3, len(x)]
-    got = _sorted_sums(table, levels, ends, x, dt)
+    got = [_sorted_sums(table, levels, x[:end], dt[:end]) for end in ends]
     assert len(seen) == len(ends)
     for end, (xs, dts) in zip(ends, seen):
         order = np.lexsort((np.arange(end), x[:end]))
@@ -554,8 +566,8 @@ def test_sorted_prefix_sums_keep_ties_in_time_order(monkeypatch):
         return order, values[order]
 
     monkeypatch.setattr(localtime, "_value_order", stable)
-    assert np.array_equal(_bits(got),
-                          _bits(_sorted_sums(table, levels, ends, x, dt)))
+    assert np.array_equal(_bits(got), _bits([
+        _sorted_sums(table, levels, x[:end], dt[:end]) for end in ends]))
 
 
 # ------------------------------------------------------ expanded jump sum
@@ -608,8 +620,7 @@ def test_expanded_jump_sum_matches_exact_summation(triplet, mode, eps,
     monkeypatch.setattr(localtime, "_compensator_at",
                         lambda table, x: np.zeros(np.shape(x)))
     monkeypatch.setattr(localtime, "_sorted_sums",
-                        lambda table, levels, ends, x, dt:
-                        np.zeros((len(ends), len(levels))))
+                        lambda table, levels, x, dt: np.zeros(len(levels)))
     for x0 in (0.0, -3.0, 1000.0):
         cfg = SimConfig(T=1.0, n_steps=4096, eps=eps, seed=1,
                         small_jump_mode=mode, x0=x0)
@@ -649,16 +660,16 @@ def test_expanded_jump_sum_edge_cases():
     x, dt = path.values[:-1], np.diff(path.times)
     table = compensator_table(params, path.config.eps)
     assert np.array_equal(_bits(m[0]),
-                          _bits(-_sorted_sums(table, levels, [1], x, dt)[0]))
+                          _bits(-_sorted_sums(table, levels, x[:1], dt[:1])))
     assert np.array_equal(_bits(m[1]),
                           _bits(martingale_part(params, path, levels)))
-    got = localtime._expanded_jump_sums(params, levels, pre, post, h)
+    got = localtime._expanded_jump_sums(params, levels, pre, h, post)
     for a, total in zip(levels, got):
         exact, size = _exact_jump_sum(params, pre, post, h, a)
         assert abs(total - exact) <= 1e-14 * size, a
     assert np.array_equal(
-        localtime._expanded_jump_sums(params, levels, pre[:0], post[:0],
-                                      h[:0]), np.zeros(len(levels)))
+        localtime._expanded_jump_sums(params, levels, pre[:0], h[:0],
+                                      post[:0]), np.zeros(len(levels)))
 
 
 @pytest.mark.parametrize("gap", [1e8, 1e16])
@@ -675,7 +686,7 @@ def test_expanded_jump_sum_holds_across_a_wide_spread(gap):
     pre, post = pre + shift, post + shift
     near = np.linspace(path.values.min(), path.values.max(), 8)
     levels = np.concatenate([near, near + gap])
-    got = localtime._expanded_jump_sums(SYM, levels, pre, post, h)
+    got = localtime._expanded_jump_sums(SYM, levels, pre, h, post)
     for a, total in zip(levels, got):
         exact, size = _exact_jump_sum(SYM, pre, post, h, a)
         assert abs(total - exact) <= 1e-14 * size, a
@@ -708,8 +719,8 @@ def test_runs_longer_than_a_tile_keep_their_bits():
     after = np.concatenate([[-3e-4, -2e-4, -1e-4, 1e-4, 2e-4, 3e-4, 0.0],
                             np.linspace(-2.0, -0.5, _SORT_LEVELS - 7)])
     got = [(occupation_curve(path, levels, moll)[j],
-            _sorted_sums(table, levels, [len(x)], x, dt)[0, j],
-            localtime._expanded_jump_sums(SYM, levels, pre, post, h)[j])
+            _sorted_sums(table, levels, x, dt)[j],
+            localtime._expanded_jump_sums(SYM, levels, pre, h, post)[j])
            for levels, j in ((first, 0), (after, 6))]
     assert np.array_equal(_bits(got[0]), _bits(got[1]))
     occ, comp, jump = got[0]
@@ -730,12 +741,12 @@ def curve_path():
 
 @pytest.fixture
 def sorted_calls(monkeypatch):
-    """The (levels, ends) of each call of the sorted route."""
+    """The (levels, points) of each call of the sorted route."""
     calls, real = [], localtime._sorted_sums
 
-    def spy(table, levels, ends, x, dt):
-        calls.append((len(levels), [int(end) for end in ends]))
-        return real(table, levels, ends, x, dt)
+    def spy(table, levels, x, dt):
+        calls.append((len(levels), len(x)))
+        return real(table, levels, x, dt)
 
     monkeypatch.setattr(localtime, "_sorted_sums", spy)
     return calls
@@ -746,9 +757,9 @@ def expanded_calls(monkeypatch):
     """The (levels, jumps) of each call of the expanded jump sum."""
     calls, real = [], localtime._expanded_jump_sums
 
-    def spy(params, levels, pre, post, h):
+    def spy(params, levels, pre, h, post):
         calls.append((len(levels), len(h)))
-        return real(params, levels, pre, post, h)
+        return real(params, levels, pre, h, post)
 
     monkeypatch.setattr(localtime, "_expanded_jump_sums", spy)
     return calls
@@ -760,8 +771,8 @@ def _bits(values):
 
 def test_compensator_table_contract(curve_path, sorted_calls,
                                     expanded_calls, monkeypatch):
-    # one table per (params, eps), equal params being one key, and every
-    # array in it read-only
+    # one table per (params, eps), equal params being one key, holding
+    # its nodes and values alone, both read-only
     table = compensator_table(SYM, 1e-3)
     assert compensator_table(derive_params(1.5, 1.0, 1.0), 1e-3) is table
     assert compensator_table(SYM, 1e-2) is not table
@@ -769,15 +780,14 @@ def test_compensator_table_contract(curve_path, sorted_calls,
     assert len(table.nodes) == 643 and table.nodes[321] == 0.0
     assert np.flatnonzero(np.isnan(table.node_values)).tolist() == [321]
     arrays = [field for field in table if isinstance(field, np.ndarray)]
-    assert len(arrays) == 6
+    assert len(arrays) == 2
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
     # each martingale_part call looks the table up once, where callers
     # find it, on the tiled route (2 levels) and the sorted one (201
-    # levels, all three checkpoints from one call and one sort, and the
-    # jump sum's expansion once per checkpoint); both routes' values are
-    # pinned by digest
+    # levels, the sorted compensator and the jump sum's expansion once per
+    # checkpoint); both routes' values are pinned by digest
     looked_up, real = [], localtime.compensator_table
 
     def counting(params, eps):
@@ -787,15 +797,14 @@ def test_compensator_table_contract(curve_path, sorted_calls,
     monkeypatch.setattr(localtime, "compensator_table", counting)
     grid = default_a_grid(curve_path)
     pins = {2: "94b24f258e82fec6", 201: "ec2215df54b3cce2"}
-    for levels, n_sorted in ((grid[[50, 150]], 0), (grid, 1)):
+    for levels, n_calls in ((grid[[50, 150]], 0), (grid, 3)):
         looked_up.clear()
         sorted_calls.clear()
         expanded_calls.clear()
         m = martingale_part(LEVEL_CURVE, curve_path, levels,
                             checkpoints=[0.05, 0.5, 1.0])
         assert looked_up == [(LEVEL_CURVE, curve_path.config.eps)]
-        assert len(sorted_calls) == n_sorted
-        assert len(expanded_calls) == 3 * n_sorted
+        assert len(sorted_calls) == len(expanded_calls) == n_calls
         digest = hashlib.sha256(m.astype("<f8").tobytes()).hexdigest()
         assert digest[:16] == pins[len(levels)]
 
@@ -804,8 +813,8 @@ def test_sorted_route_values_do_not_depend_on_other_levels(
         curve_path, sorted_calls, expanded_calls):
     # a level's value from the 201-level default grid is, bit for bit,
     # its value from a shuffled 16-level subset, both its compensator and
-    # its expanded jump sum; and each row of a checkpoint array, all from
-    # one sort and one expansion per checkpoint, is the call at that
+    # its expanded jump sum; and each row of a checkpoint array, from one
+    # sort and one expansion per checkpoint, is the call at that
     # checkpoint alone
     grid = default_a_grid(curve_path)
     n = len(curve_path.times) - 1
@@ -813,15 +822,15 @@ def test_sorted_route_values_do_not_depend_on_other_levels(
     pick = np.random.default_rng(0).permutation(201)[:_SORT_LEVELS]
     full = martingale_part(LEVEL_CURVE, curve_path, grid)
     subset = martingale_part(LEVEL_CURVE, curve_path, grid[pick])
-    assert sorted_calls == [(201, [n]), (_SORT_LEVELS, [n])]
+    assert sorted_calls == [(201, n), (_SORT_LEVELS, n)]
     assert expanded_calls == [(201, jumps), (_SORT_LEVELS, jumps)]
     assert np.array_equal(_bits(full[pick]), _bits(subset))
     sorted_calls.clear()
     expanded_calls.clear()
     horizons = [0.05, 0.5, 1.0]
     rows = martingale_part(LEVEL_CURVE, curve_path, grid[pick], horizons)
-    assert [(levels, len(ends)) for levels, ends in sorted_calls] \
-        == [(_SORT_LEVELS, 3)]
+    assert [levels for levels, _ in sorted_calls] == [_SORT_LEVELS] * 3
+    assert sorted_calls[-1] == (_SORT_LEVELS, n)
     assert [levels for levels, _ in expanded_calls] == [_SORT_LEVELS] * 3
     assert expanded_calls[-1] == (_SORT_LEVELS, jumps)
     assert np.array_equal(_bits(rows[-1]), _bits(subset))
@@ -852,9 +861,9 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
         eps, ends = path.config.eps, [len(x)]
         sorted_calls.clear()
         martingale_part(LEVEL_CURVE, path, grid)
-        assert sorted_calls == [(201, ends)]
+        assert sorted_calls == [(201, len(x))]
         table = compensator_table(LEVEL_CURVE, eps)
-        sorted_route = localtime._sorted_sums(table, grid, ends, x, dt)
+        sorted_route = localtime._sorted_sums(table, grid, x, dt)
         assert len(sorted_calls) == 2
         # the tiled route over the same 201 levels, called directly, gives
         # each level the one-level call's float
@@ -870,7 +879,7 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
                    for a in grid[::25]]))
         assert len(sorted_calls) == 2
         # the routes agree within the bar of the exact-sum test
-        for a, s, t in zip(grid, sorted_route[0], tiled_route[0]):
+        for a, s, t in zip(grid, sorted_route, tiled_route[0]):
             assert abs(s - t) <= 1e-14 * np.abs(g(x - a) * dt).sum(), a
     # a level on a post-jump value, where F has its cusp, keeps its M at 1,
     # 15 and 16 levels within 1e-15 of its terms' magnitudes: every route
@@ -907,10 +916,10 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
     assert np.array_equal(_bits(walked), _bits(np.column_stack([
         localtime._walked_jumps(LEVEL_CURVE, grid[[j]], ends, *jumps)
         for j in range(len(grid))])))
-    full = localtime._expanded_jump_sums(LEVEL_CURVE, grid, pre, post, h)
+    full = localtime._expanded_jump_sums(LEVEL_CURVE, grid, pre, h, post)
     monkeypatch.setattr(localtime, "_walked_jumps", lambda _, levels, ends,
                         *jumps: np.zeros((len(ends), len(levels))))
-    binned = localtime._expanded_jump_sums(LEVEL_CURVE, grid, pre, post, h)
+    binned = localtime._expanded_jump_sums(LEVEL_CURVE, grid, pre, h, post)
     assert np.array_equal(_bits(full), _bits(binned + walked[-1]))
 
 
@@ -975,8 +984,8 @@ def test_level_curves_stay_off_the_page_fault_path(sorted_calls,
     assert faults < 2000, faults
     # and so do the sorted compensator and the expanded jump sum over 16
     # levels at three checkpoints: their levels go in tiles of 128 KiB,
-    # and only the one sort, each prefix's sorted points and sums and each
-    # prefix's binned jumps take arrays as long as the path, taken back
+    # and only each prefix's sort, sorted points and sums and binned jumps
+    # take arrays as long as the path, taken back
     # call after call (measured 0 faults in the suite's run, ~360-1060
     # when this test runs alone)
     levels = np.linspace(-1.0, 1.0, _SORT_LEVELS)
@@ -986,7 +995,7 @@ def test_level_curves_stay_off_the_page_fault_path(sorted_calls,
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     martingale_part(SYM, path, levels, checkpoints=[0.25, 0.5, 1.0])
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert [len(ends) for _, ends in sorted_calls] == [3]
+    assert [levels for levels, _ in sorted_calls] == [_SORT_LEVELS] * 3
     assert [levels for levels, _ in expanded_calls] == [_SORT_LEVELS] * 3
     assert faults < 2000, faults
 

@@ -197,3 +197,5 @@ def test_levy_measure_scaling_laws():
         nu_tail_mass(p, 0.0)
     with pytest.raises(ValueError):
         nu_tail_mean(p, -1.0)
+    with pytest.raises(ValueError):
+        small_jump_variance(p, 0.0)

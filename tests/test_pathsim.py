@@ -81,6 +81,10 @@ def test_path_sample_validation():
     with pytest.raises(ValueError):
         PathSample(times=np.array([0.0, 0.5]), values=np.zeros(3),
                    jump_rows=[], jump_sizes=[], scheme="marginal")
+    with pytest.raises(ValueError, match="non-finite"):
+        PathSample(times=np.array([0.0, 0.5]),
+                   values=np.array([0.0, math.nan]), jump_rows=[],
+                   jump_sizes=[], scheme="marginal")
     cfg = SimConfig(T=1.0, n_steps=4, x0=2.0)
     with pytest.raises(ValueError):
         PathSample(times=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]),
@@ -107,6 +111,11 @@ def test_path_sample_validation():
         with pytest.raises(ValueError, match=what):
             PathSample(times=times, values=values, jump_rows=rows,
                        jump_sizes=sizes, scheme="jumpdecomp")
+    # a recorded jump of the jump-decomposition scheme exceeds its cutoff
+    with pytest.raises(ValueError, match="exceed the cutoff"):
+        PathSample(times=times, values=values, jump_rows=[1, 2],
+                   jump_sizes=[0.9, 0.1], scheme="jumpdecomp",
+                   config=SimConfig(T=1.0, n_steps=2, eps=0.5))
 
 
 @pytest.mark.parametrize("call", [
@@ -556,6 +565,9 @@ def test_char_function_estimate_trivial_cases():
     assert est.stderr_real == 0.0 and est.stderr_imag == 0.0
     est0 = empirical_char_function(np.array([0.3, -2.0, 5.5]), 0.0)
     assert est0.value == 1.0 + 0.0j
+    # one sample has no spread to estimate
+    est1 = empirical_char_function([0.3], 1.0)
+    assert est1.stderr_real == 0.0 and est1.stderr_imag == 0.0
 
 
 @pytest.mark.parametrize("u", [math.inf, -math.inf, math.nan])

@@ -302,6 +302,13 @@ def test_windowed_generator_against_quadrature_oracle():
         assert vals[j] == pytest.approx(direct, abs=2e-6)
 
 
+def test_windowed_generator_refuses_non_finite_input():
+    g = Grid(20.0, 1024)
+    with pytest.raises(ValueError, match="non-finite"):
+        generator_apply_windowed(
+            SYM, lambda y: np.where(np.asarray(y) > 3.0, math.nan, 0.0), g)
+
+
 def test_windowed_generator_removes_image_pollution():
     # the plain multiplier of a decaying input still carries its periodic
     # images' jump-tail contributions; the windowed variant subtracts them
