@@ -4,8 +4,10 @@
 verdict line per criterion; ``density``, ``simulate``, and ``localtime``
 are convenience wrappers that assemble the matching spec or write path and
 curve files directly. Exit codes: 0 all verdicts passed, 1 at least one
-FAIL, 2 configuration error. ``STABLE_TANAKA_OUT`` supplies a default
-output directory; all outputs are UTF-8 JSON or CSV.
+FAIL, 2 configuration error. The output directory is ``--out``, else a
+run spec's ``out_dir``, else ``STABLE_TANAKA_OUT``, an empty one counting
+as unset, and is checked before any compute; all outputs are UTF-8 JSON
+or CSV.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .experiments import (
     ConfigError,
     ExperimentSpec,
+    _bundle_dir,
     emit_report,
     run_experiment,
     write_csv,
@@ -36,12 +39,6 @@ from .pathsim import SimConfig, _stream_key, expected_jump_count, \
 from .spectral import ResolutionError
 
 OUT_ENV_VAR = "STABLE_TANAKA_OUT"
-
-
-def _default_out(explicit):
-    if explicit is not None:
-        return explicit
-    return os.environ.get(OUT_ENV_VAR)
 
 
 def _apply_override(raw: dict, assignment: str):
@@ -168,7 +165,7 @@ def _cmd_run(args) -> int:
     # built once, without out_dir, which the report's inputs keep null:
     # _finish writes the one bundle, to out
     spec = ExperimentSpec.from_dict(raw)
-    out = _out_path(args.out or out_dir or _default_out(None))
+    out = _out_target(args, fallback=out_dir)
     return _finish(run_experiment(spec), out)
 
 
@@ -179,25 +176,17 @@ def _cmd_density(args) -> int:
                 "c_minus": args.c_minus},
         options={"times": list(args.t), "half_width": args.half_width,
                  "n_points": args.n_points})
-    out = _out_path(_default_out(args.out))
+    out = _out_target(args)
     return _finish(run_experiment(spec), out)
 
 
-def _out_path(out) -> Path | None:
-    """``out`` as a Path (None stays None), refused before any compute if
-    it, or the nearest part of it that exists, is not a directory."""
-    if out is None:
-        return None
-    found = next(p for p in (Path(out), *Path(out).parents) if p.exists())
-    if not found.is_dir():
-        raise ConfigError(f"output directory {out}: {found} exists and is "
-                          "not a directory")
-    return Path(out)
-
-
-def _out_dir(args, what: str) -> Path:
-    out = _out_path(_default_out(args.out))
-    if out is None:
+def _out_target(args, what=None, fallback=None) -> Path | None:
+    """The output directory: ``--out``, else ``fallback`` (the spec's
+    out_dir, for ``run``), else ``$STABLE_TANAKA_OUT``, an empty string
+    counting as unset; refused before any compute unless it exists or can
+    be made. A command that writes ``what`` exits 2 without one."""
+    out = _bundle_dir(args.out or fallback or os.environ.get(OUT_ENV_VAR))
+    if out is None and what is not None:
         raise ConfigError(f"{args.command} needs --out or ${OUT_ENV_VAR} to "
                           f"know where to put the {what}")
     return out
@@ -219,7 +208,7 @@ def _make_inputs(args):
 
 
 def _cmd_simulate(args) -> int:
-    out_dir = _out_dir(args, "paths")
+    out_dir = _out_target(args, "paths")
     params, cfg = _make_inputs(args)
     if args.n_paths < 1:
         raise ConfigError("--n-paths must be >= 1")
@@ -238,7 +227,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_localtime(args) -> int:
-    out_dir = _out_dir(args, "curve")
+    out_dir = _out_target(args, "curve")
     params, cfg = _make_inputs(args)
     try:
         _stream_key("--path-index", args.path_index)

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import platform
 import sys
 import time
@@ -186,7 +187,7 @@ class _Kind:
 
 def _distinct_labels(name: str, values) -> None:
     """ValueError if two different values print as one ``{:g}`` label,
-    which would name two results alike; exact repeats are let through."""
+    which would name two results alike."""
     seen = {}
     for value in values:
         first = seen.setdefault(f"{value:g}", value)
@@ -239,6 +240,9 @@ class ExperimentSpec:
                       entry.options)
         try:
             for name in entry.labeled:
+                # an exact repeat would name two results alike: the first
+                # is kept, and the spec's own options stay as given
+                opts[name] = list(dict.fromkeys(opts[name]))
                 _distinct_labels(name, opts[name])
             sims = entry.check(opts, params, cfg)
         except ValueError as exc:
@@ -459,7 +463,7 @@ def _check_checkpoints(o, params, cfg):
 def _run_martingale_zero_mean(spec, o, params, sims):
     (cfg,) = sims
     checkpoints = sorted(set(f * cfg.T for f in o["checkpoints"]))
-    levels = list(dict.fromkeys(o["levels"]))
+    levels = o["levels"]
     m = _path_rows(params, cfg, o["n_paths"], lambda path: martingale_part(
         params, path, levels, checkpoints=checkpoints))
     stats, verdicts = {}, []
@@ -695,18 +699,51 @@ _KINDS = {
 }
 
 
+def _bundle_dir(out) -> Path | None:
+    """``out`` as a Path, None if it is None or empty, refused with
+    ConfigError unless it names a directory that exists or can be made:
+    any error but "not found" from checking it or a parent (a NUL byte
+    included), a nearest existing part that is not a directory, and a
+    missing name longer than the file system allows."""
+    if not out:
+        return None
+    path = Path(out)
+    try:
+        for found in (path, *path.parents):
+            try:
+                found.lstat()
+                break
+            except (FileNotFoundError, NotADirectoryError):
+                pass
+        limit = os.pathconf(found, "PC_NAME_MAX") \
+            if hasattr(os, "pathconf") else 255
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"output directory {out!r}: {exc}") from None
+    if not found.is_dir():
+        raise ConfigError(f"output directory {out!r}: {str(found)!r} is "
+                          "not a directory")
+    # pathconf gives -1 where the file system sets no limit
+    if any(len(os.fsencode(name)) > limit >= 0
+           for name in path.relative_to(found).parts):
+        raise ConfigError(f"output directory {out!r}: a name in it is "
+                          f"longer than the file system's {limit} bytes")
+    return path
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Run a spec (or a dict, built into one), time it, and (if out_dir is
-    set) write the report.
+    set and not empty) write the report there.
 
-    Config errors surface as :class:`ConfigError` when the spec is built,
-    except a grid too coarse or too fine for the inputs, which the numerics
-    detect themselves and which is reported as one too; tolerance
-    violations become FAIL verdicts on the returned report, never
-    exceptions.
+    Config errors surface as :class:`ConfigError` before the kind runs:
+    when the spec is built, or when its out_dir is checked to be a
+    directory that exists or can be made. A grid too coarse or too fine
+    for the inputs, which the numerics detect themselves, is reported as
+    one too; tolerance violations become FAIL verdicts on the returned
+    report, never exceptions.
     """
     if not isinstance(spec, ExperimentSpec):
         spec = ExperimentSpec.from_dict(spec)
+    out = _bundle_dir(spec.out_dir)
     start = time.perf_counter()
     try:
         stats, verdicts, curves = _KINDS[spec.kind].run(spec, *spec._inputs)
@@ -722,8 +759,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         wall_time_s=wall,
         versions=_versions(),
     )
-    if spec.out_dir is not None:
-        emit_report(report, spec.out_dir)
+    if out is not None:
+        emit_report(report, out)
     return report
 
 

@@ -40,11 +40,12 @@ def symbol_coefficients(alpha: float, c_plus: float,
     * ``d``    = (c_plus + c_minus) / (2 c(alpha)).
 
     ``alpha`` may lie in (0, 1) or (1, 2); the intensities must be
-    nonnegative with a positive sum.
+    nonnegative with a positive finite sum.
     """
     total = c_plus + c_minus
-    if c_plus < 0.0 or c_minus < 0.0 or not total > 0.0:
-        raise ValueError("need c_plus >= 0, c_minus >= 0 and a positive sum")
+    if c_plus < 0.0 or c_minus < 0.0 or not 0.0 < total < math.inf:
+        raise ValueError("need c_plus >= 0, c_minus >= 0 and a positive "
+                         "finite sum")
     return (c_plus - c_minus) / total, total / (2.0 * stability_constant(alpha))
 
 
@@ -58,7 +59,7 @@ class StableParams:
         Stability index, strictly between 1 and 2.
     c_plus, c_minus : float
         Intensities of the positive and negative jump tails. Both must be
-        nonnegative with a positive sum.
+        nonnegative with a positive finite sum.
 
     Construction derives, and a triplet whose derived fields are not
     finite (or ``d``, ``big_d`` not positive) is refused with ValueError:

@@ -78,13 +78,6 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
 
 
-def _alternating_signs(n: int) -> np.ndarray:
-    # e^{+- i u_k L} for L = n h / 2 is exactly (-1)^k in DFT ordering
-    signs = np.ones(n)
-    signs[1::2] = -1.0
-    return signs
-
-
 def levy_symbol(params: StableParams, u):
     """eta(u) = -d |u|^alpha (1 - i beta sgn(u) tan(pi alpha / 2)).
 
@@ -156,7 +149,9 @@ def transition_density(params: StableParams, t: float, grid: Grid) -> np.ndarray
             f"decrease n_points or increase half_width")
     phi = char_function(params, grid.freqs, t)
     n, h = grid.n_points, grid.spacing
-    return (np.fft.fft(phi * _alternating_signs(n)) / (n * h)).real
+    # the points start at -L = -n h / 2, so the phase e^{-i u_k L} is
+    # (-1)^k, which by the shift theorem moves the DFT by n / 2
+    return (np.fft.fftshift(np.fft.fft(phi)) / (n * h)).real
 
 
 _DECAY_RTOL = 1e-8

@@ -20,10 +20,10 @@ short of the 1e-2 stability target for every alpha tested (worst at
 alpha=1.2, where ~0.2 of the mass still sits past 1e6).  The test reports
 the measured differences instead of loosening the target.
 
-The full file takes ~1.5 minutes (95 s by pytest --durations on a 2-core
+The full file takes ~2 minutes (116 s by pytest --durations on a 2-core
 box, OpenBLAS pinned to one thread); criterion 5 (10^4 paths at
-n_steps=4096, 74 s there) dominates, then criteria 6 (10 s) and 4
-(7.6 s); criterion 7 takes 0.75 s. Those three carry the ``slow`` marker,
+n_steps=4096, 89 s there) dominates, then criteria 6 (12 s) and 4
+(10.5 s); criterion 7 takes 1.1 s. Those three carry the ``slow`` marker,
 which ``-m "not slow"`` deselects for a fast inner loop.
 """
 

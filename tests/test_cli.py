@@ -131,6 +131,10 @@ MALFORMED = {
     # the working directory, which holds a file named "taken"
     "out-dir-is-file": dict(SPEC, out_dir="taken"),
     "out-dir-under-file": dict(SPEC, out_dir="taken/report"),
+    # an out_dir the OS refuses: a NUL byte, or a name past the file
+    # system's limit under a missing directory
+    "out-dir-nul": {"kind": "existence-scan", "out_dir": "a\u0000b"},
+    "out-dir-long-name": dict(SPEC, out_dir="missing/" + "x" * 300),
     # a jump cutoff whose expected jump count per path cannot be drawn:
     # eps^(-alpha) overflows a float, or the mean is past the Poisson
     # sampler's limit; for estimator-agreement, at one schedule level
@@ -230,6 +234,8 @@ def test_malformed_spec_exit_two(tmp_path, capsys, monkeypatch, name):
     assert main(["run", spec]) == 2
     assert "config error:" in capsys.readouterr().err
     assert (tmp_path / "taken").read_text(encoding="utf-8") == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json",
+                                                          "taken"]
 
 
 # JSON-shaped fuzz: values of every JSON type, non-finite floats, nested
@@ -447,6 +453,17 @@ BAD_COMMANDS = {
     "simulate-out-file": ["simulate", "--alpha", "1.5"],
     "density-out-file": ["density", "--alpha", "1.5", "--t", "1.0",
                          "--half-width", "40", "--n-points", "8192"],
+    # --out is a path the OS refuses: one with a NUL byte, or a name past
+    # the file system's limit, under a missing directory or ("-in-dir") an
+    # existing one
+    "run-out-nul": ["run"],
+    "density-out-nul": ["density", "--alpha", "1.5", "--t", "1.0",
+                        "--half-width", "40", "--n-points", "8192"],
+    "density-out-long": ["density", "--alpha", "1.5", "--t", "1.0",
+                         "--half-width", "40", "--n-points", "8192"],
+    "localtime-out-long": ["localtime", "--alpha", "1.5"],
+    "localtime-out-long-in-dir": ["localtime", "--alpha", "1.5"],
+    "simulate-out-long-in-dir": ["simulate", "--alpha", "1.5"],
     # the expected jump count per path cannot be drawn
     "localtime-eps-overflow": ["localtime", "--alpha", "1.5",
                                "--eps", "1e-300"],
@@ -486,22 +503,73 @@ BAD_COMMANDS = {
 
 @pytest.mark.parametrize("name", sorted(BAD_COMMANDS))
 def test_bad_command_line_exit_two(tmp_path, capsys, name):
-    out = tmp_path / "out"
+    out = target = tmp_path / "out"
     if name.endswith("-out-file"):
         out.write_text("kept", encoding="utf-8")
+    elif "-out-nul" in name or "-out-long" in name:
+        if name.endswith("-in-dir"):
+            out.mkdir()
+        target = out / ("a\0b" if "-out-nul" in name else "x" * 300)
     argv = BAD_COMMANDS[name]
     if argv[0] == "run":
         argv = argv + [write_spec(tmp_path, SPEC)]
     steps = [] if argv[0] in ("run", "density") or "--n-steps" in argv \
         else ["--n-steps", "64"]
-    code = main(argv + steps + ["--out", str(out)])
+    code = main(argv + steps + ["--out", str(target)])
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: ")
     # rejected before any compute or write
     if name.endswith("-out-file"):
         assert out.read_text(encoding="utf-8") == "kept"
+    elif name.endswith("-in-dir"):
+        assert not list(out.iterdir())
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "density"])
+def test_bad_target_refused_before_the_run(tmp_path, capsys, monkeypatch,
+                                           command):
+    # the target is resolved and checked before run_experiment is called
+    def refuse(spec):
+        raise AssertionError("run_experiment was called")
+
+    monkeypatch.setattr(st_cli, "run_experiment", refuse)
+    (tmp_path / "taken").write_text("kept", encoding="utf-8")
+    argv = ["run", write_spec(tmp_path, SPEC)] if command == "run" \
+        else BAD_COMMANDS["density-out-file"]
+    assert main(argv + ["--out", str(tmp_path / "taken" / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_empty_out_counts_as_unset(tmp_path, capsys, monkeypatch):
+    # an empty --out, or an empty $STABLE_TANAKA_OUT, is no target: density
+    # and run only print their verdicts, localtime asks for one
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("STABLE_TANAKA_OUT", "")
+    spec = write_spec(tmp_path, SPEC)
+    assert main(["density", "--alpha", "1.5", "--t", "1.0", "--half-width",
+                 "40", "--n-points", "8192", "--out", ""]) == 0
+    assert main(["run", spec, "--out", ""]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+    capsys.readouterr()
+    for out in (["--out", ""], []):
+        assert main(["localtime", "--alpha", "1.5", "--n-steps", "64"]
+                    + out) == 2
+        assert "needs --out" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_empty_out_falls_through_to_the_next_source(tmp_path, monkeypatch):
+    # run: an empty --out gives way to the spec's out_dir, and an empty
+    # out_dir to $STABLE_TANAKA_OUT
+    monkeypatch.setenv("STABLE_TANAKA_OUT", str(tmp_path / "env"))
+    spec = write_spec(tmp_path, dict(SPEC, out_dir=str(tmp_path / "spec")))
+    assert main(["run", spec, "--out", ""]) == 0
+    assert (tmp_path / "spec" / "report.json").exists()
+    spec = write_spec(tmp_path, dict(SPEC, out_dir=""))
+    assert main(["run", spec]) == 0
+    assert (tmp_path / "env" / "report.json").exists()
 
 
 def test_localtime_curve_and_metadata(tmp_path):

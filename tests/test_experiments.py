@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -463,3 +464,57 @@ def test_run_experiment_writes_bundle_when_out_dir_set(tmp_path):
                     "options": {"alphas": [0.9]}, "out_dir": str(out)})
     assert (out / "report.json").exists()
     assert (out / "partials.csv").exists()
+
+
+def test_empty_out_dir_writes_nothing(tmp_path, monkeypatch):
+    # an empty out_dir is unset, not the working directory
+    monkeypatch.chdir(tmp_path)
+    run_experiment({"kind": "existence-scan",
+                    "options": {"alphas": [0.9]}, "out_dir": ""})
+    assert not list(tmp_path.iterdir())
+
+
+# an out_dir under a regular file, one with a NUL byte, and a name past
+# the file system's limit under a missing or an existing directory
+BAD_OUT_DIRS = {"under-file": "taken/report", "nul": "a\0b",
+                "long-name": "missing/" + "x" * 300,
+                "long-name-in-dir": "present/" + "x" * 300}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_OUT_DIRS))
+def test_bad_out_dir_refused_before_the_kind_runs(tmp_path, monkeypatch,
+                                                  name):
+    def refuse(*args):
+        raise AssertionError("the kind ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(_KINDS, "existence-scan",
+                        replace(_KINDS["existence-scan"], run=refuse))
+    (tmp_path / "taken").write_text("kept", encoding="utf-8")
+    (tmp_path / "present").mkdir()
+    with pytest.raises(ConfigError, match="output directory"):
+        run_experiment({"kind": "existence-scan",
+                        "out_dir": BAD_OUT_DIRS[name]})
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["present",
+                                                           "taken"]
+
+
+def test_repeated_labels_collapse_to_one_result(tmp_path):
+    # an exact repeat in a list that names results is dropped, the first
+    # kept, so each verdict and statistics entry has a name of its own
+    specs = {
+        "moment-tests": ({"params": SYM_PARAMS, "options": {
+            "n_samples": 50, "gammas": [0.5, 0.5], "shifts": [0.0, 0.0],
+            "times": [1.0]}}, 1),
+        "density-report": ({"params": SYM_PARAMS, "options": {
+            "n_points": 8192, "half_width": 40.0, "times": [1.0, 1.0]}}, 3),
+        "sampler-validation": ({"params": SYM_PARAMS, "options": {
+            "n_samples": 50, "u": [1.0, 1.0]}}, 1),
+        "existence-scan": ({"options": {"alphas": [1.5, 1.5]}}, 1),
+    }
+    for kind, (spec, n_verdicts) in specs.items():
+        rep = run_experiment(dict(spec, kind=kind))
+        names = [v.criterion for v in rep.verdicts]
+        assert len(names) == len(set(names)) == n_verdicts, kind
+        # the inputs keep the options as given
+        assert rep.inputs["options"] == spec["options"]

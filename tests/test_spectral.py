@@ -621,3 +621,15 @@ def test_existence_rejects_bad_cutoff():
 def test_existence_rejects_non_finite(args, match):
     with pytest.raises(ValueError, match=match):
         existence_integral(*args)
+
+
+# an infinite intensity, or a sum of two that overflows, is refused by
+# name, not as an overflowing 2F1 argument or a NaN limit
+@pytest.mark.parametrize("fn, args", [
+    (existence_limit, (1.5, math.inf, 1.0)),
+    (existence_limit, (1.5, 1e308, 1e308)),
+    (existence_integral, (1.5, 10.0, math.inf, 1.0)),
+    (symbol_coefficients, (0.9, 1.0, math.inf))])
+def test_infinite_intensities_refused(fn, args):
+    with pytest.raises(ValueError, match="positive finite sum"):
+        fn(*args)
