@@ -7,7 +7,7 @@ curve files directly. Exit codes: 0 all verdicts passed, 1 at least one
 FAIL, 2 configuration error. The output directory is ``--out``, else a
 run spec's ``out_dir``, else ``STABLE_TANAKA_OUT``, an empty one counting
 as unset, and is checked before any compute; all outputs are UTF-8 JSON
-or CSV.
+or CSV, written as new files, and one the OS refuses exits 2 as well.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ from .experiments import (
     ConfigError,
     ExperimentSpec,
     _bundle_dir,
+    _csv_text,
+    _json_text,
+    _write_files,
     emit_report,
     run_experiment,
-    write_csv,
-    write_json,
 )
 from .localtime import default_a_grid, default_mollifier, occupation_curve, \
     tanaka_curve
@@ -214,14 +215,15 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("--n-paths must be >= 1")
     simulate = simulate_path_jumpdecomp if args.scheme == "jumpdecomp" \
         else simulate_path_marginal
-    out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.n_paths):
         path = simulate(params, cfg, path_index=i)
-        csv = out_dir / f"path_{i:04d}.csv"
-        write_csv(csv, ["time", "value"], zip(path.times, path.values))
-        write_json(out_dir / f"path_{i:04d}.json",
-                   {"scheme": path.scheme, "config": asdict(cfg),
-                    "jumps": path.jumps.tolist()})
+        csv, _ = _write_files(out_dir, {
+            f"path_{i:04d}.csv": _csv_text(
+                ["time", "value"], np.column_stack([path.times, path.values])),
+            f"path_{i:04d}.json": _json_text(
+                {"scheme": path.scheme, "config": asdict(cfg),
+                 "jumps": path.jumps.tolist()}),
+        })
         print(f"wrote {csv}")
     return 0
 
@@ -241,9 +243,6 @@ def _cmd_localtime(args) -> int:
     moll = default_mollifier(cfg.eps)
     occ = occupation_curve(path, levels, moll)
     tan = tanaka_curve(params, path, levels)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    curve_path = out_dir / "localtime_curve.csv"
-    write_csv(curve_path, ["a", "occupation", "tanaka"], zip(levels, occ, tan))
     meta = {
         "alpha": args.alpha, "c_plus": args.c_plus, "c_minus": args.c_minus,
         "sim": asdict(cfg),
@@ -256,8 +255,11 @@ def _cmd_localtime(args) -> int:
         },
         "levels": [float(a) for a in levels],
     }
-    meta_path = out_dir / "localtime_meta.json"
-    write_json(meta_path, meta)
+    curve_path, meta_path = _write_files(out_dir, {
+        "localtime_curve.csv": _csv_text(["a", "occupation", "tanaka"],
+                                         np.column_stack([levels, occ, tan])),
+        "localtime_meta.json": _json_text(meta),
+    })
     print(f"wrote {curve_path} and {meta_path}")
     return 0
 
@@ -283,6 +285,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:  # a jump count its arrays cannot hold
         print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output the OS refuses, its path named
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -782,33 +782,19 @@ def _report_payload(report: ExperimentReport) -> dict:
 
 
 def emit_report(report: ExperimentReport, out_dir) -> list:
-    """Write report.json plus one CSV per curve into ``out_dir``; returns
-    the list of created paths.
+    """Write report.json plus one CSV per curve into ``out_dir``, as new
+    files by the one writer, ``_write_files``; returns the list of created
+    paths.
 
     report.json names each curve's file, columns and row count.
     Serialization is deterministic -- sorted keys, shortest-repr floats --
     and refuses NaN/Inf anywhere. Wall time is deliberately not serialized,
     so repeated runs of the same spec produce byte-identical files.
     """
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {out}: {exc}")
-    # validate everything up front: a NaN anywhere must refuse the whole
-    # bundle, not leave half of it on disk
-    curves = {name: np.asarray(curve["rows"], dtype=float)
-              for name, curve in report.curves.items()}
-    for name, rows in curves.items():
-        if not np.all(np.isfinite(rows)):
-            raise ValueError(
-                f"refusing to serialize non-finite values in curve {name!r}")
-    written = [out / "report.json"]
-    write_json(written[0], _report_payload(report))
-    for name, rows in curves.items():
-        written.append(out / f"{name}.csv")
-        write_csv(written[-1], report.curves[name]["columns"], rows)
-    return written
+    texts = {"report.json": _json_text(_report_payload(report))}
+    for name, curve in report.curves.items():
+        texts[f"{name}.csv"] = _csv_text(curve["columns"], curve["rows"])
+    return _write_files(out_dir, texts)
 
 
 def _numpy_value(obj):
@@ -821,22 +807,49 @@ def _numpy_value(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def write_json(path, obj) -> None:
+def _json_text(obj) -> str:
     """UTF-8 JSON with sorted keys, indent 2 and a trailing newline; NaN
-    and Inf are refused before the file is opened."""
+    and Inf are refused."""
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
-                          default=_numpy_value)
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          default=_numpy_value) + "\n"
     except ValueError as exc:
         raise ValueError(
             f"refusing to serialize non-finite values: {exc}") from None
-    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def write_csv(path, columns, rows) -> None:
+def _csv_text(columns, rows) -> str:
     """A header line of ``columns``, then one line per row of shortest
-    round-trip decimals, fixed across runs."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    round-trip decimals, fixed across runs; NaN and Inf are refused."""
+    rows = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"refusing to serialize non-finite values: {columns}")
+    lines = [",".join(map(repr, row)) for row in rows.tolist()]
+    return "\n".join([",".join(columns), *lines]) + "\n"
+
+
+def _write_files(out_dir, texts) -> list:
+    """The one place the package writes files: make ``out_dir``, then write
+    each text of ``texts`` (file name -> full text) as UTF-8 into a new
+    file of that name, the old file or symlink there removed first, and
+    return the written paths.
+
+    Texts are built, and their non-finite values refused, before this is
+    called, so a refusal leaves no byte behind. A new file never writes
+    through a symlink, and, unlike a rewrite that truncates in place, does
+    not wait for the old contents to reach disk; nothing is fsynced. An
+    ``out_dir`` of None or "" is refused with ValueError, and a directory
+    or file the OS will not make raises OSError naming the path.
+    """
+    if out_dir is None or out_dir == "":
+        raise ValueError("no output directory given")
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create output directory {out}: {exc}")
+    for name, text in texts.items():
+        (out / name).unlink(missing_ok=True)
+        with open(out / name, "xb") as fh:
+            fh.write(text.encode("utf-8"))
+    return [out / name for name in texts]

@@ -1,7 +1,12 @@
 """Command-line interface tests: subcommands, exit codes, file outputs."""
 
+import contextlib
+import errno
 import json
 import math
+import os
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -611,6 +616,117 @@ def test_out_env_var_default(tmp_path, monkeypatch):
                  "--levels", "0"])
     assert code == 0
     assert (tmp_path / "envout" / "localtime_curve.csv").exists()
+
+
+# one small call of each command that writes files, and the first file
+# each writes; --out is added per test
+WRITING = {
+    "run": (["run"], "report.json"),
+    "density": (["density", "--alpha", "1.5", "--t", "1.0", "--half-width",
+                 "40", "--n-points", "8192"], "report.json"),
+    "simulate": (["simulate", "--alpha", "1.5", "--n-steps", "64",
+                  "--n-paths", "2"], "path_0000.csv"),
+    "localtime": (["localtime", "--alpha", "1.5", "--n-steps", "64",
+                   "--levels", "0", "0.5"], "localtime_curve.csv"),
+}
+
+
+def _writing_argv(tmp_path, command, out):
+    argv = WRITING[command][0] + ["--out", str(out)]
+    if command == "run":
+        argv.append(write_spec(tmp_path, SPEC))
+    return argv
+
+
+@pytest.mark.parametrize("call", ["mkdir", "open"])
+@pytest.mark.parametrize("command", sorted(WRITING))
+def test_refused_output_exits_two(tmp_path, capsys, monkeypatch, command,
+                                  call):
+    # a directory or file the OS will not make is a config error that
+    # names it, not a traceback after the run; as root chmod refuses
+    # nothing, so the writer's OS call is made to refuse
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    out = tmp_path / "out"
+    if call == "mkdir":
+        monkeypatch.setattr(Path, "mkdir", refuse)
+    else:
+        monkeypatch.setattr(st_experiments, "open", refuse, raising=False)
+    assert main(_writing_argv(tmp_path, command, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert str(out if call == "mkdir" else out / WRITING[command][1]) in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "localtime"])
+def test_rerun_writes_the_same_bytes_into_new_files(tmp_path, command):
+    # each old file is held open, so its inode cannot be reused, and keeps
+    # its bytes: the rerun wrote new files instead of truncating these
+    out = tmp_path / "out"
+    argv = _writing_argv(tmp_path, command, out)
+    assert main(argv) == 0
+    names = sorted(p.name for p in out.iterdir())
+    with contextlib.ExitStack() as stack:
+        old = {name: stack.enter_context(open(out / name, "rb"))
+               for name in names}
+        first = {name: (out / name).read_bytes() for name in names}
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name, fh in old.items():
+            assert (out / name).read_bytes() == first[name]
+            assert fh.read() == first[name]
+            assert (out / name).stat().st_ino != os.fstat(fh.fileno()).st_ino
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "localtime"])
+def test_symlink_at_an_output_is_replaced(tmp_path, command):
+    # the link becomes a regular file with the bytes of a clean run, and
+    # the file it pointed to keeps its own
+    target = tmp_path / "target"
+    target.write_bytes(b"kept")
+    out = tmp_path / "out"
+    out.mkdir()
+    link = out / WRITING[command][1]
+    link.symlink_to(target)
+    assert main(_writing_argv(tmp_path, command, out)) == 0
+    assert main(_writing_argv(tmp_path, command, tmp_path / "clean")) == 0
+    assert link.is_file() and not link.is_symlink()
+    assert link.read_bytes() == (tmp_path / "clean" / link.name).read_bytes()
+    assert target.read_bytes() == b"kept"
+
+
+def test_non_finite_curve_refused_before_any_file(tmp_path, monkeypatch):
+    def no_tanaka(params, path, levels):
+        return np.full(len(levels), math.nan)
+
+    monkeypatch.setattr(st_cli, "tanaka_curve", no_tanaka)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="non-finite"):
+        main(_writing_argv(tmp_path, "localtime", out))
+    assert not out.exists()
+
+
+def test_non_finite_path_refused_before_any_of_its_files(tmp_path,
+                                                         monkeypatch):
+    # path 1 is refused whole, its sidecar too; path 0 was written before
+    simulate = st_cli.simulate_path_jumpdecomp
+
+    def broken_second(params, cfg, path_index):
+        path = simulate(params, cfg, path_index=path_index)
+        if path_index == 0:
+            return path
+        return SimpleNamespace(times=path.times, scheme=path.scheme,
+                               values=np.full(len(path.times), math.inf),
+                               jumps=path.jumps)
+
+    monkeypatch.setattr(st_cli, "simulate_path_jumpdecomp", broken_second)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="non-finite"):
+        main(_writing_argv(tmp_path, "simulate", out))
+    assert sorted(p.name for p in out.iterdir()) == ["path_0000.csv",
+                                                     "path_0000.json"]
 
 
 def test_usage_error_exits_two():

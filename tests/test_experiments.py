@@ -30,7 +30,6 @@ from stable_tanaka.experiments import (
     Verdict,
     emit_report,
     run_experiment,
-    write_json,
 )
 from stable_tanaka.spectral import existence_limit
 
@@ -435,14 +434,14 @@ def test_nan_refused_and_nothing_written(tmp_path):
     out = tmp_path / "refused"
     with pytest.raises(ValueError, match="non-finite"):
         emit_report(rep, out)
-    assert not list(out.iterdir())
+    assert not out.exists()
     rep2 = ExperimentReport(
         kind="existence-scan", inputs={}, statistics={},
         verdicts=[Verdict.at_most("x", 0.0, 1.0)],
         curves={"c": {"columns": ["a"], "rows": np.array([[np.inf]])}})
     with pytest.raises(ValueError, match="non-finite"):
         emit_report(rep2, out)
-    assert not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_report_writers_refuse_what_they_cannot_write(tmp_path):
@@ -453,9 +452,36 @@ def test_report_writers_refuse_what_they_cannot_write(tmp_path):
     (tmp_path / "taken").write_text("kept", encoding="utf-8")
     with pytest.raises(OSError, match="cannot create output directory"):
         emit_report(rep, tmp_path / "taken" / "report")
+    rep.statistics["rows"] = np.zeros(2)
     with pytest.raises(TypeError, match="cannot serialize ndarray"):
-        write_json(tmp_path / "array.json", {"rows": np.zeros(2)})
-    assert not (tmp_path / "array.json").exists()
+        emit_report(rep, tmp_path / "array")
+    assert not (tmp_path / "array").exists()
+
+
+def test_writer_refuses_an_unset_directory(tmp_path, monkeypatch):
+    # Path("") is the working directory: an empty out_dir is unset here
+    # as it is for run_experiment and the command line
+    monkeypatch.chdir(tmp_path)
+    rep = run_experiment({"kind": "existence-scan",
+                          "options": {"alphas": [0.9]}})
+    for out in ("", None):
+        with pytest.raises(ValueError, match="no output directory"):
+            emit_report(rep, out)
+    assert not list(tmp_path.iterdir())
+
+
+def test_non_finite_curve_leaves_the_old_bundle(tmp_path):
+    # every text is built before the first file is touched: a bad second
+    # curve leaves report.json and the first curve's file as they were
+    rep = run_experiment({"kind": "existence-scan",
+                          "options": {"alphas": [0.9]}})
+    paths = emit_report(rep, tmp_path)
+    before = {p.name: (p.read_bytes(), p.stat().st_ino) for p in paths}
+    rep.curves["late"] = {"columns": ["a"], "rows": np.array([[math.nan]])}
+    with pytest.raises(ValueError, match="non-finite"):
+        emit_report(rep, tmp_path)
+    assert {p.name: (p.read_bytes(), p.stat().st_ino)
+            for p in tmp_path.iterdir()} == before
 
 
 def test_run_experiment_writes_bundle_when_out_dir_set(tmp_path):

@@ -29,6 +29,7 @@ from stable_tanaka.kernel import (
     kernel_F_second,
     standard_bump,
 )
+from stable_tanaka.localtime import compensator_table
 from stable_tanaka.params import (
     derive_params,
     nu_density,
@@ -671,6 +672,52 @@ def test_compensator_far_field(params):
         ref = _compensator_reference(params, x, 1e-3)
         g = compensator_density(params, x, 1e-3)
         assert abs(g - ref) <= 1e-6 * abs(ref), x
+
+
+def _compensator_exact(mp, p, x, eps):
+    # the module docstring's closed form at the working precision of mp,
+    # from the doubles alpha, c+-, beta and D that the code reads; x < 0
+    # is the mirror image. At four points a case it agrees with 30-digit
+    # mpmath quadrature of the definition to 1e-19 relative
+    a, e, d = mp.mpf(p.alpha), mp.mpf(eps), mp.mpf(p.big_d)
+    cp, cm, b = (p.c_plus, p.c_minus, p.beta) if x > 0.0 \
+        else (p.c_minus, p.c_plus, -p.beta)
+    cp, cm, b = mp.mpf(cp), mp.mpf(cm), mp.mpf(b)
+    ax = abs(mp.mpf(x))
+    z = ax / e
+    if z >= 1:
+        g = (1 - b) * (cp * ((1 + z) ** a - z ** a)
+                       + cm * ((z - 1) ** a - z ** a))
+    else:
+        g = (1 - b) * cp * ((1 + z) ** a - 1 - z ** a) \
+            + cm * ((1 + b) * (1 - (1 - z) ** a) - (1 - b) * z ** a)
+    return d * g / (a * ax)
+
+
+# Worst relative error of G_eps on the compensator table's nodes (eps =
+# 1e-3: 40 a decade, 1e-5 <= |x| <= 1e3) against 50-digit mpmath, as
+# measured per case of COMPENSATOR_CASES: (1.5, 1, 1) 2.6e-10 at x = -750,
+# (1.5, 3, 1) 9.1e-15, (1.2, 1, 1) 8.0e-10 at x = -944, (1.5, 1, 0) and
+# (1.5, 0, 1) 4.6e-16, (1.8, 1, 2) 1.0e-14. Each bar is about twice that.
+# Where c_away = c_toward the outer branch's two jump sides cancel down to
+# their 1/z^2 term, so the symmetric cases lose accuracy in proportion to
+# |x| / eps.
+COMPENSATOR_BUDGET = [5e-10, 2e-14, 1.6e-9, 1e-15, 1e-15, 2e-14]
+
+
+@pytest.mark.parametrize("params,bar",
+                         list(zip(COMPENSATOR_CASES, COMPENSATOR_BUDGET)))
+def test_compensator_error_budget(params, bar):
+    mpmath = pytest.importorskip("mpmath")
+    eps = 1e-3
+    nodes = compensator_table(params, eps).nodes
+    nodes = nodes[nodes != 0.0]
+    g = compensator_density(params, nodes, eps)
+    with mpmath.workdps(50):
+        for x, value in zip(nodes.tolist(), g.tolist()):
+            exact = _compensator_exact(mpmath, params, x, eps)
+            # a one-sided case is exactly 0 on the side with no jumps
+            assert abs(value - exact) <= bar * abs(exact), x
 
 
 @pytest.mark.parametrize("params", COMPENSATOR_CASES)
