@@ -61,6 +61,7 @@ from .localtime import (
 from .params import derive_params
 from .pathsim import (
     SimConfig,
+    _blocks,
     _stream_key,
     empirical_char_function,
     expected_jump_count,
@@ -347,10 +348,9 @@ def _ratio(num: float, den: float) -> float:
 
 def _path_rows(params, cfg, n_paths, per_path) -> np.ndarray:
     """``per_path`` of paths 0, ..., n_paths - 1 under ``cfg``, one row per
-    path in index order."""
-    return np.array([
-        per_path(simulate_path_jumpdecomp(params, cfg, path_index=i))
-        for i in range(n_paths)])
+    path in index order, the paths in one block per CPU."""
+    return np.array(_blocks(n_paths, lambda i: per_path(
+        simulate_path_jumpdecomp(params, cfg, path_index=i))))
 
 
 def _check_grid(o, params, cfg):
