@@ -52,6 +52,9 @@ def _apply_override(raw: dict, assignment: str):
         value = json.loads(text)
     except json.JSONDecodeError:
         value = text  # bare strings are allowed unquoted
+    except RecursionError:
+        raise ConfigError(f"override {key!r} is nested too deeply "
+                          f"to parse") from None
     node = raw
     parts = key.split(".")
     for part in parts[:-1]:
@@ -153,7 +156,11 @@ def _cmd_run(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(
             f"cannot read spec file {args.spec}: {exc}") from None
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except RecursionError:
+        raise ConfigError(f"spec file {args.spec} is nested too deeply "
+                          f"to parse") from None
     if not isinstance(raw, dict):
         raise ConfigError("spec must be a JSON object")
     for assignment in args.override:

@@ -175,9 +175,14 @@ def _jacobi_rule(alpha: float):
     return special.roots_jacobi(48, 0.0, alpha - 1.0)
 
 
-@lru_cache(maxsize=1)
-def _legendre_rule():
-    return np.polynomial.legendre.leggauss(64)
+@lru_cache(maxsize=4)
+def _legendre_rule(order: int):
+    # Gauss-Legendre nodes and weights on [-1, 1], read-only, since every
+    # caller of an order shares the one pair of arrays
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _row_tiles(n_rows, width):
@@ -229,7 +234,7 @@ def kernel_convolve(params: StableParams, phi, x, radius: float):
         out[inside] = big_d * (upper + lower)
 
     if not np.all(inside):
-        t, w = _legendre_rule()
+        t, w = _legendre_rule(64)
         y = radius * t
         phi_y = phi(y)
         xo = x[~inside]

@@ -11,22 +11,21 @@ second scheme records jumps, which the local-time martingale needs.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, path index), so Monte Carlo runs are reproducible under any parallel
-schedule. The package's loops over independent paths run on that: ``_blocks``
-splits path indices into one contiguous block per usable CPU, each of at
-least ``_MIN_BLOCK`` indices, and ``_run_all``, the one place the package
-starts threads, runs the blocks on a pool of one thread fewer than those
-CPUs next to the calling thread. Each value depends only on its own
-inputs, so every float is the same at every pool size.
+schedule. The package's loops over independent paths run on that: ``_blocks``,
+the one place the package starts threads, splits path indices into one
+contiguous block per usable CPU, each of at least ``_MIN_BLOCK`` indices.
+Each call that fans out runs the first block on the calling thread and
+starts its own threads for the others, and joins them before it returns.
+Each value depends only on its own inputs, so every float is the same at
+every thread count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -185,7 +184,7 @@ def path_rng(seed: int, path_index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# ------------------------------------------------------------- the pool
+# ---------------------------------------------------------- the path loops
 
 def _cpus() -> int:
     """The CPUs this process may run on."""
@@ -200,68 +199,6 @@ def _cpus() -> int:
 # two-path calls ran 1.1 to 1.6 times as fast as inline from one run to the
 # next, and inline they held steady
 _MIN_BLOCK = 4
-# (threads, executor), built at first use and swapped under the lock
-_pool = None
-_pool_lock = threading.Lock()
-# set while a thread runs a task of _run_all; its nested calls run inline,
-# so no task waits on the pool it occupies
-_in_task = threading.local()
-
-
-def _forget_pool():
-    # a child made by fork inherits the pool, and maybe a held lock, but
-    # none of the threads behind them
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _as_task(task):
-    _in_task.running = True
-    try:
-        return task()
-    finally:
-        _in_task.running = False
-
-
-def _submit(tasks, threads: int) -> list:
-    """Futures of ``tasks`` on the pool of ``threads`` threads."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != threads:
-            if _pool is not None:
-                _pool[1].shutdown()
-            _pool = (threads, ThreadPoolExecutor(threads))
-        return [_pool[1].submit(_as_task, task) for task in tasks]
-
-
-def _run_all(tasks, stop=None) -> list:
-    """The results of the zero-argument callables ``tasks``, in order.
-
-    The calling thread runs the first task; the others go to a pool of
-    one thread fewer than ``_cpus()``, built at first use. With one task,
-    one CPU, or a caller that is itself running a task, every task runs
-    inline. Every task has ended when this returns or raises, and a
-    raising task's exception propagates, the first in task order. When
-    the calling thread's own task raises, or it is interrupted while it
-    waits, ``stop`` (if given) is called first, to end the others early.
-    """
-    cpus = _cpus()
-    if min(len(tasks), cpus) < 2 or getattr(_in_task, "running", False):
-        return [task() for task in tasks]
-    futures = _submit(tasks[1:], cpus - 1)
-    try:
-        first = _as_task(tasks[0])
-        wait(futures)
-    except BaseException:
-        if stop is not None:
-            stop()
-        wait(futures)
-        raise
-    return [first] + [f.result() for f in futures]
 
 
 def _blocks(n: int, per_index) -> list:
@@ -269,10 +206,12 @@ def _blocks(n: int, per_index) -> list:
     indices per CPU, none shorter than ``_MIN_BLOCK``, with the serial
     loop's exception.
 
-    A failure at index k stops every block before its next index above
-    k, and an interrupt of the calling thread every block at its next
-    index; the blocks below k run on, as the serial loop would have run
-    them, so the exception raised is the lowest failing index's.
+    The calling thread runs the first block and threads of its own the
+    others, all joined before this returns or raises; with one block no
+    thread starts. A failure at index k stops every block before its next
+    index above k, and an interrupt of the calling thread every block at
+    its next index; the blocks below k run on, as the serial loop would
+    have run them, so the exception raised is the lowest failing index's.
     """
     # no block starts an index at or above an entry; appends need no lock,
     # and a block that reads the list just before one makes one call more
@@ -291,10 +230,18 @@ def _blocks(n: int, per_index) -> list:
         return out
 
     k = max(1, min(n // _MIN_BLOCK, _cpus()))
+    if k == 1:
+        return block(0, n)
     bounds = [b * n // k for b in range(k + 1)]
-    parts = _run_all([partial(block, lo, hi)
-                      for lo, hi in zip(bounds, bounds[1:])],
-                     stop=lambda: stops.append(0))
+    # leaving the with block joins every thread, however it is left
+    with ThreadPoolExecutor(k - 1) as pool:
+        rest = [pool.submit(block, lo, hi)
+                for lo, hi in zip(bounds[1:], bounds[2:])]
+        try:
+            parts = [block(0, bounds[1])] + [f.result() for f in rest]
+        except BaseException:
+            stops.append(0)
+            raise
     return [value for part in parts for value in part]
 
 

@@ -25,7 +25,7 @@ from numpy.polynomial import chebyshev
 from scipy import integrate
 from scipy.special import hyp2f1
 
-from .kernel import _row_tiles
+from .kernel import _legendre_rule, _row_tiles
 from .params import (
     StableParams,
     _is_integer,
@@ -220,7 +220,7 @@ def _far_field(params: StableParams, g, x, r_in: float, r_out: float):
     """
     nodes, weights = [], []
     for order in (_FAR_ORDER, _FAR_ORDER // 2):
-        t, w = np.polynomial.legendre.leggauss(order)
+        t, w = _legendre_rule(order)
         s = 0.5 * (t + 1.0)
         band = r_in + (r_out - r_in) * s
         band_w = 0.5 * (r_out - r_in) * w \

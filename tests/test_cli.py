@@ -73,6 +73,25 @@ def test_run_malformed_spec_exit_two(tmp_path, capsys):
     assert "spec must be a JSON object" in capsys.readouterr().err
 
 
+def test_deeply_nested_spec_exit_two(tmp_path, capsys):
+    # json gives up on deep nesting with RecursionError, not a decode
+    # error; it is a config error all the same
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    assert main(["run", str(deep)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: spec file {deep} is nested too deeply to parse\n"
+
+
+def test_deeply_nested_override_exit_two(tmp_path, capsys):
+    spec = write_spec(tmp_path, SPEC)
+    assert main(["run", spec, "--override",
+                 "options.times=" + "[" * 100_000]) == 2
+    assert capsys.readouterr().err == ("config error: override "
+                                       "'options.times' is nested too "
+                                       "deeply to parse\n")
+
+
 def test_run_unknown_kind_exit_two(tmp_path, capsys):
     spec = write_spec(tmp_path, {"kind": "teleport"})
     assert main(["run", spec]) == 2

@@ -491,7 +491,7 @@ def test_kernel_convolve_tiles_keep_the_bits():
     # floats of its own call, at the support's edges and centre too
     phi = lambda y: standard_bump(y / 2.0)
     inside_tile = _PAIR_TILE // len(_jacobi_rule(SKEW.alpha)[0])
-    outside_tile = _PAIR_TILE // len(_legendre_rule()[0])
+    outside_tile = _PAIR_TILE // len(_legendre_rule(64)[0])
     inside = np.concatenate([np.linspace(-1.99, 1.99, 3 * inside_tile + 7),
                              [0.0, -0.0]])
     outside = np.concatenate([np.linspace(2.0, 40.0, 3 * outside_tile + 5),

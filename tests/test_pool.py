@@ -1,11 +1,11 @@
-"""The pool behind the package's loops over independent work.
+"""The threads behind the package's loops over independent work.
 
-``pathsim._run_all`` runs tasks on a pool of one thread fewer than the
-usable CPUs, and ``pathsim._blocks`` splits path indices into one block per
-CPU, none shorter than ``pathsim._MIN_BLOCK``. Pinned here: the same bytes
-at every pool size, short calls inline, the serial loop's exception, a
-working pool in a child made by fork, and no thread started anywhere else
-in the package.
+``pathsim._blocks`` splits path indices into one block per usable CPU,
+none shorter than ``pathsim._MIN_BLOCK``; the calling thread runs the
+first block and threads of the call's own the others. Pinned here: the
+same bytes at every thread count, short calls inline, the serial loop's
+exception, no thread left behind by a call, nested calls and a child made
+by fork that work, and no thread started anywhere else in the package.
 """
 
 import ast
@@ -16,6 +16,7 @@ import signal
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -105,40 +106,76 @@ def test_level_curve_is_the_same_bytes_at_every_pool_size(cpus):
 
 
 def test_one_cpu_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(pathsim, "_pool", None)
     monkeypatch.setattr(pathsim, "_cpus", lambda: 1)
+    before = threading.active_count()
+    counts = pathsim._blocks(20, lambda i: threading.active_count())
+    assert set(counts) == {before}
+    # the count does see a call's own thread, while the call runs
+    monkeypatch.setattr(pathsim, "_cpus", lambda: 2)
+    counts = pathsim._blocks(20, lambda i: threading.active_count())
+    assert max(counts) == before + 1
+
+
+def test_no_thread_outlives_a_call(monkeypatch):
+    # at two CPUs a call starts one thread and joins it before it
+    # returns, raises or passes an interrupt on
+    monkeypatch.setattr(pathsim, "_cpus", lambda: 2)
     before = threading.active_count()
     sample_terminal_jumpdecomp(SYM, CRITERION_4, 20)
     assert threading.active_count() == before
-    assert pathsim._pool is None
-    # the count does see the pool's thread, once there is one
-    monkeypatch.setattr(pathsim, "_cpus", lambda: 2)
-    sample_terminal_jumpdecomp(SYM, CRITERION_4, 20)
+
+    def failing(i):
+        if i == 15:
+            raise ValueError(f"index {i}")
+        return i
+
+    with pytest.raises(ValueError, match="^index 15$"):
+        pathsim._blocks(20, failing)
+    assert threading.active_count() == before
+
+    def interrupting(i):
+        # the other thread's block interrupts the calling thread
+        if i == 12:
+            signal.pthread_kill(threading.main_thread().ident,
+                                signal.SIGINT)
+        time.sleep(0.01)
+        return i
+
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
-        assert threading.active_count() == before + 1
+        with pytest.raises(KeyboardInterrupt):
+            pathsim._blocks(20, interrupting)
     finally:
-        pathsim._pool[1].shutdown()
+        signal.signal(signal.SIGINT, handler)
+    assert threading.active_count() == before
 
 
 def test_short_calls_run_on_the_calling_thread(monkeypatch):
     # a block holds at least four indices, so calls of fewer than eight
-    # stay inline and a few more fill fewer blocks than CPUs
+    # stay inline and a few more fill fewer blocks than CPUs. A call's
+    # blocks are the calling thread's and one per task it submits
     monkeypatch.setattr(pathsim, "_cpus", lambda: 3)
-    run_all, blocks = pathsim._run_all, []
+    workers, submits, blocks = [], [], []
 
-    def counted(tasks, stop=None):
-        blocks.append(len(tasks))
-        return run_all(tasks, stop)
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
 
-    monkeypatch.setattr(pathsim, "_run_all", counted)
+        def submit(self, *args):
+            submits.append(args)
+            return super().submit(*args)
+
+    monkeypatch.setattr(pathsim, "ThreadPoolExecutor", Counted)
     me = threading.get_ident()
-    for n in range(1, 8):
-        assert set(pathsim._blocks(n, lambda i: threading.get_ident())) \
-            == {me}
-    for n in (8, 11, 12, 40):
+    for n in [*range(1, 8), 8, 11, 12, 40]:
+        submits.clear()
         ids = pathsim._blocks(n, lambda i: threading.get_ident())
-        assert ids[0] == me != ids[-1]
+        blocks.append(1 + len(submits))
+        assert ids[0] == me
+        assert (ids[-1] == me) == (n < 8)
     assert blocks == [1] * 7 + [2, 2, 3, 3]
+    assert workers == [1, 1, 2, 2]
 
 
 def test_the_lowest_failing_path_raises(monkeypatch):
@@ -260,13 +297,23 @@ def test_many_threads_and_many_failures_still_raise_the_lowest(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_nested_calls_run_inline(monkeypatch):
-    # a task's own call of _run_all never waits on the pool it occupies
-    monkeypatch.setattr(pathsim, "_cpus", lambda: 2)
-    inner = [lambda: threading.get_ident()] * 2
-    outer = pathsim._run_all([lambda: pathsim._run_all(inner)] * 2)
-    assert [len(set(ids)) for ids in outer] == [1, 1]
-    assert outer[0][0] == threading.get_ident() != outer[1][0]
+def test_nested_calls_give_the_serial_values(monkeypatch):
+    # each index of the outer call fans out again, on threads of the
+    # inner call's own, so no call waits on threads another one occupies;
+    # a hang would leave the daemon thread running past its timeout
+    def outer(i):
+        return pathsim._blocks(12, lambda j: (i, j))
+
+    serial = [[(i, j) for j in range(12)] for i in range(12)]
+    for n_cpus in (2, 3):
+        monkeypatch.setattr(pathsim, "_cpus", lambda: n_cpus)
+        values = []
+        call = threading.Thread(
+            target=lambda: values.append(pathsim._blocks(12, outer)),
+            daemon=True)
+        call.start()
+        call.join(30.0)
+        assert values == [serial], f"the nested call hung at {n_cpus} CPUs"
 
 
 def _draw_in_child(conn):
@@ -276,17 +323,16 @@ def _draw_in_child(conn):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork on this platform")
 def test_a_forked_child_draws_the_same_floats(monkeypatch):
-    # the child inherits the parent's pool object but none of its
-    # threads; a task sent to that pool would never run
+    # the child inherits none of the parent's threads; its calls start
+    # threads of their own
     monkeypatch.setattr(pathsim, "_cpus", lambda: 2)
     expected = sample_terminal_jumpdecomp(SYM, CRITERION_4, 40)
-    assert pathsim._pool is not None
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_draw_in_child, args=(sender,))
     child.start()
     try:
-        assert receiver.poll(30.0), "the child hung on the parent's pool"
+        assert receiver.poll(30.0), "the child hung"
         assert receiver.recv() == expected.tobytes()
     finally:
         child.kill()
@@ -296,8 +342,7 @@ def test_a_forked_child_draws_the_same_floats(monkeypatch):
 # --------------------------------------------------- threads in one place
 
 THREAD_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
-HELPER = ("pathsim.py", {"<module>", "_forget_pool", "_as_task", "_submit",
-                         "_run_all"})
+HELPER = ("pathsim.py", {"<module>", "_blocks"})
 
 
 def _thread_uses(tree: ast.AST, names=None, where: str = "<module>"):
@@ -337,7 +382,7 @@ def test_only_the_pool_helper_uses_threads():
                 module.read_text(encoding="utf-8")))}
     assert [u for u in uses
             if u[0] != HELPER[0] or u[1] not in HELPER[1]] == []
-    assert {"_submit", "_run_all"} <= {u[1] for u in uses}
+    assert "_blocks" in {u[1] for u in uses}
 
 
 def test_the_thread_scan_sees_each_kind_of_use():
