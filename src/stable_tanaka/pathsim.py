@@ -335,32 +335,20 @@ def _merge_jump_times(base: np.ndarray, jt: np.ndarray):
 
     Returns the refined grid, each instant's row in it and the grid's
     steps: the same arrays as ``union1d(base, jt)``, a ``searchsorted`` of
-    ``jt`` into it and its ``diff``. The cell guess int(jt n / T) is at
-    most one off, so comparing an instant with the two nodes above the
-    guess gives c = #{nodes < jt}. Instant j then goes to row c_j + j, and
-    node i to row i + #{j : c_j <= i}. An instant equal to a node or to
-    another instant lands next to it; such a tie merges into one grid
-    point, which every tied instant keeps as row, and drops its zero step.
+    ``jt`` into it and its ``diff``. numpy's stable sort merges the two
+    sorted runs and keeps the order within each: a node comes before an
+    instant equal to it, and the merged points taken from ``jt`` are the
+    instants in turn. A run of equal points is one grid point, the row of
+    every point in the run.
     """
-    n = len(base) - 1
-    above = np.append(base, np.inf)[1:]  # an instant at T has a node above
-    # jt / T <= 1, so the guess stays in [0, n] however small T is
-    guess = (jt / base[-1] * n).astype(np.intp)
-    rows = guess + (base[guess] < jt)
-    rows += above[guess] < jt  # rows holds c here
-    node_rows = np.cumsum(np.bincount(rows, minlength=n + 1))
-    node_rows += np.arange(n + 1)
-    rows += np.arange(len(jt))
-    times = np.empty(n + 1 + len(jt))
-    times[rows] = jt
-    times[node_rows] = base
-    step = np.diff(times)
-    if not step.all():  # a tie: keep the first point of each run of equals
-        first = np.concatenate(([True], step != 0.0))
-        rows = (np.cumsum(first) - 1)[rows]
-        times = times[first]
-        step = step[first[1:]]
-    return times, rows, step
+    times = np.concatenate([base, jt])
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    first = np.concatenate(([True], times[1:] != times[:-1]))
+    rows = np.cumsum(first)[order >= len(base)]
+    rows -= 1
+    times = times[first]
+    return times, rows, np.diff(times)
 
 
 def simulate_path_jumpdecomp(params: StableParams, config: SimConfig,

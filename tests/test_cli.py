@@ -412,6 +412,30 @@ def test_bad_override_exit_two(tmp_path, capsys):
     assert main(["run", spec, "--override", "options.n_samples.x=1"]) == 2
 
 
+AGREEMENT_SPEC = {
+    "kind": "estimator-agreement",
+    "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
+    "sim": {"T": 1.0, "n_steps": 16, "eps": 0.1},
+    "options": {"n_paths": 2, "schedule": [[0.2, 8], [0.1, 16]]}}
+
+
+def test_unquoted_override_is_a_string(tmp_path):
+    # a value that is not JSON is taken as a bare string
+    spec = write_spec(tmp_path, AGREEMENT_SPEC)
+    out = tmp_path / "rep"
+    assert main(["run", spec, "--override", "sim.small_jump_mode=drop",
+                 "--out", str(out)]) in (0, 1)
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["inputs"]["sim"]["small_jump_mode"] == "drop"
+
+
+def test_unquoted_override_for_a_number_exit_two(tmp_path, capsys):
+    spec = write_spec(tmp_path, AGREEMENT_SPEC)
+    assert main(["run", spec, "--override", "options.n_paths=many"]) == 2
+    assert capsys.readouterr().err == ("config error: n_paths must be a "
+                                       "finite integer, got 'many'\n")
+
+
 def test_simulate_writes_paths(tmp_path):
     out = tmp_path / "paths"
     code = main(["simulate", "--alpha", "1.5", "--n-steps", "64",

@@ -374,8 +374,9 @@ def test_merge_jump_times_hand_built(jt, times, rows):
 @pytest.mark.filterwarnings("error:::stable_tanaka")
 @pytest.mark.parametrize("n_steps", [8, 4096])
 def test_tiny_horizon_merges_without_overflow(n_steps):
-    # n / T overflows once T is below about n * 5.6e-309; the cell guess
-    # jt / T * n stays within [0, n], and no warning is raised
+    # a subnormal horizon, where n / T overflows: the path builds, the
+    # merge still equals union1d, ties with nodes included, and no
+    # warning is raised
     T = 1e-310
     cfg = SimConfig(T=T, n_steps=n_steps, eps=1e-2, seed=5)
     path = simulate_path_jumpdecomp(SKEW, cfg)
@@ -394,7 +395,7 @@ def _grid_and_instants(draw):
     ties = draw(st.booleans())
 
     def near_node(node_ulps):
-        # a node moved by a few ulps: int(jt n / T) may land in the next cell
+        # a node moved by a few ulps, or left on it when ties are drawn
         node, ulps = node_ulps
         x = base[node]
         for _ in range(abs(ulps)):
@@ -415,9 +416,9 @@ def _grid_and_instants(draw):
 @pytest.mark.parametrize("T", [1.0, 0.7, 3.3, 4.35])
 @pytest.mark.parametrize("ties", [False, True])
 def test_merge_jump_times_every_node_nudged(n_steps, T, ties):
-    # every node moved by up to two ulps either way, so every cell guess
-    # that falls short or overshoots is met (at n=7, T=4.35 one ulp above
-    # nodes 3 and 6 the guess is a cell short); with ties, the nodes too
+    # every node moved by up to two ulps either way, so an instant sits
+    # just below and just above each node; with ties, the nodes too, each
+    # merging with its equal
     base = np.linspace(0.0, T, n_steps + 1)
     nudged = [base]
     for direction in (-math.inf, math.inf):
@@ -458,6 +459,48 @@ def test_jumpdecomp_ties_merge_and_sum(monkeypatch):
         assert path.times.tobytes() == times.tobytes()
         assert path.values.tobytes() == values.tobytes()
         assert path.jump_rows.tolist() == [1, 1, 2, 2, 2, 5]
+
+
+class _ZeroInstants:
+    """A generator whose first instant draw holds two 0.0s and whose first
+    redraw another; every other draw comes from ``rng``, and the size of
+    each ``random`` call is logged."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.planted = [[0.5, 0.0, 0.25, 0.0], [0.0, 0.75], [0.125]]
+        self.sizes = []
+
+    def poisson(self, lam):
+        return 4
+
+    def random(self, size):
+        self.sizes.append(size)
+        if self.planted:
+            return np.array(self.planted.pop(0))
+        return self.rng.random(size)
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
+
+
+def test_zero_instants_are_drawn_again(monkeypatch):
+    cfg = SimConfig(T=1.0, n_steps=3, eps=0.1, seed=8)
+    stub = _ZeroInstants(path_rng(8, 1))
+    jt, sizes = pathsim._draw_jumps(SKEW, cfg, stub)
+    # each zero drawn again until positive, then sorted; the sizes come
+    # from the draws after the last redraw
+    assert jt.tolist() == [0.125, 0.25, 0.5, 0.75]
+    assert stub.sizes == [4, 2, 1, 4, 4]
+    assert sizes.tobytes() == pathsim._jump_sizes(
+        SKEW, cfg.eps, 4, path_rng(8, 1)).tobytes()
+    stub = _ZeroInstants(path_rng(8, 1))
+    monkeypatch.setattr(pathsim, "path_rng", lambda seed, i: stub)
+    path = simulate_path_jumpdecomp(SKEW, cfg, 1)
+    assert isinstance(path, PathSample)
+    assert path.jump_times.tolist() == [0.125, 0.25, 0.5, 0.75]
+    assert path.jump_sizes.tobytes() == sizes.tobytes()
+    assert len(path.times) == 3 + 1 + 4
 
 
 def test_jumpdecomp_terminal_law_matches_marginal():

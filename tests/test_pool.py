@@ -3,15 +3,17 @@
 ``pathsim._blocks`` splits path indices into one block per usable CPU,
 none shorter than ``pathsim._MIN_BLOCK``; the calling thread runs the
 first block and threads of the call's own the others. Pinned here: the
-same bytes at every thread count, short calls inline, the serial loop's
-exception, no thread left behind by a call, nested calls and a child made
-by fork that work, and no thread started anywhere else in the package.
+same bytes at every thread count, short calls inline, one CPU where
+none can be counted, the serial loop's exception, no thread left
+behind by a call, nested calls and a child made by fork that work, and
+no thread started anywhere else in the package.
 """
 
 import ast
 import hashlib
 import json
 import multiprocessing
+import os
 import signal
 import sys
 import threading
@@ -114,6 +116,21 @@ def test_one_cpu_starts_no_thread(monkeypatch):
     monkeypatch.setattr(pathsim, "_cpus", lambda: 2)
     counts = pathsim._blocks(20, lambda i: threading.active_count())
     assert max(counts) == before + 1
+
+
+def test_cpu_count_is_the_fallback_without_affinity(monkeypatch):
+    # where the platform has no CPU affinity, os.cpu_count() counts, and
+    # a count it cannot tell is one CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pathsim._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pathsim._cpus() == 1
+    before = threading.active_count()
+    me = threading.get_ident()
+    assert pathsim._blocks(20, lambda i: (threading.active_count(),
+                                          threading.get_ident())) == \
+        [(before, me)] * 20
 
 
 def test_no_thread_outlives_a_call(monkeypatch):
