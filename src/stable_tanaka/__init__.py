@@ -3,8 +3,8 @@
 The package is organized bottom-up:
 
 * :mod:`stable_tanaka.params`    -- coefficient triplets and derived constants
-* :mod:`stable_tanaka.spectral`  -- symbols, densities and generator tools
 * :mod:`stable_tanaka.kernel`    -- the explicit kernel F and its smoothings
+* :mod:`stable_tanaka.spectral`  -- symbols, densities and generator tools
 * :mod:`stable_tanaka.pathsim`   -- exact-marginal and jump-decomposition paths
 * :mod:`stable_tanaka.localtime` -- local-time curves over a grid of levels
 * :mod:`stable_tanaka.experiments` -- reproducible experiment runner (+ CLI)

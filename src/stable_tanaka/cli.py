@@ -149,8 +149,10 @@ def _finish(report, out) -> int:
 
 def _cmd_run(args) -> int:
     spec_path = Path(args.spec)
+    # a directory or a device is refused unread: a read from a FIFO blocks
     if not spec_path.is_file():
-        raise ConfigError(f"spec file not found: {args.spec}")
+        what = "is not a regular file" if spec_path.exists() else "not found"
+        raise ConfigError(f"spec file {what}: {args.spec}")
     try:
         text = spec_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

@@ -20,11 +20,10 @@ short of the 1e-2 stability target for every alpha tested (worst at
 alpha=1.2, where ~0.2 of the mass still sits past 1e6).  The test reports
 the measured differences instead of loosening the target.
 
-The full file takes ~2 minutes (116 s by pytest --durations on a 2-core
-box, OpenBLAS pinned to one thread); criterion 5 (10^4 paths at
-n_steps=4096, 89 s there) dominates, then criteria 6 (12 s) and 4
-(10.5 s); criterion 7 takes 1.1 s. Those three carry the ``slow`` marker,
-which ``-m "not slow"`` deselects for a fast inner loop.
+Criterion 5 (10^4 paths at n_steps=4096) dominates the file's time, then
+criteria 6 and 4; the README's "Tests and acceptance" section gives the
+measured timings. Those three carry the ``slow`` marker, which
+``-m "not slow"`` deselects for a fast inner loop.
 """
 
 import math
@@ -33,6 +32,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from quadrature_oracle import generator_quadrature
 from stable_tanaka import (
     SimConfig,
     derive_params,
@@ -45,11 +45,7 @@ from stable_tanaka.pathsim import (
     sample_stable_increment,
     sample_terminal_jumpdecomp,
 )
-from stable_tanaka.spectral import (
-    Grid,
-    generator_apply,
-    generator_quadrature,
-)
+from stable_tanaka.spectral import Grid, generator_apply
 
 SYM = derive_params(1.5, 1.0, 1.0)
 

@@ -52,6 +52,16 @@ def test_run_missing_spec_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["absent.json", ".", os.devnull])
+def test_run_spec_path_message(tmp_path, capsys, where):
+    # "not found" only for a path that is not there; a directory or a
+    # device is there but is not a regular file, and is not read
+    path = str(tmp_path / where)
+    what = "not found" if where == "absent.json" else "is not a regular file"
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err == f"config error: spec file {what}: {path}\n"
+
+
 def test_run_unreadable_spec_exit_two(tmp_path, capsys):
     # a directory, then bytes that are not UTF-8
     assert main(["run", str(tmp_path)]) == 2

@@ -162,6 +162,27 @@ def test_kernel_one_sided_forms():
                        2.0 * left_only.big_d * xs ** 0.5)
 
 
+@pytest.mark.parametrize("alpha, bar", [
+    (1.1, 1.4e-15), (1.3, 1.4e-15), (1.5, 1.4e-15), (1.8, 1.4e-15),
+    (1.99, 8e-15)])
+def test_kernel_is_the_scale_function_one_sided(alpha, bar):
+    # at c_plus = 0 the kernel is the scale function of the spectrally
+    # negative process, psi(lambda) = kappa lambda^alpha with kappa =
+    # d / |cos(pi alpha / 2)|: W(x) = x^(alpha-1) / (kappa Gamma(alpha))
+    # for x > 0 and 0 for x <= 0; c_minus = 0 is the mirror x -> -x.
+    # Over 2001 magnitudes from 1e-6 to 1e6 and the four triplets the
+    # worst measured was 6.7e-16 relative at alpha 1.1-1.8, 4.0e-15 at 1.99
+    mags = np.geomspace(1e-6, 1e6, 2001)
+    for c_plus, c_minus in ((0.0, 1.0), (0.0, 2.5), (1.0, 0.0), (3.0, 0.0)):
+        params = derive_params(alpha, c_plus, c_minus)
+        kappa = params.d / abs(math.cos(math.pi * alpha / 2.0))
+        scale = mags ** (alpha - 1.0) / (kappa * math.gamma(alpha))
+        side = 1.0 if c_plus == 0.0 else -1.0
+        got = kernel_F(params, side * mags)
+        assert np.max(np.abs(got / scale - 1.0)) <= bar
+        assert np.all(kernel_F(params, np.append(-side * mags, 0.0)) == 0.0)
+
+
 def test_kernel_explicit_values():
     assert kernel_F(SKEW, 1.0) == pytest.approx(SKEW.big_d / 2.0, rel=1e-14)
     assert kernel_F(SKEW, -1.0) == pytest.approx(1.5 * SKEW.big_d, rel=1e-14)

@@ -4,14 +4,19 @@ Every ``__all__`` name is also used somewhere other than the tests, and
 the README's command lines and flags match the command-line parser.
 
 The sources are read with ``ast``; no demo or command runs, so an API
-removal shows up here in well under a second.
+removal shows up here in well under a second. One test imports the
+command line in a fresh interpreter and asks that ``scipy.integrate``
+stay unloaded: the package calls no scipy quadrature.
 """
 
 import argparse
 import ast
 import importlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,12 +27,6 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["stable_tanaka", "stable_tanaka.params", "stable_tanaka.spectral",
            "stable_tanaka.kernel", "stable_tanaka.pathsim",
            "stable_tanaka.localtime", "stable_tanaka.experiments"]
-# public names that only the tests call, each with the reason it stays
-TEST_ONLY = {
-    # the direct-quadrature oracle that acceptance criterion 2 checks the
-    # spectral generator against
-    "generator_quadrature",
-}
 
 
 def _sources():
@@ -104,9 +103,25 @@ def test_all_names_used_outside_tests():
     used = _used_names()
     unused = [f"{module}.{name}" for module in MODULES
               for name in importlib.import_module(module).__all__
-              if name not in used and name not in TEST_ONLY]
+              if name not in used]
     assert unused == []
-    assert TEST_ONLY.isdisjoint(used)
+
+
+def test_import_loads_no_scipy_integrate():
+    # the package integrates nothing with scipy's quadrature: the direct
+    # compensated-jump oracle and its scipy.integrate import live in
+    # tests/quadrature_oracle.py. A fresh interpreter, since this one
+    # has loaded whatever the other tests import.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    probe = ("import sys, stable_tanaka.cli; print(stable_tanaka.__file__); "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] == ['scipy', 'integrate']))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    where, loaded = done.stdout.splitlines()
+    assert Path(where).is_relative_to(ROOT / "src")
+    assert loaded == "[]"
 
 
 def test_private_names_read_in_src():
