@@ -96,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute an experiment spec file")
     run_p.add_argument("spec", help="path to a JSON experiment spec")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the spec's seed")
     run_p.add_argument("--out", default=None,
                        help="output directory (overrides spec.out_dir "
                             f"and ${OUT_ENV_VAR})")
@@ -167,8 +165,6 @@ def _cmd_run(args) -> int:
         raise ConfigError("spec must be a JSON object")
     for assignment in args.override:
         _apply_override(raw, assignment)
-    if args.seed is not None:
-        raw["seed"] = args.seed
     out_dir = raw.pop("out_dir", None)
     if not isinstance(out_dir, (str, type(None))):
         raise ConfigError("out_dir must be a string or null")

@@ -24,11 +24,16 @@ Spec files are JSON::
 the path-simulation knobs (T, n_steps, eps, small_jump_mode, x0), and
 ``options`` the kind-specific budget and tolerances, each declared once
 with its default, type and range in the kind's entry of the registry
-``_KINDS``. Building a spec checks every block, params included, against
-that entry, then the jump count of each path the kind draws, so a
-malformed spec raises :class:`ConfigError` before any compute. Wall time
-is recorded on the report object but excluded from the serialized bytes
-so determinism survives.
+``_KINDS``. The entry also names the blocks the kind reads: ``params``
+for every kind but existence-scan, whose intensities are options, and
+``sim`` for the three kinds that draw paths (martingale-zero-mean,
+occupation-formula, estimator-agreement). Building a spec requires
+those blocks and refuses any other, so every value a spec gives has a
+reader; it checks each block against the entry, then the jump count of
+each path the kind draws, so a malformed spec raises
+:class:`ConfigError` before any compute. Wall time is recorded on the
+report object but excluded from the serialized bytes so determinism
+survives.
 """
 
 from __future__ import annotations
@@ -173,16 +178,18 @@ _SIM_FIELDS = {"T": Option(None), "n_steps": Option(None, "int"),
 
 @dataclass(frozen=True)
 class _Kind:
-    """A kind's ``run(spec, opts, params, sims)``, its options, the
-    ``labeled`` lists, whose entries name verdicts and statistics, and
-    ``check(opts, params, cfg)``, which raises ValueError on cross-field
-    faults and returns ``sims``, the SimConfigs of the paths it draws."""
+    """A kind's ``run(spec, opts, params, sims)``, its options, the spec
+    blocks it ``reads`` (``"params"``, ``"sim"``; a spec must give each of
+    them and no other), the ``labeled`` lists, whose entries name verdicts
+    and statistics, and ``check(opts, params, cfg)``, which raises
+    ValueError on cross-field faults and returns ``sims``, the SimConfigs
+    of the paths it draws. ``params`` and ``cfg`` are None where the
+    block is not read."""
 
     run: Callable
     options: dict
+    reads: tuple
     labeled: tuple = ()
-    needs_params: bool = True
-    needs_sim: bool = False
     check: Callable = lambda opts, params, cfg: []
 
 
@@ -201,9 +208,10 @@ def _distinct_labels(name: str, values) -> None:
 class ExperimentSpec:
     """One named, seeded experiment configuration.
 
-    Construction checks every block, params included, against the kind's
-    registry entry, then the expected jump count of each path the kind
-    draws, and keeps the typed inputs for the runner outside the fields.
+    Construction requires each block the kind's registry entry reads and
+    refuses any other, checks the blocks against that entry, then the
+    expected jump count of each path the kind draws, and keeps the typed
+    inputs for the runner outside the fields.
     """
 
     kind: str
@@ -222,19 +230,20 @@ class ExperimentSpec:
             if not isinstance(getattr(self, name), (dict, type(None))):
                 raise ConfigError(f"{name} must be a JSON object")
         entry = _KINDS[self.kind]
-        if entry.needs_params and not self.params:
-            raise ConfigError(f"{self.kind} needs a params block")
-        if entry.needs_sim and not self.sim:
-            raise ConfigError(f"{self.kind} needs a sim block")
+        for name in ("params", "sim"):
+            if name not in entry.reads and getattr(self, name) is not None:
+                raise ConfigError(f"{self.kind} reads no {name} block")
+            if name in entry.reads and not getattr(self, name):
+                raise ConfigError(f"{self.kind} needs a {name} block")
         try:
             _stream_key("seed", self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not isinstance(self.out_dir, (str, type(None))):
             raise ConfigError("out_dir must be a string or null")
-        # a params or sim block is checked whenever given
-        params = None if self.params is None else _typed(
-            "params fields", self.params, _PARAMS_FIELDS, derive_params)
+        # a block is given here exactly when the kind reads it
+        params = _typed("params fields", self.params, _PARAMS_FIELDS,
+                        derive_params) if self.params else None
         cfg = _typed("sim fields", self.sim, _SIM_FIELDS, partial(
             SimConfig, seed=self.seed)) if self.sim else None
         opts = _typed(f"options for {self.kind}", self.options or {},
@@ -647,39 +656,40 @@ _KINDS = {
         "bump_width": Option(2.0, "float", "(0, inf)"),
         "report_radius": Option(10.0, "float", "(0, inf)"),
         "tolerance": Option(1e-2, "float", "[0, inf)"),
-    }, check=_check_grid),
+    }, reads=("params",), check=_check_grid),
     "martingale-zero-mean": _Kind(_run_martingale_zero_mean, {
         "n_paths": Option(400, "int", "[2, inf)"),
         "levels": Option((0.0, 0.5), "floats"),
         "checkpoints": Option((0.25, 0.5, 1.0), "floats", "(0, 1]"),
         "n_sigma": Option(4.0, "float", "(0, inf)"),
-    }, labeled=("levels",), needs_sim=True, check=_check_checkpoints),
+    }, reads=("params", "sim"), labeled=("levels",),
+        check=_check_checkpoints),
     "occupation-formula": _Kind(_run_occupation_formula, {
         "n_paths": Option(100, "int", "[1, inf)"),
         "hat_half_width": Option(1.0, "float", "(0, inf)"),
         "hat_tolerance": Option(0.05, "float", "[0, inf)"),
         "unit_tolerance": Option(0.02, "float", "[0, inf)"),
-    }, needs_sim=True, check=lambda o, params, cfg: [cfg]),
+    }, reads=("params", "sim"), check=lambda o, params, cfg: [cfg]),
     "estimator-agreement": _Kind(_run_estimator_agreement, {
         "n_paths": Option(300, "int", "[2, inf)"),
         "schedule": Option(((4e-3, 1024), (2e-3, 2048), (1e-3, 4096)),
                            "schedule"),
         "level": Option(0.0),
         "means_tolerance": Option(0.10, "float", "[0, inf)"),
-    }, needs_sim=True, check=_schedule_configs),
+    }, reads=("params", "sim"), check=_schedule_configs),
     "sampler-validation": _Kind(_run_sampler_validation, {
         "n_samples": Option(100_000, "int", "[1, inf)"),
         "u": Option((0.5, 1.0, 2.0, 4.0), "floats"),
         "t": Option(1.0, "float", "(0, inf)"),
         "n_sigma": Option(4.0, "float", "(0, inf)"),
-    }, labeled=("u",), check=_check_symbol),
+    }, reads=("params",), labeled=("u",), check=_check_symbol),
     "moment-tests": _Kind(_run_moment_tests, {
         "n_samples": Option(100_000, "int", "[2, inf)"),
         "gammas": Option((0.3, 0.5, 0.7), "floats", "(0, 1)"),
         "times": Option((0.5, 1.0), "floats", "(0, inf)"),
         "shifts": Option((0.0, 1.0), "floats"),
         "n_sigma": Option(4.0, "float", "(0, inf)"),
-    }, labeled=("gammas", "times", "shifts")),
+    }, reads=("params",), labeled=("gammas", "times", "shifts")),
     "existence-scan": _Kind(_run_existence_scan, {
         "alphas": Option((0.9, 1.2, 1.5, 1.8), "floats", "(0, 2)"),
         "cutoffs": Option((1e2, 1e4, 1e6), "floats", "(0, inf)"),
@@ -687,7 +697,7 @@ _KINDS = {
         "c_minus": Option(1.0, "float", "[0, inf)"),
         "convergence_tolerance": Option(1e-2, "float", "[0, inf)"),
         "growth_fraction": Option(0.10, "float", "[0, inf)"),
-    }, labeled=("alphas",), needs_params=False, check=_check_existence),
+    }, reads=(), labeled=("alphas",), check=_check_existence),
     "density-report": _Kind(_run_density_report, {
         "half_width": Option(80.0, "float", "(0, inf)"),
         "n_points": Option(2 ** 15, "int", "[256, inf)"),
@@ -695,7 +705,7 @@ _KINDS = {
         "mass_tolerance": Option(1e-6, "float", "[0, inf)"),
         "symmetry_tolerance": Option(1e-8, "float", "[0, inf)"),
         "selfsim_tolerance": Option(1e-6, "float", "[0, inf)"),
-    }, labeled=("times",), check=_check_grid),
+    }, reads=("params",), labeled=("times",), check=_check_grid),
 }
 
 

@@ -658,22 +658,21 @@ def occupation_formula_check(path: PathSample, gs, a_grid,
 
 # ----------------------------------------------------------------- bounds
 
-def martingale_l2_bound(params: StableParams, t: float,
-                        eps0: float | None = None) -> float:
+def martingale_l2_bound(params: StableParams, t: float) -> float:
     """The square-integrability bound on E[(M^a_t)^2], in closed form.
 
     Integrates the kernel-increment growth bound against the jump measure:
     the far field contributes 8 D^2 (c+ + c-) t/(2-alpha); the near field
     couples to the uniform negative-moment bound S s^(-gamma/alpha) on
     E|X_s - a|^(-gamma), gamma = 2 + e0 - alpha, whose integral over
-    [0, t] is S t^(1-gamma/alpha) / (1 - gamma/alpha).
+    [0, t] is S t^(1-gamma/alpha) / (1 - gamma/alpha). The exponent knob
+    e0 sits in the middle of (0, min(alpha-1, 2-alpha)), the range in
+    which both bounds hold.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"time must be positive and finite, got {t!r}")
     a = params.alpha
-    e0 = min(a - 1.0, 2.0 - a) / 2.0 if eps0 is None else eps0
-    if not 0.0 < e0 < min(a - 1.0, 2.0 - a):
-        raise ValueError("eps0 must lie in (0, min(alpha-1, 2-alpha))")
+    e0 = min(a - 1.0, 2.0 - a) / 2.0
     gamma = 2.0 + e0 - a
     pref = 8.0 * params.big_d ** 2 * (params.c_plus + params.c_minus)
     far = pref * t / (2.0 - a)

@@ -114,13 +114,15 @@ class SimConfig:
 class PathSample:
     """One realized path on a refined grid, plus its jump record.
 
-    The jump record is ``jump_rows``, integer grid rows in non-decreasing
-    order, and ``jump_sizes``, one finite size per row (both empty for the
-    marginal scheme). A jump happens at times[row], so values[row] is the
-    post-jump state and values[row] - size the pre-jump state: integrators
-    that need the pre-jump state read it off exactly, and a jump between
-    grid points cannot be expressed. Rows are in time order, so a prefix
-    of the record is the jump record up to a horizon.
+    ``scheme`` is ``"jumpdecomp"`` or ``"marginal"``. The jump record is
+    ``jump_rows``, integer grid rows in non-decreasing order, and
+    ``jump_sizes``, one finite size per row (both empty for the marginal
+    scheme, and refused there otherwise). A jump happens at times[row],
+    so values[row] is the post-jump state and values[row] - size the
+    pre-jump state: integrators that need the pre-jump state read it off
+    exactly, and a jump between grid points cannot be expressed. Rows are
+    in time order, so a prefix of the record is the jump record up to a
+    horizon.
     """
 
     times: np.ndarray
@@ -139,6 +141,9 @@ class PathSample:
             raise ValueError("times must be strictly increasing")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
             raise ValueError("path contains non-finite entries")
+        if self.scheme not in ("jumpdecomp", "marginal"):
+            raise ValueError("scheme must be 'jumpdecomp' or 'marginal', "
+                             f"got {self.scheme!r}")
         rows = np.asarray(self.jump_rows)
         sizes = np.asarray(self.jump_sizes, dtype=float)
         if rows.ndim != 1 or rows.shape != sizes.shape:
@@ -155,6 +160,8 @@ class PathSample:
                              f"[1, {len(times)})")
         if not np.all(np.isfinite(sizes)):
             raise ValueError("jump_sizes must be finite")
+        if self.scheme == "marginal" and rows.size:
+            raise ValueError("a marginal path records no jumps")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "jump_rows", rows)

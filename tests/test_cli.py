@@ -110,9 +110,33 @@ def test_run_unknown_kind_exit_two(tmp_path, capsys):
 
 SYM = {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0}
 SMALL_SIM = {"T": 1.0, "n_steps": 16, "eps": 0.1}
+# a block that the kind does not read, named "<kind>-<block>": refused,
+# never ignored, an empty one too. Without the block each spec runs. The
+# existence-scan params name c+- = 3, 1, which the scan does not read: it
+# would report the symmetric limit 2.1637, not 1.2054.
+UNREAD = {
+    "existence-scan-params": {"kind": "existence-scan",
+                              "params": dict(SYM, c_plus=3.0),
+                              "options": {"alphas": [1.5]}},
+    "existence-scan-sim": {"kind": "existence-scan", "sim": {},
+                           "options": {"alphas": [1.5]}},
+    "generator-identity-sim": {"kind": "generator-identity", "params": SYM,
+                               "sim": SMALL_SIM},
+    "sampler-validation-sim": {"kind": "sampler-validation", "params": SYM,
+                               "sim": SMALL_SIM,
+                               "options": {"n_samples": 500}},
+    "moment-tests-sim": {"kind": "moment-tests", "params": SYM,
+                         "sim": SMALL_SIM,
+                         "options": {"n_samples": 50, "times": [1.0]}},
+    "density-report-sim": {"kind": "density-report", "params": SYM,
+                           "sim": SMALL_SIM,
+                           "options": {"n_points": 8192, "half_width": 40.0,
+                                       "times": [1.0]}},
+}
 # one field wrong per spec; each must exit 2, never end in a traceback
 # (exit 1, the same code as a FAIL verdict)
 MALFORMED = {
+    **UNREAD,
     "params-list": {"kind": "sampler-validation", "params": [1, 2]},
     "params-string": {"kind": "sampler-validation", "params": "x"},
     "options-number": {"kind": "sampler-validation", "params": SYM,
@@ -260,6 +284,15 @@ MALFORMED = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(UNREAD))
+def test_unread_block_is_named(tmp_path, capsys, name):
+    kind, block = name.rsplit("-", 1)
+    spec = write_spec(tmp_path, UNREAD[name])
+    assert main(["run", spec]) == 2
+    assert capsys.readouterr().err == (f"config error: {kind} reads no "
+                                       f"{block} block\n")
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_spec_exit_two(tmp_path, capsys, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
@@ -330,11 +363,16 @@ def _specs(draw):
     sim = block(["T", "n_steps", "eps", "x0", "small_jump_mode"])
     params = {"alpha": mostly(st.sampled_from([1.2, 1.5, 1.8]), _VALUE)}
     params.update(block(["c_plus", "c_minus"]))
-    spec = {"kind": kind, "params": mostly(st.just(params), _JSON),
-            "sim": mostly(st.just(sim), _JSON),
+    spec = {"kind": kind,
             # never {}: the defaults are the full budgets
             "options": mostly(st.just(block(keys)), st.one_of(
                 _BAD, st.lists(_SCALARS, max_size=3)))}
+    # a block goes to each kind that reads it, and now and then to one
+    # that does not, which refuses it
+    reads = _KINDS[kind].reads if kind in _KINDS else ()
+    for name, good in (("params", params), ("sim", sim)):
+        if name in reads or draw(st.integers(0, 9)) == 9:
+            spec[name] = mostly(st.just(good), _JSON)
     for key, good in (("seed", st.integers(0, 3)),
                       ("out_dir", st.just("out"))):
         if draw(st.booleans()):
@@ -357,7 +395,8 @@ def test_run_overrides_and_seed(tmp_path):
     spec = write_spec(tmp_path, SPEC)
     out = tmp_path / "rep"
     code = main(["run", spec, "--out", str(out),
-                 "--override", "options.n_samples=800", "--seed", "5"])
+                 "--override", "options.n_samples=800",
+                 "--override", "seed=5"])
     assert code == 0
     payload = json.loads((out / "report.json").read_text())
     assert payload["inputs"]["options"]["n_samples"] == 800

@@ -8,7 +8,9 @@ honestly -- the partial integrals genuinely move by more than the
 threshold between the prescribed cutoffs).
 """
 
+import ast
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -48,6 +50,32 @@ def test_missing_blocks_rejected():
         ExperimentSpec(kind="generator-identity")
     with pytest.raises(ConfigError, match="sim block"):
         ExperimentSpec(kind="martingale-zero-mean", params=SYM_PARAMS)
+
+
+def _loaded_names(fn) -> set:
+    """The names that a function or lambda loads, in its nested functions
+    too, read off the syntax tree of its module."""
+    tree = ast.parse(Path(inspect.getsourcefile(fn)).read_text(
+        encoding="utf-8"))
+    (node,) = [n for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.Lambda))
+               and n.lineno == fn.__code__.co_firstlineno
+               and getattr(n, "name", "<lambda>") == fn.__name__]
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_each_kind_declares_the_blocks_it_reads():
+    # params is read when the run or check function loads the name params;
+    # sim when the run function loads sims or the check function cfg
+    for kind, entry in _KINDS.items():
+        run, check = _loaded_names(entry.run), _loaded_names(entry.check)
+        reads = {"params"} & (run | check)
+        if "sims" in run or "cfg" in check:
+            reads.add("sim")
+        assert sorted(entry.reads) == sorted(reads), kind
+    assert {entry.reads for entry in _KINDS.values()} == {
+        (), ("params",), ("params", "sim")}
 
 
 def test_unknown_options_rejected():

@@ -1206,15 +1206,13 @@ def test_martingale_square_within_quadrature_bound():
 
 
 @pytest.mark.parametrize("point, expected", [
-    ((1.3, 3.0, 1.0, 0.5, None), 6.771485095367224),
-    ((1.8, 0.0, 1.0, 2.0, 0.05), 11.445478688059922),
+    ((1.3, 3.0, 1.0, 0.5), 6.771485095367224),
 ])
 def test_martingale_l2_bound_matches_quadrature(point, expected):
-    # (alpha, c+, c-, t, eps0); values recorded from the former quadrature
-    # of the near-field term over s
-    alpha, c_plus, c_minus, t, eps0 = point
-    bound = martingale_l2_bound(derive_params(alpha, c_plus, c_minus), t,
-                                eps0)
+    # (alpha, c+, c-, t); value recorded from the former quadrature of the
+    # near-field term over s
+    alpha, c_plus, c_minus, t = point
+    bound = martingale_l2_bound(derive_params(alpha, c_plus, c_minus), t)
     assert bound == pytest.approx(expected, rel=1e-12)
 
 
@@ -1222,15 +1220,6 @@ def test_martingale_l2_bound_refuses_infinite_time():
     # the near-field bound is 0 there, and 0 * inf would give NaN
     with pytest.raises(ValueError, match="finite"):
         martingale_l2_bound(SYM, math.inf)
-
-
-def test_martingale_l2_bound_validates_eps0():
-    with pytest.raises(ValueError, match="eps0"):
-        martingale_l2_bound(SYM, 1.0, eps0=0.9)
-    # shrinking the exponent knob moves the bound; both must stay finite
-    b1 = martingale_l2_bound(SYM, 1.0, eps0=0.1)
-    b2 = martingale_l2_bound(SYM, 1.0, eps0=0.4)
-    assert math.isfinite(b1) and math.isfinite(b2) and b1 != b2
 
 
 def test_agreement_mse_decreases_under_refinement():

@@ -118,6 +118,19 @@ def test_path_sample_validation():
                    config=SimConfig(T=1.0, n_steps=2, eps=0.5))
 
 
+def test_path_sample_scheme_is_one_of_two():
+    # a scheme the package does not have is refused, and so is a jump
+    # record on a marginal path, whose scheme draws no jumps
+    times, values = np.array([0.0, 1.0]), np.array([0.0, 0.5])
+    with pytest.raises(ValueError, match="scheme must be"):
+        PathSample(times, values, [1], [0.5], "foo", None)
+    with pytest.raises(ValueError, match="marginal path records no jumps"):
+        PathSample(times, values, [1], [0.5], "marginal", None)
+    assert PathSample(times, values, [1], [0.5], "jumpdecomp").jumps.shape \
+        == (1, 2)
+    assert PathSample(times, values, [], [], "marginal").jumps.shape[0] == 0
+
+
 @pytest.mark.parametrize("call", [
     # a float or a bool would be cast onto the key 1, path 1's stream
     lambda: simulate_path_jumpdecomp(SYM, SimConfig(T=1.0, n_steps=8), 1.5),

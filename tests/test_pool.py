@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from source_scan import package_sites, sites
 from stable_tanaka import cli, experiments, pathsim
 from stable_tanaka.experiments import _path_rows, emit_report, run_experiment
 from stable_tanaka.localtime import default_a_grid, tanaka_curve
@@ -33,7 +34,6 @@ from stable_tanaka.pathsim import (
     simulate_path_jumpdecomp,
 )
 
-PACKAGE = Path(pathsim.__file__).resolve().parent
 SYM = derive_params(1.5, 1.0, 1.0)
 # criterion 4's terminal draws
 CRITERION_4 = SimConfig(T=1.0, n_steps=16, eps=1e-3, seed=2024)
@@ -362,41 +362,30 @@ THREAD_MODULES = {"threading", "_thread", "concurrent", "multiprocessing"}
 HELPER = ("pathsim.py", {"<module>", "_blocks"})
 
 
-def _thread_uses(tree: ast.AST, names=None, where: str = "<module>"):
+def _is_thread_import(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] in THREAD_MODULES
+                   for a in node.names)
+    return isinstance(node, ast.ImportFrom) and bool(node.module) and \
+        node.module.split(".")[0] in THREAD_MODULES
+
+
+def _thread_uses(tree: ast.AST):
     """(enclosing function, line) of every import of a thread module and
     every use of a name such an import binds."""
-    if names is None:
-        names = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names |= {a.asname or a.name.split(".")[0]
-                          for a in node.names
-                          if a.name.split(".")[0] in THREAD_MODULES}
-            elif isinstance(node, ast.ImportFrom) and node.module and \
-                    node.module.split(".")[0] in THREAD_MODULES:
-                names |= {a.asname or a.name for a in node.names}
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _thread_uses(node, names, node.name)
-            continue
-        if isinstance(node, ast.Import) and any(
-                a.name.split(".")[0] in THREAD_MODULES for a in node.names):
-            yield where, node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module and \
-                node.module.split(".")[0] in THREAD_MODULES:
-            yield where, node.lineno
-        elif isinstance(node, ast.Name) and node.id in names:
-            yield where, node.lineno
-        yield from _thread_uses(node, names, where)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names
+                      if a.name.split(".")[0] in THREAD_MODULES}
+        elif _is_thread_import(node):
+            names |= {a.asname or a.name for a in node.names}
+    return sites(tree, lambda node: _is_thread_import(node) or (
+        isinstance(node, ast.Name) and node.id in names))
 
 
 def test_only_the_pool_helper_uses_threads():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) >= 8
-    uses = {(module.name, where, line)
-            for module in modules
-            for where, line in _thread_uses(ast.parse(
-                module.read_text(encoding="utf-8")))}
+    uses = package_sites(_thread_uses)
     assert [u for u in uses
             if u[0] != HELPER[0] or u[1] not in HELPER[1]] == []
     assert "_blocks" in {u[1] for u in uses}

@@ -9,9 +9,9 @@ function it sits in. An annotation belongs to its function, so
 """
 
 import ast
-from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stable_tanaka"
+from source_scan import called_name, package_sites, sites
+
 MAKER = ("pathsim.py", "path_rng")
 NUMPY = {"np", "numpy"}
 
@@ -25,10 +25,7 @@ def _is_random_use(node: ast.AST) -> bool:
         return node.attr == "random" and isinstance(node.value, ast.Name) \
             and node.value.id in NUMPY
     if isinstance(node, ast.Call):
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else \
-            getattr(func, "attr", None)
-        return name == "default_rng"
+        return called_name(node) == "default_rng"
     if isinstance(node, ast.Import):
         return any(_is_random_module(alias.name) for alias in node.names)
     if isinstance(node, ast.ImportFrom):
@@ -39,25 +36,14 @@ def _is_random_use(node: ast.AST) -> bool:
     return False
 
 
-def _random_uses(tree: ast.AST, where: str = "<module>"):
+def _random_uses(tree: ast.AST):
     """(enclosing function, line) of every random-source use under
     ``tree``."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _random_uses(node, node.name)
-            continue
-        if _is_random_use(node):
-            yield where, node.lineno
-        yield from _random_uses(node, where)
+    return sites(tree, _is_random_use)
 
 
 def test_only_path_rng_builds_a_generator():
-    modules = sorted(PACKAGE.rglob("*.py"))
-    assert len(modules) >= 8
-    uses = {(module.relative_to(PACKAGE).as_posix(), where, line)
-            for module in modules
-            for where, line in _random_uses(ast.parse(
-                module.read_text(encoding="utf-8")))}
+    uses = package_sites(_random_uses)
     assert [u for u in uses if u[:2] != MAKER] == []
     assert any(u[:2] == MAKER for u in uses)  # the test sees path_rng's
 
