@@ -162,9 +162,7 @@ def kernel_F_second(params: StableParams, x):
 # nodes) here, (nodes x grid points) in the windowed generator and (levels
 # x items) in localtime, is walked in tiles of at most this many pairs, bar
 # one run of localtime._run_sums that is longer, and _row_tiles is the one
-# rule that turns it into a tile height. 128 KiB of doubles stay in L2,
-# and temporaries stay below glibc's 128 KiB mmap threshold, so they are
-# not each served by a fresh mmap and faulted in page by page.
+# rule that turns it into a tile height. 128 KiB of doubles stay in L2.
 _PAIR_TILE = 16384
 
 

@@ -118,6 +118,9 @@ def default_mollifier(eps: float) -> MollifierSpec:
 
 def hat_function(center: float, half_width: float):
     """Tent function: 1 at the center, 0 outside center +- half_width."""
+    if not (math.isfinite(center) and math.isfinite(half_width)):
+        raise ValueError(f"center and half_width must be finite, got "
+                         f"{center!r} and {half_width!r}")
     if not half_width > 0.0:
         raise ValueError("half_width must be positive")
 

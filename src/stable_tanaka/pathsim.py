@@ -18,10 +18,19 @@ Each call that fans out runs the first block on the calling thread and
 starts its own threads for the others, and joins them before it returns.
 Each value depends only on its own inputs, so every float is the same at
 every thread count.
+
+Each path allocates its arrays anew, and with glibc's default thresholds
+the heap hands what a path frees back to the kernel, so every later path
+would fault it back in. Importing this module therefore sets two allocator
+thresholds, for the whole process and on glibc only: a block of up to
+32 MiB comes from the heap, and the heap keeps at most 64 MiB of free
+memory at its top. Nothing else is retained: a larger block is still
+mapped on its own and unmapped when freed.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -198,6 +207,34 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed path arrays in the process, on glibc; elsewhere a no-op.
+
+    With glibc's defaults the heap hands freed memory back to the kernel
+    path after path, and each path faults its arrays back in: about 800
+    minor faults per criterion-5 path, against none with both thresholds
+    set. Either one alone leaves them (setting one stops glibc's own
+    adjustment of the other).
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        return
+    if not libc.startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # malloc.h's M_MMAP_THRESHOLD at the largest value glibc accepts on 64
+    # bits, and M_TRIM_THRESHOLD at twice that, glibc's own ratio when it
+    # raises the two itself
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
+
+
+_keep_freed_memory()
 
 
 # the fewest indices a block of _blocks holds. A block of one or two grid

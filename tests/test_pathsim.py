@@ -30,6 +30,7 @@ from stable_tanaka.pathsim import (
     PathSample,
     SimConfig,
     empirical_char_function,
+    expected_jump_count,
     path_rng,
     sample_stable_increment,
     sample_terminal_jumpdecomp,
@@ -58,6 +59,9 @@ SKEW = derive_params(1.5, 3.0, 1.0)
     dict(T=1e-322, n_steps=64),
     dict(T=1e-320, n_steps=4096),
     dict(T=5e-324, n_steps=8),
+    # the step rounds to T/2, so the node before the last lands on T
+    # exactly: 3 of 4 distinct
+    dict(T=1e-323, n_steps=3),
 ])
 def test_config_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
@@ -339,6 +343,22 @@ def test_jumpdecomp_expected_jump_count():
                        for i in range(2000)])
     stderr = np.sqrt(lam / counts.size)
     assert abs(counts.mean() - lam) <= 4.0 * stderr
+
+
+def test_expected_jump_count_keeps_ten_deviations_of_room():
+    # a mean that fits the longest float64 array but lies within ten
+    # standard deviations of it is refused, for its draw could overflow
+    # the array; nothing is allocated either way
+    eps = 1e-12
+
+    def config(mean):
+        return SimConfig(T=mean / nu_tail_mass(SYM, eps), n_steps=1, eps=eps)
+
+    room = 10.0 * math.sqrt(pathsim._ARRAY_MAX)
+    with pytest.raises(ValueError, match="expected jumps"):
+        expected_jump_count(SYM, config(pathsim._ARRAY_MAX - room / 2.0))
+    mean = pathsim._ARRAY_MAX - 2.0 * room
+    assert expected_jump_count(SYM, config(mean)) == pytest.approx(mean)
 
 
 def test_jumpdecomp_deterministic():
