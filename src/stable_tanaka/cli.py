@@ -3,7 +3,10 @@
 ``stable-tanaka run spec.json`` executes one experiment spec and prints a
 verdict line per criterion; ``density``, ``simulate``, and ``localtime``
 are convenience wrappers that assemble the matching spec or write path and
-curve files directly. Exit codes: 0 all verdicts passed, 1 at least one
+curve files directly. Their process, simulation and density flags are
+built from the spec's declarations of those fields, so each flag has the
+spec's default, type and range, and its value is checked by the same
+call as the spec's. Exit codes: 0 all verdicts passed, 1 at least one
 FAIL, 2 configuration error. The output directory is ``--out``, else a
 run spec's ``out_dir``, else ``STABLE_TANAKA_OUT``, an empty one counting
 as unset, and is checked before any compute; all outputs are UTF-8 JSON
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 from functools import lru_cache
@@ -25,18 +29,24 @@ import numpy as np
 from .experiments import (
     ConfigError,
     ExperimentSpec,
+    _KINDS,
+    _PARAMS,
+    _PARAMS_FIELDS,
+    _SIM,
+    _SIM_FIELDS,
     _bundle_dir,
+    _check_jump_counts,
     _csv_text,
     _json_text,
+    _read_inputs,
     _write_files,
     emit_report,
     run_experiment,
 )
 from .localtime import default_a_grid, default_mollifier, occupation_curve, \
     tanaka_curve
-from .params import derive_params
-from .pathsim import SimConfig, _stream_key, expected_jump_count, \
-    simulate_path_jumpdecomp, simulate_path_marginal
+from .pathsim import _stream_key, simulate_path_jumpdecomp, \
+    simulate_path_marginal
 from .spectral import ResolutionError
 
 OUT_ENV_VAR = "STABLE_TANAKA_OUT"
@@ -66,25 +76,29 @@ def _apply_override(raw: dict, assignment: str):
     node[parts[-1]] = value
 
 
-def _params_args(p: argparse.ArgumentParser):
-    p.add_argument("--alpha", type=float, required=True,
-                   help="stability index in (1, 2)")
-    p.add_argument("--c-plus", type=float, default=1.0,
-                   help="positive-jump intensity (default 1)")
-    p.add_argument("--c-minus", type=float, default=1.0,
-                   help="negative-jump intensity (default 1)")
+# the density command's flags for the density-report options it sets
+_DENSITY_FLAGS = {"times": "--t", "half_width": "--half-width",
+                  "n_points": "--n-points"}
+# what argparse takes for a negative number rather than a flag; its own
+# pattern has no exponent, so "--x0 -1e-3" failed
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
-def _sim_args(p: argparse.ArgumentParser):
-    p.add_argument("--T", type=float, default=1.0, help="horizon")
-    p.add_argument("--n-steps", type=int, default=512,
-                   help="base grid steps")
-    p.add_argument("--eps", type=float, default=1e-2,
-                   help="small-jump cutoff")
-    p.add_argument("--small-jump-mode", choices=("gaussian", "drop"),
-                   default="gaussian")
-    p.add_argument("--x0", type=float, default=0.0, help="starting point")
-    p.add_argument("--seed", type=int, default=0)
+def _flags(p: argparse.ArgumentParser, table: dict, flags=None):
+    """One flag per ``flags`` entry (field name -> flag; by default each
+    field of ``table`` as a dashed flag), with the type and default of the
+    field's ``table`` entry; a flag without a default is required. The
+    range is checked with the other inputs, as a spec's, so a value
+    outside it is a config error."""
+    for name, flag in (flags or {n: "--" + n.replace("_", "-")
+                                 for n in table}).items():
+        opt = table[name]
+        default = "" if opt.default is None else ", default %(default)s"
+        p.add_argument(flag, dest=name,
+                       type=int if opt.type == "int" else float,
+                       nargs="+" if opt.type == "floats" else None,
+                       default=opt.default, required=opt.default is None,
+                       help=f"in {opt.range}{default}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,30 +120,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     den_p = sub.add_parser("density",
                            help="transition-density report and curves")
-    _params_args(den_p)
-    den_p.add_argument("--t", type=float, nargs="+", default=[0.5, 1.0],
-                       help="time points")
-    den_p.add_argument("--half-width", type=float, default=80.0)
-    den_p.add_argument("--n-points", type=int, default=2 ** 15)
+    _flags(den_p, _PARAMS_FIELDS)
+    _flags(den_p, _KINDS["density-report"].options, _DENSITY_FLAGS)
     den_p.add_argument("--out", default=None)
 
     sim_p = sub.add_parser("simulate", help="write simulated paths as CSV")
-    _params_args(sim_p)
-    _sim_args(sim_p)
+    lt_p = sub.add_parser("localtime",
+                          help="estimate a local-time curve on one path")
+    for p in (sim_p, lt_p):
+        _flags(p, _PARAMS_FIELDS)
+        _flags(p, _SIM_FIELDS)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
     sim_p.add_argument("--n-paths", type=int, default=1)
     sim_p.add_argument("--scheme", choices=("jumpdecomp", "marginal"),
                        default="jumpdecomp")
-    sim_p.add_argument("--out", default=None)
-
-    lt_p = sub.add_parser("localtime",
-                          help="estimate a local-time curve on one path")
-    _params_args(lt_p)
-    _sim_args(lt_p)
     lt_p.add_argument("--path-index", type=int, default=0)
     lt_p.add_argument("--levels", type=float, nargs="+", default=None,
                       help="levels a (default: 201 uniform over the "
                            "path range with unit margin)")
-    lt_p.add_argument("--out", default=None)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -176,12 +187,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    spec = ExperimentSpec(
-        kind="density-report",
-        params={"alpha": args.alpha, "c_plus": args.c_plus,
-                "c_minus": args.c_minus},
-        options={"times": list(args.t), "half_width": args.half_width,
-                 "n_points": args.n_points})
+    spec = ExperimentSpec(kind="density-report",
+                          params=_given(args, _PARAMS_FIELDS),
+                          options=_given(args, _DENSITY_FLAGS))
     out = _out_target(args)
     return _finish(run_experiment(spec), out)
 
@@ -198,24 +206,25 @@ def _out_target(args, what=None, fallback=None) -> Path | None:
     return out
 
 
-def _make_inputs(args):
-    """Process parameters and SimConfig from the command line, refused if
-    the paths to draw record jumps and their count cannot be drawn."""
-    try:
-        params = derive_params(args.alpha, args.c_plus, args.c_minus)
-        cfg = SimConfig(T=args.T, n_steps=args.n_steps, eps=args.eps,
-                        small_jump_mode=args.small_jump_mode,
-                        seed=args.seed, x0=args.x0)
-        if getattr(args, "scheme", "jumpdecomp") == "jumpdecomp":
-            expected_jump_count(params, cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+def _given(args, names) -> dict:
+    return {name: getattr(args, name) for name in names}
+
+
+def _path_inputs(args):
+    """The process parameters and SimConfig that the flags give, read as a
+    spec's blocks are, and refused, as a spec's are, if the paths to draw
+    record jumps and their count cannot be drawn."""
+    params, cfg = _read_inputs(
+        args.command, _PARAMS + _SIM, _given(args, _PARAMS_FIELDS),
+        _given(args, _SIM_FIELDS), args.seed)
+    if getattr(args, "scheme", "jumpdecomp") == "jumpdecomp":
+        _check_jump_counts(params, [cfg])
     return params, cfg
 
 
 def _cmd_simulate(args) -> int:
     out_dir = _out_target(args, "paths")
-    params, cfg = _make_inputs(args)
+    params, cfg = _path_inputs(args)
     if args.n_paths < 1:
         raise ConfigError("--n-paths must be >= 1")
     simulate = simulate_path_jumpdecomp if args.scheme == "jumpdecomp" \
@@ -235,7 +244,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_localtime(args) -> int:
     out_dir = _out_target(args, "curve")
-    params, cfg = _make_inputs(args)
+    params, cfg = _path_inputs(args)
     try:
         _stream_key("--path-index", args.path_index)
     except ValueError as exc:
@@ -249,7 +258,7 @@ def _cmd_localtime(args) -> int:
     occ = occupation_curve(path, levels, moll)
     tan = tanaka_curve(params, path, levels)
     meta = {
-        "alpha": args.alpha, "c_plus": args.c_plus, "c_minus": args.c_minus,
+        **_given(args, _PARAMS_FIELDS),
         "sim": asdict(cfg),
         "path_index": args.path_index,
         "horizon": float(path.times[-1]),
@@ -282,7 +291,9 @@ def main(argv=None) -> int:
                 "simulate": _cmd_simulate, "localtime": _cmd_localtime}
     try:
         return handlers[args.command](args)
-    except (ConfigError, ResolutionError) as exc:  # localtime's level grid
+    # ResolutionError: localtime's level grid; OSError: an output the OS
+    # refuses, its path named
+    except (ConfigError, ResolutionError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
@@ -290,9 +301,6 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:  # a jump count its arrays cannot hold
         print(f"config error: out of memory: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # an output the OS refuses, its path named
-        print(f"config error: {exc}", file=sys.stderr)
         return 2
 
 

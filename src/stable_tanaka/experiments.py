@@ -21,17 +21,21 @@ Spec files are JSON::
     }
 
 ``params`` holds the jump-measure block (alpha, c_plus, c_minus), ``sim``
-the path-simulation knobs (T, n_steps, eps, small_jump_mode, x0), and
-``options`` the kind-specific budget and tolerances, each declared once
-with its default, type and range in the kind's entry of the registry
-``_KINDS``. The entry also names the blocks the kind reads: ``params``
-for every kind but existence-scan, whose intensities are options, and
-``sim`` for the three kinds that draw paths (martingale-zero-mean,
-occupation-formula, estimator-agreement). Building a spec requires
-those blocks and refuses any other, so every value a spec gives has a
-reader; it checks each block against the entry, then the jump count of
-each path the kind draws, so a malformed spec raises
-:class:`ConfigError` before any compute. Wall time is recorded on the
+the path-simulation knobs (T, n_steps, eps, x0), and ``options`` the
+kind-specific budget and tolerances. Each field is declared once, with
+its default, type and range: the two blocks' fields in ``_PARAMS_FIELDS``
+and ``_SIM_FIELDS``, which the command line's flags are built from too,
+and the options in the kind's entry of the registry ``_KINDS``. The
+entry also names the fields the kind reads: every ``params`` field for
+every kind but existence-scan, whose intensities are options, and the
+``sim`` fields for the three kinds that draw paths (martingale-zero-mean
+and occupation-formula read all four, estimator-agreement only T and x0,
+since its schedule sets the eps and n_steps of every path). Building a
+spec requires each block of which the kind reads a field and refuses
+any other block and any field the kind does not read, so every value a
+spec gives has a reader; it checks each value against its declaration,
+then the jump count of each path the kind draws, so a malformed spec
+raises :class:`ConfigError` before any compute. Wall time is recorded on the
 report object but excluded from the serialized bytes so determinism
 survives.
 """
@@ -45,7 +49,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -113,12 +117,12 @@ def _number(where: str, value, integer: bool):
 
 @dataclass(frozen=True)
 class Option:
-    """One setting: its default (None: none), value type and range.
+    """One setting: its default (None: none, the setting must be given),
+    value type and range.
 
     ``type`` is ``"int"``, ``"float"``, ``"floats"`` (a non-empty list, each
-    entry in ``range``), ``"schedule"`` (two or more ``[eps, n_steps]``
-    pairs) or ``"text"`` (passed through); ``range`` is an interval such as
-    ``"(0, 1]"``.
+    entry in ``range``) or ``"schedule"`` (two or more ``[eps, n_steps]``
+    pairs); ``range`` is an interval such as ``"(0, 1]"``.
     """
 
     default: object
@@ -126,8 +130,6 @@ class Option:
     range: str = "(-inf, inf)"
 
     def parse(self, name: str, value):
-        if self.type == "text":
-            return value
         if self.type not in ("floats", "schedule"):
             return self._scalar(name, value)
         pairs = self.type == "schedule"
@@ -153,38 +155,90 @@ class Option:
         return value
 
 
-def _typed(where: str, block: dict, schema: dict, make: Callable = dict):
+def _typed(where: str, block: dict, schema: dict, make: Callable = dict,
+           prefix: str = ""):
     """``make`` called on a block checked against a name -> Option schema,
-    defaults filled; a ValueError from ``make`` is a ConfigError."""
+    defaults filled; a value is named ``prefix + name`` when refused, and
+    a ValueError from ``make`` is a ConfigError."""
     unknown = set(block) - set(schema)
     if unknown:
         raise ConfigError(f"unknown {where}: {sorted(unknown)}")
     defaults = {n: opt.default for n, opt in schema.items()
                 if opt.default is not None}
-    typed = defaults | {n: schema[n].parse(n, v) for n, v in block.items()}
+    typed = defaults | {n: schema[n].parse(prefix + n, v)
+                        for n, v in block.items()}
     try:
         return make(**typed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {where}: {exc}") from None
 
 
-# derive_params and SimConfig check the ranges; SimConfig has the sim defaults
-_PARAMS_FIELDS = {"alpha": Option(None), "c_plus": Option(1.0),
-                  "c_minus": Option(1.0)}
-_SIM_FIELDS = {"T": Option(None), "n_steps": Option(None, "int"),
-               "eps": Option(None), "x0": Option(None),
-               "small_jump_mode": Option(None, "text")}
+# the one declaration of each process and simulation input, read by the
+# spec, the command line's flags and existence-scan's intensity options.
+# StableParams and SimConfig check what a range cannot say
+_PARAMS_FIELDS = {"alpha": Option(None, "float", "(1, 2)"),
+                  "c_plus": Option(1.0, "float", "[0, inf)"),
+                  "c_minus": Option(1.0, "float", "[0, inf)")}
+_SIM_FIELDS = {"T": Option(1.0, "float", "(0, inf)"),
+               "n_steps": Option(512, "int", "[1, inf)"),
+               "eps": Option(1e-3, "float", "(0, 1)"),
+               "x0": Option(0.0)}
+_PARAMS = tuple(f"params.{n}" for n in _PARAMS_FIELDS)
+_SIM = tuple(f"sim.{n}" for n in _SIM_FIELDS)
+
+
+def _read_inputs(owner: str, reads: tuple, params, sim, seed) -> tuple:
+    """The StableParams and SimConfig (seeded with ``seed``) that the
+    ``params`` and ``sim`` blocks give, each field checked against its
+    table entry.
+
+    ``reads`` names the fields ``owner`` reads, as ``"sim.eps"``. A block
+    of which it names none must be None and gives None; any other must be
+    given, and a field it does not name is refused, so every value given
+    has a reader. A block of which it names some fields gives a
+    ``partial`` of the constructor that holds them, for the owner to
+    complete."""
+    made = []
+    for block, given, table, make in (
+            ("params", params, _PARAMS_FIELDS, derive_params),
+            ("sim", sim, _SIM_FIELDS, partial(SimConfig, seed=seed))):
+        read = {n: opt for n, opt in table.items() if f"{block}.{n}" in reads}
+        if not read and given is not None:
+            raise ConfigError(f"{owner} reads no {block} block")
+        if read and not given:
+            raise ConfigError(f"{owner} needs a {block} block")
+        unread = [f"{block}.{n}" for n in table if n in (given or ())
+                  and n not in read]
+        if unread:
+            raise ConfigError(f"{owner} reads no {', '.join(unread)}")
+        if len(read) < len(table):
+            make = partial(partial, make)
+        made.append(_typed(f"{block} fields", given, read, make,
+                           prefix=f"{block}.") if read else None)
+    return tuple(made)
+
+
+def _check_jump_counts(params, sims) -> None:
+    """ConfigError unless each path under each SimConfig of ``sims`` can
+    draw its jumps and hold them."""
+    try:
+        for cfg in sims:
+            expected_jump_count(params, cfg)
+    except ValueError as exc:
+        raise ConfigError(f"bad sim block: {exc}") from None
 
 
 @dataclass(frozen=True)
 class _Kind:
     """A kind's ``run(spec, opts, params, sims)``, its options, the spec
-    blocks it ``reads`` (``"params"``, ``"sim"``; a spec must give each of
-    them and no other), the ``labeled`` lists, whose entries name verdicts
-    and statistics, and ``check(opts, params, cfg)``, which raises
-    ValueError on cross-field faults and returns ``sims``, the SimConfigs
-    of the paths it draws. ``params`` and ``cfg`` are None where the
-    block is not read."""
+    fields it ``reads`` (``"params.alpha"``, ``"sim.eps"``; a spec must
+    give each block of which it reads a field, and no field it does not
+    read), the ``labeled`` lists, whose entries name verdicts and
+    statistics, and ``check(opts, params, cfg)``, which raises ValueError
+    on cross-field faults and returns ``sims``, the SimConfigs of the
+    paths it draws. ``params`` and ``cfg`` are None where no field of the
+    block is read, and ``cfg`` is a partial SimConfig that ``check``
+    completes where only some sim fields are."""
 
     run: Callable
     options: dict
@@ -208,10 +262,11 @@ def _distinct_labels(name: str, values) -> None:
 class ExperimentSpec:
     """One named, seeded experiment configuration.
 
-    Construction requires each block the kind's registry entry reads and
-    refuses any other, checks the blocks against that entry, then the
-    expected jump count of each path the kind draws, and keeps the typed
-    inputs for the runner outside the fields.
+    Construction requires each block of which the kind's registry entry
+    reads a field, refuses any other block and any field the kind does not
+    read, checks the blocks against their tables and the options against
+    the entry, then the expected jump count of each path the kind draws,
+    and keeps the typed inputs for the runner outside the fields.
     """
 
     kind: str
@@ -230,22 +285,14 @@ class ExperimentSpec:
             if not isinstance(getattr(self, name), (dict, type(None))):
                 raise ConfigError(f"{name} must be a JSON object")
         entry = _KINDS[self.kind]
-        for name in ("params", "sim"):
-            if name not in entry.reads and getattr(self, name) is not None:
-                raise ConfigError(f"{self.kind} reads no {name} block")
-            if name in entry.reads and not getattr(self, name):
-                raise ConfigError(f"{self.kind} needs a {name} block")
         try:
             _stream_key("seed", self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not isinstance(self.out_dir, (str, type(None))):
             raise ConfigError("out_dir must be a string or null")
-        # a block is given here exactly when the kind reads it
-        params = _typed("params fields", self.params, _PARAMS_FIELDS,
-                        derive_params) if self.params else None
-        cfg = _typed("sim fields", self.sim, _SIM_FIELDS, partial(
-            SimConfig, seed=self.seed)) if self.sim else None
+        params, cfg = _read_inputs(self.kind, entry.reads, self.params,
+                                   self.sim, self.seed)
         opts = _typed(f"options for {self.kind}", self.options or {},
                       entry.options)
         try:
@@ -257,11 +304,7 @@ class ExperimentSpec:
             sims = entry.check(opts, params, cfg)
         except ValueError as exc:
             raise ConfigError(f"{self.kind} options: {exc}") from None
-        try:
-            for level in sims:
-                expected_jump_count(params, level)
-        except ValueError as exc:
-            raise ConfigError(f"bad sim block: {exc}") from None
+        _check_jump_counts(params, sims)
         object.__setattr__(self, "_inputs", (opts, params, sims))
 
     @classmethod
@@ -490,9 +533,8 @@ def _run_martingale_zero_mean(spec, o, params, sims):
 
 
 def _schedule_configs(o, params, cfg):
-    """The sim block with each schedule level's (eps, n_steps) put in."""
-    return [replace(cfg, eps=eps, n_steps=n_steps)
-            for eps, n_steps in o["schedule"]]
+    """The sim block completed by each schedule level's (eps, n_steps)."""
+    return [cfg(eps=eps, n_steps=n_steps) for eps, n_steps in o["schedule"]]
 
 
 def _run_estimator_agreement(spec, o, params, sims):
@@ -656,45 +698,44 @@ _KINDS = {
         "bump_width": Option(2.0, "float", "(0, inf)"),
         "report_radius": Option(10.0, "float", "(0, inf)"),
         "tolerance": Option(1e-2, "float", "[0, inf)"),
-    }, reads=("params",), check=_check_grid),
+    }, reads=_PARAMS, check=_check_grid),
     "martingale-zero-mean": _Kind(_run_martingale_zero_mean, {
         "n_paths": Option(400, "int", "[2, inf)"),
         "levels": Option((0.0, 0.5), "floats"),
         "checkpoints": Option((0.25, 0.5, 1.0), "floats", "(0, 1]"),
         "n_sigma": Option(4.0, "float", "(0, inf)"),
-    }, reads=("params", "sim"), labeled=("levels",),
-        check=_check_checkpoints),
+    }, reads=_PARAMS + _SIM, labeled=("levels",), check=_check_checkpoints),
     "occupation-formula": _Kind(_run_occupation_formula, {
         "n_paths": Option(100, "int", "[1, inf)"),
         "hat_half_width": Option(1.0, "float", "(0, inf)"),
         "hat_tolerance": Option(0.05, "float", "[0, inf)"),
         "unit_tolerance": Option(0.02, "float", "[0, inf)"),
-    }, reads=("params", "sim"), check=lambda o, params, cfg: [cfg]),
+    }, reads=_PARAMS + _SIM, check=lambda o, params, cfg: [cfg]),
     "estimator-agreement": _Kind(_run_estimator_agreement, {
         "n_paths": Option(300, "int", "[2, inf)"),
         "schedule": Option(((4e-3, 1024), (2e-3, 2048), (1e-3, 4096)),
                            "schedule"),
         "level": Option(0.0),
         "means_tolerance": Option(0.10, "float", "[0, inf)"),
-    }, reads=("params", "sim"), check=_schedule_configs),
+    }, reads=_PARAMS + ("sim.T", "sim.x0"), check=_schedule_configs),
     "sampler-validation": _Kind(_run_sampler_validation, {
         "n_samples": Option(100_000, "int", "[1, inf)"),
         "u": Option((0.5, 1.0, 2.0, 4.0), "floats"),
         "t": Option(1.0, "float", "(0, inf)"),
         "n_sigma": Option(4.0, "float", "(0, inf)"),
-    }, reads=("params",), labeled=("u",), check=_check_symbol),
+    }, reads=_PARAMS, labeled=("u",), check=_check_symbol),
     "moment-tests": _Kind(_run_moment_tests, {
         "n_samples": Option(100_000, "int", "[2, inf)"),
         "gammas": Option((0.3, 0.5, 0.7), "floats", "(0, 1)"),
         "times": Option((0.5, 1.0), "floats", "(0, inf)"),
         "shifts": Option((0.0, 1.0), "floats"),
         "n_sigma": Option(4.0, "float", "(0, inf)"),
-    }, reads=("params",), labeled=("gammas", "times", "shifts")),
+    }, reads=_PARAMS, labeled=("gammas", "times", "shifts")),
     "existence-scan": _Kind(_run_existence_scan, {
         "alphas": Option((0.9, 1.2, 1.5, 1.8), "floats", "(0, 2)"),
         "cutoffs": Option((1e2, 1e4, 1e6), "floats", "(0, inf)"),
-        "c_plus": Option(1.0, "float", "[0, inf)"),
-        "c_minus": Option(1.0, "float", "[0, inf)"),
+        "c_plus": _PARAMS_FIELDS["c_plus"],
+        "c_minus": _PARAMS_FIELDS["c_minus"],
         "convergence_tolerance": Option(1e-2, "float", "[0, inf)"),
         "growth_fraction": Option(0.10, "float", "[0, inf)"),
     }, reads=(), labeled=("alphas",), check=_check_existence),
@@ -705,7 +746,7 @@ _KINDS = {
         "mass_tolerance": Option(1e-6, "float", "[0, inf)"),
         "symmetry_tolerance": Option(1e-8, "float", "[0, inf)"),
         "selfsim_tolerance": Option(1e-6, "float", "[0, inf)"),
-    }, reads=("params",), labeled=("times",), check=_check_grid),
+    }, reads=_PARAMS, labeled=("times",), check=_check_grid),
 }
 
 

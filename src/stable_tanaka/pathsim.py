@@ -5,9 +5,9 @@ Chambers-Mallows-Stuck transform in the parametrization whose characteristic
 function is exp(dt eta(u)); it is the law oracle. ``simulate_path_jumpdecomp``
 realizes the compensated-measure decomposition directly: big jumps |h| > eps
 from a Poisson random measure with intensity ds nu(dh), the matching
-compensator drift applied continuously, and the |h| <= eps remainder either
-dropped or closed by a Brownian motion with the small-jump variance. Only the
-second scheme records jumps, which the local-time martingale needs.
+compensator drift applied continuously, and the |h| <= eps remainder closed
+by a Brownian motion with the small-jump variance. Only the second scheme
+records jumps, which the local-time martingale needs.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, path index), so Monte Carlo runs are reproducible under any parallel
@@ -60,7 +60,6 @@ __all__ = [
     "empirical_char_function",
 ]
 
-_SMALL_JUMP_MODES = ("drop", "gaussian")
 # the longest float64 array numpy can allocate, for a grid or a jump record
 _ARRAY_MAX = float(np.iinfo(np.intp).max // 8)
 
@@ -81,7 +80,6 @@ class SimConfig:
     T: float
     n_steps: int
     eps: float = 1e-3
-    small_jump_mode: str = "gaussian"
     seed: int = 0
     x0: float = 0.0
 
@@ -107,9 +105,6 @@ class SimConfig:
                 f"time grid whose nodes are not distinct doubles")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("jump cutoff eps must lie in (0, 1)")
-        if self.small_jump_mode not in _SMALL_JUMP_MODES:
-            raise ValueError(
-                f"small_jump_mode must be one of {_SMALL_JUMP_MODES}")
         _stream_key("seed", self.seed)
         if not math.isfinite(self.x0):
             raise ValueError(f"starting point x0 must be finite, got {self.x0!r}")
@@ -397,13 +392,13 @@ def _merge_jump_times(base: np.ndarray, jt: np.ndarray):
 
 def simulate_path_jumpdecomp(params: StableParams, config: SimConfig,
                              path_index: int = 0) -> PathSample:
-    """Compound-Poisson big jumps + compensator drift (+ gaussian closure).
+    """Compound-Poisson big jumps + compensator drift + gaussian closure.
 
     The uniform grid is refined by the jump instants: the refined grid is a
     merge of the two sorted sets, where an instant that ties with a node or
     with another instant merges into one point. Consecutive values bracket
     each jump exactly: the increment into a jump time carries that
-    interval's drift (and gaussian noise) plus the jump size itself.
+    interval's drift and gaussian noise plus the jump size itself.
     """
     rng = path_rng(config.seed, path_index)
     jt, sizes = _draw_jumps(params, config, rng)
@@ -411,14 +406,11 @@ def simulate_path_jumpdecomp(params: StableParams, config: SimConfig,
     times, rows, incs = _merge_jump_times(
         np.linspace(0.0, config.T, config.n_steps + 1), jt)
 
-    if config.small_jump_mode == "gaussian":
-        noise = np.sqrt(incs)
-        noise *= math.sqrt(small_jump_variance(params, config.eps))
-        noise *= rng.standard_normal(len(incs))
-        incs *= drift
-        incs += noise
-    else:
-        incs *= drift
+    noise = np.sqrt(incs)
+    noise *= math.sqrt(small_jump_variance(params, config.eps))
+    noise *= rng.standard_normal(len(incs))
+    incs *= drift
+    incs += noise
     np.add.at(incs, rows - 1, sizes)
     values = np.empty(len(times))
     values[0] = 0.0
@@ -434,7 +426,7 @@ def sample_terminal_jumpdecomp(params: StableParams, config: SimConfig,
     """Terminal values X_T under the jump-decomposition scheme, no grid.
 
     Sums the same three components as ``simulate_path_jumpdecomp`` -- big
-    jumps, drift, and (in gaussian mode) a single N(0, sigma^2 T) closure --
+    jumps, drift, and a single N(0, sigma^2 T) gaussian closure --
     without materializing paths, which matters at small eps where a single
     unit-time path carries ~eps^(-alpha) jumps. Each path gets its own
     stream keyed (seed, stream_offset + i), offset past the full-path
@@ -458,10 +450,8 @@ def sample_terminal_jumpdecomp(params: StableParams, config: SimConfig,
         n_jumps = int(rng.poisson(mean))
         jumps = _jump_sizes(params, config.eps, n_jumps, rng)
         # numpy's sum, not a BLAS dot, so the bits ignore the thread count
-        val = config.x0 + float(jumps.sum()) + drift * config.T
-        if config.small_jump_mode == "gaussian":
-            val += sigma * float(rng.standard_normal())
-        return val
+        return config.x0 + float(jumps.sum()) + drift * config.T \
+            + sigma * float(rng.standard_normal())
 
     return np.array(_blocks(n_paths, draw), dtype=float)
 

@@ -196,7 +196,7 @@ def test_criterion_06_estimator_agreement():
     rep = run_experiment({
         "kind": "estimator-agreement",
         "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
-        "sim": {"T": 1.0, "n_steps": 4096, "eps": 1e-3},
+        "sim": {"T": 1.0},
         "options": {"n_paths": 1000, "level": 0.0, "means_tolerance": 0.10,
                     "schedule": [[4e-3, 1024], [2e-3, 2048], [1e-3, 4096]]},
         "seed": 1234})

@@ -1,5 +1,6 @@
 """Command-line interface tests: subcommands, exit codes, file outputs."""
 
+import argparse
 import contextlib
 import errno
 import json
@@ -16,7 +17,12 @@ from hypothesis import strategies as st
 import stable_tanaka.cli as st_cli
 import stable_tanaka.experiments as st_experiments
 from stable_tanaka.cli import main
-from stable_tanaka.experiments import _KINDS
+from stable_tanaka.experiments import (
+    _KINDS,
+    _PARAMS_FIELDS,
+    _SIM_FIELDS,
+    Option,
+)
 
 SPEC = {"kind": "sampler-validation",
         "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
@@ -110,6 +116,8 @@ def test_run_unknown_kind_exit_two(tmp_path, capsys):
 
 SYM = {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0}
 SMALL_SIM = {"T": 1.0, "n_steps": 16, "eps": 0.1}
+AGREEMENT = {"kind": "estimator-agreement", "params": SYM, "sim": {"T": 1.0},
+             "options": {"n_paths": 2, "schedule": [[0.2, 8], [0.1, 16]]}}
 # a block that the kind does not read, named "<kind>-<block>": refused,
 # never ignored, an empty one too. Without the block each spec runs. The
 # existence-scan params name c+- = 3, 1, which the scan does not read: it
@@ -133,10 +141,24 @@ UNREAD = {
                            "options": {"n_points": 8192, "half_width": 40.0,
                                        "times": [1.0]}},
 }
+# a field that the kind does not read, named "<kind>-<field>": its
+# schedule sets the eps and n_steps of every path it draws
+UNREAD_FIELDS = {
+    "estimator-agreement-sim.eps": dict(AGREEMENT, sim={"T": 1.0,
+                                                        "eps": 0.1}),
+    "estimator-agreement-sim.n_steps": dict(AGREEMENT, sim={"T": 1.0,
+                                                            "n_steps": 16}),
+}
 # one field wrong per spec; each must exit 2, never end in a traceback
 # (exit 1, the same code as a FAIL verdict)
 MALFORMED = {
     **UNREAD,
+    **UNREAD_FIELDS,
+    # the small-jump closure is always gaussian: no field selects it
+    "sim-small-jump-mode": {
+        "kind": "martingale-zero-mean", "params": SYM,
+        "sim": dict(SMALL_SIM, small_jump_mode="gaussian"),
+        "options": {"n_paths": 2}},
     "params-list": {"kind": "sampler-validation", "params": [1, 2]},
     "params-string": {"kind": "sampler-validation", "params": "x"},
     "options-number": {"kind": "sampler-validation", "params": SYM,
@@ -169,10 +191,8 @@ MALFORMED = {
                       "options": {"n_points": 256, "tolerance": math.nan}},
     "n-sigma-list": {"kind": "sampler-validation", "params": SYM,
                      "options": {"n_samples": 50, "n_sigma": [1]}},
-    "schedule-bad-steps": {"kind": "estimator-agreement", "params": SYM,
-                           "sim": SMALL_SIM,
-                           "options": {"n_paths": 2,
-                                       "schedule": [[0.1, 8], [0.05, "z"]]}},
+    "schedule-bad-steps": dict(AGREEMENT, options={
+        "n_paths": 2, "schedule": [[0.1, 8], [0.05, "z"]]}),
     "c-plus-string": {"kind": "existence-scan",
                       "options": {"alphas": [1.5], "c_plus": "a"}},
     "out-dir-number": {"kind": "existence-scan",
@@ -202,10 +222,8 @@ MALFORMED = {
     "eps-count-past-poisson": {"kind": "occupation-formula", "params": SYM,
                                "sim": dict(SMALL_SIM, eps=1e-100),
                                "options": {"n_paths": 2}},
-    "schedule-eps-count": {"kind": "estimator-agreement", "params": SYM,
-                           "sim": SMALL_SIM,
-                           "options": {"n_paths": 2,
-                                       "schedule": [[0.1, 8], [1e-100, 16]]}},
+    "schedule-eps-count": dict(AGREEMENT, options={
+        "n_paths": 2, "schedule": [[0.1, 8], [1e-100, 16]]}),
     # 1.3e18 expected jumps: the Poisson sampler takes the mean, but the
     # draw could exceed the longest array numpy can allocate
     "eps-count-past-array": {"kind": "martingale-zero-mean", "params": SYM,
@@ -293,6 +311,22 @@ def test_unread_block_is_named(tmp_path, capsys, name):
                                        f"{block} block\n")
 
 
+@pytest.mark.parametrize("name", sorted(UNREAD_FIELDS))
+def test_unread_field_is_named(tmp_path, capsys, name):
+    kind, field = name.rsplit("-", 1)
+    spec = write_spec(tmp_path, UNREAD_FIELDS[name])
+    assert main(["run", spec]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: {kind} reads no {field}\n"
+
+
+def test_small_jump_mode_is_an_unknown_sim_field(tmp_path, capsys):
+    spec = write_spec(tmp_path, MALFORMED["sim-small-jump-mode"])
+    assert main(["run", spec]) == 2
+    assert capsys.readouterr().err == ("config error: unknown sim fields: "
+                                       "['small_jump_mode']\n")
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_spec_exit_two(tmp_path, capsys, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
@@ -332,7 +366,6 @@ _GOOD = {
                          min_size=2, max_size=3),
     "T": st.sampled_from([0.5, 1.0]), "n_steps": st.integers(1, 32),
     "eps": st.sampled_from([0.05, 0.2]), "x0": st.floats(-1.0, 1.0),
-    "small_jump_mode": st.sampled_from(["gaussian", "drop"]),
     "c_plus": st.floats(0.0, 3.0), "c_minus": st.floats(0.0, 3.0),
 }
 # budget keys are always set: their defaults are large
@@ -360,18 +393,22 @@ def _specs(draw):
 
     kind = mostly(st.sampled_from(EXPERIMENT_KINDS), _SCALARS)
     keys = sorted(OPTION_KEYS.get(kind, ())) if isinstance(kind, str) else []
-    sim = block(["T", "n_steps", "eps", "x0", "small_jump_mode"])
+    reads = _KINDS[kind].reads if kind in _KINDS else ()
+    # the sim fields the kind reads, or all of them for a kind that reads
+    # none, which refuses the block
+    sim = block([n for n in _SIM_FIELDS if f"sim.{n}" in reads]
+                or list(_SIM_FIELDS))
     params = {"alpha": mostly(st.sampled_from([1.2, 1.5, 1.8]), _VALUE)}
     params.update(block(["c_plus", "c_minus"]))
     spec = {"kind": kind,
             # never {}: the defaults are the full budgets
             "options": mostly(st.just(block(keys)), st.one_of(
                 _BAD, st.lists(_SCALARS, max_size=3)))}
-    # a block goes to each kind that reads it, and now and then to one
-    # that does not, which refuses it
-    reads = _KINDS[kind].reads if kind in _KINDS else ()
+    # a block goes to each kind that reads a field of it, and now and then
+    # to one that does not, which refuses it
     for name, good in (("params", params), ("sim", sim)):
-        if name in reads or draw(st.integers(0, 9)) == 9:
+        if any(r.startswith(name + ".") for r in reads) \
+                or draw(st.integers(0, 9)) == 9:
             spec[name] = mostly(st.just(good), _JSON)
     for key, good in (("seed", st.integers(0, 3)),
                       ("out_dir", st.just("out"))):
@@ -415,12 +452,7 @@ def test_run_builds_the_spec_once(tmp_path, monkeypatch):
     typed = st_experiments._typed
     monkeypatch.setattr(st_experiments, "_typed", counting)
     out = tmp_path / "rep"
-    spec = write_spec(tmp_path, {
-        "kind": "estimator-agreement",
-        "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
-        "sim": {"T": 1.0, "n_steps": 16, "eps": 0.1},
-        "options": {"n_paths": 2, "schedule": [[0.2, 8], [0.1, 16]]},
-        "out_dir": str(out)})
+    spec = write_spec(tmp_path, dict(AGREEMENT, out_dir=str(out)))
     assert main(["run", spec]) in (0, 1)
     assert sorted(parses) == ["options", "params", "sim"]
     payload = json.loads((out / "report.json").read_text())
@@ -431,11 +463,7 @@ def test_parser_reuse_keeps_calls_apart(tmp_path):
     # main parses with one parser per process; an override of one call
     # must not reach the next, and two equal localtime calls write the
     # same bytes
-    spec = write_spec(tmp_path, {
-        "kind": "estimator-agreement",
-        "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
-        "sim": {"T": 1.0, "n_steps": 16, "eps": 0.1},
-        "options": {"n_paths": 2, "schedule": [[0.2, 8], [0.1, 16]]}})
+    spec = write_spec(tmp_path, AGREEMENT)
     outs = [tmp_path / "first", tmp_path / "second"]
     assert main(["run", spec, "--out", str(outs[0]),
                  "--override", "options.n_paths=3"]) in (0, 1)
@@ -461,25 +489,17 @@ def test_bad_override_exit_two(tmp_path, capsys):
     assert main(["run", spec, "--override", "options.n_samples.x=1"]) == 2
 
 
-AGREEMENT_SPEC = {
-    "kind": "estimator-agreement",
-    "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
-    "sim": {"T": 1.0, "n_steps": 16, "eps": 0.1},
-    "options": {"n_paths": 2, "schedule": [[0.2, 8], [0.1, 16]]}}
-
-
 def test_unquoted_override_is_a_string(tmp_path):
     # a value that is not JSON is taken as a bare string
-    spec = write_spec(tmp_path, AGREEMENT_SPEC)
+    spec = write_spec(tmp_path, AGREEMENT)
     out = tmp_path / "rep"
-    assert main(["run", spec, "--override", "sim.small_jump_mode=drop",
-                 "--out", str(out)]) in (0, 1)
+    assert main(["run", spec, "--override", f"out_dir={out}"]) in (0, 1)
     payload = json.loads((out / "report.json").read_text())
-    assert payload["inputs"]["sim"]["small_jump_mode"] == "drop"
+    assert payload["kind"] == "estimator-agreement"
 
 
 def test_unquoted_override_for_a_number_exit_two(tmp_path, capsys):
-    spec = write_spec(tmp_path, AGREEMENT_SPEC)
+    spec = write_spec(tmp_path, AGREEMENT)
     assert main(["run", spec, "--override", "options.n_paths=many"]) == 2
     assert capsys.readouterr().err == ("config error: n_paths must be a "
                                        "finite integer, got 'many'\n")
@@ -679,7 +699,8 @@ def test_localtime_curve_and_metadata(tmp_path):
     assert len(lines) == 4
     meta = json.loads((out / "localtime_meta.json").read_text())
     assert meta["estimators"]["occupation"]["mollifier_n"] >= 1
-    assert meta["estimators"]["tanaka"]["eps"] == 0.01
+    assert meta["estimators"]["tanaka"]["eps"] == 1e-3
+    assert sorted(meta["sim"]) == ["T", "eps", "n_steps", "seed", "x0"]
     assert meta["levels"] == [-0.5, 0.0, 0.5]
 
 
@@ -691,6 +712,73 @@ def test_localtime_default_grid(tmp_path):
     rows = np.loadtxt(out / "localtime_curve.csv", delimiter=",",
                       skiprows=1)
     assert rows.shape[0] == 201
+
+
+@pytest.mark.parametrize("argv", [["--x0", "-1e-3"],
+                                  ["--levels", "-2", "-1e-1"]],
+                         ids=["x0", "levels"])
+def test_negative_numbers_in_exponent_notation(tmp_path, argv):
+    # argparse's own pattern for a negative number has no exponent, so it
+    # took -1e-3 for a flag and exited 2
+    out = tmp_path / "lt"
+    assert main(["localtime", "--alpha", "1.5", "--n-steps", "64", *argv,
+                 "--out", str(out)]) == 0
+    meta = json.loads((out / "localtime_meta.json").read_text())
+    if argv[0] == "--x0":
+        assert meta["sim"]["x0"] == -1e-3
+    else:
+        assert meta["levels"] == [-2.0, -0.1]
+
+
+def _outside(opt: Option) -> list:
+    """A value just outside each finite end of ``opt``'s range."""
+    lo, hi = (float(end) for end in opt.range[1:-1].split(","))
+    out = []
+    for end, bracket, way in ((lo, opt.range[0], -1.0),
+                              (hi, opt.range[-1], 1.0)):
+        if not math.isfinite(end):
+            continue
+        if bracket in "()":
+            out.append(end)
+        else:
+            out.append(end + way if opt.type == "int"
+                       else np.nextafter(end, way * math.inf))
+    return [repr(int(v) if opt.type == "int" else float(v)) for v in out]
+
+
+# the flags built from a table, per command: each one's table
+TABLE_FLAGS = {
+    "density": {**_PARAMS_FIELDS, **{
+        name: _KINDS["density-report"].options[name]
+        for name in ("times", "half_width", "n_points")}},
+    "simulate": {**_PARAMS_FIELDS, **_SIM_FIELDS},
+    "localtime": {**_PARAMS_FIELDS, **_SIM_FIELDS},
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_FLAGS))
+def test_flags_follow_the_tables(tmp_path, capsys, command):
+    # each flag has its entry's default, type and range, the range checked
+    # as a spec's: a value just outside it exits 2 with a config error
+    # that names the range
+    (sub,) = [a for a in st_cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in sub.choices[command]._actions}
+    for name, opt in TABLE_FLAGS[command].items():
+        action = actions[name]
+        assert action.default == opt.default, name
+        assert action.type is (int if opt.type == "int" else float), name
+        assert action.nargs == ("+" if opt.type == "floats" else None), name
+        assert action.required == (opt.default is None), name
+        assert opt.range in action.help, name
+        for value in _outside(opt):
+            argv = [command, "--alpha", "1.5", action.option_strings[0],
+                    value, "--out", str(tmp_path / "out")]
+            assert main(argv) == 2, (name, value)
+            err = capsys.readouterr().err
+            assert err.startswith("config error: "), (name, value)
+            assert f"must lie in {opt.range}" in err, (name, value)
+        assert not (tmp_path / "out").exists()
 
 
 def test_density_subcommand(tmp_path):

@@ -26,6 +26,9 @@ import pytest
 import stable_tanaka
 from stable_tanaka.experiments import (
     _KINDS,
+    _PARAMS,
+    _SIM,
+    _SIM_FIELDS,
     ConfigError,
     ExperimentReport,
     ExperimentSpec,
@@ -52,30 +55,45 @@ def test_missing_blocks_rejected():
         ExperimentSpec(kind="martingale-zero-mean", params=SYM_PARAMS)
 
 
-def _loaded_names(fn) -> set:
-    """The names that a function or lambda loads, in its nested functions
-    too, read off the syntax tree of its module."""
+def _syntax(fn) -> list:
+    """The syntax nodes of a function or lambda, its nested functions
+    included, read off the syntax tree of its module."""
     tree = ast.parse(Path(inspect.getsourcefile(fn)).read_text(
         encoding="utf-8"))
     (node,) = [n for n in ast.walk(tree)
                if isinstance(n, (ast.FunctionDef, ast.Lambda))
                and n.lineno == fn.__code__.co_firstlineno
                and getattr(n, "name", "<lambda>") == fn.__name__]
-    return {n.id for n in ast.walk(node)
+    return list(ast.walk(node))
+
+
+def _loaded_names(fn) -> set:
+    """The names that a function or lambda loads."""
+    return {n.id for n in _syntax(fn)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
 
 
+def _keywords_of_calls(fn, name) -> set:
+    """The keywords a function or lambda passes in its calls of ``name``."""
+    return {k.arg for n in _syntax(fn)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id == name for k in n.keywords}
+
+
 def test_each_kind_declares_the_blocks_it_reads():
-    # params is read when the run or check function loads the name params;
-    # sim when the run function loads sims or the check function cfg
+    # every params field is read when the run or check function loads the
+    # name params, since StableParams takes all three; the sim fields when
+    # the run function loads sims or the check function cfg, each but the
+    # ones the check supplies itself in its calls of cfg
     for kind, entry in _KINDS.items():
         run, check = _loaded_names(entry.run), _loaded_names(entry.check)
-        reads = {"params"} & (run | check)
+        reads = set(_PARAMS) if "params" in run | check else set()
         if "sims" in run or "cfg" in check:
-            reads.add("sim")
+            supplied = _keywords_of_calls(entry.check, "cfg")
+            reads |= {f"sim.{n}" for n in _SIM_FIELDS if n not in supplied}
         assert sorted(entry.reads) == sorted(reads), kind
     assert {entry.reads for entry in _KINDS.values()} == {
-        (), ("params",), ("params", "sim")}
+        (), _PARAMS, _PARAMS + _SIM, _PARAMS + ("sim.T", "sim.x0")}
 
 
 def test_unknown_options_rejected():
@@ -132,7 +150,7 @@ def test_schedule_jump_count_checked_at_construction():
     # an undrawable schedule level is refused before run_experiment
     with pytest.raises(ConfigError, match="jump"):
         ExperimentSpec(kind="estimator-agreement", params=SYM_PARAMS,
-                       sim={"T": 1.0, "n_steps": 16, "eps": 0.1},
+                       sim={"T": 1.0},
                        options={"n_paths": 2,
                                 "schedule": [[1e-100, 16], [0.05, 32]]})
 
@@ -304,7 +322,7 @@ def test_estimator_agreement_far_level_raises_no_warnings():
     # must not overflow; both means read ~0 and the verdicts stand
     rep = run_experiment({
         "kind": "estimator-agreement", "params": SYM_PARAMS,
-        "sim": {"T": 1.0, "n_steps": 16, "eps": 0.1}, "seed": 0,
+        "sim": {"T": 1.0}, "seed": 0,
         "options": {"n_paths": 2, "level": 1e308,
                     "schedule": [[0.1, 8], [0.05, 16]]}})
     assert rep.statistics["occupation_means"] == [0.0, 0.0]
@@ -319,7 +337,7 @@ def test_estimator_agreement_experiment():
     # 10% figure belongs to the fine acceptance schedule, not this one
     rep = run_experiment({
         "kind": "estimator-agreement", "params": SYM_PARAMS,
-        "sim": {"T": 1.0, "n_steps": 128, "eps": 4e-2}, "seed": 1234,
+        "sim": {"T": 1.0}, "seed": 1234,
         "options": {"n_paths": 150, "means_tolerance": 0.25,
                     "schedule": [[4e-2, 128], [2e-2, 256], [1e-2, 512]]}})
     assert rep.all_passed
@@ -352,10 +370,10 @@ _PINNED_BUNDLES = {
     "estimator-agreement": ({
         "kind": "estimator-agreement",
         "params": {"alpha": 1.3, "c_plus": 3.0, "c_minus": 1.0},
-        "sim": {"T": 1.0, "n_steps": 64, "eps": 0.1}, "seed": 18,
+        "sim": {"T": 1.0}, "seed": 18,
         "options": {"n_paths": 10, "level": 0.1,
                     "schedule": [[0.1, 64], [0.05, 128]]}},
-        "7435a97f123d720c5f11cac099be748e34292cfecc58ed72928ac1b2f1f2814f"),
+        "e6da5d31af6ab0a55eda2ba5099856d357b16cce660e213d61906726884adaa6"),
     "occupation-formula": ({
         "kind": "occupation-formula", "params": SYM_PARAMS,
         "sim": {"T": 1.0, "n_steps": 256, "eps": 2e-2}, "seed": 19,

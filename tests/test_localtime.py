@@ -46,6 +46,7 @@ from stable_tanaka.localtime import (
     occupation_formula_check,
     tanaka_curve,
 )
+from stable_tanaka.params import nu_tail_mean
 from stable_tanaka.pathsim import PathSample, SimConfig, \
     simulate_path_jumpdecomp, simulate_path_marginal
 from stable_tanaka.spectral import Grid, generator_apply_windowed
@@ -59,6 +60,21 @@ def constant_path(x, eps=1e-2, n_steps=64, T=1.0):
     return PathSample(times=times, values=np.full(n_steps + 1, x),
                       jump_rows=(), jump_sizes=(), scheme="jumpdecomp",
                       config=cfg)
+
+
+def flat_path(params, cfg):
+    """The jump record of a path drawn under ``cfg``, without its gaussian
+    noise: the drift times each step, each jump added at its row, summed
+    and started at x0. At symmetric parameters the drift is 0 and the path
+    is flat between jumps, so many of its values tie: at alpha 1.1, eps
+    1e-3 and seed 1 only 3594 of 7689 are distinct."""
+    path = simulate_path_jumpdecomp(params, cfg)
+    incs = -nu_tail_mean(params, cfg.eps) * np.diff(path.times)
+    np.add.at(incs, path.jump_rows - 1, path.jump_sizes)
+    values = np.concatenate([[0.0], np.cumsum(incs)]) + cfg.x0
+    return PathSample(times=path.times, values=values,
+                      jump_rows=path.jump_rows, jump_sizes=path.jump_sizes,
+                      scheme="jumpdecomp", config=cfg)
 
 
 def test_default_mollifier_tie():
@@ -341,7 +357,7 @@ def test_occupation_support_walk_matches_dense_rows(n):
     # value order, ties in time order, so every level has the bits of a
     # scan of the whole path: over unsorted and repeated levels, a path of
     # more than one point chunk, levels past the path's range, which must
-    # give exactly 0.0, and a drop-mode path whose values tie
+    # give exactly 0.0, and a flat path whose values tie
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=3)
     path = simulate_path_jumpdecomp(derive_params(1.3, 3.0, 1.0), cfg)
     assert len(path.times) > 2 * _TILE_POINTS
@@ -358,9 +374,8 @@ def test_occupation_support_walk_matches_dense_rows(n):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(got[-3:].view(np.int64), np.zeros(3, np.int64))
     # flat between jumps: 3594 of 7689 points are distinct
-    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1,
-                    small_jump_mode="drop")
-    path = simulate_path_jumpdecomp(derive_params(1.1, 1.0, 1.0), cfg)
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
+    path = flat_path(derive_params(1.1, 1.0, 1.0), cfg)
     assert len(np.unique(path.values[:-1])) < len(path.values) // 2
     levels = np.concatenate([default_a_grid(path),
                              path.values[rng.integers(0, len(path.values), 9)]])
@@ -430,29 +445,30 @@ LEVEL_CURVE = derive_params(1.3, 3.0, 1.0)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
-@pytest.mark.parametrize("triplet, mode", [
-    ((1.1, 1.0, 1.0), "gaussian"), ((1.5, 1.0, 1.0), "gaussian"),
-    ((1.3, 3.0, 1.0), "gaussian"), ((1.5, 1.0, 0.0), "gaussian"),
-    ((1.8, 0.0, 1.0), "gaussian"), ((1.1, 1.0, 1.0), "drop")],
+@pytest.mark.parametrize("triplet, draw", [
+    ((1.1, 1.0, 1.0), simulate_path_jumpdecomp),
+    ((1.5, 1.0, 1.0), simulate_path_jumpdecomp),
+    ((1.3, 3.0, 1.0), simulate_path_jumpdecomp),
+    ((1.5, 1.0, 0.0), simulate_path_jumpdecomp),
+    ((1.8, 0.0, 1.0), simulate_path_jumpdecomp), ((1.1, 1.0, 1.0), flat_path)],
     ids=["1.1-symmetric", "1.5-symmetric", "1.3-skewed", "1.5-one-sided",
          "1.8-one-sided", "1.1-symmetric-drop"])
-def test_sorted_compensator_matches_exact_summation(triplet, mode, eps):
+def test_sorted_compensator_matches_exact_summation(triplet, draw, eps):
     # the sorted route sums each table cell's chord from double-double
     # prefix sums and evaluates the points within 100 eps of the level one
     # by one; against a correctly rounded math.fsum of the direct route's
     # terms it must agree within 1e-14 of their magnitudes, at three
-    # starting points. Without drift or gaussian noise ("drop") the path
-    # is flat between jumps, so many points tie: at 1.1 and eps 1e-3 only
-    # 3594 of 7689 are distinct. Measured <= 8.8e-15 (1.1, gaussian, eps
+    # starting points. With the small-jump noise dropped (flat_path) the
+    # path is flat between jumps, so many points tie: at 1.1 and eps 1e-3
+    # only 3594 of 7689 are distinct. Measured <= 8.8e-15 (1.1, gaussian, eps
     # 1e-3, x0 = 0); moments about 0 instead of the path's midrange miss
     # by up to 1.0e-12 at x0 = 1000, prefix sums without their lo parts
     # by up to 3.9e-12 and a band of 10 eps by up to 1.1e-13
     params = derive_params(*triplet)
     table = compensator_table(params, eps)
     for x0 in (0.0, 10.0, 1000.0):
-        cfg = SimConfig(T=1.0, n_steps=4096, eps=eps, seed=1,
-                        small_jump_mode=mode, x0=x0)
-        path = simulate_path_jumpdecomp(params, cfg)
+        cfg = SimConfig(T=1.0, n_steps=4096, eps=eps, seed=1, x0=x0)
+        path = draw(params, cfg)
         x, dt = path.values[:-1], np.diff(path.times)
         levels = default_a_grid(path)
         got = _sorted_sums(table, levels, x, dt)
@@ -538,16 +554,15 @@ def test_two_sum_error_is_exact():
 
 def test_sorted_prefix_sums_keep_ties_in_time_order(monkeypatch):
     # without drift or gaussian noise the path is flat between jumps, so
-    # its values tie; the sort of each prefix, the whole path among them,
-    # must keep tied points in time order, so the prefix sums do not depend
-    # on how a sort implementation breaks ties. numpy's default argsort
-    # leaves that order unspecified, so where sorted values tie the value
-    # order sorts again stably: the sums are, bit for bit, those of
-    # np.argsort(kind="stable")
-    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1,
-                    small_jump_mode="drop")
+    # its values tie (flat_path); the sort of each prefix, the whole path
+    # among them, must keep tied points in time order, so the prefix sums
+    # do not depend on how a sort implementation breaks ties. numpy's
+    # default argsort leaves that order unspecified, so where sorted values
+    # tie the value order sorts again stably: the sums are, bit for bit,
+    # those of np.argsort(kind="stable")
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
     params = derive_params(1.1, 1.0, 1.0)
-    path = simulate_path_jumpdecomp(params, cfg)
+    path = flat_path(params, cfg)
     x, dt = path.values[:-1], np.diff(path.times)
     assert len(np.unique(x)) < len(x) // 2
     seen, real = [], localtime._sorted_prefix_sums
@@ -602,13 +617,15 @@ def _exact_jump_sum(params, pre, post, h, a):
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e-3])
-@pytest.mark.parametrize("triplet, mode", [
-    ((1.1, 1.0, 1.0), "gaussian"), ((1.3, 3.0, 1.0), "gaussian"),
-    ((1.5, 1.0, 1.0), "gaussian"), ((1.8, 0.0, 1.0), "gaussian"),
-    ((1.8, 1.0, 0.0), "gaussian"), ((1.1, 1.0, 1.0), "drop")],
+@pytest.mark.parametrize("triplet, draw", [
+    ((1.1, 1.0, 1.0), simulate_path_jumpdecomp),
+    ((1.3, 3.0, 1.0), simulate_path_jumpdecomp),
+    ((1.5, 1.0, 1.0), simulate_path_jumpdecomp),
+    ((1.8, 0.0, 1.0), simulate_path_jumpdecomp),
+    ((1.8, 1.0, 0.0), simulate_path_jumpdecomp), ((1.1, 1.0, 1.0), flat_path)],
     ids=["1.1-symmetric", "1.3-skewed", "1.5-symmetric", "1.8-c+=0",
          "1.8-c-=0", "1.1-symmetric-drop"])
-def test_expanded_jump_sum_matches_exact_summation(triplet, mode, eps,
+def test_expanded_jump_sum_matches_exact_summation(triplet, draw, eps,
                                                   monkeypatch):
     # martingale_part's jump sum, with the compensator stubbed to 0, at 1,
     # 2, 15, 16 and 201 levels: the tiled walk below 16 levels, and from
@@ -627,9 +644,8 @@ def test_expanded_jump_sum_matches_exact_summation(triplet, mode, eps,
     monkeypatch.setattr(localtime, "_sorted_sums",
                         lambda table, levels, x, dt: np.zeros(len(levels)))
     for x0 in (0.0, -3.0, 1000.0):
-        cfg = SimConfig(T=1.0, n_steps=4096, eps=eps, seed=1,
-                        small_jump_mode=mode, x0=x0)
-        path = simulate_path_jumpdecomp(params, cfg)
+        cfg = SimConfig(T=1.0, n_steps=4096, eps=eps, seed=1, x0=x0)
+        path = draw(params, cfg)
         pre, post, h = _jumps(path)
         levels = default_a_grid(path)
         # every level, or every fourth where fsum over 140k jumps per level
@@ -1207,7 +1223,7 @@ def test_reflection_symmetry_when_symmetric():
 # ------------------------------------------------------------- MC properties
 
 def test_martingale_mean_zero_at_checkpoints():
-    # 400 paths, default (drop) mode; measured |z| <= 1.0 over all six
+    # 400 paths, gaussian closure; measured |z| <= 1.0 over all six
     # level/horizon combinations at this seed
     cfg = SimConfig(T=1.0, n_steps=512, eps=1e-2, seed=314)
     rows = {(a, t): [] for a in (0.0, 0.5) for t in (0.25, 0.5, 1.0)}

@@ -52,7 +52,7 @@ SKEW = derive_params(1.5, 3.0, 1.0)
     dict(T=1.0, n_steps=0),
     dict(T=1.0, n_steps=8, eps=1.0),
     dict(T=1.0, n_steps=8, eps=0.0),
-    dict(T=1.0, n_steps=8, small_jump_mode="exact"),
+    dict(T=1.0, n_steps=8, x0=math.nan),
     dict(T=1.0, n_steps=8, seed=-1),
     # subnormal horizons whose uniform grid rounds nodes together: 21 of
     # 65, 2025 of 4097 and 2 of 9 distinct
@@ -71,7 +71,6 @@ def test_config_rejects_invalid(kwargs):
 def test_config_defaults():
     cfg = SimConfig(T=1.0, n_steps=16)
     assert cfg.eps == 1e-3
-    assert cfg.small_jump_mode == "gaussian"
     assert cfg.dt == pytest.approx(1.0 / 16.0)
 
 
@@ -302,8 +301,7 @@ def test_increment_stationarity_across_windows():
 # ------------------------------------------------------- jump decomposition
 
 def test_jumpdecomp_records_and_refines():
-    cfg = SimConfig(T=1.0, n_steps=32, eps=5e-2, small_jump_mode="drop",
-                    seed=5)
+    cfg = SimConfig(T=1.0, n_steps=32, eps=5e-2, seed=5)
     path = simulate_path_jumpdecomp(SKEW, cfg, 3)
     assert path.scheme == "jumpdecomp"
     assert len(path.jumps) > 0
@@ -314,23 +312,29 @@ def test_jumpdecomp_records_and_refines():
     assert np.all(np.isin(np.linspace(0, 1, 33), path.times))
 
 
-def test_jumpdecomp_bookkeeping_exact_in_drop_mode():
-    cfg = SimConfig(T=1.0, n_steps=32, eps=5e-2, small_jump_mode="drop",
-                    seed=5, x0=0.7)
+def test_jumpdecomp_bookkeeping_exact():
+    # each step carries its drift, its gaussian noise, drawn from the
+    # path's stream after the jumps, and the jumps at its end
+    cfg = SimConfig(T=1.0, n_steps=32, eps=5e-2, seed=5, x0=0.7)
     path = simulate_path_jumpdecomp(SKEW, cfg, 3)
+    rng = path_rng(cfg.seed, 3)
+    pathsim._draw_jumps(SKEW, cfg, rng)
+    dt = np.diff(path.times)
+    noise = math.sqrt(small_jump_variance(SKEW, cfg.eps)) * np.sqrt(dt) \
+        * rng.standard_normal(len(dt))
     drift = -nu_tail_mean(SKEW, cfg.eps)
-    recon = cfg.x0 + path.jump_sizes.sum() + drift * cfg.T
+    recon = cfg.x0 + path.jump_sizes.sum() + drift * cfg.T + noise.sum()
     assert path.values[-1] == pytest.approx(recon, abs=1e-12)
-    k = np.searchsorted(path.times, path.jump_times)
-    dv = path.values[k] - path.values[k - 1]
-    dt = path.times[k] - path.times[k - 1]
-    assert np.allclose(dv, path.jump_sizes + drift * dt, atol=1e-12)
+    jumps = np.zeros(len(dt))
+    np.add.at(jumps, path.jump_rows - 1, path.jump_sizes)
+    assert np.any(jumps)
+    assert np.allclose(np.diff(path.values), drift * dt + noise + jumps,
+                       atol=1e-12)
 
 
 def test_jumpdecomp_one_sided_jumps():
     up_only = derive_params(1.5, 1.0, 0.0)   # beta = 1, no negative mass
-    cfg = SimConfig(T=1.0, n_steps=16, eps=2e-2, small_jump_mode="drop",
-                    seed=17)
+    cfg = SimConfig(T=1.0, n_steps=16, eps=2e-2, seed=17)
     for i in range(5):
         path = simulate_path_jumpdecomp(up_only, cfg, i)
         assert np.all(path.jump_sizes > 0.0)
@@ -476,22 +480,18 @@ def test_jumpdecomp_ties_merge_and_sum(monkeypatch):
     jt = np.array([0.25, 0.25, 0.3, 0.3, 0.3, 0.9])
     sizes = np.array([0.5, -0.25, 1.0, 2.0, -4.0, 0.125])
     monkeypatch.setattr(pathsim, "_draw_jumps", lambda *a: (jt, sizes))
-    for mode in ("gaussian", "drop"):
-        cfg = SimConfig(T=1.0, n_steps=4, eps=0.1, small_jump_mode=mode,
-                        seed=3, x0=0.3)
-        path = simulate_path_jumpdecomp(SYM, cfg, path_index=2)
-        times, rows = _union_rows(np.linspace(0.0, 1.0, 5), jt)
-        dts = np.diff(times)
-        incs = -nu_tail_mean(SYM, cfg.eps) * dts
-        if mode == "gaussian":
-            sigma = math.sqrt(small_jump_variance(SYM, cfg.eps))
-            incs = incs + sigma * np.sqrt(dts) * \
-                path_rng(3, 2).standard_normal(len(dts))
-        np.add.at(incs, rows - 1, sizes)
-        values = cfg.x0 + np.concatenate([[0.0], np.cumsum(incs)])
-        assert path.times.tobytes() == times.tobytes()
-        assert path.values.tobytes() == values.tobytes()
-        assert path.jump_rows.tolist() == [1, 1, 2, 2, 2, 5]
+    cfg = SimConfig(T=1.0, n_steps=4, eps=0.1, seed=3, x0=0.3)
+    path = simulate_path_jumpdecomp(SYM, cfg, path_index=2)
+    times, rows = _union_rows(np.linspace(0.0, 1.0, 5), jt)
+    dts = np.diff(times)
+    sigma = math.sqrt(small_jump_variance(SYM, cfg.eps))
+    incs = -nu_tail_mean(SYM, cfg.eps) * dts + sigma * np.sqrt(dts) \
+        * path_rng(3, 2).standard_normal(len(dts))
+    np.add.at(incs, rows - 1, sizes)
+    values = cfg.x0 + np.concatenate([[0.0], np.cumsum(incs)])
+    assert path.times.tobytes() == times.tobytes()
+    assert path.values.tobytes() == values.tobytes()
+    assert path.jump_rows.tolist() == [1, 1, 2, 2, 2, 5]
 
 
 class _ZeroInstants:
@@ -537,8 +537,7 @@ def test_zero_instants_are_drawn_again(monkeypatch):
 
 
 def test_jumpdecomp_terminal_law_matches_marginal():
-    cfg = SimConfig(T=1.0, n_steps=64, eps=1e-2, small_jump_mode="gaussian",
-                    seed=7)
+    cfg = SimConfig(T=1.0, n_steps=64, eps=1e-2, seed=7)
     full = np.array([simulate_path_jumpdecomp(SKEW, cfg, i).values[-1]
                      for i in range(2000)])
     marg = np.array([simulate_path_marginal(SKEW, cfg, i).values[-1]
@@ -547,8 +546,7 @@ def test_jumpdecomp_terminal_law_matches_marginal():
 
 
 def test_terminal_shortcut_matches_full_scheme():
-    cfg = SimConfig(T=1.0, n_steps=64, eps=1e-2, small_jump_mode="gaussian",
-                    seed=7)
+    cfg = SimConfig(T=1.0, n_steps=64, eps=1e-2, seed=7)
     short = sample_terminal_jumpdecomp(SKEW, cfg, 2000)
     full = np.array([simulate_path_jumpdecomp(SKEW, cfg, i).values[-1]
                      for i in range(2000)])
@@ -608,12 +606,12 @@ def _digest(arr):
      ["edbc8b875099f683", "0469d333c37b7184", "a4eac75ccf249404"]),
     ((1.3, 3.0, 1.0), dict(T=1.0, n_steps=256),
      ["a0295a2dbecd2787", "9e0bc3577e6fa213", "684b46e66ce836ba"]),
-    ((1.7, 0.0, 1.0), dict(T=1.0, n_steps=256, small_jump_mode="drop",
-                           x0=-0.4),
-     ["799e67544e09ac75", "09134435fade99d0", "eb885877835adebf"]),
+    # recorded on the X86_V4 dispatch target (numpy 2.4.6)
+    ((1.7, 0.0, 1.0), dict(T=1.0, n_steps=256, x0=-0.4),
+     ["799e67544e09ac75", "48392a580f31a71c", "eb885877835adebf"]),
     ((1.5, 1.0, 1.0), dict(T=0.7, n_steps=300),
      ["0dbb00e4f8c6fb56", "34a5de96b7349e03", "103e4eb4d79c97b3"]),
-], ids=["symmetric", "skewed", "one-sided-drop", "short-horizon"])
+], ids=["symmetric", "skewed", "one-sided", "short-horizon"])
 def test_path_bits_pinned(triplet, sim, digests):
     # digests of times, values and jump_rows: a change of grid placement,
     # arithmetic order or RNG order anywhere in the path shows here
@@ -621,14 +619,6 @@ def test_path_bits_pinned(triplet, sim, digests):
     path = simulate_path_jumpdecomp(derive_params(*triplet), cfg, path_index=3)
     assert [_digest(path.times), _digest(path.values),
             _digest(path.jump_rows.astype("<i8"))] == digests
-
-
-def test_terminal_shortcut_drop_mode_runs():
-    cfg = SimConfig(T=1.0, n_steps=16, eps=0.2, small_jump_mode="drop",
-                    seed=41)
-    vals = sample_terminal_jumpdecomp(SYM, cfg, 500)
-    assert vals.shape == (500,)
-    assert np.all(np.isfinite(vals))
 
 
 # -------------------------------------------------------------- statistics
@@ -690,11 +680,11 @@ def test_moment_scan_stabilizes_below_alpha():
 def test_path_csv_and_sidecar(tmp_path):
     # `stable-tanaka simulate` writes each path as shortest round-trip
     # decimals and a UTF-8 JSON sidecar; both read back exactly
-    cfg = SimConfig(T=1.0, n_steps=8, eps=0.1, small_jump_mode="drop", seed=2)
+    cfg = SimConfig(T=1.0, n_steps=8, eps=0.1, seed=2)
     path = simulate_path_jumpdecomp(SKEW, cfg, 0)
     assert main(["simulate", "--alpha", "1.5", "--c-plus", "3",
-                 "--n-steps", "8", "--eps", "0.1", "--small-jump-mode",
-                 "drop", "--seed", "2", "--out", str(tmp_path)]) == 0
+                 "--n-steps", "8", "--eps", "0.1", "--seed", "2",
+                 "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "path_0000.csv").read_text(
         encoding="utf-8").splitlines()
     assert lines[0] == "time,value"

@@ -51,10 +51,10 @@ _BUNDLES = {
     "estimator-agreement": ({
         "kind": "estimator-agreement",
         "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
-        "sim": {"T": 1.0, "n_steps": 64}, "seed": 3,
+        "sim": {"T": 1.0}, "seed": 3,
         "options": {"n_paths": 9, "level": 0.0,
                     "schedule": [[0.1, 64], [0.05, 128]]}},
-        "40fba40905d66261"),
+        "a07f1aeaa3ea12e6"),
 }
 _TERMINAL = "bd43563ead8b3368"
 _LEVEL_CURVE = "a562fa56227bbdc9"
