@@ -383,6 +383,10 @@ def _versions() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        # the SIMD kernel sets numpy dispatches to on this CPU: the last
+        # bits of a transcendental can differ between them
+        "numpy_simd": np.show_config(
+            mode="dicts")["SIMD Extensions"]["found"],
         "scipy": scipy.__version__,
         "stable_tanaka": __version__,
     }

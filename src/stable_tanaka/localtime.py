@@ -20,9 +20,10 @@ adds its own run of a sorted order. The occupation sum sorts the points
 near the levels once and finds each level's points within the
 mollifier's support by search, a run of that order summed in value order,
 ties in time order. The sorted compensator's band and the jumps in the
-bins near a level are such runs too. ``_run_sums`` evaluates the terms of
-whole runs in tiles and sums each run as one slice, so a level's value
-depends only on the path and the level.
+bins near a level are such runs too. ``_run_sums`` reads each run as a
+slice of columns in that order, evaluates the terms of whole runs in
+tiles and sums each run as one slice, so a level's value depends only on
+the path and the level.
 
 ``martingale_part`` picks one of two routes from the number of levels.
 For fewer than 16, both of its sums are dense walks: the jump sum adds
@@ -97,15 +98,19 @@ _SORT_LEVELS = 16
 # one by one: nearer in, G_eps is too steep for its prefix sums' rounding
 _NEAR_EPS = 100.0
 # The jump sum over _SORT_LEVELS levels or more bins the jumps of size at
-# most _JUMP_SMALL by their midpoint, _JUMP_BIN wide, and a bin whose
-# centre lies _JUMP_NEAR or more from a level adds its jumps by a
-# _JUMP_ORDER-term expansion about that centre. Its ratio |u / Y| stays
-# below (B + H) / 2R = 1/6, so the terms left out sum to less than 1e-17
-# of a jump's term for every alpha in (1, 2).
+# most _JUMP_SMALL (H) by their midpoint, _JUMP_BIN (B) wide, and a bin
+# whose centre lies _JUMP_NEAR (R) or more from a level adds its jumps by
+# a _JUMP_ORDER-term (M) expansion about that centre. Its ratio |u / Y|
+# is at most r = (B + H) / 2R = 1/2, and its coefficients
+# (_jump_coefficients) keep each far jump's term within 8.8e-18 of its own
+# for every alpha in (1, 2). R and M trade the near bins' direct terms
+# (~24 ns a pair) against M passes over the jumps and over the (level,
+# bin) pairs; at the level-curve shape R = 2B with H = B was the fastest
+# that keeps that bound below 1e-17.
 _JUMP_BIN = 0.05
-_JUMP_SMALL = 0.5 * _JUMP_BIN
-_JUMP_NEAR = 4.5 * _JUMP_BIN
-_JUMP_ORDER = 22
+_JUMP_SMALL = _JUMP_BIN
+_JUMP_NEAR = 2.0 * _JUMP_BIN
+_JUMP_ORDER = 31
 
 
 def default_mollifier(eps: float) -> MollifierSpec:
@@ -189,16 +194,19 @@ def _value_order(x):
     return order, xs
 
 
-def _run_sums(starts, counts, terms):
-    """Sums of terms over the runs [starts[j], starts[j] + counts[j]).
+def _run_sums(starts, counts, columns, terms):
+    """Sums of terms over the runs [starts[j], starts[j] + counts[j]) of
+    the given columns.
 
     The walker of every ragged sum, one run per level: the occupation
     support, the sorted compensator's band and the near bins' jumps. The
     runs are packed in order into tiles of at most _PAIR_TILE terms; a
-    longer run goes in a tile of its own. ``terms(rows, at)`` returns a
-    tile's terms from each term's run ``rows`` and index ``at``. Each run
-    is summed as one slice, so its float depends only on its own terms,
-    not on the runs that share its tile; an empty run gives exactly 0.0.
+    longer run goes in a tile of its own. Each run is a slice of every
+    column, and a tile's slices are joined per column, so
+    ``terms(rows, *cols)`` gets each term's run ``rows`` and its entries
+    of the columns without an index or a gather. Each run is summed as one
+    slice, so its float depends only on its own terms, not on the runs
+    that share its tile; an empty run gives exactly 0.0.
     """
     out = np.zeros(len(counts))
     runs = np.flatnonzero(counts)
@@ -209,10 +217,12 @@ def _run_sums(starts, counts, terms):
         hi = max(lo + 1, int(np.searchsorted(ends, base + _PAIR_TILE,
                                              side="right")))
         rows, n = runs[lo:hi], counts[runs[lo:hi]]
+        spans = [slice(start, start + size) for start, size
+                 in zip(starts[rows].tolist(), n.tolist())]
+        values = terms(np.repeat(rows, n), *(
+            np.concatenate([column[span] for span in spans])
+            for column in columns))
         heads = ends[lo:hi] - n - base
-        at = np.repeat(starts[rows] - heads, n)
-        at += np.arange(len(at))
-        values = terms(np.repeat(rows, n), at)
         out[rows] = [np.add.reduce(values[head:head + size])
                      for head, size in zip(heads.tolist(), n.tolist())]
         lo = hi
@@ -244,13 +254,12 @@ def occupation_curve(path: PathSample, a_grid,
     starts = np.searchsorted(x_sorted, levels - width, side="left")
     counts = np.searchsorted(x_sorted, levels + width, side="right") - starts
 
-    def terms(rows, at):
-        at = by_value[at]
-        out = moll(x[at] - levels[rows])
-        out *= dt[at]
+    def terms(rows, xs, dts):
+        out = moll(xs - levels[rows])
+        out *= dts
         return out
 
-    return _run_sums(starts, counts, terms)
+    return _run_sums(starts, counts, (x_sorted, dt[by_value]), terms)
 
 
 # -------------------------------------------------------------- martingale
@@ -369,8 +378,9 @@ def _sorted_sums(table: _CompensatorTable, levels, x, dt):
         out[rows] = (value * w + slope * (
             moment - (block - c + left) * w)).sum(axis=1)
         bands[:, rows] = at[:, band:band + 2].T
-    out += _run_sums(bands[0], bands[1] - bands[0], lambda rows, at: (
-        _compensator_at(table, xs[at] - levels[rows]) * dts[at]))
+    out += _run_sums(bands[0], bands[1] - bands[0], (xs, dts),
+                     lambda rows, xs, dts: (
+                         _compensator_at(table, xs - levels[rows]) * dts))
     return out
 
 
@@ -383,21 +393,24 @@ def _jump_terms(params: StableParams, y, h, post_less_a):
     F(y) expm1((alpha - 1) log1p(h / y)), exact to rounding however small
     h is against y; the rest (a crossing, y = 0, or an h / y that
     overflows, where that form is not finite) add F(post - a) - F(y),
-    which does not cancel there. ``post_less_a(mask)`` gives post - a
-    for those jumps alone. So a level within rounding of a post-jump
-    value reads F at pre + h - a, not at values[k] - a: F's
-    |x|^(alpha - 1) cusp makes the two differ by the order of F(ulp(x)),
-    1.6e-5 at alpha 1.3 and x = 1000.
+    which does not cancel there. ``post_less_a(index)`` gives post - a
+    for those jumps alone, ``index`` their np.nonzero tuple. So a level
+    within rounding of a post-jump value reads F at pre + h - a, not at
+    values[k] - a: F's |x|^(alpha - 1) cusp makes the two differ by the
+    order of F(ulp(x)), 1.6e-5 at alpha 1.3 and x = 1000.
     """
     out = kernel_F(params, y)
     # the direct entries' NaN and inf are overwritten below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.divide(h, y)
         np.log1p(ratio, out=ratio)
-        direct = ~np.isfinite(ratio)
+        # a finite log1p is at most ~710 in size, so the sum is finite
+        # exactly when every ratio is: only then are the direct ones sought
+        direct = (None if np.isfinite(ratio.sum())
+                  else np.nonzero(~np.isfinite(ratio)))
         ratio *= params.alpha - 1.0
         out *= np.expm1(ratio, out=ratio)
-    if direct.any():
+    if direct is not None:
         out[direct] = (kernel_F(params, post_less_a(direct))
                        - kernel_F(params, y[direct]))
     return out
@@ -422,9 +435,10 @@ def _jump_bins(params: StableParams, pre, h):
     """The bins of ``_expanded_jump_sums``: the midrange c of the pre-jump
     values, which jumps are binned, those in bin order, where each bin
     starts among them, each bin's centre less c, and its moments times
-    binom(alpha - 1, m), one row per order m. Its temporaries, as long as
-    the jump record, are freed on return, so the direct sums reuse their
-    memory instead of growing a heap that is trimmed and faulted back in.
+    the expansion's coefficients w_m, one row per order m. Its temporaries,
+    as long as the jump record, are freed on return, so the direct sums
+    reuse their memory instead of growing a heap that is trimmed and
+    faulted back in.
     """
     c = 0.5 * pre.min() + 0.5 * pre.max()  # (lo + hi) / 2 may overflow
     # pre - c and a - c as exact pairs s + e, so each jump's offset v from
@@ -465,10 +479,39 @@ def _jump_bins(params: StableParams, pre, h):
                 d *= us
                 d += q
             moments[m] = np.add.reduceat(d, starts)
-        # binom(alpha - 1, m) = prod over j <= m of (alpha - j) / j
-        j = np.arange(1.0, _JUMP_ORDER + 1.0)
-        moments *= np.cumprod((params.alpha - j) / j)[:, None]
+        moments *= _jump_coefficients(params.alpha)[:, None]
     return c, small, binned, starts, centres, moments
+
+
+@lru_cache(maxsize=8)
+def _jump_coefficients(alpha: float) -> np.ndarray:
+    """The expansion's coefficients w_m, m = 1, ..., _JUMP_ORDER: a far bin
+    adds F(Y) sum_m w_m mu_m Y^(-m).
+
+    A jump's term is F(Y) times the integral of g(x) = (alpha - 1)
+    (1 + x)^(alpha - 2) from v / Y to u / Y, both within r of 0, where
+    g > 0. A polynomial sum_k b_k x^k within relative error d of g on
+    [-r, r] gives w_m = b_(m-1) / m, and every far jump's term within d of
+    its own. The b_k are g's Taylor series, economized: taken to degree 89
+    (the rest is at most r^90 / (1 - r) of g), written in Chebyshev
+    polynomials of x / r and cut to degree _JUMP_ORDER - 1. A Chebyshev
+    term is at most its coefficient in size on [-r, r], so the terms cut
+    and the Taylor tail, over g's least value (alpha - 1)(1 + r)^(alpha -
+    2), bound d: at most 8.8e-18 for every alpha in (1, 2) at r = 1/2,
+    where the binomial series itself would need 59 terms.
+    """
+    s = alpha - 1.0
+    r = (_JUMP_BIN + _JUMP_SMALL) / (2.0 * _JUMP_NEAR)
+    # g's Taylor coefficients s binom(alpha - 2, k), in powers of x / r
+    j = np.arange(1.0, 90.0)
+    taylor = s * np.cumprod(np.concatenate([[1.0], (s - j) / j]))
+    taylor *= r ** np.arange(90.0)
+    chebyshev = np.polynomial.chebyshev.poly2cheb(taylor)[:_JUMP_ORDER]
+    b = np.polynomial.chebyshev.cheb2poly(chebyshev)
+    b /= r ** np.arange(_JUMP_ORDER)
+    b /= np.arange(1.0, _JUMP_ORDER + 1.0)
+    b.flags.writeable = False  # one array serves every call at this alpha
+    return b
 
 
 def _expanded_jump_sums(params: StableParams, levels, pre, h, post):
@@ -480,17 +523,19 @@ def _expanded_jump_sums(params: StableParams, levels, pre, h, post):
     pre-jump value less c and the bin's centre, and u = v + h, built by
     the recursion d_m = u d_(m-1) + v^(m-1) h. A bin whose centre lies at
     Y, |Y| >= _JUMP_NEAR, from a - c adds
-    F(Y) sum_m binom(alpha - 1, m) mu_m Y^(-m), by Horner; v and Y are
-    formed from exact differences, so neither loses digits to |x - c|.
-    The jumps of the nearer bins and the jumps left out of the bins (the
-    larger ones, and those whose midpoint rounded into a neighbouring bin)
-    add ``_jump_terms`` directly, from the original floats. A level adds
-    three parts in this order, each reduced on its own: a row over all
-    bins with the near ones zero; its run of near jumps, one slice
-    (``_run_sums``); and the jumps left out, walked in time order by
-    ``_walked_jumps``. So its float depends only on the jumps and the
-    level. Tiles of pairs keep every temporary below 128 KiB, bar a run
-    longer than a tile.
+    F(Y) sum_m w_m mu_m Y^(-m), by Horner, with the coefficients of
+    ``_jump_coefficients``: its ratio |u / Y| is at most 1/2, and it keeps
+    each jump's term within 8.8e-18 of its own. v and Y are formed from
+    exact differences, so neither loses digits to |x - c|. The jumps of
+    the nearer bins and the jumps left out of the bins (the larger ones,
+    and those whose midpoint rounded into a neighbouring bin) add
+    ``_jump_terms`` directly, from the original floats. A level adds three
+    parts in this order, each reduced on its own: a row over all bins with
+    the near ones zero; its run of near jumps, one slice of the jumps in
+    bin order (``_run_sums``); and the jumps left out, walked in time
+    order by ``_walked_jumps``. So its float depends only on the jumps and
+    the level. Tiles of pairs keep every temporary below 128 KiB, bar a
+    run longer than a tile.
     """
     out = np.zeros(len(levels))
     if not len(h):
@@ -519,17 +564,15 @@ def _expanded_jump_sums(params: StableParams, levels, pre, h, post):
             acc[near] = 0.0
             out[rows] = acc.sum(axis=1)
     # each level's run of its near bins' jumps
-    pre_b, h_b = pre[binned], h[binned]
     bounds = np.append(starts, len(binned))
 
-    def terms(rows, at):
+    def terms(rows, y, h, post):
         a = levels[rows]
-        y = pre_b[at]
         y -= a
-        return _jump_terms(params, y, h_b[at],
-                           lambda m: post[binned[at[m]]] - a[m])
+        return _jump_terms(params, y, h, lambda m: post[m] - a[m])
 
-    out += _run_sums(bounds[first], bounds[stop] - bounds[first], terms)
+    out += _run_sums(bounds[first], bounds[stop] - bounds[first],
+                     (pre[binned], h[binned], post[binned]), terms)
     # then the jumps left out of the bins, each added to every level
     rest = np.flatnonzero(~small)
     out += _walked_jumps(params, levels, [len(rest)], pre[rest], h[rest],

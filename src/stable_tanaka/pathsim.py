@@ -378,15 +378,16 @@ def _merge_jump_times(base: np.ndarray, jt: np.ndarray):
     sorted runs and keeps the order within each: a node comes before an
     instant equal to it, and the merged points taken from ``jt`` are the
     instants in turn. A run of equal points is one grid point, the row of
-    every point in the run.
+    every point in the run: an instant's merged position less the repeats
+    at or before it.
     """
     times = np.concatenate([base, jt])
     order = np.argsort(times, kind="stable")
     times = times[order]
-    first = np.concatenate(([True], times[1:] != times[:-1]))
-    rows = np.cumsum(first)[order >= len(base)]
-    rows -= 1
-    times = times[first]
+    repeat = np.flatnonzero(times[1:] == times[:-1]) + 1
+    rows = np.flatnonzero(order >= len(base))
+    rows -= np.searchsorted(repeat, rows, side="right")
+    times = np.delete(times, repeat)
     return times, rows, np.diff(times)
 
 

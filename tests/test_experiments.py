@@ -473,6 +473,21 @@ def test_wall_time_not_serialized(tmp_path):
     assert payload["versions"]["stable_tanaka"]
 
 
+def test_bundle_names_the_simd_dispatch_targets(tmp_path):
+    # the bundle names the SIMD kernel sets numpy dispatches to on this
+    # CPU, on which its pinned bytes depend: the dispatchable targets that
+    # the CPU has, as numpy finds them at import
+    from numpy._core._multiarray_umath import (
+        __cpu_dispatch__,
+        __cpu_features__,
+    )
+    found = [name for name in __cpu_dispatch__ if __cpu_features__[name]]
+    rep = run_experiment({"kind": "existence-scan",
+                          "options": {"alphas": [0.9]}})
+    payload = json.loads(emit_report(rep, tmp_path)[0].read_text())
+    assert payload["versions"]["numpy_simd"] == found
+
+
 def test_nan_refused_and_nothing_written(tmp_path):
     rep = ExperimentReport(
         kind="existence-scan", inputs={}, statistics={"bad": math.nan},

@@ -633,8 +633,8 @@ def test_expanded_jump_sum_matches_exact_summation(triplet, draw, eps,
     # cancellation-free form for the rest. Against a correctly rounded
     # math.fsum of the cancellation-free terms, at levels taken from the 201
     # default ones, it must agree within 1e-14 of the terms' magnitudes, at
-    # three starting points. Measured <= 3.7e-16 (1.8 with c+ = 0, eps
-    # 1e-3, 16 and 201 levels), <= 2.2e-16 below 16 levels. The direct
+    # three starting points. Measured <= 3.7e-16 (1.8 with c- = 0, eps
+    # 1e-2, 16 levels), <= 2.2e-16 below 16 levels. The direct
     # sum of F(post - a) - F(pre - a) misses by up to 1.7e-13 at x0 = 0
     # (1.1 symmetric, eps 1e-3), and at x0 = 1000, where pre = post - h
     # rounds, by up to 9.4e-12
@@ -665,7 +665,7 @@ def test_expanded_jump_sum_matches_exact_summation(triplet, draw, eps,
 
 
 def test_expanded_jump_sum_edge_cases():
-    # a path whose jumps all exceed the binned size (eps 5e-2 > 0.025)
+    # a path whose jumps all exceed the binned size (eps 5e-2 >= 0.05)
     # sums every term directly, to the bar of the exact-sum test; and a
     # checkpoint before its first jump has no jumps, so that row is the
     # compensator's alone
@@ -711,6 +711,84 @@ def test_expanded_jump_sum_holds_across_a_wide_spread(gap):
     for a, total in zip(levels, got):
         exact, size = _exact_jump_sum(SYM, pre, post, h, a)
         assert abs(total - exact) <= 1e-14 * size, a
+
+
+def _expansion_ratio():
+    """r = (B + H) / 2R, the largest |u / Y| of a far bin's jump."""
+    return ((localtime._JUMP_BIN + localtime._JUMP_SMALL)
+            / (2.0 * localtime._JUMP_NEAR))
+
+
+def test_expansion_constants_bound_the_orders_left_out():
+    # a far jump's term is F(Y) times the integral of g(x) = (alpha - 1)
+    # (1 + x)^(alpha - 2) over [v / Y, u / Y], inside [-r, r]; the expansion
+    # integrates a polynomial in place of g, g's Taylor series economized
+    # on [-r, r], and the Chebyshev terms it cuts, with the Taylor terms
+    # past degree 89, must stay below 1e-17 of g at every alpha in (1, 2)
+    r, order = _expansion_ratio(), localtime._JUMP_ORDER
+    assert 0.0 < r < 1.0
+    worst = 0.0
+    for alpha in np.linspace(1.0001, 1.9999, 41):
+        s = alpha - 1.0
+        j = np.arange(1.0, 90.0)
+        taylor = s * np.cumprod(np.concatenate([[1.0], (s - j) / j]))
+        cut = np.abs(np.polynomial.chebyshev.poly2cheb(
+            taylor * r ** np.arange(90.0))[order:]).sum()
+        worst = max(worst, (cut + s * r ** 90 / (1.0 - r))
+                    / (s * (1.0 + r) ** (s - 1.0)))
+    assert worst < 1e-17, worst
+
+
+def test_expansion_coefficients_hold_g_to_rounding():
+    # in 40-digit arithmetic the module's float coefficients keep the
+    # expansion's polynomial within rounding of g on [-r, r] (see above):
+    # measured <= 1.2e-16
+    mpmath = pytest.importorskip("mpmath")
+    r = _expansion_ratio()
+    with mpmath.workdps(40):
+        grid = mpmath.linspace(-mpmath.mpf(r), mpmath.mpf(r), 101)
+        for alpha in (1.0001, 1.3, 1.7, 1.9999):
+            b = [mpmath.mpf(c) * (m + 1) for m, c in enumerate(
+                localtime._jump_coefficients(alpha).tolist())]
+            s = mpmath.mpf(alpha) - 1
+            for x in grid:
+                g = s * (1 + x) ** (s - 1)
+                assert abs(mpmath.polyval(b[::-1], x) - g) <= 1e-15 * g, \
+                    (alpha, x)
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+@pytest.mark.parametrize("side, sign", [(1.0, 1.0), (1.0, -1.0),
+                                        (-1.0, 1.0), (-1.0, -1.0)])
+def test_expansion_worst_case_matches_exact_summation(alpha, side, sign,
+                                                      monkeypatch):
+    # the ratio's worst case: a jump of the largest binned size H whose
+    # midpoint sits at the edge of its bin nearest the level, so one end
+    # lies (B + H) / 2 from the bin's centre, towards the level, in the
+    # nearest far bin, R from it; its pre-jump value is that end or the
+    # other (sign). Two anchors at +-1 put the midrange c at 0 and are
+    # binned far from the level too, so no term is direct. The sum must
+    # hold the exact-summation bar of the tests above. Measured <= 6.5e-16;
+    # 22 orders gave 5.4e-15 and 20 orders 4.9e-14
+    params = derive_params(alpha, 1.0, 1.0)
+    B, H = localtime._JUMP_BIN, localtime._JUMP_SMALL
+    edge = side * 2.0 * B + side * 1e-9 * B  # just inside, midpoint side
+    centre = side * 2.5 * B
+    level = centre - side * localtime._JUMP_NEAR * (1.0 + 1e-9)
+    h = np.array([sign * H, 1e-3, 1e-3])
+    pre = np.array([edge - 0.5 * h[0], -1.0, 1.0])
+    post = pre + h
+    assert min(abs(pre[0] - level), abs(post[0] - level)) == pytest.approx(
+        localtime._JUMP_NEAR - 0.5 * (B + H), rel=1e-8)
+
+    def direct(*args):
+        raise AssertionError("a jump of the worst case was summed directly")
+
+    monkeypatch.setattr(localtime, "_jump_terms", direct)
+    (got,) = localtime._expanded_jump_sums(params, np.array([level]), pre,
+                                           h, post)
+    exact, size = _exact_jump_sum(params, pre, post, h, level)
+    assert abs(got - exact) <= 1e-14 * size, (got, exact)
 
 
 def test_runs_longer_than_a_tile_keep_their_bits():
@@ -817,7 +895,7 @@ def test_compensator_table_contract(curve_path, sorted_calls,
 
     monkeypatch.setattr(localtime, "compensator_table", counting)
     grid = default_a_grid(curve_path)
-    pins = {2: "94b24f258e82fec6", 201: "ec2215df54b3cce2"}
+    pins = {2: "94b24f258e82fec6", 201: "f1a1ac8a210679f2"}
     for levels, n_calls in ((grid[[50, 150]], 0), (grid, 3)):
         looked_up.clear()
         sorted_calls.clear()
@@ -907,7 +985,8 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
     # reads that jump at pre + h - a, not at post - a = 0. The jump is one
     # whose pre = post - h rounded most while pre + h stops short of post;
     # F(post - a) - F(pre - a) below 16 levels parted by 1.6e-5. Measured
-    # 4.4e-16 (4.5e-17 of the magnitudes)
+    # 0; the 22-term binomial series with far bins from 0.225 gave 4.4e-16
+    # (4.5e-17 of the magnitudes)
     path = simulate_path_jumpdecomp(LEVEL_CURVE, SimConfig(
         T=1.0, n_steps=4096, eps=1e-3, seed=3, x0=1000.0))
     pre, post, h = _jumps(path)
@@ -922,9 +1001,9 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
         _compensator_at(compensator_table(LEVEL_CURVE, 1e-3), x - on)
         * dt).sum()
     assert max(got) - min(got) <= 1e-15 * size, got
-    # the jumps that the expansion leaves out of its bins, ~370 of a
+    # the jumps that the expansion leaves out of its bins, ~170 of a
     # level-curve path, are one short record: the dense walk takes tiles
-    # of 43 levels, and each of the 201 levels gets its one-level walk's
+    # of 96 levels, and each of the 201 levels gets its one-level walk's
     # float, at an end mid-record and at the end. The expanded sum adds
     # exactly that walk, last
     pre, post, h = _jumps(curve_path)
