@@ -16,8 +16,11 @@ under one tile budget of _PAIR_TILE pairs; every dense block takes its
 tile height from ``kernel._row_tiles``. ``_tiled_levels`` walks a dense
 sum, where each level adds every point of a record, in chunks of points
 and tiles of levels; ``_run_sums`` sums a ragged one, where each level
-adds its own run of a sorted order. The occupation sum sorts the points
-near the levels once and finds each level's points within the
+adds its own run of a sorted order. Either walker is fed one recipe
+``terms(a, *columns)``, ``a`` the level of each term, so each kind of
+term is written once, whichever walker adds it: moll(x - a) dt,
+``_compensator_terms`` and ``_jump_terms``. The occupation sum sorts the
+points near the levels once and finds each level's points within the
 mollifier's support by search, a run of that order summed in value order,
 ties in time order. The sorted compensator's band and the jumps in the
 bins near a level are such runs too. ``_run_sums`` reads each run as a
@@ -27,27 +30,26 @@ the path and the level.
 
 ``martingale_part`` picks one of two routes from the number of levels.
 For fewer than 16, both of its sums are dense walks: the jump sum adds
-``_jump_terms`` for every jump (``_walked_jumps``), and the compensator
-interpolates its table at every point. For 16 levels or more, the jump
-sum bins the small jumps by value and adds each bin far from a level by
-an expansion of the bin's jump moments, the jumps of the bins near a
-level as runs, and the jumps left out of the bins, the large ones among
-them, by the same dense walk. So a jump's kernel increment is formed in
-one place, free of cancellation; against exact summation both jump sums
-are exact to rounding (measured <= 3.7e-16 of the sum of the terms'
-magnitudes, where F(post - a) - F(pre - a) reached 9.4e-12). The
-compensator sorts the points in the stable order and sums the chords
-between the table's nodes cell by cell, from double-double prefix sums of
-moments about the points' midrange, in plain floats. This route serves
-each checkpoint by its own calls of both sums on that checkpoint's
-prefix, one sort a prefix; the dense route walks all prefixes at once.
-Both compensator routes read one table of G_eps per (params, eps),
-``compensator_table``: closed-form values at nodes. The two compensator
-routes agree within 1e-14 of the sum of the compensator terms' magnitudes
-(measured <= 8.8e-15 for x0 in {0, 10, 1000}), and a level's M at 15 and
-at 16 levels within 1.3e-16 of the sum of its terms' magnitudes (1.3e-15
-absolute; alpha 1.1, 1.3 and 1.5, x0 in {0, 1000}, a level on a
-post-jump value among them).
+``_jump_terms`` for every jump, and the compensator interpolates its
+table at every point. For 16 levels or more, the jump sum bins the small
+jumps by value and adds each bin far from a level by an expansion of the
+bin's jump moments, the jumps of the bins near a level as runs, and the
+jumps left out of the bins, the large ones among them, by the same dense
+walk. So a jump's kernel increment is formed in one place, free of
+cancellation; against exact summation both jump sums are exact to
+rounding (measured <= 3.7e-16 of the sum of the terms' magnitudes, where
+F(post - a) - F(pre - a) reached 9.4e-12). The compensator sorts the
+points in the stable order and sums the chords between the table's nodes
+cell by cell, from double-double prefix sums of moments about the points'
+midrange, in plain floats. This route serves each checkpoint by its own
+calls of both sums on that checkpoint's prefix, one sort a prefix; the
+dense route walks all prefixes at once. Both compensator routes read one
+table of G_eps per (params, eps), ``compensator_table``: closed-form
+values at nodes. The two compensator routes agree within 1e-14 of the sum
+of the compensator terms' magnitudes (measured <= 8.8e-15 for x0 in
+{0, 10, 1000}), and a level's M at 15 and at 16 levels within 1.3e-16 of
+the sum of its terms' magnitudes (1.3e-15 absolute; alpha 1.1, 1.3 and
+1.5, x0 in {0, 1000}, a level on a post-jump value among them).
 
 ``occupation_formula_check`` closes the loop: integrating the occupation
 curve against each of a few test functions must reproduce the direct
@@ -57,7 +59,7 @@ time-integral of that function along the path.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -136,11 +138,11 @@ def hat_function(center: float, half_width: float):
     return g
 
 
-def _tiled_levels(levels, ends, tile, *columns):
-    """Per-level sums of tile(levels, *columns) over each prefix columns[:end].
+def _tiled_levels(levels, ends, terms, *columns):
+    """Per-level sums of terms(a, *columns) over each prefix columns[:end].
 
     The walker of every dense sum, where each level adds every point of a
-    record. ``tile(block, *chunks)`` maps a (k, 1) column of levels and
+    record. ``terms(a, *chunks)`` maps a (k, 1) column ``a`` of levels and
     chunks of at most _TILE_POINTS points to a (k, points) array of terms;
     k levels fill a tile (``_row_tiles``), so a record of _TILE_POINTS
     points or more takes 2 levels a tile and a short one tall tiles. Each
@@ -158,12 +160,12 @@ def _tiled_levels(levels, ends, tile, *columns):
         total = np.zeros(len(block))
         for lo in range(0, ends[-1], _TILE_POINTS):
             hi = min(lo + _TILE_POINTS, ends[-1])
-            terms = tile(block, *(c[lo:hi] for c in columns))
-            full = terms.sum(axis=1)
+            part = terms(block, *(c[lo:hi] for c in columns))
+            full = part.sum(axis=1)
             for j, end in enumerate(ends):
                 if lo < end <= hi:
                     out[j, cols] = total + (
-                        full if end == hi else terms[:, :end - lo].sum(axis=1))
+                        full if end == hi else part[:, :end - lo].sum(axis=1))
             total += full
     return out
 
@@ -194,21 +196,22 @@ def _value_order(x):
     return order, xs
 
 
-def _run_sums(starts, counts, columns, terms):
-    """Sums of terms over the runs [starts[j], starts[j] + counts[j]) of
-    the given columns.
+def _run_sums(levels, starts, stops, terms, *columns):
+    """Per-level sums of terms(a, *columns) over the runs
+    [starts[j], stops[j]) of the given columns, a = levels[j].
 
     The walker of every ragged sum, one run per level: the occupation
     support, the sorted compensator's band and the near bins' jumps. The
     runs are packed in order into tiles of at most _PAIR_TILE terms; a
     longer run goes in a tile of its own. Each run is a slice of every
-    column, and a tile's slices are joined per column, so
-    ``terms(rows, *cols)`` gets each term's run ``rows`` and its entries
-    of the columns without an index or a gather. Each run is summed as one
-    slice, so its float depends only on its own terms, not on the runs
-    that share its tile; an empty run gives exactly 0.0.
+    column, and a tile's slices are joined per column, so ``terms`` gets
+    each term's level ``a`` and its entries of the columns without a
+    gather. Each run is summed as one slice, so its float depends only on
+    its own terms, not on the runs that share its tile; an empty run gives
+    exactly 0.0.
     """
-    out = np.zeros(len(counts))
+    out = np.zeros(len(levels))
+    counts = stops - starts
     runs = np.flatnonzero(counts)
     ends = np.cumsum(counts[runs])
     lo = 0
@@ -217,9 +220,9 @@ def _run_sums(starts, counts, columns, terms):
         hi = max(lo + 1, int(np.searchsorted(ends, base + _PAIR_TILE,
                                              side="right")))
         rows, n = runs[lo:hi], counts[runs[lo:hi]]
-        spans = [slice(start, start + size) for start, size
-                 in zip(starts[rows].tolist(), n.tolist())]
-        values = terms(np.repeat(rows, n), *(
+        spans = [slice(start, stop) for start, stop
+                 in zip(starts[rows].tolist(), stops[rows].tolist())]
+        values = terms(np.repeat(levels[rows], n), *(
             np.concatenate([column[span] for span in spans])
             for column in columns))
         heads = ends[lo:hi] - n - base
@@ -252,14 +255,9 @@ def occupation_curve(path: PathSample, a_grid,
     order, x_sorted = _value_order(x[near])
     by_value = near[order]
     starts = np.searchsorted(x_sorted, levels - width, side="left")
-    counts = np.searchsorted(x_sorted, levels + width, side="right") - starts
-
-    def terms(rows, xs, dts):
-        out = moll(xs - levels[rows])
-        out *= dts
-        return out
-
-    return _run_sums(starts, counts, (x_sorted, dt[by_value]), terms)
+    stops = np.searchsorted(x_sorted, levels + width, side="right")
+    return _run_sums(levels, starts, stops, lambda a, x, dt: moll(x - a) * dt,
+                     x_sorted, dt[by_value])
 
 
 # -------------------------------------------------------------- martingale
@@ -309,19 +307,18 @@ def _compensator_at(table: _CompensatorTable, x) -> np.ndarray:
     return out
 
 
+def _compensator_terms(table: _CompensatorTable, a, x, dt):
+    """G_eps(x - a) dt per point: the one compensator term of both
+    routes, the tiled one's at every point and the sorted one's in its
+    band."""
+    return _compensator_at(table, x - a) * dt
+
+
 def _two_sum_error(a, b, s):
     """a + b - s exactly, for s = fl(a + b): the rounding error of one
-    addition (Knuth's TwoSum), the one place that forms it, as
-    (a - (s - back)) + (b - back) with back = s - a.
-
-    It works in place in two arrays: written as one expression it makes
-    four temporaries as long as a path, which cost ~470 minor faults a
-    call at 28.5k points and doubled the time of ``_sorted_prefix_sums``.
-    """
+    addition (Knuth's TwoSum), the one place that forms it."""
     back = s - a
-    err = s - back
-    np.subtract(a, err, out=err)
-    return np.add(err, np.subtract(b, back, out=back), out=err)
+    return (a - (s - back)) + (b - back)
 
 
 def _sorted_prefix_sums(xs, dts, c):
@@ -378,27 +375,29 @@ def _sorted_sums(table: _CompensatorTable, levels, x, dt):
         out[rows] = (value * w + slope * (
             moment - (block - c + left) * w)).sum(axis=1)
         bands[:, rows] = at[:, band:band + 2].T
-    out += _run_sums(bands[0], bands[1] - bands[0], (xs, dts),
-                     lambda rows, xs, dts: (
-                         _compensator_at(table, xs - levels[rows]) * dts))
+    out += _run_sums(levels, *bands, partial(_compensator_terms, table),
+                     xs, dts)
     return out
 
 
-def _jump_terms(params: StableParams, y, h, post_less_a):
+def _jump_terms(params: StableParams, a, pre, h, post):
     """F(post - a) - F(pre - a) per jump, free of cancellation: the one
     place where ``martingale_part`` forms a jump's kernel increment.
 
-    A jump is (pre, h), with pre = values[k] - h for a jump recorded at
-    grid row k. With y = pre - a, a jump that keeps the sign of y + h adds
-    F(y) expm1((alpha - 1) log1p(h / y)), exact to rounding however small
-    h is against y; the rest (a crossing, y = 0, or an h / y that
-    overflows, where that form is not finite) add F(post - a) - F(y),
-    which does not cancel there. ``post_less_a(index)`` gives post - a
-    for those jumps alone, ``index`` their np.nonzero tuple. So a level
-    within rounding of a post-jump value reads F at pre + h - a, not at
-    values[k] - a: F's |x|^(alpha - 1) cusp makes the two differ by the
-    order of F(ulp(x)), 1.6e-5 at alpha 1.3 and x = 1000.
+    A jump is (pre, h, post), with post = values[k] and pre = post - h for
+    a jump recorded at grid row k. ``a`` broadcasts against the jumps: a
+    (k, 1) column of levels gives a (k, jumps) array of terms, and one
+    level per jump one term per jump. With y = pre - a, a jump that keeps
+    the sign of y + h adds F(y) expm1((alpha - 1) log1p(h / y)), exact to
+    rounding however small h is against y; the rest (a crossing, y = 0,
+    or an h / y that overflows, where that form is not finite) add
+    F(z) - F(y), z = post - a, which does not cancel there; z is formed
+    for those terms alone. So a level within rounding of a post-jump value
+    reads F at pre + h - a, not at values[k] - a: F's |x|^(alpha - 1) cusp
+    makes the two differ by the order of F(ulp(x)), 1.6e-5 at alpha 1.3
+    and x = 1000.
     """
+    y = pre - a
     out = kernel_F(params, y)
     # the direct entries' NaN and inf are overwritten below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -411,17 +410,10 @@ def _jump_terms(params: StableParams, y, h, post_less_a):
         ratio *= params.alpha - 1.0
         out *= np.expm1(ratio, out=ratio)
     if direct is not None:
-        out[direct] = (kernel_F(params, post_less_a(direct))
-                       - kernel_F(params, y[direct]))
+        z = (np.broadcast_to(post, y.shape)[direct]
+             - np.broadcast_to(a, y.shape)[direct])
+        out[direct] = kernel_F(params, z) - kernel_F(params, y[direct])
     return out
-
-
-def _walked_jumps(params: StableParams, levels, ends, pre, h, post):
-    """Per-level sums of ``_jump_terms`` over each prefix of the jumps
-    (pre, h, post) up to ``ends``, every level with every jump: the one
-    dense walk (``_tiled_levels``) of both routes' jump sums."""
-    return _tiled_levels(levels, ends, lambda b, pre, h, post: _jump_terms(
-        params, pre - b, h, lambda m: (post - b)[m]), pre, h, post)
 
 
 def _two_difference(x, c):
@@ -533,7 +525,7 @@ def _expanded_jump_sums(params: StableParams, levels, pre, h, post):
     parts in this order, each reduced on its own: a row over all bins with
     the near ones zero; its run of near jumps, one slice of the jumps in
     bin order (``_run_sums``); and the jumps left out, walked in time
-    order by ``_walked_jumps``. So its float depends only on the jumps and
+    order (``_tiled_levels``). So its float depends only on the jumps and
     the level. Tiles of pairs keep every temporary below 128 KiB, bar a
     run longer than a tile.
     """
@@ -563,19 +555,14 @@ def _expanded_jump_sums(params: StableParams, levels, pre, h, post):
             acc *= kernel_F(params, y)
             acc[near] = 0.0
             out[rows] = acc.sum(axis=1)
-    # each level's run of its near bins' jumps
+    # each level's run of its near bins' jumps, then the jumps left out of
+    # the bins, each added to every level
+    jump_terms = partial(_jump_terms, params)
     bounds = np.append(starts, len(binned))
-
-    def terms(rows, y, h, post):
-        a = levels[rows]
-        y -= a
-        return _jump_terms(params, y, h, lambda m: post[m] - a[m])
-
-    out += _run_sums(bounds[first], bounds[stop] - bounds[first],
-                     (pre[binned], h[binned], post[binned]), terms)
-    # then the jumps left out of the bins, each added to every level
+    out += _run_sums(levels, bounds[first], bounds[stop], jump_terms,
+                     pre[binned], h[binned], post[binned])
     rest = np.flatnonzero(~small)
-    out += _walked_jumps(params, levels, [len(rest)], pre[rest], h[rest],
+    out += _tiled_levels(levels, [len(rest)], jump_terms, pre[rest], h[rest],
                          post[rest])[0]
     return out
 
@@ -596,10 +583,10 @@ def martingale_part(params: StableParams, path: PathSample, a,
     ``(len(checkpoints),) + np.shape(a)``).
 
     For fewer than _SORT_LEVELS levels both sums go point by point
-    (``_tiled_levels``), the jumps by ``_walked_jumps``; from there up the
-    jumps go by a far-field expansion of binned jump moments
+    (``_tiled_levels`` of ``_jump_terms`` and ``_compensator_terms``); from
+    there up the jumps go by a far-field expansion of binned jump moments
     (``_expanded_jump_sums``, with each level's near bins' jumps as a run
-    and the jumps it does not bin through ``_walked_jumps``) and the
+    and the jumps it does not bin walked point by point) and the
     compensator cell by cell (``_sorted_sums``, one sort), each called
     once per checkpoint on that checkpoint's prefix. Across the two routes
     a level's value agrees within 1.3e-16 of the sum of its terms'
@@ -647,10 +634,10 @@ def martingale_part(params: StableParams, path: PathSample, a,
                         - _sorted_sums(table, levels, x[:end], dt[:end])
                         for jumps, end in zip(jump_ends, ends)])
     else:
-        out = _walked_jumps(params, levels, jump_ends, pre, h, post)
-        out -= _tiled_levels(
-            levels, ends, lambda b, x, dt: _compensator_at(table, x - b) * dt,
-            x, dt)
+        out = _tiled_levels(levels, jump_ends, partial(_jump_terms, params),
+                            pre, h, post)
+        out -= _tiled_levels(levels, ends, partial(_compensator_terms, table),
+                             x, dt)
     out = out.reshape(np.shape(checkpoints) + np.shape(a))
     return float(out) if out.ndim == 0 else out
 

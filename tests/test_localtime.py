@@ -33,6 +33,9 @@ from stable_tanaka.localtime import (
     _SORT_LEVELS,
     _TILE_POINTS,
     _compensator_at,
+    _compensator_terms,
+    _jump_terms,
+    _run_sums,
     _sorted_prefix_sums,
     _sorted_sums,
     _tiled_levels,
@@ -967,10 +970,7 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
         # the tiled route over the same 201 levels, called directly, gives
         # each level the one-level call's float
         g = partial(_compensator_at, table)
-
-        def tile(b, x, dt):
-            return g(x - b) * dt
-
+        tile = partial(_compensator_terms, table)
         tiled_route = _tiled_levels(grid, ends, tile, x, dt)
         assert np.array_equal(
             _bits(tiled_route[0, ::25]),
@@ -1012,15 +1012,47 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
     assert _PAIR_TILE // _TILE_POINTS < _PAIR_TILE // ends[-1] < 201
     grid = default_a_grid(curve_path)
     jumps = pre[rest], h[rest], post[rest]
-    walked = localtime._walked_jumps(LEVEL_CURVE, grid, ends, *jumps)
+    terms = partial(_jump_terms, LEVEL_CURVE)
+    walked = _tiled_levels(grid, ends, terms, *jumps)
     assert np.array_equal(_bits(walked), _bits(np.column_stack([
-        localtime._walked_jumps(LEVEL_CURVE, grid[[j]], ends, *jumps)
+        _tiled_levels(grid[[j]], ends, terms, *jumps)
         for j in range(len(grid))])))
     full = localtime._expanded_jump_sums(LEVEL_CURVE, grid, pre, h, post)
-    monkeypatch.setattr(localtime, "_walked_jumps", lambda _, levels, ends,
-                        *jumps: np.zeros((len(ends), len(levels))))
+    monkeypatch.setattr(localtime, "_tiled_levels", lambda levels, ends,
+                        *_: np.zeros((len(ends), len(levels))))
     binned = localtime._expanded_jump_sums(LEVEL_CURVE, grid, pre, h, post)
     assert np.array_equal(_bits(full), _bits(binned + walked[-1]))
+
+
+@pytest.mark.parametrize("triplet, eps, n_steps", [
+    ((1.3, 3.0, 1.0), 1e-2, 1024),
+    ((1.5, 1.0, 1.0), 5e-2, 512),
+    ((1.8, 0.0, 1.0), 1e-2, 2048),
+])
+def test_one_recipe_either_walker_same_floats(triplet, eps, n_steps):
+    # each term recipe is written once and either walker adds it: on a
+    # record shorter than a chunk, the dense walk over the whole record and
+    # a run of the whole record per level give every level the same float,
+    # crossings (the jump terms' direct entries) and a level on a
+    # post-jump value among them
+    params = derive_params(*triplet)
+    path = simulate_path_jumpdecomp(params, SimConfig(
+        T=1.0, n_steps=n_steps, eps=eps, seed=4))
+    pre, post, h = _jumps(path)
+    levels = np.append(np.quantile(path.values, np.linspace(0.0, 1.0, 6)),
+                       post[len(post) // 2])
+    assert np.any((pre < levels[:, None]) != (post < levels[:, None]))
+    table = compensator_table(params, eps)
+    for terms, cols in (
+            (partial(_compensator_terms, table),
+             (path.values[:-1], np.diff(path.times))),
+            (partial(_jump_terms, params), (pre, h, post))):
+        m = len(cols[0])
+        assert 0 < m < _TILE_POINTS
+        dense = _tiled_levels(levels, [m], terms, *cols)[0]
+        runs = _run_sums(levels, np.zeros(len(levels), dtype=np.intp),
+                         np.full(len(levels), m), terms, *cols)
+        assert np.array_equal(_bits(dense), _bits(runs))
 
 
 def test_few_level_calls_keep_their_bits(curve_path, expanded_calls):
