@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .params import StableParams, _by_sign, _is_integer, _scaled_power
 
@@ -65,10 +64,11 @@ __all__ = [
 
 # --------------------------------------------------------------- mollifier
 
-# int_{-1}^{1} exp(-1/(1-x^2)) dx in closed form; this evaluates to the
-# correctly rounded 0.4439938161680794
-_BUMP_NORMALIZATION = float(
-    math.exp(-0.5) * (special.k1(0.5) - special.k0(0.5)))
+# int_{-1}^{1} exp(-1/(1-x^2)) dx, correctly rounded: its closed form
+# exp(-1/2) (K_1(1/2) - K_0(1/2)) in modified Bessel functions of the
+# second kind, written out so that importing the package loads no
+# scipy.special
+_BUMP_NORMALIZATION = 0.4439938161680794
 
 
 def _bump(y, scale=1.0):
@@ -169,8 +169,9 @@ _PAIR_TILE = 16384
 @lru_cache(maxsize=32)
 def _jacobi_rule(alpha: float):
     # integrates (1+t)^(alpha-1) g(t) over [-1, 1] exactly for polynomial g
-    # of degree below 96
-    return special.roots_jacobi(48, 0.0, alpha - 1.0)
+    # of degree below 96; scipy.special is imported here, not at import
+    from scipy.special import roots_jacobi
+    return roots_jacobi(48, 0.0, alpha - 1.0)
 
 
 @lru_cache(maxsize=4)

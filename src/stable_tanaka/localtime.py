@@ -19,14 +19,17 @@ and tiles of levels; ``_run_sums`` sums a ragged one, where each level
 adds its own run of a sorted order. Either walker is fed one recipe
 ``terms(a, *columns)``, ``a`` the level of each term, so each kind of
 term is written once, whichever walker adds it: moll(x - a) dt,
-``_compensator_terms`` and ``_jump_terms``. The occupation sum sorts the
-points near the levels once and finds each level's points within the
-mollifier's support by search, a run of that order summed in value order,
-ties in time order. The sorted compensator's band and the jumps in the
-bins near a level are such runs too. ``_run_sums`` reads each run as a
-slice of columns in that order, evaluates the terms of whole runs in
-tiles and sums each run as one slice, so a level's value depends only on
-the path and the level.
+``_compensator_terms`` and ``_jump_terms``. A path has one value order
+of its points, ties in time order, sorted at the first curve that needs
+all of them and kept on the path (``_path_by_value``), which both the
+occupation sum and the sorted compensator at the horizon read. The
+occupation sum takes the points near the levels as a slice of it and
+finds each level's points within the mollifier's support by search, a
+run of that order summed in value order. The sorted compensator's band
+and the jumps in the bins near a level are such runs too. ``_run_sums``
+reads each run as a slice of columns in that order, evaluates the terms
+of whole runs in tiles and sums each run as one slice, so a level's
+value depends only on the path and the level.
 
 ``martingale_part`` picks one of two routes from the number of levels.
 For fewer than 16, both of its sums are dense walks: the jump sum adds
@@ -38,18 +41,21 @@ jumps left out of the bins, the large ones among them, by the same dense
 walk. So a jump's kernel increment is formed in one place, free of
 cancellation; against exact summation both jump sums are exact to
 rounding (measured <= 3.7e-16 of the sum of the terms' magnitudes, where
-F(post - a) - F(pre - a) reached 9.4e-12). The compensator sorts the
-points in the stable order and sums the chords between the table's nodes
-cell by cell, from double-double prefix sums of moments about the points'
-midrange, in plain floats. This route serves each checkpoint by its own
-calls of both sums on that checkpoint's prefix, one sort a prefix; the
-dense route walks all prefixes at once. Both compensator routes read one
-table of G_eps per (params, eps), ``compensator_table``: closed-form
-values at nodes. The two compensator routes agree within 1e-14 of the sum
-of the compensator terms' magnitudes (measured <= 8.8e-15 for x0 in
-{0, 10, 1000}), and a level's M at 15 and at 16 levels within 1.3e-16 of
-the sum of its terms' magnitudes (1.3e-15 absolute; alpha 1.1, 1.3 and
-1.5, x0 in {0, 1000}, a level on a post-jump value among them).
+F(post - a) - F(pre - a) reached 9.4e-12). The compensator reads the
+points in the stable value order and sums the chords between the table's
+nodes cell by cell, from double-double prefix sums of moments about the
+points' midrange, in plain floats; a tile of levels forms chord terms
+only in the cells its points reach, and each other cell adds its fixed
+signed zero. This route serves each checkpoint by its own calls of both
+sums on that checkpoint's prefix: the horizon reads the path's value
+order, an earlier checkpoint sorts its prefix; the dense route walks all
+prefixes at once. Both compensator routes read one table of G_eps per
+(params, eps), ``compensator_table``: closed-form values at nodes. The
+two compensator routes agree within 1e-14 of the sum of the compensator
+terms' magnitudes (measured <= 8.8e-15 for x0 in {0, 10, 1000}), and a
+level's M at 15 and at 16 levels within 1.3e-16 of the sum of its terms'
+magnitudes (1.3e-15 absolute; alpha 1.1, 1.3 and 1.5, x0 in {0, 1000},
+a level on a post-jump value among them).
 
 ``occupation_formula_check`` closes the loop: integrating the occupation
 curve against each of a few test functions must reproduce the direct
@@ -181,8 +187,8 @@ def _level_grid(a_grid) -> np.ndarray:
     return levels
 
 
-def _value_order(x):
-    """The order that sorts x by value, ties in index order, and x in it.
+def _value_order(x, dt):
+    """x and dt in the order that sorts x by value, ties in index order.
 
     Distinct values have one sorted order, so numpy's default sort gives
     the stable order unless two sorted values tie; only then does this
@@ -193,7 +199,36 @@ def _value_order(x):
     if np.any(xs[1:] == xs[:-1]):
         order = np.argsort(x, kind="stable")
         xs = x[order]
-    return order, xs
+    return xs, dt[order]
+
+
+def _path_by_value(path: PathSample, low=-np.inf, high=np.inf):
+    """The path's points values[:-1] within [low, high], and their steps,
+    in the stable value order (``_value_order``).
+
+    The order of all the points is sorted once, where the window holds
+    them all, and kept on the path, read-only; the points of any window
+    are then a slice of it, found by two searches, since the stable order
+    of the points in a window is the whole order cut to that window. Until
+    then a window that leaves points out sorts its own points alone, as a
+    one-level occupation curve does.
+    """
+    by_value = vars(path).get("_by_value")
+    if by_value is None:
+        x, dt = path.values[:-1], np.diff(path.times)
+        if not (low <= x.min(initial=np.inf)
+                and x.max(initial=-np.inf) <= high):
+            near = np.flatnonzero((x >= low) & (x <= high))
+            return _value_order(x[near], dt[near])
+        by_value = _value_order(x, dt)
+        for array in by_value:
+            array.flags.writeable = False
+        # a cache, not a field: the path's fields stay as they were
+        object.__setattr__(path, "_by_value", by_value)
+    xs, dts = by_value
+    window = slice(np.searchsorted(xs, low, side="left"),
+                   np.searchsorted(xs, high, side="right"))
+    return xs[window], dts[window]
 
 
 def _run_sums(levels, starts, stops, terms, *columns):
@@ -239,25 +274,26 @@ def occupation_curve(path: PathSample, a_grid,
     """Occupation estimates (Riemann sums of rho_n(X_s - a) ds) over levels.
 
     The points within the mollifier's support ``width`` (1/n) of the
-    levels are sorted by value once, ties in time order. A level's points
-    within its support are a run of that order found by two searches, and
-    its terms moll(x - a) * dt are summed as one slice in that order. The
-    terms of all (level, point) pairs are evaluated in one pass over tiles
-    of whole levels' runs. So a level's float depends only on the path and
-    the level, not on the levels asked for with it, and a level no point
-    reaches gives exactly 0.0.
+    levels, in value order, ties in time order, are a slice of the path's
+    one value order, which the sorted compensator reads too; where that
+    order is not yet at hand and some points lie beyond the levels' reach,
+    as for one level, only the near points are sorted
+    (``_path_by_value``). A level's points within its support are a run
+    of that order found by two searches, and its terms moll(x - a) * dt
+    are summed as one slice in that order. The terms of all (level, point)
+    pairs are evaluated in one pass over tiles of whole levels' runs. So a
+    level's float depends only on the path and the level, not on the
+    levels asked for with it, and a level no point reaches gives exactly
+    0.0.
     """
     levels = _level_grid(a_grid)
-    x, dt = path.values[:-1], np.diff(path.times)
     width = moll.width
-    near = np.flatnonzero((x >= levels.min(initial=np.inf) - width)
-                          & (x <= levels.max(initial=-np.inf) + width))
-    order, x_sorted = _value_order(x[near])
-    by_value = near[order]
-    starts = np.searchsorted(x_sorted, levels - width, side="left")
-    stops = np.searchsorted(x_sorted, levels + width, side="right")
+    xs, dts = _path_by_value(path, levels.min(initial=np.inf) - width,
+                             levels.max(initial=-np.inf) + width)
+    starts = np.searchsorted(xs, levels - width, side="left")
+    stops = np.searchsorted(xs, levels + width, side="right")
     return _run_sums(levels, starts, stops, lambda a, x, dt: moll(x - a) * dt,
-                     x_sorted, dt[by_value])
+                     xs, dts)
 
 
 # -------------------------------------------------------------- martingale
@@ -334,9 +370,9 @@ def _sorted_prefix_sums(xs, dts, c):
     return sums
 
 
-def _sorted_sums(table: _CompensatorTable, levels, x, dt):
-    """Per-level sums of G_eps(x - a) dt over the points x, from one sort
-    of them in the stable order.
+def _sorted_sums(table: _CompensatorTable, levels, xs, dts):
+    """Per-level sums of G_eps(x - a) dt over the points xs, sorted in the
+    stable value order (``_value_order``), with their steps dts.
 
     The table's nodes at least _NEAR_EPS eps from 0 are the edges of its
     chord cells [edges[j], edges[j+1]), with -inf and inf at the ends. On
@@ -346,9 +382,14 @@ def _sorted_sums(table: _CompensatorTable, levels, x, dt):
     cell's points are a run of the sorted order, whose weight W and moment
     X_c about the points' midrange c come from the prefix sums; the
     chord's sum over the run is value W + slope (X_c - (a - c + left) W),
-    whose rounding does not grow with |a|. The band's points are evaluated
-    as the tiled route does, and each level's band terms are summed as one
-    slice (``_run_sums``).
+    whose rounding does not grow with |a|. A tile of levels searches,
+    gathers and forms chord terms only in the window of cells that a
+    point reaches at one of its levels; a cell outside it is empty at
+    every level of the tile, W = X_c = +0, so its term is its fixed signed
+    zero value 0 + slope 0, and each level still adds all its cells' terms
+    in cell order. The band's points are evaluated as the tiled route
+    does, and each level's band terms are summed as one slice
+    (``_run_sums``).
     """
     outside = np.abs(table.nodes) >= _NEAR_EPS * table.eps
     inner, y = table.nodes[outside], table.node_values[outside]
@@ -358,23 +399,38 @@ def _sorted_sums(table: _CompensatorTable, levels, x, dt):
     left = np.concatenate([[0.0], inner])
     band = int(np.count_nonzero(inner < 0.0))
     value[band] = slope[band] = 0.0
-    order, xs = _value_order(x)
-    dts = dt[order]
+    # the term of a cell that holds no point, W = X_c = +0
+    empty = value * 0.0 + slope * 0.0
     c = 0.5 * xs[0] + 0.5 * xs[-1]  # (xs[0] + xs[-1]) / 2 may overflow
     sums = _sorted_prefix_sums(xs, dts, c)
     # the cells' edges about c, where a + edge would round to a once ulp(a)
     # exceeds the inner edges
     xs_c = xs - c
     out = np.empty(len(levels))
-    bands = np.empty((2, len(levels)), dtype=np.intp)
+    # a band no point reaches is an empty run
+    bands = np.zeros((2, len(levels)), dtype=np.intp)
     # tiles of levels by cells whose 2 x 2 prefix sums hold _PAIR_TILE floats
-    for rows in _row_tiles(len(levels), 4 * len(value)):
-        block = levels[rows, None]
-        at = np.searchsorted(xs_c, (block - c) + edges)
+    tiles = _row_tiles(len(levels), 4 * len(value))
+    shifted = levels - c
+    heads = [rows.start for rows in tiles]
+    # the edge queries (a - c) + edge rise with the edge and with the
+    # level, so in each tile the first point's cell at its highest level
+    # and the last point's at its lowest bound the window [lo, hi) of the
+    # cells that hold points
+    los = np.count_nonzero(np.maximum.reduceat(shifted, heads)[:, None]
+                           + edges <= xs_c[0], axis=1) - 1
+    his = np.count_nonzero(np.minimum.reduceat(shifted, heads)[:, None]
+                           + edges <= xs_c[-1], axis=1)
+    for rows, lo, hi in zip(tiles, los.tolist(), his.tolist()):
+        block = shifted[rows, None]
+        at = np.searchsorted(xs_c, block + edges[lo:hi + 1])
         w, moment = np.diff(np.take(sums, at, axis=-1)).sum(axis=0)
-        out[rows] = (value * w + slope * (
-            moment - (block - c + left) * w)).sum(axis=1)
-        bands[:, rows] = at[:, band:band + 2].T
+        terms = np.tile(empty, (len(block), 1))
+        terms[:, lo:hi] = value[lo:hi] * w + slope[lo:hi] * (
+            moment - (block + left[lo:hi]) * w)
+        out[rows] = terms.sum(axis=1)
+        if lo <= band < hi:
+            bands[:, rows] = at[:, band - lo:band - lo + 2].T
     out += _run_sums(levels, *bands, partial(_compensator_terms, table),
                      xs, dts)
     return out
@@ -587,7 +643,8 @@ def martingale_part(params: StableParams, path: PathSample, a,
     there up the jumps go by a far-field expansion of binned jump moments
     (``_expanded_jump_sums``, with each level's near bins' jumps as a run
     and the jumps it does not bin walked point by point) and the
-    compensator cell by cell (``_sorted_sums``, one sort), each called
+    compensator cell by cell (``_sorted_sums``, on the path's one value
+    order at its horizon, a prefix's own sort before it), each called
     once per checkpoint on that checkpoint's prefix. Across the two routes
     a level's value agrees within 1.3e-16 of the sum of its terms'
     magnitudes (measured at 15 and 16 levels, a level on a post-jump value
@@ -629,9 +686,13 @@ def martingale_part(params: StableParams, path: PathSample, a,
     table = compensator_table(params, path.config.eps)
     ends, x, dt = grid_ends - 1, path.values[:-1], np.diff(times)
     if len(levels) >= _SORT_LEVELS:
+        # the whole path's value order is the path's own, which its
+        # occupation curve reads too; a shorter prefix is sorted anew
         out = np.array([_expanded_jump_sums(params, levels, pre[:jumps],
                                             h[:jumps], post[:jumps])
-                        - _sorted_sums(table, levels, x[:end], dt[:end])
+                        - _sorted_sums(table, levels, *(
+                            _path_by_value(path) if end == len(x)
+                            else _value_order(x[:end], dt[:end])))
                         for jumps, end in zip(jump_ends, ends)])
     else:
         out = _tiled_levels(levels, jump_ends, partial(_jump_terms, params),

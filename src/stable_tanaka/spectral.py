@@ -24,7 +24,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy.special import hyp2f1
 
 from .kernel import _legendre_rule, _row_tiles
 from .params import (
@@ -397,6 +396,7 @@ def existence_integral(alpha: float, u_max: float,
     if not np.isfinite(z):
         raise ValueError(f"the 2F1 argument -k d u_max^alpha overflows at "
                          f"u_max={u_max:g} for alpha={alpha:g}")
+    from scipy.special import hyp2f1  # not at import: it loads numpy.f2py
     b = 1.0 / alpha
     partial = float(2.0 * u_max * hyp2f1(1.0, b, 1.0 + b, z).real)
     if not math.isfinite(partial):

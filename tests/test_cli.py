@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import errno
+import hashlib
 import json
 import math
 import os
@@ -712,6 +713,38 @@ def test_localtime_default_grid(tmp_path):
     rows = np.loadtxt(out / "localtime_curve.csv", delimiter=",",
                       skiprows=1)
     assert rows.shape[0] == 201
+
+
+# the level-curve shape at seed 0; (path index, --levels) per case
+LEVEL_CURVE_ARGV = ["localtime", "--alpha", "1.3", "--c-plus", "3",
+                    "--c-minus", "1", "--eps", "1e-3", "--n-steps", "4096",
+                    "--T", "1.0", "--seed", "0"]
+
+
+@pytest.mark.parametrize("index, levels, pins", [
+    (0, None, ("eae5f066b085f657", "2c106b87f2a760a6")),
+    (1, None, ("6bede27d7fd07947", "d1a071d4cb23ab9f")),
+    (2, None, ("16b160d8ff4ca873", "500af043b098a068")),
+    (0, np.linspace(-2.0, 10.0, 25), ("0a61338b57585b7f",
+                                      "91ccd1dadeaffb1e")),
+    (0, [0.0], ("5b25378e71ec0e08", "00a800d74a48832d"))],
+    ids=["path-0", "path-1", "path-2", "narrow-levels", "one-level"])
+def test_localtime_bytes_pinned(tmp_path, index, levels, pins):
+    # both curves' floats through the command, by sha256 of its CSV and
+    # meta: the default grid over three paths (the whole path near the
+    # levels), 25 levels inside path 0's range (-5.8 to 67.1, so the
+    # occupation curve sorts only the points near them), and one level
+    # (the few-level route). Recorded on the X86_V4 dispatch target
+    # (numpy 2.4.6)
+    argv = LEVEL_CURVE_ARGV + ["--path-index", str(index),
+                               "--out", str(tmp_path)]
+    if levels is not None:
+        argv += ["--levels", *(repr(float(a)) for a in levels)]
+    with contextlib.redirect_stdout(None):
+        assert main(argv) == 0
+    assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                 [:16] for name in ("localtime_curve.csv",
+                                    "localtime_meta.json")) == pins
 
 
 @pytest.mark.parametrize("argv", [["--x0", "-1e-3"],

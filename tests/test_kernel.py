@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from stable_tanaka.kernel import (
     MollifierSpec,
@@ -51,10 +51,17 @@ LOW = derive_params(1.2, 1.0, 1.0)
 # ---------------------------------------------------------------- mollifier
 
 def test_bump_normalization_frozen():
-    # the integral is e^(-1/2) (K_1(1/2) - K_0(1/2)) in closed form, which
-    # the library evaluates; it must be the correctly rounded value
+    # the integral is e^(-1/2) (K_1(1/2) - K_0(1/2)) in closed form, whose
+    # value the library writes out; it must be the correctly rounded value
     assert abs(_BUMP_NORMALIZATION - BUMP_NORM) <= 0.5 * np.spacing(BUMP_NORM)
     assert standard_bump(0.0) == pytest.approx(BUMP_PEAK, rel=1e-12)
+
+
+def test_bump_normalization_is_its_closed_form():
+    # the literal is, bit for bit, the closed form that the library
+    # evaluated with scipy's Bessel functions before it wrote the value out
+    assert _BUMP_NORMALIZATION == float(
+        math.exp(-0.5) * (special.k1(0.5) - special.k0(0.5)))
 
 
 def test_bump_support_and_mass():

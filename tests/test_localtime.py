@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from stable_tanaka import derive_params, localtime
+from stable_tanaka import derive_params, experiments, localtime, \
+    run_experiment
 from stable_tanaka.kernel import (
     MollifierSpec,
     compensator_density,
@@ -474,7 +475,7 @@ def test_sorted_compensator_matches_exact_summation(triplet, draw, eps):
         path = draw(params, cfg)
         x, dt = path.values[:-1], np.diff(path.times)
         levels = default_a_grid(path)
-        got = _sorted_sums(table, levels, x, dt)
+        got = _sorted_route(table, levels, x, dt)
         for a, total in zip(levels, got):
             terms = _compensator_at(table, x - a) * dt
             assert abs(total - math.fsum(terms)) \
@@ -491,7 +492,7 @@ def test_sorted_compensator_finite_near_the_largest_double():
     levels = np.linspace(1.65e308, 1.75e308, _SORT_LEVELS)
     assert np.all(x == 1.7e308) and np.all(levels != 1.7e308)
     table = compensator_table(SYM, cfg.eps)
-    got = _sorted_sums(table, levels, x, dt)
+    got = _sorted_route(table, levels, x, dt)
     assert np.all(np.isfinite(martingale_part(SYM, path, levels)))
     for a, total in zip(levels, got):
         terms = _compensator_at(table, x - a) * dt
@@ -512,7 +513,7 @@ def test_many_level_sums_hold_where_ulp_exceeds_the_inner_cells(x0):
     x, dt = path.values[:-1], np.diff(path.times)
     levels = np.full(_SORT_LEVELS, path.values[0])
     table = compensator_table(SYM, cfg.eps)
-    got = _sorted_sums(table, levels, x, dt)
+    got = _sorted_route(table, levels, x, dt)
     terms = _compensator_at(table, x - levels[0]) * dt
     assert np.all(np.abs(got - math.fsum(terms))
                   <= 1e-14 * np.abs(terms).sum()), got
@@ -520,6 +521,104 @@ def test_many_level_sums_hold_where_ulp_exceeds_the_inner_cells(x0):
     got = localtime._expanded_jump_sums(SYM, levels, pre, h, post)
     exact, size = _exact_jump_sum(SYM, pre, post, h, levels[0])
     assert np.all(np.abs(got - exact) <= 1e-14 * size), (got, exact)
+
+
+def _all_cells_sums(table, levels, xs, dts):
+    """The sorted compensator with every level searching every cell edge
+    and forming every cell's chord term: the oracle that the windowed
+    route must match bit for bit."""
+    outside = np.abs(table.nodes) >= localtime._NEAR_EPS * table.eps
+    inner, y = table.nodes[outside], table.node_values[outside]
+    edges = np.concatenate([[-np.inf], inner, [np.inf]])
+    value = np.concatenate([y[:1], y])
+    slope = np.concatenate([[0.0], np.diff(y) / np.diff(inner), [0.0]])
+    left = np.concatenate([[0.0], inner])
+    band = int(np.count_nonzero(inner < 0.0))
+    value[band] = slope[band] = 0.0
+    c = 0.5 * xs[0] + 0.5 * xs[-1]
+    sums = _sorted_prefix_sums(xs, dts, c)
+    xs_c = xs - c
+    out = np.empty(len(levels))
+    bands = np.empty((2, len(levels)), dtype=np.intp)
+    for rows in localtime._row_tiles(len(levels), 4 * len(value)):
+        block = levels[rows, None]
+        at = np.searchsorted(xs_c, (block - c) + edges)
+        w, moment = np.diff(np.take(sums, at, axis=-1)).sum(axis=0)
+        out[rows] = (value * w + slope * (
+            moment - (block - c + left) * w)).sum(axis=1)
+        bands[:, rows] = at[:, band:band + 2].T
+    out += _run_sums(levels, *bands, partial(_compensator_terms, table),
+                     xs, dts)
+    return out
+
+
+def _same_as_all_cells(table, levels, x, dt):
+    """Whether the sorted compensator over the points x with steps dt
+    equals the all-cells oracle bit for bit."""
+    xs, dts = localtime._value_order(x, dt)
+    return np.array_equal(_bits(_sorted_sums(table, levels, xs, dts)),
+                          _bits(_all_cells_sums(table, levels, xs, dts)))
+
+
+@pytest.mark.parametrize("triplet", [
+    (1.1, 1.0, 1.0), (1.5, 1.0, 1.0), (1.3, 3.0, 1.0), (1.5, 1.0, 0.0),
+    (1.8, 0.0, 1.0)], ids=["1.1-symmetric", "1.5-symmetric", "1.3-skewed",
+                           "1.5-one-sided", "1.8-one-sided"])
+def test_sorted_compensator_cell_window_keeps_every_bit(triplet):
+    # a tile of levels searches, gathers and forms chord terms only in the
+    # window of cells that its points reach, and fills the rest of each
+    # row with the cells' signed zeros: the same bits as every cell formed,
+    # at two path shapes, three starting points, the default grid, 40
+    # levels inside the range and 17 over x0 +- 50 (most cells of their
+    # tiles empty), on the whole path and its first third
+    params = derive_params(*triplet)
+    for eps, n_steps in ((1e-3, 4096), (1e-2, 1024)):
+        table = compensator_table(params, eps)
+        for x0 in (0.0, -3.0, 1000.0):
+            path = simulate_path_jumpdecomp(params, SimConfig(
+                T=1.0, n_steps=n_steps, eps=eps, seed=1, x0=x0))
+            x, dt = path.values[:-1], np.diff(path.times)
+            grids = [default_a_grid(path),
+                     np.linspace(x.min(), x.max(), 42)[1:-1],
+                     np.linspace(x0 - 50.0, x0 + 50.0, 17)]
+            for levels in grids:
+                for end in (len(x), len(x) // 3):
+                    assert _same_as_all_cells(table, levels, x[:end],
+                                              dt[:end]), (eps, x0, end)
+
+
+def test_sorted_compensator_cell_window_at_the_edges():
+    # the windowed route against the all-cells oracle, bit for bit, where
+    # the window is narrow or its tiles unusual: levels where one ulp
+    # exceeds the inner cells (x0 1e15 and 1e17) and far from 0 (1e13,
+    # -1e14); grids beyond the path, where every point lies in a clamped
+    # end cell or in a few cells, and no band is reached; a constant path
+    # within 100 eps of every level, where the band is the whole window;
+    # descending and shuffled levels; and the one-point prefix
+    table = compensator_table(SYM, 1e-2)
+    for x0 in (1e15, 1e17, 1e13, -1e14):
+        path = simulate_path_jumpdecomp(SYM, SimConfig(
+            T=1.0, n_steps=64, eps=1e-2, seed=1, x0=x0))
+        x, dt = path.values[:-1], np.diff(path.times)
+        for levels in (np.full(_SORT_LEVELS, path.values[0]),
+                       np.quantile(path.values, np.linspace(0, 1, 20))):
+            assert _same_as_all_cells(table, levels, x, dt), x0
+    path = simulate_path_jumpdecomp(LEVEL_CURVE, SimConfig(
+        T=1.0, n_steps=4096, eps=1e-3, seed=2))
+    x, dt = path.values[:-1], np.diff(path.times)
+    table = compensator_table(LEVEL_CURVE, 1e-3)
+    grid = default_a_grid(path)
+    beyond = [x.max() + 2000.0 + np.linspace(0.0, 100.0, 16),
+              x.min() - 2000.0 - np.linspace(0.0, 100.0, 16),
+              x.max() + 5.0 + np.linspace(0.0, 10.0, 30)]
+    shuffled = np.random.default_rng(3).permutation(grid)
+    for levels in beyond + [grid[::-1], shuffled]:
+        assert _same_as_all_cells(table, levels, x, dt)
+    assert _same_as_all_cells(table, grid, x[:1], dt[:1])
+    flat = constant_path(0.7)
+    assert _same_as_all_cells(compensator_table(SYM, 1e-2),
+                              np.linspace(0.2, 1.2, _SORT_LEVELS),
+                              flat.values[:-1], np.diff(flat.times))
 
 
 def test_two_sum_error_is_exact():
@@ -561,8 +660,9 @@ def test_sorted_prefix_sums_keep_ties_in_time_order(monkeypatch):
     # among them, must keep tied points in time order, so the prefix sums
     # do not depend on how a sort implementation breaks ties. numpy's
     # default argsort leaves that order unspecified, so where sorted values
-    # tie the value order sorts again stably: the sums are, bit for bit,
-    # those of np.argsort(kind="stable")
+    # tie the value order sorts again stably: the sums, and the occupation
+    # curve of the points near a few levels, are, bit for bit, those of
+    # np.argsort(kind="stable")
     cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
     params = derive_params(1.1, 1.0, 1.0)
     path = flat_path(params, cfg)
@@ -575,22 +675,30 @@ def test_sorted_prefix_sums_keep_ties_in_time_order(monkeypatch):
         return real(xs, dts, c)
 
     monkeypatch.setattr(localtime, "_sorted_prefix_sums", spy)
-    table = compensator_table(params, cfg.eps)
     levels, ends = default_a_grid(path), [len(x) // 3, len(x)]
-    got = [_sorted_sums(table, levels, x[:end], dt[:end]) for end in ends]
+    # the prefix is sorted anew, the whole path by its own kept order
+    moll = default_mollifier(cfg.eps)
+    few = np.quantile(x, [0.4, 0.5, 0.6])
+
+    def curves(path):
+        return np.append(martingale_part(params, path, levels,
+                                         checkpoints=path.times[ends]),
+                         occupation_curve(path, few, moll))
+
+    got = curves(path)
     assert len(seen) == len(ends)
     for end, (xs, dts) in zip(ends, seen):
         order = np.lexsort((np.arange(end), x[:end]))
         assert np.array_equal(_bits(xs), _bits(x[order]))
         assert np.array_equal(_bits(dts), _bits(dt[order]))
 
-    def stable(values):
+    def stable(values, steps):
         order = np.argsort(values, kind="stable")
-        return order, values[order]
+        return values[order], steps[order]
 
+    # a copy of the path, which has not kept an order
     monkeypatch.setattr(localtime, "_value_order", stable)
-    assert np.array_equal(_bits(got), _bits([
-        _sorted_sums(table, levels, x[:end], dt[:end]) for end in ends]))
+    assert np.array_equal(_bits(got), _bits(curves(replace(path))))
 
 
 # ------------------------------------------------------ expanded jump sum
@@ -684,7 +792,7 @@ def test_expanded_jump_sum_edge_cases():
     x, dt = path.values[:-1], np.diff(path.times)
     table = compensator_table(params, path.config.eps)
     assert np.array_equal(_bits(m[0]),
-                          _bits(-_sorted_sums(table, levels, x[:1], dt[:1])))
+                          _bits(-_sorted_route(table, levels, x[:1], dt[:1])))
     assert np.array_equal(_bits(m[1]),
                           _bits(martingale_part(params, path, levels)))
     got = localtime._expanded_jump_sums(params, levels, pre, h, post)
@@ -821,7 +929,7 @@ def test_runs_longer_than_a_tile_keep_their_bits():
     after = np.concatenate([[-3e-4, -2e-4, -1e-4, 1e-4, 2e-4, 3e-4, 0.0],
                             np.linspace(-2.0, -0.5, _SORT_LEVELS - 7)])
     got = [(occupation_curve(path, levels, moll)[j],
-            _sorted_sums(table, levels, x, dt)[j],
+            _sorted_route(table, levels, x, dt)[j],
             localtime._expanded_jump_sums(SYM, levels, pre, h, post)[j])
            for levels, j in ((first, 0), (after, 6))]
     assert np.array_equal(_bits(got[0]), _bits(got[1]))
@@ -869,6 +977,13 @@ def expanded_calls(monkeypatch):
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _sorted_route(table, levels, x, dt):
+    """The sorted compensator over the points x with steps dt, sorted as
+    martingale_part sorts a prefix."""
+    return localtime._sorted_sums(table, levels,
+                                  *localtime._value_order(x, dt))
 
 
 def test_compensator_table_contract(curve_path, sorted_calls,
@@ -965,7 +1080,7 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
         martingale_part(LEVEL_CURVE, path, grid)
         assert sorted_calls == [(201, len(x))]
         table = compensator_table(LEVEL_CURVE, eps)
-        sorted_route = localtime._sorted_sums(table, grid, x, dt)
+        sorted_route = _sorted_route(table, grid, x, dt)
         assert len(sorted_calls) == 2
         # the tiled route over the same 201 levels, called directly, gives
         # each level the one-level call's float
@@ -1071,6 +1186,76 @@ def test_few_level_calls_keep_their_bits(curve_path, expanded_calls):
         assert tuple(hashlib.sha256(v.astype("<f8").tobytes()).hexdigest()
                      [:16] for v in (m, t)) == pins[len(levels)]
     assert expanded_calls == []
+
+
+@pytest.fixture
+def value_sorts(monkeypatch):
+    """The number of points of each value sort (``_value_order``)."""
+    sizes, real = [], localtime._value_order
+
+    def spy(x, *rest):
+        sizes.append(len(x))
+        return real(x, *rest)
+
+    monkeypatch.setattr(localtime, "_value_order", spy)
+    return sizes
+
+
+def test_both_curves_of_a_path_share_one_value_sort(value_sorts):
+    # at the level-curve shape, the default grid's occupation curve and
+    # kernel-route curve read one value order of the path's points,
+    # whichever runs first, and calls on the same path again sort nothing
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
+    moll = default_mollifier(cfg.eps)
+    for occupation_first in (True, False):
+        path = simulate_path_jumpdecomp(LEVEL_CURVE, cfg)
+        grid = default_a_grid(path)
+        curves = [partial(occupation_curve, path, grid, moll),
+                  partial(tanaka_curve, LEVEL_CURVE, path, grid)]
+        value_sorts.clear()
+        for curve in curves if occupation_first else curves[::-1]:
+            curve()
+        assert value_sorts == [len(path.values) - 1]
+        for curve in curves:
+            curve()
+        assert value_sorts == [len(path.values) - 1]
+
+
+def test_one_level_occupation_sorts_only_the_near_points(value_sorts):
+    # a one-level occupation curve sorts only the points within its
+    # mollifier's support of the level, far fewer than the path holds
+    cfg = SimConfig(T=1.0, n_steps=4096, eps=1e-3, seed=1)
+    moll = default_mollifier(cfg.eps)
+    path = simulate_path_jumpdecomp(LEVEL_CURVE, cfg)
+    x = path.values[:-1]
+    a = float(np.median(x))
+    occupation_curve(path, [a], moll)
+    near = np.count_nonzero((x >= a - moll.width) & (x <= a + moll.width))
+    assert value_sorts == [near] and 0 < near < len(x) // 10
+
+
+def test_estimator_agreement_sorts_no_whole_path(value_sorts, monkeypatch):
+    # criterion 6's kind takes both curves at one level: its kernel route
+    # walks the path unsorted and its occupation curve sorts only the
+    # points near the level, on each of its 2 x 4 paths: measured 18 to
+    # 623 points a sort, of 6.2k to 17k points a path
+    lengths, simulate = [], experiments.simulate_path_jumpdecomp
+
+    def counted(*args, **kwargs):
+        path = simulate(*args, **kwargs)
+        lengths.append(len(path.values) - 1)
+        return path
+
+    monkeypatch.setattr(experiments, "simulate_path_jumpdecomp", counted)
+    run_experiment({
+        "kind": "estimator-agreement",
+        "params": {"alpha": 1.5, "c_plus": 1.0, "c_minus": 1.0},
+        "sim": {"T": 1.0},
+        "options": {"n_paths": 4, "level": 0.0,
+                    "schedule": [[4e-3, 1024], [2e-3, 2048]]},
+        "seed": 1234})
+    assert len(value_sorts) == len(lengths) == 8
+    assert max(value_sorts) < min(lengths) // 4, (value_sorts, lengths)
 
 
 # the allocator thresholds that keep freed memory in the process are set

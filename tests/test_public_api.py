@@ -4,9 +4,10 @@ Every ``__all__`` name is also used somewhere other than the tests, and
 the README's command lines and flags match the command-line parser.
 
 The sources are read with ``ast``; no demo or command runs, so an API
-removal shows up here in well under a second. One test imports the
-command line in a fresh interpreter and asks that ``scipy.integrate``
-stay unloaded: the package calls no scipy quadrature.
+removal shows up here in well under a second. Two tests import the
+command line in a fresh interpreter: ``scipy.integrate`` stays unloaded,
+since the package calls no scipy quadrature, and so does
+``scipy.special``, which the package imports only where it calls it.
 """
 
 import argparse
@@ -107,21 +108,35 @@ def test_all_names_used_outside_tests():
     assert unused == []
 
 
-def test_import_loads_no_scipy_integrate():
-    # the package integrates nothing with scipy's quadrature: the direct
-    # compensated-jump oracle and its scipy.integrate import live in
-    # tests/quadrature_oracle.py. A fresh interpreter, since this one
-    # has loaded whatever the other tests import.
+def _loaded_by_import(package: str) -> str:
+    """The modules under ``package`` that importing the command line loads,
+    in a fresh interpreter, since this one has loaded whatever the other
+    tests import; the import must be of this checkout's source."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     probe = ("import sys, stable_tanaka.cli; print(stable_tanaka.__file__); "
              "print(sorted(m for m in sys.modules "
-             "if m.split('.')[:2] == ['scipy', 'integrate']))")
+             f"if m.split('.')[:2] == {package.split('.')!r}))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     where, loaded = done.stdout.splitlines()
     assert Path(where).is_relative_to(ROOT / "src")
-    assert loaded == "[]"
+    return loaded
+
+
+def test_import_loads_no_scipy_integrate():
+    # the package integrates nothing with scipy's quadrature: the direct
+    # compensated-jump oracle and its scipy.integrate import live in
+    # tests/quadrature_oracle.py
+    assert _loaded_by_import("scipy.integrate") == "[]"
+
+
+def test_import_loads_no_scipy_special():
+    # scipy.special pulls in numpy.f2py, about 0.2 s of an import; the
+    # package imports it inside the two functions that call it (the Jacobi
+    # rule and the existence integral's 2F1) and writes the bump's
+    # normalization out as a literal
+    assert _loaded_by_import("scipy.special") == "[]"
 
 
 def test_private_names_read_in_src():
