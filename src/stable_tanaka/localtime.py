@@ -25,23 +25,26 @@ all of them and kept on the path (``_path_by_value``), which both the
 occupation sum and the sorted compensator at the horizon read. The
 occupation sum takes the points near the levels as a slice of it and
 finds each level's points within the mollifier's support by search, a
-run of that order summed in value order. The sorted compensator's band
-and the jumps in the bins near a level are such runs too. ``_run_sums``
-reads each run as a slice of columns in that order, evaluates the terms
-of whole runs in tiles and sums each run as one slice, so a level's
-value depends only on the path and the level.
+run of that order summed in value order. The sorted compensator's band,
+the jumps of the bins near a level and a level's far bins are runs too.
+``_run_sums`` gathers a tile of runs from the columns at once, evaluates
+their terms together and sums each run as one segment of one
+np.add.reduceat, so a level's value depends only on the path and the
+level.
 
 ``martingale_part`` picks one of two routes from the number of levels.
 For fewer than 16, both of its sums are dense walks: the jump sum adds
 ``_jump_terms`` for every jump, and the compensator interpolates its
-table at every point. For 16 levels or more, the jump sum bins the small
-jumps by value and adds each bin far from a level by an expansion of the
-bin's jump moments, the jumps of the bins near a level as runs, and the
-jumps left out of the bins, the large ones among them, by the same dense
-walk. So a jump's kernel increment is formed in one place, free of
-cancellation; against exact summation both jump sums are exact to
-rounding (measured <= 3.7e-16 of the sum of the terms' magnitudes, where
-F(post - a) - F(pre - a) reached 9.4e-12). The compensator reads the
+table at every point. For 16 levels or more, the jump sum keeps the
+jumps in a tree of bins by value, each jump in the finest bins as wide as
+it, and adds each bin far from a level by an expansion of its jumps'
+moments, read at the coarsest scale where the bin is far; the jumps of
+the bins near a level go as runs, and the jumps left out of the tree,
+wider than its top's bins, by the same dense walk. So a jump's kernel
+increment is formed in one place, free of cancellation; against exact
+summation both jump sums are exact to rounding (measured <= 5.7e-16 of
+the sum of the terms' magnitudes, where F(post - a) - F(pre - a) reached
+9.4e-12). The compensator reads the
 points in the stable value order and sums the chords between the table's
 nodes cell by cell, from double-double prefix sums of moments about the
 points' midrange, in plain floats; a tile of levels forms chord terms
@@ -53,9 +56,9 @@ prefixes at once. Both compensator routes read one table of G_eps per
 (params, eps), ``compensator_table``: closed-form values at nodes. The
 two compensator routes agree within 1e-14 of the sum of the compensator
 terms' magnitudes (measured <= 8.8e-15 for x0 in {0, 10, 1000}), and a
-level's M at 15 and at 16 levels within 1.3e-16 of the sum of its terms'
-magnitudes (1.3e-15 absolute; alpha 1.1, 1.3 and 1.5, x0 in {0, 1000},
-a level on a post-jump value among them).
+level's M at 15 and at 16 levels within 1.4e-16 of the sum of its terms'
+magnitudes (1.8e-15 absolute; alpha 1.1, 1.3 and 1.5, x0 in {0, 1000},
+seeds 1 to 3, a level on a post-jump value among them).
 
 ``occupation_formula_check`` closes the loop: integrating the occupation
 curve against each of a few test functions must reproduce the direct
@@ -105,19 +108,23 @@ _SORT_LEVELS = 16
 # the sorted compensator evaluates points within this many eps of a level
 # one by one: nearer in, G_eps is too steep for its prefix sums' rounding
 _NEAR_EPS = 100.0
-# The jump sum over _SORT_LEVELS levels or more bins the jumps of size at
-# most _JUMP_SMALL (H) by their midpoint, _JUMP_BIN (B) wide, and a bin
-# whose centre lies _JUMP_NEAR (R) or more from a level adds its jumps by
-# a _JUMP_ORDER-term (M) expansion about that centre. Its ratio |u / Y|
-# is at most r = (B + H) / 2R = 1/2, and its coefficients
-# (_jump_coefficients) keep each far jump's term within 8.8e-18 of its own
-# for every alpha in (1, 2). R and M trade the near bins' direct terms
-# (~24 ns a pair) against M passes over the jumps and over the (level,
-# bin) pairs; at the level-curve shape R = 2B with H = B was the fastest
-# that keeps that bound below 1e-17.
-_JUMP_BIN = 0.05
-_JUMP_SMALL = _JUMP_BIN
-_JUMP_NEAR = 2.0 * _JUMP_BIN
+# The jump sum over _SORT_LEVELS levels or more keeps the jumps in a tree
+# of bins about the midrange of the pre-jump values (_jump_bins). Scale
+# k's bins are B_k = B_0 2^k wide, B_0 a power of two, so every centre
+# and every shift between scales is exact: the top's bins number at most
+# _JUMP_TOP across the pre-jump values, the finest's hold _JUMP_FILL jumps
+# or more each across them, on average. A jump enters at the finest scale
+# with |h| <= B_k, so both its ends lie within B_k of its bin's centre,
+# and a bin whose centre lies _JUMP_NEAR B_k or more from a level is far:
+# its ratio |u / Y| is at most r = 1/2 at every scale, and its _JUMP_ORDER
+# (M) coefficients (_jump_coefficients) keep each far jump's term within
+# 8.8e-18 of its own for every alpha in (1, 2). _JUMP_FILL trades the
+# near bins' direct terms (~30 ns a pair) against the moments that each
+# bin carries up the tree (~0.5 us a bin): at the level-curve shape 16 to
+# 32 were equally fast over 201 levels, and 32 the faster over 16.
+_JUMP_TOP = 8
+_JUMP_FILL = 32
+_JUMP_NEAR = 2.0
 _JUMP_ORDER = 31
 
 
@@ -235,15 +242,17 @@ def _run_sums(levels, starts, stops, terms, *columns):
     """Per-level sums of terms(a, *columns) over the runs
     [starts[j], stops[j]) of the given columns, a = levels[j].
 
-    The walker of every ragged sum, one run per level: the occupation
-    support, the sorted compensator's band and the near bins' jumps. The
-    runs are packed in order into tiles of at most _PAIR_TILE terms; a
-    longer run goes in a tile of its own. Each run is a slice of every
-    column, and a tile's slices are joined per column, so ``terms`` gets
-    each term's level ``a`` and its entries of the columns without a
-    gather. Each run is summed as one slice, so its float depends only on
-    its own terms, not on the runs that share its tile; an empty run gives
-    exactly 0.0.
+    The walker of every ragged sum, a run per level: the occupation
+    support, the sorted compensator's band, and the jump sum's far bins
+    and, a scale at a time, the jumps of its near bins. The runs are
+    packed in order into tiles of at most _PAIR_TILE terms; a longer run
+    goes in a tile of its own. One index gathers a tile's runs from every
+    column, each run behind a slot of its own, and ``terms`` gets each
+    term's level ``a`` and its entries of the columns. With the slots'
+    terms set to 0.0, one np.add.reduceat sums each run as one segment,
+    0.0 plus the pairwise sum of its terms: np.add.reduce's float for the
+    run alone. So a run's float depends only on its own terms, not on the
+    runs that share its tile; an empty run gives exactly 0.0.
     """
     out = np.zeros(len(levels))
     counts = stops - starts
@@ -255,14 +264,15 @@ def _run_sums(levels, starts, stops, terms, *columns):
         hi = max(lo + 1, int(np.searchsorted(ends, base + _PAIR_TILE,
                                              side="right")))
         rows, n = runs[lo:hi], counts[runs[lo:hi]]
-        spans = [slice(start, stop) for start, stop
-                 in zip(starts[rows].tolist(), stops[rows].tolist())]
-        values = terms(np.repeat(levels[rows], n), *(
-            np.concatenate([column[span] for span in spans])
-            for column in columns))
-        heads = ends[lo:hi] - n - base
-        out[rows] = [np.add.reduce(values[head:head + size])
-                     for head, size in zip(heads.tolist(), n.tolist())]
+        # a run's slot gathers the entry before it (the last, for a run at
+        # 0), whose term is then set to 0.0
+        slots = ends[lo:hi] - n - base + np.arange(hi - lo)
+        index = np.repeat(starts[rows] - slots - 1, n + 1)
+        index += np.arange(len(index))
+        values = terms(np.repeat(levels[rows], n + 1),
+                       *(column[index] for column in columns))
+        values[slots] = 0.0
+        out[rows] = np.add.reduceat(values, slots)
         lo = hi
     return out
 
@@ -479,14 +489,55 @@ def _two_difference(x, c):
     return s, _two_sum_error(x, -c, s)
 
 
-def _jump_bins(params: StableParams, pre, h):
-    """The bins of ``_expanded_jump_sums``: the midrange c of the pre-jump
-    values, which jumps are binned, those in bin order, where each bin
-    starts among them, each bin's centre less c, and its moments times
-    the expansion's coefficients w_m, one row per order m. Its temporaries,
-    as long as the jump record, are freed on return, so the direct sums
-    reuse their memory instead of growing a heap that is trimmed and
-    faulted back in.
+class _JumpTree(NamedTuple):
+    """The tree of bins of ``_expanded_jump_sums`` (``_jump_bins``).
+
+    ``c`` is the midrange of the pre-jump values; ``binned`` the jumps in
+    the tree, in the order of their bins, in time order within a bin;
+    ``rest`` the jumps left out, in time order. Scale k, from the finest
+    up, has bins B_k = ``width`` 2^k wide with keys ``starts[k]``, ...,
+    tree bins ``heads[k]:heads[k + 1]``; key i covers [origin + i B_k,
+    origin + (i + 1) B_k) less c, and its halves one scale down have keys
+    2i and 2i + 1. Each bin has its centre less c and its moments in units
+    of B_k times the expansion's coefficients w_m, one row per order m;
+    the jumps that enter the tree in bin b are ``binned[jumps[b]:jumps[b
+    + 1]]``.
+    """
+
+    c: float
+    binned: np.ndarray
+    rest: np.ndarray
+    width: float
+    origin: float
+    starts: np.ndarray
+    heads: np.ndarray
+    centres: np.ndarray
+    moments: np.ndarray
+    jumps: np.ndarray
+
+
+def _jump_bins(params: StableParams, pre, h) -> _JumpTree:
+    """The tree of bins of ``_expanded_jump_sums``.
+
+    The top scale's bins are the narrowest power of two wide with at most
+    _JUMP_TOP of them over the pre-jump values less c and half a bin
+    either side, from ``origin``; each scale down halves them, to the
+    finest with at least _JUMP_FILL jumps a bin over that span, or the
+    top alone. A jump's key at scale k is the floor of its midpoint less
+    c and ``origin`` in units of B_k, the finest scale's key shifted right
+    by k. It enters the tree at the finest scale k with |h| <= B_k; it is
+    left out if no scale is that wide, or if its midpoint rounded out of
+    the top's bins or into a neighbouring bin at its scale. Each scale
+    keeps the bins from its least key to its greatest, and below the top
+    whole pairs of halves. A bin's moments mu_m = sum(u^m - v^m), m <=
+    _JUMP_ORDER, of v, the pre-jump value less c and the bin's centre, and
+    u = v + h, both in units of B_k, come from the recursion d_m = u
+    d_(m-1) + v^(m-1) h, once per jump, for the jumps that enter there,
+    plus its halves' moments moved to its centre (``_moved_up``), so each
+    jump is in the moments of its bin and of every bin above it. The
+    temporaries as long as the jump record are freed on return, so the
+    direct sums reuse their memory instead of growing a heap that is
+    trimmed and faulted back in.
     """
     c = 0.5 * pre.min() + 0.5 * pre.max()  # (lo + hi) / 2 may overflow
     # pre - c and a - c as exact pairs s + e, so each jump's offset v from
@@ -494,41 +545,132 @@ def _jump_bins(params: StableParams, pre, h):
     # rounding however far the values lie from c
     half = 0.5 * h
     v, err = _two_difference(pre, c)
-    key = v + half
+    low, high = float(v.min()), float(v.max())
+    none = np.empty(0, np.intp)
+    left_out = _JumpTree(c, none, np.arange(len(h)), 1.0, 0.0, none, none,
+                         none, none, none)
+    if not math.isfinite(high - low):
+        return left_out
+    top = math.frexp(high - low)[1] - 4
+    while (math.floor(math.ldexp(high, -top) + 0.5)
+           - math.floor(math.ldexp(low, -top) - 0.5) >= _JUMP_TOP):
+        top += 1
+    first = math.floor(math.ldexp(low, -top) - 0.5)
+    n_top = math.floor(math.ldexp(high, -top) + 0.5) - first + 1
+    below = max(0, (len(h) // (_JUMP_FILL * n_top)).bit_length() - 1)
+    width = math.ldexp(1.0, top - below)
+    origin = math.ldexp(first, top)
+    # each jump's scale, the finest k with |h| <= B_k: the exponent of h
+    # an ulp nearer 0, so that a power of two takes the scale it bounds
+    scale = np.frexp(h * (1.0 - 2.0 ** -53))[1]
+    scale -= top - below
+    np.clip(scale, 0, below + 1, out=scale)
+    fits = scale <= below
+    size = np.ldexp(width, scale)
+    # its midpoint less c and origin, and that in units of B_k, floored:
+    # its bin's key at its scale
     with np.errstate(over="ignore"):
-        key /= _JUMP_BIN
+        place = v + half
+        place -= origin
+        key = place / size
+    fits &= place >= 0.0
+    fits &= place < math.ldexp(n_top, top)
     np.floor(key, out=key)
-    centre = key + 0.5
-    centre *= _JUMP_BIN
-    v -= centre
-    v += err
+    offset = key + 0.5
+    offset *= size
+    offset += origin
+    np.subtract(v, offset, out=offset)
+    offset += err
     # a jump whose midpoint rounded into a neighbouring bin stays direct
-    small = np.abs(h) <= _JUMP_SMALL
-    small &= np.abs(half + v) <= 0.5 * _JUMP_BIN
-    binned = np.flatnonzero(small)
-    key = key[binned]
-    key -= key.min(initial=np.inf)
+    fits &= np.abs(half + offset) <= 0.5 * size
+    count = int(np.count_nonzero(fits))
+    if not count:
+        return left_out
+    # each scale's bins run from the least key to the greatest; bin i of
+    # scale k is bin heads[k] + i of the tree, and the jumps left out come
+    # after the last
+    bottom = np.ldexp(key, scale)
+    lo = int(np.min(bottom, where=fits, initial=np.inf))
+    hi = int(np.max(bottom, where=fits, initial=-np.inf))
+    # below the top, whole pairs of halves
+    ends = [2 * (hi >> k) + 1 for k in range(1, below + 1)] + [hi >> below]
+    starts = np.array([2 * (lo >> k) for k in range(1, below + 1)]
+                      + [lo >> below])
+    heads = np.cumsum([0] + [end - start + 1
+                             for start, end in zip(starts, ends)])
+    key += np.append(heads[:-1] - starts, 0)[scale]
+    np.copyto(key, heads[-1], where=~fits)
     # a stable sort of 16-bit keys is a radix sort
-    order = np.argsort(key.astype(np.uint16) if key.max(initial=0.0) < 2**16
-                       else key, kind="stable")
-    binned = binned[order]
-    starts = np.flatnonzero(np.diff(key[order], prepend=-1.0))
-    centres = centre[binned[starts]]
-    moments = np.empty((_JUMP_ORDER, len(starts)))
-    if len(binned):
-        # the moments of each bin, one order at a time: d_m = u^m - v^m
-        # and q_m = v^(m-1) h
-        vs, h_near = v[binned], h[binned]
-        us = vs + h_near
-        d, q = h_near.copy(), h_near.copy()
-        for m in range(_JUMP_ORDER):
-            if m:
-                q *= vs
-                d *= us
-                d += q
-            moments[m] = np.add.reduceat(d, starts)
-        moments *= _jump_coefficients(params.alpha)[:, None]
-    return c, small, binned, starts, centres, moments
+    key = key.astype(np.uint16 if heads[-1] < 2**16 else np.intp)
+    binned = np.argsort(key, kind="stable")
+    binned, rest = binned[:count], binned[count:]
+    key = key[binned].astype(np.intp)
+    runs = np.append(0, np.flatnonzero(key[1:] != key[:-1]) + 1)
+    # the moments of each bin where jumps enter, one order at a time:
+    # d_m = u^m - v^m and q_m = v^(m-1) h
+    offset /= size
+    h_units = h / size
+    vs, d = offset[binned], h_units[binned]
+    q = d.copy()
+    us = vs + d
+    entered = np.empty((_JUMP_ORDER, len(runs)))
+    for m, row in enumerate(entered):
+        if m:
+            q *= vs
+            d *= us
+            d += q
+        np.add.reduceat(d, runs, out=row)
+    moments = np.zeros((_JUMP_ORDER, heads[-1]))
+    moments[:, key[runs]] = entered
+    for k in range(below):
+        # scale k's pairs of halves are bins lead:lead + pairs one scale up
+        lead = (starts[k] >> 1) - starts[k + 1]
+        pairs = (heads[k + 1] - heads[k]) >> 1
+        moments[:, heads[k + 1] + lead:heads[k + 1] + lead + pairs] += \
+            _moved_up(moments[:, heads[k]:heads[k + 1]])
+    moments *= _jump_coefficients(params.alpha)[:, None]
+    centres = np.concatenate([
+        np.arange(starts[k] + 0.5, starts[k] + heads[k + 1] - heads[k])
+        * math.ldexp(width, k) for k in range(below + 1)])
+    centres += origin
+    return _JumpTree(c, binned, rest, width, origin, starts,
+                     heads, centres, moments,
+                     np.searchsorted(key, np.arange(heads[-1] + 1)))
+
+
+@lru_cache(maxsize=1)
+def _shift_up() -> np.ndarray:
+    """The moments of a pair of halves, each about its centre in units of
+    its width B, moved to the centre of the bin they halve, in units of
+    2B: orders m = 1, ..., _JUMP_ORDER by the halves' orders j and sides,
+    column 2(j - 1) for the left half and 2j - 1 for the right. The right
+    half's centre lies B/2 left of the bin's, so its u becomes u / 2 +
+    1/4, by binom(m, j) 2^-j 4^(j - m); the left half's becomes u / 2 -
+    1/4, the same with the sign (-1)^(m - j). Every entry is exact."""
+    m = np.arange(1, _JUMP_ORDER + 1)
+    right = np.array([[math.comb(i, j) for j in m] for i in m], dtype=float)
+    right *= np.ldexp(1.0, 2 * (m[None, :] - m[:, None]) - m[None, :])
+    shift = np.repeat(right, 2, axis=1)
+    shift[:, ::2] *= (-1.0) ** (m[:, None] - m[None, :])
+    shift.flags.writeable = False
+    return shift
+
+
+def _moved_up(halves):
+    """The moments of pairs of halves, (orders, 2 pairs) with the left
+    half first, moved to the centres of the bins they halve and added:
+    (orders, pairs) (``_shift_up``). The sum goes by numpy's own loops,
+    not BLAS, so its bits ignore the thread count, in blocks of 8 orders,
+    each of which skips the halves' orders past its last, zero in the
+    lower triangle."""
+    sides = halves.reshape(_JUMP_ORDER, -1, 2).transpose(0, 2, 1).reshape(
+        2 * _JUMP_ORDER, -1)
+    moved = np.empty((_JUMP_ORDER, sides.shape[1]))
+    for lo in range(0, _JUMP_ORDER, 8):
+        hi = min(lo + 8, _JUMP_ORDER)
+        np.einsum("mj,jb->mb", _shift_up()[lo:hi, :2 * hi], sides[:2 * hi],
+                  out=moved[lo:hi])
+    return moved
 
 
 @lru_cache(maxsize=8)
@@ -549,7 +691,7 @@ def _jump_coefficients(alpha: float) -> np.ndarray:
     where the binomial series itself would need 59 terms.
     """
     s = alpha - 1.0
-    r = (_JUMP_BIN + _JUMP_SMALL) / (2.0 * _JUMP_NEAR)
+    r = 1.0 / _JUMP_NEAR
     # g's Taylor coefficients s binom(alpha - 2, k), in powers of x / r
     j = np.arange(1.0, 90.0)
     taylor = s * np.cumprod(np.concatenate([[1.0], (s - j) / j]))
@@ -562,62 +704,99 @@ def _jump_coefficients(alpha: float) -> np.ndarray:
     return b
 
 
+def _far_terms(params: StableParams, c, centres, widths, moments, a, bins):
+    """F(Y) sum_m w_m mu_m (B / Y)^m per far (level, bin) pair, by Horner:
+    bin ``bins`` of the tree, B wide with its centre less c at Y from
+    a - c, and its moments times the coefficients w_m (``_jump_bins``).
+    Y is formed from a - c as an exact pair, so it does not lose digits
+    to |a - c|."""
+    s, e = _two_difference(a, c)
+    y = centres[bins] - s
+    y -= e
+    t = widths[bins] / y
+    acc = moments[-1][bins] * t
+    for row in moments[-2::-1]:
+        acc += row[bins]
+        acc *= t
+    acc *= kernel_F(params, y)
+    return acc
+
+
 def _expanded_jump_sums(params: StableParams, levels, pre, h, post):
     """Per-level sums of F(post - a) - F(pre - a) over the jumps given.
 
-    Jumps of size at most _JUMP_SMALL go into bins _JUMP_BIN wide by
-    pre - c + h/2, c the midrange of the pre-jump values. Each bin holds
-    the moments mu_m = sum(u^m - v^m), m <= _JUMP_ORDER, of v, the
-    pre-jump value less c and the bin's centre, and u = v + h, built by
-    the recursion d_m = u d_(m-1) + v^(m-1) h. A bin whose centre lies at
-    Y, |Y| >= _JUMP_NEAR, from a - c adds
-    F(Y) sum_m w_m mu_m Y^(-m), by Horner, with the coefficients of
-    ``_jump_coefficients``: its ratio |u / Y| is at most 1/2, and it keeps
-    each jump's term within 8.8e-18 of its own. v and Y are formed from
-    exact differences, so neither loses digits to |x - c|. The jumps of
-    the nearer bins and the jumps left out of the bins (the larger ones,
-    and those whose midpoint rounded into a neighbouring bin) add
-    ``_jump_terms`` directly, from the original floats. A level adds three
-    parts in this order, each reduced on its own: a row over all bins with
-    the near ones zero; its run of near jumps, one slice of the jumps in
-    bin order (``_run_sums``); and the jumps left out, walked in time
-    order (``_tiled_levels``). So its float depends only on the jumps and
-    the level. Tiles of pairs keep every temporary below 128 KiB, bar a
-    run longer than a tile.
+    The jumps go into the tree of ``_jump_bins``. A bin of scale k whose
+    centre lies at Y, |Y| >= _JUMP_NEAR B_k, from a - c is far and adds
+    F(Y) sum_m w_m mu_m (B_k / Y)^m (``_far_terms``): its ratio |u / Y| is
+    at most 1/2, and each jump's term is within 8.8e-18 of its own. The
+    near bins of a scale are a run of its bins, and the bins that they
+    halve are near too. So a level reads the far bins of the top and, at
+    each scale below, the far halves of the near bins one scale up, each
+    far bin at the coarsest scale where it is far; the jumps that enter
+    the tree in a bin near it, and the jumps left out of the tree, add
+    ``_jump_terms`` directly, from the original floats. A level's place
+    among the bins comes from a - c as an exact pair, so it is right to
+    rounding however far the values lie from c. A level adds its parts in
+    this order, each reduced on its own: its far bins that hold jumps, one
+    run of (level, bin) pairs; at each scale from the finest up, the jumps
+    that enter the tree in its near bins, one run of the tree's jumps
+    (both ``_run_sums``); and the jumps left out, walked in time order
+    (``_tiled_levels``). So its float depends only on the jumps and the
+    level. Tiles of pairs keep every temporary below 128 KiB, bar a run
+    longer than a tile.
     """
     out = np.zeros(len(levels))
     if not len(h):
         return out
-    c, small, binned, starts, centres, moments = _jump_bins(params, pre, h)
-    # each level's near bins, |Y| < _JUMP_NEAR, are bins[first:stop]
-    first = np.zeros(len(levels), dtype=np.intp)
-    stop = np.zeros(len(levels), dtype=np.intp)
-    if len(binned):
-        # the far bins, a tile of levels by all bins at a time; Y rises
-        # with the bin, so the near ones are a run
-        level_s, level_e = _two_difference(levels, c)
-        for rows in _row_tiles(len(levels), len(centres)):
-            y = centres - level_s[rows, None]
-            y -= level_e[rows, None]
-            np.sum(y <= -_JUMP_NEAR, axis=1, out=first[rows])
-            np.sum(y < _JUMP_NEAR, axis=1, out=stop[rows])
-            near = np.abs(y) < _JUMP_NEAR
-            y[near] = _JUMP_NEAR
-            t = 1.0 / y
-            acc = moments[-1] * t
-            for m in range(_JUMP_ORDER - 2, -1, -1):
-                acc += moments[m]
-                acc *= t
-            acc *= kernel_F(params, y)
-            acc[near] = 0.0
-            out[rows] = acc.sum(axis=1)
-    # each level's run of its near bins' jumps, then the jumps left out of
-    # the bins, each added to every level
+    tree = _jump_bins(params, pre, h)
     jump_terms = partial(_jump_terms, params)
-    bounds = np.append(starts, len(binned))
-    out += _run_sums(levels, bounds[first], bounds[stop], jump_terms,
-                     pre[binned], h[binned], post[binned])
-    rest = np.flatnonzero(~small)
+    if len(tree.binned):
+        n, n_scales = len(levels), len(tree.starts)
+        starts, heads = tree.starts[:, None], tree.heads[:-1, None]
+        counts = np.diff(tree.heads)[:, None]
+        widths = np.ldexp(tree.width, np.arange(n_scales))
+        # each level's place at each scale, in bins from the left edge of
+        # the scale's first bin: its near bins, centres within 2 bins of
+        # it, are first:stop
+        level_s, level_e = _two_difference(levels, tree.c)
+        with np.errstate(over="ignore"):
+            place = (level_s - tree.origin) + level_e
+            place = place / widths[:, None] - starts
+        np.clip(place, -3.0, counts + 3.0, out=place)
+        first = np.floor(place - 2.5).astype(np.intp) + 1
+        stop = np.ceil(place + 1.5).astype(np.intp)
+        np.clip(first, 0, counts, out=first)
+        np.clip(stop, 0, counts, out=stop)
+        # the halves of the near bins one scale up, lo:hi; at the top, all
+        # its bins
+        lead = starts[:-1] - 2 * starts[1:]
+        lo = np.vstack([np.clip(2 * first[1:] - lead, 0, counts[:-1]),
+                        np.zeros((1, n), np.intp)])
+        hi = np.vstack([np.clip(2 * stop[1:] - lead, 0, counts[:-1]),
+                        np.full((1, n), counts[-1])])
+        # a level's far bins, lo:first and stop:hi at each scale, are one
+        # run of (level, bin) pairs; a bin whose moments are all 0 adds
+        # exactly 0 and is left out
+        bounds = np.stack([lo, first, stop, hi]).T + heads.T[..., None]
+        lengths = (bounds[..., 1::2] - bounds[..., ::2]).ravel()
+        bins = np.repeat(bounds[..., ::2].ravel() - np.cumsum(lengths)
+                         + lengths, lengths) + np.arange(lengths.sum())
+        owner = np.repeat(np.arange(n), lengths.reshape(n, -1).sum(axis=1))
+        held = np.any(tree.moments, axis=0)[bins]
+        pairs = np.bincount(owner[held], minlength=n)
+        ends = np.cumsum(pairs)
+        out = _run_sums(levels, ends - pairs, ends,
+                        partial(_far_terms, params, tree.c, tree.centres,
+                                np.repeat(widths, counts[:, 0]),
+                                tree.moments), bins[held])
+        # its near bins' own jumps, one run of the tree's jumps a scale
+        near = tree.jumps[np.stack([first, stop]) + heads]
+        direct = _run_sums(np.tile(levels, n_scales), near[0].ravel(),
+                           near[1].ravel(), jump_terms, pre[tree.binned],
+                           h[tree.binned], post[tree.binned])
+        for row in direct.reshape(n_scales, n):
+            out += row
+    rest = tree.rest
     out += _tiled_levels(levels, [len(rest)], jump_terms, pre[rest], h[rest],
                          post[rest])[0]
     return out
@@ -640,13 +819,14 @@ def martingale_part(params: StableParams, path: PathSample, a,
 
     For fewer than _SORT_LEVELS levels both sums go point by point
     (``_tiled_levels`` of ``_jump_terms`` and ``_compensator_terms``); from
-    there up the jumps go by a far-field expansion of binned jump moments
-    (``_expanded_jump_sums``, with each level's near bins' jumps as a run
-    and the jumps it does not bin walked point by point) and the
+    there up the jumps go by a far-field expansion of the moments of a
+    tree of jump bins (``_expanded_jump_sums``, with each level's near
+    bins' jumps as runs and the jumps left out of the tree walked point
+    by point) and the
     compensator cell by cell (``_sorted_sums``, on the path's one value
     order at its horizon, a prefix's own sort before it), each called
     once per checkpoint on that checkpoint's prefix. Across the two routes
-    a level's value agrees within 1.3e-16 of the sum of its terms'
+    a level's value agrees within 1.4e-16 of the sum of its terms'
     magnitudes (measured at 15 and 16 levels, a level on a post-jump value
     among them), and a checkpoint's row is the call at that checkpoint
     alone.

@@ -722,10 +722,10 @@ LEVEL_CURVE_ARGV = ["localtime", "--alpha", "1.3", "--c-plus", "3",
 
 
 @pytest.mark.parametrize("index, levels, pins", [
-    (0, None, ("eae5f066b085f657", "2c106b87f2a760a6")),
-    (1, None, ("6bede27d7fd07947", "d1a071d4cb23ab9f")),
-    (2, None, ("16b160d8ff4ca873", "500af043b098a068")),
-    (0, np.linspace(-2.0, 10.0, 25), ("0a61338b57585b7f",
+    (0, None, ("d308468e6feae354", "2c106b87f2a760a6")),
+    (1, None, ("adfd96ee3861ca17", "d1a071d4cb23ab9f")),
+    (2, None, ("3f76b556703c261a", "500af043b098a068")),
+    (0, np.linspace(-2.0, 10.0, 25), ("e1fcf42421f53532",
                                       "91ccd1dadeaffb1e")),
     (0, [0.0], ("5b25378e71ec0e08", "00a800d74a48832d"))],
     ids=["path-0", "path-1", "path-2", "narrow-levels", "one-level"])

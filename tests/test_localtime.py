@@ -502,12 +502,13 @@ def test_sorted_compensator_finite_near_the_largest_double():
 
 @pytest.mark.parametrize("x0", [1e15, 1e17])
 def test_many_level_sums_hold_where_ulp_exceeds_the_inner_cells(x0):
-    # at x0 = 1e15 and 1e17 a level a sits where ulp(a) exceeds the sorted
-    # compensator's inner cell edges (+-100 eps), so a + edge rounds to a;
-    # its cells are found about the prefix's midrange instead. 16 levels,
-    # all at a path point: searching a + edges gave 0.0546618 against
-    # 0.0546764 at 1e15 and 0.00128 against 47.7 at 1e17. The jump sum's
-    # bins are taken about the midrange too
+    # the sorted compensator's inner cell edges are +-100 eps, +-1 at this
+    # eps. At x0 = 1e17 ulp(a) = 16 exceeds them, so a + edge rounds to a;
+    # at 1e15 ulp(a) = 0.125, and a + edge rounds by up to 1/16 of the
+    # innermost edge. Its cells are found about the prefix's midrange
+    # instead. 16 levels, all at a path point: searching a + edges gave
+    # 0.0546618 against 0.0546764 at 1e15 and 0.00128 against 47.7 at 1e17.
+    # The jump sum's bins are taken about the midrange too
     cfg = SimConfig(T=1.0, n_steps=64, eps=1e-2, seed=1, x0=x0)
     path = simulate_path_jumpdecomp(SYM, cfg)
     x, dt = path.values[:-1], np.diff(path.times)
@@ -740,15 +741,15 @@ def test_expanded_jump_sum_matches_exact_summation(triplet, draw, eps,
                                                   monkeypatch):
     # martingale_part's jump sum, with the compensator stubbed to 0, at 1,
     # 2, 15, 16 and 201 levels: the tiled walk below 16 levels, and from
-    # there the binned moments for far bins, both adding the
+    # there the tree's moments for far bins, both adding the
     # cancellation-free form for the rest. Against a correctly rounded
     # math.fsum of the cancellation-free terms, at levels taken from the 201
     # default ones, it must agree within 1e-14 of the terms' magnitudes, at
-    # three starting points. Measured <= 3.7e-16 (1.8 with c- = 0, eps
-    # 1e-2, 16 levels), <= 2.2e-16 below 16 levels. The direct
-    # sum of F(post - a) - F(pre - a) misses by up to 1.7e-13 at x0 = 0
-    # (1.1 symmetric, eps 1e-3), and at x0 = 1000, where pre = post - h
-    # rounds, by up to 9.4e-12
+    # three starting points. Measured <= 5.7e-16 (1.8 with c- = 0, eps
+    # 1e-3, x0 = -3, 16 and 201 levels), <= 2.2e-16 below 16 levels. The
+    # direct sum of F(post - a) - F(pre - a) misses by up to 1.7e-13 at
+    # x0 = 0 (1.1 symmetric, eps 1e-3), and at x0 = 1000, where
+    # pre = post - h rounds, by up to 9.4e-12
     params = derive_params(*triplet)
     monkeypatch.setattr(localtime, "_compensator_at",
                         lambda table, x: np.zeros(np.shape(x)))
@@ -776,15 +777,25 @@ def test_expanded_jump_sum_matches_exact_summation(triplet, draw, eps,
 
 
 def test_expanded_jump_sum_edge_cases():
-    # a path whose jumps all exceed the binned size (eps 5e-2 >= 0.05)
-    # sums every term directly, to the bar of the exact-sum test; and a
-    # checkpoint before its first jump has no jumps, so that row is the
-    # compensator's alone
+    # jumps all wider than the top's bins are left out of the tree and
+    # summed directly, and a path of ~170 jumps (eps 5e-2) has a tree of
+    # the top scale alone, both to the bar of the exact-sum test; and a
+    # checkpoint before the path's first jump has no jumps, so that row is
+    # the compensator's alone
     params = LEVEL_CURVE
+    pre = np.linspace(-1e-3, 1e-3, 40)
+    h = np.where(np.arange(40) % 2, 0.5, -0.7)
+    tree = localtime._jump_bins(params, pre, h)
+    assert not len(tree.binned) and len(tree.rest) == 40
+    levels = np.linspace(-1.0, 1.0, _SORT_LEVELS)
+    for a, total in zip(levels, localtime._expanded_jump_sums(
+            params, levels, pre, h, pre + h)):
+        exact, size = _exact_jump_sum(params, pre, pre + h, h, a)
+        assert abs(total - exact) <= 1e-14 * size, a
     path = simulate_path_jumpdecomp(
         params, SimConfig(T=1.0, n_steps=4096, eps=5e-2, seed=3))
     pre, post, h = _jumps(path)
-    assert len(h) and np.all(np.abs(h) > localtime._JUMP_SMALL)
+    assert len(localtime._jump_bins(params, pre, h).starts) == 1
     levels = default_a_grid(path)
     t = path.times[1]
     assert path.jump_rows[0] > 1
@@ -808,9 +819,9 @@ def test_expanded_jump_sum_edge_cases():
 def test_expanded_jump_sum_holds_across_a_wide_spread(gap):
     # half the jumps moved a gap away: the bins sit up to gap / 2 from the
     # midrange, where pre - c and a - c round by up to 0.5 at 1e16, so
-    # offsets are taken exactly and a bin counts as far only by its
-    # computed distance (plain differences missed by 7.7e-12 at 1e8 and
-    # 5.7e-4 at 1e16 of the terms' magnitudes)
+    # offsets are taken exactly and a level's place among the bins comes
+    # from a - c as an exact pair (plain differences missed by 7.7e-12 at
+    # 1e8 and 5.7e-4 at 1e16 of the terms' magnitudes)
     cfg = SimConfig(T=1.0, n_steps=1024, eps=1e-3, seed=1)
     path = simulate_path_jumpdecomp(SYM, cfg)
     pre, post, h = _jumps(path)
@@ -825,9 +836,10 @@ def test_expanded_jump_sum_holds_across_a_wide_spread(gap):
 
 
 def _expansion_ratio():
-    """r = (B + H) / 2R, the largest |u / Y| of a far bin's jump."""
-    return ((localtime._JUMP_BIN + localtime._JUMP_SMALL)
-            / (2.0 * localtime._JUMP_NEAR))
+    """r = (B + H) / 2R, the largest |u / Y| of a far bin's jump, the same
+    at every scale: bins B = B_k wide, jumps up to H = B_k entering there,
+    and far from R = _JUMP_NEAR B_k."""
+    return 2.0 / (2.0 * localtime._JUMP_NEAR)
 
 
 def test_expansion_constants_bound_the_orders_left_out():
@@ -868,44 +880,128 @@ def test_expansion_coefficients_hold_g_to_rounding():
                     (alpha, x)
 
 
+def _anchors():
+    """The pre-jump values and sizes of 16384 jumps of 1e-12, half at -1
+    and half at +1: they put the midrange c at 0 and give the tree its
+    depth, and their terms are tiny beside any jump of a bin's size."""
+    return np.repeat([-1.0, 1.0], 8192), np.full(16384, 1e-12)
+
+
 @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
 @pytest.mark.parametrize("side, sign", [(1.0, 1.0), (1.0, -1.0),
                                         (-1.0, 1.0), (-1.0, -1.0)])
 def test_expansion_worst_case_matches_exact_summation(alpha, side, sign,
                                                       monkeypatch):
-    # the ratio's worst case: a jump of the largest binned size H whose
-    # midpoint sits at the edge of its bin nearest the level, so one end
-    # lies (B + H) / 2 from the bin's centre, towards the level, in the
-    # nearest far bin, R from it; its pre-jump value is that end or the
-    # other (sign). Two anchors at +-1 put the midrange c at 0 and are
-    # binned far from the level too, so no term is direct. The sum must
-    # hold the exact-summation bar of the tests above. Measured <= 6.5e-16;
-    # 22 orders gave 5.4e-15 and 20 orders 4.9e-14
+    # the ratio's worst case at every scale k of a 7-scale tree: a jump of
+    # the largest size of its class, B_k, whose midpoint sits at the edge
+    # of its bin nearest the level, so one end lies B_k from the bin's
+    # centre, towards the level, in the nearest far bin, 2 B_k from it,
+    # which the level reads at scale k; its pre-jump value is that end or
+    # the other (sign). The bins [0, B_k) and [-B_k, 0) take the level on
+    # either side (side). The anchors (_anchors) are far from the level
+    # too, so no term is direct. Each sum must hold the exact-summation
+    # bar of the tests above. Measured <= 4.1e-16 (the single-scale engine:
+    # 6.5e-16; there 22 orders gave 5.4e-15 and 20 orders 4.9e-14). With
+    # the level a hair nearer, the bin is near and that jump alone direct
     params = derive_params(alpha, 1.0, 1.0)
-    B, H = localtime._JUMP_BIN, localtime._JUMP_SMALL
-    edge = side * 2.0 * B + side * 1e-9 * B  # just inside, midpoint side
-    centre = side * 2.5 * B
-    level = centre - side * localtime._JUMP_NEAR * (1.0 + 1e-9)
-    h = np.array([sign * H, 1e-3, 1e-3])
-    pre = np.array([edge - 0.5 * h[0], -1.0, 1.0])
-    post = pre + h
-    assert min(abs(pre[0] - level), abs(post[0] - level)) == pytest.approx(
-        localtime._JUMP_NEAR - 0.5 * (B + H), rel=1e-8)
+    anchor_pre, anchor_h = _anchors()
+    tree = localtime._jump_bins(params, anchor_pre, anchor_h)
+    assert tree.c == 0.0 and len(tree.starts) == 7
 
     def direct(*args):
         raise AssertionError("a jump of the worst case was summed directly")
 
-    monkeypatch.setattr(localtime, "_jump_terms", direct)
-    (got,) = localtime._expanded_jump_sums(params, np.array([level]), pre,
-                                           h, post)
-    exact, size = _exact_jump_sum(params, pre, post, h, level)
-    assert abs(got - exact) <= 1e-14 * size, (got, exact)
+    fed, real = [], localtime._jump_terms
+
+    def counting(params, a, pre, h, post):
+        fed.append(pre.size)
+        return real(params, a, pre, h, post)
+
+    for scale in range(len(tree.starts)):
+        B = math.ldexp(tree.width, scale)
+        centre = side * 0.5 * B
+        level = centre - side * 2.0 * B * (1.0 + 1e-9)
+        edge = centre - side * 0.5 * B * (1.0 - 1e-9)
+        h = np.append(anchor_h, sign * B)
+        pre = np.append(anchor_pre, edge - 0.5 * h[-1])
+        post = pre + h
+        assert min(abs(pre[-1] - level), abs(post[-1] - level)) \
+            == pytest.approx(B, rel=1e-8)
+        with monkeypatch.context() as patch:
+            patch.setattr(localtime, "_jump_terms", direct)
+            (got,) = localtime._expanded_jump_sums(
+                params, np.array([level]), pre, h, post)
+        assert localtime._jump_bins(params, pre, h).width == tree.width
+        exact, size = _exact_jump_sum(params, pre, post, h, level)
+        assert abs(got - exact) <= 1e-14 * size, (scale, got, exact)
+        fed.clear()
+        nearer = centre - side * 2.0 * B * (1.0 - 1e-9)
+        with monkeypatch.context() as patch:
+            patch.setattr(localtime, "_jump_terms", counting)
+            (got,) = localtime._expanded_jump_sums(
+                params, np.array([nearer]), pre, h, post)
+        assert sum(fed) == 2  # the jump and its run's slot
+        exact, size = _exact_jump_sum(params, pre, post, h, nearer)
+        assert abs(got - exact) <= 1e-14 * size, (scale, got, exact)
+
+
+def test_moments_moved_up_the_tree_match_direct_moments():
+    # each bin's moments, those of the jumps that enter it plus its halves'
+    # moved to its centre by the exact binomial shift, against the moments
+    # of all the jumps under it formed about its own centre in 50-digit
+    # arithmetic, at every scale of a 3-scale tree (x0 = 1000, so the
+    # offsets are exact pairs). A moment's error adds at most |w_m| times
+    # it times 2^-m to a far term, so it is measured against the jumps'
+    # sizes in units of the bin's width, sum |h| / B_k, which sets the size
+    # of their terms: measured <= 6.6e-17 at the finest scale and 6.1e-17
+    # above it
+    mpmath = pytest.importorskip("mpmath")
+    path = simulate_path_jumpdecomp(LEVEL_CURVE, SimConfig(
+        T=1.0, n_steps=1024, eps=1e-2, seed=1, x0=1000.0))
+    pre, post, h = _jumps(path)
+    tree = localtime._jump_bins(LEVEL_CURVE, pre, h)
+    assert len(tree.starts) == 3
+    moments = tree.moments / localtime._jump_coefficients(
+        LEVEL_CURVE.alpha)[:, None]
+    # each jump's bin where it enters, its scale and key there
+    entry = np.searchsorted(tree.jumps, np.arange(len(tree.binned)),
+                            side="right") - 1
+    scale = np.searchsorted(tree.heads, entry, side="right") - 1
+    key = tree.starts[scale] + entry - tree.heads[scale]
+    # a jump enters at the finest scale whose bins are as wide as it
+    size = np.abs(h[tree.binned])
+    assert np.all(size <= np.ldexp(tree.width, scale))
+    assert np.all((scale == 0) | (size > np.ldexp(tree.width, scale - 1)))
+    worst = 0.0
+    with mpmath.workdps(50):
+        offsets = [mpmath.mpf(float(x)) - mpmath.mpf(float(tree.c))
+                   for x in pre[tree.binned]]
+        sizes = [mpmath.mpf(float(x)) for x in h[tree.binned]]
+        for k in range(len(tree.starts)):
+            B = mpmath.ldexp(mpmath.mpf(tree.width), k)
+            under = np.where(scale <= k, key >> np.maximum(k - scale, 0), -1)
+            for i in range(tree.heads[k + 1] - tree.heads[k]):
+                jumps = np.flatnonzero(under == tree.starts[k] + i)
+                centre = tree.origin + (int(tree.starts[k]) + i + 0.5) * B
+                vs = [(offsets[j] - centre) / B for j in jumps]
+                us = [v + sizes[j] / B for v, j in zip(vs, jumps)]
+                pairs = list(zip(us, vs))
+                scale_of_terms = mpmath.fsum(abs(u - v) for u, v in pairs)
+                for m in range(1, localtime._JUMP_ORDER + 1):
+                    exact = mpmath.fsum(u ** m - v ** m for u, v in pairs)
+                    error = abs(moments[m - 1, tree.heads[k] + i] - exact)
+                    if error:
+                        worst = max(worst, float(
+                            error / (scale_of_terms * 2 ** m)))
+    assert worst <= 1e-15, worst
 
 
 def test_runs_longer_than_a_tile_keep_their_bits():
-    # 40k grid points within 5e-4 of 0 and 20k jumps of +-1.5e-3: at level
-    # 0 the occupation support, the compensator's band and the near jumps
-    # are each one run longer than a tile, summed in a tile of its own.
+    # 40k grid points within 5e-4 of 0 and 20k jumps of +-1.5e-3, bar two
+    # of +-9e-3 whose pre-jump values widen the tree's top to bins of
+    # 2^-8: at level 0 the occupation support, the compensator's band and
+    # the jumps of its near bins are each one run longer than a tile,
+    # summed in a tile of its own.
     # Its value must not depend on the levels asked for with it, and must
     # hold the exact-summation bars of the tests above
     n, eps = 40_000, 1e-3
@@ -915,7 +1011,8 @@ def test_runs_longer_than_a_tile_keep_their_bits():
     rows = np.arange(1, n + 1, 2)
     path = PathSample(
         times=np.linspace(0.0, 1.0, n + 1), values=values, jump_rows=rows,
-        jump_sizes=np.where(rows % 4 == 1, 1.5e-3, -1.5e-3),
+        jump_sizes=np.where(rows % 4 == 1, 1.5e-3, -1.5e-3) * np.where(
+            rows < 4, 6.0, 1.0),
         scheme="jumpdecomp", config=SimConfig(T=1.0, n_steps=n, eps=eps))
     x, dt = path.values[:-1], np.diff(path.times)
     pre, post, h = _jumps(path)
@@ -923,7 +1020,9 @@ def test_runs_longer_than_a_tile_keep_their_bits():
     table = compensator_table(SYM, eps)
     assert len(x) > localtime._PAIR_TILE and len(h) > localtime._PAIR_TILE
     assert np.abs(x).max() < min(moll.width, localtime._NEAR_EPS * eps)
-    assert np.abs(h).max() <= localtime._JUMP_SMALL
+    tree = localtime._jump_bins(SYM, pre, h)
+    top = math.ldexp(tree.width, len(tree.starts) - 1)
+    assert top == 2.0 ** -8 and tree.rest.tolist() == [0, 1]
     # level 0 first among far levels, and after six long runs
     first = np.concatenate([[0.0], np.linspace(0.5, 2.0, _SORT_LEVELS - 1)])
     after = np.concatenate([[-3e-4, -2e-4, -1e-4, 1e-4, 2e-4, 3e-4, 0.0],
@@ -986,6 +1085,25 @@ def _sorted_route(table, levels, x, dt):
                                   *localtime._value_order(x, dt))
 
 
+def test_expanded_jump_sum_direct_terms_stay_few(curve_path, monkeypatch):
+    # a cost guard that counts instead of timing: the entries that one
+    # 201-level jump sum of the level-curve shape feeds _jump_terms, the
+    # near jumps' terms and one slot a run. The tree fed 57,683; the
+    # single-scale engine before it, with its 0.05 bins, fed 120,396
+    fed, real = [], localtime._jump_terms
+
+    def counting(params, a, pre, h, post):
+        terms = real(params, a, pre, h, post)
+        fed.append(terms.size)
+        return terms
+
+    monkeypatch.setattr(localtime, "_jump_terms", counting)
+    pre, post, h = _jumps(curve_path)
+    localtime._expanded_jump_sums(LEVEL_CURVE, default_a_grid(curve_path),
+                                  pre, h, post)
+    assert 0 < sum(fed) <= 1.5 * 57_683, sum(fed)
+
+
 def test_compensator_table_contract(curve_path, sorted_calls,
                                     expanded_calls, monkeypatch):
     # one table per (params, eps), equal params being one key, holding
@@ -1013,7 +1131,7 @@ def test_compensator_table_contract(curve_path, sorted_calls,
 
     monkeypatch.setattr(localtime, "compensator_table", counting)
     grid = default_a_grid(curve_path)
-    pins = {2: "94b24f258e82fec6", 201: "f1a1ac8a210679f2"}
+    pins = {2: "94b24f258e82fec6", 201: "87928993dec1b409"}
     for levels, n_calls in ((grid[[50, 150]], 0), (grid, 3)):
         looked_up.clear()
         sorted_calls.clear()
@@ -1116,14 +1234,20 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
         _compensator_at(compensator_table(LEVEL_CURVE, 1e-3), x - on)
         * dt).sum()
     assert max(got) - min(got) <= 1e-15 * size, got
-    # the jumps that the expansion leaves out of its bins, ~170 of a
-    # level-curve path, are one short record: the dense walk takes tiles
-    # of 96 levels, and each of the 201 levels gets its one-level walk's
-    # float, at an end mid-record and at the end. The expanded sum adds
-    # exactly that walk, last
+    # the jumps that the tree leaves out, those wider than its top's bins
+    # (0 to 5 of a level-curve path), are one short record: here 90 jumps
+    # of 20 or more among a level-curve path's, which the dense walk takes
+    # in tiles of 182 levels. Each of the 201 levels gets its one-level
+    # walk's float, at an end mid-record and at the end, and the expanded
+    # sum adds exactly that walk, last
     pre, post, h = _jumps(curve_path)
-    rest = ~localtime._jump_bins(LEVEL_CURVE, pre, h)[1]
-    ends = [np.count_nonzero(rest) // 3, np.count_nonzero(rest)]
+    wide = np.where(np.arange(90) % 2, 20.0, -21.0)
+    pre = np.append(pre, np.quantile(pre, np.linspace(0.0, 1.0, 90)))
+    h = np.append(h, wide)
+    post = pre + h
+    rest = localtime._jump_bins(LEVEL_CURVE, pre, h).rest
+    assert rest.tolist() == list(range(len(h) - 90, len(h)))
+    ends = [len(rest) // 3, len(rest)]
     assert _PAIR_TILE // _TILE_POINTS < _PAIR_TILE // ends[-1] < 201
     grid = default_a_grid(curve_path)
     jumps = pre[rest], h[rest], post[rest]
@@ -1137,6 +1261,32 @@ def test_route_choice_from_input_sizes(curve_path, sorted_calls,
                         *_: np.zeros((len(ends), len(levels))))
     binned = localtime._expanded_jump_sums(LEVEL_CURVE, grid, pre, h, post)
     assert np.array_equal(_bits(full), _bits(binned + walked[-1]))
+
+
+def test_run_sums_give_each_run_its_reduce():
+    # one np.add.reduceat a tile, over the terms with a 0.0 slot ahead of
+    # each run, gives each run np.add.reduce's float for the run alone, 0.0
+    # plus the pairwise sum of its terms: runs of up to 5000 terms, of any
+    # sign and magnitude, all negative, or all -0.0, empty runs among them,
+    # in any order of the columns and packed into tiles with others or
+    # alone
+    rng = np.random.default_rng(11)
+    for trial in range(48):
+        n = rng.integers(0, 5000, rng.integers(1, 13))
+        values = rng.standard_normal(n.sum()) * 10.0 ** rng.integers(
+            -8, 8, n.sum())
+        if trial % 4 == 1:
+            values = -np.abs(values)
+        elif trial % 4 == 2:
+            values[:] = -0.0
+        stops = np.cumsum(n)
+        starts = stops - n
+        order = rng.permutation(len(n))
+        got = _run_sums(np.zeros(len(n)), starts[order], stops[order],
+                        lambda a, x: x, values)
+        assert np.array_equal(_bits(got), _bits(
+            [np.add.reduce(values[lo:hi])
+             for lo, hi in zip(starts[order], stops[order])])), trial
 
 
 @pytest.mark.parametrize("triplet, eps, n_steps", [

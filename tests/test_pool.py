@@ -57,7 +57,7 @@ _BUNDLES = {
         "a07f1aeaa3ea12e6"),
 }
 _TERMINAL = "bd43563ead8b3368"
-_LEVEL_CURVE = "54c73c192b56682e"
+_LEVEL_CURVE = "3fe2fb885fc8435a"
 
 
 def _digest(data: bytes) -> str:
